@@ -81,6 +81,8 @@ def scenario_from_document(
         raw_constraints = document["constraints"]
     except KeyError as err:
         raise ScenarioError(f"scenario is missing the {err.args[0]!r} field") from err
+    _require_list(variables, "'variables'")
+    _require_list(raw_constraints, "'constraints'")
     kind = document.get("kind", "standard")
     if kind not in ("standard", "lower", "upper"):
         raise ScenarioError(f"unknown scenario kind {kind!r}")
@@ -88,11 +90,18 @@ def scenario_from_document(
     constraints = []
     for index, raw in enumerate(raw_constraints):
         try:
-            subset = tuple(raw["moment"])
+            subset = raw["moment"]
             relation = raw["relation"]
             value_text = raw["value"]
         except (KeyError, TypeError) as err:
             raise ScenarioError(f"constraint {index}: malformed entry: {err}") from err
+        _require_list(subset, f"constraint {index}: 'moment'")
+        if not isinstance(value_text, str):
+            # A JSON number is refused: a decimal one is already a rounded float.
+            raise ScenarioError(
+                f"constraint {index}: value must be an expression string"
+                f" such as \"1/2\", got {value_text!r}"
+            )
         try:
             target = parse_and_evaluate(value_text, bracket_tolerance)
         except ExpressionError as err:
@@ -103,8 +112,14 @@ def scenario_from_document(
             raise ScenarioError(
                 f"constraint {index}: cannot evaluate {value_text!r}: {err}"
             ) from err
-        constraints.append(MomentConstraint(subset, relation, target))
+        constraints.append(MomentConstraint(tuple(subset), relation, target))
     return Scenario(space, tuple(constraints), kind, document.get("title"))
+
+
+def _require_list(value, what: str) -> None:
+    """Reject anything but a list, so a string is never split into names."""
+    if not isinstance(value, (list, tuple)):
+        raise ScenarioError(f"{what} must be a list, got {value!r}")
 
 
 def _interval_json(iv: ScalarInterval) -> dict:
@@ -133,14 +148,8 @@ def _constraint_trace(scenario: Scenario, outcome) -> list[dict]:
         }
         if outcome.witness is not None:
             achieved = measures.signed_atom_sum(outcome.witness, c.subset)
-            want = c.target.endpoint(endpoint)
-            ok = (
-                achieved == want
-                if c.relation == "eq"
-                else achieved <= want if c.relation == "le" else achieved >= want
-            )
             entry["witness_moment"] = format_scalar(achieved)
-            entry["satisfied"] = ok
+            entry["satisfied"] = c.holds_at(achieved, endpoint)
         trace.append(entry)
     return trace
 
@@ -167,20 +176,9 @@ def _base_report(command: str, echo) -> dict:
     return {"tool": dict(_TOOL), "command": command, "input": echo}
 
 
-def _ghz_witness_pattern(scenario: Scenario):
+def _ghz_witness_pattern(scenario: Scenario) -> bool:
     """Match the fixed witness pattern: three singles at 1, triple at -1."""
-    if scenario.space.n != 3 or len(scenario.constraints) != 4:
-        return False
-    singles = 0
-    triple = 0
-    for c in scenario.constraints:
-        if c.relation != "eq" or not c.target.is_point:
-            return False
-        if len(c.subset) == 1 and c.target.lo == 1:
-            singles += 1
-        elif len(c.subset) == 3 and c.target.lo == -1:
-            triple += 1
-    return singles == 3 and triple == 1
+    return _ghz_moment_shape(scenario) == closed_form.GhzMoments.of(1, 1, 1, -1)
 
 
 def _cmd_check(args) -> tuple[int, dict]:
@@ -523,8 +521,17 @@ def _cmd_quantum(args) -> tuple[int, dict]:
         }
     report["states"] = sections
     ops = quantum.ghz_operators()
-    product_matrix = ops["A"].matrix @ ops["B"].matrix @ ops["C"].matrix
-    deviation = float(abs(product_matrix + ops["D"].matrix).max())
+    deviation = 0.0
+    for basis in range(ops["D"].dimension):
+        image, phase = basis, 1
+        for name in ("C", "B", "A"):
+            image, step = ops[name].apply(image)
+            phase *= step
+        d_image, d_phase = ops["D"].apply(basis)
+        # Column `basis` of A·B·C + D: one entry when the images agree,
+        # otherwise two entries of modulus 1.
+        column = abs(phase + d_phase) if image == d_image else 1.0
+        deviation = max(deviation, column)
     report["operator_identity"] = {
         "statement": "A·B·C = -D as 8x8 matrices",
         "max_entry_deviation": deviation,
@@ -567,10 +574,18 @@ def _cmd_validate(args) -> tuple[int, dict]:
     results = []
     all_passed = True
     for section in candidates:
-        if section["type"] == "atom-measure":
-            obj = AtomMeasure.from_json_dict(section)
-        else:
-            obj = PartialSetFunction.from_json_dict(section)
+        try:
+            _require_list(section["variables"], "'variables'")
+            if section["type"] == "atom-measure":
+                obj = AtomMeasure.from_json_dict(section)
+            else:
+                obj = PartialSetFunction.from_json_dict(section)
+        except KeyError as err:
+            raise ScenarioError(
+                f"{section['type']} document is missing the {err.args[0]!r} field"
+            ) from err
+        except (AttributeError, TypeError) as err:
+            raise ScenarioError(f"malformed {section['type']} document: {err}") from err
         outcome = validate(obj)
         all_passed = all_passed and outcome.passed
         results.append(
@@ -765,3 +780,7 @@ def _print_report(report: dict, fmt: str, stream) -> None:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

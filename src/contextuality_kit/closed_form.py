@@ -44,17 +44,11 @@ from .measures import (
     signed_atom_sum,
     validate,
 )
-from .numerics import ScalarInterval
+from .numerics import ScalarInterval, as_interval
 from . import simplex
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def _as_interval(value) -> ScalarInterval:
-    if isinstance(value, ScalarInterval):
-        return value
-    return ScalarInterval.point(Fraction(value))
 
 
 @dataclass(frozen=True)
@@ -273,7 +267,7 @@ class BellMoments:
 
     @classmethod
     def of(cls, exy, exz, eyz) -> "BellMoments":
-        return cls(_as_interval(exy), _as_interval(exz), _as_interval(eyz))
+        return cls(as_interval(exy), as_interval(exz), as_interval(eyz))
 
 
 SOLUTION = "solution"

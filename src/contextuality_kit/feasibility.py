@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 from .errors import CertificateError, ScenarioError
 from .event_space import EventSpace, build_space, moment_coefficients
 from .measures import STANDARD, AtomMeasure, validate
-from .numerics import ScalarInterval, format_scalar
+from .numerics import ScalarInterval, as_interval, format_scalar
 from . import simplex
 
 FEASIBLE = "feasible"
@@ -59,17 +59,20 @@ class MomentConstraint:
 
     @classmethod
     def eq(cls, subset: Sequence[str], value) -> "MomentConstraint":
-        return cls(tuple(subset), EQ, _as_interval(value))
+        return cls(tuple(subset), EQ, as_interval(value))
 
     def describe(self) -> str:
         rel = {EQ: "=", LE: "<=", GE: ">="}[self.relation]
         return f"E({''.join(self.subset)}) {rel} {self.target}"
 
-
-def _as_interval(value) -> ScalarInterval:
-    if isinstance(value, ScalarInterval):
-        return value
-    return ScalarInterval.point(Fraction(value))
+    def holds_at(self, value: Fraction, endpoint: str) -> bool:
+        """Whether a moment value meets the target at one interval endpoint."""
+        want = self.target.endpoint(endpoint)
+        if self.relation == EQ:
+            return value == want
+        if self.relation == LE:
+            return value <= want
+        return value >= want
 
 
 @dataclass(frozen=True)
@@ -104,7 +107,7 @@ def make_scenario(
     """Convenience constructor from (subset, relation, value) triples."""
     space = build_space(variables)
     built = tuple(
-        MomentConstraint(tuple(subset), relation, _as_interval(value))
+        MomentConstraint(tuple(subset), relation, as_interval(value))
         for subset, relation, value in constraints
     )
     return Scenario(space, built, kind, title)
@@ -222,13 +225,7 @@ def _check_witness(scenario: Scenario, witness: AtomMeasure, endpoint: str) -> N
             (k * v for k, v in zip(moment_coefficients(scenario.space, c.subset), witness.values)),
             Fraction(0),
         )
-        want = c.target.endpoint(endpoint)
-        ok = (
-            got == want
-            if c.relation == EQ
-            else got <= want if c.relation == LE else got >= want
-        )
-        if not ok:
+        if not c.holds_at(got, endpoint):
             raise AssertionError(f"witness violates {c.describe()}: got {got}")
 
 

@@ -32,8 +32,6 @@ from typing import Union
 
 from .errors import EvaluationError, ExpressionError
 
-ExactScalar = Fraction
-
 #: Default bracket width for irrational constants: far below every
 #: decision margin that occurs in the bundled scenarios (~0.41).
 DEFAULT_BRACKET_TOLERANCE = Fraction(1, 10**12)
@@ -45,6 +43,8 @@ _MAX_SCALE_BITS = 256
 
 def scalar_from_string(text: str) -> Fraction:
     """Parse a "p/q" or integer string into an exact rational."""
+    if not isinstance(text, str):
+        raise ValueError(f"exact scalars are written as strings such as '1/3', got {text!r}")
     return Fraction(text)
 
 
@@ -87,9 +87,6 @@ class ScalarInterval:
     def contains(self, value: Fraction) -> bool:
         return self.lo <= value <= self.hi
 
-    def encloses(self, other: "ScalarInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def __neg__(self) -> "ScalarInterval":
         return ScalarInterval(-self.hi, -self.lo)
 
@@ -122,6 +119,13 @@ class ScalarInterval:
         if self.is_point:
             return str(self.lo)
         return f"[{self.lo}, {self.hi}]"
+
+
+def as_interval(value) -> ScalarInterval:
+    """``value`` itself when it is an interval, else the exact point interval."""
+    if isinstance(value, ScalarInterval):
+        return value
+    return ScalarInterval.point(value)
 
 
 class _Unresolved(EvaluationError):

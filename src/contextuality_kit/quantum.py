@@ -1,24 +1,24 @@
 """Quantum expectations that source the scenario targets.
 
-Small dense complex linear algebra: tensor products of Pauli matrices,
-state-vector expectations, and the two-particle singlet correlation.
-This is the one corner of the package that uses floating point; the
-values computed here enter the exact solvers only as re-entered exact
-constants (for example ``-sqrt(3)/2``), so no verdict depends on a
-float.
+Pauli strings, state-vector expectations, and the two-particle singlet
+correlation, in plain Python.  A Pauli string maps every basis state to
+one basis state times a phase: x flips the particle's bit, z negates
+when the bit is set, and y = i·x·z does both with an extra factor i
+(N. D. Mermin, Am. J. Phys. 58, 731 (1990); D. Gottesman,
+arXiv:quant-ph/9705052).  Amplitudes are floats; the values computed
+here enter the exact solvers only as re-entered exact constants (for
+example ``-sqrt(3)/2``), so no verdict depends on a float.
 
 Basis convention: |+> and |-> are the σ_z eigenstates, the first
-particle is the most significant tensor factor, matching the atom
-ordering used by the event spaces.
+particle is the most significant bit of the basis index, matching the
+atom ordering used by the event spaces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import cos, sqrt
-
-import numpy as np
+from math import cos, fsum, sqrt
 
 from .errors import SizeLimitError, SpaceError
 
@@ -26,40 +26,64 @@ TOLERANCE = 1e-12
 
 MAX_PARTICLES = 10
 
-_PAULI = {
-    "i": np.eye(2, dtype=complex),
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+_COMPONENTS = ("i", "x", "y", "z")
+
+#: i^k for k quarter turns.
+_PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SpinOperator:
-    """Tensor product of per-particle Pauli components."""
+    """Tensor product of per-particle Pauli components (a Pauli string)."""
 
-    matrix: np.ndarray
     factors: tuple[str, ...]
 
     @property
     def dimension(self) -> int:
-        return self.matrix.shape[0]
+        return 1 << len(self.factors)
+
+    def apply(self, basis: int) -> tuple[int, complex]:
+        """Op|basis> = phase·|image>, returned as (image, phase)."""
+        image = basis
+        quarter_turns = 0
+        for position, f in enumerate(reversed(self.factors)):
+            bit = 1 << position
+            if f in ("x", "y"):
+                image ^= bit
+            if f == "y":
+                quarter_turns += 1
+            if f in ("y", "z") and basis & bit:
+                quarter_turns += 2
+        return image, _PHASES[quarter_turns % 4]
+
+    @property
+    def matrix(self):
+        """Dense numpy matrix of the operator, a reference view only."""
+        import numpy as np
+
+        dense = np.zeros((self.dimension, self.dimension), dtype=complex)
+        for basis in range(self.dimension):
+            image, phase = self.apply(basis)
+            dense[image, basis] = phase
+        return dense
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class StateVector:
     """Normalized complex amplitudes over 2^k basis states."""
 
-    amplitudes: np.ndarray
+    amplitudes: tuple[complex, ...]
 
     def __post_init__(self):
-        norm = float(np.linalg.norm(self.amplitudes))
+        amplitudes = tuple(complex(a) for a in self.amplitudes)
+        object.__setattr__(self, "amplitudes", amplitudes)
+        norm = sqrt(fsum(a.real * a.real + a.imag * a.imag for a in amplitudes))
         if abs(norm - 1.0) > TOLERANCE:
             raise ValueError(f"state norm {norm} differs from 1 beyond {TOLERANCE}")
 
     @property
     def dimension(self) -> int:
-        return self.amplitudes.shape[0]
+        return len(self.amplitudes)
 
 
 def build_operator(factors) -> SpinOperator:
@@ -69,14 +93,10 @@ def build_operator(factors) -> SpinOperator:
         raise SizeLimitError(
             f"{len(factors)} particles outside the supported range 1..{MAX_PARTICLES}"
         )
-    matrix = None
     for f in factors:
-        if f not in _PAULI:
+        if f not in _COMPONENTS:
             raise SpaceError(f"unknown Pauli component {f!r}; use x, y, z or i")
-        matrix = _PAULI[f] if matrix is None else np.kron(matrix, _PAULI[f])
-    if float(np.abs(matrix - matrix.conj().T).max()) > TOLERANCE:
-        raise AssertionError("Pauli tensor product must be Hermitian")
-    return SpinOperator(matrix, factors)
+    return SpinOperator(factors)
 
 
 def expectation_value(state: StateVector, operator: SpinOperator) -> float:
@@ -85,7 +105,12 @@ def expectation_value(state: StateVector, operator: SpinOperator) -> float:
         raise SpaceError(
             f"state dimension {state.dimension} != operator dimension {operator.dimension}"
         )
-    value = complex(np.vdot(state.amplitudes, operator.matrix @ state.amplitudes))
+    psi = state.amplitudes
+    value = 0j
+    for basis, amplitude in enumerate(psi):
+        if amplitude:
+            image, phase = operator.apply(basis)
+            value += psi[image].conjugate() * phase * amplitude
     if abs(value.imag) > TOLERANCE:
         raise ValueError(f"expectation has imaginary part {value.imag}")
     return value.real
@@ -110,10 +135,7 @@ def ghz_operators() -> dict[str, SpinOperator]:
 
 
 def _basis_state(entries: dict[int, complex], dimension: int) -> StateVector:
-    amplitudes = np.zeros(dimension, dtype=complex)
-    for index, amplitude in entries.items():
-        amplitudes[index] = amplitude
-    return StateVector(amplitudes)
+    return StateVector(tuple(entries.get(index, 0j) for index in range(dimension)))
 
 
 def ghz_state_mermin() -> StateVector:

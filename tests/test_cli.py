@@ -1,7 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import contextuality_kit
 
 from contextuality_kit.cli import (
     EXIT_INDETERMINATE,
@@ -144,6 +150,41 @@ class TestCheckCommand:
         code, report = run_json("check", "--scenario", str(path))
         assert code == EXIT_USAGE
         assert report["verdict"] == "input-error"
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            (
+                {
+                    "variables": ["A"],
+                    "constraints": [{"moment": ["A"], "relation": "eq", "value": 0.5}],
+                },
+                "constraint 0: value must be an expression string",
+            ),
+            (
+                {
+                    "variables": "AB",
+                    "constraints": [{"moment": ["A"], "relation": "eq", "value": "0"}],
+                },
+                "'variables' must be a list",
+            ),
+            (
+                {
+                    "variables": ["A", "B"],
+                    "constraints": [{"moment": "AB", "relation": "eq", "value": "0"}],
+                },
+                "constraint 0: 'moment' must be a list",
+            ),
+        ],
+        ids=["numeric-value", "string-variables", "string-moment"],
+    )
+    def test_malformed_document_is_input_error(self, tmp_path, document, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document))
+        code, report = run_json("check", "--scenario", str(path))
+        assert code == EXIT_USAGE
+        assert report["verdict"] == "input-error"
+        assert message in report["error"]
 
     def test_missing_file(self):
         code, _ = run_json("check", "--scenario", "/nonexistent/file.json")
@@ -290,6 +331,29 @@ class TestWitnessCommandsAndValidate:
         assert code == EXIT_VIOLATION
         assert validated["results"][0]["violations"]
 
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ({"type": "atom-measure", "variables": ["A"]}, "missing the 'atoms' field"),
+            (
+                {"type": "atom-measure", "variables": ["A"], "atoms": {"+": 0.5, "-": "1/2"}},
+                "got 0.5",
+            ),
+            (
+                {"type": "atom-measure", "variables": "A", "atoms": {"+": "1", "-": "0"}},
+                "'variables' must be a list",
+            ),
+        ],
+        ids=["no-atoms", "numeric-atom", "string-variables"],
+    )
+    def test_malformed_validate_document_is_input_error(self, tmp_path, document, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document))
+        code, report = run_json("validate", "--file", str(path))
+        assert code == EXIT_USAGE
+        assert report["verdict"] == "input-error"
+        assert message in report["error"]
+
     def test_lower_kind_scenario_routes_to_witness_solver(self, tmp_path):
         doc = {
             "kind": "lower",
@@ -341,3 +405,16 @@ class TestUsage:
         first, _ = run_json("check", "--scenario", bundled("ghz.json"))
         second, _ = run_json("check", "--scenario", bundled("ghz.json"))
         assert first == second == EXIT_VIOLATION
+
+
+def test_module_entry_point_runs_the_cli():
+    src = Path(contextuality_kit.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "contextuality_kit.cli", "check", "--scenario", bundled("ghz.json")],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=120,
+    )
+    assert proc.returncode == EXIT_VIOLATION
+    assert "verdict: infeasible" in proc.stdout
