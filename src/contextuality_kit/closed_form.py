@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .errors import KitError, NoWitnessError
 from .event_space import EventMask, EventSpace, build_space, moment_coefficients, sign_event
-from .feasibility import EQ, INDETERMINATE, INFEASIBLE, make_scenario, solve
+from .feasibility import EQ, GE, INDETERMINATE, INFEASIBLE, make_scenario, solve
 from .measures import (
     LOWER,
     LOWER_ATOMS,
@@ -416,11 +416,9 @@ def _solve_upper_bell_at(m: BellMoments, endpoint: str) -> UpperBellSolution:
         relations.append(EQ)
     rows.append([1] * space.atom_count)
     rhs.append(_ONE)
-    relations.append("ge")
+    relations.append(GE)
 
-    from .feasibility import _to_standard_form
-
-    std_rows, total = _to_standard_form(rows, rhs, relations)
+    std_rows, total = simplex.to_standard_form(rows, relations)
     result = simplex.solve_lp(None, std_rows, rhs, n_vars=total)
     if result.status != simplex.OPTIMAL:
         raise KitError(
@@ -716,17 +714,15 @@ def solve_upper_ghz_witness() -> GhzWitness:
         event = sign_event(space, variable, 1)
         rows.append([1 if a in event else 0 for a in space.atoms()])
         rhs.append(_ONE)
-        relations.append("ge")
+        relations.append(GE)
     rows.append(_product_coeffs(space))
     rhs.append(Fraction(-1))
     relations.append(EQ)
     rows.append([1] * n)
     rhs.append(_ONE)
-    relations.append("ge")
+    relations.append(GE)
 
-    from .feasibility import _to_standard_form
-
-    std_rows, total = _to_standard_form(rows, rhs, relations)
+    std_rows, total = simplex.to_standard_form(rows, relations)
     costs = [1] * n + [0] * (total - n)
     result = simplex.solve_lp(costs, std_rows, rhs, n_vars=total)
     if result.status != simplex.OPTIMAL:

@@ -23,6 +23,7 @@ verdict is honestly "indeterminate" rather than a rounding guess.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,15 +31,15 @@ from typing import Iterable, Sequence
 
 from .errors import CertificateError, ScenarioError
 from .event_space import EventSpace, build_space, moment_coefficients
-from .measures import STANDARD, AtomMeasure, validate
+from .measures import STANDARD, AtomMeasure, signed_atom_sum, validate
 from .numerics import ScalarInterval, as_interval, format_scalar
 from . import simplex
+from .simplex import EQ, GE, LE
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 INDETERMINATE = "indeterminate"
 
-EQ, LE, GE = "eq", "le", "ge"
 _RELATIONS = (EQ, LE, GE)
 
 #: Optional cap on worker processes used by grid sweeps.
@@ -154,30 +155,11 @@ def _standard_rows(scenario: Scenario, endpoint: str):
     return rows, rhs, relations
 
 
-def _to_standard_form(rows, rhs, relations):
-    """Append slack/surplus columns so every row becomes an equality."""
-    n = len(rows[0])
-    slack_count = sum(1 for r in relations if r != EQ)
-    total = n + slack_count
-    out_rows = []
-    slack_at = n
-    for row, rel in zip(rows, relations):
-        line = list(row) + [0] * (total - n)
-        if rel == LE:
-            line[slack_at] = 1
-            slack_at += 1
-        elif rel == GE:
-            line[slack_at] = -1
-            slack_at += 1
-        out_rows.append(line)
-    return out_rows, total
-
-
 def _feasible_at(scenario: Scenario, endpoint: str):
     """Phase-1 only: returns (feasible, witness values or farkas)."""
     rows, rhs, relations = _standard_rows(scenario, endpoint)
     n = scenario.space.atom_count
-    std_rows, total = _to_standard_form(rows, rhs, relations)
+    std_rows, total = simplex.to_standard_form(rows, relations)
     result = simplex.solve_lp(None, std_rows, rhs, n_vars=total)
     if result.status == simplex.INFEASIBLE:
         return False, result.farkas
@@ -221,10 +203,7 @@ def _check_witness(scenario: Scenario, witness: AtomMeasure, endpoint: str) -> N
     if not report:
         raise AssertionError(f"witness fails validation: {report.violations}")
     for c in scenario.constraints:
-        got = sum(
-            (k * v for k, v in zip(moment_coefficients(scenario.space, c.subset), witness.values)),
-            Fraction(0),
-        )
+        got = signed_atom_sum(witness, c.subset)
         if not c.holds_at(got, endpoint):
             raise AssertionError(f"witness violates {c.describe()}: got {got}")
 
@@ -289,7 +268,7 @@ def margin(scenario: Scenario, endpoint: str = "lo") -> Fraction:
     with_t = []
     for row, s in zip(relaxed_rows, t_sign):
         with_t.append(list(row) + [s])
-    std_rows, total = _to_standard_form(with_t, relaxed_rhs, relaxed_rel)
+    std_rows, total = simplex.to_standard_form(with_t, relaxed_rel)
     costs = [0] * total
     costs[n] = 1  # minimize t
     result = simplex.solve_lp(costs, std_rows, relaxed_rhs, n_vars=total)
@@ -321,12 +300,20 @@ def verify_certificate(
             return False
         if rel == LE and yi > 0:
             return False
-    n = scenario.space.atom_count
-    for a in range(n):
-        combined = sum((yi * row[a] for yi, row in zip(y, rows)), Fraction(0))
-        if combined > 0:
-            return False
-    combined_rhs = sum((yi * b for yi, b in zip(y, rhs)), Fraction(0))
+    # Signs are all that matter, so scale y by its common denominator
+    # and combine in integers.
+    common = math.lcm(*(yi.denominator for yi in y))
+    scaled = [yi.numerator * (common // yi.denominator) for yi in y]
+    combined = [0] * scenario.space.atom_count
+    for yi, row in zip(scaled, rows):
+        if yi:
+            combined = [c + yi * k for c, k in zip(combined, row)]
+    if any(c > 0 for c in combined):
+        return False
+    rhs_common = math.lcm(*(b.denominator for b in rhs))
+    combined_rhs = sum(
+        yi * b.numerator * (rhs_common // b.denominator) for yi, b in zip(scaled, rhs)
+    )
     return combined_rhs > 0
 
 

@@ -28,6 +28,7 @@ this package always name which one was used.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -294,9 +295,11 @@ def signed_atom_sum(measure: AtomMeasure, subset: Sequence[str]) -> Fraction:
     of the expectation of a product of ±1 variables.
     """
     coeffs = moment_coefficients(measure.space, subset)
-    return sum(
-        (c * v for c, v in zip(coeffs, measure.values) if v), Fraction(0)
-    )
+    terms = [(c, v) for c, v in zip(coeffs, measure.values) if v]
+    # One common denominator, so the sum runs in ints.
+    common = math.lcm(*(v.denominator for _, v in terms))
+    total = sum(c * v.numerator * (common // v.denominator) for c, v in terms)
+    return Fraction(total, common)
 
 
 def expectation(measure: AtomMeasure, subset: Sequence[str]) -> Fraction:
