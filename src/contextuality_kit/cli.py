@@ -288,17 +288,21 @@ def _cmd_margin(args) -> tuple[int, dict]:
     scenario, echo = load_scenario(args.scenario, tolerance)
     report = _base_report("margin", echo)
     report["bracket_tolerance"] = format_scalar(tolerance)
-    lo = feasibility.margin(scenario, "lo")
-    hi = feasibility.margin(scenario, "hi") if scenario.has_interval_targets else lo
+    lo, hi, agree = feasibility.decide_endpoints(
+        lambda endpoint: feasibility.margin(scenario, endpoint),
+        scenario.has_interval_targets,
+        lambda m: m == 0,
+    )
+    hi = lo if hi is None else hi
     report["margin_lo"] = format_scalar(lo)
     report["margin_hi"] = format_scalar(hi)
     report["margin_approx"] = float(min(lo, hi))
-    if lo == 0 and hi == 0:
-        verdict, code = FEASIBLE, EXIT_PASS
-    elif lo > 0 and hi > 0:
-        verdict, code = INFEASIBLE, EXIT_VIOLATION
-    else:
+    if not agree:
         verdict, code = INDETERMINATE, EXIT_INDETERMINATE
+    elif lo == 0:
+        verdict, code = FEASIBLE, EXIT_PASS
+    else:
+        verdict, code = INFEASIBLE, EXIT_VIOLATION
     report["verdict"] = verdict
     return code, report
 

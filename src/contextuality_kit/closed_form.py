@@ -26,12 +26,12 @@ rule, symmetrized over variable permutations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import KitError, NoWitnessError
 from .event_space import EventMask, EventSpace, build_space, moment_coefficients, sign_event
-from .feasibility import EQ, GE, INDETERMINATE, INFEASIBLE, make_scenario, solve
+from .feasibility import EQ, GE, INDETERMINATE, _feasible_at, decide_endpoints, make_scenario
 from .measures import (
     LOWER,
     LOWER_ATOMS,
@@ -332,8 +332,8 @@ def _solve_bell_at(m: BellMoments, endpoint: str) -> BellConditionalOutcome:
     # Remaining requirement: the conditionals must belong to an actual
     # joint distribution, i.e. the pairwise moments with zero single
     # moments must be feasible.
-    outcome = solve(_bell_scenario(exy, exz, eyz), "lo")
-    if outcome.verdict == INFEASIBLE:
+    feasible, _ = _feasible_at(_bell_scenario(exy, exz, eyz), "lo")
+    if not feasible:
         return BellConditionalOutcome(
             status=NO_SOLUTION,
             failed_stage=STAGE_REALIZABILITY,
@@ -348,24 +348,20 @@ def solve_bell_conditionals(m: BellMoments) -> BellConditionalOutcome:
     Stage one solves the averaging equalities 2E(XY) = E(XY|Z=1) +
     E(XY|Z=-1) (and cyclic counterparts) under the cyclic symmetry of
     conditionals; stage two checks joint realizability with the exact
-    LP.  Interval targets are decided at both endpoints; disagreement
-    yields an indeterminate outcome.
+    LP.  Interval targets go through
+    :func:`~contextuality_kit.feasibility.decide_endpoints`, keyed on
+    (status, failed stage); disagreement yields an indeterminate outcome.
     """
-    lo = _solve_bell_at(m, "lo")
-    if m.exy.is_point and m.exz.is_point and m.eyz.is_point:
-        return lo
-    hi = _solve_bell_at(m, "hi")
-    if lo.status == hi.status and lo.failed_stage == hi.failed_stage:
-        return BellConditionalOutcome(
-            status=lo.status,
-            failed_stage=lo.failed_stage,
-            conditionals=lo.conditionals,
-            detail=lo.detail,
-            endpoint_outcomes=(lo, hi),
-        )
-    return BellConditionalOutcome(
-        status=INDETERMINATE, endpoint_outcomes=(lo, hi)
+    lo, hi, agree = decide_endpoints(
+        lambda endpoint: _solve_bell_at(m, endpoint),
+        not (m.exy.is_point and m.exz.is_point and m.eyz.is_point),
+        lambda outcome: (outcome.status, outcome.failed_stage),
     )
+    if hi is None:
+        return lo
+    if agree:
+        return replace(lo, endpoint_outcomes=(lo, hi))
+    return BellConditionalOutcome(status=INDETERMINATE, endpoint_outcomes=(lo, hi))
 
 
 @dataclass(frozen=True)
@@ -386,13 +382,18 @@ class UpperBellSolution:
     conditionals: tuple[ConditionalMomentValue, ...]
     atom_uppers: AtomMeasure
     trace: tuple[CheckRecord, ...]
-    endpoint_solutions: tuple = ()
 
 
-def _solve_upper_bell_at(m: BellMoments, endpoint: str) -> UpperBellSolution:
-    exy = m.exy.endpoint(endpoint)
-    exz = m.exz.endpoint(endpoint)
-    eyz = m.eyz.endpoint(endpoint)
+def solve_upper_bell_conditionals(m: BellMoments) -> UpperBellSolution:
+    """Conditional upper expectations for given pairwise correlations.
+
+    Always solvable: the averaging rows are one-sided for upper
+    expectations, so no endpoint can disagree with another and interval
+    targets are solved at their ``lo`` endpoints only.  Every
+    inequality, symmetry equality, and the total upper-mass condition is
+    re-verified exactly before returning.
+    """
+    exy, exz, eyz = m.exy.lo, m.exz.lo, m.eyz.lo
     # For upper expectations the averaging rows weaken to inequalities
     # 2E*(XY) >= E*(XY|Z=1) + E*(XY|Z=-1) (and cyclic), so the system
     # is always solvable.  Canonical choice: the symmetric solution
@@ -469,20 +470,6 @@ def _solve_upper_bell_at(m: BellMoments, endpoint: str) -> UpperBellSolution:
     )
     _require_all(trace)
     return UpperBellSolution(conditionals, atom_uppers, tuple(trace))
-
-
-def solve_upper_bell_conditionals(m: BellMoments) -> UpperBellSolution:
-    """Conditional upper expectations for given pairwise correlations.
-
-    Always solvable: the averaging rows are one-sided for upper
-    expectations.  Every inequality, symmetry equality, and the total
-    upper-mass condition is re-verified exactly before returning.
-    """
-    lo = _solve_upper_bell_at(m, "lo")
-    if m.exy.is_point and m.exz.is_point and m.eyz.is_point:
-        return lo
-    hi = _solve_upper_bell_at(m, "hi")
-    return UpperBellSolution(lo.conditionals, lo.atom_uppers, lo.trace, (lo, hi))
 
 
 # --- lower/upper GHZ witnesses ----------------------------------------------

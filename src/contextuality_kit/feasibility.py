@@ -17,17 +17,18 @@ arithmetic.  Every verdict ships evidence:
   feasibility.
 
 Targets may be intervals (brackets of irrational inputs).  Decisions
-are then made at both endpoints; if the endpoints disagree the robust
-verdict is honestly "indeterminate" rather than a rounding guess.
+are then made at both endpoints by :func:`decide_endpoints`; if they
+disagree the verdict is honestly "indeterminate" rather than a
+rounding guess.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import CertificateError, ScenarioError
 from .event_space import EventSpace, build_space, moment_coefficients
@@ -208,32 +209,41 @@ def _check_witness(scenario: Scenario, witness: AtomMeasure, endpoint: str) -> N
             raise AssertionError(f"witness violates {c.describe()}: got {got}")
 
 
-def solve_robust(scenario: Scenario) -> FeasibilityOutcome:
-    """Decide at both interval endpoints; disagreement is indeterminate.
+def decide_endpoints(decide: Callable, has_interval_targets: bool, key: Callable):
+    """The kit's one policy for interval targets.
 
-    For all-rational scenarios the endpoints coincide and a single run
-    decides.  The reported margin is the smaller of the endpoint
-    margins.
+    Runs ``decide("lo")``, then ``decide("hi")`` only for interval
+    targets, and returns ``(lo, hi, agree)``: ``hi`` is None for point
+    targets, and ``agree`` says whether ``key`` maps both results to the
+    same value.  Callers report a disagreement as indeterminate.
     """
-    lo = solve(scenario, "lo")
-    if not scenario.has_interval_targets:
+    lo = decide("lo")
+    if not has_interval_targets:
+        return lo, None, True
+    hi = decide("hi")
+    return lo, hi, key(lo) == key(hi)
+
+
+def solve_robust(scenario: Scenario) -> FeasibilityOutcome:
+    """Decide under :func:`decide_endpoints`, keyed on the verdict.
+
+    For all-rational scenarios a single run decides.  Otherwise the
+    outcome carries the ``lo`` witness or certificate, the smaller of
+    the endpoint margins, and both endpoint outcomes.
+    """
+    lo, hi, agree = decide_endpoints(
+        lambda endpoint: solve(scenario, endpoint),
+        scenario.has_interval_targets,
+        lambda outcome: outcome.verdict,
+    )
+    if hi is None:
         return lo
-    hi = solve(scenario, "hi")
-    margins = [m for m in (lo.margin, hi.margin) if m is not None]
-    combined = min(margins) if margins else None
-    if lo.verdict == hi.verdict:
-        return FeasibilityOutcome(
-            verdict=lo.verdict,
-            endpoint="lo",
-            witness=lo.witness,
-            certificate=lo.certificate,
-            margin=combined,
-            endpoint_outcomes={"lo": lo, "hi": hi},
-        )
+    endpoints = {"lo": lo, "hi": hi}
+    combined = min(lo.margin, hi.margin)
+    if agree:
+        return replace(lo, margin=combined, endpoint_outcomes=endpoints)
     return FeasibilityOutcome(
-        verdict=INDETERMINATE,
-        margin=combined,
-        endpoint_outcomes={"lo": lo, "hi": hi},
+        verdict=INDETERMINATE, margin=combined, endpoint_outcomes=endpoints
     )
 
 

@@ -84,9 +84,6 @@ class ScalarInterval:
             return self.hi
         raise ValueError(f"endpoint must be 'lo' or 'hi', got {which!r}")
 
-    def contains(self, value: Fraction) -> bool:
-        return self.lo <= value <= self.hi
-
     def __neg__(self) -> "ScalarInterval":
         return ScalarInterval(-self.hi, -self.lo)
 

@@ -418,3 +418,36 @@ def test_module_entry_point_runs_the_cli():
     )
     assert proc.returncode == EXIT_VIOLATION
     assert "verdict: infeasible" in proc.stdout
+
+
+_BUNDLED = sorted(p.name for p in scenario_dir().iterdir() if p.name.endswith(".json"))
+
+
+@pytest.mark.parametrize("name", _BUNDLED)
+def test_margin_agrees_with_check_on_bundled_scenarios(name):
+    check_code, check = run_json("check", "--scenario", bundled(name))
+    margin_code, margin = run_json("margin", "--scenario", bundled(name))
+    assert margin["verdict"] == check["verdict"]
+    assert margin_code == check_code
+
+
+@pytest.mark.parametrize(
+    "tolerance, verdict, code",
+    [("1/10", "indeterminate", EXIT_INDETERMINATE), ("1/100000", "infeasible", EXIT_VIOLATION)],
+)
+def test_margin_agrees_with_check_on_a_straddling_bracket(tmp_path, tolerance, verdict, code):
+    # E(A) = sqrt(2) - 4142/10000 exceeds 1 by about 10^-5, so a
+    # 1/10-wide bracket straddles the existence boundary E(A) = 1
+    doc = {
+        "variables": ["A", "B"],
+        "constraints": [
+            {"moment": ["A"], "relation": "eq", "value": "sqrt(2) - 4142/10000"},
+            {"moment": ["A", "B"], "relation": "eq", "value": "-1"},
+        ],
+    }
+    path = tmp_path / "straddle.json"
+    path.write_text(json.dumps(doc))
+    argv = ("--scenario", str(path), "--bracket-tolerance", tolerance)
+    check_code, check = run_json("check", *argv)
+    margin_code, margin = run_json("margin", *argv)
+    assert (check["verdict"], check_code) == (margin["verdict"], margin_code) == (verdict, code)

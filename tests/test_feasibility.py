@@ -8,6 +8,7 @@ from contextuality_kit.feasibility import (
     FEASIBLE,
     INDETERMINATE,
     INFEASIBLE,
+    decide_endpoints,
     ghz_symmetric_scenario,
     make_scenario,
     margin,
@@ -332,3 +333,17 @@ def test_enlarging_interval_never_turns_feasible_into_infeasible(center, widen):
     new_verdict = solve_robust(widened).verdict
     if verdict == FEASIBLE:
         assert new_verdict in (FEASIBLE, INDETERMINATE)
+
+
+def test_decide_endpoints_runs_hi_only_for_interval_targets():
+    calls = []
+
+    def decide(endpoint):
+        calls.append(endpoint)
+        return {"lo": 3, "hi": -3}[endpoint]
+
+    assert decide_endpoints(decide, False, abs) == (3, None, True)
+    assert calls == ["lo"]
+    assert decide_endpoints(decide, True, abs) == (3, -3, True)
+    assert decide_endpoints(decide, True, lambda v: v > 0) == (3, -3, False)
+    assert calls == ["lo", "lo", "hi", "lo", "hi"]
