@@ -386,7 +386,7 @@ def _cmd_mermin(args) -> tuple[int, dict]:
     ), report
 
 
-def _bell_moments_from_args(args) -> tuple[closed_form.BellMoments, dict]:
+def _bell_moments_from_args(args) -> tuple[closed_form.BellMoments, dict, Fraction]:
     tolerance = _tolerance(args)
     echo = {"exy": args.exy, "exz": args.exz, "eyz": args.eyz}
     moments = closed_form.BellMoments(
@@ -394,7 +394,7 @@ def _bell_moments_from_args(args) -> tuple[closed_form.BellMoments, dict]:
         parse_and_evaluate(args.exz, tolerance),
         parse_and_evaluate(args.eyz, tolerance),
     )
-    return moments, echo
+    return moments, echo, tolerance
 
 
 def _conditionals_json(conditionals) -> list[dict]:
@@ -405,9 +405,10 @@ def _conditionals_json(conditionals) -> list[dict]:
 
 
 def _cmd_bell_system(args) -> tuple[int, dict]:
-    moments, echo = _bell_moments_from_args(args)
+    moments, echo, tolerance = _bell_moments_from_args(args)
     outcome = closed_form.solve_bell_conditionals(moments)
     report = _base_report("bell-system", echo)
+    report["bracket_tolerance"] = format_scalar(tolerance)
     report["verdict"] = outcome.status
     if outcome.status == closed_form.SOLUTION:
         report["conditionals"] = _conditionals_json(outcome.conditionals)
@@ -427,9 +428,13 @@ def _cmd_bell_system(args) -> tuple[int, dict]:
 
 
 def _cmd_upper_bell(args) -> tuple[int, dict]:
-    moments, echo = _bell_moments_from_args(args)
+    moments, echo, tolerance = _bell_moments_from_args(args)
     solution = closed_form.solve_upper_bell_conditionals(moments)
     report = _base_report("upper-bell", echo)
+    report["bracket_tolerance"] = format_scalar(tolerance)
+    if moments.has_interval_targets:
+        # The conditionals are solved at the lower bracket ends.
+        report["endpoint"] = "lo"
     report["verdict"] = "solution"
     report["conditionals"] = _conditionals_json(solution.conditionals)
     report["atom_uppers"] = solution.atom_uppers.to_json_dict()

@@ -269,6 +269,10 @@ class BellMoments:
     def of(cls, exy, exz, eyz) -> "BellMoments":
         return cls(as_interval(exy), as_interval(exz), as_interval(eyz))
 
+    @property
+    def has_interval_targets(self) -> bool:
+        return not (self.exy.is_point and self.exz.is_point and self.eyz.is_point)
+
 
 SOLUTION = "solution"
 NO_SOLUTION = "no-solution"
@@ -354,7 +358,7 @@ def solve_bell_conditionals(m: BellMoments) -> BellConditionalOutcome:
     """
     lo, hi, agree = decide_endpoints(
         lambda endpoint: _solve_bell_at(m, endpoint),
-        not (m.exy.is_point and m.exz.is_point and m.eyz.is_point),
+        m.has_interval_targets,
         lambda outcome: (outcome.status, outcome.failed_stage),
     )
     if hi is None:

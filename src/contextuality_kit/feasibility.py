@@ -254,6 +254,13 @@ def margin(scenario: Scenario, endpoint: str = "lo") -> Fraction:
     relax by t in their own direction.  Computed as an exact LP, so the
     result is an exact rational; it is 0 exactly when the scenario is
     feasible as stated.
+
+    The LP needs no phase 1: all mass on one atom j, with t equal to
+    that atom's worst violation of the targets and every other row's
+    slack basic, is a feasible basis (:func:`_crash_basis`), and
+    :func:`simplex.solve_from_basis` minimizes t from there.  The
+    margin is the LP's optimal value, which does not depend on the
+    start or the pivot path.
     """
     rows, rhs, relations = _standard_rows(scenario, endpoint)
     n = scenario.space.atom_count
@@ -281,10 +288,48 @@ def margin(scenario: Scenario, endpoint: str = "lo") -> Fraction:
     std_rows, total = simplex.to_standard_form(with_t, relaxed_rel)
     costs = [0] * total
     costs[n] = 1  # minimize t
-    result = simplex.solve_lp(costs, std_rows, relaxed_rhs, n_vars=total)
+    basis = _crash_basis(n, relaxed_rows, relaxed_rhs, t_sign)
+    result = simplex.solve_from_basis(costs, std_rows, relaxed_rhs, basis)
     if result.status != simplex.OPTIMAL:
-        raise AssertionError(f"margin LP ended {result.status}; it is always feasible")
+        raise AssertionError(
+            f"margin LP ended {result.status}; it is bounded below by 0"
+        )
     return result.x[n]
+
+
+def _crash_basis(n, relaxed_rows, relaxed_rhs, t_sign):
+    """A feasible start basis for the margin LP, one column per row.
+
+    Row 0 (Σp = 1) gets atom j; relaxed row r gets its slack, column
+    n + r (t is column n).  At p = e_j row r is violated by
+    v_r(j) = t_sign[r]·(b_r - row_r[j]), so t = max_r v_r(j) keeps
+    every slack t - v_r(j) ≥ 0.  j is the atom with the least worst
+    violation (lowest index on ties).  When that violation is ≥ 0, t
+    takes the basic place of the first row attaining it, whose slack is
+    0; when every row is strictly slack at j, t stays nonbasic at 0.
+    Violations are compared in integers over the targets' common
+    denominator.
+    """
+    relaxed = range(1, len(relaxed_rows))
+    basis = [0] + [n + r for r in relaxed]
+    if not relaxed:
+        return basis
+    common = math.lcm(*(relaxed_rhs[r].denominator for r in relaxed))
+    violations = []
+    for r in relaxed:
+        b = relaxed_rhs[r]
+        sign = t_sign[r]
+        target = sign * b.numerator * (common // b.denominator)
+        step = sign * common
+        violations.append([target - step * a for a in relaxed_rows[r]])
+    worst = [max(column) for column in zip(*violations)]
+    least = min(worst)
+    j = worst.index(least)
+    basis[0] = j
+    if least >= 0:
+        first = next(k for k, v in enumerate(violations) if v[j] == least)
+        basis[first + 1] = n
+    return basis
 
 
 def verify_certificate(

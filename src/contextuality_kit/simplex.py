@@ -1,9 +1,18 @@
-"""Exact two-phase primal simplex over the rationals, in integers.
+"""Exact primal simplex over the rationals, in integers.
 
 Solves   minimize c·x   subject to   A x = b,  x >= 0
 
 exactly, so there is no tolerance tuning anywhere: a pivot element is
-nonzero or it is not.
+nonzero or it is not.  Two routines share the tableau, the pivot, the
+ratio test and the pricing of the objective row:
+
+* :func:`solve_lp`, two-phase with Bland's rule throughout.  Its pivot
+  path fixes the evidence the kit reports (the first feasible basis is
+  the witness, the phase-1 duals are the certificate), so that path is
+  part of the output and must not change.
+* :func:`solve_from_basis`, one phase from a feasible basis the caller
+  knows, with Dantzig's rule.  Only its optimal value is reported, so
+  its path is free to be short.
 
 Every tableau row, the objective row included, is a list of Python ints
 over one positive integer scale; the row's rational value is
@@ -30,7 +39,15 @@ they are a Farkas certificate, i.e. row multipliers y with yᵀA <= 0
 componentwise and yᵀb > 0, which any caller can re-verify by direct
 arithmetic.  Callers that only need feasibility pass ``costs=None`` and
 receive the first basic feasible solution found, which is deterministic.
-Fractions appear only at this boundary: a basic value is
+
+The one-phase solve enters the column of most negative reduced cost.
+When that step would be degenerate (a zero ratio), it takes Bland's
+entering column and leaving row instead.  A non-degenerate pivot lowers
+the objective strictly, so no basis recurs across one; a cycle would
+have to consist of degenerate pivots only, and every degenerate pivot
+is a Bland pivot, which cannot cycle.  So this loop terminates too.
+
+Fractions appear only at the boundary: a basic value is
 ``Fraction(rhs_i, scale_i)``, and each Farkas multiplier is read off
 the objective row the same way.
 """
@@ -58,7 +75,8 @@ class LpResult:
     objective: Fraction | None = None
     farkas: list[Fraction] | None = None
     #: Pivots taken in phase 1 (including the degenerate pivots that
-    #: drive artificials out of the basis) and in phase 2.
+    #: drive artificials out of the basis) and in phase 2;
+    #: :func:`solve_from_basis` has no phase 1.
     pivots: tuple[int, int] = (0, 0)
 
 
@@ -150,6 +168,39 @@ def _pivot(tableau, scales, basis, row, col):
     basis[row] = col
 
 
+def _leaving(tableau, basis, entering):
+    """Ratio test on the entering column: the row that leaves, or -1.
+
+    Ties go to the lowest basic column index (Bland's rule).
+    """
+    leaving = -1
+    best_rhs = best_coeff = 0
+    for i in range(len(tableau) - 1):
+        line = tableau[i]
+        coeff = line[entering]
+        if coeff > 0:
+            # rhs/coeff against best_rhs/best_coeff; both scales cancel.
+            lhs = line[-1] * best_coeff
+            rhs = best_rhs * coeff
+            if (
+                leaving < 0
+                or lhs < rhs
+                or (lhs == rhs and basis[i] < basis[leaving])
+            ):
+                best_rhs = line[-1]
+                best_coeff = coeff
+                leaving = i
+    return leaving
+
+
+def _bland_entering(obj, allowed_columns):
+    """Lowest-index column with a negative reduced cost, or -1."""
+    for j in allowed_columns:
+        if obj[j] < 0:
+            return j
+    return -1
+
+
 def _run(tableau, scales, basis, allowed_columns):
     """Minimize the objective row with Bland's rule.
 
@@ -158,35 +209,64 @@ def _run(tableau, scales, basis, allowed_columns):
     m = len(tableau) - 1
     pivots = 0
     while True:
-        obj = tableau[m]
-        entering = -1
-        for j in allowed_columns:
-            if obj[j] < 0:
-                entering = j
-                break
+        entering = _bland_entering(tableau[m], allowed_columns)
         if entering < 0:
             return OPTIMAL, pivots
-        leaving = -1
-        best_rhs = best_coeff = 0
-        for i in range(m):
-            line = tableau[i]
-            coeff = line[entering]
-            if coeff > 0:
-                # rhs/coeff against best_rhs/best_coeff; both scales cancel.
-                lhs = line[-1] * best_coeff
-                rhs = best_rhs * coeff
-                if (
-                    leaving < 0
-                    or lhs < rhs
-                    or (lhs == rhs and basis[i] < basis[leaving])
-                ):
-                    best_rhs = line[-1]
-                    best_coeff = coeff
-                    leaving = i
+        leaving = _leaving(tableau, basis, entering)
         if leaving < 0:
             return UNBOUNDED, pivots
         _pivot(tableau, scales, basis, leaving, entering)
         pivots += 1
+
+
+def _run_dantzig(tableau, scales, basis):
+    """Minimize the objective row with Dantzig's rule, Bland's when degenerate.
+
+    Returns (status, pivots taken).
+    """
+    m = len(tableau) - 1
+    columns = range(len(tableau[m]) - 1)
+    pivots = 0
+    while True:
+        obj = tableau[m]
+        most_negative = min(obj[:-1])
+        if most_negative >= 0:
+            return OPTIMAL, pivots
+        entering = obj.index(most_negative)
+        leaving = _leaving(tableau, basis, entering)
+        if leaving >= 0 and not tableau[leaving][-1]:
+            entering = _bland_entering(obj, columns)
+            leaving = _leaving(tableau, basis, entering)
+        if leaving < 0:
+            return UNBOUNDED, pivots
+        _pivot(tableau, scales, basis, leaving, entering)
+        pivots += 1
+
+
+def _priced(costs, tableau, scales, basis):
+    """Objective row of reduced costs for a basis, and its scale.
+
+    The rows hold the constraint tableau in canonical form for
+    ``basis``; the result is c - Σ c_B(i)·row_i over
+    cost_scale·lcm(row scales), whose right-hand side is -c·x.
+    """
+    cost_ints, cost_scale = _scaled(costs)
+    priced = [i for i in range(len(basis)) if cost_ints[basis[i]]]
+    common = math.lcm(*(scales[i] for i in priced))
+    obj = [c * common for c in cost_ints] + [0]
+    for i in priced:
+        k = cost_ints[basis[i]] * (common // scales[i])
+        obj = [a - k * b if b else a for a, b in zip(obj, tableau[i])]
+    return _reduced(obj, cost_scale * common)
+
+
+def _basic_point(tableau, scales, basis, n_vars):
+    """The structural values of the basic solution, as Fractions."""
+    x = [_ZERO] * n_vars
+    for i, col in enumerate(basis):
+        if col < n_vars:
+            x[col] = Fraction(tableau[i][-1], scales[i])
+    return x
 
 
 def solve_lp(
@@ -280,15 +360,7 @@ def solve_lp(
         del scales[m]
         for i in range(m):
             tableau[i] = tableau[i][:n_vars] + [tableau[i][-1]]
-        cost_ints, cost_scale = _scaled(costs)
-        # Reduced costs c - Σ c_B(i)·row_i, over cost_scale·lcm(row scales).
-        priced = [i for i in range(m) if cost_ints[basis[i]]]
-        common = math.lcm(*(scales[i] for i in priced))
-        obj = [c * common for c in cost_ints] + [0]
-        for i in priced:
-            k = cost_ints[basis[i]] * (common // scales[i])
-            obj = [a - k * b if b else a for a, b in zip(obj, tableau[i])]
-        obj, obj_scale = _reduced(obj, cost_scale * common)
+        obj, obj_scale = _priced(costs, tableau, scales, basis)
         tableau.append(obj)
         scales.append(obj_scale)
         status, phase2_pivots = _run(tableau, scales, basis, structural)
@@ -297,13 +369,69 @@ def solve_lp(
         # The objective row's right-hand side holds -c·x.
         objective = Fraction(-tableau[m][-1], scales[m])
 
-    x = [_ZERO] * n_vars
-    for i in range(m):
-        if basis[i] < n_vars:
-            x[basis[i]] = Fraction(tableau[i][-1], scales[i])
     return LpResult(
         status=OPTIMAL,
-        x=x,
+        x=_basic_point(tableau, scales, basis, n_vars),
         objective=objective,
         pivots=(phase1_pivots, phase2_pivots),
+    )
+
+
+def solve_from_basis(
+    costs: list[Fraction],
+    rows: list[list[Fraction]],
+    rhs: list[Fraction],
+    basis: list[int],
+) -> LpResult:
+    """One-phase simplex for  min c·x,  rows·x = rhs,  x >= 0.
+
+    ``basis`` names one column per row whose basic solution is
+    feasible; the simplex starts there, so there is no phase 1 and no
+    artificial column.  Entries may be ints or Fractions.  Raises
+    ValueError when the columns are linearly dependent (singular) or
+    their basic solution has a negative entry (not primal-feasible).
+
+    Entering columns follow Dantzig's rule (most negative reduced cost,
+    lowest index on ties).  When that column's ratio test gives a zero
+    step, Bland's entering column and its ratio-test row pivot instead.
+    Every degenerate pivot is then a Bland pivot, so the loop cannot
+    cycle (the argument is in the module docstring).  The pivot path,
+    unlike ``solve_lp``'s, is not part of any report; only the optimal
+    value is.
+
+    ``pivots`` is ``(0, simplex pivots)``; the pivots that bring
+    ``basis`` in are not counted.
+    """
+    m = len(rows)
+    if len(basis) != m:
+        raise ValueError(f"start basis has {len(basis)} columns for {m} rows")
+    n_vars = len(costs)
+    tableau: list[list[int]] = []
+    scales: list[int] = []
+    for row, b in zip(rows, rhs):
+        ints, scale = _scaled([*row, b])
+        tableau.append(ints)
+        scales.append(scale)
+    # Bring each column in on the first unused row where it is nonzero;
+    # none left means the columns are linearly dependent.
+    placed = [-1] * m
+    for col in basis:
+        row = next((i for i in range(m) if placed[i] < 0 and tableau[i][col]), -1)
+        if row < 0:
+            raise ValueError(f"start basis is singular at column {col}")
+        _pivot(tableau, scales, placed, row, col)
+    if any(line[-1] < 0 for line in tableau):
+        raise ValueError("start basis is not primal-feasible")
+
+    obj, obj_scale = _priced(costs, tableau, scales, placed)
+    tableau.append(obj)
+    scales.append(obj_scale)
+    status, pivots = _run_dantzig(tableau, scales, placed)
+    if status == UNBOUNDED:
+        return LpResult(status=UNBOUNDED, pivots=(0, pivots))
+    return LpResult(
+        status=OPTIMAL,
+        x=_basic_point(tableau, scales, placed, n_vars),
+        objective=Fraction(-tableau[m][-1], scales[m]),
+        pivots=(0, pivots),
     )

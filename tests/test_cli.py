@@ -281,6 +281,31 @@ class TestOtherCommands:
         assert len(report["conditionals"]) == 6
         assert all(t["satisfied"] for t in report["trace"])
 
+    def test_bell_system_reports_bracket_tolerance(self):
+        _, report = run_json(
+            "bell-system", "--exy=-sqrt(3)/2", "--exz=-sqrt(3)/2", "--eyz=-1/2"
+        )
+        assert report["bracket_tolerance"] == "1/1000000000000"
+        _, report = run_json(
+            "bell-system", "--exy=0", "--exz=0", "--eyz=0", "--bracket-tolerance", "1/10"
+        )
+        assert report["bracket_tolerance"] == "1/10"
+
+    def test_upper_bell_marks_bracketed_values_as_lo_endpoints(self):
+        _, report = run_json(
+            "upper-bell",
+            "--exy=-sqrt(3)/2",
+            "--exz=-sqrt(3)/2",
+            "--eyz=-1/2",
+            "--bracket-tolerance",
+            "1/100000",
+        )
+        assert report["bracket_tolerance"] == "1/100000"
+        assert report["endpoint"] == "lo"
+        _, report = run_json("upper-bell", "--exy=-1/2", "--exz=-1/2", "--eyz=-1/2")
+        assert report["bracket_tolerance"] == "1/1000000000000"
+        assert "endpoint" not in report
+
     def test_quantum(self):
         code, report = run_json("quantum", "--angle-degrees", "30")
         assert code == EXIT_PASS

@@ -1,13 +1,19 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from contextuality_kit import simplex
 from contextuality_kit.errors import CertificateError, ScenarioError
+from contextuality_kit.event_space import moment_coefficients
 from contextuality_kit.feasibility import (
+    EQ,
     FEASIBLE,
+    GE,
     INDETERMINATE,
     INFEASIBLE,
+    LE,
     decide_endpoints,
     ghz_symmetric_scenario,
     make_scenario,
@@ -347,3 +353,121 @@ def test_decide_endpoints_runs_hi_only_for_interval_targets():
     assert decide_endpoints(decide, True, abs) == (3, -3, True)
     assert decide_endpoints(decide, True, lambda v: v > 0) == (3, -3, False)
     assert calls == ["lo", "lo", "hi", "lo", "hi"]
+
+
+# --- the crash-started margin LP against the two-phase margin LP -------------
+
+
+def two_phase_margin(scenario, endpoint):
+    """The relaxed margin LP, built here and solved by two-phase simplex.
+
+    Columns: the atoms, t, then one slack per one-sided row.  An
+    equality target gives the rows moment - t <= target and
+    moment + t >= target; an inequality target gives its own side.
+    """
+    n = scenario.space.atom_count
+    sides = []
+    for c in scenario.constraints:
+        coefficients = moment_coefficients(scenario.space, c.subset)
+        target = c.target.endpoint(endpoint)
+        if c.relation in (EQ, LE):
+            sides.append((coefficients, -1, 1, target))
+        if c.relation in (EQ, GE):
+            sides.append((coefficients, 1, -1, target))
+    width = n + 1 + len(sides)
+    rows = [[1] * n + [0] * (width - n)]
+    rhs = [Fraction(1)]
+    for k, (coefficients, t_coefficient, slack, target) in enumerate(sides):
+        row = list(coefficients) + [t_coefficient] + [0] * len(sides)
+        row[n + 1 + k] = slack
+        rows.append(row)
+        rhs.append(target)
+    costs = [0] * width
+    costs[n] = 1
+    result = simplex.solve_lp(costs, rows, rhs)
+    assert result.status == simplex.OPTIMAL
+    return result.objective
+
+
+_VARIABLES = ["A", "B", "C"]
+_SUBSETS = [list(s) for k in (1, 2, 3) for s in combinations(_VARIABLES, k)]
+_margin_target = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    st.sampled_from(
+        ["sqrt(2)/2", "-sqrt(3)/2", "sqrt(2)-1", "1/3-sqrt(5)/7", "-sqrt(2)"]
+    ).map(parse_and_evaluate),
+)
+
+
+@st.composite
+def relaxed_scenarios(draw):
+    n = draw(st.integers(min_value=1, max_value=3))
+    subsets = [s for s in _SUBSETS if set(s) <= set(_VARIABLES[:n])]
+    chosen = draw(st.lists(st.sampled_from(subsets), unique_by=tuple, max_size=5))
+    return make_scenario(
+        _VARIABLES[:n],
+        [
+            (s, draw(st.sampled_from([EQ, LE, GE])), draw(_margin_target))
+            for s in chosen
+        ],
+    )
+
+
+#: Crash-basis shapes named in `_crash_basis`, each with the atom j
+#: the crash start puts its mass on and whether t starts basic.
+_CRASH_CASES = {
+    "no-constraints": (make_scenario(["A", "B"], []), 0, False),
+    # Atom 3 (A = B = -1) has the least worst violation, -sqrt(2) - 1.
+    "strictly-slack-inequalities": (
+        make_scenario(
+            ["A", "B"],
+            [
+                (["A"], LE, Fraction(3, 2)),
+                (["A", "B"], GE, parse_and_evaluate("-sqrt(2)")),
+            ],
+        ),
+        3,
+        False,
+    ),
+    # Every atom violates some row by 1: atoms tie (j = 0), and at atom 0
+    # the rows E(A) <= 0 and E(B) <= 0 tie (t takes the first).
+    "tied-worst-violation": (
+        make_scenario(["A", "B"], [(["A"], EQ, 0), (["B"], EQ, 0)]),
+        0,
+        True,
+    ),
+    # At atom 0 both sides of E(A) = 1 are tight: t is basic at 0.
+    "t-basic-at-zero": (make_scenario(["A"], [(["A"], EQ, 1)]), 0, True),
+    "infeasible-ghz": (ghz_scenario(), 0, True),
+}
+
+
+@settings(deadline=None, max_examples=200)
+@given(relaxed_scenarios(), st.sampled_from(["lo", "hi"]))
+@example(_CRASH_CASES["no-constraints"][0], "lo")
+@example(_CRASH_CASES["strictly-slack-inequalities"][0], "hi")
+@example(_CRASH_CASES["tied-worst-violation"][0], "lo")
+@example(_CRASH_CASES["t-basic-at-zero"][0], "lo")
+def test_margin_matches_two_phase_margin(scenario, endpoint):
+    assert margin(scenario, endpoint) == two_phase_margin(scenario, endpoint)
+
+
+@pytest.mark.parametrize("name", sorted(_CRASH_CASES))
+def test_margin_crash_basis_shape(monkeypatch, name):
+    scenario, atom, t_basic = _CRASH_CASES[name]
+    n = scenario.space.atom_count
+    starts = []
+    solve_from_basis = simplex.solve_from_basis
+
+    def spy(costs, rows, rhs, basis):
+        starts.append(list(basis))
+        return solve_from_basis(costs, rows, rhs, basis)
+
+    monkeypatch.setattr(simplex, "solve_from_basis", spy)
+    assert margin(scenario) == two_phase_margin(scenario, "lo")
+    (basis,) = starts
+    assert basis[0] == atom
+    assert (n in basis) == t_basic
+    if name == "tied-worst-violation":
+        assert basis[1] == n  # the first of the tied rows
+

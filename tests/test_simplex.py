@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from contextuality_kit import simplex
@@ -81,3 +82,46 @@ def test_farkas_certificates_always_verify(rows, rhs):
         ]
         assert all(c <= 0 for c in combined)
         assert sum(yi * b for yi, b in zip(y, rhs)) > 0
+
+
+def test_solve_from_basis_rejects_bad_starts():
+    rows = [[1, 1, 0], [1, -1, 1]]
+    rhs = [1, Fraction(1, 2)]
+    costs = [0, 1, 0]
+    # Columns 0 and 2: x0 = 1, x2 = -1/2, not primal-feasible.
+    with pytest.raises(ValueError, match="feasible"):
+        simplex.solve_from_basis(costs, rows, rhs, [0, 2])
+    # Column 0 twice: linearly dependent.
+    with pytest.raises(ValueError, match="singular"):
+        simplex.solve_from_basis(costs, rows, rhs, [0, 0])
+    # Columns 1 and 2 are a feasible start: x1 = 1, x2 = 3/2.  The
+    # optimum has x2 = 2·x1 - 1/2 = 0.
+    result = simplex.solve_from_basis(costs, rows, rhs, [1, 2])
+    assert result.status == simplex.OPTIMAL
+    assert result.objective == Fraction(1, 4)
+    assert result.x == [Fraction(3, 4), Fraction(1, 4), 0]
+    # No positive entry under an improving column.
+    assert simplex.solve_from_basis([-1, 0], [[0, 1]], [1], [1]).status == (
+        simplex.UNBOUNDED
+    )
+
+
+def test_solve_from_basis_terminates_on_beale_cycling_example():
+    """Beale's LP cycles under Dantzig's rule alone from this basis.
+
+    Its first two rows have right-hand side 0, so Dantzig's first steps
+    are degenerate; the Bland fallback takes them instead, and the solve
+    reaches the optimum.
+    """
+    q = Fraction(1, 4)
+    rows = [
+        [1, 0, 0, q, -8, -1, 9],
+        [0, 1, 0, 2 * q, -12, -2 * q, 3],
+        [0, 0, 1, 0, 0, 1, 0],
+    ]
+    rhs = [0, 0, 1]
+    costs = [0, 0, 0, -3 * q, 20, -2 * q, 6]
+    result = simplex.solve_from_basis(costs, rows, rhs, [0, 1, 2])
+    assert result.status == simplex.OPTIMAL
+    assert result.objective == Fraction(-5, 4)
+    assert result.objective == simplex.solve_lp(costs, rows, rhs).objective

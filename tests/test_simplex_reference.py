@@ -37,14 +37,32 @@ def fields(result):
     return (result.status, result.x, result.objective, result.farkas, result.pivots)
 
 
-#: The kit's solver, taken before any test patches the module attribute.
+#: The kit's solvers, taken before any test patches the module attributes.
 _solve_lp = simplex.solve_lp
+_solve_from_basis = simplex.solve_from_basis
 
 
 def assert_same(costs, rows, rhs, n_vars=None):
     got = _solve_lp(costs, rows, rhs, n_vars)
     want = fraction_simplex.solve_lp(costs, rows, rhs, n_vars)
     assert fields(got) == fields(want)
+    return got
+
+
+def assert_same_optimum(costs, rows, rhs, basis):
+    """A one-phase solve returns an optimal point of the reference's value.
+
+    Its pivot path differs from Bland's, so only the point's
+    feasibility, its objective and the optimal value are compared.
+    """
+    got = _solve_from_basis(costs, rows, rhs, basis)
+    want = fraction_simplex.solve_lp(costs, rows, rhs)
+    assert got.status == want.status == simplex.OPTIMAL
+    assert all(v >= 0 for v in got.x)
+    for row, b in zip(rows, rhs):
+        assert sum(a * v for a, v in zip(row, got.x)) == b
+    assert sum(c * v for c, v in zip(costs, got.x)) == got.objective
+    assert got.objective == want.objective
     return got
 
 
@@ -57,7 +75,12 @@ def compared(monkeypatch):
         count[0] += 1
         return assert_same(costs, rows, rhs, n_vars)
 
+    def checked_from_basis(costs, rows, rhs, basis):
+        count[0] += 1
+        return assert_same_optimum(costs, rows, rhs, basis)
+
     monkeypatch.setattr(simplex, "solve_lp", checked)
+    monkeypatch.setattr(simplex, "solve_from_basis", checked_from_basis)
     yield count
 
 
