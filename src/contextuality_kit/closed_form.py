@@ -26,6 +26,7 @@ rule, symmetrized over variable permutations.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -103,12 +104,18 @@ def check_ghz_inequalities(m: GhzMoments) -> InequalityCheck:
     A joint distribution reproducing (eA, eB, eC, eABC) exists exactly
     when all four signed sums lie within [-2, 2].  Returns the first
     violated inequality (1-based) with its value, or a pass.
+
+    The sums are taken in integers over the moments' common
+    denominator; only a violating value becomes a Fraction.
     """
     values = (m.eA, m.eB, m.eC, m.eABC)
+    common = math.lcm(*(v.denominator for v in values))
+    scaled = [v.numerator * (common // v.denominator) for v in values]
+    bound = 2 * common
     for index, signs in enumerate(_INEQUALITY_SIGNS, start=1):
-        total = sum((s * v for s, v in zip(signs, values)), _ZERO)
-        if not -2 <= total <= 2:
-            return InequalityCheck(False, index, total)
+        total = sum(s * v for s, v in zip(signs, scaled))
+        if not -bound <= total <= bound:
+            return InequalityCheck(False, index, Fraction(total, common))
     return InequalityCheck(True)
 
 

@@ -405,16 +405,22 @@ def uniform_grid(steps: int) -> list[tuple[Fraction, Fraction]]:
     return [(p, q) for p in axis for q in axis]
 
 
-def _grid_point_agrees(point: tuple[Fraction, Fraction]) -> tuple[bool, bool]:
+#: Contiguous points per worker task; each chunk is one warm sweep.
+GRID_CHUNK = 256
+
+
+def _grid_verdicts(points) -> list[tuple[bool, bool]]:
+    """(LP feasible, closed form feasible) for each point, in one warm sweep."""
     from .closed_form import GhzMoments, check_ghz_inequalities
 
-    p, q = point
-    scenario = ghz_symmetric_scenario(p, q)
-    lp_ok, _ = _feasible_at(scenario, "lo")
-    cf_ok = check_ghz_inequalities(
-        GhzMoments(2 * p - 1, 2 * p - 1, 2 * p - 1, 2 * q - 1)
-    ).passed
-    return lp_ok, cf_ok
+    # The matrix every point shares; rows follow the scenario's order.
+    rows, _, _ = _standard_rows(ghz_symmetric_scenario(0, 0), "lo")
+    moments = [(2 * Fraction(p) - 1, 2 * Fraction(q) - 1) for p, q in points]
+    statuses = simplex.solve_many(rows, [(1, e, e, e, t) for e, t in moments])
+    return [
+        (status == simplex.OPTIMAL, check_ghz_inequalities(GhzMoments(e, e, e, t)).passed)
+        for status, (e, t) in zip(statuses, moments)
+    ]
 
 
 def _worker_count(workers: int | None) -> int:
@@ -434,21 +440,32 @@ def oracle_grid_agreement(
 ) -> GridAgreementReport:
     """Compare the LP verdict with the closed-form inequalities pointwise.
 
-    Each grid point (p, q) builds the symmetric scenario with
-    E(A)=E(B)=E(C)=2p-1 and E(ABC)=2q-1.  The report lists every
-    mismatch; an empty list is the expected outcome.  Points may be
-    partitioned across worker processes; the result order follows the
-    input order regardless of scheduling.
+    Each grid point (p, q) is the symmetric scenario of
+    :func:`ghz_symmetric_scenario`, E(A)=E(B)=E(C)=2p-1 and
+    E(ABC)=2q-1.  All points share its 5x8 matrix and differ only in
+    the right-hand side, so the LP verdicts come from one
+    :func:`simplex.solve_many` sweep: a point is settled by the last
+    feasible basis or Farkas certificate found earlier in the same
+    sweep, re-checked exactly at that point, and only a point neither
+    settles runs a cold phase 1.  Every verdict is therefore the one a
+    cold solve gives.  The kept evidence lives in one sweep only.  With
+    worker processes, each takes contiguous chunks of
+    :data:`GRID_CHUNK` points and sweeps each chunk on its own; the
+    result order follows the input order regardless of scheduling.
+
+    The report lists every mismatch; an empty list is the expected
+    outcome.
     """
     points = list(points)
     workers = _worker_count(workers)
     if workers > 1 and len(points) > 64:
         import multiprocessing
 
+        chunks = [points[i:i + GRID_CHUNK] for i in range(0, len(points), GRID_CHUNK)]
         with multiprocessing.Pool(workers) as pool:
-            verdicts = pool.map(_grid_point_agrees, points, chunksize=256)
+            verdicts = [v for chunk in pool.map(_grid_verdicts, chunks, chunksize=1) for v in chunk]
     else:
-        verdicts = [_grid_point_agrees(pt) for pt in points]
+        verdicts = _grid_verdicts(points)
     mismatches = [
         GridMismatch(p, q, lp_ok, cf_ok)
         for (p, q), (lp_ok, cf_ok) in zip(points, verdicts)

@@ -3,8 +3,9 @@
 Solves   minimize c·x   subject to   A x = b,  x >= 0
 
 exactly, so there is no tolerance tuning anywhere: a pivot element is
-nonzero or it is not.  Two routines share the tableau, the pivot, the
-ratio test and the pricing of the objective row:
+nonzero or it is not.  Two solvers share the tableau, the pivot, the
+ratio test and the pricing of the objective row, and a third routine
+sweeps many right-hand sides with the first:
 
 * :func:`solve_lp`, two-phase with Bland's rule throughout.  Its pivot
   path fixes the evidence the kit reports (the first feasible basis is
@@ -13,6 +14,9 @@ ratio test and the pricing of the objective row:
 * :func:`solve_from_basis`, one phase from a feasible basis the caller
   knows, with Dantzig's rule.  Only its optimal value is reported, so
   its path is free to be short.
+* :func:`solve_many`, feasibility only, for right-hand sides that
+  share one matrix; it reuses earlier evidence and calls
+  :func:`solve_lp` only where that evidence does not settle a point.
 
 Every tableau row, the objective row included, is a list of Python ints
 over one positive integer scale; the row's rational value is
@@ -50,6 +54,22 @@ is a Bland pivot, which cannot cycle.  So this loop terminates too.
 Fractions appear only at the boundary: a basic value is
 ``Fraction(rhs_i, scale_i)``, and each Farkas multiplier is read off
 the objective row the same way.
+
+:func:`solve_many` decides feasibility for many right-hand sides that
+share one matrix, such as the points of a parameter grid.  Within one
+call it keeps two pieces of evidence from earlier cold solves: the last
+feasible basis (``LpResult.basis`` on the rows ``LpResult.basis_rows``
+kept after the redundant-row drop), with its inverse held as ints over
+one scale, and the last Farkas certificate, whose ``yᵀA <= 0`` is
+checked once when it is kept.  A right-hand side b is feasible when
+``x_B = B⁻¹b >= 0`` and the padded x satisfies every row, ``A x = b``,
+in integers, the dropped rows included; it is infeasible when
+``yᵀb > 0``.  Either is a complete proof at that b, so the verdict is
+the one a cold solve returns, and a wrong kept inverse or certificate
+can only cost a cold solve, never a wrong verdict.  A right-hand side
+that neither settles runs a cold :func:`solve_lp` phase 1, whose basis
+or certificate replaces the kept one.  No state outlives the call, and
+there is no dual simplex: the cold solves are the only pivots.
 """
 
 from __future__ import annotations
@@ -78,6 +98,10 @@ class LpResult:
     #: drive artificials out of the basis) and in phase 2;
     #: :func:`solve_from_basis` has no phase 1.
     pivots: tuple[int, int] = (0, 0)
+    #: On an optimal :func:`solve_lp` result: the basic column of each
+    #: row kept after the redundant-row drop, and those rows' indices.
+    basis: tuple[int, ...] | None = None
+    basis_rows: tuple[int, ...] | None = None
 
 
 def to_standard_form(rows, relations):
@@ -260,6 +284,21 @@ def _priced(costs, tableau, scales, basis):
     return _reduced(obj, cost_scale * common)
 
 
+def _bring_in(tableau, scales, placed, columns):
+    """Pivot each column in on the first unplaced row where it is nonzero.
+
+    ``placed`` records the column of each row (-1 while unplaced).
+    Returns the first column that finds no such row, in which case the
+    columns are linearly dependent, or -1 once all are placed.
+    """
+    for col in columns:
+        row = next((i for i, c in enumerate(placed) if c < 0 and tableau[i][col]), -1)
+        if row < 0:
+            return col
+        _pivot(tableau, scales, placed, row, col)
+    return -1
+
+
 def _basic_point(tableau, scales, basis, n_vars):
     """The structural values of the basic solution, as Fractions."""
     x = [_ZERO] * n_vars
@@ -349,6 +388,7 @@ def solve_lp(
         del tableau[i]
         del scales[i]
         del basis[i]
+    kept = tuple(i for i in range(m) if i not in drop)
     m = len(basis)
 
     phase2_pivots = 0
@@ -374,6 +414,8 @@ def solve_lp(
         x=_basic_point(tableau, scales, basis, n_vars),
         objective=objective,
         pivots=(phase1_pivots, phase2_pivots),
+        basis=tuple(basis),
+        basis_rows=kept,
     )
 
 
@@ -412,14 +454,10 @@ def solve_from_basis(
         ints, scale = _scaled([*row, b])
         tableau.append(ints)
         scales.append(scale)
-    # Bring each column in on the first unused row where it is nonzero;
-    # none left means the columns are linearly dependent.
     placed = [-1] * m
-    for col in basis:
-        row = next((i for i in range(m) if placed[i] < 0 and tableau[i][col]), -1)
-        if row < 0:
-            raise ValueError(f"start basis is singular at column {col}")
-        _pivot(tableau, scales, placed, row, col)
+    col = _bring_in(tableau, scales, placed, basis)
+    if col >= 0:
+        raise ValueError(f"start basis is singular at column {col}")
     if any(line[-1] < 0 for line in tableau):
         raise ValueError("start basis is not primal-feasible")
 
@@ -435,3 +473,87 @@ def solve_from_basis(
         objective=Fraction(-tableau[m][-1], scales[m]),
         pivots=(0, pivots),
     )
+
+
+def _inverse(block):
+    """Inverse of a square integer matrix as (ints, scale), or None if singular.
+
+    Gauss-Jordan on ``[block | I]`` with :func:`_pivot`; the inverse is
+    ``ints / scale``.
+    """
+    k = len(block)
+    tableau = [list(row) + [int(i == r) for i in range(k)] for r, row in enumerate(block)]
+    scales = [1] * k
+    placed = [-1] * k
+    if _bring_in(tableau, scales, placed, range(k)) >= 0:
+        return None
+    scale = math.lcm(*scales)
+    inverse = [None] * k
+    for i, col in enumerate(placed):
+        factor = scale // scales[i]
+        inverse[col] = [v * factor for v in tableau[i][k:]]
+    return inverse, scale
+
+
+def _multipliers(row_scales, farkas):
+    """Farkas multipliers of the original rows, as ints for the scaled rows.
+
+    Row i of the integer matrix is ``row_scales[i]`` times row i, so
+    z_i is farkas_i / row_scales[i] over a common denominator; z·b then
+    has the sign of farkas·b.
+    """
+    weights = [Fraction(y) / s for y, s in zip(farkas, row_scales)]
+    common = math.lcm(*(w.denominator for w in weights))
+    return [w.numerator * (common // w.denominator) for w in weights]
+
+
+def solve_many(rows: list[list[Fraction]], rhs_list) -> list[str]:
+    """Feasibility of  rows·x = rhs,  x >= 0  for each rhs in ``rhs_list``.
+
+    Returns OPTIMAL or INFEASIBLE per right-hand side, in order.
+    Entries may be ints or Fractions.  Each verdict is either settled
+    by evidence kept from an earlier cold solve in this call (the last
+    feasible basis or the last Farkas certificate, re-checked exactly at
+    this rhs) or by a cold ``solve_lp(None, rows, rhs)``, so it equals
+    the cold verdict; see the module docstring.
+    """
+    matrix, row_scales = [], []
+    for row in rows:
+        ints, scale = _scaled(row)
+        matrix.append(ints)
+        row_scales.append(scale)
+    columns = list(zip(*matrix))
+    # (kept rows, basic columns of every row, B⁻¹ of the kept rows as
+    # ints, its scale) and integer Farkas multipliers, or None.
+    feasible_basis = certificate = None
+    verdicts = []
+    for rhs in rhs_list:
+        # ``b`` is rhs scaled like the rows, over one common denominator.
+        common = math.lcm(*(v.denominator for v in rhs))
+        b = [s * v.numerator * (common // v.denominator) for s, v in zip(row_scales, rhs)]
+        if feasible_basis is not None:
+            kept, block, inverse, scale = feasible_basis
+            b_kept = [b[i] for i in kept]
+            x_basic = [sum(g * v for g, v in zip(line, b_kept)) for line in inverse]
+            # x_basic is scale·common·x_B; every row must give scale·b.
+            if all(v >= 0 for v in x_basic) and all(
+                sum(a * v for a, v in zip(line, x_basic)) == scale * bi
+                for line, bi in zip(block, b)
+            ):
+                verdicts.append(OPTIMAL)
+                continue
+        if certificate is not None and sum(z * v for z, v in zip(certificate, b)) > 0:
+            verdicts.append(INFEASIBLE)
+            continue
+        result = solve_lp(None, rows, rhs)
+        if result.status == OPTIMAL:
+            block = [[line[c] for c in result.basis] for line in matrix]
+            found = _inverse([block[i] for i in result.basis_rows])
+            feasible_basis = None if found is None else (result.basis_rows, block, *found)
+        else:
+            z = _multipliers(row_scales, result.farkas)
+            certificate = z if all(
+                sum(a * y for a, y in zip(column, z)) <= 0 for column in columns
+            ) else None
+        verdicts.append(result.status)
+    return verdicts

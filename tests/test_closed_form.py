@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from contextuality_kit.closed_form import (
     NO_SOLUTION,
@@ -10,6 +10,7 @@ from contextuality_kit.closed_form import (
     STAGE_REALIZABILITY,
     BellMoments,
     GhzMoments,
+    InequalityCheck,
     SymmetricParams,
     check_ghz_inequalities,
     check_noise_threshold,
@@ -402,6 +403,35 @@ _moment = st.fractions(min_value=-1, max_value=1, max_denominator=20)
 def test_inequalities_equal_lp_verdict(ea, eb, ec, eabc):
     moments = GhzMoments.of(ea, eb, ec, eabc)
     assert check_ghz_inequalities(moments).passed == _lp_feasible(moments)
+
+
+def _fraction_inequality_check(m: GhzMoments) -> InequalityCheck:
+    """The former check_ghz_inequalities: each signed sum in Fractions."""
+    values = (m.eA, m.eB, m.eC, m.eABC)
+    signs_of = ((1, 1, 1, -1), (-1, 1, 1, 1), (1, -1, 1, 1), (1, 1, -1, 1))
+    for index, signs in enumerate(signs_of, start=1):
+        total = sum((s * v for s, v in zip(signs, values)), Fraction(0))
+        if not -2 <= total <= 2:
+            return InequalityCheck(False, index, total)
+    return InequalityCheck(True)
+
+
+_any_moment = st.one_of(
+    st.fractions(min_value=-1, max_value=1, max_denominator=1000),
+    st.integers(min_value=-1, max_value=1),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_any_moment, _any_moment, _any_moment, _any_moment)
+@example(1, 1, 1, -1)  # the first sum is 4
+@example(Fraction(1, 2), Fraction(1, 2), 1, 0)  # the first sum is exactly 2
+@example(Fraction(-1, 3), 1, Fraction(2, 3), Fraction(5, 7))  # the second binds
+def test_integer_inequality_check_equals_fraction_formula(ea, eb, ec, eabc):
+    moments = GhzMoments(ea, eb, ec, eabc)
+    got = check_ghz_inequalities(moments)
+    assert got == _fraction_inequality_check(moments)
+    assert got.value is None or type(got.value) is Fraction
 
 
 @settings(deadline=None, max_examples=150)

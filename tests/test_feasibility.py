@@ -1,10 +1,12 @@
+import multiprocessing
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from contextuality_kit import simplex
+from contextuality_kit import closed_form, simplex
 from contextuality_kit.errors import CertificateError, ScenarioError
 from contextuality_kit.event_space import moment_coefficients
 from contextuality_kit.feasibility import (
@@ -14,6 +16,10 @@ from contextuality_kit.feasibility import (
     INDETERMINATE,
     INFEASIBLE,
     LE,
+    GRID_CHUNK,
+    GridMismatch,
+    _feasible_at,
+    _grid_verdicts,
     decide_endpoints,
     ghz_symmetric_scenario,
     make_scenario,
@@ -286,6 +292,56 @@ class TestGridOracle:
         monkeypatch.delenv(WORKERS_ENV_VAR)
         assert _worker_count(None) == 1
         assert _worker_count(4) == 4
+
+
+@pytest.fixture(scope="module")
+def cold_grid_61():
+    """Cold phase-1 verdict at every point of uniform_grid(61)."""
+    return {
+        point: _feasible_at(ghz_symmetric_scenario(*point), "lo")[0]
+        for point in uniform_grid(61)
+    }
+
+
+def _grid_in_order(order):
+    grid = uniform_grid(61)
+    if order == "reversed":
+        return grid[::-1]
+    if order == "shuffled":
+        random.Random(61).shuffle(grid)
+    elif order == "duplicated":
+        grid = [point for point in grid for _ in range(2)] + grid[::-3]
+    return grid
+
+
+@pytest.mark.parametrize("order", ["row-major", "reversed", "shuffled", "duplicated"])
+def test_warm_grid_verdicts_equal_cold_verdicts(cold_grid_61, order):
+    points = _grid_in_order(order)
+    verdicts = _grid_verdicts(points)
+    assert [lp_ok for lp_ok, _ in verdicts] == [cold_grid_61[pt] for pt in points]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_oracle_lists_a_disagreeing_point(monkeypatch, workers):
+    if workers > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("worker processes see the patched closed form only when forked")
+    points = uniform_grid(21)
+    index = GRID_CHUNK + 44  # in the second chunk a worker sweeps
+    assert index < len(points)
+    p, q = points[index]
+    original = closed_form.check_ghz_inequalities
+
+    def flipped(moments):
+        result = original(moments)
+        if (moments.eA, moments.eABC) == (2 * p - 1, 2 * q - 1):
+            return closed_form.InequalityCheck(not result.passed)
+        return result
+
+    monkeypatch.setattr(closed_form, "check_ghz_inequalities", flipped)
+    lp_feasible, _ = _feasible_at(ghz_symmetric_scenario(p, q), "lo")
+    report = oracle_grid_agreement(points, workers=workers)
+    assert report.total == len(points)
+    assert report.mismatches == (GridMismatch(p, q, lp_feasible, not lp_feasible),)
 
 
 class TestDeterminism:

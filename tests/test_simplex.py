@@ -125,3 +125,142 @@ def test_solve_from_basis_terminates_on_beale_cycling_example():
     assert result.status == simplex.OPTIMAL
     assert result.objective == Fraction(-5, 4)
     assert result.objective == simplex.solve_lp(costs, rows, rhs).objective
+
+
+# --- solve_many: warm sweeps over right-hand sides ---------------------------
+
+
+def _cold_statuses(rows, rhs_list):
+    return [simplex.solve_lp(None, rows, rhs).status for rhs in rhs_list]
+
+
+def _counting_solve_lp(monkeypatch):
+    """Count the cold solves ``solve_many`` makes; returns the counter."""
+    calls = [0]
+    original = simplex.solve_lp
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(simplex, "solve_lp", counted)
+    return calls
+
+
+def test_solve_many_rechecks_dropped_rows():
+    # Row 1 repeats row 0, so the first cold solve drops it as redundant.
+    # The kept basis still gives x >= 0 on row 0 at (1, 2), but row 1
+    # then fails: the sweep must not call that point feasible.
+    rows = [[1, 1], [1, 1]]
+    rhs_list = [[1, 1], [1, 2], [2, 2]]
+    first = simplex.solve_lp(None, rows, rhs_list[0])
+    assert first.basis_rows == (0,)
+    assert simplex.solve_many(rows, rhs_list) == [
+        simplex.OPTIMAL,
+        simplex.INFEASIBLE,
+        simplex.OPTIMAL,
+    ]
+
+
+@pytest.mark.parametrize(
+    "rows, cold",
+    [
+        # Unimodular: one cold solve per verdict settles the rest.
+        ([[1, 1, 0], [0, 1, 1]], 2),
+        # Fraction rows, a basis of determinant 2 once scaled: the first
+        # basis holds while x0 = 2 - 3·b1 >= 0, then one more is needed.
+        ([[Fraction(1, 2), 1, 0], [0, Fraction(2, 3), 3]], 3),
+    ],
+)
+def test_solve_many_reuses_evidence(monkeypatch, rows, cold):
+    calls = _counting_solve_lp(monkeypatch)
+    feasible = [[1, Fraction(k, 4)] for k in range(5)]
+    infeasible = [[1, -Fraction(k + 1, 4)] for k in range(5)]
+    statuses = simplex.solve_many(rows, feasible + infeasible)
+    assert statuses == [simplex.OPTIMAL] * 5 + [simplex.INFEASIBLE] * 5
+    assert calls[0] == cold
+
+
+def test_solve_many_scales_fraction_rows():
+    rows = [[Fraction(1, 2), Fraction(1, 3), 0], [0, Fraction(2, 3), Fraction(-1, 5)]]
+    rhs_list = [[Fraction(k, 6), Fraction(j - 2, 5)] for k in range(4) for j in range(5)]
+    assert simplex.solve_many(rows, rhs_list) == _cold_statuses(rows, rhs_list)
+
+
+_entry = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda m: st.tuples(
+            st.lists(st.lists(_entry, min_size=3, max_size=3), min_size=m, max_size=m),
+            st.lists(st.lists(_entry, min_size=m, max_size=m), min_size=1, max_size=8),
+        )
+    )
+)
+def test_solve_many_statuses_equal_cold_statuses(problem):
+    rows, rhs_list = problem
+    assert simplex.solve_many(rows, rhs_list) == _cold_statuses(rows, rhs_list)
+
+
+def _ghz_rows_and_rhs():
+    from contextuality_kit.event_space import build_space, moment_coefficients
+
+    space = build_space(["A", "B", "C"])
+    rows = [[1] * 8] + [
+        moment_coefficients(space, s) for s in (["A"], ["B"], ["C"], ["A", "B", "C"])
+    ]
+    axis = [Fraction(i, 12) for i in range(-12, 13, 2)]
+    rhs_list = [[1, e, e, e, t] for e in axis for t in axis]
+    return rows, rhs_list
+
+
+def test_solve_many_survives_a_wrong_inverse(monkeypatch):
+    rows, rhs_list = _ghz_rows_and_rhs()
+    want = _cold_statuses(rows, rhs_list)
+    original = simplex._inverse
+
+    def tampered(block):
+        inverse, scale = original(block)
+        inverse[0][0] += 1
+        return inverse, scale
+
+    monkeypatch.setattr(simplex, "_inverse", tampered)
+    calls = _counting_solve_lp(monkeypatch)
+    assert simplex.solve_many(rows, rhs_list) == want
+    # The wrong inverse never settles a point: every feasible one is cold.
+    assert calls[0] >= want.count(simplex.OPTIMAL)
+
+
+@pytest.mark.parametrize("tamper", ["negated", "bumped", "zero"])
+def test_solve_many_survives_a_wrong_certificate(monkeypatch, tamper):
+    rows, rhs_list = _ghz_rows_and_rhs()
+    want = _cold_statuses(rows, rhs_list)
+    original = simplex._multipliers
+
+    def tampered(row_scales, farkas):
+        z = original(row_scales, farkas)
+        if tamper == "negated":
+            return [-v for v in z]
+        if tamper == "bumped":
+            return [z[0] + 1] + z[1:]
+        return [0] * len(z)
+
+    monkeypatch.setattr(simplex, "_multipliers", tampered)
+    calls = _counting_solve_lp(monkeypatch)
+    assert simplex.solve_many(rows, rhs_list) == want
+    if tamper != "bumped":
+        # Rejected when kept (negated) or never decisive (zero): every
+        # infeasible point is cold.
+        assert calls[0] >= want.count(simplex.INFEASIBLE)
+
+
+def test_solve_many_reuses_a_certificate_across_row_scales(monkeypatch):
+    # x0 + x1 = 2 and x0 + x1 = 3·b1, written with row scales 2 and 3:
+    # infeasible for every b1 < 2/3, and one certificate proves it.
+    rows = [[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 3), Fraction(1, 3)]]
+    rhs_list = [[1, Fraction(k, 12)] for k in range(8)]
+    calls = _counting_solve_lp(monkeypatch)
+    assert simplex.solve_many(rows, rhs_list) == [simplex.INFEASIBLE] * 8
+    assert calls[0] == 1
