@@ -6,15 +6,21 @@ system
 
     p ≥ 0,  Σ p = 1,  (moment row)·p  (=, ≤, ≥)  target
 
-has a solution, which phase-1 simplex decides in exact rational
-arithmetic.  Every verdict ships evidence:
+has a solution.  One exact rational LP decides each endpoint: the
+margin LP, which minimizes the least uniform relaxation t of the
+targets that makes the system feasible, started from a closed-form
+feasible basis.  Its optimum t is the feasibility margin, and the
+system is feasible exactly when t = 0.  Every verdict ships evidence
+read off that one optimum:
 
-* feasible: a witness measure that reproduces every constraint exactly;
-* infeasible: a Farkas certificate, i.e. row multipliers that combine
-  the constraint rows into an impossibility, re-checkable by direct
-  arithmetic (:func:`verify_certificate`), plus the feasibility margin:
-  the least uniform relaxation of the targets that restores
-  feasibility.
+* feasible: its point p, a witness measure that reproduces every
+  constraint exactly;
+* infeasible: its optimal duals, which form a Farkas certificate, i.e.
+  row multipliers that combine the constraint rows into an
+  impossibility, re-checkable by direct arithmetic
+  (:func:`verify_certificate`), together with the margin t > 0.
+
+Both are re-checked exactly before release.
 
 Targets may be intervals (brackets of irrational inputs).  Decisions
 are then made at both endpoints by :func:`decide_endpoints`; if they
@@ -157,7 +163,11 @@ def _standard_rows(scenario: Scenario, endpoint: str):
 
 
 def _feasible_at(scenario: Scenario, endpoint: str):
-    """Phase-1 only: returns (feasible, witness values or farkas)."""
+    """Phase-1 only: returns (feasible, witness values or farkas).
+
+    Bland's two-phase path, independent of :func:`solve`'s LP: the Bell
+    realizability check uses it, and tests cross-check verdicts with it.
+    """
     rows, rhs, relations = _standard_rows(scenario, endpoint)
     n = scenario.space.atom_count
     std_rows, total = simplex.to_standard_form(rows, relations)
@@ -170,32 +180,34 @@ def _feasible_at(scenario: Scenario, endpoint: str):
 def solve(scenario: Scenario, endpoint: str = "lo") -> FeasibilityOutcome:
     """Decide feasibility at one interval endpoint, with evidence.
 
-    The witness returned on the feasible side is the first basic
-    feasible solution found under Bland's rule, hence deterministic.
-    The certificate returned on the infeasible side is verified against
-    :func:`verify_certificate` before being released, and the outcome
-    carries the exact feasibility margin in both cases.
+    One LP decides: :func:`margin`'s relaxed LP, solved from its crash
+    basis.  At t = 0 its optimal point is the witness; at t > 0 its
+    optimal duals are the certificate (:func:`_certificate_from_duals`).
+    Dantzig pricing with lowest-index ties and the Bland fallback on
+    degenerate steps fix the pivot path, so both are deterministic.
+    The witness is re-checked against every constraint and the
+    certificate against :func:`verify_certificate` before either is
+    released; the outcome carries the exact margin t in both cases.
     """
     if scenario.kind != STANDARD:
         raise ScenarioError(
             f"the LP engine handles standard scenarios; kind {scenario.kind!r}"
             " is served by the dedicated witness solvers"
         )
-    feasible, payload = _feasible_at(scenario, endpoint)
-    if feasible:
-        witness = AtomMeasure(scenario.space, tuple(payload), STANDARD)
+    result, rhs, sides = _margin_lp(scenario, endpoint)
+    n = scenario.space.atom_count
+    t = result.objective
+    if not t:
+        witness = AtomMeasure(scenario.space, tuple(result.x[:n]), STANDARD)
         _check_witness(scenario, witness, endpoint)
         return FeasibilityOutcome(
-            verdict=FEASIBLE, endpoint=endpoint, witness=witness, margin=Fraction(0)
+            verdict=FEASIBLE, endpoint=endpoint, witness=witness, margin=t
         )
-    certificate = tuple(payload)
+    certificate = _certificate_from_duals(result, n, rhs, sides)
     if not verify_certificate(scenario, certificate, endpoint):
-        raise AssertionError("simplex produced a certificate that fails verification")
+        raise AssertionError("margin LP duals give a certificate that fails verification")
     return FeasibilityOutcome(
-        verdict=INFEASIBLE,
-        endpoint=endpoint,
-        certificate=certificate,
-        margin=margin(scenario, endpoint),
+        verdict=INFEASIBLE, endpoint=endpoint, certificate=certificate, margin=t
     )
 
 
@@ -260,31 +272,36 @@ def margin(scenario: Scenario, endpoint: str = "lo") -> Fraction:
     slack basic, is a feasible basis (:func:`_crash_basis`), and
     :func:`simplex.solve_from_basis` minimizes t from there.  The
     margin is the LP's optimal value, which does not depend on the
-    start or the pivot path.
+    start or the pivot path.  :func:`solve` decides from the same LP.
+    """
+    result, _, _ = _margin_lp(scenario, endpoint)
+    return result.objective
+
+
+def _margin_lp(scenario: Scenario, endpoint: str):
+    """Solve the relaxed LP  min t  from the crash basis.
+
+    Variables: p (n), then t, then one slack per relaxed row.  Row 0 is
+    Σp = 1; every constraint becomes one-sided rows, ``row·p - t ≤ b``
+    on its le side and ``row·p + t ≥ b`` on its ge side (an equality
+    gives both).  Returns the optimal result, the right-hand sides of
+    :func:`_standard_rows`, and for each relaxed row after row 0 the
+    index of its standard row and its side (LE or GE); relaxed row r's
+    slack is column n + r.
     """
     rows, rhs, relations = _standard_rows(scenario, endpoint)
     n = scenario.space.atom_count
-    # Variables: p (n), then t, then slacks.  Every relaxed row becomes
-    # an inequality; equalities contribute a pair of one-sided rows.
-    relaxed_rows, relaxed_rhs, relaxed_rel, t_sign = [], [], [], []
-    relaxed_rows.append(rows[0])
-    relaxed_rhs.append(rhs[0])
-    relaxed_rel.append(EQ)
-    t_sign.append(0)
-    for row, b, rel in zip(rows[1:], rhs[1:], relations[1:]):
-        if rel in (EQ, LE):
-            relaxed_rows.append(row)
-            relaxed_rhs.append(b)
-            relaxed_rel.append(LE)
-            t_sign.append(-1)  # row·p - t <= b
-        if rel in (EQ, GE):
-            relaxed_rows.append(row)
-            relaxed_rhs.append(b)
-            relaxed_rel.append(GE)
-            t_sign.append(1)  # row·p + t >= b
-    with_t = []
-    for row, s in zip(relaxed_rows, t_sign):
-        with_t.append(list(row) + [s])
+    relaxed_rows, relaxed_rhs, relaxed_rel, t_sign = [rows[0]], [rhs[0]], [EQ], [0]
+    sides = []
+    for k in range(1, len(rows)):
+        for side, sign in ((LE, -1), (GE, 1)):
+            if relations[k] in (EQ, side):
+                relaxed_rows.append(rows[k])
+                relaxed_rhs.append(rhs[k])
+                relaxed_rel.append(side)
+                t_sign.append(sign)
+                sides.append((k, side))
+    with_t = [list(row) + [s] for row, s in zip(relaxed_rows, t_sign)]
     std_rows, total = simplex.to_standard_form(with_t, relaxed_rel)
     costs = [0] * total
     costs[n] = 1  # minimize t
@@ -294,7 +311,27 @@ def margin(scenario: Scenario, endpoint: str = "lo") -> Fraction:
         raise AssertionError(
             f"margin LP ended {result.status}; it is bounded below by 0"
         )
-    return result.x[n]
+    return result, rhs, sides
+
+
+def _certificate_from_duals(result, n, rhs, sides) -> tuple[Fraction, ...]:
+    """Farkas certificate from the margin LP's optimal duals.
+
+    Relaxed row r's dual is y_r = -(reduced cost of its slack) on an le
+    side (slack +1) and +(reduced cost) on a ge side (slack -1); the
+    two sides of an equality fold into one multiplier z_k = y_le + y_ge.
+    Row 0 has no slack, so z_0 comes from strong duality, zᵀb = t.
+    Optimality makes every reduced cost ≥ 0: on the slacks that puts
+    le multipliers ≤ 0 and ge multipliers ≥ 0, and on each atom column
+    it gives zᵀA ≤ 0.  With zᵀb = t > 0 that is the certificate
+    :func:`verify_certificate` checks.
+    """
+    z = [Fraction(0)] * len(rhs)
+    for r, (k, side) in enumerate(sides, start=1):
+        reduced = result.reduced_costs[n + r]
+        z[k] += -reduced if side == LE else reduced
+    z[0] = result.objective - sum(zk * b for zk, b in zip(z[1:], rhs[1:]))
+    return tuple(z)
 
 
 def _crash_basis(n, relaxed_rows, relaxed_rhs, t_sign):

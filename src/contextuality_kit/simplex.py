@@ -8,12 +8,18 @@ ratio test and the pricing of the objective row, and a third routine
 sweeps many right-hand sides with the first:
 
 * :func:`solve_lp`, two-phase with Bland's rule throughout.  Its pivot
-  path fixes the evidence the kit reports (the first feasible basis is
-  the witness, the phase-1 duals are the certificate), so that path is
-  part of the output and must not change.
+  path fixes the closed-form witnesses the kit reports (the
+  ``upper-bell`` atom uppers are its first feasible basis, the
+  ``upper-ghz`` witness its optimum), so that path is part of the
+  output and must not change.  Its phase-1 verdict is also the
+  independent cross-check of the one-phase decisions.
 * :func:`solve_from_basis`, one phase from a feasible basis the caller
-  knows, with Dantzig's rule.  Only its optimal value is reported, so
-  its path is free to be short.
+  knows, with Dantzig's rule.  Every standard scenario is decided by
+  it: the optimal point is reported as the witness, and the optimal
+  duals, read off the reduced costs of the slack columns, as the
+  Farkas certificate.  Dantzig's rule with lowest-index ties and the
+  Bland fallback on degenerate steps fix the pivot path, so that
+  evidence is deterministic.
 * :func:`solve_many`, feasibility only, for right-hand sides that
   share one matrix; it reuses earlier evidence and calls
   :func:`solve_lp` only where that evidence does not settle a point.
@@ -52,8 +58,8 @@ have to consist of degenerate pivots only, and every degenerate pivot
 is a Bland pivot, which cannot cycle.  So this loop terminates too.
 
 Fractions appear only at the boundary: a basic value is
-``Fraction(rhs_i, scale_i)``, and each Farkas multiplier is read off
-the objective row the same way.
+``Fraction(rhs_i, scale_i)``, and each Farkas multiplier and reduced
+cost is read off the objective row the same way.
 
 :func:`solve_many` decides feasibility for many right-hand sides that
 share one matrix, such as the points of a parameter grid.  Within one
@@ -102,6 +108,11 @@ class LpResult:
     #: row kept after the redundant-row drop, and those rows' indices.
     basis: tuple[int, ...] | None = None
     basis_rows: tuple[int, ...] | None = None
+    #: On an optimal :func:`solve_from_basis` result: the reduced cost
+    #: of every column at the optimal basis.  A column that is a unit
+    #: slack of row i (±e_i, zero cost) has reduced cost ∓y_i, so
+    #: callers read the optimal duals off their slack columns.
+    reduced_costs: list[Fraction] | None = None
 
 
 def to_standard_form(rows, relations):
@@ -437,9 +448,11 @@ def solve_from_basis(
     lowest index on ties).  When that column's ratio test gives a zero
     step, Bland's entering column and its ratio-test row pivot instead.
     Every degenerate pivot is then a Bland pivot, so the loop cannot
-    cycle (the argument is in the module docstring).  The pivot path,
-    unlike ``solve_lp``'s, is not part of any report; only the optimal
-    value is.
+    cycle (the argument is in the module docstring).  Callers report
+    the optimal point and the duals read off ``reduced_costs``, so the
+    path is part of the output: Dantzig's choice takes the lowest index
+    among equal reduced costs and the degenerate fallback is Bland's,
+    so one LP always gives the same pivots, point and reduced costs.
 
     ``pivots`` is ``(0, simplex pivots)``; the pivots that bring
     ``basis`` in are not counted.
@@ -467,11 +480,13 @@ def solve_from_basis(
     status, pivots = _run_dantzig(tableau, scales, placed)
     if status == UNBOUNDED:
         return LpResult(status=UNBOUNDED, pivots=(0, pivots))
+    obj, obj_scale = tableau[m], scales[m]
     return LpResult(
         status=OPTIMAL,
         x=_basic_point(tableau, scales, placed, n_vars),
-        objective=Fraction(-tableau[m][-1], scales[m]),
+        objective=Fraction(-obj[-1], obj_scale),
         pivots=(0, pivots),
+        reduced_costs=[Fraction(v, obj_scale) if v else _ZERO for v in obj[:-1]],
     )
 
 

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from contextuality_kit import closed_form, simplex
+from contextuality_kit import closed_form, feasibility, simplex
 from contextuality_kit.errors import CertificateError, ScenarioError
 from contextuality_kit.event_space import moment_coefficients
 from contextuality_kit.feasibility import (
@@ -527,3 +527,87 @@ def test_margin_crash_basis_shape(monkeypatch, name):
     if name == "tied-worst-violation":
         assert basis[1] == n  # the first of the tied rows
 
+
+# --- one LP per decision: the margin LP's point or duals are the evidence ------
+
+
+@settings(deadline=None, max_examples=200)
+@given(relaxed_scenarios(), st.sampled_from(["lo", "hi"]))
+@example(_CRASH_CASES["no-constraints"][0], "lo")
+@example(_CRASH_CASES["strictly-slack-inequalities"][0], "hi")
+@example(_CRASH_CASES["infeasible-ghz"][0], "lo")
+def test_one_lp_decision_matches_phase_1_and_two_phase_margin(scenario, endpoint):
+    outcome = solve(scenario, endpoint)
+    feasible, _ = _feasible_at(scenario, endpoint)
+    assert outcome.verdict == (FEASIBLE if feasible else INFEASIBLE)
+    assert outcome.margin == two_phase_margin(scenario, endpoint)
+    if feasible:
+        assert validate(outcome.witness).passed
+        for c in scenario.constraints:
+            assert c.holds_at(signed_atom_sum(outcome.witness, c.subset), endpoint)
+    else:
+        assert outcome.margin > 0
+        assert verify_certificate(scenario, outcome.certificate, endpoint)
+
+
+_read_out = feasibility._certificate_from_duals
+
+
+def _negate_one(certificate, pick):
+    """Negate one nonzero multiplier, the ``pick``-th modulo their count."""
+    nonzero = [k for k, v in enumerate(certificate) if v]
+    k = nonzero[pick % len(nonzero)]
+    return certificate[:k] + (-certificate[k],) + certificate[k + 1:]
+
+
+def _zero_normalization(certificate, pick):
+    return (Fraction(0),) + certificate[1:]
+
+
+_TAMPERS = {"negate-one": _negate_one, "zero-z0": _zero_normalization}
+
+
+def _solve_with_tampered_read_out(scenario, endpoint, tamper, pick=0):
+    """``solve`` with the dual read-out tampered: (outcome or None, tampered z)."""
+    tampered = []
+
+    def read_out(*args):
+        tampered.append(_TAMPERS[tamper](_read_out(*args), pick))
+        return tampered[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(feasibility, "_certificate_from_duals", read_out)
+        try:
+            outcome = solve(scenario, endpoint)
+        except AssertionError as error:
+            assert "certificate" in str(error)
+            outcome = None
+    return outcome, tampered
+
+
+@pytest.mark.parametrize("tamper", sorted(_TAMPERS))
+@pytest.mark.parametrize("scenario", [ghz_scenario, bell_scenario], ids=["ghz", "bell"])
+def test_tampered_dual_read_out_makes_solve_raise(scenario, tamper):
+    outcome, tampered = _solve_with_tampered_read_out(scenario(), "lo", tamper)
+    assert outcome is None  # solve raised
+    assert len(tampered) == 1
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    relaxed_scenarios(),
+    st.sampled_from(["lo", "hi"]),
+    st.sampled_from(sorted(_TAMPERS)),
+    st.integers(min_value=0, max_value=5),
+)
+@example(_CRASH_CASES["infeasible-ghz"][0], "lo", "negate-one", 4)
+def test_tampered_dual_read_out_never_leaves_solve_unverified(scenario, endpoint, tamper, pick):
+    outcome, tampered = _solve_with_tampered_read_out(scenario, endpoint, tamper, pick)
+    if not tampered:  # feasible: the read-out never ran
+        assert outcome.verdict == FEASIBLE
+        return
+    (certificate,) = tampered
+    if verify_certificate(scenario, certificate, endpoint):
+        assert outcome.certificate == certificate
+    else:
+        assert outcome is None

@@ -166,8 +166,9 @@ def singles_plus_pairs(n: int, seed: int, planted: bool):
 def test_singles_plus_pairs_match_reference(compared, n, seed, planted):
     outcome = feasibility.solve_robust(singles_plus_pairs(n, seed, planted))
     assert outcome.verdict == (INFEASIBLE if planted else FEASIBLE)
-    # Planted systems run phase 1 and the margin LP at both endpoints.
-    assert compared[0] == (4 if planted else 1)
+    # One LP (the margin LP) per endpoint: planted systems have
+    # bracketed targets and decide at both endpoints, feasible ones at lo.
+    assert compared[0] == (2 if planted else 1)
 
 
 # --- bundled scenarios and closed-form LPs ------------------------------------
@@ -225,8 +226,8 @@ def test_tampered_witness_makes_solve_raise(monkeypatch, moved):
     plus = next(a for a, v in enumerate(honest.witness.values) if v and signs[a] == 1)
     minus = next(a for a, v in enumerate(honest.witness.values) if v and signs[a] == -1)
 
-    def tampered(costs, rows, rhs, n_vars=None):
-        result = _solve_lp(costs, rows, rhs, n_vars)
+    def tampered(costs, rows, rhs, basis):
+        result = _solve_from_basis(costs, rows, rhs, basis)
         x = list(result.x)
         x[plus] += delta
         if moved:
@@ -234,6 +235,6 @@ def test_tampered_witness_makes_solve_raise(monkeypatch, moved):
         result.x = x
         return result
 
-    monkeypatch.setattr(simplex, "solve_lp", tampered)
+    monkeypatch.setattr(simplex, "solve_from_basis", tampered)
     with pytest.raises(AssertionError, match="witness"):
         feasibility.solve(scenario)
