@@ -1,7 +1,8 @@
 """Closed-form criteria and dedicated witness solvers.
 
-This module collects the results that do not need the generic LP engine
-(though several cross-check against it):
+This module collects the results that need no LP: each answer is a
+formula, re-verified exactly before it is returned (the tests check each
+one against the generic LP engine):
 
 * the four-inequality criterion deciding whether three ±1 variables
   with given single and triple-product expectations admit a joint
@@ -14,13 +15,14 @@ This module collects the results that do not need the generic LP engine
   three-particle spin products, showing none matches the quantum
   predictions while the product identity A·B·C = D always holds;
 * the Bell conditional-expectation system (equalities for standard
-  probabilities, inequalities for upper probabilities);
+  probabilities, decided by the Suppes–Zanotti inequalities;
+  inequalities for upper probabilities, with atom uppers in closed
+  form);
 * constructions of lower/upper atom witnesses for the GHZ expectations
   that no standard joint distribution can reproduce.
 
-Underdetermined systems are resolved deterministically: the symmetric
-solution when one exists, otherwise the exact-LP optimum under Bland's
-rule, symmetrized over variable permutations.
+Underdetermined systems are resolved deterministically by their
+symmetric solution.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import KitError, NoWitnessError
+from .errors import NoWitnessError
 from .event_space import EventMask, EventSpace, build_space, moment_coefficients, sign_event
-from .feasibility import EQ, GE, INDETERMINATE, _feasible_at, decide_endpoints, make_scenario
+from .feasibility import INDETERMINATE, decide_endpoints
 from .measures import (
     LOWER,
     LOWER_ATOMS,
@@ -46,7 +48,6 @@ from .measures import (
     validate,
 )
 from .numerics import ScalarInterval, as_interval
-from . import simplex
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -288,21 +289,6 @@ STAGE_AVERAGING = "averaging-system"
 STAGE_REALIZABILITY = "joint-realizability"
 
 
-def _bell_scenario(exy: Fraction, exz: Fraction, eyz: Fraction):
-    return make_scenario(
-        ["X", "Y", "Z"],
-        [
-            (["X"], EQ, _ZERO),
-            (["Y"], EQ, _ZERO),
-            (["Z"], EQ, _ZERO),
-            (["X", "Y"], EQ, exy),
-            (["X", "Z"], EQ, exz),
-            (["Y", "Z"], EQ, eyz),
-        ],
-        title="pairwise Bell correlations with fair marginals",
-    )
-
-
 def _conditionals(v_xy: Fraction, v_xz: Fraction, v_yz: Fraction):
     return (
         ConditionalMomentValue(("X", "Y"), "Z", 1, v_xy),
@@ -341,10 +327,13 @@ def _solve_bell_at(m: BellMoments, endpoint: str) -> BellConditionalOutcome:
     # unconditional correlation; automatically inside [-1, 1].
     conditionals = _conditionals(exy, exz, eyz)
     # Remaining requirement: the conditionals must belong to an actual
-    # joint distribution, i.e. the pairwise moments with zero single
-    # moments must be feasible.
-    feasible, _ = _feasible_at(_bell_scenario(exy, exz, eyz), "lo")
-    if not feasible:
+    # joint distribution of X, Y, Z with fair marginals.  By Suppes and
+    # Zanotti (Synthese 48, 191 (1981)) one exists exactly when every
+    # 1 + a E(XY) + b E(XZ) + ab E(YZ), a, b = ±1, is nonnegative: each
+    # is 4× the weight that the joint distribution averaged with its
+    # global sign flip puts on the atom pair ±(1, a, b).
+    signs = (1, -1)
+    if any(1 + a * exy + b * exz + a * b * eyz < 0 for a in signs for b in signs):
         return BellConditionalOutcome(
             status=NO_SOLUTION,
             failed_stage=STAGE_REALIZABILITY,
@@ -358,8 +347,8 @@ def solve_bell_conditionals(m: BellMoments) -> BellConditionalOutcome:
 
     Stage one solves the averaging equalities 2E(XY) = E(XY|Z=1) +
     E(XY|Z=-1) (and cyclic counterparts) under the cyclic symmetry of
-    conditionals; stage two checks joint realizability with the exact
-    LP.  Interval targets go through
+    conditionals; stage two checks joint realizability with the four
+    Suppes–Zanotti inequalities.  Interval targets go through
     :func:`~contextuality_kit.feasibility.decide_endpoints`, keyed on
     (status, failed stage); disagreement yields an indeterminate outcome.
     """
@@ -418,27 +407,34 @@ def solve_upper_bell_conditionals(m: BellMoments) -> UpperBellSolution:
     # Mass evidence: nonnegative atom uppers with total at least one
     # whose conditional signed sums (fair marginals, so each
     # conditioning event has weight 1/2) reproduce the six values.
+    # Atom (x, y, z) gets (k + α·xy + β·xz + α·yz)/4 with α = v_xy/2 and
+    # β = v_xz/2: restricted to one conditioning event, only the matching
+    # term survives the signed sum, so it is exactly α (or β), and the
+    # total is 2k.  k is the least value >= 1/2 that keeps every atom
+    # nonnegative; over the atoms, (xy, xz, yz) runs through (s, t, st).
     space = build_space(["X", "Y", "Z"])
-    rows, rhs, relations = [], [], []
+    alpha, beta = v_xy / 2, v_xz / 2
+    k = max(
+        Fraction(1, 2),
+        *(-(alpha * s + beta * t + alpha * s * t) for s in (1, -1) for t in (1, -1)),
+    )
+    c_xy, c_xz, c_yz = (
+        moment_coefficients(space, pair) for pair in (("X", "Y"), ("X", "Z"), ("Y", "Z"))
+    )
+    values = tuple(
+        (k + alpha * c_xy[a] + beta * c_xz[a] + alpha * c_yz[a]) / 4
+        for a in space.atoms()
+    )
+    if min(values) < 0:
+        raise AssertionError("closed-form atom uppers are negative")
+    atom_uppers = AtomMeasure(space, values, UPPER_ATOMS)
+
+    rows, rhs = [], []
     for cond in conditionals:
         coeffs = moment_coefficients(space, cond.subset)
         event = sign_event(space, cond.given_variable, cond.given_sign)
         rows.append([coeffs[a] if a in event else 0 for a in space.atoms()])
         rhs.append(cond.value / 2)
-        relations.append(EQ)
-    rows.append([1] * space.atom_count)
-    rhs.append(_ONE)
-    relations.append(GE)
-
-    std_rows, total = simplex.to_standard_form(rows, relations)
-    result = simplex.solve_lp(None, std_rows, rhs, n_vars=total)
-    if result.status != simplex.OPTIMAL:
-        raise KitError(
-            "no nonnegative atom uppers reproduce these conditional expectations"
-        )
-    atom_uppers = AtomMeasure(
-        space, tuple(result.x[: space.atom_count]), UPPER_ATOMS
-    )
 
     trace = [
         CheckRecord(
@@ -462,10 +458,8 @@ def solve_upper_bell_conditionals(m: BellMoments) -> UpperBellSolution:
             "imposed structurally",
         ),
     ]
-    for cond, row, b in zip(conditionals, rows[:-1], rhs[:-1]):
-        got = sum(
-            (Fraction(k) * v for k, v in zip(row, atom_uppers.values)), _ZERO
-        )
+    for cond, row, b in zip(conditionals, rows, rhs):
+        got = sum((c * v for c, v in zip(row, atom_uppers.values)), _ZERO)
         trace.append(
             CheckRecord(
                 f"atom uppers reproduce {cond.describe()} = {cond.value}",
@@ -495,6 +489,11 @@ class GhzWitness:
 
 def _ghz_space() -> EventSpace:
     return build_space(["A", "B", "C"])
+
+
+def _one_minus_atoms(space: EventSpace) -> list[int]:
+    """The atoms with exactly one minus sign, in atom order."""
+    return [a for a in space.atoms() if space.signature(a).count("-") == 1]
 
 
 def _product_coeffs(space: EventSpace) -> list[int]:
@@ -648,23 +647,14 @@ def solve_lower_ghz_witness() -> GhzWitness:
     resulting equality) is re-verified exactly on every call.
     """
     space = _ghz_space()
+    one_minus = _one_minus_atoms(space)
     values = [_ZERO] * space.atom_count
-    for variable in space.variables:
-        signs = {v: 1 for v in space.variables}
-        signs[variable] = -1
-        signature = "".join(
-            "+" if signs[v] == 1 else "-" for v in space.variables
-        )
-        values[space.atom_index(signature)] = Fraction(1, 3)
+    for atom in one_minus:
+        values[atom] = Fraction(1, 3)
     atom_values = tuple(values)
     measure = AtomMeasure(space, atom_values, LOWER_ATOMS)
     sf = _witness_set_function(space, LOWER, atom_values)
     trace = _witness_trace(space, LOWER, atom_values, sf)
-    one_minus = [
-        a
-        for a in space.atoms()
-        if sum(1 for ch in space.signature(a) if ch == "-") == 1
-    ]
     for a1, a2 in itertools.combinations(one_minus, 2):
         pair_sum = atom_values[a1] + atom_values[a2]
         trace.append(
@@ -678,54 +668,26 @@ def solve_lower_ghz_witness() -> GhzWitness:
     return GhzWitness(measure, sf, tuple(trace))
 
 
-def _symmetrized(space: EventSpace, values) -> list[Fraction]:
-    """Average atom values over all permutations of the variables."""
-    n = space.n
-    perms = list(itertools.permutations(range(n)))
-    out = []
-    for atom in space.atoms():
-        acc = _ZERO
-        for perm in perms:
-            image = 0
-            for j in range(n):
-                bit = (atom >> (n - 1 - perm[j])) & 1
-                image |= bit << (n - 1 - j)
-            acc += values[image]
-        out.append(acc / len(perms))
-    return out
-
-
 def solve_upper_ghz_witness() -> GhzWitness:
     """Upper-probability witness for the contradictory GHZ expectations.
 
     Subadditivity turns every constraint around: each +1 sign event
     needs its member atoms to sum to at least its value 1, the total
     mass is at least 1, and the atom-level correlation is still -1.
-    The canonical witness minimizes the total atom mass by exact LP and
-    is symmetrized over variable permutations (the constraint system is
-    permutation-invariant, so the average stays optimal).
+    The canonical witness carries 1/5 on the all-plus atom and 2/5 on
+    each one-minus atom, total 7/5.  It is the least total mass: the
+    multipliers (2/5, 2/5, 2/5) on the three sign events, -1/5 on the
+    correlation and 0 on the total are dual feasible (every atom's
+    column sums to at most 1) with value 6/5 + 1/5 = 7/5.  Complementary
+    slackness leaves only those atoms nonzero, so it is also the unique
+    minimum symmetric under variable permutations.
     """
     space = _ghz_space()
-    n = space.atom_count
-    rows, rhs, relations = [], [], []
-    for variable in space.variables:
-        event = sign_event(space, variable, 1)
-        rows.append([1 if a in event else 0 for a in space.atoms()])
-        rhs.append(_ONE)
-        relations.append(GE)
-    rows.append(_product_coeffs(space))
-    rhs.append(Fraction(-1))
-    relations.append(EQ)
-    rows.append([1] * n)
-    rhs.append(_ONE)
-    relations.append(GE)
-
-    std_rows, total = simplex.to_standard_form(rows, relations)
-    costs = [1] * n + [0] * (total - n)
-    result = simplex.solve_lp(costs, std_rows, rhs, n_vars=total)
-    if result.status != simplex.OPTIMAL:
-        raise AssertionError("upper witness LP is feasible by construction")
-    atom_values = tuple(_symmetrized(space, result.x[:n]))
+    values = [_ZERO] * space.atom_count
+    values[space.atom_index("+++")] = Fraction(1, 5)
+    for atom in _one_minus_atoms(space):
+        values[atom] = Fraction(2, 5)
+    atom_values = tuple(values)
     measure = AtomMeasure(space, atom_values, UPPER_ATOMS)
     sf = _witness_set_function(space, UPPER, atom_values)
     trace = _witness_trace(space, UPPER, atom_values, sf)

@@ -186,6 +186,8 @@ def moment_coefficients(space: EventSpace, subset: Sequence[str]) -> list[int]:
     subset = tuple(subset)
     if not subset:
         raise SpaceError("moment subset must be nonempty")
+    if not all(isinstance(name, str) for name in subset):
+        raise SpaceError(f"moment subset {subset!r} must list variable names")
     if len(set(subset)) != len(subset):
         raise SpaceError(f"moment subset {subset!r} repeats a variable")
     return list(_moment_coefficients_cached(space, subset))

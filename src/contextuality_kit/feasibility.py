@@ -165,8 +165,8 @@ def _standard_rows(scenario: Scenario, endpoint: str):
 def _feasible_at(scenario: Scenario, endpoint: str):
     """Phase-1 only: returns (feasible, witness values or farkas).
 
-    Bland's two-phase path, independent of :func:`solve`'s LP: the Bell
-    realizability check uses it, and tests cross-check verdicts with it.
+    Bland's two-phase path, independent of :func:`solve`'s LP: the tests
+    cross-check the one-phase verdicts and the closed forms with it.
     """
     rows, rhs, relations = _standard_rows(scenario, endpoint)
     n = scenario.space.atom_count

@@ -45,7 +45,10 @@ def scalar_from_string(text: str) -> Fraction:
     """Parse a "p/q" or integer string into an exact rational."""
     if not isinstance(text, str):
         raise ValueError(f"exact scalars are written as strings such as '1/3', got {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"exact scalar {text!r} has a zero denominator") from None
 
 
 def format_scalar(value: Fraction) -> str:

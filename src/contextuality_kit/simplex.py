@@ -7,12 +7,10 @@ nonzero or it is not.  Two solvers share the tableau, the pivot, the
 ratio test and the pricing of the objective row, and a third routine
 sweeps many right-hand sides with the first:
 
-* :func:`solve_lp`, two-phase with Bland's rule throughout.  Its pivot
-  path fixes the closed-form witnesses the kit reports (the
-  ``upper-bell`` atom uppers are its first feasible basis, the
-  ``upper-ghz`` witness its optimum), so that path is part of the
-  output and must not change.  Its phase-1 verdict is also the
-  independent cross-check of the one-phase decisions.
+* :func:`solve_lp`, two-phase with Bland's rule throughout.  It runs
+  :func:`solve_many`'s cold solves, and its phase-1 verdict is the
+  tests' independent reference for the one-phase decisions and the
+  closed forms.  No report reads its pivot path.
 * :func:`solve_from_basis`, one phase from a feasible basis the caller
   knows, with Dantzig's rule.  Every standard scenario is decided by
   it: the optimal point is reported as the witness, and the optimal

@@ -175,8 +175,15 @@ class TestCheckCommand:
                 },
                 "constraint 0: 'moment' must be a list",
             ),
+            (
+                {
+                    "variables": ["A", "B"],
+                    "constraints": [{"moment": [["A"]], "relation": "eq", "value": "0"}],
+                },
+                "must list variable names",
+            ),
         ],
-        ids=["numeric-value", "string-variables", "string-moment"],
+        ids=["numeric-value", "string-variables", "string-moment", "nested-moment"],
     )
     def test_malformed_document_is_input_error(self, tmp_path, document, message):
         path = tmp_path / "bad.json"
@@ -368,8 +375,27 @@ class TestWitnessCommandsAndValidate:
                 {"type": "atom-measure", "variables": "A", "atoms": {"+": "1", "-": "0"}},
                 "'variables' must be a list",
             ),
+            (
+                {"type": "atom-measure", "variables": ["A"], "atoms": {"+": "1/0", "-": "0"}},
+                "zero denominator",
+            ),
+            (
+                {
+                    "type": "set-function",
+                    "variables": ["A"],
+                    "kind": "lower",
+                    "entries": [{"event": [], "value": "1/0"}],
+                },
+                "zero denominator",
+            ),
         ],
-        ids=["no-atoms", "numeric-atom", "string-variables"],
+        ids=[
+            "no-atoms",
+            "numeric-atom",
+            "string-variables",
+            "zero-denominator-atom",
+            "zero-denominator-entry",
+        ],
     )
     def test_malformed_validate_document_is_input_error(self, tmp_path, document, message):
         path = tmp_path / "bad.json"

@@ -24,7 +24,7 @@ from contextuality_kit.closed_form import (
 )
 from contextuality_kit.errors import NoWitnessError
 from contextuality_kit.event_space import build_space, moment_coefficients, sign_event
-from contextuality_kit.feasibility import FEASIBLE, make_scenario, solve
+from contextuality_kit.feasibility import FEASIBLE, _feasible_at, make_scenario, solve
 from contextuality_kit.measures import (
     LOWER_ATOMS,
     AtomMeasure,
@@ -239,12 +239,19 @@ class TestBellConditionals:
         assert statuses == {SOLUTION, NO_SOLUTION}
 
     def test_agreement_with_lp_on_examples(self):
+        """Both stages agree with the phase-1 LP on the fair-marginal scenario.
+
+        Three named cases, then every E(XY) = E(YZ), E(XZ) on the k/8
+        grid, where the Suppes–Zanotti stage alone decides.
+        """
+        root3 = parse_and_evaluate("-sqrt(3)/2")
+        grid = [Fraction(k, 8) for k in range(-8, 9)]
         cases = [
-            (BellMoments.of(parse_and_evaluate("-sqrt(3)/2"),
-                            parse_and_evaluate("-sqrt(3)/2"), Fraction(-1, 2)), False),
+            (BellMoments.of(root3, root3, Fraction(-1, 2)), False),
             (BellMoments.of(-1, -1, -1), False),
             (BellMoments.of(0, 0, 0), True),
-        ]
+        ] + [(BellMoments.of(e, f, e), None) for e in grid for f in grid]
+        outcomes = set()
         for moments, expect_joint in cases:
             outcome = solve_bell_conditionals(moments)
             scenario = make_scenario(
@@ -258,9 +265,12 @@ class TestBellConditionals:
                     (["Y", "Z"], "eq", moments.eyz.lo),
                 ],
             )
-            lp = solve(scenario).verdict == FEASIBLE
-            assert lp == expect_joint
-            assert (outcome.status == SOLUTION) == expect_joint
+            lp, _ = _feasible_at(scenario, "lo")
+            assert (outcome.status == SOLUTION) == lp
+            assert expect_joint is None or lp == expect_joint
+            outcomes.add((outcome.status, outcome.failed_stage))
+        # the grid reaches both verdicts of the realizability stage
+        assert {(SOLUTION, None), (NO_SOLUTION, STAGE_REALIZABILITY)} <= outcomes
 
 
 class TestUpperBell:
@@ -300,6 +310,29 @@ class TestUpperBell:
         solution = solve_upper_bell_conditionals(BellMoments.of(exy, exz, eyz))
         assert all(r.satisfied for r in solution.trace)
         assert solution.atom_uppers.total() >= 1
+
+    def test_atom_uppers_closed_form(self):
+        # v_xy = v_xz = -1/2: k = 1/2, and the atoms with xy = xz = yz = +1
+        # (all signs equal) are empty
+        solution = solve_upper_bell_conditionals(BellMoments.of(*[Fraction(-1, 2)] * 3))
+        atoms = solution.atom_uppers
+        assert [atoms.value(s) for s in ("+++", "---")] == [0, 0]
+        assert all(
+            atoms.value(s) == Fraction(1, 4)
+            for s in ("++-", "+-+", "+--", "-++", "-+-", "--+")
+        )
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.fractions(min_value=-1, max_value=1, max_denominator=8),
+        st.fractions(min_value=-1, max_value=1, max_denominator=8),
+        st.fractions(min_value=-1, max_value=1, max_denominator=8),
+    )
+    def test_atom_uppers_use_the_least_level(self, exy, exz, eyz):
+        """k is least: the total is exactly 1, or lowering k empties an atom."""
+        atoms = solve_upper_bell_conditionals(BellMoments.of(exy, exz, eyz)).atom_uppers
+        assert min(atoms.values) >= 0
+        assert atoms.total() == 1 or min(atoms.values) == 0
 
 
 class TestLowerGhzWitness:

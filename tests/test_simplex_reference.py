@@ -8,6 +8,7 @@ evidence that the pivot sequence did not change.
 """
 
 import io
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import fraction_simplex
 from contextuality_kit import feasibility, simplex
+from contextuality_kit.closed_form import solve_upper_ghz_witness
 from contextuality_kit.cli import (
     EXIT_INDETERMINATE,
     EXIT_PASS,
@@ -23,7 +25,7 @@ from contextuality_kit.cli import (
     run,
     scenario_dir,
 )
-from contextuality_kit.event_space import build_space, moment_coefficients
+from contextuality_kit.event_space import build_space, moment_coefficients, sign_event
 from contextuality_kit.feasibility import EQ, FEASIBLE, INFEASIBLE, make_scenario
 from contextuality_kit.measures import AtomMeasure, expectation
 from contextuality_kit.numerics import parse_and_evaluate
@@ -182,17 +184,54 @@ def test_bundled_scenarios_match_reference(compared, command, name):
     assert compared[0] >= 1
 
 
+# The id keeps the name this case had when the upper-ghz and bell-system
+# cases (LPs that closed forms replaced) stood before it as argv0 and argv1.
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["upper-ghz"],
-        ["bell-system", "--exy=-1/2", "--exz=-1/2", "--eyz=-1/2"],
-        ["ghz-epsilon", "--epsilon", "1/4", "--oracle"],
-    ],
+    "argv", [["ghz-epsilon", "--epsilon", "1/4", "--oracle"]], ids=["argv2"]
 )
 def test_closed_form_lps_match_reference(compared, argv):
     assert run(argv + ["--format", "json"], stream=io.StringIO()) in DECIDED
     assert compared[0] >= 1
+
+
+def _permutation_average(space, values):
+    """Average atom values over all permutations of the variables."""
+    perms = list(itertools.permutations(range(space.n)))
+    averaged = []
+    for atom in space.atoms():
+        signature = space.signature(atom)
+        images = (
+            space.atom_index("".join(signature[j] for j in perm)) for perm in perms
+        )
+        averaged.append(sum((values[i] for i in images), Fraction(0)) / len(perms))
+    return tuple(averaged)
+
+
+@pytest.mark.parametrize(
+    "solver", [_solve_lp, fraction_simplex.solve_lp], ids=["integer", "fraction"]
+)
+def test_upper_ghz_witness_is_the_symmetrized_min_mass_optimum(solver):
+    """The hard-coded ``upper-ghz`` witness is the LP's symmetrized optimum.
+
+    Minimize the total atom mass subject to each +1 sign event summing to
+    at least 1, the atom-level product expectation -1 and total mass at
+    least 1, then average the optimum over variable permutations.
+    """
+    space = build_space(["A", "B", "C"])
+    rows = [
+        [1 if a in sign_event(space, v, 1) else 0 for a in space.atoms()]
+        for v in space.variables
+    ]
+    rows += [moment_coefficients(space, space.variables), [1] * space.atom_count]
+    relations = [simplex.GE] * 3 + [simplex.EQ, simplex.GE]
+    std_rows, width = simplex.to_standard_form(rows, relations)
+    costs = [1] * space.atom_count + [0] * (width - space.atom_count)
+    result = solver(costs, std_rows, [1, 1, 1, -1, 1], width)
+    assert result.status == simplex.OPTIMAL
+    assert result.objective == Fraction(7, 5)
+    witness = solve_upper_ghz_witness()
+    optimum = _permutation_average(space, result.x[: space.atom_count])
+    assert witness.atom_measure.values == optimum
 
 
 def test_standard_form_appends_slack_and_surplus_columns():
