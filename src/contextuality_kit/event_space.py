@@ -193,11 +193,20 @@ def moment_coefficients(space: EventSpace, subset: Sequence[str]) -> list[int]:
     return list(_moment_coefficients_cached(space, subset))
 
 
-@lru_cache(maxsize=4096)
-def _moment_coefficients_cached(space: EventSpace, subset: tuple[str, ...]):
+def moment_mask(space: EventSpace, subset: Sequence[str]) -> int:
+    """Bit mask of a moment's variables, in the atom index's bit order.
+
+    The moment's coefficient at an atom is ``(-1)^popcount(atom & mask)``.
+    """
     mask = 0
     for v in subset:
         mask |= 1 << (space.n - 1 - space.index_of(v))
+    return mask
+
+
+@lru_cache(maxsize=4096)
+def _moment_coefficients_cached(space: EventSpace, subset: tuple[str, ...]):
+    mask = moment_mask(space, subset)
     return tuple(
         -1 if bin(atom & mask).count("1") & 1 else 1
         for atom in range(space.atom_count)

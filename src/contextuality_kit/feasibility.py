@@ -25,7 +25,9 @@ Both are re-checked exactly before release.
 Targets may be intervals (brackets of irrational inputs).  Decisions
 are then made at both endpoints by :func:`decide_endpoints`; if they
 disagree the verdict is honestly "indeterminate" rather than a
-rounding guess.
+rounding guess.  :func:`solve_robust` first tries the ``lo`` optimum's
+basis at ``hi``, which decides a bracketed scenario with one LP
+whenever that basis is still feasible there.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .errors import CertificateError, ScenarioError
-from .event_space import EventSpace, build_space, moment_coefficients
+from .event_space import EventSpace, build_space, moment_coefficients, moment_mask
 from .measures import STANDARD, AtomMeasure, signed_atom_sum, validate
 from .numerics import ScalarInterval, as_interval, format_scalar
 from . import simplex
@@ -181,34 +183,47 @@ def solve(scenario: Scenario, endpoint: str = "lo") -> FeasibilityOutcome:
     """Decide feasibility at one interval endpoint, with evidence.
 
     One LP decides: :func:`margin`'s relaxed LP, solved from its crash
-    basis.  At t = 0 its optimal point is the witness; at t > 0 its
-    optimal duals are the certificate (:func:`_certificate_from_duals`).
-    Dantzig pricing with lowest-index ties and the Bland fallback on
-    degenerate steps fix the pivot path, so both are deterministic.
-    The witness is re-checked against every constraint and the
-    certificate against :func:`verify_certificate` before either is
-    released; the outcome carries the exact margin t in both cases.
+    basis by the revised simplex.  At t = 0 its optimal point is the
+    witness; at t > 0 its optimal duals are the certificate
+    (:func:`_certificate_from_duals`).  Dantzig pricing with
+    lowest-index ties and the Bland fallback on degenerate steps fix
+    the pivot path, so both are deterministic.  The witness is
+    re-checked against every constraint and the certificate against
+    :func:`verify_certificate` before either is released; the outcome
+    carries the exact margin t in both cases.
+    """
+    return _decide(scenario, endpoint)[0]
+
+
+def _decide(scenario: Scenario, endpoint: str, start=None):
+    """:func:`solve`, settled from ``start`` where it can be.
+
+    ``start`` is the optimal margin-LP result of the same scenario at
+    the other endpoint (see :func:`_margin_lp`).  Returns the outcome
+    and this endpoint's optimal LP result.
     """
     if scenario.kind != STANDARD:
         raise ScenarioError(
             f"the LP engine handles standard scenarios; kind {scenario.kind!r}"
             " is served by the dedicated witness solvers"
         )
-    result, rhs, sides = _margin_lp(scenario, endpoint)
+    result, rhs, sides = _margin_lp(scenario, endpoint, start)
     n = scenario.space.atom_count
     t = result.objective
     if not t:
         witness = AtomMeasure(scenario.space, tuple(result.x[:n]), STANDARD)
         _check_witness(scenario, witness, endpoint)
-        return FeasibilityOutcome(
+        outcome = FeasibilityOutcome(
             verdict=FEASIBLE, endpoint=endpoint, witness=witness, margin=t
         )
+        return outcome, result
     certificate = _certificate_from_duals(result, n, rhs, sides)
     if not verify_certificate(scenario, certificate, endpoint):
         raise AssertionError("margin LP duals give a certificate that fails verification")
-    return FeasibilityOutcome(
+    outcome = FeasibilityOutcome(
         verdict=INFEASIBLE, endpoint=endpoint, certificate=certificate, margin=t
     )
+    return outcome, result
 
 
 def _check_witness(scenario: Scenario, witness: AtomMeasure, endpoint: str) -> None:
@@ -242,11 +257,24 @@ def solve_robust(scenario: Scenario) -> FeasibilityOutcome:
     For all-rational scenarios a single run decides.  Otherwise the
     outcome carries the ``lo`` witness or certificate, the smaller of
     the endpoint margins, and both endpoint outcomes.
+
+    The ``hi`` endpoint starts from ``lo``'s optimal basis: when that
+    basis is primal-feasible at ``hi`` it is optimal there too, and its
+    point and duals are ``hi``'s evidence, re-checked like any other;
+    otherwise ``hi`` is solved from its own crash basis.  Either way
+    ``hi``'s verdict and margin are those of a cold :func:`solve`, since
+    the margin is the LP's unique optimal value.  The basis lives only
+    for this call.
     """
+    solved = []
+
+    def decide(endpoint):
+        outcome, result = _decide(scenario, endpoint, solved[0] if solved else None)
+        solved.append(result)
+        return outcome
+
     lo, hi, agree = decide_endpoints(
-        lambda endpoint: solve(scenario, endpoint),
-        scenario.has_interval_targets,
-        lambda outcome: outcome.verdict,
+        decide, scenario.has_interval_targets, lambda outcome: outcome.verdict
     )
     if hi is None:
         return lo
@@ -270,43 +298,61 @@ def margin(scenario: Scenario, endpoint: str = "lo") -> Fraction:
     The LP needs no phase 1: all mass on one atom j, with t equal to
     that atom's worst violation of the targets and every other row's
     slack basic, is a feasible basis (:func:`_crash_basis`), and
-    :func:`simplex.solve_from_basis` minimizes t from there.  The
-    margin is the LP's optimal value, which does not depend on the
-    start or the pivot path.  :func:`solve` decides from the same LP.
+    :func:`simplex.solve_from_basis` minimizes t from there without
+    forming the 2ⁿ atom columns (:func:`_margin_lp`).  The margin is
+    the LP's optimal value, which does not depend on the start or the
+    pivot path.  :func:`solve` decides from the same LP.
     """
     result, _, _ = _margin_lp(scenario, endpoint)
     return result.objective
 
 
-def _margin_lp(scenario: Scenario, endpoint: str):
+def _margin_lp(scenario: Scenario, endpoint: str, start=None):
     """Solve the relaxed LP  min t  from the crash basis.
 
-    Variables: p (n), then t, then one slack per relaxed row.  Row 0 is
-    Σp = 1; every constraint becomes one-sided rows, ``row·p - t ≤ b``
-    on its le side and ``row·p + t ≥ b`` on its ge side (an equality
-    gives both).  Returns the optimal result, the right-hand sides of
+    Variables: p (n atoms), then t, then one slack per relaxed row.
+    Row 0 is Σp = 1; every constraint becomes one-sided rows,
+    ``row·p - t ≤ b`` on its le side and ``row·p + t ≥ b`` on its ge
+    side (an equality gives both).  No atom column is built: relaxed
+    row r's coefficient at atom a is the character
+    ``(-1)^popcount(a & mask_r)`` of its moment (row 0 has mask 0, and
+    an equality's two rows share one mask), which
+    :func:`simplex.solve_from_basis` prices by one Walsh–Hadamard
+    transform per pivot.  Only t and the slacks are explicit columns.
+
+    ``start``, an optimal result of this LP at the other endpoint, is
+    tried first: when its basis is primal-feasible at this endpoint's
+    right-hand side it is optimal here (:func:`simplex.settle`), and
+    no pivot runs.  Otherwise the LP is solved from the crash basis.
+
+    Returns the optimal result, the right-hand sides of
     :func:`_standard_rows`, and for each relaxed row after row 0 the
     index of its standard row and its side (LE or GE); relaxed row r's
     slack is column n + r.
     """
-    rows, rhs, relations = _standard_rows(scenario, endpoint)
-    n = scenario.space.atom_count
-    relaxed_rows, relaxed_rhs, relaxed_rel, t_sign = [rows[0]], [rhs[0]], [EQ], [0]
-    sides = []
-    for k in range(1, len(rows)):
+    space = scenario.space
+    n = space.atom_count
+    rhs = [Fraction(1)] + [c.target.endpoint(endpoint) for c in scenario.constraints]
+    masks, relaxed_rhs, t_sign, sides = [0], [rhs[0]], [0], []
+    for k, c in enumerate(scenario.constraints, start=1):
+        mask = moment_mask(space, c.subset)
         for side, sign in ((LE, -1), (GE, 1)):
-            if relations[k] in (EQ, side):
-                relaxed_rows.append(rows[k])
+            if c.relation in (EQ, side):
+                masks.append(mask)
                 relaxed_rhs.append(rhs[k])
-                relaxed_rel.append(side)
                 t_sign.append(sign)
                 sides.append((k, side))
-    with_t = [list(row) + [s] for row, s in zip(relaxed_rows, t_sign)]
-    std_rows, total = simplex.to_standard_form(with_t, relaxed_rel)
-    costs = [0] * total
+    m = len(masks)
+    # The t column, then relaxed row r's slack: +1 on le, -1 on ge.
+    columns = [dict(enumerate(t_sign))] + [{r: -t_sign[r]} for r in range(1, m)]
+    costs = [0] * (n + m)
     costs[n] = 1  # minimize t
-    basis = _crash_basis(n, relaxed_rows, relaxed_rhs, t_sign)
-    result = simplex.solve_from_basis(costs, std_rows, relaxed_rhs, basis)
+    result = None if start is None else simplex.settle(start, costs, relaxed_rhs)
+    if result is None:
+        basis = _crash_basis(space.n, masks, relaxed_rhs, t_sign)
+        result = simplex.solve_from_basis(
+            costs, columns, relaxed_rhs, basis, (space.n, masks)
+        )
     if result.status != simplex.OPTIMAL:
         raise AssertionError(
             f"margin LP ended {result.status}; it is bounded below by 0"
@@ -334,39 +380,63 @@ def _certificate_from_duals(result, n, rhs, sides) -> tuple[Fraction, ...]:
     return tuple(z)
 
 
-def _crash_basis(n, relaxed_rows, relaxed_rhs, t_sign):
+def _crash_basis(bits, masks, relaxed_rhs, t_sign):
     """A feasible start basis for the margin LP, one column per row.
 
     Row 0 (Σp = 1) gets atom j; relaxed row r gets its slack, column
-    n + r (t is column n).  At p = e_j row r is violated by
-    v_r(j) = t_sign[r]·(b_r - row_r[j]), so t = max_r v_r(j) keeps
+    n + r (t is column n = 2**bits).  At p = e_j row r is violated by
+    v_r(j) = t_sign[r]·(b_r - χ_r(j)), where χ_r(j) = ±1 is the
+    character of row r's mask at atom j, so t = max_r v_r(j) keeps
     every slack t - v_r(j) ≥ 0.  j is the atom with the least worst
     violation (lowest index on ties).  When that violation is ≥ 0, t
     takes the basic place of the first row attaining it, whose slack is
     0; when every row is strictly slack at j, t stays nonbasic at 0.
     Violations are compared in integers over the targets' common
-    denominator.
+    denominator, and only the running worst is kept, one per atom.
     """
-    relaxed = range(1, len(relaxed_rows))
+    n = 1 << bits
+    relaxed = range(1, len(masks))
     basis = [0] + [n + r for r in relaxed]
     if not relaxed:
         return basis
     common = math.lcm(*(relaxed_rhs[r].denominator for r in relaxed))
+    # Row r's violation where its character is +1 and where it is -1.
     violations = []
     for r in relaxed:
         b = relaxed_rhs[r]
-        sign = t_sign[r]
-        target = sign * b.numerator * (common // b.denominator)
-        step = sign * common
-        violations.append([target - step * a for a in relaxed_rows[r]])
-    worst = [max(column) for column in zip(*violations)]
+        target = t_sign[r] * b.numerator * (common // b.denominator)
+        step = t_sign[r] * common
+        violations.append((target - step, target + step))
+    worst = None
+    for mask, (plus, minus) in zip(masks[1:], violations):
+        row = _on_atoms(bits, mask, plus, minus)
+        worst = row if worst is None else list(map(max, worst, row))
     least = min(worst)
     j = worst.index(least)
     basis[0] = j
     if least >= 0:
-        first = next(k for k, v in enumerate(violations) if v[j] == least)
+        first = next(
+            k
+            for k, (mask, pair) in enumerate(zip(masks[1:], violations))
+            if pair[(j & mask).bit_count() & 1] == least
+        )
         basis[first + 1] = n
     return basis
+
+
+def _on_atoms(bits, mask, plus, minus):
+    """``plus`` on every atom where the character of ``mask`` is +1, else ``minus``.
+
+    Built by doubling over the atom index's bits, lowest first: bit k
+    either keeps the character or, when ``mask`` has it, flips it.
+    """
+    values, flipped = [plus], [minus]
+    for k in range(bits):
+        if mask >> k & 1:
+            values, flipped = values + flipped, flipped + values
+        else:
+            values, flipped = values + values, flipped + flipped
+    return values
 
 
 def verify_certificate(

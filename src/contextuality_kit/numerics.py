@@ -41,10 +41,18 @@ _SCALE_STEP_BITS = 16
 _MAX_SCALE_BITS = 256
 
 
+#: The written forms of an exact scalar: an optionally signed integer or
+#: ``p/q``.  ``Fraction`` alone would also take exponents, whose value
+#: ("1e999999999") can cost unbounded time and memory to build.
+_EXACT_SCALAR = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def scalar_from_string(text: str) -> Fraction:
     """Parse a "p/q" or integer string into an exact rational."""
     if not isinstance(text, str):
         raise ValueError(f"exact scalars are written as strings such as '1/3', got {text!r}")
+    if not _EXACT_SCALAR.fullmatch(text):
+        raise ValueError(f"exact scalar {text!r} is not an integer or p/q")
     try:
         return Fraction(text)
     except ZeroDivisionError:

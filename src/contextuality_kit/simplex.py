@@ -3,31 +3,53 @@
 Solves   minimize c·x   subject to   A x = b,  x >= 0
 
 exactly, so there is no tolerance tuning anywhere: a pivot element is
-nonzero or it is not.  Two solvers share the tableau, the pivot, the
-ratio test and the pricing of the objective row, and a third routine
-sweeps many right-hand sides with the first:
+nonzero or it is not.  Two solvers share the integer rows, the pivot
+and the ratio test, and two routines reuse their results:
 
-* :func:`solve_lp`, two-phase with Bland's rule throughout.  It runs
-  :func:`solve_many`'s cold solves, and its phase-1 verdict is the
-  tests' independent reference for the one-phase decisions and the
-  closed forms.  No report reads its pivot path.
-* :func:`solve_from_basis`, one phase from a feasible basis the caller
-  knows, with Dantzig's rule.  Every standard scenario is decided by
-  it: the optimal point is reported as the witness, and the optimal
-  duals, read off the reduced costs of the slack columns, as the
-  Farkas certificate.  Dantzig's rule with lowest-index ties and the
-  Bland fallback on degenerate steps fix the pivot path, so that
-  evidence is deterministic.
+* :func:`solve_lp`, two-phase with Bland's rule throughout, on the
+  dense tableau.  It runs :func:`solve_many`'s cold solves, and its
+  phase-1 verdict is the tests' independent reference for the
+  one-phase decisions and the closed forms.  No report reads its
+  pivot path.
+* :func:`solve_from_basis`, a revised simplex: one phase from a
+  feasible basis the caller knows, with Dantzig's rule.  Every
+  standard scenario is decided by it: the optimal point is reported
+  as the witness, and the optimal duals, read off the reduced costs
+  of the slack columns, as the Farkas certificate.  Dantzig's rule
+  with lowest-index ties and the Bland fallback on degenerate steps
+  fix the pivot path, so that evidence is deterministic.
+* :func:`settle`, the optimum of a :func:`solve_from_basis` LP at
+  another right-hand side, from its optimal basis, when that basis is
+  still primal-feasible there.
 * :func:`solve_many`, feasibility only, for right-hand sides that
   share one matrix; it reuses earlier evidence and calls
   :func:`solve_lp` only where that evidence does not settle a point.
+
+The revised simplex holds ``[B⁻¹ | x_B]`` and the objective row,
+m × (m + 2) integers, instead of every column.  Its LPs may have a block of
+character columns: atom a's entry in row i is
+``(-1)^popcount(a & mask_i)``, as for the kit's moment rows over 2ⁿ
+atoms.  Those columns are never formed.  Each pivot prices all of them
+at once: the objective row's duals, added up on their rows' masks, go
+through one integer Walsh–Hadamard transform (n·2ⁿ additions; Fino and
+Algazi, *IEEE Trans. Comput.* C-25, 1142 (1976)), and only the entering
+column is built, from its atom's bits.  The pricing is exhaustive over
+the atoms, because finding the best atom is the separation problem of
+the correlation polytope, NP-hard in general (I. Pitowsky, *Math.
+Programming* 50, 395 (1991)).  The pivots are those of the dense
+one-phase tableau this replaced: the basis rows hold the same rational
+values, Dantzig's choice reads the same reduced costs in the same
+column order, and the ratio test the same column.  So the point,
+objective and reduced costs are the same too, which the tests pin
+against that tableau, kept as ``tests/dense_simplex.py``.
 
 Every tableau row, the objective row included, is a list of Python ints
 over one positive integer scale; the row's rational value is
 ``ints / scale``.  A constraint row is built by scaling its coefficients
 and right-hand side by their common denominator (for the kit's ±1 and
 slack rows, the denominator of the right-hand side), so no Fraction is
-made per cell.  A pivot on entry p of the pivot row cross-multiplies
+made per cell; the revised simplex scales its ``[I | b]`` rows the same
+way.  A pivot on entry p of the pivot row cross-multiplies
 every other row, ``other·p − f·prow`` over ``scale·p``, then divides
 the row and its scale by their gcd, which keeps the entries small: the
 integer-preserving elimination of Escobedo and Moreno-Centeno
@@ -81,6 +103,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -104,8 +127,13 @@ class LpResult:
     pivots: tuple[int, int] = (0, 0)
     #: On an optimal :func:`solve_lp` result: the basic column of each
     #: row kept after the redundant-row drop, and those rows' indices.
+    #: On an optimal :func:`solve_from_basis` result: the basic column
+    #: of each row.
     basis: tuple[int, ...] | None = None
     basis_rows: tuple[int, ...] | None = None
+    #: On an optimal :func:`solve_from_basis` result: row i of B⁻¹ as
+    #: (ints, scale), so that x_B(i) = ints·b / scale, for :func:`settle`.
+    inverse: tuple[tuple[list[int], int], ...] | None = None
     #: On an optimal :func:`solve_from_basis` result: the reduced cost
     #: of every column at the optimal basis.  A column that is a unit
     #: slack of row i (±e_i, zero cost) has reduced cost ∓y_i, so
@@ -246,30 +274,6 @@ def _run(tableau, scales, basis, allowed_columns):
         if entering < 0:
             return OPTIMAL, pivots
         leaving = _leaving(tableau, basis, entering)
-        if leaving < 0:
-            return UNBOUNDED, pivots
-        _pivot(tableau, scales, basis, leaving, entering)
-        pivots += 1
-
-
-def _run_dantzig(tableau, scales, basis):
-    """Minimize the objective row with Dantzig's rule, Bland's when degenerate.
-
-    Returns (status, pivots taken).
-    """
-    m = len(tableau) - 1
-    columns = range(len(tableau[m]) - 1)
-    pivots = 0
-    while True:
-        obj = tableau[m]
-        most_negative = min(obj[:-1])
-        if most_negative >= 0:
-            return OPTIMAL, pivots
-        entering = obj.index(most_negative)
-        leaving = _leaving(tableau, basis, entering)
-        if leaving >= 0 and not tableau[leaving][-1]:
-            entering = _bland_entering(obj, columns)
-            leaving = _leaving(tableau, basis, entering)
         if leaving < 0:
             return UNBOUNDED, pivots
         _pivot(tableau, scales, basis, leaving, entering)
@@ -428,19 +432,167 @@ def solve_lp(
     )
 
 
+def _walsh(values, bits):
+    """Walsh–Hadamard transform: entry a is Σ_k values[k]·(-1)^popcount(a & k).
+
+    ``values`` has 2**bits entries.  Each of the ``bits`` stages of the
+    constant-geometry butterfly puts the sums of the pairs (2i, 2i+1)
+    in the first half and their differences in the second; after the
+    last stage the entries are back in natural order (Fino and Algazi,
+    *IEEE Trans. Comput.* C-25, 1142 (1976)).  n·2ⁿ integer additions.
+    """
+    for _ in range(bits):
+        even, odd = values[0::2], values[1::2]
+        values = [a + b for a, b in zip(even, odd)] + [a - b for a, b in zip(even, odd)]
+    return values
+
+
+class _RevisedLp:
+    """The rows ``[B⁻¹ | slot | x_B]`` and the objective row of one LP.
+
+    Row i of the system is first multiplied by ``factors[i]``, the lcm
+    of its explicit entries' denominators, so every column is integral
+    (a character is ±1); the costs are scaled to ints ``cost_ints`` over
+    ``cost_scale``.  The tableau starts as ``[I | 0 | b]``, one integer
+    row over its own scale per constraint, and an objective row
+    ``[0 | 0 | 0]`` over scale 1.  A row's first m entries are the
+    multipliers that combine the scaled rows of ``[A | b]`` into that
+    row of the dense tableau; the objective row's, w, stand for
+    ``scale·[c | 0] + w·[A | b]``, so w prices every column.  Slot m
+    holds the column being pivoted in, written by :meth:`enter`;
+    :func:`_pivot` and :func:`_leaving` work on these rows as on the
+    dense tableau.
+    """
+
+    def __init__(self, costs, columns, rhs, characters):
+        m = self.m = len(rhs)
+        self.bits, self.masks = characters if characters is not None else (0, ())
+        self.atoms = 1 << self.bits if characters is not None else 0
+        factors = [1] * m
+        for column in columns:
+            for i, v in column.items():
+                if type(v) is not int:
+                    factors[i] = math.lcm(factors[i], Fraction(v).denominator)
+        self.factors = factors
+        # Each explicit column in scaled ints: its (row, entry) when it
+        # has one nonzero entry (a slack), else a list of m entries.
+        self.units, self.columns = [], []
+        for column in columns:
+            nonzero = [(i, int(v * factors[i])) for i, v in column.items() if v]
+            dense = None
+            if len(nonzero) != 1:
+                dense = [0] * m
+                for i, v in nonzero:
+                    dense[i] = v
+            self.units.append(nonzero[0] if dense is None else None)
+            self.columns.append(dense)
+        self.cost_ints, self.cost_scale = _scaled(costs)
+        self.atom_costs = any(self.cost_ints[: self.atoms])
+        self.tableau, self.scales = [], []
+        for i, b in enumerate(rhs):
+            b = Fraction(b) * factors[i]
+            line = [0] * (m + 2)
+            line[i] = b.denominator
+            line[-1] = b.numerator
+            self.tableau.append(line)
+            self.scales.append(b.denominator)
+        self.tableau.append([0] * (m + 2))
+        self.scales.append(1)
+        self.basis = [-1] * m
+
+    def enter(self, j):
+        """Write column j, as the current basis sees it, into slot m."""
+        m, tableau = self.m, self.tableau
+        if j < self.atoms:
+            column = [
+                -d if (j & mask).bit_count() & 1 else d
+                for mask, d in zip(self.masks, self.factors)
+            ]
+            for line in tableau:
+                line[m] = sum(map(mul, line, column))
+        elif self.units[j - self.atoms] is not None:
+            i, v = self.units[j - self.atoms]
+            for line in tableau:
+                line[m] = line[i] * v
+        else:
+            column = self.columns[j - self.atoms]
+            for line in tableau:
+                line[m] = sum(map(mul, line, column))
+        tableau[m][m] += self.cost_ints[j] * self.scales[m]
+
+    def pivot(self, row, j):
+        _pivot(self.tableau, self.scales, self.basis, row, self.m)
+        self.basis[row] = j
+
+    def reduced_costs(self):
+        """Every column's reduced cost, as ints over the objective row's scale.
+
+        The atom block is one Walsh–Hadamard transform of the duals
+        placed on their rows' masks; each explicit column is priced from
+        its entries.
+        """
+        m, obj, scale = self.m, self.tableau[self.m], self.scales[self.m]
+        reduced = []
+        if self.atoms:
+            weights = [0] * self.atoms
+            for w, mask, d in zip(obj, self.masks, self.factors):
+                if w:
+                    weights[mask] += w * d
+            reduced = _walsh(weights, self.bits)
+            if self.atom_costs:
+                reduced = [c * scale + v for c, v in zip(self.cost_ints, reduced)]
+        for c, column, unit in zip(self.cost_ints[self.atoms:], self.columns, self.units):
+            if unit is None:
+                reduced.append(c * scale + sum(map(mul, obj, column)))
+            else:
+                reduced.append(c * scale + obj[unit[0]] * unit[1])
+        return reduced
+
+    def result(self, pivots, reduced) -> LpResult:
+        """The optimal LpResult of the current basis."""
+        m, tableau, scales = self.m, self.tableau, self.scales
+        scale = scales[m] * self.cost_scale
+        x = [_ZERO] * len(self.cost_ints)
+        for i, col in enumerate(self.basis):
+            x[col] = Fraction(tableau[i][-1], scales[i])
+        inverse = tuple(
+            ([v * d for v, d in zip(line, self.factors)], line_scale)
+            for line, line_scale in zip(tableau, scales[:m])
+        )
+        return LpResult(
+            status=OPTIMAL,
+            x=x,
+            objective=Fraction(-tableau[m][-1], scale),
+            pivots=(0, pivots),
+            basis=tuple(self.basis),
+            inverse=inverse,
+            reduced_costs=[Fraction(v, scale) if v else _ZERO for v in reduced],
+        )
+
+
 def solve_from_basis(
     costs: list[Fraction],
-    rows: list[list[Fraction]],
+    columns: list[dict[int, Fraction]],
     rhs: list[Fraction],
     basis: list[int],
+    characters: tuple[int, list[int]] | None = None,
 ) -> LpResult:
-    """One-phase simplex for  min c·x,  rows·x = rhs,  x >= 0.
+    """One-phase revised simplex for  min c·x,  A x = rhs,  x >= 0.
+
+    The columns of A are, in this order, the 2**bits character columns
+    of ``characters = (bits, masks)`` (column a has entry
+    ``(-1)^popcount(a & masks[i])`` in row i; none when ``characters``
+    is None) and then ``columns``, each a dict from row to entry that
+    lists the column's nonzero entries.
+    ``costs`` has one entry per column, in the same order.  Entries
+    may be ints or Fractions.
 
     ``basis`` names one column per row whose basic solution is
     feasible; the simplex starts there, so there is no phase 1 and no
-    artificial column.  Entries may be ints or Fractions.  Raises
-    ValueError when the columns are linearly dependent (singular) or
-    their basic solution has a negative entry (not primal-feasible).
+    artificial column.  Its columns are pivoted in in order, each on
+    the first row not yet taken where it is nonzero.  Raises ValueError
+    when the columns are linearly dependent (singular) or their basic
+    solution has a negative entry (not primal-feasible).
 
     Entering columns follow Dantzig's rule (most negative reduced cost,
     lowest index on ties).  When that column's ratio test gives a zero
@@ -448,43 +600,82 @@ def solve_from_basis(
     Every degenerate pivot is then a Bland pivot, so the loop cannot
     cycle (the argument is in the module docstring).  Callers report
     the optimal point and the duals read off ``reduced_costs``, so the
-    path is part of the output: Dantzig's choice takes the lowest index
-    among equal reduced costs and the degenerate fallback is Bland's,
-    so one LP always gives the same pivots, point and reduced costs.
+    path is part of the output; it depends only on the LP, the start
+    basis and these rules.
+
+    Only B⁻¹, x_B and the objective row are held, m × (m + 2) integers;
+    no column of A is stored.  Every reduced cost is recomputed from
+    the objective row's duals each pivot (the character block by
+    :func:`_walsh`), and only the entering column is formed.
 
     ``pivots`` is ``(0, simplex pivots)``; the pivots that bring
-    ``basis`` in are not counted.
+    ``basis`` in are not counted.  An optimal result carries ``basis``
+    (the basic column of each row) and ``inverse`` for :func:`settle`.
     """
-    m = len(rows)
+    m = len(rhs)
     if len(basis) != m:
         raise ValueError(f"start basis has {len(basis)} columns for {m} rows")
-    n_vars = len(costs)
-    tableau: list[list[int]] = []
-    scales: list[int] = []
-    for row, b in zip(rows, rhs):
-        ints, scale = _scaled([*row, b])
-        tableau.append(ints)
-        scales.append(scale)
-    placed = [-1] * m
-    col = _bring_in(tableau, scales, placed, basis)
-    if col >= 0:
-        raise ValueError(f"start basis is singular at column {col}")
-    if any(line[-1] < 0 for line in tableau):
+    lp = _RevisedLp(costs, columns, rhs, characters)
+    for col in basis:
+        lp.enter(col)
+        row = next((i for i, c in enumerate(lp.basis) if c < 0 and lp.tableau[i][m]), -1)
+        if row < 0:
+            raise ValueError(f"start basis is singular at column {col}")
+        lp.pivot(row, col)
+    if any(line[-1] < 0 for line in lp.tableau[:m]):
         raise ValueError("start basis is not primal-feasible")
 
-    obj, obj_scale = _priced(costs, tableau, scales, placed)
-    tableau.append(obj)
-    scales.append(obj_scale)
-    status, pivots = _run_dantzig(tableau, scales, placed)
-    if status == UNBOUNDED:
-        return LpResult(status=UNBOUNDED, pivots=(0, pivots))
-    obj, obj_scale = tableau[m], scales[m]
+    pivots = 0
+    while True:
+        reduced = lp.reduced_costs()
+        most_negative = min(reduced)
+        if most_negative >= 0:
+            return lp.result(pivots, reduced)
+        entering = reduced.index(most_negative)
+        lp.enter(entering)
+        leaving = _leaving(lp.tableau, lp.basis, m)
+        if leaving >= 0 and not lp.tableau[leaving][-1]:
+            bland = _bland_entering(reduced, range(len(reduced)))
+            if bland != entering:
+                entering = bland
+                lp.enter(entering)
+                leaving = _leaving(lp.tableau, lp.basis, m)
+        if leaving < 0:
+            return LpResult(status=UNBOUNDED, pivots=(0, pivots))
+        lp.pivot(leaving, entering)
+        pivots += 1
+
+
+def settle(result: LpResult, costs: list[Fraction], rhs: list[Fraction]) -> LpResult | None:
+    """The optimum at another right-hand side from an optimal basis, or None.
+
+    ``result`` is an optimal :func:`solve_from_basis` result of the same
+    columns and costs.  Reduced costs do not depend on the right-hand
+    side, so its basis is optimal at ``rhs`` whenever
+    ``x_B = B⁻¹·rhs >= 0``, computed exactly from the kept inverse.
+    The new result has that point and objective and the kept reduced
+    costs; None means x_B has a negative entry and ``rhs`` needs its
+    own solve.
+    """
+    rhs = [Fraction(v) for v in rhs]
+    common = math.lcm(*(v.denominator for v in rhs))
+    b = [v.numerator * (common // v.denominator) for v in rhs]
+    x = [_ZERO] * len(result.x)
+    objective = _ZERO
+    for (line, scale), col in zip(result.inverse, result.basis):
+        value = sum(map(mul, line, b))
+        if value < 0:
+            return None
+        if value:
+            x[col] = Fraction(value, scale * common)
+            objective += costs[col] * x[col]
     return LpResult(
         status=OPTIMAL,
-        x=_basic_point(tableau, scales, placed, n_vars),
-        objective=Fraction(-obj[-1], obj_scale),
-        pivots=(0, pivots),
-        reduced_costs=[Fraction(v, obj_scale) if v else _ZERO for v in obj[:-1]],
+        x=x,
+        objective=objective,
+        basis=result.basis,
+        inverse=result.inverse,
+        reduced_costs=result.reduced_costs,
     )
 
 

@@ -388,6 +388,10 @@ class TestWitnessCommandsAndValidate:
                 },
                 "zero denominator",
             ),
+            (
+                {"type": "atom-measure", "variables": ["A"], "atoms": {"+": "1e999999999", "-": "0"}},
+                "not an integer or p/q",
+            ),
         ],
         ids=[
             "no-atoms",
@@ -395,6 +399,7 @@ class TestWitnessCommandsAndValidate:
             "string-variables",
             "zero-denominator-atom",
             "zero-denominator-entry",
+            "exponent-atom",
         ],
     )
     def test_malformed_validate_document_is_input_error(self, tmp_path, document, message):

@@ -515,9 +515,9 @@ def test_margin_crash_basis_shape(monkeypatch, name):
     starts = []
     solve_from_basis = simplex.solve_from_basis
 
-    def spy(costs, rows, rhs, basis):
+    def spy(costs, columns, rhs, basis, characters=None):
         starts.append(list(basis))
-        return solve_from_basis(costs, rows, rhs, basis)
+        return solve_from_basis(costs, columns, rhs, basis, characters)
 
     monkeypatch.setattr(simplex, "solve_from_basis", spy)
     assert margin(scenario) == two_phase_margin(scenario, "lo")
@@ -526,6 +526,14 @@ def test_margin_crash_basis_shape(monkeypatch, name):
     assert (n in basis) == t_basic
     if name == "tied-worst-violation":
         assert basis[1] == n  # the first of the tied rows
+
+
+@pytest.mark.parametrize("subset", [["A"], ["C"], ["A", "B"], ["B", "C", "D"], ["A", "B", "C", "D"]])
+def test_crash_violations_follow_the_moment_characters(subset):
+    space = make_scenario(["A", "B", "C", "D"], []).space
+    mask = feasibility.moment_mask(space, subset)
+    want = ["plus" if c == 1 else "minus" for c in moment_coefficients(space, subset)]
+    assert feasibility._on_atoms(space.n, mask, "plus", "minus") == want
 
 
 # --- one LP per decision: the margin LP's point or duals are the evidence ------
@@ -548,6 +556,84 @@ def test_one_lp_decision_matches_phase_1_and_two_phase_margin(scenario, endpoint
     else:
         assert outcome.margin > 0
         assert verify_certificate(scenario, outcome.certificate, endpoint)
+
+
+# --- the hi endpoint settled from lo's optimal basis ----------------------------
+
+
+def _assert_evidence_holds(outcome, scenario, endpoint):
+    if outcome.verdict == FEASIBLE:
+        assert validate(outcome.witness).passed
+        for c in scenario.constraints:
+            assert c.holds_at(signed_atom_sum(outcome.witness, c.subset), endpoint)
+    else:
+        assert verify_certificate(scenario, outcome.certificate, endpoint)
+
+
+@settings(deadline=None, max_examples=200)
+@given(relaxed_scenarios().filter(lambda scenario: scenario.has_interval_targets))
+@example(bell_scenario())
+def test_settled_hi_endpoint_equals_a_cold_hi_solve(scenario):
+    outcome = solve_robust(scenario)
+    hi = outcome.endpoint_outcomes["hi"]
+    cold = solve(scenario, "hi")
+    assert (hi.verdict, hi.margin) == (cold.verdict, cold.margin)
+    assert hi.endpoint == "hi"
+    _assert_evidence_holds(hi, scenario, "hi")
+
+
+def _counting_lps(monkeypatch):
+    """Count solve_from_basis runs and settle hits; returns [solves, settled, missed]."""
+    counts = [0, 0, 0]
+    solve_from_basis, settle = simplex.solve_from_basis, simplex.settle
+
+    def counted_solve(*args):
+        counts[0] += 1
+        return solve_from_basis(*args)
+
+    def counted_settle(*args):
+        result = settle(*args)
+        counts[1 if result is not None else 2] += 1
+        return result
+
+    monkeypatch.setattr(simplex, "solve_from_basis", counted_solve)
+    monkeypatch.setattr(simplex, "settle", counted_settle)
+    return counts
+
+
+def test_hi_falls_back_to_a_cold_solve_when_lo_basis_is_infeasible(monkeypatch):
+    """E(A) = √2/3, E(B) = -√2/3: lo's optimal basis has x_B < 0 at hi."""
+    scenario = make_scenario(
+        ["A", "B"],
+        [
+            (["A"], EQ, parse_and_evaluate("sqrt(2)/3")),
+            (["B"], EQ, parse_and_evaluate("-sqrt(2)/3")),
+        ],
+    )
+    cold = solve(scenario, "hi")
+    counts = _counting_lps(monkeypatch)
+    outcome = solve_robust(scenario)
+    assert counts == [2, 0, 1]
+    hi = outcome.endpoint_outcomes["hi"]
+    assert (hi.verdict, hi.margin, hi.witness) == (cold.verdict, cold.margin, cold.witness)
+    assert outcome.verdict == FEASIBLE
+
+
+def test_planted_wide_document_decides_with_one_lp(monkeypatch):
+    import sys
+    from pathlib import Path
+
+    from contextuality_kit.cli import scenario_from_document
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import reference
+
+    scenario = scenario_from_document(reference.wide_document(1, 5, True))
+    counts = _counting_lps(monkeypatch)
+    outcome = solve_robust(scenario)
+    assert outcome.verdict == INFEASIBLE
+    assert counts == [1, 1, 0]
+    assert outcome.endpoint_outcomes["hi"].margin == solve(scenario, "hi").margin
 
 
 _read_out = feasibility._certificate_from_duals

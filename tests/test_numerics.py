@@ -10,6 +10,7 @@ from contextuality_kit.numerics import (
     ScalarInterval,
     parse_and_evaluate,
     parse_value,
+    scalar_from_string,
 )
 
 
@@ -51,6 +52,20 @@ class TestParser:
     def test_trailing_garbage(self):
         with pytest.raises(ExpressionError):
             parse_value("1 2")
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("3", 3), ("-1/2", Fraction(-1, 2)), ("+2/4", Fraction(1, 2)), ("0", 0)],
+)
+def test_exact_scalar_forms(text, value):
+    assert scalar_from_string(text) == value
+
+
+@pytest.mark.parametrize("text", ["1e999999999", "0.5", " 1", "1_000", "1/-2", "", "nan"])
+def test_other_scalar_texts_are_refused(text):
+    with pytest.raises(ValueError, match="not an integer or p/q"):
+        scalar_from_string(text)
 
 
 class TestEvaluate:

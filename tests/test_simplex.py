@@ -84,24 +84,29 @@ def test_farkas_certificates_always_verify(rows, rhs):
         assert sum(yi * b for yi, b in zip(y, rhs)) > 0
 
 
+def _columns(rows):
+    """The columns of ``rows``, each as a dict from row to entry."""
+    return [dict(enumerate(column)) for column in zip(*rows)]
+
+
 def test_solve_from_basis_rejects_bad_starts():
-    rows = [[1, 1, 0], [1, -1, 1]]
+    columns = _columns([[1, 1, 0], [1, -1, 1]])
     rhs = [1, Fraction(1, 2)]
     costs = [0, 1, 0]
     # Columns 0 and 2: x0 = 1, x2 = -1/2, not primal-feasible.
     with pytest.raises(ValueError, match="feasible"):
-        simplex.solve_from_basis(costs, rows, rhs, [0, 2])
+        simplex.solve_from_basis(costs, columns, rhs, [0, 2])
     # Column 0 twice: linearly dependent.
     with pytest.raises(ValueError, match="singular"):
-        simplex.solve_from_basis(costs, rows, rhs, [0, 0])
+        simplex.solve_from_basis(costs, columns, rhs, [0, 0])
     # Columns 1 and 2 are a feasible start: x1 = 1, x2 = 3/2.  The
     # optimum has x2 = 2·x1 - 1/2 = 0.
-    result = simplex.solve_from_basis(costs, rows, rhs, [1, 2])
+    result = simplex.solve_from_basis(costs, columns, rhs, [1, 2])
     assert result.status == simplex.OPTIMAL
     assert result.objective == Fraction(1, 4)
     assert result.x == [Fraction(3, 4), Fraction(1, 4), 0]
     # No positive entry under an improving column.
-    assert simplex.solve_from_basis([-1, 0], [[0, 1]], [1], [1]).status == (
+    assert simplex.solve_from_basis([-1, 0], [{}, {0: 1}], [1], [1]).status == (
         simplex.UNBOUNDED
     )
 
@@ -121,10 +126,47 @@ def test_solve_from_basis_terminates_on_beale_cycling_example():
     ]
     rhs = [0, 0, 1]
     costs = [0, 0, 0, -3 * q, 20, -2 * q, 6]
-    result = simplex.solve_from_basis(costs, rows, rhs, [0, 1, 2])
+    result = simplex.solve_from_basis(costs, _columns(rows), rhs, [0, 1, 2])
     assert result.status == simplex.OPTIMAL
     assert result.objective == Fraction(-5, 4)
     assert result.objective == simplex.solve_lp(costs, rows, rhs).objective
+
+
+@pytest.mark.parametrize("bits", [0, 1, 2, 3, 5])
+def test_walsh_transform_sums_characters(bits):
+    values = [(7 * k) % 5 - 2 for k in range(1 << bits)]
+    want = [
+        sum(v * (-1) ** (a & k).bit_count() for k, v in enumerate(values))
+        for a in range(1 << bits)
+    ]
+    assert simplex._walsh(values, bits) == want
+
+
+def test_character_columns_equal_their_explicit_form():
+    # Rows: normalization (mask 0) and E(A) over two variables (mask 2),
+    # min E(A) with the atoms as characters or written out.
+    masks = [0, 2]
+    columns = _columns([[1, 1, 1, 1], [1, 1, -1, -1]])
+    costs = [0, 0, 1, 1]
+    rhs = [1, 0]
+    implicit = simplex.solve_from_basis(costs, [], rhs, [0, 2], (2, masks))
+    explicit = simplex.solve_from_basis(costs, columns, rhs, [0, 2])
+    assert implicit == explicit
+    assert implicit.x == [Fraction(1, 2), 0, Fraction(1, 2), 0]
+
+
+def test_settle_reuses_an_optimal_basis_or_declines():
+    # min x1 + x2  s.t.  x0 + x1 = 1,  x0 - x2 = b1.
+    columns = _columns([[1, 1, 0], [1, 0, -1]])
+    costs = [0, 1, 1]
+    result = simplex.solve_from_basis(costs, columns, [1, Fraction(1, 2)], [0, 2])
+    assert result.objective == Fraction(1, 2)
+    moved = simplex.settle(result, costs, [1, Fraction(1, 3)])
+    cold = simplex.solve_from_basis(costs, columns, [1, Fraction(1, 3)], [0, 2])
+    assert (moved.x, moved.objective) == (cold.x, cold.objective)
+    assert moved.reduced_costs == result.reduced_costs
+    # At b1 = 2, x2 = 1 - 2 < 0: the basis does not settle it.
+    assert simplex.settle(result, costs, [1, 2]) is None
 
 
 # --- solve_many: warm sweeps over right-hand sides ---------------------------

@@ -1,20 +1,30 @@
-"""The integer-tableau simplex against the Fraction-tableau reference.
+"""The kit's simplex solvers against their former implementations.
 
-``fraction_simplex`` is the kit's former solver, one Fraction per
-tableau cell.  Both follow Bland's rule on the same rational tableau, so
-every LP must come back with the same status, point, objective, Farkas
-multipliers and pivot counts.  Equal pivot counts are the direct
-evidence that the pivot sequence did not change.
+``fraction_simplex`` is the kit's former two-phase solver, one Fraction
+per tableau cell.  Both follow Bland's rule on the same rational
+tableau, so every LP must come back with the same status, point,
+objective, Farkas multipliers and pivot counts.  Equal pivot counts are
+the direct evidence that the pivot sequence did not change.
+
+``dense_simplex`` is the former one-phase solver on the dense integer
+tableau.  The revised, Walsh-priced ``simplex.solve_from_basis`` must
+take the same pivots from the same start basis, so every margin LP must
+come back with the same status, pivots, point, objective and reduced
+costs.
 """
 
 import io
 import itertools
 import random
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import dense_simplex
 import fraction_simplex
 from contextuality_kit import feasibility, simplex
 from contextuality_kit.closed_form import solve_upper_ghz_witness
@@ -24,11 +34,16 @@ from contextuality_kit.cli import (
     EXIT_VIOLATION,
     run,
     scenario_dir,
+    scenario_from_document,
 )
 from contextuality_kit.event_space import build_space, moment_coefficients, sign_event
 from contextuality_kit.feasibility import EQ, FEASIBLE, INFEASIBLE, make_scenario
 from contextuality_kit.measures import AtomMeasure, expectation
 from contextuality_kit.numerics import parse_and_evaluate
+from test_feasibility import relaxed_scenarios
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import reference  # noqa: E402
 
 
 #: CLI exit codes of a finished decision (not an input or internal error).
@@ -39,9 +54,14 @@ def fields(result):
     return (result.status, result.x, result.objective, result.farkas, result.pivots)
 
 
+def path_fields(result):
+    return (result.status, result.pivots, result.x, result.objective, result.reduced_costs)
+
+
 #: The kit's solvers, taken before any test patches the module attributes.
 _solve_lp = simplex.solve_lp
 _solve_from_basis = simplex.solve_from_basis
+_settle = simplex.settle
 
 
 def assert_same(costs, rows, rhs, n_vars=None):
@@ -51,13 +71,12 @@ def assert_same(costs, rows, rhs, n_vars=None):
     return got
 
 
-def assert_same_optimum(costs, rows, rhs, basis):
-    """A one-phase solve returns an optimal point of the reference's value.
+def assert_optimum(costs, rows, rhs, got):
+    """``got`` is an optimal point of the Fraction reference's value.
 
-    Its pivot path differs from Bland's, so only the point's
+    The one-phase path differs from Bland's, so only the point's
     feasibility, its objective and the optimal value are compared.
     """
-    got = _solve_from_basis(costs, rows, rhs, basis)
     want = fraction_simplex.solve_lp(costs, rows, rhs)
     assert got.status == want.status == simplex.OPTIMAL
     assert all(v >= 0 for v in got.x)
@@ -65,25 +84,60 @@ def assert_same_optimum(costs, rows, rhs, basis):
         assert sum(a * v for a, v in zip(row, got.x)) == b
     assert sum(c * v for c, v in zip(costs, got.x)) == got.objective
     assert got.objective == want.objective
+
+
+def assert_same_path(costs, columns, rhs, basis, characters=None):
+    """The revised solve takes the dense reference's path."""
+    got = _solve_from_basis(costs, columns, rhs, basis, characters)
+    rows = dense_simplex.dense_rows(columns, rhs, characters)
+    assert path_fields(got) == path_fields(
+        dense_simplex.solve_from_basis(costs, rows, rhs, basis)
+    )
     return got
 
 
-@pytest.fixture
-def compared(monkeypatch):
-    """Route every kit LP through both solvers; yields the LP counter."""
+@contextmanager
+def routed():
+    """Route every kit LP through the kit and a reference; yields the LP counter.
+
+    A margin LP settled from another endpoint's basis counts as that
+    endpoint's LP: it is checked for the reference's optimal value and
+    for nonnegative reduced costs, the proof that its basis is optimal.
+    """
     count = [0]
+    solved = {}
 
     def checked(costs, rows, rhs, n_vars=None):
         count[0] += 1
         return assert_same(costs, rows, rhs, n_vars)
 
-    def checked_from_basis(costs, rows, rhs, basis):
+    def checked_from_basis(costs, columns, rhs, basis, characters=None):
         count[0] += 1
-        return assert_same_optimum(costs, rows, rhs, basis)
+        result = assert_same_path(costs, columns, rhs, basis, characters)
+        assert_optimum(costs, dense_simplex.dense_rows(columns, rhs, characters), rhs, result)
+        solved[id(result)] = (result, columns, characters)
+        return result
 
-    monkeypatch.setattr(simplex, "solve_lp", checked)
-    monkeypatch.setattr(simplex, "solve_from_basis", checked_from_basis)
-    yield count
+    def checked_settle(result, costs, rhs):
+        got = _settle(result, costs, rhs)
+        if got is not None:
+            count[0] += 1
+            _, columns, characters = solved[id(result)]
+            assert_optimum(costs, dense_simplex.dense_rows(columns, rhs, characters), rhs, got)
+            assert all(v >= 0 for v in got.reduced_costs)
+        return got
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplex, "solve_lp", checked)
+        patch.setattr(simplex, "solve_from_basis", checked_from_basis)
+        patch.setattr(simplex, "settle", checked_settle)
+        yield count
+
+
+@pytest.fixture
+def compared():
+    with routed() as count:
+        yield count
 
 
 # --- small systems ----------------------------------------------------------
@@ -168,9 +222,44 @@ def singles_plus_pairs(n: int, seed: int, planted: bool):
 def test_singles_plus_pairs_match_reference(compared, n, seed, planted):
     outcome = feasibility.solve_robust(singles_plus_pairs(n, seed, planted))
     assert outcome.verdict == (INFEASIBLE if planted else FEASIBLE)
-    # One LP (the margin LP) per endpoint: planted systems have
-    # bracketed targets and decide at both endpoints, feasible ones at lo.
+    # One margin LP per endpoint (solved, or settled from lo's basis):
+    # planted systems have bracketed targets and decide at both
+    # endpoints, feasible ones at lo.
     assert compared[0] == (2 if planted else 1)
+
+
+# --- the revised margin LP against the dense tableau ---------------------------
+
+
+@settings(deadline=None, max_examples=150)
+@given(relaxed_scenarios(), st.sampled_from(["lo", "hi"]))
+def test_margin_lp_path_matches_dense_reference(scenario, endpoint):
+    with routed() as count:
+        feasibility.margin(scenario, endpoint)
+    assert count[0] == 1
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["feasible", "planted"])
+@pytest.mark.parametrize("n", [5, 6, 7])
+@pytest.mark.parametrize("endpoint", ["lo", "hi"])
+def test_wide_document_path_matches_dense_reference(monkeypatch, n, planted, endpoint):
+    """The same pivots as the dense tableau; the outcome re-checks the optimum.
+
+    The Fraction reference's two-phase solve is too slow at n = 7, so
+    the optimum is vouched for by the released evidence instead: a
+    witness re-checked exactly, or a verified certificate with t > 0.
+    """
+    solved = []
+
+    def checked(*args):
+        solved.append(assert_same_path(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(simplex, "solve_from_basis", checked)
+    scenario = scenario_from_document(reference.wide_document(3, n, planted))
+    outcome = feasibility.solve(scenario, endpoint)
+    assert outcome.verdict == (INFEASIBLE if planted else FEASIBLE)
+    assert len(solved) == 1
 
 
 # --- bundled scenarios and closed-form LPs ------------------------------------
@@ -265,8 +354,8 @@ def test_tampered_witness_makes_solve_raise(monkeypatch, moved):
     plus = next(a for a, v in enumerate(honest.witness.values) if v and signs[a] == 1)
     minus = next(a for a, v in enumerate(honest.witness.values) if v and signs[a] == -1)
 
-    def tampered(costs, rows, rhs, basis):
-        result = _solve_from_basis(costs, rows, rhs, basis)
+    def tampered(costs, columns, rhs, basis, characters=None):
+        result = _solve_from_basis(costs, columns, rhs, basis, characters)
         x = list(result.x)
         x[plus] += delta
         if moved:
