@@ -11,7 +11,6 @@ canonical serialization used everywhere in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import SizeLimitError, SpaceError
@@ -183,6 +182,16 @@ def moment_coefficients(space: EventSpace, subset: Sequence[str]) -> list[int]:
     the subset, so the expectation of the product under any atom measure
     is the inner product of these coefficients with the atom values.
     """
+    return _on_atoms(space.n, moment_mask(space, subset), 1, -1)
+
+
+def moment_mask(space: EventSpace, subset: Sequence[str]) -> int:
+    """Bit mask of a moment's variables, in the atom index's bit order.
+
+    The moment's coefficient at an atom is ``(-1)^popcount(atom & mask)``.
+    Raises SpaceError unless ``subset`` lists distinct variables of the
+    space, at least one.
+    """
     subset = tuple(subset)
     if not subset:
         raise SpaceError("moment subset must be nonempty")
@@ -190,24 +199,22 @@ def moment_coefficients(space: EventSpace, subset: Sequence[str]) -> list[int]:
         raise SpaceError(f"moment subset {subset!r} must list variable names")
     if len(set(subset)) != len(subset):
         raise SpaceError(f"moment subset {subset!r} repeats a variable")
-    return list(_moment_coefficients_cached(space, subset))
-
-
-def moment_mask(space: EventSpace, subset: Sequence[str]) -> int:
-    """Bit mask of a moment's variables, in the atom index's bit order.
-
-    The moment's coefficient at an atom is ``(-1)^popcount(atom & mask)``.
-    """
     mask = 0
     for v in subset:
         mask |= 1 << (space.n - 1 - space.index_of(v))
     return mask
 
 
-@lru_cache(maxsize=4096)
-def _moment_coefficients_cached(space: EventSpace, subset: tuple[str, ...]):
-    mask = moment_mask(space, subset)
-    return tuple(
-        -1 if bin(atom & mask).count("1") & 1 else 1
-        for atom in range(space.atom_count)
-    )
+def _on_atoms(bits, mask, plus, minus):
+    """``plus`` on every atom where the character of ``mask`` is +1, else ``minus``.
+
+    Built by doubling over the atom index's bits, lowest first: bit k
+    either keeps the character or, when ``mask`` has it, flips it.
+    """
+    values, flipped = [plus], [minus]
+    for k in range(bits):
+        if mask >> k & 1:
+            values, flipped = values + flipped, flipped + values
+        else:
+            values, flipped = values + values, flipped + flipped
+    return values

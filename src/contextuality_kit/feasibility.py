@@ -33,13 +33,12 @@ whenever that basis is still feasible there.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .errors import CertificateError, ScenarioError
-from .event_space import EventSpace, build_space, moment_coefficients, moment_mask
+from .event_space import EventSpace, _on_atoms, build_space, moment_coefficients, moment_mask
 from .measures import STANDARD, AtomMeasure, signed_atom_sum, validate
 from .numerics import ScalarInterval, as_interval, format_scalar
 from . import simplex
@@ -50,9 +49,6 @@ INFEASIBLE = "infeasible"
 INDETERMINATE = "indeterminate"
 
 _RELATIONS = (EQ, LE, GE)
-
-#: Optional cap on worker processes used by grid sweeps.
-WORKERS_ENV_VAR = "CONTEXTUALITY_KIT_THREADS"
 
 
 @dataclass(frozen=True)
@@ -97,7 +93,7 @@ class Scenario:
     def __post_init__(self):
         seen = set()
         for c in self.constraints:
-            moment_coefficients(self.space, c.subset)  # validates the subset
+            moment_mask(self.space, c.subset)  # validates the subset
             key = tuple(sorted(c.subset))
             if key in seen:
                 raise ScenarioError(f"duplicate moment constraint on {c.subset}")
@@ -202,11 +198,6 @@ def _decide(scenario: Scenario, endpoint: str, start=None):
     the other endpoint (see :func:`_margin_lp`).  Returns the outcome
     and this endpoint's optimal LP result.
     """
-    if scenario.kind != STANDARD:
-        raise ScenarioError(
-            f"the LP engine handles standard scenarios; kind {scenario.kind!r}"
-            " is served by the dedicated witness solvers"
-        )
     result, rhs, sides = _margin_lp(scenario, endpoint, start)
     n = scenario.space.atom_count
     t = result.objective
@@ -328,8 +319,14 @@ def _margin_lp(scenario: Scenario, endpoint: str, start=None):
     Returns the optimal result, the right-hand sides of
     :func:`_standard_rows`, and for each relaxed row after row 0 the
     index of its standard row and its side (LE or GE); relaxed row r's
-    slack is column n + r.
+    slack is column n + r.  Raises ScenarioError for a scenario that is
+    not of the standard kind.
     """
+    if scenario.kind != STANDARD:
+        raise ScenarioError(
+            f"the LP engine handles standard scenarios; kind {scenario.kind!r}"
+            " is served by the dedicated witness solvers"
+        )
     space = scenario.space
     n = space.atom_count
     rhs = [Fraction(1)] + [c.target.endpoint(endpoint) for c in scenario.constraints]
@@ -424,21 +421,6 @@ def _crash_basis(bits, masks, relaxed_rhs, t_sign):
     return basis
 
 
-def _on_atoms(bits, mask, plus, minus):
-    """``plus`` on every atom where the character of ``mask`` is +1, else ``minus``.
-
-    Built by doubling over the atom index's bits, lowest first: bit k
-    either keeps the character or, when ``mask`` has it, flips it.
-    """
-    values, flipped = [plus], [minus]
-    for k in range(bits):
-        if mask >> k & 1:
-            values, flipped = values + flipped, flipped + values
-        else:
-            values, flipped = values + values, flipped + flipped
-    return values
-
-
 def verify_certificate(
     scenario: Scenario, certificate: Sequence[Fraction], endpoint: str = "lo"
 ) -> bool:
@@ -512,10 +494,6 @@ def uniform_grid(steps: int) -> list[tuple[Fraction, Fraction]]:
     return [(p, q) for p in axis for q in axis]
 
 
-#: Contiguous points per worker task; each chunk is one warm sweep.
-GRID_CHUNK = 256
-
-
 def _grid_verdicts(points) -> list[tuple[bool, bool]]:
     """(LP feasible, closed form feasible) for each point, in one warm sweep."""
     from .closed_form import GhzMoments, check_ghz_inequalities
@@ -528,18 +506,6 @@ def _grid_verdicts(points) -> list[tuple[bool, bool]]:
         (status == simplex.OPTIMAL, check_ghz_inequalities(GhzMoments(e, e, e, t)).passed)
         for status, (e, t) in zip(statuses, moments)
     ]
-
-
-def _worker_count(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 def oracle_grid_agreement(
@@ -555,24 +521,15 @@ def oracle_grid_agreement(
     feasible basis or Farkas certificate found earlier in the same
     sweep, re-checked exactly at that point, and only a point neither
     settles runs a cold phase 1.  Every verdict is therefore the one a
-    cold solve gives.  The kept evidence lives in one sweep only.  With
-    worker processes, each takes contiguous chunks of
-    :data:`GRID_CHUNK` points and sweeps each chunk on its own; the
-    result order follows the input order regardless of scheduling.
+    cold solve gives.  The kept evidence lives in this one sweep, which
+    runs in the calling process.  ``workers`` is ignored; it is still
+    accepted for callers that pass it.
 
     The report lists every mismatch; an empty list is the expected
     outcome.
     """
     points = list(points)
-    workers = _worker_count(workers)
-    if workers > 1 and len(points) > 64:
-        import multiprocessing
-
-        chunks = [points[i:i + GRID_CHUNK] for i in range(0, len(points), GRID_CHUNK)]
-        with multiprocessing.Pool(workers) as pool:
-            verdicts = [v for chunk in pool.map(_grid_verdicts, chunks, chunksize=1) for v in chunk]
-    else:
-        verdicts = _grid_verdicts(points)
+    verdicts = _grid_verdicts(points)
     mismatches = [
         GridMismatch(p, q, lp_ok, cf_ok)
         for (p, q), (lp_ok, cf_ok) in zip(points, verdicts)

@@ -361,4 +361,13 @@ def evaluate(
 def parse_and_evaluate(
     text: str, bracket_tolerance: Fraction = DEFAULT_BRACKET_TOLERANCE
 ) -> ScalarInterval:
-    return evaluate(parse_value(text), bracket_tolerance)
+    """Parse and evaluate a value expression.
+
+    The parser and the evaluator recurse once per nesting level, so an
+    expression nested deeper than the interpreter's recursion limit
+    allows is refused with ExpressionError, like any other bad input.
+    """
+    try:
+        return evaluate(parse_value(text), bracket_tolerance)
+    except RecursionError:
+        raise ExpressionError("expression is nested too deeply") from None

@@ -84,12 +84,18 @@ cost is read off the objective row the same way.
 :func:`solve_many` decides feasibility for many right-hand sides that
 share one matrix, such as the points of a parameter grid.  Within one
 call it keeps two pieces of evidence from earlier cold solves: the last
-feasible basis (``LpResult.basis`` on the rows ``LpResult.basis_rows``
-kept after the redundant-row drop), with its inverse held as ints over
-one scale, and the last Farkas certificate, whose ``yᵀA <= 0`` is
-checked once when it is kept.  A right-hand side b is feasible when
-``x_B = B⁻¹b >= 0`` and the padded x satisfies every row, ``A x = b``,
-in integers, the dropped rows included; it is infeasible when
+feasible basis with its inverse, and the last Farkas certificate, whose
+``yᵀA <= 0`` is checked once when it is kept.  The inverse costs
+nothing to keep: phase 1 starts from the identity of the artificial
+columns, so each final row is ``Σ_i M[r][i]·(row_i | e_i | b_i)`` and
+the artificial block holds M, one row of B⁻¹ per kept row, against
+every original row, the redundant ones included (V. Chvátal, *Linear
+Programming*, 1983, ch. 7).  :func:`solve_lp` returns it as
+``LpResult.inverse``, in the layout :func:`solve_from_basis` uses, and
+:func:`_basic_values` reads ``x_B = B⁻¹b`` from it for both
+:func:`settle` and :func:`solve_many`.  A right-hand side b is feasible
+when ``x_B >= 0`` and the padded x satisfies every row, ``A x = b``, in
+integers, the dropped redundant rows included; it is infeasible when
 ``yᵀb > 0``.  Either is a complete proof at that b, so the verdict is
 the one a cold solve returns, and a wrong kept inverse or certificate
 can only cost a cold solve, never a wrong verdict.  A right-hand side
@@ -126,13 +132,13 @@ class LpResult:
     #: :func:`solve_from_basis` has no phase 1.
     pivots: tuple[int, int] = (0, 0)
     #: On an optimal :func:`solve_lp` result: the basic column of each
-    #: row kept after the redundant-row drop, and those rows' indices.
-    #: On an optimal :func:`solve_from_basis` result: the basic column
-    #: of each row.
+    #: row kept after the redundant-row drop.  On an optimal
+    #: :func:`solve_from_basis` result: the basic column of each row.
     basis: tuple[int, ...] | None = None
-    basis_rows: tuple[int, ...] | None = None
-    #: On an optimal :func:`solve_from_basis` result: row i of B⁻¹ as
-    #: (ints, scale), so that x_B(i) = ints·b / scale, for :func:`settle`.
+    #: On an optimal :func:`solve_from_basis` or ``solve_lp(None, …)``
+    #: result: row i of B⁻¹, one per entry of ``basis``, as (ints, scale)
+    #: over every original row, so that x_B(i) = ints·b / scale; read by
+    #: :func:`_basic_values`.
     inverse: tuple[tuple[list[int], int], ...] | None = None
     #: On an optimal :func:`solve_from_basis` result: the reduced cost
     #: of every column at the optimal basis.  A column that is a unit
@@ -297,21 +303,6 @@ def _priced(costs, tableau, scales, basis):
     return _reduced(obj, cost_scale * common)
 
 
-def _bring_in(tableau, scales, placed, columns):
-    """Pivot each column in on the first unplaced row where it is nonzero.
-
-    ``placed`` records the column of each row (-1 while unplaced).
-    Returns the first column that finds no such row, in which case the
-    columns are linearly dependent, or -1 once all are placed.
-    """
-    for col in columns:
-        row = next((i for i, c in enumerate(placed) if c < 0 and tableau[i][col]), -1)
-        if row < 0:
-            return col
-        _pivot(tableau, scales, placed, row, col)
-    return -1
-
-
 def _basic_point(tableau, scales, basis, n_vars):
     """The structural values of the basic solution, as Fractions."""
     x = [_ZERO] * n_vars
@@ -330,7 +321,8 @@ def solve_lp(
     """Two-phase simplex for  min c·x,  rows·x = rhs,  x >= 0.
 
     ``costs=None`` requests a feasibility check only; the result then
-    carries the phase-1 basic feasible solution.  Entries may be ints
+    carries the phase-1 basic feasible solution, its basis and its
+    inverse, read off the artificial columns.  Entries may be ints
     or Fractions.  The Farkas multipliers returned on infeasibility are
     indexed by the original rows (sign flips applied internally for a
     negative right-hand side are undone).
@@ -401,34 +393,43 @@ def solve_lp(
         del tableau[i]
         del scales[i]
         del basis[i]
-    kept = tuple(i for i in range(m) if i not in drop)
     m = len(basis)
 
-    phase2_pivots = 0
-    objective = None
-    if costs is not None:
-        # Every basic column is structural now and artificials may not
-        # re-enter, so phase 2 drops their columns.
-        del tableau[m]
-        del scales[m]
-        for i in range(m):
-            tableau[i] = tableau[i][:n_vars] + [tableau[i][-1]]
-        obj, obj_scale = _priced(costs, tableau, scales, basis)
-        tableau.append(obj)
-        scales.append(obj_scale)
-        status, phase2_pivots = _run(tableau, scales, basis, structural)
-        if status == UNBOUNDED:
-            return LpResult(status=UNBOUNDED, pivots=(phase1_pivots, phase2_pivots))
-        # The objective row's right-hand side holds -c·x.
-        objective = Fraction(-tableau[m][-1], scales[m])
+    if costs is None:
+        # The artificial block of each kept row is its row of B⁻¹
+        # against the flipped rows; undoing the flips makes it B⁻¹ of
+        # the original rows.
+        inverse = tuple(
+            ([-v if flip else v for v, flip in zip(line[n_vars:total_cols], flips)], scale)
+            for line, scale in zip(tableau[:m], scales)
+        )
+        return LpResult(
+            status=OPTIMAL,
+            x=_basic_point(tableau, scales, basis, n_vars),
+            pivots=(phase1_pivots, 0),
+            basis=tuple(basis),
+            inverse=inverse,
+        )
 
+    # Every basic column is structural now and artificials may not
+    # re-enter, so phase 2 drops their columns.
+    del tableau[m]
+    del scales[m]
+    for i in range(m):
+        tableau[i] = tableau[i][:n_vars] + [tableau[i][-1]]
+    obj, obj_scale = _priced(costs, tableau, scales, basis)
+    tableau.append(obj)
+    scales.append(obj_scale)
+    status, phase2_pivots = _run(tableau, scales, basis, structural)
+    if status == UNBOUNDED:
+        return LpResult(status=UNBOUNDED, pivots=(phase1_pivots, phase2_pivots))
     return LpResult(
         status=OPTIMAL,
         x=_basic_point(tableau, scales, basis, n_vars),
-        objective=objective,
+        # The objective row's right-hand side holds -c·x.
+        objective=Fraction(-tableau[m][-1], scales[m]),
         pivots=(phase1_pivots, phase2_pivots),
         basis=tuple(basis),
-        basis_rows=kept,
     )
 
 
@@ -660,12 +661,12 @@ def settle(result: LpResult, costs: list[Fraction], rhs: list[Fraction]) -> LpRe
     rhs = [Fraction(v) for v in rhs]
     common = math.lcm(*(v.denominator for v in rhs))
     b = [v.numerator * (common // v.denominator) for v in rhs]
+    values = _basic_values(result.inverse, b)
+    if values is None:
+        return None
     x = [_ZERO] * len(result.x)
     objective = _ZERO
-    for (line, scale), col in zip(result.inverse, result.basis):
-        value = sum(map(mul, line, b))
-        if value < 0:
-            return None
+    for (_, scale), col, value in zip(result.inverse, result.basis, values):
         if value:
             x[col] = Fraction(value, scale * common)
             objective += costs[col] * x[col]
@@ -679,24 +680,20 @@ def settle(result: LpResult, costs: list[Fraction], rhs: list[Fraction]) -> LpRe
     )
 
 
-def _inverse(block):
-    """Inverse of a square integer matrix as (ints, scale), or None if singular.
+def _basic_values(inverse, b):
+    """``B⁻¹·b`` from a kept inverse, or None when an entry is negative.
 
-    Gauss-Jordan on ``[block | I]`` with :func:`_pivot`; the inverse is
-    ``ints / scale``.
+    ``inverse`` is an ``LpResult.inverse`` and ``b`` the right-hand side
+    as ints over one common denominator d.  Entry i is ``ints_i·b``, so
+    x_B(i) is entry i over d times row i's scale.
     """
-    k = len(block)
-    tableau = [list(row) + [int(i == r) for i in range(k)] for r, row in enumerate(block)]
-    scales = [1] * k
-    placed = [-1] * k
-    if _bring_in(tableau, scales, placed, range(k)) >= 0:
-        return None
-    scale = math.lcm(*scales)
-    inverse = [None] * k
-    for i, col in enumerate(placed):
-        factor = scale // scales[i]
-        inverse[col] = [v * factor for v in tableau[i][k:]]
-    return inverse, scale
+    values = []
+    for line, _ in inverse:
+        value = sum(map(mul, line, b))
+        if value < 0:
+            return None
+        values.append(value)
+    return values
 
 
 def _multipliers(row_scales, farkas):
@@ -727,33 +724,34 @@ def solve_many(rows: list[list[Fraction]], rhs_list) -> list[str]:
         matrix.append(ints)
         row_scales.append(scale)
     columns = list(zip(*matrix))
-    # (kept rows, basic columns of every row, B⁻¹ of the kept rows as
-    # ints, its scale) and integer Farkas multipliers, or None.
+    # (B⁻¹ over one scale, the basic columns of every row, that scale)
+    # and integer Farkas multipliers, or None.
     feasible_basis = certificate = None
     verdicts = []
     for rhs in rhs_list:
-        # ``b`` is rhs scaled like the rows, over one common denominator.
+        # ``b`` is rhs over one common denominator d; ``scaled`` is b
+        # scaled like the rows.
         common = math.lcm(*(v.denominator for v in rhs))
-        b = [s * v.numerator * (common // v.denominator) for s, v in zip(row_scales, rhs)]
+        b = [v.numerator * (common // v.denominator) for v in rhs]
+        scaled = list(map(mul, row_scales, b))
         if feasible_basis is not None:
-            kept, block, inverse, scale = feasible_basis
-            b_kept = [b[i] for i in kept]
-            x_basic = [sum(g * v for g, v in zip(line, b_kept)) for line in inverse]
-            # x_basic is scale·common·x_B; every row must give scale·b.
-            if all(v >= 0 for v in x_basic) and all(
-                sum(a * v for a, v in zip(line, x_basic)) == scale * bi
-                for line, bi in zip(block, b)
+            inverse, block, scale = feasible_basis
+            # x_basic is scale·d·x_B; every row must give scale·scaled.
+            x_basic = _basic_values(inverse, b)
+            if x_basic is not None and all(
+                sum(map(mul, line, x_basic)) == scale * v for line, v in zip(block, scaled)
             ):
                 verdicts.append(OPTIMAL)
                 continue
-        if certificate is not None and sum(z * v for z, v in zip(certificate, b)) > 0:
+        if certificate is not None and sum(map(mul, certificate, scaled)) > 0:
             verdicts.append(INFEASIBLE)
             continue
         result = solve_lp(None, rows, rhs)
         if result.status == OPTIMAL:
+            scale = math.lcm(*(s for _, s in result.inverse))
+            inverse = [([v * (scale // s) for v in line], scale) for line, s in result.inverse]
             block = [[line[c] for c in result.basis] for line in matrix]
-            found = _inverse([block[i] for i in result.basis_rows])
-            feasible_basis = None if found is None else (result.basis_rows, block, *found)
+            feasible_basis = (inverse, block, scale)
         else:
             z = _multipliers(row_scales, result.farkas)
             certificate = z if all(

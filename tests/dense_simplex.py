@@ -8,7 +8,8 @@ lowest-index ties and Bland's rule on a zero-ratio step from the same
 start basis, so every LP must give the same status, pivots, point,
 objective and reduced costs.  The integer pivot, ratio test and pricing
 are the kit's own, pinned against ``fraction_simplex`` in
-``test_simplex_reference.py``.
+``test_simplex_reference.py``; ``_bring_in``, which places the start
+basis with the kit's pivot, is this module's.
 """
 
 from fractions import Fraction
@@ -19,7 +20,6 @@ from contextuality_kit.simplex import (
     LpResult,
     _basic_point,
     _bland_entering,
-    _bring_in,
     _leaving,
     _pivot,
     _priced,
@@ -40,6 +40,21 @@ def dense_rows(columns, rhs, characters=None):
             row = [-1 if (a & masks[i]).bit_count() & 1 else 1 for a in range(1 << bits)]
         rows.append(row + [column.get(i, 0) for column in columns])
     return rows
+
+
+def _bring_in(tableau, scales, placed, columns):
+    """Pivot each column in on the first unplaced row where it is nonzero.
+
+    ``placed`` records the column of each row (-1 while unplaced).
+    Returns the first column that finds no such row, in which case the
+    columns are linearly dependent, or -1 once all are placed.
+    """
+    for col in columns:
+        row = next((i for i, c in enumerate(placed) if c < 0 and tableau[i][col]), -1)
+        if row < 0:
+            return col
+        _pivot(tableau, scales, placed, row, col)
+    return -1
 
 
 def _run_dantzig(tableau, scales, basis):

@@ -140,7 +140,7 @@ def _fuzz_point_agrees(values) -> bool:
 def test_criterion_3_inequalities_match_lp_on_grid_and_fuzz():
     started = time.perf_counter()
     workers = min(2, os.cpu_count() or 1)
-    grid_report = oracle_grid_agreement(uniform_grid(201), workers=workers)
+    grid_report = oracle_grid_agreement(uniform_grid(201))
     rng = random.Random(20260810)
     cases = [
         tuple(Fraction(rng.randint(-64, 64), 64) for _ in range(4))

@@ -193,6 +193,30 @@ class TestCheckCommand:
         assert report["verdict"] == "input-error"
         assert message in report["error"]
 
+    @pytest.mark.parametrize(
+        "value",
+        ["(" * 330 + "1/2" + ")" * 330, "-" * 1200 + "1/2", "0+" * 1200 + "1/2"],
+        ids=["deep-parentheses", "deep-negation", "long-sum"],
+    )
+    def test_deep_expression_is_input_error(self, tmp_path, value):
+        path = tmp_path / "deep.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "variables": ["A"],
+                    "constraints": [{"moment": ["A"], "relation": "eq", "value": value}],
+                }
+            )
+        )
+        for argv in (
+            ("check", "--scenario", str(path)),
+            ("bell-system", f"--exy={value}", "--exz=0", "--eyz=0"),
+        ):
+            code, report = run_json(*argv)
+            assert code == EXIT_USAGE
+            assert report["verdict"] == "input-error"
+            assert "nested too deeply" in report["error"]
+
     def test_missing_file(self):
         code, _ = run_json("check", "--scenario", "/nonexistent/file.json")
         assert code == EXIT_USAGE
@@ -426,6 +450,24 @@ class TestWitnessCommandsAndValidate:
         code, report = run_json("check", "--scenario", str(path))
         assert code == EXIT_PASS
         assert report["verdict"] == "witness-constructed"
+
+    def test_margin_refuses_a_lower_kind_scenario(self, tmp_path):
+        doc = {
+            "kind": "lower",
+            "variables": ["A", "B", "C"],
+            "constraints": [
+                {"moment": ["A"], "relation": "eq", "value": "1"},
+                {"moment": ["B"], "relation": "eq", "value": "1"},
+                {"moment": ["C"], "relation": "eq", "value": "1"},
+                {"moment": ["A", "B", "C"], "relation": "eq", "value": "-1"},
+            ],
+        }
+        path = tmp_path / "lower.json"
+        path.write_text(json.dumps(doc))
+        code, report = run_json("margin", "--scenario", str(path))
+        assert code == EXIT_USAGE
+        assert report["verdict"] == "input-error"
+        assert "kind 'lower'" in report["error"]
 
     def test_lower_kind_other_pattern_rejected(self, tmp_path):
         doc = {

@@ -4,8 +4,10 @@ from hypothesis import given, strategies as st
 from contextuality_kit.errors import SizeLimitError, SpaceError
 from contextuality_kit.event_space import (
     EventMask,
+    _on_atoms,
     build_space,
     moment_coefficients,
+    moment_mask,
     sign_event,
 )
 
@@ -138,3 +140,20 @@ def test_coefficients_are_sign_products(names, data):
             product *= space.atom_sign(atom, v)
         assert coeffs[atom] == product
         assert coeffs[atom] ** 2 == 1
+
+
+@given(
+    st.integers(min_value=0, max_value=8).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=(1 << n) - 1))
+    )
+)
+def test_characters_are_popcount_parities(problem):
+    bits, mask = problem
+    want = [(-1) ** (atom & mask).bit_count() for atom in range(1 << bits)]
+    assert _on_atoms(bits, mask, 1, -1) == want
+    if mask:
+        # The same character as a moment: bit k is variable bits - 1 - k.
+        space = build_space([f"V{j}" for j in range(bits)])
+        subset = [f"V{bits - 1 - k}" for k in range(bits) if mask >> k & 1]
+        assert moment_mask(space, subset) == mask
+        assert moment_coefficients(space, subset) == want

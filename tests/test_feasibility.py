@@ -1,4 +1,3 @@
-import multiprocessing
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -16,7 +15,6 @@ from contextuality_kit.feasibility import (
     INDETERMINATE,
     INFEASIBLE,
     LE,
-    GRID_CHUNK,
     GridMismatch,
     _feasible_at,
     _grid_verdicts,
@@ -276,23 +274,6 @@ class TestGridOracle:
         report = oracle_grid_agreement([(Fraction(1), Fraction(1))])
         assert report.agree  # both sides say feasible
 
-    def test_workers_do_not_change_result(self):
-        points = uniform_grid(9)
-        serial = oracle_grid_agreement(points, workers=1)
-        parallel = oracle_grid_agreement(points * 8, workers=2)
-        assert serial.agree and parallel.agree
-
-    def test_worker_cap_env_var(self, monkeypatch):
-        from contextuality_kit.feasibility import WORKERS_ENV_VAR, _worker_count
-
-        monkeypatch.setenv(WORKERS_ENV_VAR, "3")
-        assert _worker_count(None) == 3
-        monkeypatch.setenv(WORKERS_ENV_VAR, "not-a-number")
-        assert _worker_count(None) == 1
-        monkeypatch.delenv(WORKERS_ENV_VAR)
-        assert _worker_count(None) == 1
-        assert _worker_count(4) == 4
-
 
 @pytest.fixture(scope="module")
 def cold_grid_61():
@@ -321,14 +302,9 @@ def test_warm_grid_verdicts_equal_cold_verdicts(cold_grid_61, order):
     assert [lp_ok for lp_ok, _ in verdicts] == [cold_grid_61[pt] for pt in points]
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_oracle_lists_a_disagreeing_point(monkeypatch, workers):
-    if workers > 1 and multiprocessing.get_start_method() != "fork":
-        pytest.skip("worker processes see the patched closed form only when forked")
+def test_oracle_lists_a_disagreeing_point(monkeypatch):
     points = uniform_grid(21)
-    index = GRID_CHUNK + 44  # in the second chunk a worker sweeps
-    assert index < len(points)
-    p, q = points[index]
+    p, q = points[300]
     original = closed_form.check_ghz_inequalities
 
     def flipped(moments):
@@ -339,7 +315,7 @@ def test_oracle_lists_a_disagreeing_point(monkeypatch, workers):
 
     monkeypatch.setattr(closed_form, "check_ghz_inequalities", flipped)
     lp_feasible, _ = _feasible_at(ghz_symmetric_scenario(p, q), "lo")
-    report = oracle_grid_agreement(points, workers=workers)
+    report = oracle_grid_agreement(points)
     assert report.total == len(points)
     assert report.mismatches == (GridMismatch(p, q, lp_feasible, not lp_feasible),)
 

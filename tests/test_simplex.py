@@ -1,7 +1,8 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from contextuality_kit import simplex
 
@@ -196,7 +197,7 @@ def test_solve_many_rechecks_dropped_rows():
     rows = [[1, 1], [1, 1]]
     rhs_list = [[1, 1], [1, 2], [2, 2]]
     first = simplex.solve_lp(None, rows, rhs_list[0])
-    assert first.basis_rows == (0,)
+    assert len(first.basis) == 1
     assert simplex.solve_many(rows, rhs_list) == [
         simplex.OPTIMAL,
         simplex.INFEASIBLE,
@@ -246,6 +247,36 @@ def test_solve_many_statuses_equal_cold_statuses(problem):
     assert simplex.solve_many(rows, rhs_list) == _cold_statuses(rows, rhs_list)
 
 
+@settings(deadline=None, max_examples=100)
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda m: st.tuples(
+            st.lists(st.lists(_entry, min_size=4, max_size=4), min_size=m, max_size=m),
+            st.lists(st.fractions(min_value=0, max_value=2, max_denominator=4), min_size=4, max_size=4),
+            st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=3), min_size=m, max_size=m),
+        )
+    )
+)
+@example(([[1, 1, 0, 0], [1, 1, 0, 0]], [1, 0, 0, 0], [0, 0]))  # redundant row
+@example(([[-1, 0, 1, 0], [0, -2, 0, 1]], [1, 1, 0, 0], [0, 0]))  # both rows flipped
+def test_phase_one_inverse_reproduces_the_basic_values(problem):
+    # rhs = rows·x0 makes the system feasible.  The appended last row,
+    # a combination of the others, is redundant; a row whose rhs is
+    # negative is flipped inside solve_lp.
+    rows, x0, combination = problem
+    rows = rows + [[sum(c * row[j] for c, row in zip(combination, rows)) for j in range(4)]]
+    rhs = [sum(a * x for a, x in zip(row, x0)) for row in rows]
+    result = simplex.solve_lp(None, rows, rhs)
+    assert result.status == simplex.OPTIMAL
+    assert len(result.inverse) == len(result.basis)
+    assert all(len(line) == len(rows) for line, _ in result.inverse)
+    b, common = simplex._scaled(rhs)
+    values = simplex._basic_values(result.inverse, b)
+    assert [
+        Fraction(v, scale * common) for v, (_, scale) in zip(values, result.inverse)
+    ] == [result.x[c] for c in result.basis]
+
+
 def _ghz_rows_and_rhs():
     from contextuality_kit.event_space import build_space, moment_coefficients
 
@@ -261,14 +292,17 @@ def _ghz_rows_and_rhs():
 def test_solve_many_survives_a_wrong_inverse(monkeypatch):
     rows, rhs_list = _ghz_rows_and_rhs()
     want = _cold_statuses(rows, rhs_list)
-    original = simplex._inverse
+    original = simplex.solve_lp
 
-    def tampered(block):
-        inverse, scale = original(block)
-        inverse[0][0] += 1
-        return inverse, scale
+    def tampered(*args, **kwargs):
+        result = original(*args, **kwargs)
+        if result.inverse is None:
+            return result
+        inverse = [(list(line), scale) for line, scale in result.inverse]
+        inverse[0][0][0] += 1
+        return replace(result, inverse=tuple(inverse))
 
-    monkeypatch.setattr(simplex, "_inverse", tampered)
+    monkeypatch.setattr(simplex, "solve_lp", tampered)
     calls = _counting_solve_lp(monkeypatch)
     assert simplex.solve_many(rows, rhs_list) == want
     # The wrong inverse never settles a point: every feasible one is cold.
