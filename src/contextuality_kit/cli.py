@@ -7,6 +7,12 @@ carry no timestamps, so identical inputs produce byte-identical output.
 
 Exit codes: 0 feasible/pass, 1 infeasible/violation, 2 indeterminate,
 3 usage or input error, 4 internal error.
+
+A standard ``check`` or ``margin`` runs on the decision path alone
+(``feasibility``, ``simplex``, ``measures``, ``numerics``,
+``event_space``).  ``closed_form`` and ``quantum`` are imported inside
+the handlers that use them: the closed-form and witness subcommands,
+``check --oracle`` and ``check`` on a lower or upper scenario.
 """
 
 from __future__ import annotations
@@ -14,12 +20,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
-from importlib import resources
+from typing import TYPE_CHECKING
 
 from . import __version__
-from . import closed_form, feasibility, measures, quantum
+from . import feasibility, measures
 from .errors import ExpressionError, KitError, ScenarioError
 from .event_space import build_space
 from .feasibility import (
@@ -42,6 +49,9 @@ from .numerics import (
     parse_and_evaluate,
 )
 
+if TYPE_CHECKING:
+    from . import closed_form
+
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_INDETERMINATE = 2
@@ -50,9 +60,15 @@ EXIT_INTERNAL = 4
 
 _TOOL = {"name": "contextuality-kit", "version": __version__}
 
+#: ``quantum --state`` choices: ``quantum.BUILTIN_STATES`` plus "all",
+#: written out so that building the parser does not import ``quantum``.
+QUANTUM_STATES = ("mermin", "alternate", "all")
+
 
 def scenario_dir():
     """Directory of the bundled scenario files."""
+    from importlib import resources
+
     return resources.files("contextuality_kit") / "scenarios"
 
 
@@ -64,11 +80,17 @@ def load_scenario(path, bracket_tolerance: Fraction = DEFAULT_BRACKET_TOLERANCE)
     constraint index and character position.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            document = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ScenarioError(f"{path}: invalid JSON: {err}") from err
+        document = _load_json(fh, path)
     return scenario_from_document(document, bracket_tolerance), document
+
+
+def _load_json(fh, path):
+    try:
+        return json.load(fh)
+    except json.JSONDecodeError as err:
+        raise ScenarioError(f"{path}: invalid JSON: {err}") from err
+    except RecursionError as err:
+        raise ScenarioError(f"{path}: JSON nested too deeply") from err
 
 
 def scenario_from_document(
@@ -178,6 +200,8 @@ def _base_report(command: str, echo) -> dict:
 
 def _ghz_witness_pattern(scenario: Scenario) -> bool:
     """Match the fixed witness pattern: three singles at 1, triple at -1."""
+    from . import closed_form
+
     return _ghz_moment_shape(scenario) == closed_form.GhzMoments.of(1, 1, 1, -1)
 
 
@@ -187,6 +211,8 @@ def _cmd_check(args) -> tuple[int, dict]:
     report = _base_report("check", echo)
     report["bracket_tolerance"] = format_scalar(tolerance)
     if scenario.kind != "standard":
+        from . import closed_form
+
         if not _ghz_witness_pattern(scenario):
             raise ScenarioError(
                 f"kind {scenario.kind!r} scenarios are supported only for the"
@@ -234,6 +260,8 @@ def _cmd_check(args) -> tuple[int, dict]:
 
 
 def _oracle_section(scenario: Scenario, args) -> dict:
+    from . import closed_form
+
     section: dict = {}
     moments = _ghz_moment_shape(scenario)
     if moments is not None:
@@ -266,6 +294,8 @@ def _oracle_section(scenario: Scenario, args) -> dict:
 
 def _ghz_moment_shape(scenario: Scenario):
     """GhzMoments when the scenario is three singles plus the triple, rational."""
+    from . import closed_form
+
     if scenario.space.n != 3 or len(scenario.constraints) != 4:
         return None
     singles = {}
@@ -315,6 +345,8 @@ def _parse_rational_flag(text: str, flag: str) -> Fraction:
 
 
 def _cmd_construct_symmetric(args) -> tuple[int, dict]:
+    from . import closed_form
+
     p = _parse_rational_flag(args.p, "--p")
     q = _parse_rational_flag(args.q, "--q")
     report = _base_report("construct-symmetric", {"p": str(p), "q": str(q)})
@@ -342,6 +374,8 @@ def _cmd_construct_symmetric(args) -> tuple[int, dict]:
 
 
 def _cmd_ghz_epsilon(args) -> tuple[int, dict]:
+    from . import closed_form
+
     eps = _parse_rational_flag(args.epsilon, "--epsilon")
     try:
         result = closed_form.check_noise_threshold(eps)
@@ -370,6 +404,8 @@ def _cmd_ghz_epsilon(args) -> tuple[int, dict]:
 
 
 def _cmd_mermin(args) -> tuple[int, dict]:
+    from . import closed_form
+
     result = closed_form.mermin_assignment_check()
     report = _base_report("mermin", {})
     report["assignments"] = result.total
@@ -387,6 +423,8 @@ def _cmd_mermin(args) -> tuple[int, dict]:
 
 
 def _bell_moments_from_args(args) -> tuple[closed_form.BellMoments, dict, Fraction]:
+    from . import closed_form
+
     tolerance = _tolerance(args)
     echo = {"exy": args.exy, "exz": args.exz, "eyz": args.eyz}
     moments = closed_form.BellMoments(
@@ -405,6 +443,8 @@ def _conditionals_json(conditionals) -> list[dict]:
 
 
 def _cmd_bell_system(args) -> tuple[int, dict]:
+    from . import closed_form
+
     moments, echo, tolerance = _bell_moments_from_args(args)
     outcome = closed_form.solve_bell_conditionals(moments)
     report = _base_report("bell-system", echo)
@@ -428,6 +468,8 @@ def _cmd_bell_system(args) -> tuple[int, dict]:
 
 
 def _cmd_upper_bell(args) -> tuple[int, dict]:
+    from . import closed_form
+
     moments, echo, tolerance = _bell_moments_from_args(args)
     solution = closed_form.solve_upper_bell_conditionals(moments)
     report = _base_report("upper-bell", echo)
@@ -479,11 +521,15 @@ def _witness_report(command: str, witness: closed_form.GhzWitness) -> dict:
 
 
 def _cmd_lower_ghz(args) -> tuple[int, dict]:
+    from . import closed_form
+
     witness = closed_form.solve_lower_ghz_witness()
     return EXIT_PASS, _witness_report("lower-ghz", witness)
 
 
 def _cmd_upper_ghz(args) -> tuple[int, dict]:
+    from . import closed_form
+
     witness = closed_form.solve_upper_ghz_witness()
     report = _witness_report("upper-ghz", witness)
     lower = closed_form.solve_lower_ghz_witness()
@@ -506,6 +552,8 @@ def _cmd_upper_ghz(args) -> tuple[int, dict]:
 
 
 def _cmd_quantum(args) -> tuple[int, dict]:
+    from . import quantum
+
     report = _base_report(
         "quantum", {"state": args.state, "angle_degrees": args.angle_degrees}
     )
@@ -559,10 +607,7 @@ def _cmd_quantum(args) -> tuple[int, dict]:
 
 def _cmd_validate(args) -> tuple[int, dict]:
     with open(args.file, "r", encoding="utf-8") as fh:
-        try:
-            document = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ScenarioError(f"{args.file}: invalid JSON: {err}") from err
+        document = _load_json(fh, args.file)
     candidates = []
     if isinstance(document, dict):
         if document.get("type") == "atom-measure":
@@ -723,7 +768,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("quantum", help="quantum expectations of the GHZ observables")
     p.add_argument(
         "--state",
-        choices=tuple(quantum.BUILTIN_STATES) + ("all",),
+        choices=QUANTUM_STATES,
         default="all",
     )
     p.add_argument(
@@ -780,11 +825,20 @@ def run(argv=None, stream=None) -> int:
 
 
 def _print_report(report: dict, fmt: str, stream) -> None:
-    if fmt == "json":
-        json.dump(report, stream, indent=2)
-        stream.write("\n")
-    else:
-        _emit_text(report, stream)
+    """Write the report; when its reader has gone, drop it quietly."""
+    try:
+        if fmt == "json":
+            json.dump(report, stream, indent=2)
+            stream.write("\n")
+        else:
+            _emit_text(report, stream)
+        stream.flush()
+    except BrokenPipeError:
+        # Point the descriptor at /dev/null, so that the interpreter's
+        # final flush of what is still buffered cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
 
 
 def main() -> None:

@@ -41,6 +41,45 @@ def test_public_surface_importable():
     assert ck.__version__
 
 
+#: The package's public names, closed-form and quantum ones included.
+PUBLIC_NAMES = [
+    "AssignmentEnumeration", "AtomMeasure", "BellMoments", "CertificateError",
+    "ConditionalMomentValue", "DEFAULT_BRACKET_TOLERANCE", "EvaluationError", "EventMask",
+    "EventSpace", "ExpressionError", "FeasibilityOutcome", "GhzMoments", "GhzWitness",
+    "KitError", "MeasureError", "MomentConstraint", "NoWitnessError", "PartialSetFunction",
+    "ScalarInterval", "Scenario", "ScenarioError", "SizeLimitError", "SpaceError",
+    "SymmetricParams", "SymmetricWitness", "UndefinedConditionalError", "ValidationReport",
+    "build_operator", "build_space", "check_conjugacy", "check_ghz_inequalities",
+    "check_monotonicity", "check_noise_threshold", "closed_form", "conditional_expectation",
+    "construct_symmetric_joint", "errors", "evaluate", "event_space", "expectation",
+    "expectation_value", "feasibility", "ghz_expectations", "ghz_operators",
+    "ghz_state_alternate", "ghz_state_mermin", "ghz_sum", "ghz_symmetric_scenario",
+    "make_scenario", "margin", "measures", "mermin_assignment_check", "moment_coefficients",
+    "numerics", "oracle_grid_agreement", "parse_and_evaluate", "parse_value", "quantum",
+    "sign_event", "signed_atom_sum", "simplex", "singlet_correlation", "solve",
+    "solve_bell_conditionals", "solve_lower_ghz_witness", "solve_robust",
+    "solve_upper_bell_conditionals", "solve_upper_ghz_witness", "uniform_grid", "validate",
+    "verify_certificate",
+]
+
+
+def test_public_names_resolve():
+    assert ck.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(ck, name) is not None, name
+        assert name in dir(ck), name
+    assert ck.GhzMoments is ck.closed_form.GhzMoments
+    assert ck.singlet_correlation is ck.quantum.singlet_correlation
+    namespace: dict = {}
+    exec("from contextuality_kit import *", namespace)
+    assert set(PUBLIC_NAMES) <= set(namespace)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ck.no_such_name
+
+
 def test_uniform_grid_needs_two_steps():
     with pytest.raises(ValueError):
         ck.uniform_grid(1)

@@ -9,16 +9,23 @@ import pytest
 
 import contextuality_kit
 
+from contextuality_kit import quantum
 from contextuality_kit.cli import (
     EXIT_INDETERMINATE,
     EXIT_PASS,
     EXIT_USAGE,
     EXIT_VIOLATION,
+    QUANTUM_STATES,
     load_scenario,
     run,
     scenario_dir,
 )
 from contextuality_kit.errors import ScenarioError
+
+#: Environment of a child interpreter that imports the kit from this checkout.
+KIT_ENV = dict(
+    os.environ, PYTHONPATH=str(Path(contextuality_kit.__file__).resolve().parents[1])
+)
 
 
 def run_cli(*argv):
@@ -221,6 +228,16 @@ class TestCheckCommand:
         code, _ = run_json("check", "--scenario", "/nonexistent/file.json")
         assert code == EXIT_USAGE
 
+    def test_deeply_nested_json_is_input_error(self, tmp_path):
+        depth = 100_000
+        path = tmp_path / "deep.json"
+        path.write_text('{"variables": ' + "[" * depth + "]" * depth + ', "constraints": []}')
+        for argv in (("check", "--scenario", str(path)), ("validate", "--file", str(path))):
+            code, report = run_json(*argv)
+            assert code == EXIT_USAGE
+            assert report["verdict"] == "input-error"
+            assert "JSON nested too deeply" in report["error"]
+
     def test_oracle_section(self):
         code, report = run_json(
             "check", "--scenario", bundled("ghz.json"), "--oracle"
@@ -336,6 +353,9 @@ class TestOtherCommands:
         _, report = run_json("upper-bell", "--exy=-1/2", "--exz=-1/2", "--eyz=-1/2")
         assert report["bracket_tolerance"] == "1/1000000000000"
         assert "endpoint" not in report
+
+    def test_quantum_state_choices_match_the_builtin_states(self):
+        assert QUANTUM_STATES == tuple(quantum.BUILTIN_STATES) + ("all",)
 
     def test_quantum(self):
         code, report = run_json("quantum", "--angle-degrees", "30")
@@ -506,16 +526,104 @@ class TestUsage:
 
 
 def test_module_entry_point_runs_the_cli():
-    src = Path(contextuality_kit.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-m", "contextuality_kit.cli", "check", "--scenario", bundled("ghz.json")],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=str(src)),
+        env=KIT_ENV,
         timeout=120,
     )
     assert proc.returncode == EXIT_VIOLATION
     assert "verdict: infeasible" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "name, code", [("bell.json", EXIT_VIOLATION), ("chsh-classical.json", EXIT_PASS)]
+)
+def test_closed_reader_exits_quietly_with_the_verdict(name, code):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "contextuality_kit.cli", "check", "--scenario",
+             bundled(name), "--format", "json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=KIT_ENV,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == code
+
+
+# Runs cli.run in a fresh interpreter; prints the exit code and the
+# kit's modules that the run loaded.
+_FRESH_RUN = """
+import io, json, sys
+from contextuality_kit import cli
+code = cli.run(sys.argv[1:], stream=io.StringIO())
+loaded = sorted(m for m in sys.modules if m.startswith("contextuality_kit"))
+print(json.dumps({"code": code, "loaded": loaded}))
+"""
+
+DECISION_PATH = [
+    "contextuality_kit",
+    "contextuality_kit.cli",
+    "contextuality_kit.errors",
+    "contextuality_kit.event_space",
+    "contextuality_kit.feasibility",
+    "contextuality_kit.measures",
+    "contextuality_kit.numerics",
+    "contextuality_kit.simplex",
+]
+
+
+def fresh_run(*argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_RUN, *argv],
+        capture_output=True,
+        text=True,
+        env=KIT_ENV,
+        timeout=120,
+        check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+class TestImportLayout:
+    def test_standard_check_loads_only_the_decision_path(self):
+        result = fresh_run("check", "--scenario", bundled("chsh-classical.json"), "--format", "json")
+        assert result["code"] == EXIT_PASS
+        assert result["loaded"] == DECISION_PATH
+
+    def test_oracle_check_loads_the_closed_forms(self):
+        result = fresh_run("check", "--scenario", bundled("ghz.json"), "--oracle", "--format", "json")
+        assert result["code"] == EXIT_VIOLATION
+        assert "contextuality_kit.closed_form" in result["loaded"]
+        assert "contextuality_kit.quantum" not in result["loaded"]
+
+    def test_lower_kind_check_loads_the_closed_forms(self, tmp_path):
+        doc = {
+            "kind": "lower",
+            "variables": ["A", "B", "C"],
+            "constraints": [
+                {"moment": list(m), "relation": "eq", "value": v}
+                for m, v in (("A", "1"), ("B", "1"), ("C", "1"), ("ABC", "-1"))
+            ],
+        }
+        path = tmp_path / "lower.json"
+        path.write_text(json.dumps(doc))
+        result = fresh_run("check", "--scenario", str(path), "--format", "json")
+        assert result["code"] == EXIT_PASS
+        assert "contextuality_kit.closed_form" in result["loaded"]
+
+    def test_quantum_command_loads_quantum(self):
+        result = fresh_run("quantum", "--state", "mermin", "--format", "json")
+        assert result["code"] == EXIT_PASS
+        assert "contextuality_kit.quantum" in result["loaded"]
 
 
 _BUNDLED = sorted(p.name for p in scenario_dir().iterdir() if p.name.endswith(".json"))
