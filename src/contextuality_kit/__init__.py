@@ -7,8 +7,9 @@ constructs the nonmonotonic upper/lower probability witnesses that
 remain consistent when no standard joint distribution exists.
 
 Importing the package loads only the decision path: ``errors``,
-``event_space``, ``numerics``, ``measures``, ``feasibility`` and
-``simplex``.  ``closed_form`` and ``quantum``, and the names below
+``event_space``, ``numerics``, ``measures``, ``feasibility``,
+``simplex`` and ``_record``, the base of every value record.
+``closed_form`` and ``quantum``, and the names below
 that come from them, are loaded on first access (PEP 562), so a
 ``check`` process never reads either module.
 """

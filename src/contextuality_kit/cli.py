@@ -10,9 +10,10 @@ Exit codes: 0 feasible/pass, 1 infeasible/violation, 2 indeterminate,
 
 A standard ``check`` or ``margin`` runs on the decision path alone
 (``feasibility``, ``simplex``, ``measures``, ``numerics``,
-``event_space``).  ``closed_form`` and ``quantum`` are imported inside
-the handlers that use them: the closed-form and witness subcommands,
-``check --oracle`` and ``check`` on a lower or upper scenario.
+``event_space``, ``_record``).  ``closed_form`` and ``quantum`` are
+imported inside the handlers that use them: the closed-form and witness
+subcommands, ``check --oracle`` and ``check`` on a lower or upper
+scenario.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .numerics import (
     ScalarInterval,
     format_scalar,
     parse_and_evaluate,
+    scalar_from_string,
 )
 
 if TYPE_CHECKING:
@@ -609,20 +611,21 @@ def _cmd_validate(args) -> tuple[int, dict]:
     with open(args.file, "r", encoding="utf-8") as fh:
         document = _load_json(fh, args.file)
     candidates = []
+    certificate = None
     if isinstance(document, dict):
-        if document.get("type") == "atom-measure":
-            candidates.append(document)
-        elif document.get("type") == "set-function":
+        if document.get("type") in ("atom-measure", "set-function"):
             candidates.append(document)
         else:
             for key in ("witness", "set_function", "atom_uppers"):
                 section = document.get(key)
                 if isinstance(section, dict) and "type" in section:
                     candidates.append(section)
-    if not candidates:
+            if isinstance(document.get("certificate"), dict):
+                certificate = document["certificate"]
+    if not candidates and certificate is None:
         raise ScenarioError(
             "no validatable object found: expected an atom-measure or"
-            " set-function document, or a report embedding one"
+            " set-function document, or a report embedding one or a certificate"
         )
     report = _base_report("validate", document)
     results = []
@@ -653,9 +656,44 @@ def _cmd_validate(args) -> tuple[int, dict]:
                 ],
             }
         )
+    if certificate is not None:
+        results.append(_certificate_result(document, certificate))
+        all_passed = all_passed and results[-1]["passed"]
     report["results"] = results
     report["verdict"] = "pass" if all_passed else "violations"
     return (EXIT_PASS if all_passed else EXIT_VIOLATION), report
+
+
+def _certificate_result(document: dict, section: dict) -> dict:
+    """Re-check a check report's certificate against the report's own input.
+
+    The scenario is rebuilt from the echoed ``input`` at the report's
+    ``bracket_tolerance``, and the multipliers must prove it infeasible
+    at the ``lo`` endpoint, where ``check`` derived them.
+    """
+    try:
+        tolerance = scalar_from_string(document["bracket_tolerance"])
+        multipliers = section["multipliers"]
+    except KeyError as err:
+        raise ScenarioError(f"report is missing the {err.args[0]!r} field") from err
+    if tolerance <= 0:
+        raise ScenarioError("bracket_tolerance must be a positive rational")
+    _require_list(multipliers, "'multipliers'")
+    certificate = [scalar_from_string(v) for v in multipliers]
+    scenario = scenario_from_document(document.get("input"), tolerance)
+    passed = verify_certificate(scenario, certificate, "lo")
+    violations = [] if passed else [
+        {
+            "axiom": "farkas-certificate",
+            "message": "the multipliers do not prove the input infeasible at its lo endpoint",
+        }
+    ]
+    return {
+        "type": "certificate",
+        "kind": scenario.kind,
+        "passed": passed,
+        "violations": violations,
+    }
 
 
 def _tolerance(args) -> Fraction:

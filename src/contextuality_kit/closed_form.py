@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from ._record import Record
 from .errors import NoWitnessError
 from .event_space import EventMask, EventSpace, build_space, moment_coefficients, sign_event
 from .feasibility import INDETERMINATE, decide_endpoints
@@ -53,20 +53,17 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class GhzMoments:
+class GhzMoments(Record):
     """Single and triple-product expectations of three ±1 variables."""
 
-    eA: Fraction
-    eB: Fraction
-    eC: Fraction
-    eABC: Fraction
+    __slots__ = ("eA", "eB", "eC", "eABC")
 
-    def __post_init__(self):
-        for name in ("eA", "eB", "eC", "eABC"):
-            v = getattr(self, name)
-            if abs(v) > 1:
+    def __init__(self, eA: Fraction, eB: Fraction, eC: Fraction, eABC: Fraction):
+        # |v| <= 1 in integers: a grid sweep builds one of these per point.
+        for name, v in zip(self.__slots__, (eA, eB, eC, eABC)):
+            if abs(v.numerator) > v.denominator:
                 raise ValueError(f"{name} = {v} outside [-1, 1]")
+        self._set(eA, eB, eC, eABC)
 
     @classmethod
     def of(cls, eA, eB, eC, eABC) -> "GhzMoments":
@@ -92,11 +89,16 @@ _INEQUALITY_SIGNS = (
 )
 
 
-@dataclass(frozen=True)
-class InequalityCheck:
-    passed: bool
-    violated_index: int | None = None  # 1-based, first violated
-    value: Fraction | None = None      # the offending signed sum
+class InequalityCheck(Record):
+    __slots__ = ("passed", "violated_index", "value")
+
+    def __init__(
+        self,
+        passed: bool,
+        violated_index: int | None = None,  # 1-based, first violated
+        value: Fraction | None = None,      # the offending signed sum
+    ):
+        self._set(passed, violated_index, value)
 
 
 def check_ghz_inequalities(m: GhzMoments) -> InequalityCheck:
@@ -120,26 +122,24 @@ def check_ghz_inequalities(m: GhzMoments) -> InequalityCheck:
     return InequalityCheck(True)
 
 
-@dataclass(frozen=True)
-class SymmetricParams:
+class SymmetricParams(Record):
     """P(single variable = +1) = p and P(product = +1) = q."""
 
-    p: Fraction
-    q: Fraction
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
-        if not 0 <= self.p <= 1:
-            raise ValueError(f"p = {self.p} outside [0, 1]")
-        if not 0 <= self.q <= 1:
-            raise ValueError(f"q = {self.q} outside [0, 1]")
+    def __init__(self, p: Fraction, q: Fraction):
+        if not 0 <= p <= 1:
+            raise ValueError(f"p = {p} outside [0, 1]")
+        if not 0 <= q <= 1:
+            raise ValueError(f"q = {q} outside [0, 1]")
+        self._set(p, q)
 
     @classmethod
     def of(cls, p, q) -> "SymmetricParams":
         return cls(Fraction(p), Fraction(q))
 
 
-@dataclass(frozen=True)
-class SymmetricWitness:
+class SymmetricWitness(Record):
     """Atom weights of the symmetric joint distribution.
 
     x is the common weight of the three atoms with exactly one minus
@@ -147,10 +147,10 @@ class SymmetricWitness:
     atom, and w of the all-minus atom; 3x + 3y + z + w = 1.
     """
 
-    x: Fraction
-    y: Fraction
-    z: Fraction
-    w: Fraction
+    __slots__ = ("x", "y", "z", "w")
+
+    def __init__(self, x: Fraction, y: Fraction, z: Fraction, w: Fraction):
+        self._set(x, y, z, w)
 
 
 def construct_symmetric_joint(
@@ -204,11 +204,16 @@ def construct_symmetric_joint(
     return witness, measure
 
 
-@dataclass(frozen=True)
-class NoiseThresholdResult:
-    epsilon: Fraction
-    statistic: Fraction  # value of the signed sum at the degraded moments
-    feasible: bool
+class NoiseThresholdResult(Record):
+    __slots__ = ("epsilon", "statistic", "feasible")
+
+    def __init__(
+        self,
+        epsilon: Fraction,
+        statistic: Fraction,  # value of the signed sum at the degraded moments
+        feasible: bool,
+    ):
+        self._set(epsilon, statistic, feasible)
 
 
 def check_noise_threshold(epsilon) -> NoiseThresholdResult:
@@ -225,11 +230,16 @@ def check_noise_threshold(epsilon) -> NoiseThresholdResult:
     return NoiseThresholdResult(eps, statistic, statistic <= 2)
 
 
-@dataclass(frozen=True)
-class AssignmentEnumeration:
-    total: int
-    satisfying: int              # assignments with A = B = C = 1 and D = -1
-    product_identity_holds: int  # assignments with A·B·C = D
+class AssignmentEnumeration(Record):
+    __slots__ = ("total", "satisfying", "product_identity_holds")
+
+    def __init__(
+        self,
+        total: int,
+        satisfying: int,              # assignments with A = B = C = 1 and D = -1
+        product_identity_holds: int,  # assignments with A·B·C = D
+    ):
+        self._set(total, satisfying, product_identity_holds)
 
 
 def mermin_assignment_check() -> AssignmentEnumeration:
@@ -259,19 +269,16 @@ def mermin_assignment_check() -> AssignmentEnumeration:
 # --- Bell conditional-expectation systems -----------------------------------
 
 
-@dataclass(frozen=True)
-class BellMoments:
+class BellMoments(Record):
     """Pairwise correlations E(XY), E(XZ), E(YZ); fair ±1 marginals assumed."""
 
-    exy: ScalarInterval
-    exz: ScalarInterval
-    eyz: ScalarInterval
+    __slots__ = ("exy", "exz", "eyz")
 
-    def __post_init__(self):
-        for name in ("exy", "exz", "eyz"):
-            iv = getattr(self, name)
+    def __init__(self, exy: ScalarInterval, exz: ScalarInterval, eyz: ScalarInterval):
+        for name, iv in zip(self.__slots__, (exy, exz, eyz)):
             if iv.lo < -1 or iv.hi > 1:
                 raise ValueError(f"{name} = {iv} outside [-1, 1]")
+        self._set(exy, exz, eyz)
 
     @classmethod
     def of(cls, exy, exz, eyz) -> "BellMoments":
@@ -300,13 +307,18 @@ def _conditionals(v_xy: Fraction, v_xz: Fraction, v_yz: Fraction):
     )
 
 
-@dataclass(frozen=True)
-class BellConditionalOutcome:
-    status: str  # SOLUTION | NO_SOLUTION | INDETERMINATE
-    failed_stage: str | None = None
-    conditionals: tuple[ConditionalMomentValue, ...] = ()
-    detail: str = ""
-    endpoint_outcomes: tuple = ()
+class BellConditionalOutcome(Record):
+    __slots__ = ("status", "failed_stage", "conditionals", "detail", "endpoint_outcomes")
+
+    def __init__(
+        self,
+        status: str,  # SOLUTION | NO_SOLUTION | INDETERMINATE
+        failed_stage: str | None = None,
+        conditionals: tuple[ConditionalMomentValue, ...] = (),
+        detail: str = "",
+        endpoint_outcomes: tuple = (),
+    ):
+        self._set(status, failed_stage, conditionals, detail, endpoint_outcomes)
 
 
 def _solve_bell_at(m: BellMoments, endpoint: str) -> BellConditionalOutcome:
@@ -360,15 +372,17 @@ def solve_bell_conditionals(m: BellMoments) -> BellConditionalOutcome:
     if hi is None:
         return lo
     if agree:
-        return replace(lo, endpoint_outcomes=(lo, hi))
+        return BellConditionalOutcome(
+            lo.status, lo.failed_stage, lo.conditionals, lo.detail, (lo, hi)
+        )
     return BellConditionalOutcome(status=INDETERMINATE, endpoint_outcomes=(lo, hi))
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    description: str
-    satisfied: bool
-    detail: str = ""
+class CheckRecord(Record):
+    __slots__ = ("description", "satisfied", "detail")
+
+    def __init__(self, description: str, satisfied: bool, detail: str = ""):
+        self._set(description, satisfied, detail)
 
 
 def _require_all(trace) -> None:
@@ -377,11 +391,16 @@ def _require_all(trace) -> None:
         raise AssertionError(f"internal witness verification failed: {bad}")
 
 
-@dataclass(frozen=True)
-class UpperBellSolution:
-    conditionals: tuple[ConditionalMomentValue, ...]
-    atom_uppers: AtomMeasure
-    trace: tuple[CheckRecord, ...]
+class UpperBellSolution(Record):
+    __slots__ = ("conditionals", "atom_uppers", "trace")
+
+    def __init__(
+        self,
+        conditionals: tuple[ConditionalMomentValue, ...],
+        atom_uppers: AtomMeasure,
+        trace: tuple[CheckRecord, ...],
+    ):
+        self._set(conditionals, atom_uppers, trace)
 
 
 def solve_upper_bell_conditionals(m: BellMoments) -> UpperBellSolution:
@@ -480,11 +499,16 @@ def solve_upper_bell_conditionals(m: BellMoments) -> UpperBellSolution:
 # --- lower/upper GHZ witnesses ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class GhzWitness:
-    atom_measure: AtomMeasure
-    set_function: PartialSetFunction
-    trace: tuple[CheckRecord, ...]
+class GhzWitness(Record):
+    __slots__ = ("atom_measure", "set_function", "trace")
+
+    def __init__(
+        self,
+        atom_measure: AtomMeasure,
+        set_function: PartialSetFunction,
+        trace: tuple[CheckRecord, ...],
+    ):
+        self._set(atom_measure, set_function, trace)
 
 
 def _ghz_space() -> EventSpace:

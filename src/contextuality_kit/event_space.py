@@ -10,19 +10,21 @@ canonical serialization used everywhere in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from ._record import Record
 from .errors import SizeLimitError, SpaceError
 
 MAX_VARIABLES = 16
 
 
-@dataclass(frozen=True)
-class EventSpace:
+class EventSpace(Record):
     """Ordered collection of distinct ±1 variable names."""
 
-    variables: tuple[str, ...]
+    __slots__ = ("variables",)
+
+    def __init__(self, variables: tuple[str, ...]):
+        self._set(variables)
 
     @property
     def n(self) -> int:
@@ -94,17 +96,16 @@ def build_space(names: Sequence[str]) -> EventSpace:
     return EventSpace(tuple(names))
 
 
-@dataclass(frozen=True)
-class EventMask:
+class EventMask(Record):
     """Subset of atoms, stored as a bitmask over atom indices."""
 
-    space: EventSpace
-    bits: int
+    __slots__ = ("space", "bits")
 
-    def __post_init__(self):
-        full = (1 << self.space.atom_count) - 1
-        if not 0 <= self.bits <= full:
+    def __init__(self, space: EventSpace, bits: int):
+        full = (1 << space.atom_count) - 1
+        if not 0 <= bits <= full:
             raise SpaceError("mask has bits outside the atom range")
+        self._set(space, bits)
 
     @classmethod
     def from_atoms(cls, space: EventSpace, atoms: Sequence[int]) -> "EventMask":

@@ -33,10 +33,10 @@ whenever that basis is still feasible there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
+from ._record import Record
 from .errors import CertificateError, ScenarioError
 from .event_space import EventSpace, _on_atoms, build_space, moment_coefficients, moment_mask
 from .measures import STANDARD, AtomMeasure, signed_atom_sum, validate
@@ -51,17 +51,15 @@ INDETERMINATE = "indeterminate"
 _RELATIONS = (EQ, LE, GE)
 
 
-@dataclass(frozen=True)
-class MomentConstraint:
+class MomentConstraint(Record):
     """Target for one product moment: subset, relation, interval target."""
 
-    subset: tuple[str, ...]
-    relation: str
-    target: ScalarInterval
+    __slots__ = ("subset", "relation", "target")
 
-    def __post_init__(self):
-        if self.relation not in _RELATIONS:
-            raise ScenarioError(f"unknown relation {self.relation!r}")
+    def __init__(self, subset: tuple[str, ...], relation: str, target: ScalarInterval):
+        if relation not in _RELATIONS:
+            raise ScenarioError(f"unknown relation {relation!r}")
+        self._set(subset, relation, target)
 
     @classmethod
     def eq(cls, subset: Sequence[str], value) -> "MomentConstraint":
@@ -81,23 +79,26 @@ class MomentConstraint:
         return value >= want
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """A moment problem: space, constraints, and measure kind."""
 
-    space: EventSpace
-    constraints: tuple[MomentConstraint, ...]
-    kind: str = STANDARD
-    title: str | None = None
+    __slots__ = ("space", "constraints", "kind", "title")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        space: EventSpace,
+        constraints: tuple[MomentConstraint, ...],
+        kind: str = STANDARD,
+        title: str | None = None,
+    ):
         seen = set()
-        for c in self.constraints:
-            moment_mask(self.space, c.subset)  # validates the subset
+        for c in constraints:
+            moment_mask(space, c.subset)  # validates the subset
             key = tuple(sorted(c.subset))
             if key in seen:
                 raise ScenarioError(f"duplicate moment constraint on {c.subset}")
             seen.add(key)
+        self._set(space, constraints, kind, title)
 
     @property
     def has_interval_targets(self) -> bool:
@@ -133,14 +134,22 @@ def ghz_symmetric_scenario(p: Fraction, q: Fraction) -> Scenario:
     )
 
 
-@dataclass(frozen=True)
-class FeasibilityOutcome:
-    verdict: str
-    endpoint: str | None = None
-    witness: AtomMeasure | None = None
-    certificate: tuple[Fraction, ...] | None = None
-    margin: Fraction | None = None
-    endpoint_outcomes: dict = field(default_factory=dict)
+class FeasibilityOutcome(Record):
+    __slots__ = ("verdict", "endpoint", "witness", "certificate", "margin", "endpoint_outcomes")
+
+    def __init__(
+        self,
+        verdict: str,
+        endpoint: str | None = None,
+        witness: AtomMeasure | None = None,
+        certificate: tuple[Fraction, ...] | None = None,
+        margin: Fraction | None = None,
+        endpoint_outcomes: dict | None = None,
+    ):
+        self._set(
+            verdict, endpoint, witness, certificate, margin,
+            {} if endpoint_outcomes is None else endpoint_outcomes,
+        )
 
 
 def _standard_rows(scenario: Scenario, endpoint: str):
@@ -272,7 +281,9 @@ def solve_robust(scenario: Scenario) -> FeasibilityOutcome:
     endpoints = {"lo": lo, "hi": hi}
     combined = min(lo.margin, hi.margin)
     if agree:
-        return replace(lo, margin=combined, endpoint_outcomes=endpoints)
+        return FeasibilityOutcome(
+            lo.verdict, lo.endpoint, lo.witness, lo.certificate, combined, endpoints
+        )
     return FeasibilityOutcome(
         verdict=INDETERMINATE, margin=combined, endpoint_outcomes=endpoints
     )
@@ -468,18 +479,18 @@ def certificate_to_json(certificate: Sequence[Fraction]) -> list[str]:
 # --- closed-form cross-check over the symmetric parameter grid -------------
 
 
-@dataclass(frozen=True)
-class GridMismatch:
-    p: Fraction
-    q: Fraction
-    lp_feasible: bool
-    closed_form_feasible: bool
+class GridMismatch(Record):
+    __slots__ = ("p", "q", "lp_feasible", "closed_form_feasible")
+
+    def __init__(self, p: Fraction, q: Fraction, lp_feasible: bool, closed_form_feasible: bool):
+        self._set(p, q, lp_feasible, closed_form_feasible)
 
 
-@dataclass(frozen=True)
-class GridAgreementReport:
-    total: int
-    mismatches: tuple[GridMismatch, ...]
+class GridAgreementReport(Record):
+    __slots__ = ("total", "mismatches")
+
+    def __init__(self, total: int, mismatches: tuple[GridMismatch, ...]):
+        self._set(total, mismatches)
 
     @property
     def agree(self) -> bool:

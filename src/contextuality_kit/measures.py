@@ -29,10 +29,10 @@ this package always name which one was used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from ._record import Record
 from .errors import MeasureError, SpaceError, UndefinedConditionalError
 from .event_space import EventMask, EventSpace, moment_coefficients, sign_event
 from .numerics import format_scalar, scalar_from_string
@@ -47,21 +47,19 @@ UPPER = "upper"
 LOWER = "lower"
 
 
-@dataclass(frozen=True)
-class AtomMeasure:
+class AtomMeasure(Record):
     """Nonnegative rational value per atom, with a kind tag."""
 
-    space: EventSpace
-    values: tuple[Fraction, ...]
-    kind: str = STANDARD
+    __slots__ = ("space", "values", "kind")
 
-    def __post_init__(self):
-        if self.kind not in _ATOM_KINDS:
-            raise MeasureError(f"unknown atom-measure kind {self.kind!r}")
-        if len(self.values) != self.space.atom_count:
+    def __init__(self, space: EventSpace, values: tuple[Fraction, ...], kind: str = STANDARD):
+        if kind not in _ATOM_KINDS:
+            raise MeasureError(f"unknown atom-measure kind {kind!r}")
+        if len(values) != space.atom_count:
             raise MeasureError(
-                f"expected {self.space.atom_count} atom values, got {len(self.values)}"
+                f"expected {space.atom_count} atom values, got {len(values)}"
             )
+        self._set(space, values, kind)
 
     @classmethod
     def from_dict(
@@ -102,21 +100,24 @@ class AtomMeasure:
         return cls.from_dict(space, atoms, data.get("kind", STANDARD))
 
 
-@dataclass(frozen=True)
-class PartialSetFunction:
+class PartialSetFunction(Record):
     """Upper or lower probability values on an explicit event family."""
 
-    space: EventSpace
-    kind: str  # UPPER | LOWER
-    entries: Mapping[EventMask, Fraction]
-    labels: Mapping[EventMask, str] = field(default_factory=dict)
+    __slots__ = ("space", "kind", "entries", "labels")
 
-    def __post_init__(self):
-        if self.kind not in (UPPER, LOWER):
-            raise MeasureError(f"unknown set-function kind {self.kind!r}")
-        for mask in self.entries:
-            if mask.space != self.space:
+    def __init__(
+        self,
+        space: EventSpace,
+        kind: str,  # UPPER | LOWER
+        entries: Mapping[EventMask, Fraction],
+        labels: Mapping[EventMask, str] | None = None,
+    ):
+        if kind not in (UPPER, LOWER):
+            raise MeasureError(f"unknown set-function kind {kind!r}")
+        for mask in entries:
+            if mask.space != space:
                 raise SpaceError("entry event belongs to a different space")
+        self._set(space, kind, entries, {} if labels is None else labels)
 
     def value(self, mask: EventMask) -> Fraction:
         return self.entries[mask]
@@ -171,36 +172,35 @@ class PartialSetFunction:
         return cls(space, data["kind"], entries, labels)
 
 
-@dataclass(frozen=True)
-class ConditionalMomentValue:
+class ConditionalMomentValue(Record):
     """A conditional product-moment value, e.g. E(XY | Z = +1)."""
 
-    subset: tuple[str, ...]
-    given_variable: str
-    given_sign: int
-    value: Fraction
+    __slots__ = ("subset", "given_variable", "given_sign", "value")
 
-    def __post_init__(self):
-        if abs(self.value) > 1:
-            raise MeasureError(
-                f"conditional expectation {self.value} outside [-1, 1]"
-            )
+    def __init__(
+        self, subset: tuple[str, ...], given_variable: str, given_sign: int, value: Fraction
+    ):
+        if abs(value) > 1:
+            raise MeasureError(f"conditional expectation {value} outside [-1, 1]")
+        self._set(subset, given_variable, given_sign, value)
 
     def describe(self) -> str:
         sign = "+1" if self.given_sign == 1 else "-1"
         return f"E({''.join(self.subset)}|{self.given_variable}={sign})"
 
 
-@dataclass(frozen=True)
-class Violation:
-    axiom: str
-    message: str
+class Violation(Record):
+    __slots__ = ("axiom", "message")
+
+    def __init__(self, axiom: str, message: str):
+        self._set(axiom, message)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    passed: bool
-    violations: tuple[Violation, ...]
+class ValidationReport(Record):
+    __slots__ = ("passed", "violations")
+
+    def __init__(self, passed: bool, violations: tuple[Violation, ...]):
+        self._set(passed, violations)
 
     def __bool__(self) -> bool:
         return self.passed
@@ -331,12 +331,17 @@ def conditional_expectation(
     return restricted / prob
 
 
-@dataclass(frozen=True)
-class MonotonicityViolation:
-    smaller: EventMask
-    larger: EventMask
-    smaller_value: Fraction
-    larger_value: Fraction
+class MonotonicityViolation(Record):
+    __slots__ = ("smaller", "larger", "smaller_value", "larger_value")
+
+    def __init__(
+        self,
+        smaller: EventMask,
+        larger: EventMask,
+        smaller_value: Fraction,
+        larger_value: Fraction,
+    ):
+        self._set(smaller, larger, smaller_value, larger_value)
 
 
 def check_monotonicity(sf: PartialSetFunction) -> list[MonotonicityViolation]:
@@ -359,18 +364,20 @@ def check_monotonicity(sf: PartialSetFunction) -> list[MonotonicityViolation]:
     return found
 
 
-@dataclass(frozen=True)
-class ConjugacyViolation:
-    event: EventMask
-    upper_value: Fraction
-    one_minus_lower_of_complement: Fraction
+class ConjugacyViolation(Record):
+    __slots__ = ("event", "upper_value", "one_minus_lower_of_complement")
+
+    def __init__(
+        self, event: EventMask, upper_value: Fraction, one_minus_lower_of_complement: Fraction
+    ):
+        self._set(event, upper_value, one_minus_lower_of_complement)
 
 
-@dataclass(frozen=True)
-class ConjugacyReport:
-    checked: int
-    vacuous: bool
-    violations: tuple[ConjugacyViolation, ...]
+class ConjugacyReport(Record):
+    __slots__ = ("checked", "vacuous", "violations")
+
+    def __init__(self, checked: int, vacuous: bool, violations: tuple[ConjugacyViolation, ...]):
+        self._set(checked, vacuous, violations)
 
 
 def check_conjugacy(

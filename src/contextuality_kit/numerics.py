@@ -25,11 +25,11 @@ produces an interval nested inside the coarser one.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Union
 
+from ._record import Record
 from .errors import EvaluationError, ExpressionError
 
 #: Default bracket width for irrational constants: far below every
@@ -64,16 +64,15 @@ def format_scalar(value: Fraction) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class ScalarInterval:
+class ScalarInterval(Record):
     """Closed interval with exact rational endpoints, lo <= hi."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
+    def __init__(self, lo: Fraction, hi: Fraction):
+        if lo > hi:
+            raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
+        self._set(lo, hi)
 
     @classmethod
     def point(cls, value) -> "ScalarInterval":
@@ -179,26 +178,32 @@ def interval_sqrt(iv: ScalarInterval, scale_bits: int) -> ScalarInterval:
 # --- expression trees -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Literal:
-    value: Fraction
+class Literal(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: Fraction):
+        self._set(value)
 
 
-@dataclass(frozen=True)
-class Negate:
-    operand: "ValueExpr"
+class Negate(Record):
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: "ValueExpr"):
+        self._set(operand)
 
 
-@dataclass(frozen=True)
-class BinaryOp:
-    op: str  # '+', '-', '*', '/'
-    left: "ValueExpr"
-    right: "ValueExpr"
+class BinaryOp(Record):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: "ValueExpr", right: "ValueExpr"):
+        self._set(op, left, right)  # op is '+', '-', '*' or '/'
 
 
-@dataclass(frozen=True)
-class Sqrt:
-    operand: "ValueExpr"
+class Sqrt(Record):
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: "ValueExpr"):
+        self._set(operand)
 
 
 ValueExpr = Union[Literal, Negate, BinaryOp, Sqrt]

@@ -16,10 +16,10 @@ atom ordering used by the event spaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import cos, fsum, sqrt
 
+from ._record import Record
 from .errors import SizeLimitError, SpaceError
 
 TOLERANCE = 1e-12
@@ -32,11 +32,13 @@ _COMPONENTS = ("i", "x", "y", "z")
 _PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
-@dataclass(frozen=True)
-class SpinOperator:
+class SpinOperator(Record):
     """Tensor product of per-particle Pauli components (a Pauli string)."""
 
-    factors: tuple[str, ...]
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple[str, ...]):
+        self._set(factors)
 
     @property
     def dimension(self) -> int:
@@ -68,18 +70,17 @@ class SpinOperator:
         return dense
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(Record):
     """Normalized complex amplitudes over 2^k basis states."""
 
-    amplitudes: tuple[complex, ...]
+    __slots__ = ("amplitudes",)
 
-    def __post_init__(self):
-        amplitudes = tuple(complex(a) for a in self.amplitudes)
-        object.__setattr__(self, "amplitudes", amplitudes)
+    def __init__(self, amplitudes: tuple[complex, ...]):
+        amplitudes = tuple(complex(a) for a in amplitudes)
         norm = sqrt(fsum(a.real * a.real + a.imag * a.imag for a in amplitudes))
         if abs(norm - 1.0) > TOLERANCE:
             raise ValueError(f"state norm {norm} differs from 1 beyond {TOLERANCE}")
+        self._set(amplitudes)
 
     @property
     def dimension(self) -> int:

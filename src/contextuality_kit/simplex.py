@@ -107,9 +107,10 @@ there is no dual simplex: the cold solves are the only pivots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+
+from ._record import Record
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -121,30 +122,44 @@ EQ, LE, GE = "eq", "le", "ge"
 _ZERO = Fraction(0)
 
 
-@dataclass
-class LpResult:
-    status: str
-    x: list[Fraction] | None = None
-    objective: Fraction | None = None
-    farkas: list[Fraction] | None = None
-    #: Pivots taken in phase 1 (including the degenerate pivots that
-    #: drive artificials out of the basis) and in phase 2;
-    #: :func:`solve_from_basis` has no phase 1.
-    pivots: tuple[int, int] = (0, 0)
-    #: On an optimal :func:`solve_lp` result: the basic column of each
-    #: row kept after the redundant-row drop.  On an optimal
-    #: :func:`solve_from_basis` result: the basic column of each row.
-    basis: tuple[int, ...] | None = None
-    #: On an optimal :func:`solve_from_basis` or ``solve_lp(None, …)``
-    #: result: row i of B⁻¹, one per entry of ``basis``, as (ints, scale)
-    #: over every original row, so that x_B(i) = ints·b / scale; read by
-    #: :func:`_basic_values`.
-    inverse: tuple[tuple[list[int], int], ...] | None = None
-    #: On an optimal :func:`solve_from_basis` result: the reduced cost
-    #: of every column at the optimal basis.  A column that is a unit
-    #: slack of row i (±e_i, zero cost) has reduced cost ∓y_i, so
-    #: callers read the optimal duals off their slack columns.
-    reduced_costs: list[Fraction] | None = None
+class LpResult(Record):
+    """The outcome of one LP solve; unlike the other records, mutable.
+
+    * ``pivots``: pivots taken in phase 1 (including the degenerate
+      pivots that drive artificials out of the basis) and in phase 2;
+      :func:`solve_from_basis` has no phase 1.
+    * ``basis``: on an optimal :func:`solve_lp` result, the basic column
+      of each row kept after the redundant-row drop.  On an optimal
+      :func:`solve_from_basis` result, the basic column of each row.
+    * ``inverse``: on an optimal :func:`solve_from_basis` or
+      ``solve_lp(None, …)`` result, row i of B⁻¹, one per entry of
+      ``basis``, as (ints, scale) over every original row, so that
+      x_B(i) = ints·b / scale; read by :func:`_basic_values`.
+    * ``reduced_costs``: on an optimal :func:`solve_from_basis` result,
+      the reduced cost of every column at the optimal basis.  A column
+      that is a unit slack of row i (±e_i, zero cost) has reduced cost
+      ∓y_i, so callers read the optimal duals off their slack columns.
+    """
+
+    __slots__ = (
+        "status", "x", "objective", "farkas", "pivots", "basis", "inverse", "reduced_costs"
+    )
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        status: str,
+        x: list[Fraction] | None = None,
+        objective: Fraction | None = None,
+        farkas: list[Fraction] | None = None,
+        pivots: tuple[int, int] = (0, 0),
+        basis: tuple[int, ...] | None = None,
+        inverse: tuple[tuple[list[int], int], ...] | None = None,
+        reduced_costs: list[Fraction] | None = None,
+    ):
+        self._set(status, x, objective, farkas, pivots, basis, inverse, reduced_costs)
 
 
 def to_standard_form(rows, relations):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -559,18 +560,19 @@ def test_closed_reader_exits_quietly_with_the_verdict(name, code):
     assert proc.returncode == code
 
 
-# Runs cli.run in a fresh interpreter; prints the exit code and the
-# kit's modules that the run loaded.
+# Runs cli.run in a fresh interpreter; prints the exit code, the kit's
+# modules that the run loaded, and every module loaded at all.
 _FRESH_RUN = """
 import io, json, sys
 from contextuality_kit import cli
 code = cli.run(sys.argv[1:], stream=io.StringIO())
 loaded = sorted(m for m in sys.modules if m.startswith("contextuality_kit"))
-print(json.dumps({"code": code, "loaded": loaded}))
+print(json.dumps({"code": code, "loaded": loaded, "all": sorted(sys.modules)}))
 """
 
 DECISION_PATH = [
     "contextuality_kit",
+    "contextuality_kit._record",
     "contextuality_kit.cli",
     "contextuality_kit.errors",
     "contextuality_kit.event_space",
@@ -581,9 +583,9 @@ DECISION_PATH = [
 ]
 
 
-def fresh_run(*argv):
+def fresh_run(*argv, flags=()):
     proc = subprocess.run(
-        [sys.executable, "-c", _FRESH_RUN, *argv],
+        [sys.executable, *flags, "-c", _FRESH_RUN, *argv],
         capture_output=True,
         text=True,
         env=KIT_ENV,
@@ -598,6 +600,14 @@ class TestImportLayout:
         result = fresh_run("check", "--scenario", bundled("chsh-classical.json"), "--format", "json")
         assert result["code"] == EXIT_PASS
         assert result["loaded"] == DECISION_PATH
+
+    def test_standard_check_loads_neither_dataclasses_nor_inspect(self):
+        # -S: no site hooks, so only the kit's own imports count
+        argv = ("check", "--scenario", bundled("ghz.json"), "--format", "json")
+        result = fresh_run(*argv, flags=("-S",))
+        assert result["code"] == EXIT_VIOLATION
+        assert "dataclasses" not in result["all"]
+        assert "inspect" not in result["all"]
 
     def test_oracle_check_loads_the_closed_forms(self):
         result = fresh_run("check", "--scenario", bundled("ghz.json"), "--oracle", "--format", "json")
@@ -627,6 +637,45 @@ class TestImportLayout:
 
 
 _BUNDLED = sorted(p.name for p in scenario_dir().iterdir() if p.name.endswith(".json"))
+
+
+_INFEASIBLE = [
+    "bell-perfect.json", "bell.json", "chsh.json", "ghz-epsilon-1-4.json",
+    "ghz-epsilon-2-5.json", "ghz-epsilon-49-100.json", "ghz.json",
+]
+
+
+def _validate_report(tmp_path, report):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    return run_json("validate", "--file", str(path))
+
+
+@pytest.mark.parametrize("name", _INFEASIBLE)
+def test_validate_rechecks_the_certificate_of_an_infeasible_report(tmp_path, name):
+    code, report = run_json("check", "--scenario", bundled(name))
+    assert (code, report["verdict"]) == (EXIT_VIOLATION, "infeasible")
+    code, validated = _validate_report(tmp_path, report)
+    assert (code, validated["verdict"]) == (EXIT_PASS, "pass")
+    assert [r["type"] for r in validated["results"]] == ["certificate"]
+
+
+def test_validate_rejects_a_tampered_multiplier(tmp_path):
+    _, report = run_json("check", "--scenario", bundled("ghz.json"))
+    multipliers = report["certificate"]["multipliers"]
+    # Every atom coefficient of the combined rows turns positive
+    multipliers[0] = str(Fraction(multipliers[0]) + 10**6)
+    code, validated = _validate_report(tmp_path, report)
+    assert (code, validated["verdict"]) == (EXIT_VIOLATION, "violations")
+    assert validated["results"][0]["violations"][0]["axiom"] == "farkas-certificate"
+
+
+@pytest.mark.parametrize("field", ["bracket_tolerance", "input"])
+def test_validate_needs_the_input_behind_a_certificate(tmp_path, field):
+    _, report = run_json("check", "--scenario", bundled("ghz.json"))
+    del report[field]
+    code, validated = _validate_report(tmp_path, report)
+    assert (code, validated["verdict"]) == (EXIT_USAGE, "input-error")
 
 
 @pytest.mark.parametrize("name", _BUNDLED)

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -300,7 +299,8 @@ def test_solve_many_survives_a_wrong_inverse(monkeypatch):
             return result
         inverse = [(list(line), scale) for line, scale in result.inverse]
         inverse[0][0][0] += 1
-        return replace(result, inverse=tuple(inverse))
+        result.inverse = tuple(inverse)
+        return result
 
     monkeypatch.setattr(simplex, "solve_lp", tampered)
     calls = _counting_solve_lp(monkeypatch)
