@@ -9,9 +9,11 @@ remain consistent when no standard joint distribution exists.
 Importing the package loads only the decision path: ``errors``,
 ``event_space``, ``numerics``, ``measures``, ``feasibility``,
 ``simplex`` and ``_record``, the base of every value record.
-``closed_form`` and ``quantum``, and the names below
+``closed_form``, ``quantum`` and ``set_functions``, and the names below
 that come from them, are loaded on first access (PEP 562), so a
-``check`` process never reads either module.
+``check`` process never reads them.  Neither does it read ``sweep``,
+the dense two-phase tableau behind grid sweeps, nor ``commands``, the
+CLI's other subcommands.
 """
 
 __version__ = "0.1.0"
@@ -41,10 +43,7 @@ from .numerics import (
 from .measures import (
     AtomMeasure,
     ConditionalMomentValue,
-    PartialSetFunction,
     ValidationReport,
-    check_conjugacy,
-    check_monotonicity,
     conditional_expectation,
     expectation,
     signed_atom_sum,
@@ -91,6 +90,11 @@ _ON_DEMAND = {
         "ghz_state_alternate",
         "ghz_state_mermin",
         "singlet_correlation",
+    ),
+    "set_functions": (
+        "PartialSetFunction",
+        "check_conjugacy",
+        "check_monotonicity",
     ),
 }
 _SOURCE = {name: module for module, names in _ON_DEMAND.items() for name in names}

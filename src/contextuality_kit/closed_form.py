@@ -36,18 +36,16 @@ from .errors import NoWitnessError
 from .event_space import EventMask, EventSpace, build_space, moment_coefficients, sign_event
 from .feasibility import INDETERMINATE, decide_endpoints
 from .measures import (
-    LOWER,
     LOWER_ATOMS,
     STANDARD,
-    UPPER,
     UPPER_ATOMS,
     AtomMeasure,
     ConditionalMomentValue,
-    PartialSetFunction,
     signed_atom_sum,
     validate,
 )
 from .numerics import ScalarInterval, as_interval
+from .set_functions import LOWER, UPPER, PartialSetFunction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)

@@ -10,7 +10,7 @@ canonical serialization used everywhere in the package.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from ._record import Record
 from .errors import SizeLimitError, SpaceError

@@ -33,8 +33,8 @@ whenever that basis is still feasible there.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
 
 from ._record import Record
 from .errors import CertificateError, ScenarioError
@@ -167,21 +167,6 @@ def _standard_rows(scenario: Scenario, endpoint: str):
         rhs.append(c.target.endpoint(endpoint))
         relations.append(c.relation)
     return rows, rhs, relations
-
-
-def _feasible_at(scenario: Scenario, endpoint: str):
-    """Phase-1 only: returns (feasible, witness values or farkas).
-
-    Bland's two-phase path, independent of :func:`solve`'s LP: the tests
-    cross-check the one-phase verdicts and the closed forms with it.
-    """
-    rows, rhs, relations = _standard_rows(scenario, endpoint)
-    n = scenario.space.atom_count
-    std_rows, total = simplex.to_standard_form(rows, relations)
-    result = simplex.solve_lp(None, std_rows, rhs, n_vars=total)
-    if result.status == simplex.INFEASIBLE:
-        return False, result.farkas
-    return True, result.x[:n]
 
 
 def solve(scenario: Scenario, endpoint: str = "lo") -> FeasibilityOutcome:
@@ -507,12 +492,13 @@ def uniform_grid(steps: int) -> list[tuple[Fraction, Fraction]]:
 
 def _grid_verdicts(points) -> list[tuple[bool, bool]]:
     """(LP feasible, closed form feasible) for each point, in one warm sweep."""
+    from . import sweep
     from .closed_form import GhzMoments, check_ghz_inequalities
 
     # The matrix every point shares; rows follow the scenario's order.
     rows, _, _ = _standard_rows(ghz_symmetric_scenario(0, 0), "lo")
     moments = [(2 * Fraction(p) - 1, 2 * Fraction(q) - 1) for p, q in points]
-    statuses = simplex.solve_many(rows, [(1, e, e, e, t) for e, t in moments])
+    statuses = sweep.solve_many(rows, [(1, e, e, e, t) for e, t in moments])
     return [
         (status == simplex.OPTIMAL, check_ghz_inequalities(GhzMoments(e, e, e, t)).passed)
         for status, (e, t) in zip(statuses, moments)
@@ -528,7 +514,7 @@ def oracle_grid_agreement(
     :func:`ghz_symmetric_scenario`, E(A)=E(B)=E(C)=2p-1 and
     E(ABC)=2q-1.  All points share its 5x8 matrix and differ only in
     the right-hand side, so the LP verdicts come from one
-    :func:`simplex.solve_many` sweep: a point is settled by the last
+    :func:`sweep.solve_many` sweep: a point is settled by the last
     feasible basis or Farkas certificate found earlier in the same
     sweep, re-checked exactly at that point, and only a point neither
     settles runs a cold phase 1.  Every verdict is therefore the one a

@@ -27,7 +27,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import isqrt
-from typing import Union
 
 from ._record import Record
 from .errors import EvaluationError, ExpressionError
@@ -206,7 +205,7 @@ class Sqrt(Record):
         self._set(operand)
 
 
-ValueExpr = Union[Literal, Negate, BinaryOp, Sqrt]
+ValueExpr = Literal | Negate | BinaryOp | Sqrt
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+(?:\.\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/()]))"

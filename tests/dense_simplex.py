@@ -18,13 +18,12 @@ from contextuality_kit.simplex import (
     OPTIMAL,
     UNBOUNDED,
     LpResult,
-    _basic_point,
     _bland_entering,
     _leaving,
     _pivot,
-    _priced,
     _scaled,
 )
+from contextuality_kit.sweep import _basic_point, _priced
 
 
 def dense_rows(columns, rhs, characters=None):

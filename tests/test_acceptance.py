@@ -32,7 +32,6 @@ from contextuality_kit.event_space import build_space, moment_coefficients, sign
 from contextuality_kit.feasibility import (
     FEASIBLE,
     INFEASIBLE,
-    _feasible_at,
     make_scenario,
     margin,
     oracle_grid_agreement,
@@ -41,13 +40,9 @@ from contextuality_kit.feasibility import (
     uniform_grid,
     verify_certificate,
 )
-from contextuality_kit.measures import (
-    LOWER_ATOMS,
-    AtomMeasure,
-    check_conjugacy,
-    signed_atom_sum,
-    validate,
-)
+from contextuality_kit.measures import LOWER_ATOMS, AtomMeasure, signed_atom_sum, validate
+from contextuality_kit.set_functions import check_conjugacy
+from contextuality_kit.sweep import _feasible_at
 from contextuality_kit.numerics import parse_and_evaluate
 from contextuality_kit.quantum import (
     ghz_expectations,

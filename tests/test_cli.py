@@ -595,11 +595,23 @@ def fresh_run(*argv, flags=()):
     return json.loads(proc.stdout)
 
 
+#: Modules that only the other subcommands, the grid sweep and the
+#: set-function witnesses need.
+OFF_THE_DECISION_PATH = [
+    "contextuality_kit.closed_form",
+    "contextuality_kit.commands",
+    "contextuality_kit.quantum",
+    "contextuality_kit.set_functions",
+    "contextuality_kit.sweep",
+]
+
+
 class TestImportLayout:
     def test_standard_check_loads_only_the_decision_path(self):
         result = fresh_run("check", "--scenario", bundled("chsh-classical.json"), "--format", "json")
         assert result["code"] == EXIT_PASS
         assert result["loaded"] == DECISION_PATH
+        assert not set(OFF_THE_DECISION_PATH) & set(result["all"])
 
     def test_standard_check_loads_neither_dataclasses_nor_inspect(self):
         # -S: no site hooks, so only the kit's own imports count
@@ -608,6 +620,29 @@ class TestImportLayout:
         assert result["code"] == EXIT_VIOLATION
         assert "dataclasses" not in result["all"]
         assert "inspect" not in result["all"]
+        assert "typing" not in result["all"]
+
+    def test_oracle_grid_check_loads_the_sweep(self):
+        argv = ("check", "--scenario", bundled("ghz.json"), "--oracle", "--grid", "5")
+        result = fresh_run(*argv, "--format", "json")
+        assert result["code"] == EXIT_VIOLATION
+        assert "contextuality_kit.sweep" in result["loaded"]
+        assert "contextuality_kit.commands" in result["loaded"]
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("margin", "--scenario", bundled("ghz.json")), EXIT_VIOLATION),
+            (("mermin",), EXIT_VIOLATION),
+            (("lower-ghz",), EXIT_PASS),
+        ],
+        ids=["margin", "mermin", "lower-ghz"],
+    )
+    def test_other_subcommands_load_the_commands_module(self, argv, code):
+        result = fresh_run(*argv, "--format", "json")
+        assert result["code"] == code
+        assert "contextuality_kit.commands" in result["loaded"]
+        assert "contextuality_kit.sweep" not in result["loaded"]
 
     def test_oracle_check_loads_the_closed_forms(self):
         result = fresh_run("check", "--scenario", bundled("ghz.json"), "--oracle", "--format", "json")
@@ -706,3 +741,56 @@ def test_margin_agrees_with_check_on_a_straddling_bracket(tmp_path, tolerance, v
     check_code, check = run_json("check", *argv)
     margin_code, margin = run_json("margin", *argv)
     assert (check["verdict"], check_code) == (margin["verdict"], margin_code) == (verdict, code)
+
+
+def _ghz_shaped(tmp_path, values):
+    """A three-singles-plus-triple scenario with the given E(A), E(B), E(C), E(ABC)."""
+    doc = {
+        "variables": ["A", "B", "C"],
+        "constraints": [
+            {"moment": list(m), "relation": "eq", "value": v}
+            for m, v in zip(("A", "B", "C", "ABC"), values)
+        ],
+    }
+    path = tmp_path / "ghz-shaped.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_oracle_reports_a_target_outside_the_closed_form_domain(tmp_path):
+    path = _ghz_shaped(tmp_path, ("2", "1", "1", "-1"))
+    plain_code, plain = run_json("check", "--scenario", path)
+    oracle_code, oracle = run_json("check", "--scenario", path, "--oracle")
+    assert (plain_code, plain["verdict"]) == (EXIT_VIOLATION, "infeasible")
+    assert oracle_code == plain_code
+    assert oracle["oracle"] == {"closed_form": {"outside_domain": "eA = 2 outside [-1, 1]"}}
+    del oracle["oracle"]
+    assert oracle == plain
+
+
+_FEASIBLE = ["chsh-classical.json", "ghz-epsilon-1.json", "ghz-epsilon-1-2.json",
+             "ghz-epsilon-3-4.json"]
+
+
+@pytest.mark.parametrize("name", _FEASIBLE)
+def test_validate_rechecks_the_witness_of_a_feasible_report(tmp_path, name):
+    code, report = run_json("check", "--scenario", bundled(name))
+    assert (code, report["verdict"]) == (EXIT_PASS, "feasible")
+    code, validated = _validate_report(tmp_path, report)
+    assert (code, validated["verdict"]) == (EXIT_PASS, "pass")
+    assert [r["type"] for r in validated["results"]] == ["atom-measure", "witness-moments"]
+
+
+def test_validate_rejects_a_witness_that_misses_the_targets(tmp_path):
+    _, report = run_json("check", "--scenario", bundled("chsh-classical.json"))
+    # The uniform distribution is a valid measure, but every correlation is 0
+    atoms = report["witness"]["atoms"]
+    report["witness"]["atoms"] = {signature: f"1/{len(atoms)}" for signature in atoms}
+    code, validated = _validate_report(tmp_path, report)
+    assert (code, validated["verdict"]) == (EXIT_VIOLATION, "violations")
+    measure, moments = validated["results"]
+    assert measure["passed"] is True
+    assert moments["type"] == "witness-moments" and moments["passed"] is False
+    assert len(moments["violations"]) == 4
+    assert {v["axiom"] for v in moments["violations"]} == {"witness-moments"}
+

@@ -24,15 +24,10 @@ from contextuality_kit.closed_form import (
 )
 from contextuality_kit.errors import NoWitnessError
 from contextuality_kit.event_space import build_space, moment_coefficients, sign_event
-from contextuality_kit.feasibility import FEASIBLE, _feasible_at, make_scenario, solve
-from contextuality_kit.measures import (
-    LOWER_ATOMS,
-    AtomMeasure,
-    check_conjugacy,
-    check_monotonicity,
-    signed_atom_sum,
-    validate,
-)
+from contextuality_kit.feasibility import FEASIBLE, make_scenario, solve
+from contextuality_kit.measures import LOWER_ATOMS, AtomMeasure, signed_atom_sum, validate
+from contextuality_kit.set_functions import check_conjugacy, check_monotonicity
+from contextuality_kit.sweep import _feasible_at
 from contextuality_kit.numerics import parse_and_evaluate
 
 

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from contextuality_kit import closed_form, feasibility, simplex
+from contextuality_kit import closed_form, feasibility, simplex, sweep
 from contextuality_kit.errors import CertificateError, ScenarioError
 from contextuality_kit.event_space import moment_coefficients
 from contextuality_kit.feasibility import (
@@ -16,7 +16,6 @@ from contextuality_kit.feasibility import (
     INFEASIBLE,
     LE,
     GridMismatch,
-    _feasible_at,
     _grid_verdicts,
     decide_endpoints,
     ghz_symmetric_scenario,
@@ -30,6 +29,7 @@ from contextuality_kit.feasibility import (
 )
 from contextuality_kit.measures import signed_atom_sum, validate
 from contextuality_kit.numerics import ScalarInterval, parse_and_evaluate
+from contextuality_kit.sweep import _feasible_at
 
 
 def ghz_scenario():
@@ -416,7 +416,7 @@ def two_phase_margin(scenario, endpoint):
         rhs.append(target)
     costs = [0] * width
     costs[n] = 1
-    result = simplex.solve_lp(costs, rows, rhs)
+    result = sweep.solve_lp(costs, rows, rhs)
     assert result.status == simplex.OPTIMAL
     return result.objective
 

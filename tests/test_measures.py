@@ -6,18 +6,20 @@ from hypothesis import given, strategies as st
 from contextuality_kit.errors import MeasureError, UndefinedConditionalError
 from contextuality_kit.event_space import EventMask, build_space, sign_event
 from contextuality_kit.measures import (
-    LOWER,
     LOWER_ATOMS,
-    UPPER,
     AtomMeasure,
-    PartialSetFunction,
-    check_conjugacy,
-    check_monotonicity,
     conditional_expectation,
-    conjugate_pair_from_measure,
     expectation,
     signed_atom_sum,
     validate,
+)
+from contextuality_kit.set_functions import (
+    LOWER,
+    UPPER,
+    PartialSetFunction,
+    check_conjugacy,
+    check_monotonicity,
+    conjugate_pair_from_measure,
 )
 
 

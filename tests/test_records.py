@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from contextuality_kit import closed_form, event_space, feasibility, measures, numerics, quantum
-from contextuality_kit import simplex
+from contextuality_kit import set_functions, simplex
 from contextuality_kit._record import Record
 
 F = Fraction
@@ -15,10 +15,12 @@ SPACE = event_space.EventSpace(("A", "B"))
 MASK = event_space.EventMask(SPACE, 0b0101)
 OTHER_MASK = event_space.EventMask(SPACE, 0b0111)
 MEASURE = measures.AtomMeasure(SPACE, (F(1, 4),) * 4)
-SET_FUNCTION = measures.PartialSetFunction(SPACE, measures.UPPER, {MASK: F(1, 2)}, {MASK: "x"})
+SET_FUNCTION = set_functions.PartialSetFunction(
+    SPACE, set_functions.UPPER, {MASK: F(1, 2)}, {MASK: "x"}
+)
 INTERVAL = numerics.ScalarInterval(F(1, 3), F(1, 2))
 VIOLATION = measures.Violation("normalization", "atom values sum to 2")
-CONJUGACY = measures.ConjugacyViolation(MASK, F(1), F(0))
+CONJUGACY = set_functions.ConjugacyViolation(MASK, F(1), F(0))
 CONSTRAINT = feasibility.MomentConstraint(("A",), "eq", INTERVAL)
 MISMATCH = feasibility.GridMismatch(F(0), F(1), True, False)
 CHECK = closed_form.CheckRecord("total upper mass >= 1", True, "total = 2")
@@ -34,19 +36,19 @@ SAMPLES = {
     ),
     numerics.Sqrt: lambda: numerics.Sqrt(numerics.Literal(F(2))),
     measures.AtomMeasure: lambda: measures.AtomMeasure(SPACE, (F(1, 4),) * 4),
-    measures.PartialSetFunction: lambda: measures.PartialSetFunction(
-        SPACE, measures.UPPER, {MASK: F(1, 2)}, {MASK: "x"}
+    set_functions.PartialSetFunction: lambda: set_functions.PartialSetFunction(
+        SPACE, set_functions.UPPER, {MASK: F(1, 2)}, {MASK: "x"}
     ),
     measures.ConditionalMomentValue: lambda: measures.ConditionalMomentValue(
         ("A", "B"), "C", 1, F(1, 2)
     ),
     measures.Violation: lambda: measures.Violation("normalization", "atom values sum to 2"),
     measures.ValidationReport: lambda: measures.ValidationReport(False, (VIOLATION,)),
-    measures.MonotonicityViolation: lambda: measures.MonotonicityViolation(
+    set_functions.MonotonicityViolation: lambda: set_functions.MonotonicityViolation(
         MASK, OTHER_MASK, F(1), F(0)
     ),
-    measures.ConjugacyViolation: lambda: measures.ConjugacyViolation(MASK, F(1), F(0)),
-    measures.ConjugacyReport: lambda: measures.ConjugacyReport(1, False, (CONJUGACY,)),
+    set_functions.ConjugacyViolation: lambda: set_functions.ConjugacyViolation(MASK, F(1), F(0)),
+    set_functions.ConjugacyReport: lambda: set_functions.ConjugacyReport(1, False, (CONJUGACY,)),
     simplex.LpResult: lambda: simplex.LpResult(simplex.OPTIMAL, [F(1)], F(0), pivots=(1, 2)),
     feasibility.MomentConstraint: lambda: feasibility.MomentConstraint(("A",), "eq", INTERVAL),
     feasibility.Scenario: lambda: feasibility.Scenario(SPACE, (CONSTRAINT,), title="one"),

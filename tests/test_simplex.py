@@ -3,12 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from contextuality_kit import simplex
+from contextuality_kit import simplex, sweep
 
 
 def test_simple_optimum():
     # min x + 2y  s.t.  x + y = 1
-    result = simplex.solve_lp([1, 2], [[1, 1]], [1])
+    result = sweep.solve_lp([1, 2], [[1, 1]], [1])
     assert result.status == simplex.OPTIMAL
     assert result.x == [Fraction(1), Fraction(0)]
     assert result.objective == 1
@@ -16,14 +16,14 @@ def test_simple_optimum():
 
 def test_degenerate_equalities():
     # x = 1 stated twice plus x + y = 1: consistent, y forced to 0
-    result = simplex.solve_lp([0, 1], [[1, 0], [1, 0], [1, 1]], [1, 1, 1])
+    result = sweep.solve_lp([0, 1], [[1, 0], [1, 0], [1, 1]], [1, 1, 1])
     assert result.status == simplex.OPTIMAL
     assert result.x == [Fraction(1), Fraction(0)]
 
 
 def test_infeasible_with_farkas():
     # x + y = 1 and x + y = 2 cannot both hold
-    result = simplex.solve_lp(None, [[1, 1], [1, 1]], [1, 2])
+    result = sweep.solve_lp(None, [[1, 1], [1, 1]], [1, 2])
     assert result.status == simplex.INFEASIBLE
     y = result.farkas
     # direct re-verification: combined coefficients <= 0, combined rhs > 0
@@ -34,18 +34,18 @@ def test_infeasible_with_farkas():
 
 def test_negative_rhs_flip():
     # -x = -3 is x = 3
-    result = simplex.solve_lp(None, [[-1]], [-3])
+    result = sweep.solve_lp(None, [[-1]], [-3])
     assert result.status == simplex.OPTIMAL
     assert result.x == [Fraction(3)]
 
 
 def test_unbounded():
-    result = simplex.solve_lp([-1, 0], [[0, 1]], [1])
+    result = sweep.solve_lp([-1, 0], [[0, 1]], [1])
     assert result.status == simplex.UNBOUNDED
 
 
 def test_feasibility_only_returns_bfs():
-    result = simplex.solve_lp(None, [[1, 1, 1]], [1])
+    result = sweep.solve_lp(None, [[1, 1, 1]], [1])
     assert result.status == simplex.OPTIMAL
     assert sum(result.x) == 1
     assert all(v >= 0 for v in result.x)
@@ -53,7 +53,7 @@ def test_feasibility_only_returns_bfs():
 
 def test_exact_fractions_survive():
     # min z  s.t.  3z = 1  -> z = 1/3 exactly
-    result = simplex.solve_lp([1], [[3]], [1])
+    result = sweep.solve_lp([1], [[3]], [1])
     assert result.x == [Fraction(1, 3)]
 
 
@@ -68,7 +68,7 @@ _small = st.integers(min_value=-3, max_value=3)
 def test_farkas_certificates_always_verify(rows, rhs):
     m = min(len(rows), len(rhs))
     rows, rhs = rows[:m], rhs[:m]
-    result = simplex.solve_lp(None, rows, rhs)
+    result = sweep.solve_lp(None, rows, rhs)
     if result.status == simplex.OPTIMAL:
         # solution satisfies every row exactly
         for row, b in zip(rows, rhs):
@@ -129,7 +129,7 @@ def test_solve_from_basis_terminates_on_beale_cycling_example():
     result = simplex.solve_from_basis(costs, _columns(rows), rhs, [0, 1, 2])
     assert result.status == simplex.OPTIMAL
     assert result.objective == Fraction(-5, 4)
-    assert result.objective == simplex.solve_lp(costs, rows, rhs).objective
+    assert result.objective == sweep.solve_lp(costs, rows, rhs).objective
 
 
 @pytest.mark.parametrize("bits", [0, 1, 2, 3, 5])
@@ -173,19 +173,19 @@ def test_settle_reuses_an_optimal_basis_or_declines():
 
 
 def _cold_statuses(rows, rhs_list):
-    return [simplex.solve_lp(None, rows, rhs).status for rhs in rhs_list]
+    return [sweep.solve_lp(None, rows, rhs).status for rhs in rhs_list]
 
 
 def _counting_solve_lp(monkeypatch):
     """Count the cold solves ``solve_many`` makes; returns the counter."""
     calls = [0]
-    original = simplex.solve_lp
+    original = sweep.solve_lp
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(simplex, "solve_lp", counted)
+    monkeypatch.setattr(sweep, "solve_lp", counted)
     return calls
 
 
@@ -195,9 +195,9 @@ def test_solve_many_rechecks_dropped_rows():
     # then fails: the sweep must not call that point feasible.
     rows = [[1, 1], [1, 1]]
     rhs_list = [[1, 1], [1, 2], [2, 2]]
-    first = simplex.solve_lp(None, rows, rhs_list[0])
+    first = sweep.solve_lp(None, rows, rhs_list[0])
     assert len(first.basis) == 1
-    assert simplex.solve_many(rows, rhs_list) == [
+    assert sweep.solve_many(rows, rhs_list) == [
         simplex.OPTIMAL,
         simplex.INFEASIBLE,
         simplex.OPTIMAL,
@@ -218,7 +218,7 @@ def test_solve_many_reuses_evidence(monkeypatch, rows, cold):
     calls = _counting_solve_lp(monkeypatch)
     feasible = [[1, Fraction(k, 4)] for k in range(5)]
     infeasible = [[1, -Fraction(k + 1, 4)] for k in range(5)]
-    statuses = simplex.solve_many(rows, feasible + infeasible)
+    statuses = sweep.solve_many(rows, feasible + infeasible)
     assert statuses == [simplex.OPTIMAL] * 5 + [simplex.INFEASIBLE] * 5
     assert calls[0] == cold
 
@@ -226,7 +226,7 @@ def test_solve_many_reuses_evidence(monkeypatch, rows, cold):
 def test_solve_many_scales_fraction_rows():
     rows = [[Fraction(1, 2), Fraction(1, 3), 0], [0, Fraction(2, 3), Fraction(-1, 5)]]
     rhs_list = [[Fraction(k, 6), Fraction(j - 2, 5)] for k in range(4) for j in range(5)]
-    assert simplex.solve_many(rows, rhs_list) == _cold_statuses(rows, rhs_list)
+    assert sweep.solve_many(rows, rhs_list) == _cold_statuses(rows, rhs_list)
 
 
 _entry = st.fractions(min_value=-2, max_value=2, max_denominator=3)
@@ -243,7 +243,7 @@ _entry = st.fractions(min_value=-2, max_value=2, max_denominator=3)
 )
 def test_solve_many_statuses_equal_cold_statuses(problem):
     rows, rhs_list = problem
-    assert simplex.solve_many(rows, rhs_list) == _cold_statuses(rows, rhs_list)
+    assert sweep.solve_many(rows, rhs_list) == _cold_statuses(rows, rhs_list)
 
 
 @settings(deadline=None, max_examples=100)
@@ -265,7 +265,7 @@ def test_phase_one_inverse_reproduces_the_basic_values(problem):
     rows, x0, combination = problem
     rows = rows + [[sum(c * row[j] for c, row in zip(combination, rows)) for j in range(4)]]
     rhs = [sum(a * x for a, x in zip(row, x0)) for row in rows]
-    result = simplex.solve_lp(None, rows, rhs)
+    result = sweep.solve_lp(None, rows, rhs)
     assert result.status == simplex.OPTIMAL
     assert len(result.inverse) == len(result.basis)
     assert all(len(line) == len(rows) for line, _ in result.inverse)
@@ -291,7 +291,7 @@ def _ghz_rows_and_rhs():
 def test_solve_many_survives_a_wrong_inverse(monkeypatch):
     rows, rhs_list = _ghz_rows_and_rhs()
     want = _cold_statuses(rows, rhs_list)
-    original = simplex.solve_lp
+    original = sweep.solve_lp
 
     def tampered(*args, **kwargs):
         result = original(*args, **kwargs)
@@ -302,9 +302,9 @@ def test_solve_many_survives_a_wrong_inverse(monkeypatch):
         result.inverse = tuple(inverse)
         return result
 
-    monkeypatch.setattr(simplex, "solve_lp", tampered)
+    monkeypatch.setattr(sweep, "solve_lp", tampered)
     calls = _counting_solve_lp(monkeypatch)
-    assert simplex.solve_many(rows, rhs_list) == want
+    assert sweep.solve_many(rows, rhs_list) == want
     # The wrong inverse never settles a point: every feasible one is cold.
     assert calls[0] >= want.count(simplex.OPTIMAL)
 
@@ -313,7 +313,7 @@ def test_solve_many_survives_a_wrong_inverse(monkeypatch):
 def test_solve_many_survives_a_wrong_certificate(monkeypatch, tamper):
     rows, rhs_list = _ghz_rows_and_rhs()
     want = _cold_statuses(rows, rhs_list)
-    original = simplex._multipliers
+    original = sweep._multipliers
 
     def tampered(row_scales, farkas):
         z = original(row_scales, farkas)
@@ -323,9 +323,9 @@ def test_solve_many_survives_a_wrong_certificate(monkeypatch, tamper):
             return [z[0] + 1] + z[1:]
         return [0] * len(z)
 
-    monkeypatch.setattr(simplex, "_multipliers", tampered)
+    monkeypatch.setattr(sweep, "_multipliers", tampered)
     calls = _counting_solve_lp(monkeypatch)
-    assert simplex.solve_many(rows, rhs_list) == want
+    assert sweep.solve_many(rows, rhs_list) == want
     if tamper != "bumped":
         # Rejected when kept (negated) or never decisive (zero): every
         # infeasible point is cold.
@@ -338,5 +338,5 @@ def test_solve_many_reuses_a_certificate_across_row_scales(monkeypatch):
     rows = [[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 3), Fraction(1, 3)]]
     rhs_list = [[1, Fraction(k, 12)] for k in range(8)]
     calls = _counting_solve_lp(monkeypatch)
-    assert simplex.solve_many(rows, rhs_list) == [simplex.INFEASIBLE] * 8
+    assert sweep.solve_many(rows, rhs_list) == [simplex.INFEASIBLE] * 8
     assert calls[0] == 1

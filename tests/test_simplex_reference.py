@@ -26,7 +26,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import dense_simplex
 import fraction_simplex
-from contextuality_kit import feasibility, simplex
+from contextuality_kit import feasibility, simplex, sweep
 from contextuality_kit.closed_form import solve_upper_ghz_witness
 from contextuality_kit.cli import (
     EXIT_INDETERMINATE,
@@ -59,7 +59,7 @@ def path_fields(result):
 
 
 #: The kit's solvers, taken before any test patches the module attributes.
-_solve_lp = simplex.solve_lp
+_solve_lp = sweep.solve_lp
 _solve_from_basis = simplex.solve_from_basis
 _settle = simplex.settle
 
@@ -128,7 +128,7 @@ def routed():
         return got
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simplex, "solve_lp", checked)
+        patch.setattr(sweep, "solve_lp", checked)
         patch.setattr(simplex, "solve_from_basis", checked_from_basis)
         patch.setattr(simplex, "settle", checked_settle)
         yield count
@@ -313,7 +313,7 @@ def test_upper_ghz_witness_is_the_symmetrized_min_mass_optimum(solver):
     ]
     rows += [moment_coefficients(space, space.variables), [1] * space.atom_count]
     relations = [simplex.GE] * 3 + [simplex.EQ, simplex.GE]
-    std_rows, width = simplex.to_standard_form(rows, relations)
+    std_rows, width = sweep.to_standard_form(rows, relations)
     costs = [1] * space.atom_count + [0] * (width - space.atom_count)
     result = solver(costs, std_rows, [1, 1, 1, -1, 1], width)
     assert result.status == simplex.OPTIMAL
@@ -324,7 +324,7 @@ def test_upper_ghz_witness_is_the_symmetrized_min_mass_optimum(solver):
 
 
 def test_standard_form_appends_slack_and_surplus_columns():
-    rows, width = simplex.to_standard_form(
+    rows, width = sweep.to_standard_form(
         [[1, 1], [1, -1], [1, 0]], [simplex.EQ, simplex.LE, simplex.GE]
     )
     assert width == 4
