@@ -54,6 +54,13 @@ EXIT_INDETERMINATE = 2
 EXIT_USAGE = 3
 EXIT_INTERNAL = 4
 
+#: The exit code of each verdict of a standard decision.
+EXIT_OF_VERDICT = {
+    FEASIBLE: EXIT_PASS,
+    INFEASIBLE: EXIT_VIOLATION,
+    INDETERMINATE: EXIT_INDETERMINATE,
+}
+
 _TOOL = {"name": "contextuality-kit", "version": __version__}
 
 #: ``quantum --state`` choices: ``quantum.BUILTIN_STATES`` plus "all",
@@ -157,7 +164,6 @@ def _witness_json(witness: AtomMeasure | None):
 
 def _constraint_trace(scenario: Scenario, outcome) -> list[dict]:
     trace = []
-    endpoint = outcome.endpoint or "lo"
     for c in scenario.constraints:
         entry = {
             "constraint": c.describe(),
@@ -167,7 +173,7 @@ def _constraint_trace(scenario: Scenario, outcome) -> list[dict]:
         if outcome.witness is not None:
             achieved = measures.signed_atom_sum(outcome.witness, c.subset)
             entry["witness_moment"] = format_scalar(achieved)
-            entry["satisfied"] = c.holds_at(achieved, endpoint)
+            entry["satisfied"] = c.holds(achieved)
         trace.append(entry)
     return trace
 
@@ -175,12 +181,11 @@ def _constraint_trace(scenario: Scenario, outcome) -> list[dict]:
 def _certificate_section(scenario: Scenario, outcome) -> dict | None:
     if outcome.certificate is None:
         return None
-    endpoint = outcome.endpoint or "lo"
     labels = ["normalization"] + [c.describe() for c in scenario.constraints]
     return {
         "rows": labels,
         "multipliers": certificate_to_json(outcome.certificate),
-        "verified": verify_certificate(scenario, outcome.certificate, endpoint),
+        "verified": verify_certificate(scenario, outcome.certificate),
         "meaning": (
             "multipliers respect the row senses, combine the atom"
             " coefficients to <= 0 everywhere, and combine the targets to"
@@ -211,24 +216,11 @@ def _cmd_check(args) -> tuple[int, dict]:
     certificate = _certificate_section(scenario, outcome)
     report["certificate"] = certificate
     report["trace"] = _constraint_trace(scenario, outcome)
-    if outcome.endpoint_outcomes:
-        report["endpoints"] = {
-            name: {
-                "verdict": sub.verdict,
-                "margin": format_scalar(sub.margin),
-            }
-            for name, sub in outcome.endpoint_outcomes.items()
-        }
     if args.oracle:
         from . import commands
 
         report["oracle"] = commands._oracle_section(scenario, args)
-    code = {
-        FEASIBLE: EXIT_PASS,
-        INFEASIBLE: EXIT_VIOLATION,
-        INDETERMINATE: EXIT_INDETERMINATE,
-    }[outcome.verdict]
-    return code, report
+    return EXIT_OF_VERDICT[outcome.verdict], report
 
 
 def _tolerance(args) -> Fraction:

@@ -34,7 +34,7 @@ from fractions import Fraction
 from ._record import Record
 from .errors import NoWitnessError
 from .event_space import EventMask, EventSpace, build_space, moment_coefficients, sign_event
-from .feasibility import INDETERMINATE, decide_endpoints
+from .feasibility import INDETERMINATE
 from .measures import (
     LOWER_ATOMS,
     STANDARD,
@@ -306,7 +306,7 @@ def _conditionals(v_xy: Fraction, v_xz: Fraction, v_yz: Fraction):
 
 
 class BellConditionalOutcome(Record):
-    __slots__ = ("status", "failed_stage", "conditionals", "detail", "endpoint_outcomes")
+    __slots__ = ("status", "failed_stage", "conditionals", "detail")
 
     def __init__(
         self,
@@ -314,42 +314,8 @@ class BellConditionalOutcome(Record):
         failed_stage: str | None = None,
         conditionals: tuple[ConditionalMomentValue, ...] = (),
         detail: str = "",
-        endpoint_outcomes: tuple = (),
     ):
-        self._set(status, failed_stage, conditionals, detail, endpoint_outcomes)
-
-
-def _solve_bell_at(m: BellMoments, endpoint: str) -> BellConditionalOutcome:
-    exy = m.exy.endpoint(endpoint)
-    exz = m.exz.endpoint(endpoint)
-    eyz = m.eyz.endpoint(endpoint)
-    # With fair marginals, each pairwise correlation is the plain average
-    # of its two conditionals.  The cyclic symmetry requirement
-    # E(XY|Z=s) = E(YZ|X=s) then forces E(XY) = E(YZ); when that fails
-    # the equalities are already inconsistent.
-    if exy != eyz:
-        return BellConditionalOutcome(
-            status=NO_SOLUTION,
-            failed_stage=STAGE_AVERAGING,
-            detail=f"averaging requires E(XY) = E(YZ), but {exy} != {eyz}",
-        )
-    # Symmetric canonical solution: every conditional equals its
-    # unconditional correlation; automatically inside [-1, 1].
-    conditionals = _conditionals(exy, exz, eyz)
-    # Remaining requirement: the conditionals must belong to an actual
-    # joint distribution of X, Y, Z with fair marginals.  By Suppes and
-    # Zanotti (Synthese 48, 191 (1981)) one exists exactly when every
-    # 1 + a E(XY) + b E(XZ) + ab E(YZ), a, b = ±1, is nonnegative: each
-    # is 4× the weight that the joint distribution averaged with its
-    # global sign flip puts on the atom pair ±(1, a, b).
-    signs = (1, -1)
-    if any(1 + a * exy + b * exz + a * b * eyz < 0 for a in signs for b in signs):
-        return BellConditionalOutcome(
-            status=NO_SOLUTION,
-            failed_stage=STAGE_REALIZABILITY,
-            detail="no joint distribution reproduces the pairwise correlations",
-        )
-    return BellConditionalOutcome(status=SOLUTION, conditionals=conditionals)
+        self._set(status, failed_stage, conditionals, detail)
 
 
 def solve_bell_conditionals(m: BellMoments) -> BellConditionalOutcome:
@@ -358,22 +324,54 @@ def solve_bell_conditionals(m: BellMoments) -> BellConditionalOutcome:
     Stage one solves the averaging equalities 2E(XY) = E(XY|Z=1) +
     E(XY|Z=-1) (and cyclic counterparts) under the cyclic symmetry of
     conditionals; stage two checks joint realizability with the four
-    Suppes–Zanotti inequalities.  Interval targets go through
-    :func:`~contextuality_kit.feasibility.decide_endpoints`, keyed on
-    (status, failed stage); disagreement yields an indeterminate outcome.
+    Suppes–Zanotti inequalities.  Each verdict holds over the whole
+    box of bracketed correlations, or the outcome is indeterminate.
     """
-    lo, hi, agree = decide_endpoints(
-        lambda endpoint: _solve_bell_at(m, endpoint),
-        m.has_interval_targets,
-        lambda outcome: (outcome.status, outcome.failed_stage),
-    )
-    if hi is None:
-        return lo
-    if agree:
+    exy, exz, eyz = m.exy, m.exz, m.eyz
+    # With fair marginals, each pairwise correlation is the plain average
+    # of its two conditionals.  The cyclic symmetry requirement
+    # E(XY|Z=s) = E(YZ|X=s) then forces E(XY) = E(YZ); when that fails
+    # the equalities are already inconsistent.  Disjoint brackets fail
+    # everywhere.  Identical brackets are taken as equal inputs, which
+    # only exact arithmetic on the radicals they bracket would prove;
+    # brackets that merely overlap are undecided.
+    if exy.hi < eyz.lo or eyz.hi < exy.lo:
         return BellConditionalOutcome(
-            lo.status, lo.failed_stage, lo.conditionals, lo.detail, (lo, hi)
+            status=NO_SOLUTION,
+            failed_stage=STAGE_AVERAGING,
+            detail=f"averaging requires E(XY) = E(YZ), but {exy} != {eyz}",
         )
-    return BellConditionalOutcome(status=INDETERMINATE, endpoint_outcomes=(lo, hi))
+    if exy != eyz:
+        return BellConditionalOutcome(status=INDETERMINATE)
+    # Remaining requirement: the conditionals must belong to an actual
+    # joint distribution of X, Y, Z with fair marginals.  By Suppes and
+    # Zanotti (Synthese 48, 191 (1981)) one exists exactly when every
+    # 1 + a E(XY) + b E(XZ) + ab E(YZ), a, b = ±1, is nonnegative: each
+    # is 4× the weight that the joint distribution averaged with its
+    # global sign flip puts on the atom pair ±(1, a, b).  Each form is
+    # linear, so its range over the box is exact in interval arithmetic.
+    forms = [
+        ScalarInterval.point(1)
+        + (exy if a > 0 else -exy)
+        + (exz if b > 0 else -exz)
+        + (eyz if a * b > 0 else -eyz)
+        for a in (1, -1)
+        for b in (1, -1)
+    ]
+    if any(form.hi < 0 for form in forms):
+        return BellConditionalOutcome(
+            status=NO_SOLUTION,
+            failed_stage=STAGE_REALIZABILITY,
+            detail="no joint distribution reproduces the pairwise correlations",
+        )
+    if any(form.lo < 0 for form in forms):
+        return BellConditionalOutcome(status=INDETERMINATE)
+    # Symmetric canonical solution: every conditional equals its
+    # unconditional correlation, at the lower bracket ends; automatically
+    # inside [-1, 1].
+    return BellConditionalOutcome(
+        status=SOLUTION, conditionals=_conditionals(exy.lo, exz.lo, eyz.lo)
+    )
 
 
 class CheckRecord(Record):

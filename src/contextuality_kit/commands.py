@@ -13,9 +13,9 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from . import feasibility
 from .cli import (
     EXIT_INDETERMINATE,
+    EXIT_OF_VERDICT,
     EXIT_PASS,
     EXIT_VIOLATION,
     _base_report,
@@ -27,12 +27,10 @@ from .cli import (
 )
 from .errors import KitError, ScenarioError
 from .feasibility import (
-    EQ,
     FEASIBLE,
-    INDETERMINATE,
     INFEASIBLE,
-    LE,
     Scenario,
+    ghz_symmetric_scenario,
     oracle_grid_agreement,
     solve_robust,
     uniform_grid,
@@ -140,23 +138,12 @@ def _cmd_margin(args) -> tuple[int, dict]:
     scenario, echo = load_scenario(args.scenario, tolerance)
     report = _base_report("margin", echo)
     report["bracket_tolerance"] = format_scalar(tolerance)
-    lo, hi, agree = feasibility.decide_endpoints(
-        lambda endpoint: feasibility.margin(scenario, endpoint),
-        scenario.has_interval_targets,
-        lambda m: m == 0,
-    )
-    hi = lo if hi is None else hi
-    report["margin_lo"] = format_scalar(lo)
-    report["margin_hi"] = format_scalar(hi)
-    report["margin_approx"] = float(min(lo, hi))
-    if not agree:
-        verdict, code = INDETERMINATE, EXIT_INDETERMINATE
-    elif lo == 0:
-        verdict, code = FEASIBLE, EXIT_PASS
-    else:
-        verdict, code = INFEASIBLE, EXIT_VIOLATION
-    report["verdict"] = verdict
-    return code, report
+    # The least margin over the bracket, and the verdict of that decision.
+    outcome = solve_robust(scenario)
+    report["margin"] = format_scalar(outcome.margin)
+    report["margin_approx"] = float(outcome.margin)
+    report["verdict"] = outcome.verdict
+    return EXIT_OF_VERDICT[outcome.verdict], report
 
 
 def _parse_rational_flag(text: str, flag: str) -> Fraction:
@@ -208,16 +195,7 @@ def _cmd_ghz_epsilon(args) -> tuple[int, dict]:
     report["verdict"] = FEASIBLE if result.feasible else INFEASIBLE
     report["threshold"] = "feasible exactly when epsilon >= 1/2"
     if args.oracle:
-        scenario = feasibility.make_scenario(
-            ["A", "B", "C"],
-            [
-                (["A"], "eq", 1 - eps),
-                (["B"], "eq", 1 - eps),
-                (["C"], "eq", 1 - eps),
-                (["A", "B", "C"], "eq", -1 + eps),
-            ],
-        )
-        outcome = solve_robust(scenario)
+        outcome = solve_robust(ghz_symmetric_scenario(1 - eps / 2, eps / 2))
         report["oracle"] = {
             "lp_verdict": outcome.verdict,
             "agrees": (outcome.verdict == FEASIBLE) == result.feasible,
@@ -281,11 +259,6 @@ def _cmd_bell_system(args) -> tuple[int, dict]:
         code = EXIT_VIOLATION
     else:
         code = EXIT_INDETERMINATE
-    if outcome.endpoint_outcomes:
-        report["endpoints"] = [
-            {"status": o.status, "failed_stage": o.failed_stage}
-            for o in outcome.endpoint_outcomes
-        ]
     return code, report
 
 
@@ -504,20 +477,12 @@ def _witness_moments_result(scenario: Scenario, witness: AtomMeasure) -> dict:
     """Re-check a check report's witness against the report's own input.
 
     Every constraint's atom-level moment must meet its relation within
-    the target's bracket [lo, hi]: inside it for ``eq``, at most ``hi``
-    for ``le`` and at least ``lo`` for ``ge``.
+    the target's bracket (:meth:`~.feasibility.MomentConstraint.holds`).
     """
     violations = []
     for c in scenario.constraints:
         got = signed_atom_sum(witness, c.subset)
-        lo, hi = c.target.lo, c.target.hi
-        if c.relation == EQ:
-            met = lo <= got <= hi
-        elif c.relation == LE:
-            met = got <= hi
-        else:
-            met = got >= lo
-        if not met:
+        if not c.holds(got):
             violations.append(f"{c.describe()}, but the witness gives {format_scalar(got)}")
     return {
         "type": "witness-moments",
@@ -531,8 +496,8 @@ def _certificate_result(document: dict, section: dict) -> dict:
     """Re-check a check report's certificate against the report's own input.
 
     The scenario is rebuilt from the echoed ``input`` at the report's
-    ``bracket_tolerance``, and the multipliers must prove it infeasible
-    at the ``lo`` endpoint, where ``check`` derived them.
+    ``bracket_tolerance``, and the multipliers must prove every target
+    in its brackets infeasible.
     """
     scenario = _report_scenario(document)
     try:
@@ -541,11 +506,11 @@ def _certificate_result(document: dict, section: dict) -> dict:
         raise ScenarioError(f"report is missing the {err.args[0]!r} field") from err
     _require_list(multipliers, "'multipliers'")
     certificate = [scalar_from_string(v) for v in multipliers]
-    passed = verify_certificate(scenario, certificate, "lo")
+    passed = verify_certificate(scenario, certificate)
     violations = [] if passed else [
         {
             "axiom": "farkas-certificate",
-            "message": "the multipliers do not prove the input infeasible at its lo endpoint",
+            "message": "the multipliers do not prove the input infeasible over its brackets",
         }
     ]
     return {

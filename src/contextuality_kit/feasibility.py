@@ -6,12 +6,11 @@ system
 
     p ≥ 0,  Σ p = 1,  (moment row)·p  (=, ≤, ≥)  target
 
-has a solution.  One exact rational LP decides each endpoint: the
-margin LP, which minimizes the least uniform relaxation t of the
-targets that makes the system feasible, started from a closed-form
-feasible basis.  Its optimum t is the feasibility margin, and the
-system is feasible exactly when t = 0.  Every verdict ships evidence
-read off that one optimum:
+has a solution.  One exact rational LP decides: the margin LP, which
+minimizes the least uniform relaxation t of the targets that makes the
+system feasible, started from a closed-form feasible basis.  Its
+optimum t is the feasibility margin, and the system is feasible exactly
+when t = 0.  Every verdict ships evidence read off that one optimum:
 
 * feasible: its point p, a witness measure that reproduces every
   constraint exactly;
@@ -22,18 +21,23 @@ read off that one optimum:
 
 Both are re-checked exactly before release.
 
-Targets may be intervals (brackets of irrational inputs).  Decisions
-are then made at both endpoints by :func:`decide_endpoints`; if they
-disagree the verdict is honestly "indeterminate" rather than a
-rounding guess.  :func:`solve_robust` first tries the ``lo`` optimum's
-basis at ``hi``, which decides a bracketed scenario with one LP
-whenever that basis is still feasible there.
+Targets may be intervals (brackets of irrational inputs), and a verdict
+must hold for every real target in the box they span.  The margin LP
+takes the whole box at once: each target's ≤ side is relaxed from the
+bracket's ``hi`` and its ≥ side from its ``lo``, so its optimum is the
+least relaxation over the box.  A positive optimum proves every target
+in the box infeasible, and its duals certify the whole box.  At t = 0
+some point of the box is feasible, and the box is feasible when the
+check points of :func:`_check_points` are, by convexity; otherwise the
+verdict is honestly "indeterminate" rather than a rounding guess (A.
+Fine, *Phys. Rev. Lett.* 48, 291 (1982); I. Pitowsky, *Math.
+Programming* 50, 395 (1991)).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from ._record import Record
@@ -69,14 +73,17 @@ class MomentConstraint(Record):
         rel = {EQ: "=", LE: "<=", GE: ">="}[self.relation]
         return f"E({''.join(self.subset)}) {rel} {self.target}"
 
-    def holds_at(self, value: Fraction, endpoint: str) -> bool:
-        """Whether a moment value meets the target at one interval endpoint."""
-        want = self.target.endpoint(endpoint)
+    def holds(self, value: Fraction) -> bool:
+        """Whether a moment value meets the relation somewhere in the bracket.
+
+        ``eq`` needs lo ≤ value ≤ hi, ``le`` value ≤ hi and ``ge``
+        value ≥ lo.
+        """
         if self.relation == EQ:
-            return value == want
+            return self.target.lo <= value <= self.target.hi
         if self.relation == LE:
-            return value <= want
-        return value >= want
+            return value <= self.target.hi
+        return value >= self.target.lo
 
 
 class Scenario(Record):
@@ -135,152 +142,130 @@ def ghz_symmetric_scenario(p: Fraction, q: Fraction) -> Scenario:
 
 
 class FeasibilityOutcome(Record):
-    __slots__ = ("verdict", "endpoint", "witness", "certificate", "margin", "endpoint_outcomes")
+    __slots__ = ("verdict", "witness", "certificate", "margin")
 
     def __init__(
         self,
         verdict: str,
-        endpoint: str | None = None,
         witness: AtomMeasure | None = None,
         certificate: tuple[Fraction, ...] | None = None,
         margin: Fraction | None = None,
-        endpoint_outcomes: dict | None = None,
     ):
-        self._set(
-            verdict, endpoint, witness, certificate, margin,
-            {} if endpoint_outcomes is None else endpoint_outcomes,
-        )
+        self._set(verdict, witness, certificate, margin)
 
 
-def _standard_rows(scenario: Scenario, endpoint: str):
-    """LP rows for the standard-kind polytope at one interval endpoint.
+def _standard_rows(scenario: Scenario):
+    """LP rows for the standard-kind polytope.
 
     Row 0 is the normalization Σp = 1; the remaining rows follow the
-    scenario's constraint order.  Returns (rows, rhs, relations).
+    scenario's constraint order.  Returns (rows, targets, relations),
+    with each target a :class:`ScalarInterval`.
     """
     n = scenario.space.atom_count
     rows = [[1] * n]
-    rhs = [Fraction(1)]
+    targets = [ScalarInterval.point(1)]
     relations = [EQ]
     for c in scenario.constraints:
         rows.append(moment_coefficients(scenario.space, c.subset))
-        rhs.append(c.target.endpoint(endpoint))
+        targets.append(c.target)
         relations.append(c.relation)
-    return rows, rhs, relations
+    return rows, targets, relations
 
 
-def solve(scenario: Scenario, endpoint: str = "lo") -> FeasibilityOutcome:
-    """Decide feasibility at one interval endpoint, with evidence.
+def solve(scenario: Scenario) -> FeasibilityOutcome:
+    """Decide feasibility for every target in the scenario's brackets, with evidence.
 
-    One LP decides: :func:`margin`'s relaxed LP, solved from its crash
-    basis by the revised simplex.  At t = 0 its optimal point is the
-    witness; at t > 0 its optimal duals are the certificate
-    (:func:`_certificate_from_duals`).  Dantzig pricing with
-    lowest-index ties and the Bland fallback on degenerate steps fix
-    the pivot path, so both are deterministic.  The witness is
-    re-checked against every constraint and the certificate against
-    :func:`verify_certificate` before either is released; the outcome
-    carries the exact margin t in both cases.
+    One LP decides: :func:`margin`'s relaxed LP over the whole target
+    box, solved from its crash basis by the revised simplex.
+
+    * t > 0: infeasible for every target in the box.  The optimal duals
+      are the certificate (:func:`_certificate_from_duals`), re-checked
+      over the box by :func:`verify_certificate`.
+    * t = 0: the optimal point meets every constraint somewhere in its
+      bracket and is the witness, re-checked against every constraint.
+      With point targets that is the verdict, feasible.  With bracketed
+      targets the verdict is feasible only when every point of
+      :func:`_check_points` is feasible, each settled from the box
+      optimum's basis where it can be and else solved from its own
+      crash basis; otherwise it is indeterminate, with no evidence.
+
+    Dantzig pricing with lowest-index ties and the Bland fallback on
+    degenerate steps fix the pivot path, so the evidence is
+    deterministic.  The outcome carries the exact margin t.
     """
-    return _decide(scenario, endpoint)[0]
-
-
-def _decide(scenario: Scenario, endpoint: str, start=None):
-    """:func:`solve`, settled from ``start`` where it can be.
-
-    ``start`` is the optimal margin-LP result of the same scenario at
-    the other endpoint (see :func:`_margin_lp`).  Returns the outcome
-    and this endpoint's optimal LP result.
-    """
-    result, rhs, sides = _margin_lp(scenario, endpoint, start)
+    result, rhs, sides = _margin_lp(scenario, _box(scenario))
     n = scenario.space.atom_count
     t = result.objective
-    if not t:
-        witness = AtomMeasure(scenario.space, tuple(result.x[:n]), STANDARD)
-        _check_witness(scenario, witness, endpoint)
-        outcome = FeasibilityOutcome(
-            verdict=FEASIBLE, endpoint=endpoint, witness=witness, margin=t
-        )
-        return outcome, result
-    certificate = _certificate_from_duals(result, n, rhs, sides)
-    if not verify_certificate(scenario, certificate, endpoint):
-        raise AssertionError("margin LP duals give a certificate that fails verification")
-    outcome = FeasibilityOutcome(
-        verdict=INFEASIBLE, endpoint=endpoint, certificate=certificate, margin=t
-    )
-    return outcome, result
+    if t:
+        certificate = _certificate_from_duals(result, n, rhs, sides)
+        if not verify_certificate(scenario, certificate):
+            raise AssertionError("margin LP duals give a certificate that fails verification")
+        return FeasibilityOutcome(INFEASIBLE, certificate=certificate, margin=t)
+    if scenario.has_interval_targets and any(
+        _margin_lp(scenario, point, result)[0].objective for point in _check_points(scenario)
+    ):
+        return FeasibilityOutcome(INDETERMINATE, margin=t)
+    witness = AtomMeasure(scenario.space, tuple(result.x[:n]), STANDARD)
+    _check_witness(scenario, witness)
+    return FeasibilityOutcome(FEASIBLE, witness=witness, margin=t)
 
 
-def _check_witness(scenario: Scenario, witness: AtomMeasure, endpoint: str) -> None:
+#: The same decision under the name the CLI looks up.
+solve_robust = solve
+
+
+def _check_witness(scenario: Scenario, witness: AtomMeasure) -> None:
     report = validate(witness)
     if not report:
         raise AssertionError(f"witness fails validation: {report.violations}")
     for c in scenario.constraints:
         got = signed_atom_sum(witness, c.subset)
-        if not c.holds_at(got, endpoint):
+        if not c.holds(got):
             raise AssertionError(f"witness violates {c.describe()}: got {got}")
 
 
-def decide_endpoints(decide: Callable, has_interval_targets: bool, key: Callable):
-    """The kit's one policy for interval targets.
+def _box(scenario: Scenario) -> list[tuple[Fraction, Fraction]]:
+    """:func:`_margin_lp` bounds of the whole box: ≤ sides at hi, ≥ sides at lo."""
+    return [(c.target.hi, c.target.lo) for c in scenario.constraints]
 
-    Runs ``decide("lo")``, then ``decide("hi")`` only for interval
-    targets, and returns ``(lo, hi, agree)``: ``hi`` is None for point
-    targets, and ``agree`` says whether ``key`` maps both results to the
-    same value.  Callers report a disagreement as indeterminate.
+
+def _check_points(scenario: Scenario) -> list[list[tuple[Fraction, Fraction]]]:
+    """Target points, as :func:`_margin_lp` bounds, that decide a feasible box.
+
+    An ``le`` target is held at its ``lo`` and a ``ge`` target at its
+    ``hi``, their most restrictive ends.  Let the k bracketed ``eq``
+    targets have centre c and half-widths h_i.  Their box lies inside
+    the cross-polytope with vertices c ± k·h_i·e_i, since a box corner
+    has Σ_i |x_i − c_i| / (k·h_i) = 1.  The targets that a joint
+    distribution reproduces form a convex set, so the whole box is
+    feasible when all 2k vertices are.  For k = 1 they are the
+    bracket's ``lo`` and ``hi``; for k = 0 the one point is c.
     """
-    lo = decide("lo")
-    if not has_interval_targets:
-        return lo, None, True
-    hi = decide("hi")
-    return lo, hi, key(lo) == key(hi)
+    centre = []
+    for c in scenario.constraints:
+        lo, hi = c.target.lo, c.target.hi
+        value = lo if c.relation == LE else hi if c.relation == GE else (lo + hi) / 2
+        centre.append((value, value))
+    bracketed = [
+        i for i, c in enumerate(scenario.constraints)
+        if c.relation == EQ and not c.target.is_point
+    ]
+    points = []
+    for i in bracketed:
+        reach = len(bracketed) * scenario.constraints[i].target.width / 2
+        for value in (centre[i][0] - reach, centre[i][0] + reach):
+            points.append(centre[:i] + [(value, value)] + centre[i + 1:])
+    return points or [centre]
 
 
-def solve_robust(scenario: Scenario) -> FeasibilityOutcome:
-    """Decide under :func:`decide_endpoints`, keyed on the verdict.
+def margin(scenario: Scenario) -> Fraction:
+    """Least uniform relaxation t ≥ 0 that makes some target in the box feasible.
 
-    For all-rational scenarios a single run decides.  Otherwise the
-    outcome carries the ``lo`` witness or certificate, the smaller of
-    the endpoint margins, and both endpoint outcomes.
-
-    The ``hi`` endpoint starts from ``lo``'s optimal basis: when that
-    basis is primal-feasible at ``hi`` it is optimal there too, and its
-    point and duals are ``hi``'s evidence, re-checked like any other;
-    otherwise ``hi`` is solved from its own crash basis.  Either way
-    ``hi``'s verdict and margin are those of a cold :func:`solve`, since
-    the margin is the LP's unique optimal value.  The basis lives only
-    for this call.
-    """
-    solved = []
-
-    def decide(endpoint):
-        outcome, result = _decide(scenario, endpoint, solved[0] if solved else None)
-        solved.append(result)
-        return outcome
-
-    lo, hi, agree = decide_endpoints(
-        decide, scenario.has_interval_targets, lambda outcome: outcome.verdict
-    )
-    if hi is None:
-        return lo
-    endpoints = {"lo": lo, "hi": hi}
-    combined = min(lo.margin, hi.margin)
-    if agree:
-        return FeasibilityOutcome(
-            lo.verdict, lo.endpoint, lo.witness, lo.certificate, combined, endpoints
-        )
-    return FeasibilityOutcome(
-        verdict=INDETERMINATE, margin=combined, endpoint_outcomes=endpoints
-    )
-
-
-def margin(scenario: Scenario, endpoint: str = "lo") -> Fraction:
-    """Least uniform relaxation t ≥ 0 that makes the scenario feasible.
-
-    Equality targets relax to |moment - target| ≤ t; inequality targets
-    relax by t in their own direction.  Computed as an exact LP, so the
-    result is an exact rational; it is 0 exactly when the scenario is
-    feasible as stated.
+    An equality target relaxes to lo - t ≤ moment ≤ hi + t; an
+    inequality target relaxes by t in its own direction from the
+    loosest end of its bracket.  Computed as an exact LP, so the result
+    is an exact rational; it is 0 exactly when some target in the box
+    is feasible, which for point targets means the scenario as stated.
 
     The LP needs no phase 1: all mass on one atom j, with t equal to
     that atom's worst violation of the targets and every other row's
@@ -290,31 +275,34 @@ def margin(scenario: Scenario, endpoint: str = "lo") -> Fraction:
     the LP's optimal value, which does not depend on the start or the
     pivot path.  :func:`solve` decides from the same LP.
     """
-    result, _, _ = _margin_lp(scenario, endpoint)
-    return result.objective
+    return _margin_lp(scenario, _box(scenario))[0].objective
 
 
-def _margin_lp(scenario: Scenario, endpoint: str, start=None):
+def _margin_lp(scenario: Scenario, bounds, start=None):
     """Solve the relaxed LP  min t  from the crash basis.
+
+    ``bounds`` gives each constraint, in scenario order, the right-hand
+    side of its ≤ side and of its ≥ side: (hi, lo) over the whole box
+    (:func:`_box`), (v, v) at one target point v.
 
     Variables: p (n atoms), then t, then one slack per relaxed row.
     Row 0 is Σp = 1; every constraint becomes one-sided rows,
-    ``row·p - t ≤ b`` on its le side and ``row·p + t ≥ b`` on its ge
-    side (an equality gives both).  No atom column is built: relaxed
-    row r's coefficient at atom a is the character
+    ``row·p - t ≤ upper`` on its le side and ``row·p + t ≥ lower`` on
+    its ge side (an equality gives both).  No atom column is built:
+    relaxed row r's coefficient at atom a is the character
     ``(-1)^popcount(a & mask_r)`` of its moment (row 0 has mask 0, and
     an equality's two rows share one mask), which
     :func:`simplex.solve_from_basis` prices by one Walsh–Hadamard
     transform per pivot.  Only t and the slacks are explicit columns.
 
-    ``start``, an optimal result of this LP at the other endpoint, is
-    tried first: when its basis is primal-feasible at this endpoint's
-    right-hand side it is optimal here (:func:`simplex.settle`), and
-    no pivot runs.  Otherwise the LP is solved from the crash basis.
+    ``start``, an optimal result of this LP at other bounds, is tried
+    first: when its basis is primal-feasible at these bounds it is
+    optimal here (:func:`simplex.settle`), and no pivot runs.
+    Otherwise the LP is solved from the crash basis.
 
-    Returns the optimal result, the right-hand sides of
-    :func:`_standard_rows`, and for each relaxed row after row 0 the
-    index of its standard row and its side (LE or GE); relaxed row r's
+    Returns the optimal result, the relaxed rows' right-hand sides, and
+    for each relaxed row after row 0 the index of its standard row (see
+    :func:`_standard_rows`) and its side (LE or GE); relaxed row r's
     slack is column n + r.  Raises ScenarioError for a scenario that is
     not of the standard kind.
     """
@@ -325,14 +313,13 @@ def _margin_lp(scenario: Scenario, endpoint: str, start=None):
         )
     space = scenario.space
     n = space.atom_count
-    rhs = [Fraction(1)] + [c.target.endpoint(endpoint) for c in scenario.constraints]
-    masks, relaxed_rhs, t_sign, sides = [0], [rhs[0]], [0], []
-    for k, c in enumerate(scenario.constraints, start=1):
+    masks, relaxed_rhs, t_sign, sides = [0], [Fraction(1)], [0], []
+    for k, (c, (upper, lower)) in enumerate(zip(scenario.constraints, bounds), start=1):
         mask = moment_mask(space, c.subset)
-        for side, sign in ((LE, -1), (GE, 1)):
+        for side, sign, b in ((LE, -1, upper), (GE, 1, lower)):
             if c.relation in (EQ, side):
                 masks.append(mask)
-                relaxed_rhs.append(rhs[k])
+                relaxed_rhs.append(b)
                 t_sign.append(sign)
                 sides.append((k, side))
     m = len(masks)
@@ -350,7 +337,7 @@ def _margin_lp(scenario: Scenario, endpoint: str, start=None):
         raise AssertionError(
             f"margin LP ended {result.status}; it is bounded below by 0"
         )
-    return result, rhs, sides
+    return result, relaxed_rhs, sides
 
 
 def _certificate_from_duals(result, n, rhs, sides) -> tuple[Fraction, ...]:
@@ -359,17 +346,23 @@ def _certificate_from_duals(result, n, rhs, sides) -> tuple[Fraction, ...]:
     Relaxed row r's dual is y_r = -(reduced cost of its slack) on an le
     side (slack +1) and +(reduced cost) on a ge side (slack -1); the
     two sides of an equality fold into one multiplier z_k = y_le + y_ge.
-    Row 0 has no slack, so z_0 comes from strong duality, zᵀb = t.
-    Optimality makes every reduced cost ≥ 0: on the slacks that puts
-    le multipliers ≤ 0 and ge multipliers ≥ 0, and on each atom column
-    it gives zᵀA ≤ 0.  With zᵀb = t > 0 that is the certificate
-    :func:`verify_certificate` checks.
+    Row 0 has no slack, so z_0 comes from strong duality, Σ_r y_r·b_r = t
+    over the relaxed rows' right-hand sides ``rhs``.  Optimality makes
+    every reduced cost ≥ 0: on the slacks that puts le multipliers ≤ 0
+    and ge multipliers ≥ 0, and on each atom column it gives zᵀA ≤ 0.
+    Over the box an le side's b_r is its bracket's hi and a ge side's
+    its lo, the ends at which y_r·b_r is least, so the least combined
+    right-hand side of z over the box is at least t.  With t > 0 that
+    is the certificate :func:`verify_certificate` checks.
     """
-    z = [Fraction(0)] * len(rhs)
+    z = [Fraction(0)] * (sides[-1][0] + 1)  # sides end on the last constraint
+    combined = Fraction(0)
     for r, (k, side) in enumerate(sides, start=1):
         reduced = result.reduced_costs[n + r]
-        z[k] += -reduced if side == LE else reduced
-    z[0] = result.objective - sum(zk * b for zk, b in zip(z[1:], rhs[1:]))
+        y = -reduced if side == LE else reduced
+        z[k] += y
+        combined += y * rhs[r]
+    z[0] = result.objective - combined
     return tuple(z)
 
 
@@ -417,19 +410,20 @@ def _crash_basis(bits, masks, relaxed_rhs, t_sign):
     return basis
 
 
-def verify_certificate(
-    scenario: Scenario, certificate: Sequence[Fraction], endpoint: str = "lo"
-) -> bool:
-    """Re-check a Farkas certificate by direct exact arithmetic.
+def verify_certificate(scenario: Scenario, certificate: Sequence[Fraction]) -> bool:
+    """Re-check a Farkas certificate over the whole target box, exactly.
 
     The certificate has one multiplier per row (normalization row
-    first, then the constraints in scenario order).  It proves
-    infeasibility when the multipliers respect the row senses
-    (nonnegative on ≥ rows, nonpositive on ≤ rows, free on equalities),
-    the combined coefficient of every atom is ≤ 0, and the combined
-    right-hand side is > 0: any p ≥ 0 would give 0 ≥ combined·p ≥ rhs > 0.
+    first, then the constraints in scenario order).  It proves every
+    target in the box infeasible when the multipliers respect the row
+    senses (nonnegative on ≥ rows, nonpositive on ≤ rows, free on
+    equalities), the combined coefficient of every atom is ≤ 0, and the
+    combined right-hand side is > 0 at every target in the box: any
+    p ≥ 0 would give 0 ≥ combined·p ≥ rhs > 0.  That right-hand side is
+    least when each row's term y_i·b_i is, at the bracket's ``lo`` for
+    y_i > 0 and at its ``hi`` otherwise.
     """
-    rows, rhs, relations = _standard_rows(scenario, endpoint)
+    rows, targets, relations = _standard_rows(scenario)
     if len(certificate) != len(rows):
         raise CertificateError(
             f"certificate has {len(certificate)} entries for {len(rows)} rows"
@@ -450,6 +444,7 @@ def verify_certificate(
             combined = [c + yi * k for c, k in zip(combined, row)]
     if any(c > 0 for c in combined):
         return False
+    rhs = [t.lo if yi > 0 else t.hi for yi, t in zip(y, targets)]
     rhs_common = math.lcm(*(b.denominator for b in rhs))
     combined_rhs = sum(
         yi * b.numerator * (rhs_common // b.denominator) for yi, b in zip(scaled, rhs)
@@ -496,7 +491,7 @@ def _grid_verdicts(points) -> list[tuple[bool, bool]]:
     from .closed_form import GhzMoments, check_ghz_inequalities
 
     # The matrix every point shares; rows follow the scenario's order.
-    rows, _, _ = _standard_rows(ghz_symmetric_scenario(0, 0), "lo")
+    rows, _, _ = _standard_rows(ghz_symmetric_scenario(0, 0))
     moments = [(2 * Fraction(p) - 1, 2 * Fraction(q) - 1) for p, q in points]
     statuses = sweep.solve_many(rows, [(1, e, e, e, t) for e, t in moments])
     return [

@@ -5,7 +5,8 @@ arbitrary-precision rationals (``fractions.Fraction``).  Irrational
 inputs such as ``-sqrt(3)/2`` never enter the solvers as floats.
 Instead an expression is evaluated into a :class:`ScalarInterval`, a
 pair of exact rational endpoints bracketing the true real value, and
-every downstream verdict is computed at both endpoints.
+every downstream verdict holds for the whole bracket: for every real
+value inside it, the true one included, or else it is "indeterminate".
 
 Expression grammar (normative for scenario files)::
 
@@ -85,13 +86,6 @@ class ScalarInterval(Record):
     @property
     def is_point(self) -> bool:
         return self.lo == self.hi
-
-    def endpoint(self, which: str) -> Fraction:
-        if which == "lo":
-            return self.lo
-        if which == "hi":
-            return self.hi
-        raise ValueError(f"endpoint must be 'lo' or 'hi', got {which!r}")
 
     def __neg__(self) -> "ScalarInterval":
         return ScalarInterval(-self.hi, -self.lo)

@@ -317,14 +317,18 @@ def solve_many(rows: list[list[Fraction]], rhs_list) -> list[str]:
     return verdicts
 
 
-def _feasible_at(scenario, endpoint: str):
+def _feasible_at(scenario):
     """Phase-1 only: returns (feasible, witness values or farkas).
 
     Bland's two-phase path, independent of ``feasibility.solve``'s LP:
     the tests cross-check the one-phase verdicts and the closed forms
-    with it.
+    with it.  It decides one target point, so every target must be a
+    point; a bracketed scenario is decided at its corners.
     """
-    rows, rhs, relations = _standard_rows(scenario, endpoint)
+    rows, targets, relations = _standard_rows(scenario)
+    if not all(t.is_point for t in targets):
+        raise ValueError("phase 1 decides point targets; pass one corner of the brackets")
+    rhs = [t.lo for t in targets]
     n = scenario.space.atom_count
     std_rows, total = to_standard_form(rows, relations)
     result = solve_lp(None, std_rows, rhs, n_vars=total)

@@ -79,7 +79,7 @@ def test_criterion_1_ghz_infeasibility():
     scenario, _ = load_scenario(bundled("ghz.json"))
     outcome = solve_robust(scenario)
     certificate_ok = outcome.certificate is not None and verify_certificate(
-        scenario, outcome.certificate, "lo"
+        scenario, outcome.certificate
     )
     statistic = ghz_sum(GhzMoments.of(1, 1, 1, -1))
     ok = outcome.verdict == INFEASIBLE and certificate_ok and statistic == 4
@@ -128,7 +128,7 @@ def _fuzz_point_agrees(values) -> bool:
             (["A", "B", "C"], "eq", moments.eABC),
         ],
     )
-    lp_ok, _ = _feasible_at(scenario, "lo")
+    lp_ok, _ = _feasible_at(scenario)
     return lp_ok == check_ghz_inequalities(moments).passed
 
 
@@ -190,9 +190,7 @@ def test_criterion_5_bell_system():
     root3_half = parse_and_evaluate("-sqrt(3)/2")
     singlet = BellMoments.of(root3_half, root3_half, Fraction(-1, 2))
     outcome_singlet = solve_bell_conditionals(singlet)
-    ok = outcome_singlet.status == NO_SOLUTION and all(
-        o.status == NO_SOLUTION for o in outcome_singlet.endpoint_outcomes
-    )
+    ok = outcome_singlet.status == NO_SOLUTION
     outcome_perfect = solve_bell_conditionals(BellMoments.of(-1, -1, -1))
     ok = ok and outcome_perfect.status == NO_SOLUTION
 
@@ -200,14 +198,12 @@ def test_criterion_5_bell_system():
     lo3, hi3 = sqrt3_bracket(Fraction(1, 10**15))
     reference = (lo3 - Fraction(1, 2)) / 3
     tolerance = Fraction(1, 10**9)
-    for endpoint in ("lo", "hi"):
-        value = margin(scenario, endpoint)
-        ok = ok and abs(value - reference) <= tolerance
+    ok = ok and abs(margin(scenario) - reference) <= tolerance
 
     outcome_zero = solve_bell_conditionals(BellMoments.of(0, 0, 0))
     ok = ok and outcome_zero.status == SOLUTION
     ok = ok and [c.value for c in outcome_zero.conditionals] == [0] * 6
-    record(5, ok, "no solution at both endpoints for both hard inputs; margin ~ (sqrt(3)-1/2)/3; zeros solve")
+    record(5, ok, "no solution anywhere in the brackets for both hard inputs; least margin over the bracket ~ (sqrt(3)-1/2)/3; zeros solve")
 
 
 def test_criterion_6_upper_relaxation():

@@ -44,6 +44,20 @@ def bundled(name: str) -> str:
     return str(scenario_dir() / name)
 
 
+#: E(A) = √2/3, E(B) = -√2/3, E(AB) = -1: realizable, with P(+-) = 1/2 + √2/6
+#: and P(-+) = 1/2 - √2/6, but only on the face E(A) = -E(B), which the
+#: bracket box is not inside.
+REPRODUCER_1 = {
+    "title": "bracketed targets on a face",
+    "variables": ["A", "B"],
+    "constraints": [
+        {"moment": ["A"], "relation": "eq", "value": "sqrt(2)/3"},
+        {"moment": ["B"], "relation": "eq", "value": "-sqrt(2)/3"},
+        {"moment": ["A", "B"], "relation": "eq", "value": "-1"},
+    ],
+}
+
+
 class TestLoadScenario:
     def test_all_bundled_scenarios_load(self):
         names = [
@@ -116,10 +130,19 @@ class TestCheckCommand:
         assert report["witness"] is not None
         assert all(entry["satisfied"] for entry in report["trace"])
 
-    def test_bell_infeasible_with_endpoints(self):
+    def test_bell_infeasible_over_the_whole_bracket(self):
         code, report = run_json("check", "--scenario", bundled("bell.json"))
         assert code == EXIT_VIOLATION
-        assert set(report["endpoints"]) == {"lo", "hi"}
+        assert report["certificate"]["verified"] is True
+        assert "endpoints" not in report
+
+    def test_bracket_box_off_a_face_is_indeterminate(self, tmp_path):
+        path = tmp_path / "face.json"
+        path.write_text(json.dumps(REPRODUCER_1))
+        for command in ("check", "margin"):
+            code, report = run_json(command, "--scenario", str(path))
+            assert (code, report["verdict"]) == (EXIT_INDETERMINATE, "indeterminate")
+            assert report["margin"] == "0"
 
     def test_indeterminate_exit_code(self, tmp_path):
         # sqrt(2) - sqrt(2) evaluates to a zero-straddling interval, so
@@ -266,15 +289,15 @@ class TestMarginCommand:
     def test_ghz_margin(self):
         code, report = run_json("margin", "--scenario", bundled("ghz.json"))
         assert code == EXIT_VIOLATION
-        assert report["margin_lo"] == "1/2"
-        assert report["margin_hi"] == "1/2"
+        assert report["margin"] == "1/2"
+        assert report["margin_approx"] == 0.5
 
     def test_feasible_margin(self):
         code, report = run_json(
             "margin", "--scenario", bundled("chsh-classical.json")
         )
         assert code == EXIT_PASS
-        assert report["margin_lo"] == "0"
+        assert report["margin"] == "0"
 
 
 class TestConstructSymmetric:
@@ -703,6 +726,31 @@ def test_validate_rejects_a_tampered_multiplier(tmp_path):
     code, validated = _validate_report(tmp_path, report)
     assert (code, validated["verdict"]) == (EXIT_VIOLATION, "violations")
     assert validated["results"][0]["violations"][0]["axiom"] == "farkas-certificate"
+
+
+def test_validate_rejects_a_certificate_that_holds_only_at_the_corners(tmp_path):
+    # A check report on REPRODUCER_1 from the two-corner rule, abridged:
+    # its multipliers prove both corners infeasible, not the whole box.
+    report = {
+        "tool": {"name": "contextuality-kit", "version": "0.1.0"},
+        "command": "check",
+        "input": REPRODUCER_1,
+        "bracket_tolerance": "1/1000000000000",
+        "verdict": "infeasible",
+        "margin": "1/2533274790395904",
+        "witness": None,
+        "certificate": {"multipliers": ["-1/3", "-1/3", "-1/3", "-1/3"], "verified": True},
+    }
+    code, validated = _validate_report(tmp_path, report)
+    assert (code, validated["verdict"]) == (EXIT_VIOLATION, "violations")
+    (result,) = validated["results"]
+    assert result["type"] == "certificate" and result["passed"] is False
+    assert result["violations"] == [
+        {
+            "axiom": "farkas-certificate",
+            "message": "the multipliers do not prove the input infeasible over its brackets",
+        }
+    ]
 
 
 @pytest.mark.parametrize("field", ["bracket_tolerance", "input"])

@@ -206,8 +206,6 @@ class TestBellConditionals:
         outcome = solve_bell_conditionals(moments)
         assert outcome.status == NO_SOLUTION
         assert outcome.failed_stage == STAGE_AVERAGING
-        # both endpoints individually say no
-        assert all(o.status == NO_SOLUTION for o in outcome.endpoint_outcomes)
 
     def test_perfect_anticorrelation_no_solution(self):
         outcome = solve_bell_conditionals(BellMoments.of(-1, -1, -1))
@@ -224,14 +222,47 @@ class TestBellConditionals:
         from contextuality_kit.numerics import ScalarInterval
 
         # at the lo endpoints E(XY) = E(YZ) = 0 (consistent, solvable);
-        # at the hi endpoints E(XY) = 1/2 != 0 = E(YZ) (inconsistent)
+        # at the hi endpoints E(XY) = 1/2 != 0 = E(YZ) (inconsistent).
+        # The brackets overlap without being identical: undecided.
         moments = BellMoments.of(
             ScalarInterval(Fraction(0), Fraction(1, 2)), Fraction(0), Fraction(0)
         )
         outcome = solve_bell_conditionals(moments)
         assert outcome.status == INDETERMINATE
-        statuses = {o.status for o in outcome.endpoint_outcomes}
-        assert statuses == {SOLUTION, NO_SOLUTION}
+        assert (outcome.failed_stage, outcome.conditionals) == (None, ())
+
+    def test_disjoint_averaging_brackets_have_no_solution(self):
+        from contextuality_kit.numerics import ScalarInterval
+
+        moments = BellMoments.of(
+            ScalarInterval(Fraction(0), Fraction(1, 8)), Fraction(0), Fraction(1, 4)
+        )
+        outcome = solve_bell_conditionals(moments)
+        assert (outcome.status, outcome.failed_stage) == (NO_SOLUTION, STAGE_AVERAGING)
+
+    def test_realizability_is_decided_over_the_whole_box(self):
+        from contextuality_kit.feasibility import INDETERMINATE
+        from contextuality_kit.numerics import ScalarInterval
+
+        def bracket(lo, hi):
+            return ScalarInterval(Fraction(lo), Fraction(hi))
+
+        # 1 + E(XY) + E(XZ) + E(YZ) with E(XY) = E(YZ) in [-1/2, -1/4]:
+        # its least value over the box is 1 - 1 + E(XZ).
+        same = bracket(Fraction(-1, 2), Fraction(-1, 4))
+        cases = [
+            (bracket(0, Fraction(1, 8)), SOLUTION),
+            (bracket(Fraction(-1, 8), Fraction(1, 8)), INDETERMINATE),
+        ]
+        for exz, status in cases:
+            outcome = solve_bell_conditionals(BellMoments(same, exz, same))
+            assert outcome.status == status
+        # E(XY) = E(YZ) = -1 and E(XZ) in [-1, -7/8]: 1 - E(XY) - E(XZ) + E(YZ)
+        # is fine, but 1 + E(XY) + E(XZ) + E(YZ) <= -15/8 everywhere.
+        outcome = solve_bell_conditionals(
+            BellMoments(bracket(-1, -1), bracket(-1, Fraction(-7, 8)), bracket(-1, -1))
+        )
+        assert (outcome.status, outcome.failed_stage) == (NO_SOLUTION, STAGE_REALIZABILITY)
 
     def test_agreement_with_lp_on_examples(self):
         """Both stages agree with the phase-1 LP on the fair-marginal scenario.
@@ -260,7 +291,7 @@ class TestBellConditionals:
                     (["Y", "Z"], "eq", moments.eyz.lo),
                 ],
             )
-            lp, _ = _feasible_at(scenario, "lo")
+            lp, _ = _feasible_at(scenario)
             assert (outcome.status == SOLUTION) == lp
             assert expect_joint is None or lp == expect_joint
             outcomes.add((outcome.status, outcome.failed_stage))

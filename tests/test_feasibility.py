@@ -1,6 +1,8 @@
 import random
+import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,7 +19,6 @@ from contextuality_kit.feasibility import (
     LE,
     GridMismatch,
     _grid_verdicts,
-    decide_endpoints,
     ghz_symmetric_scenario,
     make_scenario,
     margin,
@@ -30,6 +31,9 @@ from contextuality_kit.feasibility import (
 from contextuality_kit.measures import signed_atom_sum, validate
 from contextuality_kit.numerics import ScalarInterval, parse_and_evaluate
 from contextuality_kit.sweep import _feasible_at
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import reference  # noqa: E402
 
 
 def ghz_scenario():
@@ -55,6 +59,31 @@ def bell_scenario():
             (["X", "Y"], "eq", root3_half),
             (["X", "Z"], "eq", root3_half),
             (["Y", "Z"], "eq", Fraction(-1, 2)),
+        ],
+    )
+
+
+def corner(scenario, endpoint):
+    """The scenario with every target at its bracket's ``lo`` or ``hi``."""
+    return make_scenario(
+        scenario.space.variables,
+        [(c.subset, c.relation, getattr(c.target, endpoint)) for c in scenario.constraints],
+        scenario.kind,
+    )
+
+
+def reproducer_1():
+    """E(A) = √2/3, E(B) = -√2/3, E(AB) = -1: realizable, but only on a face.
+
+    P(+-) = 1/2 + √2/6 and P(-+) = 1/2 - √2/6 reproduce the real targets,
+    and the bracket box is not inside the face E(A) = -E(B).
+    """
+    return make_scenario(
+        ["A", "B"],
+        [
+            (["A"], EQ, parse_and_evaluate("sqrt(2)/3")),
+            (["B"], EQ, parse_and_evaluate("-sqrt(2)/3")),
+            (["A", "B"], EQ, -1),
         ],
     )
 
@@ -98,7 +127,7 @@ class TestSolve:
     def test_bell_infeasible_both_endpoints(self):
         scenario = bell_scenario()
         for endpoint in ("lo", "hi"):
-            assert solve(scenario, endpoint).verdict == INFEASIBLE
+            assert solve(corner(scenario, endpoint)).verdict == INFEASIBLE
         assert solve_robust(scenario).verdict == INFEASIBLE
 
     def test_witness_reproduces_moments(self):
@@ -140,8 +169,8 @@ class TestMargin:
         ref_lo = (lo3 - Fraction(1, 2)) / 3
         ref_hi = (hi3 - Fraction(1, 2)) / 3
         scenario = bell_scenario()
-        for endpoint in ("lo", "hi"):
-            value = margin(scenario, endpoint)
+        for point in (scenario, corner(scenario, "lo"), corner(scenario, "hi")):
+            value = margin(point)
             assert ref_lo - Fraction(1, 10**9) <= value <= ref_hi + Fraction(1, 10**9)
 
     def test_bell_margin_against_float_lp(self):
@@ -177,7 +206,7 @@ class TestRobust:
     def test_all_rational_never_indeterminate(self):
         outcome = solve_robust(ghz_scenario())
         assert outcome.verdict == INFEASIBLE
-        assert outcome.endpoint_outcomes == {}
+        assert outcome.margin == Fraction(1, 2)
 
     def test_straddling_boundary_is_indeterminate(self):
         # singles at 1/2 put the existence boundary at triple = -1/2;
@@ -199,13 +228,14 @@ class TestRobust:
         )
         outcome = solve_robust(scenario)
         assert outcome.verdict == INDETERMINATE
-        assert outcome.endpoint_outcomes["lo"].verdict == INFEASIBLE
-        assert outcome.endpoint_outcomes["hi"].verdict == FEASIBLE
+        assert (outcome.witness, outcome.certificate, outcome.margin) == (None, None, 0)
+        assert solve(corner(scenario, "lo")).verdict == INFEASIBLE
+        assert solve(corner(scenario, "hi")).verdict == FEASIBLE
 
     def test_bracketed_bell_is_not_indeterminate(self):
         assert solve_robust(bell_scenario()).verdict == INFEASIBLE
 
-    def test_feasible_at_both_endpoints_keeps_lo_witness(self):
+    def test_feasible_box_keeps_a_witness_inside_the_bracket(self):
         scenario = make_scenario(
             ["A", "B"],
             [
@@ -215,11 +245,66 @@ class TestRobust:
         )
         outcome = solve_robust(scenario)
         assert outcome.verdict == FEASIBLE
-        assert outcome.witness is not None
         assert outcome.margin == 0
-        assert set(outcome.endpoint_outcomes) == {"lo", "hi"}
-        # the carried witness satisfies the lo endpoint exactly
-        assert signed_atom_sum(outcome.witness, ["A", "B"]) == 0
+        # the box LP's t = 0 point meets every constraint inside its bracket
+        assert validate(outcome.witness).passed
+        assert signed_atom_sum(outcome.witness, ["A"]) == 0
+        assert 0 <= signed_atom_sum(outcome.witness, ["A", "B"]) <= Fraction(1, 8)
+
+    def test_infeasible_corners_with_a_feasible_true_point_are_indeterminate(self):
+        # Both corners are infeasible, but the real targets are realizable.
+        scenario = reproducer_1()
+        for endpoint in ("lo", "hi"):
+            assert solve(corner(scenario, endpoint)).verdict == INFEASIBLE
+        outcome = solve_robust(scenario)
+        assert (outcome.verdict, outcome.margin) == (INDETERMINATE, 0)
+
+    def test_feasible_corners_with_an_infeasible_box_point_are_indeterminate(self):
+        # E(A), E(B) in [0, 3/4], E(AB) = 1/2: both corners are feasible,
+        # but (3/4, 0) breaks |E(A) - E(B)| <= 1 - E(AB).
+        box = ScalarInterval(Fraction(0), Fraction(3, 4))
+        scenario = make_scenario(
+            ["A", "B"], [(["A"], EQ, box), (["B"], EQ, box), (["A", "B"], EQ, Fraction(1, 2))]
+        )
+        for endpoint in ("lo", "hi"):
+            assert solve(corner(scenario, endpoint)).verdict == FEASIBLE
+        off_corner = make_scenario(
+            ["A", "B"],
+            [(["A"], EQ, Fraction(3, 4)), (["B"], EQ, 0), (["A", "B"], EQ, Fraction(1, 2))],
+        )
+        assert solve(off_corner).verdict == INFEASIBLE
+        assert solve_robust(scenario).verdict == INDETERMINATE
+
+    def test_loosest_inequality_ends_decide_an_infeasible_box(self):
+        # E(AB) = 1 forces A = B, so E(A) >= 1/2 > -1/2 >= E(B) is impossible
+        # at every target in the brackets; the certificate covers them all.
+        scenario = make_scenario(
+            ["A", "B"],
+            [
+                (["A"], GE, ScalarInterval(Fraction(1, 2), Fraction(3, 4))),
+                (["B"], LE, ScalarInterval(Fraction(-3, 4), Fraction(-1, 2))),
+                (["A", "B"], EQ, 1),
+            ],
+        )
+        outcome = solve_robust(scenario)
+        assert outcome.verdict == INFEASIBLE
+        # E(A) - E(B) <= 1 - E(AB) <= t against E(A) - E(B) >= 1 - 2t
+        assert outcome.margin == Fraction(1, 3)
+        assert verify_certificate(scenario, outcome.certificate)
+
+    def test_restrictive_inequality_ends_decide_a_feasible_box(self):
+        # Feasible at the loosest ends but not at the most restrictive ones.
+        scenario = make_scenario(
+            ["A"], [(["A"], GE, ScalarInterval(Fraction(1, 2), Fraction(3, 2)))]
+        )
+        assert margin(scenario) == 0
+        assert solve_robust(scenario).verdict == INDETERMINATE
+        scenario = make_scenario(
+            ["A"], [(["A"], LE, ScalarInterval(Fraction(1, 2), Fraction(3, 2)))]
+        )
+        outcome = solve_robust(scenario)
+        assert outcome.verdict == FEASIBLE
+        assert signed_atom_sum(outcome.witness, ["A"]) <= Fraction(3, 2)
 
 
 class TestVerifyCertificate:
@@ -279,7 +364,7 @@ class TestGridOracle:
 def cold_grid_61():
     """Cold phase-1 verdict at every point of uniform_grid(61)."""
     return {
-        point: _feasible_at(ghz_symmetric_scenario(*point), "lo")[0]
+        point: _feasible_at(ghz_symmetric_scenario(*point))[0]
         for point in uniform_grid(61)
     }
 
@@ -314,7 +399,7 @@ def test_oracle_lists_a_disagreeing_point(monkeypatch):
         return result
 
     monkeypatch.setattr(closed_form, "check_ghz_inequalities", flipped)
-    lp_feasible, _ = _feasible_at(ghz_symmetric_scenario(p, q), "lo")
+    lp_feasible, _ = _feasible_at(ghz_symmetric_scenario(p, q))
     report = oracle_grid_agreement(points)
     assert report.total == len(points)
     assert report.mismatches == (GridMismatch(p, q, lp_feasible, not lp_feasible),)
@@ -322,8 +407,8 @@ def test_oracle_lists_a_disagreeing_point(monkeypatch):
 
 class TestDeterminism:
     def test_identical_scenarios_identical_outcomes(self):
-        a = solve(bell_scenario(), "lo")
-        b = solve(bell_scenario(), "lo")
+        a = solve(bell_scenario())
+        b = solve(bell_scenario())
         assert a.certificate == b.certificate
         assert a.margin == b.margin
 
@@ -373,39 +458,24 @@ def test_enlarging_interval_never_turns_feasible_into_infeasible(center, widen):
         assert new_verdict in (FEASIBLE, INDETERMINATE)
 
 
-def test_decide_endpoints_runs_hi_only_for_interval_targets():
-    calls = []
-
-    def decide(endpoint):
-        calls.append(endpoint)
-        return {"lo": 3, "hi": -3}[endpoint]
-
-    assert decide_endpoints(decide, False, abs) == (3, None, True)
-    assert calls == ["lo"]
-    assert decide_endpoints(decide, True, abs) == (3, -3, True)
-    assert decide_endpoints(decide, True, lambda v: v > 0) == (3, -3, False)
-    assert calls == ["lo", "lo", "hi", "lo", "hi"]
-
-
 # --- the crash-started margin LP against the two-phase margin LP -------------
 
 
-def two_phase_margin(scenario, endpoint):
-    """The relaxed margin LP, built here and solved by two-phase simplex.
+def two_phase_margin(scenario):
+    """The relaxed margin LP over the target box, solved by two-phase simplex.
 
     Columns: the atoms, t, then one slack per one-sided row.  An
-    equality target gives the rows moment - t <= target and
-    moment + t >= target; an inequality target gives its own side.
+    equality target gives the rows moment - t <= hi and moment + t >= lo;
+    an inequality target gives its own side.
     """
     n = scenario.space.atom_count
     sides = []
     for c in scenario.constraints:
         coefficients = moment_coefficients(scenario.space, c.subset)
-        target = c.target.endpoint(endpoint)
         if c.relation in (EQ, LE):
-            sides.append((coefficients, -1, 1, target))
+            sides.append((coefficients, -1, 1, c.target.hi))
         if c.relation in (EQ, GE):
-            sides.append((coefficients, 1, -1, target))
+            sides.append((coefficients, 1, -1, c.target.lo))
     width = n + 1 + len(sides)
     rows = [[1] * n + [0] * (width - n)]
     rhs = [Fraction(1)]
@@ -481,7 +551,9 @@ _CRASH_CASES = {
 @example(_CRASH_CASES["tied-worst-violation"][0], "lo")
 @example(_CRASH_CASES["t-basic-at-zero"][0], "lo")
 def test_margin_matches_two_phase_margin(scenario, endpoint):
-    assert margin(scenario, endpoint) == two_phase_margin(scenario, endpoint)
+    assert margin(scenario) == two_phase_margin(scenario)
+    point = corner(scenario, endpoint)
+    assert margin(point) == two_phase_margin(point)
 
 
 @pytest.mark.parametrize("name", sorted(_CRASH_CASES))
@@ -496,7 +568,7 @@ def test_margin_crash_basis_shape(monkeypatch, name):
         return solve_from_basis(costs, columns, rhs, basis, characters)
 
     monkeypatch.setattr(simplex, "solve_from_basis", spy)
-    assert margin(scenario) == two_phase_margin(scenario, "lo")
+    assert margin(scenario) == two_phase_margin(scenario)
     (basis,) = starts
     assert basis[0] == atom
     assert (n in basis) == t_basic
@@ -521,41 +593,40 @@ def test_crash_violations_follow_the_moment_characters(subset):
 @example(_CRASH_CASES["strictly-slack-inequalities"][0], "hi")
 @example(_CRASH_CASES["infeasible-ghz"][0], "lo")
 def test_one_lp_decision_matches_phase_1_and_two_phase_margin(scenario, endpoint):
-    outcome = solve(scenario, endpoint)
-    feasible, _ = _feasible_at(scenario, endpoint)
+    scenario = corner(scenario, endpoint)
+    outcome = solve(scenario)
+    feasible, _ = _feasible_at(scenario)
     assert outcome.verdict == (FEASIBLE if feasible else INFEASIBLE)
-    assert outcome.margin == two_phase_margin(scenario, endpoint)
+    assert outcome.margin == two_phase_margin(scenario)
     if feasible:
         assert validate(outcome.witness).passed
         for c in scenario.constraints:
-            assert c.holds_at(signed_atom_sum(outcome.witness, c.subset), endpoint)
+            assert c.holds(signed_atom_sum(outcome.witness, c.subset))
     else:
         assert outcome.margin > 0
-        assert verify_certificate(scenario, outcome.certificate, endpoint)
+        assert verify_certificate(scenario, outcome.certificate)
 
 
-# --- the hi endpoint settled from lo's optimal basis ----------------------------
-
-
-def _assert_evidence_holds(outcome, scenario, endpoint):
-    if outcome.verdict == FEASIBLE:
-        assert validate(outcome.witness).passed
-        for c in scenario.constraints:
-            assert c.holds_at(signed_atom_sum(outcome.witness, c.subset), endpoint)
-    else:
-        assert verify_certificate(scenario, outcome.certificate, endpoint)
+# --- check points settled from the box optimum's basis ------------------------
 
 
 @settings(deadline=None, max_examples=200)
 @given(relaxed_scenarios().filter(lambda scenario: scenario.has_interval_targets))
+@example(reproducer_1())
 @example(bell_scenario())
-def test_settled_hi_endpoint_equals_a_cold_hi_solve(scenario):
-    outcome = solve_robust(scenario)
-    hi = outcome.endpoint_outcomes["hi"]
-    cold = solve(scenario, "hi")
-    assert (hi.verdict, hi.margin) == (cold.verdict, cold.margin)
-    assert hi.endpoint == "hi"
-    _assert_evidence_holds(hi, scenario, "hi")
+def test_settled_check_points_equal_cold_solves(scenario):
+    box, _, _ = feasibility._margin_lp(scenario, feasibility._box(scenario))
+    margins = []
+    for point in feasibility._check_points(scenario):
+        settled, _, _ = feasibility._margin_lp(scenario, point, box)
+        cold, _, _ = feasibility._margin_lp(scenario, point)
+        assert settled.objective == cold.objective
+        margins.append(cold.objective)
+    verdict = solve_robust(scenario).verdict
+    if box.objective:
+        assert verdict == INFEASIBLE
+    else:
+        assert verdict == (INDETERMINATE if any(margins) else FEASIBLE)
 
 
 def _counting_lps(monkeypatch):
@@ -577,39 +648,15 @@ def _counting_lps(monkeypatch):
     return counts
 
 
-def test_hi_falls_back_to_a_cold_solve_when_lo_basis_is_infeasible(monkeypatch):
-    """E(A) = √2/3, E(B) = -√2/3: lo's optimal basis has x_B < 0 at hi."""
-    scenario = make_scenario(
-        ["A", "B"],
-        [
-            (["A"], EQ, parse_and_evaluate("sqrt(2)/3")),
-            (["B"], EQ, parse_and_evaluate("-sqrt(2)/3")),
-        ],
-    )
-    cold = solve(scenario, "hi")
-    counts = _counting_lps(monkeypatch)
-    outcome = solve_robust(scenario)
-    assert counts == [2, 0, 1]
-    hi = outcome.endpoint_outcomes["hi"]
-    assert (hi.verdict, hi.margin, hi.witness) == (cold.verdict, cold.margin, cold.witness)
-    assert outcome.verdict == FEASIBLE
-
-
 def test_planted_wide_document_decides_with_one_lp(monkeypatch):
-    import sys
-    from pathlib import Path
-
     from contextuality_kit.cli import scenario_from_document
-
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-    import reference
 
     scenario = scenario_from_document(reference.wide_document(1, 5, True))
     counts = _counting_lps(monkeypatch)
     outcome = solve_robust(scenario)
     assert outcome.verdict == INFEASIBLE
-    assert counts == [1, 1, 0]
-    assert outcome.endpoint_outcomes["hi"].margin == solve(scenario, "hi").margin
+    assert counts == [1, 0, 0]
+    assert outcome.margin == two_phase_margin(scenario)
 
 
 _read_out = feasibility._certificate_from_duals
@@ -629,7 +676,7 @@ def _zero_normalization(certificate, pick):
 _TAMPERS = {"negate-one": _negate_one, "zero-z0": _zero_normalization}
 
 
-def _solve_with_tampered_read_out(scenario, endpoint, tamper, pick=0):
+def _solve_with_tampered_read_out(scenario, tamper, pick=0):
     """``solve`` with the dual read-out tampered: (outcome or None, tampered z)."""
     tampered = []
 
@@ -640,7 +687,7 @@ def _solve_with_tampered_read_out(scenario, endpoint, tamper, pick=0):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(feasibility, "_certificate_from_duals", read_out)
         try:
-            outcome = solve(scenario, endpoint)
+            outcome = solve(scenario)
         except AssertionError as error:
             assert "certificate" in str(error)
             outcome = None
@@ -650,7 +697,7 @@ def _solve_with_tampered_read_out(scenario, endpoint, tamper, pick=0):
 @pytest.mark.parametrize("tamper", sorted(_TAMPERS))
 @pytest.mark.parametrize("scenario", [ghz_scenario, bell_scenario], ids=["ghz", "bell"])
 def test_tampered_dual_read_out_makes_solve_raise(scenario, tamper):
-    outcome, tampered = _solve_with_tampered_read_out(scenario(), "lo", tamper)
+    outcome, tampered = _solve_with_tampered_read_out(scenario(), tamper)
     assert outcome is None  # solve raised
     assert len(tampered) == 1
 
@@ -658,18 +705,92 @@ def test_tampered_dual_read_out_makes_solve_raise(scenario, tamper):
 @settings(deadline=None, max_examples=150)
 @given(
     relaxed_scenarios(),
-    st.sampled_from(["lo", "hi"]),
+    st.sampled_from(["box", "lo", "hi"]),
     st.sampled_from(sorted(_TAMPERS)),
     st.integers(min_value=0, max_value=5),
 )
 @example(_CRASH_CASES["infeasible-ghz"][0], "lo", "negate-one", 4)
 def test_tampered_dual_read_out_never_leaves_solve_unverified(scenario, endpoint, tamper, pick):
-    outcome, tampered = _solve_with_tampered_read_out(scenario, endpoint, tamper, pick)
-    if not tampered:  # feasible: the read-out never ran
-        assert outcome.verdict == FEASIBLE
+    if endpoint != "box":
+        scenario = corner(scenario, endpoint)
+    outcome, tampered = _solve_with_tampered_read_out(scenario, tamper, pick)
+    if not tampered:  # t = 0: the read-out never ran
+        assert outcome.verdict in (FEASIBLE, INDETERMINATE)
         return
     (certificate,) = tampered
-    if verify_certificate(scenario, certificate, endpoint):
+    if verify_certificate(scenario, certificate):
         assert outcome.certificate == certificate
     else:
         assert outcome is None
+
+
+# --- every verdict holds over the whole target box -----------------------------
+
+
+@st.composite
+def bracketed_scenarios(draw):
+    """Equality targets bracketed around rational centres, on 1 to 3 variables."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    subsets = [s for s in _SUBSETS if set(s) <= set(_VARIABLES[:n])]
+    chosen = draw(st.lists(st.sampled_from(subsets), unique_by=tuple, min_size=1, max_size=5))
+    constraints = []
+    for s in chosen:
+        centre = draw(st.fractions(min_value=-1, max_value=1, max_denominator=8))
+        half = draw(st.sampled_from([0, Fraction(1, 16), Fraction(1, 8), Fraction(1, 4)]))
+        constraints.append((s, EQ, ScalarInterval(centre - half, centre + half)))
+    return make_scenario(_VARIABLES[:n], constraints)
+
+
+def _document_at(scenario, values):
+    """The scenario as a document, each target at the given rational value."""
+    return {
+        "variables": list(scenario.space.variables),
+        "constraints": [
+            {"moment": list(c.subset), "relation": EQ, "value": str(value)}
+            for c, value in zip(scenario.constraints, values)
+        ],
+    }
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    bracketed_scenarios(),
+    st.lists(st.fractions(min_value=0, max_value=1, max_denominator=12), min_size=5, max_size=5),
+)
+@example(reproducer_1(), [Fraction(0)] * 5)
+def test_verdicts_hold_over_the_whole_box(scenario, positions):
+    """Certificates are checked by the benchmark's own arithmetic, corners by phase 1."""
+    outcome = solve_robust(scenario)
+    targets = [c.target for c in scenario.constraints]
+    if outcome.verdict == INFEASIBLE:
+        inside = [t.lo + u * t.width for t, u in zip(targets, positions)]
+        for values in ([t.lo for t in targets], [t.hi for t in targets], inside):
+            document = _document_at(scenario, values)
+            assert reference.certificate_holds(document, list(outcome.certificate))
+    elif outcome.verdict == FEASIBLE:
+        for ends in product(("lo", "hi"), repeat=len(targets)):
+            values = [getattr(t, end) for t, end in zip(targets, ends)]
+            point = make_scenario(
+                scenario.space.variables,
+                [(c.subset, EQ, v) for c, v in zip(scenario.constraints, values)],
+            )
+            assert _feasible_at(point)[0]
+
+
+def test_check_points_settle_from_the_box_basis_or_solve_cold(monkeypatch):
+    # E(AB) = √2/2: the box optimum's basis stays feasible at both check points.
+    counts = _counting_lps(monkeypatch)
+    scenario = make_scenario(["A", "B"], [(["A", "B"], EQ, parse_and_evaluate("sqrt(2)/2"))])
+    assert solve_robust(scenario).verdict == FEASIBLE
+    assert counts == [1, 2, 0]
+    # E(A) = √2/3, E(B) = -√2/3: it is infeasible at all four, each solved cold.
+    counts[:] = [0, 0, 0]
+    scenario = make_scenario(
+        ["A", "B"],
+        [
+            (["A"], EQ, parse_and_evaluate("sqrt(2)/3")),
+            (["B"], EQ, parse_and_evaluate("-sqrt(2)/3")),
+        ],
+    )
+    assert solve_robust(scenario).verdict == FEASIBLE
+    assert counts == [5, 0, 4]

@@ -53,7 +53,7 @@ SAMPLES = {
     feasibility.MomentConstraint: lambda: feasibility.MomentConstraint(("A",), "eq", INTERVAL),
     feasibility.Scenario: lambda: feasibility.Scenario(SPACE, (CONSTRAINT,), title="one"),
     feasibility.FeasibilityOutcome: lambda: feasibility.FeasibilityOutcome(
-        feasibility.FEASIBLE, "lo", MEASURE, margin=F(0)
+        feasibility.FEASIBLE, MEASURE, margin=F(0)
     ),
     feasibility.GridMismatch: lambda: feasibility.GridMismatch(F(0), F(1), True, False),
     feasibility.GridAgreementReport: lambda: feasibility.GridAgreementReport(3, (MISMATCH,)),

@@ -40,7 +40,7 @@ from contextuality_kit.event_space import build_space, moment_coefficients, sign
 from contextuality_kit.feasibility import EQ, FEASIBLE, INFEASIBLE, make_scenario
 from contextuality_kit.measures import AtomMeasure, expectation
 from contextuality_kit.numerics import parse_and_evaluate
-from test_feasibility import relaxed_scenarios
+from test_feasibility import corner, relaxed_scenarios
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import reference  # noqa: E402
@@ -100,9 +100,9 @@ def assert_same_path(costs, columns, rhs, basis, characters=None):
 def routed():
     """Route every kit LP through the kit and a reference; yields the LP counter.
 
-    A margin LP settled from another endpoint's basis counts as that
-    endpoint's LP: it is checked for the reference's optimal value and
-    for nonnegative reduced costs, the proof that its basis is optimal.
+    A margin LP settled from another optimum's basis counts as its own
+    LP: it is checked for the reference's optimal value and for
+    nonnegative reduced costs, the proof that its basis is optimal.
     """
     count = [0]
     solved = {}
@@ -222,10 +222,9 @@ def singles_plus_pairs(n: int, seed: int, planted: bool):
 def test_singles_plus_pairs_match_reference(compared, n, seed, planted):
     outcome = feasibility.solve_robust(singles_plus_pairs(n, seed, planted))
     assert outcome.verdict == (INFEASIBLE if planted else FEASIBLE)
-    # One margin LP per endpoint (solved, or settled from lo's basis):
-    # planted systems have bracketed targets and decide at both
-    # endpoints, feasible ones at lo.
-    assert compared[0] == (2 if planted else 1)
+    # One margin LP over the target box decides both: planted systems
+    # are infeasible over their whole brackets, feasible ones rational.
+    assert compared[0] == 1
 
 
 # --- the revised margin LP against the dense tableau ---------------------------
@@ -234,9 +233,10 @@ def test_singles_plus_pairs_match_reference(compared, n, seed, planted):
 @settings(deadline=None, max_examples=150)
 @given(relaxed_scenarios(), st.sampled_from(["lo", "hi"]))
 def test_margin_lp_path_matches_dense_reference(scenario, endpoint):
-    with routed() as count:
-        feasibility.margin(scenario, endpoint)
-    assert count[0] == 1
+    for point in (scenario, corner(scenario, endpoint)):
+        with routed() as count:
+            feasibility.margin(point)
+        assert count[0] == 1
 
 
 @pytest.mark.parametrize("planted", [False, True], ids=["feasible", "planted"])
@@ -256,8 +256,8 @@ def test_wide_document_path_matches_dense_reference(monkeypatch, n, planted, end
         return solved[-1]
 
     monkeypatch.setattr(simplex, "solve_from_basis", checked)
-    scenario = scenario_from_document(reference.wide_document(3, n, planted))
-    outcome = feasibility.solve(scenario, endpoint)
+    scenario = corner(scenario_from_document(reference.wide_document(3, n, planted)), endpoint)
+    outcome = feasibility.solve(scenario)
     assert outcome.verdict == (INFEASIBLE if planted else FEASIBLE)
     assert len(solved) == 1
 
