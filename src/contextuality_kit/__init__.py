@@ -12,8 +12,8 @@ Importing the package loads only the decision path: ``errors``,
 ``closed_form``, ``quantum`` and ``set_functions``, and the names below
 that come from them, are loaded on first access (PEP 562), so a
 ``check`` process never reads them.  Neither does it read ``sweep``,
-the dense two-phase tableau behind grid sweeps, nor ``commands``, the
-CLI's other subcommands.
+the phase-1 tableau behind grid sweeps, nor ``commands``, the CLI's
+other subcommands.
 """
 
 __version__ = "0.1.0"

@@ -63,11 +63,13 @@ def _check_witness_kind(scenario: Scenario, report: dict) -> tuple[int, dict]:
     report["verdict"] = "witness-constructed"
     report["witness"] = witness.atom_measure.to_json_dict()
     report["set_function"] = witness.set_function.to_json_dict()
-    report["trace"] = [
-        {"check": r.description, "satisfied": r.satisfied, "detail": r.detail}
-        for r in witness.trace
-    ]
+    report["trace"] = _trace_json(witness.trace)
     return EXIT_PASS, report
+
+
+def _trace_json(trace) -> list[dict]:
+    """A closed form's check records, as report entries."""
+    return [{"check": r.description, "satisfied": r.satisfied, "detail": r.detail} for r in trace]
 
 
 def _ghz_witness_pattern(scenario: Scenario) -> bool:
@@ -275,10 +277,7 @@ def _cmd_upper_bell(args) -> tuple[int, dict]:
     report["verdict"] = "solution"
     report["conditionals"] = _conditionals_json(solution.conditionals)
     report["atom_uppers"] = solution.atom_uppers.to_json_dict()
-    report["trace"] = [
-        {"check": r.description, "satisfied": r.satisfied, "detail": r.detail}
-        for r in solution.trace
-    ]
+    report["trace"] = _trace_json(solution.trace)
     return EXIT_PASS, report
 
 
@@ -298,10 +297,7 @@ def _witness_report(command: str, witness: closed_form.GhzWitness) -> dict:
             for v in witness.atom_measure.space.variables
         },
     }
-    report["trace"] = [
-        {"check": r.description, "satisfied": r.satisfied, "detail": r.detail}
-        for r in witness.trace
-    ]
+    report["trace"] = _trace_json(witness.trace)
     monotonicity = check_monotonicity(witness.set_function)
     report["monotonicity_violations"] = [
         {
@@ -349,6 +345,8 @@ def _cmd_upper_ghz(args) -> tuple[int, dict]:
 def _cmd_quantum(args) -> tuple[int, dict]:
     from . import quantum
 
+    if args.angle_degrees is not None and not math.isfinite(args.angle_degrees):
+        raise ScenarioError("--angle-degrees must be a finite number")
     report = _base_report(
         "quantum", {"state": args.state, "angle_degrees": args.angle_degrees}
     )

@@ -65,10 +65,6 @@ class MomentConstraint(Record):
             raise ScenarioError(f"unknown relation {relation!r}")
         self._set(subset, relation, target)
 
-    @classmethod
-    def eq(cls, subset: Sequence[str], value) -> "MomentConstraint":
-        return cls(tuple(subset), EQ, as_interval(value))
-
     def describe(self) -> str:
         rel = {EQ: "=", LE: "<=", GE: ">="}[self.relation]
         return f"E({''.join(self.subset)}) {rel} {self.target}"
@@ -477,10 +473,16 @@ class GridAgreementReport(Record):
         return not self.mismatches
 
 
+#: Most steps per axis; :func:`uniform_grid` builds every point up front.
+MAX_GRID_STEPS = 401
+
+
 def uniform_grid(steps: int) -> list[tuple[Fraction, Fraction]]:
     """(steps x steps) rational grid over [0,1]²; includes both endpoints."""
     if steps < 2:
         raise ValueError("grid needs at least 2 steps per axis")
+    if steps > MAX_GRID_STEPS:
+        raise ValueError(f"grid allows at most {MAX_GRID_STEPS} steps per axis, got {steps}")
     axis = [Fraction(i, steps - 1) for i in range(steps)]
     return [(p, q) for p in axis for q in axis]
 

@@ -17,9 +17,8 @@ nonzero or it is not.
   still primal-feasible there.
 
 The integer rows, the pivot and the ratio test are shared with
-:mod:`.sweep`, which keeps the dense two-phase tableau
-(``sweep.solve_lp``) for grid sweeps' cold solves and for the tests'
-independent cross-check.  No decision runs it; ``solve_lp`` is still
+:mod:`.sweep`, whose dense phase-1 tableau (``sweep.solve_lp``) runs
+grid sweeps' cold solves.  No decision runs it; ``solve_lp`` is still
 reachable as an attribute of this module, and importing it loads
 :mod:`.sweep`.
 
@@ -102,15 +101,18 @@ def __getattr__(name: str):
 class LpResult(Record):
     """The outcome of one LP solve; unlike the other records, mutable.
 
-    * ``pivots``: pivots taken in phase 1 (including the degenerate
-      pivots that drive artificials out of the basis) and in phase 2;
-      :func:`solve_from_basis` has no phase 1.
+    * ``pivots``: the pivots taken.  For ``sweep.solve_lp`` these
+      include the degenerate pivots that drive artificials out of the
+      basis; for :func:`solve_from_basis` they exclude the pivots that
+      bring the start basis in.
+    * ``x``, ``objective``: on an optimal :func:`solve_from_basis`
+      result, the optimal point and its objective.
     * ``basis``: on an optimal ``sweep.solve_lp`` result, the basic
       column of each row kept after the redundant-row drop.  On an
       optimal :func:`solve_from_basis` result, the basic column of each
       row.
     * ``inverse``: on an optimal :func:`solve_from_basis` or
-      ``sweep.solve_lp(None, …)`` result, row i of B⁻¹, one per entry of
+      ``sweep.solve_lp`` result, row i of B⁻¹, one per entry of
       ``basis``, as (ints, scale) over every original row, so that
       x_B(i) = ints·b / scale; read by :func:`_basic_values`.
     * ``reduced_costs``: on an optimal :func:`solve_from_basis` result,
@@ -134,7 +136,7 @@ class LpResult(Record):
         x: list[Fraction] | None = None,
         objective: Fraction | None = None,
         farkas: list[Fraction] | None = None,
-        pivots: tuple[int, int] = (0, 0),
+        pivots: int = 0,
         basis: tuple[int, ...] | None = None,
         inverse: tuple[tuple[list[int], int], ...] | None = None,
         reduced_costs: list[Fraction] | None = None,
@@ -371,7 +373,7 @@ class _RevisedLp:
             status=OPTIMAL,
             x=x,
             objective=Fraction(-tableau[m][-1], scale),
-            pivots=(0, pivots),
+            pivots=pivots,
             basis=tuple(self.basis),
             inverse=inverse,
             reduced_costs=[Fraction(v, scale) if v else _ZERO for v in reduced],
@@ -416,7 +418,7 @@ def solve_from_basis(
     the objective row's duals each pivot (the character block by
     :func:`_walsh`), and only the entering column is formed.
 
-    ``pivots`` is ``(0, simplex pivots)``; the pivots that bring
+    ``pivots`` counts the simplex pivots; the pivots that bring
     ``basis`` in are not counted.  An optimal result carries ``basis``
     (the basic column of each row) and ``inverse`` for :func:`settle`.
     """
@@ -449,7 +451,7 @@ def solve_from_basis(
                 lp.enter(entering)
                 leaving = _leaving(lp.tableau, lp.basis, m)
         if leaving < 0:
-            return LpResult(status=UNBOUNDED, pivots=(0, pivots))
+            return LpResult(status=UNBOUNDED, pivots=pivots)
         lp.pivot(leaving, entering)
         pivots += 1
 

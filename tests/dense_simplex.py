@@ -1,4 +1,5 @@
-"""The kit's former one-phase solver on the dense integer tableau.
+"""The kit's former one-phase solver on the dense integer tableau, and
+the tests' phase-1 reference decisions.
 
 ``simplex.solve_from_basis`` now keeps only B⁻¹ and prices the atom
 columns with a Walsh–Hadamard transform.  This module keeps the solver
@@ -10,20 +11,107 @@ objective and reduced costs.  The integer pivot, ratio test and pricing
 are the kit's own, pinned against ``fraction_simplex`` in
 ``test_simplex_reference.py``; ``_bring_in``, which places the start
 basis with the kit's pivot, is this module's.
+
+:func:`feasible_at` decides one scenario with the kit's phase 1,
+``sweep.solve_lp``, on the scenario's rows in standard form
+(:func:`to_standard_form`).  It shares no code with
+``feasibility.solve``'s margin LP, so the tests cross-check the
+one-phase verdicts and the closed forms with it.
 """
 
+import math
 from fractions import Fraction
 
+from contextuality_kit.feasibility import _standard_rows
 from contextuality_kit.simplex import (
+    EQ,
+    GE,
+    LE,
     OPTIMAL,
     UNBOUNDED,
     LpResult,
+    _basic_values,
     _bland_entering,
     _leaving,
     _pivot,
+    _reduced,
     _scaled,
 )
-from contextuality_kit.sweep import _basic_point, _priced
+from contextuality_kit.sweep import solve_lp
+
+_ZERO = Fraction(0)
+
+
+def to_standard_form(rows, relations):
+    """Append slack/surplus columns so every row becomes an equality.
+
+    Returns the widened rows and their width.
+    """
+    n = len(rows[0])
+    slack_count = sum(1 for r in relations if r != EQ)
+    total = n + slack_count
+    out_rows = []
+    slack_at = n
+    for row, rel in zip(rows, relations):
+        line = list(row) + [0] * (total - n)
+        if rel == LE:
+            line[slack_at] = 1
+            slack_at += 1
+        elif rel == GE:
+            line[slack_at] = -1
+            slack_at += 1
+        out_rows.append(line)
+    return out_rows, total
+
+
+def phase_one_point(result, rhs, n_vars):
+    """The basic point of an optimal ``sweep.solve_lp`` result, from its inverse."""
+    b, common = _scaled(rhs)
+    x = [_ZERO] * n_vars
+    for col, value, (_, scale) in zip(
+        result.basis, _basic_values(result.inverse, b), result.inverse
+    ):
+        x[col] = Fraction(value, scale * common)
+    return x
+
+
+def feasible_at(scenario):
+    """Whether the kit's phase 1 finds a joint distribution for ``scenario``.
+
+    It decides one target point, so every target must be a point; a
+    bracketed scenario is decided at its corners.
+    """
+    rows, targets, relations = _standard_rows(scenario)
+    if not all(t.is_point for t in targets):
+        raise ValueError("phase 1 decides point targets; pass one corner of the brackets")
+    std_rows, _ = to_standard_form(rows, relations)
+    return solve_lp(std_rows, [t.lo for t in targets]).status == OPTIMAL
+
+
+def _priced(costs, tableau, scales, basis):
+    """Objective row of reduced costs for a basis, and its scale.
+
+    The rows hold the constraint tableau in canonical form for
+    ``basis``; the result is c - Σ c_B(i)·row_i over
+    cost_scale·lcm(row scales), whose right-hand side is -c·x.
+    """
+    cost_ints, cost_scale = _scaled(costs)
+    priced = [i for i in range(len(basis)) if cost_ints[basis[i]]]
+    common = math.lcm(*(scales[i] for i in priced))
+    obj = [c * common for c in cost_ints] + [0]
+    for i in priced:
+        k = cost_ints[basis[i]] * (common // scales[i])
+        obj = [a - k * b if b else a for a, b in zip(obj, tableau[i])]
+    return _reduced(obj, cost_scale * common)
+
+
+def _basic_point(tableau, scales, basis, n_vars):
+    """The structural values of the basic solution, as Fractions."""
+    x = [_ZERO] * n_vars
+    for i, col in enumerate(basis):
+        if col < n_vars:
+            x[col] = Fraction(tableau[i][-1], scales[i])
+    return x
 
 
 def dense_rows(columns, rhs, characters=None):
@@ -104,12 +192,12 @@ def solve_from_basis(costs, rows, rhs, basis) -> LpResult:
     scales.append(obj_scale)
     status, pivots = _run_dantzig(tableau, scales, placed)
     if status == UNBOUNDED:
-        return LpResult(status=UNBOUNDED, pivots=(0, pivots))
+        return LpResult(status=UNBOUNDED, pivots=pivots)
     obj, obj_scale = tableau[m], scales[m]
     return LpResult(
         status=OPTIMAL,
         x=_basic_point(tableau, scales, placed, n_vars),
         objective=Fraction(-obj[-1], obj_scale),
-        pivots=(0, pivots),
+        pivots=pivots,
         reduced_costs=[Fraction(v, obj_scale) if v else Fraction(0) for v in obj[:-1]],
     )

@@ -42,7 +42,6 @@ from contextuality_kit.feasibility import (
 )
 from contextuality_kit.measures import LOWER_ATOMS, AtomMeasure, signed_atom_sum, validate
 from contextuality_kit.set_functions import check_conjugacy
-from contextuality_kit.sweep import _feasible_at
 from contextuality_kit.numerics import parse_and_evaluate
 from contextuality_kit.quantum import (
     ghz_expectations,
@@ -51,6 +50,7 @@ from contextuality_kit.quantum import (
     ghz_state_mermin,
     singlet_correlation,
 )
+from dense_simplex import feasible_at
 
 QTOL = 1e-12
 
@@ -128,7 +128,7 @@ def _fuzz_point_agrees(values) -> bool:
             (["A", "B", "C"], "eq", moments.eABC),
         ],
     )
-    lp_ok, _ = _feasible_at(scenario)
+    lp_ok = feasible_at(scenario)
     return lp_ok == check_ghz_inequalities(moments).passed
 
 

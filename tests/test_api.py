@@ -85,6 +85,15 @@ def test_uniform_grid_needs_two_steps():
         ck.uniform_grid(1)
 
 
+def test_uniform_grid_is_bounded():
+    from contextuality_kit.feasibility import MAX_GRID_STEPS
+
+    assert MAX_GRID_STEPS == 401
+    assert len(ck.uniform_grid(MAX_GRID_STEPS)) == MAX_GRID_STEPS**2
+    with pytest.raises(ValueError, match="at most 401 steps"):
+        ck.uniform_grid(MAX_GRID_STEPS + 1)
+
+
 def test_five_variable_space_scales():
     scenario = ck.make_scenario(
         ["V1", "V2", "V3", "V4", "V5"],

@@ -277,6 +277,15 @@ class TestCheckCommand:
         assert report["oracle"]["grid"]["agree"] is True
         assert report["oracle"]["grid"]["mismatches"] == []
 
+    @pytest.mark.parametrize("steps", ["1", "402", "100000"])
+    def test_oracle_grid_out_of_range_is_input_error(self, steps):
+        code, report = run_json(
+            "check", "--scenario", bundled("ghz.json"), "--oracle", "--grid", steps
+        )
+        assert code == EXIT_USAGE
+        assert report["verdict"] == "input-error"
+        assert "steps per axis" in report["error"]
+
     def test_report_round_trip(self, tmp_path):
         _, first = run_json("check", "--scenario", bundled("ghz.json"))
         echo_path = tmp_path / "echo.json"
@@ -388,6 +397,13 @@ class TestOtherCommands:
         mermin = report["states"]["mermin"]["expectations"]
         assert abs(mermin["D"]["value"] + 1) < 1e-9
         assert report["singlet"]["exact_form"] == "-1/2*sqrt(3)"
+
+    @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+    def test_quantum_rejects_a_non_finite_angle(self, angle):
+        code, report = run_json("quantum", f"--angle-degrees={angle}")
+        assert code == EXIT_USAGE
+        assert report["verdict"] == "input-error"
+        assert report["error"] == "--angle-degrees must be a finite number"
 
 
 class TestWitnessCommandsAndValidate:

@@ -27,8 +27,8 @@ from contextuality_kit.event_space import build_space, moment_coefficients, sign
 from contextuality_kit.feasibility import FEASIBLE, make_scenario, solve
 from contextuality_kit.measures import LOWER_ATOMS, AtomMeasure, signed_atom_sum, validate
 from contextuality_kit.set_functions import check_conjugacy, check_monotonicity
-from contextuality_kit.sweep import _feasible_at
 from contextuality_kit.numerics import parse_and_evaluate
+from dense_simplex import feasible_at
 
 
 def _lp_feasible(moments: GhzMoments) -> bool:
@@ -291,7 +291,7 @@ class TestBellConditionals:
                     (["Y", "Z"], "eq", moments.eyz.lo),
                 ],
             )
-            lp, _ = _feasible_at(scenario)
+            lp = feasible_at(scenario)
             assert (outcome.status == SOLUTION) == lp
             assert expect_joint is None or lp == expect_joint
             outcomes.add((outcome.status, outcome.failed_stage))

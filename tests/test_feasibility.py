@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from contextuality_kit import closed_form, feasibility, simplex, sweep
+import fraction_simplex
+from contextuality_kit import closed_form, feasibility, simplex
 from contextuality_kit.errors import CertificateError, ScenarioError
 from contextuality_kit.event_space import moment_coefficients
 from contextuality_kit.feasibility import (
@@ -30,7 +31,7 @@ from contextuality_kit.feasibility import (
 )
 from contextuality_kit.measures import signed_atom_sum, validate
 from contextuality_kit.numerics import ScalarInterval, parse_and_evaluate
-from contextuality_kit.sweep import _feasible_at
+from dense_simplex import feasible_at
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import reference  # noqa: E402
@@ -364,7 +365,7 @@ class TestGridOracle:
 def cold_grid_61():
     """Cold phase-1 verdict at every point of uniform_grid(61)."""
     return {
-        point: _feasible_at(ghz_symmetric_scenario(*point))[0]
+        point: feasible_at(ghz_symmetric_scenario(*point))
         for point in uniform_grid(61)
     }
 
@@ -399,7 +400,7 @@ def test_oracle_lists_a_disagreeing_point(monkeypatch):
         return result
 
     monkeypatch.setattr(closed_form, "check_ghz_inequalities", flipped)
-    lp_feasible, _ = _feasible_at(ghz_symmetric_scenario(p, q))
+    lp_feasible = feasible_at(ghz_symmetric_scenario(p, q))
     report = oracle_grid_agreement(points)
     assert report.total == len(points)
     assert report.mismatches == (GridMismatch(p, q, lp_feasible, not lp_feasible),)
@@ -462,7 +463,7 @@ def test_enlarging_interval_never_turns_feasible_into_infeasible(center, widen):
 
 
 def two_phase_margin(scenario):
-    """The relaxed margin LP over the target box, solved by two-phase simplex.
+    """The relaxed margin LP over the target box, solved by the Fraction two-phase simplex.
 
     Columns: the atoms, t, then one slack per one-sided row.  An
     equality target gives the rows moment - t <= hi and moment + t >= lo;
@@ -486,7 +487,7 @@ def two_phase_margin(scenario):
         rhs.append(target)
     costs = [0] * width
     costs[n] = 1
-    result = sweep.solve_lp(costs, rows, rhs)
+    result = fraction_simplex.solve_lp(costs, rows, rhs)
     assert result.status == simplex.OPTIMAL
     return result.objective
 
@@ -595,7 +596,7 @@ def test_crash_violations_follow_the_moment_characters(subset):
 def test_one_lp_decision_matches_phase_1_and_two_phase_margin(scenario, endpoint):
     scenario = corner(scenario, endpoint)
     outcome = solve(scenario)
-    feasible, _ = _feasible_at(scenario)
+    feasible = feasible_at(scenario)
     assert outcome.verdict == (FEASIBLE if feasible else INFEASIBLE)
     assert outcome.margin == two_phase_margin(scenario)
     if feasible:
@@ -774,7 +775,7 @@ def test_verdicts_hold_over_the_whole_box(scenario, positions):
                 scenario.space.variables,
                 [(c.subset, EQ, v) for c, v in zip(scenario.constraints, values)],
             )
-            assert _feasible_at(point)[0]
+            assert feasible_at(point)
 
 
 def test_check_points_settle_from_the_box_basis_or_solve_cold(monkeypatch):

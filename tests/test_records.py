@@ -49,7 +49,7 @@ SAMPLES = {
     ),
     set_functions.ConjugacyViolation: lambda: set_functions.ConjugacyViolation(MASK, F(1), F(0)),
     set_functions.ConjugacyReport: lambda: set_functions.ConjugacyReport(1, False, (CONJUGACY,)),
-    simplex.LpResult: lambda: simplex.LpResult(simplex.OPTIMAL, [F(1)], F(0), pivots=(1, 2)),
+    simplex.LpResult: lambda: simplex.LpResult(simplex.OPTIMAL, [F(1)], F(0), pivots=3),
     feasibility.MomentConstraint: lambda: feasibility.MomentConstraint(("A",), "eq", INTERVAL),
     feasibility.Scenario: lambda: feasibility.Scenario(SPACE, (CONSTRAINT,), title="one"),
     feasibility.FeasibilityOutcome: lambda: feasibility.FeasibilityOutcome(

@@ -3,27 +3,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import fraction_simplex
 from contextuality_kit import simplex, sweep
-
-
-def test_simple_optimum():
-    # min x + 2y  s.t.  x + y = 1
-    result = sweep.solve_lp([1, 2], [[1, 1]], [1])
-    assert result.status == simplex.OPTIMAL
-    assert result.x == [Fraction(1), Fraction(0)]
-    assert result.objective == 1
+from dense_simplex import phase_one_point
 
 
 def test_degenerate_equalities():
     # x = 1 stated twice plus x + y = 1: consistent, y forced to 0
-    result = sweep.solve_lp([0, 1], [[1, 0], [1, 0], [1, 1]], [1, 1, 1])
+    rows, rhs = [[1, 0], [1, 0], [1, 1]], [1, 1, 1]
+    result = sweep.solve_lp(rows, rhs)
     assert result.status == simplex.OPTIMAL
-    assert result.x == [Fraction(1), Fraction(0)]
+    assert len(result.basis) == 2  # the repeated row is dropped
+    assert phase_one_point(result, rhs, 2) == [Fraction(1), Fraction(0)]
 
 
 def test_infeasible_with_farkas():
     # x + y = 1 and x + y = 2 cannot both hold
-    result = sweep.solve_lp(None, [[1, 1], [1, 1]], [1, 2])
+    result = sweep.solve_lp([[1, 1], [1, 1]], [1, 2])
     assert result.status == simplex.INFEASIBLE
     y = result.farkas
     # direct re-verification: combined coefficients <= 0, combined rhs > 0
@@ -34,27 +30,23 @@ def test_infeasible_with_farkas():
 
 def test_negative_rhs_flip():
     # -x = -3 is x = 3
-    result = sweep.solve_lp(None, [[-1]], [-3])
+    result = sweep.solve_lp([[-1]], [-3])
     assert result.status == simplex.OPTIMAL
-    assert result.x == [Fraction(3)]
-
-
-def test_unbounded():
-    result = sweep.solve_lp([-1, 0], [[0, 1]], [1])
-    assert result.status == simplex.UNBOUNDED
+    assert phase_one_point(result, [-3], 1) == [Fraction(3)]
 
 
 def test_feasibility_only_returns_bfs():
-    result = sweep.solve_lp(None, [[1, 1, 1]], [1])
+    result = sweep.solve_lp([[1, 1, 1]], [1])
     assert result.status == simplex.OPTIMAL
-    assert sum(result.x) == 1
-    assert all(v >= 0 for v in result.x)
+    x = phase_one_point(result, [1], 3)
+    assert sum(x) == 1
+    assert all(v >= 0 for v in x)
 
 
 def test_exact_fractions_survive():
-    # min z  s.t.  3z = 1  -> z = 1/3 exactly
-    result = sweep.solve_lp([1], [[3]], [1])
-    assert result.x == [Fraction(1, 3)]
+    # 3z = 1  -> z = 1/3 exactly
+    result = sweep.solve_lp([[3]], [1])
+    assert phase_one_point(result, [1], 1) == [Fraction(1, 3)]
 
 
 _small = st.integers(min_value=-3, max_value=3)
@@ -68,12 +60,13 @@ _small = st.integers(min_value=-3, max_value=3)
 def test_farkas_certificates_always_verify(rows, rhs):
     m = min(len(rows), len(rhs))
     rows, rhs = rows[:m], rhs[:m]
-    result = sweep.solve_lp(None, rows, rhs)
+    result = sweep.solve_lp(rows, rhs)
     if result.status == simplex.OPTIMAL:
         # solution satisfies every row exactly
+        x = phase_one_point(result, rhs, 3)
         for row, b in zip(rows, rhs):
-            assert sum(Fraction(c) * v for c, v in zip(row, result.x)) == b
-        assert all(v >= 0 for v in result.x)
+            assert sum(Fraction(c) * v for c, v in zip(row, x)) == b
+        assert all(v >= 0 for v in x)
     else:
         assert result.status == simplex.INFEASIBLE
         y = result.farkas
@@ -129,7 +122,7 @@ def test_solve_from_basis_terminates_on_beale_cycling_example():
     result = simplex.solve_from_basis(costs, _columns(rows), rhs, [0, 1, 2])
     assert result.status == simplex.OPTIMAL
     assert result.objective == Fraction(-5, 4)
-    assert result.objective == sweep.solve_lp(costs, rows, rhs).objective
+    assert result.objective == fraction_simplex.solve_lp(costs, rows, rhs).objective
 
 
 @pytest.mark.parametrize("bits", [0, 1, 2, 3, 5])
@@ -173,7 +166,7 @@ def test_settle_reuses_an_optimal_basis_or_declines():
 
 
 def _cold_statuses(rows, rhs_list):
-    return [sweep.solve_lp(None, rows, rhs).status for rhs in rhs_list]
+    return [sweep.solve_lp(rows, rhs).status for rhs in rhs_list]
 
 
 def _counting_solve_lp(monkeypatch):
@@ -195,7 +188,7 @@ def test_solve_many_rechecks_dropped_rows():
     # then fails: the sweep must not call that point feasible.
     rows = [[1, 1], [1, 1]]
     rhs_list = [[1, 1], [1, 2], [2, 2]]
-    first = sweep.solve_lp(None, rows, rhs_list[0])
+    first = sweep.solve_lp(rows, rhs_list[0])
     assert len(first.basis) == 1
     assert sweep.solve_many(rows, rhs_list) == [
         simplex.OPTIMAL,
@@ -265,15 +258,20 @@ def test_phase_one_inverse_reproduces_the_basic_values(problem):
     rows, x0, combination = problem
     rows = rows + [[sum(c * row[j] for c, row in zip(combination, rows)) for j in range(4)]]
     rhs = [sum(a * x for a, x in zip(row, x0)) for row in rows]
-    result = sweep.solve_lp(None, rows, rhs)
+    result = sweep.solve_lp(rows, rhs)
     assert result.status == simplex.OPTIMAL
     assert len(result.inverse) == len(result.basis)
     assert all(len(line) == len(rows) for line, _ in result.inverse)
-    b, common = simplex._scaled(rhs)
-    values = simplex._basic_values(result.inverse, b)
-    assert [
-        Fraction(v, scale * common) for v, (_, scale) in zip(values, result.inverse)
-    ] == [result.x[c] for c in result.basis]
+    # Row r of the inverse times the basic columns is scale_r·e_r, and
+    # B⁻¹b, padded with zeros, satisfies every row, the redundant one too.
+    for r, (line, scale) in enumerate(result.inverse):
+        assert [
+            sum(v * row[col] for v, row in zip(line, rows)) for col in result.basis
+        ] == [scale if k == r else 0 for k in range(len(result.basis))]
+    x = phase_one_point(result, rhs, 4)
+    assert all(v >= 0 for v in x)
+    for row, value in zip(rows, rhs):
+        assert sum(a * v for a, v in zip(row, x)) == value
 
 
 def _ghz_rows_and_rhs():

@@ -1,10 +1,11 @@
 """The kit's simplex solvers against their former implementations.
 
 ``fraction_simplex`` is the kit's former two-phase solver, one Fraction
-per tableau cell.  Both follow Bland's rule on the same rational
-tableau, so every LP must come back with the same status, point,
-objective, Farkas multipliers and pivot counts.  Equal pivot counts are
-the direct evidence that the pivot sequence did not change.
+per tableau cell.  Its phase 1 and the kit's, ``sweep.solve_lp``,
+follow Bland's rule on the same rational tableau, so every system must
+come back with the same status, basic point, Farkas multipliers and
+phase-1 pivot count.  Equal pivot counts are the direct evidence that
+the pivot sequence did not change.
 
 ``dense_simplex`` is the former one-phase solver on the dense integer
 tableau.  The revised, Walsh-priced ``simplex.solve_from_basis`` must
@@ -50,8 +51,6 @@ import reference  # noqa: E402
 DECIDED = (EXIT_PASS, EXIT_VIOLATION, EXIT_INDETERMINATE)
 
 
-def fields(result):
-    return (result.status, result.x, result.objective, result.farkas, result.pivots)
 
 
 def path_fields(result):
@@ -64,10 +63,13 @@ _solve_from_basis = simplex.solve_from_basis
 _settle = simplex.settle
 
 
-def assert_same(costs, rows, rhs, n_vars=None):
-    got = _solve_lp(costs, rows, rhs, n_vars)
-    want = fraction_simplex.solve_lp(costs, rows, rhs, n_vars)
-    assert fields(got) == fields(want)
+def assert_same(rows, rhs):
+    """The kit's phase 1 gives the Fraction reference's phase-1 outcome."""
+    got = _solve_lp(rows, rhs)
+    want = fraction_simplex.solve_lp(None, rows, rhs)
+    assert (got.status, got.farkas, got.pivots) == (want.status, want.farkas, want.pivots[0])
+    if got.status == simplex.OPTIMAL:
+        assert dense_simplex.phase_one_point(got, rhs, len(rows[0])) == want.x
     return got
 
 
@@ -107,9 +109,9 @@ def routed():
     count = [0]
     solved = {}
 
-    def checked(costs, rows, rhs, n_vars=None):
+    def checked(rows, rhs):
         count[0] += 1
-        return assert_same(costs, rows, rhs, n_vars)
+        return assert_same(rows, rhs)
 
     def checked_from_basis(costs, columns, rhs, basis, characters=None):
         count[0] += 1
@@ -160,28 +162,27 @@ def small_systems(draw):
         factor = draw(st.sampled_from([1, -1, 2, Fraction(1, 2)]))
         rows.append([factor * v for v in rows[k]])
         rhs.append(factor * rhs[k])
-    costs = draw(st.one_of(st.none(), st.lists(_entry, min_size=n, max_size=n)))
-    return costs, rows, rhs
+    return rows, rhs
 
 
 @settings(deadline=None, max_examples=300)
 @given(small_systems())
-@example((None, [[1, 0], [1, 0], [1, 1]], [1, 1, 1]))  # redundant, degenerate
-@example(([0, 1], [[1, 1], [1, -1]], [0, 0]))  # all right-hand sides zero
-@example((None, [[-1, 2]], [-3]))  # negative right-hand side
-@example(([-1, 0], [[0, 1]], [1]))  # unbounded
-@example((None, [[1, 1], [1, 1]], [1, 2]))  # infeasible
-@example(([1], [[3]], [Fraction(1, 3)]))  # rational optimum
+@example(([[1, 0], [1, 0], [1, 1]], [1, 1, 1]))  # redundant, degenerate
+@example(([[1, 1], [1, -1]], [0, 0]))  # all right-hand sides zero
+@example(([[-1, 2]], [-3]))  # negative right-hand side
+@example(([[1, 1], [1, 1]], [1, 2]))  # infeasible
+@example(([[3]], [Fraction(1, 3)]))  # rational point
 def test_small_systems_match_reference(system):
-    costs, rows, rhs = system
-    assert_same(costs, rows, rhs)
+    assert_same(*system)
 
 
 def test_unbounded_and_degenerate_cases_are_reached():
-    assert assert_same([-1, 0], [[0, 1]], [1]).status == simplex.UNBOUNDED
-    degenerate = assert_same([0, 1], [[1, 0], [1, 0], [1, 1]], [1, 1, 1])
+    # Phase 1 is bounded below, so the unbounded case is the one-phase solve's.
+    unbounded = assert_same_path([-1, 0], [{}, {0: 1}], [1], [1])
+    assert unbounded.status == simplex.UNBOUNDED
+    degenerate = assert_same([[1, 0], [1, 0], [1, 1]], [1, 1, 1])
     assert degenerate.status == simplex.OPTIMAL
-    assert degenerate.pivots[0] >= 2
+    assert degenerate.pivots >= 2
 
 
 # --- singles-plus-pairs systems ----------------------------------------------
@@ -296,15 +297,25 @@ def _permutation_average(space, values):
     return tuple(averaged)
 
 
+def _integer_two_phase(costs, rows, rhs, width):
+    """The kit's phase 1 for a start basis, then its one-phase simplex."""
+    start = _solve_lp(rows, rhs)
+    assert len(start.basis) == len(rows)
+    columns = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(width)]
+    return _solve_from_basis(costs, columns, rhs, list(start.basis))
+
+
 @pytest.mark.parametrize(
-    "solver", [_solve_lp, fraction_simplex.solve_lp], ids=["integer", "fraction"]
+    "solver", [_integer_two_phase, fraction_simplex.solve_lp], ids=["integer", "fraction"]
 )
 def test_upper_ghz_witness_is_the_symmetrized_min_mass_optimum(solver):
     """The hard-coded ``upper-ghz`` witness is the LP's symmetrized optimum.
 
     Minimize the total atom mass subject to each +1 sign event summing to
     at least 1, the atom-level product expectation -1 and total mass at
-    least 1, then average the optimum over variable permutations.
+    least 1, then average the optimum over variable permutations.  The
+    ``integer`` case runs the kit's two solvers in turn: phase 1 finds a
+    feasible basis, and the revised simplex optimizes from it.
     """
     space = build_space(["A", "B", "C"])
     rows = [
@@ -313,7 +324,7 @@ def test_upper_ghz_witness_is_the_symmetrized_min_mass_optimum(solver):
     ]
     rows += [moment_coefficients(space, space.variables), [1] * space.atom_count]
     relations = [simplex.GE] * 3 + [simplex.EQ, simplex.GE]
-    std_rows, width = sweep.to_standard_form(rows, relations)
+    std_rows, width = dense_simplex.to_standard_form(rows, relations)
     costs = [1] * space.atom_count + [0] * (width - space.atom_count)
     result = solver(costs, std_rows, [1, 1, 1, -1, 1], width)
     assert result.status == simplex.OPTIMAL
@@ -324,7 +335,7 @@ def test_upper_ghz_witness_is_the_symmetrized_min_mass_optimum(solver):
 
 
 def test_standard_form_appends_slack_and_surplus_columns():
-    rows, width = sweep.to_standard_form(
+    rows, width = dense_simplex.to_standard_form(
         [[1, 1], [1, -1], [1, 0]], [simplex.EQ, simplex.LE, simplex.GE]
     )
     assert width == 4
