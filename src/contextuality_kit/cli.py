@@ -227,9 +227,17 @@ def _tolerance(args) -> Fraction:
     text = getattr(args, "bracket_tolerance", None)
     if text is None:
         return DEFAULT_BRACKET_TOLERANCE
-    interval = parse_and_evaluate(text)
-    if not interval.is_point or interval.lo <= 0:
+    tolerance = _parse_rational_flag(text, "--bracket-tolerance")
+    if tolerance <= 0:
         raise ScenarioError("--bracket-tolerance must be a positive rational")
+    return tolerance
+
+
+def _parse_rational_flag(text: str, flag: str) -> Fraction:
+    """The exact rational value of a flag's expression."""
+    interval = parse_and_evaluate(text)
+    if not interval.is_point:
+        raise ScenarioError(f"{flag} must be an exact rational, got {text!r}")
     return interval.lo
 
 

@@ -20,6 +20,7 @@ from .cli import (
     EXIT_VIOLATION,
     _base_report,
     _load_json,
+    _parse_rational_flag,
     _require_list,
     _tolerance,
     load_scenario,
@@ -35,6 +36,7 @@ from .feasibility import (
     solve_robust,
     uniform_grid,
     verify_certificate,
+    violated_constraints,
 )
 from .measures import STANDARD, AtomMeasure, signed_atom_sum, validate
 from .numerics import format_scalar, parse_and_evaluate, scalar_from_string
@@ -146,13 +148,6 @@ def _cmd_margin(args) -> tuple[int, dict]:
     report["margin_approx"] = float(outcome.margin)
     report["verdict"] = outcome.verdict
     return EXIT_OF_VERDICT[outcome.verdict], report
-
-
-def _parse_rational_flag(text: str, flag: str) -> Fraction:
-    interval = parse_and_evaluate(text)
-    if not interval.is_point:
-        raise ScenarioError(f"{flag} must be an exact rational, got {text!r}")
-    return interval.lo
 
 
 def _cmd_construct_symmetric(args) -> tuple[int, dict]:
@@ -358,42 +353,30 @@ def _cmd_quantum(args) -> tuple[int, dict]:
     sections = {}
     for name, factory in states.items():
         values = quantum.ghz_expectations(factory())
-        product = values["A"] * values["B"] * values["C"]
         sections[name] = {
             "expectations": {
-                op: {
-                    "value": v,
-                    "exact_form": quantum.nearest_exact_form(v),
-                }
+                op: {"value": float(v), "exact_form": format_scalar(v)}
                 for op, v in values.items()
             },
-            "product_relation_holds": abs(product + values["D"]) <= 1e-9,
+            "product_relation_holds": values["A"] * values["B"] * values["C"] == -values["D"],
         }
     report["states"] = sections
     ops = quantum.ghz_operators()
-    deviation = 0.0
+    holds = True
     for basis in range(ops["D"].dimension):
-        image, phase = basis, 1
+        image, turns = basis, 0
         for name in ("C", "B", "A"):
             image, step = ops[name].apply(image)
-            phase *= step
-        d_image, d_phase = ops["D"].apply(basis)
-        # Column `basis` of A·B·C + D: one entry when the images agree,
-        # otherwise two entries of modulus 1.
-        column = abs(phase + d_phase) if image == d_image else 1.0
-        deviation = max(deviation, column)
-    report["operator_identity"] = {
-        "statement": "A·B·C = -D as 8x8 matrices",
-        "max_entry_deviation": deviation,
-        "holds": deviation <= quantum.TOLERANCE,
-    }
+            turns += step
+        d_image, d_turns = ops["D"].apply(basis)
+        # A·B·C|basis> = -D|basis>: the same image, phases i^2 apart.
+        holds = holds and image == d_image and (turns - d_turns) % 4 == 2
+    report["operator_identity"] = {"statement": "A·B·C = -D as 8x8 matrices", "holds": holds}
     if args.angle_degrees is not None:
-        theta = math.radians(args.angle_degrees)
-        value = quantum.singlet_correlation(theta)
         report["singlet"] = {
             "angle_degrees": args.angle_degrees,
-            "correlation": value,
-            "exact_form": quantum.nearest_exact_form(value),
+            "correlation": quantum.singlet_correlation(math.radians(args.angle_degrees)),
+            "exact_form": quantum.singlet_exact_form(args.angle_degrees),
         }
     return EXIT_PASS, report
 
@@ -475,13 +458,12 @@ def _witness_moments_result(scenario: Scenario, witness: AtomMeasure) -> dict:
     """Re-check a check report's witness against the report's own input.
 
     Every constraint's atom-level moment must meet its relation within
-    the target's bracket (:meth:`~.feasibility.MomentConstraint.holds`).
+    the target's bracket (:func:`~.feasibility.violated_constraints`).
     """
-    violations = []
-    for c in scenario.constraints:
-        got = signed_atom_sum(witness, c.subset)
-        if not c.holds(got):
-            violations.append(f"{c.describe()}, but the witness gives {format_scalar(got)}")
+    violations = [
+        f"{c.describe()}, but the witness gives {format_scalar(got)}"
+        for c, got in violated_constraints(scenario, witness)
+    ]
     return {
         "type": "witness-moments",
         "kind": scenario.kind,

@@ -214,10 +214,16 @@ def _check_witness(scenario: Scenario, witness: AtomMeasure) -> None:
     report = validate(witness)
     if not report:
         raise AssertionError(f"witness fails validation: {report.violations}")
-    for c in scenario.constraints:
-        got = signed_atom_sum(witness, c.subset)
-        if not c.holds(got):
-            raise AssertionError(f"witness violates {c.describe()}: got {got}")
+    violated = violated_constraints(scenario, witness)
+    if violated:
+        c, got = violated[0]
+        raise AssertionError(f"witness violates {c.describe()}: got {got}")
+
+
+def violated_constraints(scenario: Scenario, witness: AtomMeasure) -> list:
+    """(constraint, moment) for each constraint the witness's atom-level moment misses."""
+    moments = ((c, signed_atom_sum(witness, c.subset)) for c in scenario.constraints)
+    return [(c, got) for c, got in moments if not c.holds(got)]
 
 
 def _box(scenario: Scenario) -> list[tuple[Fraction, Fraction]]:

@@ -1,13 +1,15 @@
-"""Quantum expectations that source the scenario targets.
+"""Quantum expectations that source the scenario targets, in exact arithmetic.
 
 Pauli strings, state-vector expectations, and the two-particle singlet
 correlation, in plain Python.  A Pauli string maps every basis state to
-one basis state times a phase: x flips the particle's bit, z negates
+one basis state times a phase i^k: x flips the particle's bit, z negates
 when the bit is set, and y = i·x·z does both with an extra factor i
 (N. D. Mermin, Am. J. Phys. 58, 731 (1990); D. Gottesman,
-arXiv:quant-ph/9705052).  Amplitudes are floats; the values computed
-here enter the exact solvers only as re-entered exact constants (for
-example ``-sqrt(3)/2``), so no verdict depends on a float.
+arXiv:quant-ph/9705052).  A state is a vector v of Gaussian integers
+standing for v/‖v‖, so every expectation is an exact rational.  The
+singlet correlation -cos θ is a float; its exact form comes from a
+fixed table of cosines written in the expression grammar, never from
+the float.
 
 Basis convention: |+> and |-> are the σ_z eigenstates, the first
 particle is the most significant bit of the basis index, matching the
@@ -17,19 +19,14 @@ atom ordering used by the event spaces.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import cos, fsum, sqrt
+from math import cos, fmod
 
 from ._record import Record
 from .errors import SizeLimitError, SpaceError
 
-TOLERANCE = 1e-12
-
 MAX_PARTICLES = 10
 
 _COMPONENTS = ("i", "x", "y", "z")
-
-#: i^k for k quarter turns.
-_PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
 class SpinOperator(Record):
@@ -44,8 +41,8 @@ class SpinOperator(Record):
     def dimension(self) -> int:
         return 1 << len(self.factors)
 
-    def apply(self, basis: int) -> tuple[int, complex]:
-        """Op|basis> = phase·|image>, returned as (image, phase)."""
+    def apply(self, basis: int) -> tuple[int, int]:
+        """Op|basis> = i^k·|image>, returned as (image, k) with k in 0..3."""
         image = basis
         quarter_turns = 0
         for position, f in enumerate(reversed(self.factors)):
@@ -56,30 +53,34 @@ class SpinOperator(Record):
                 quarter_turns += 1
             if f in ("y", "z") and basis & bit:
                 quarter_turns += 2
-        return image, _PHASES[quarter_turns % 4]
+        return image, quarter_turns % 4
 
-    @property
-    def matrix(self):
-        """Dense numpy matrix of the operator, a reference view only."""
-        import numpy as np
 
-        dense = np.zeros((self.dimension, self.dimension), dtype=complex)
-        for basis in range(self.dimension):
-            image, phase = self.apply(basis)
-            dense[image, basis] = phase
-        return dense
+def _gaussian_integer(value) -> tuple[int, int]:
+    """(re, im) of a Gaussian integer, given as a number or as an (re, im) pair."""
+    try:
+        parts = value if isinstance(value, tuple) else (value.real, value.imag)
+        pair = tuple(int(p) for p in parts)
+    except (AttributeError, TypeError, ValueError, OverflowError):
+        pair = None
+    if pair is None or len(pair) != 2 or pair != parts:
+        raise ValueError(f"amplitude {value!r} is not a Gaussian integer")
+    return pair
 
 
 class StateVector(Record):
-    """Normalized complex amplitudes over 2^k basis states."""
+    """Gaussian-integer amplitudes v over 2^k basis states, standing for v/‖v‖.
+
+    Each amplitude is an int, a complex with integral parts or an (re, im)
+    pair of ints; ``amplitudes`` holds them as (re, im) pairs of ints.
+    """
 
     __slots__ = ("amplitudes",)
 
-    def __init__(self, amplitudes: tuple[complex, ...]):
-        amplitudes = tuple(complex(a) for a in amplitudes)
-        norm = sqrt(fsum(a.real * a.real + a.imag * a.imag for a in amplitudes))
-        if abs(norm - 1.0) > TOLERANCE:
-            raise ValueError(f"state norm {norm} differs from 1 beyond {TOLERANCE}")
+    def __init__(self, amplitudes):
+        amplitudes = tuple(_gaussian_integer(a) for a in amplitudes)
+        if not any(re or im for re, im in amplitudes):
+            raise ValueError("the zero vector is not a state")
         self._set(amplitudes)
 
     @property
@@ -100,26 +101,61 @@ def build_operator(factors) -> SpinOperator:
     return SpinOperator(factors)
 
 
-def expectation_value(state: StateVector, operator: SpinOperator) -> float:
-    """<psi| Op |psi>, checked real within tolerance."""
+def expectation_value(state: StateVector, operator: SpinOperator) -> Fraction:
+    """<v| Op |v> / <v|v>, exactly.
+
+    The numerator is Σ_b conj(v[image])·i^k·v[b]; a Pauli string is
+    Hermitian, so its imaginary part is 0.
+    """
     if state.dimension != operator.dimension:
         raise SpaceError(
             f"state dimension {state.dimension} != operator dimension {operator.dimension}"
         )
-    psi = state.amplitudes
-    value = 0j
-    for basis, amplitude in enumerate(psi):
-        if amplitude:
-            image, phase = operator.apply(basis)
-            value += psi[image].conjugate() * phase * amplitude
-    if abs(value.imag) > TOLERANCE:
-        raise ValueError(f"expectation has imaginary part {value.imag}")
-    return value.real
+    v = state.amplitudes
+    re_sum = im_sum = 0
+    for basis, (br, bi) in enumerate(v):
+        if br or bi:
+            image, quarter_turns = operator.apply(basis)
+            wr, wi = v[image]
+            re, im = wr * br + wi * bi, wr * bi - wi * br
+            for _ in range(quarter_turns):
+                re, im = -im, re
+            re_sum += re
+            im_sum += im
+    if im_sum:
+        raise AssertionError(f"expectation has imaginary part {im_sum}")
+    return Fraction(re_sum, sum(re * re + im * im for re, im in v))
 
 
 def singlet_correlation(theta: float) -> float:
     """Two-particle spin correlation at relative analyzer angle theta (radians)."""
     return -cos(theta)
+
+
+#: cos at each angle in 0..90 degrees that has a form in square roots of
+#: integers, written in the expression grammar.
+_COSINE_FORMS = {
+    0: "1", 15: "(sqrt(6)+sqrt(2))/4", 30: "1/2*sqrt(3)", 36: "(1+sqrt(5))/4",
+    45: "1/2*sqrt(2)", 60: "1/2", 72: "(sqrt(5)-1)/4", 75: "(sqrt(6)-sqrt(2))/4", 90: "0",
+}
+
+
+def singlet_exact_form(degrees: float) -> str | None:
+    """-cos(degrees) in the expression grammar, or None off the table.
+
+    The angle is folded onto 0..90 by cos(-x) = cos x, a period of 360
+    and cos(180 - x) = -cos x.  ``math.fmod`` is exact, so an angle
+    that is not exactly a table angle plus a multiple of 360 gets None.
+    """
+    folded = fmod(abs(degrees), 360)
+    if not folded.is_integer():
+        return None
+    angle = min(int(folded), 360 - int(folded))
+    form = _COSINE_FORMS.get(180 - angle if angle > 90 else angle)
+    # The correlation is -cos: -form up to 90 degrees, form beyond.
+    if form is None or angle > 90 or form == "0":
+        return form
+    return "-" + form
 
 
 #: The four three-particle spin-product observables of the GHZ argument.
@@ -135,65 +171,30 @@ def ghz_operators() -> dict[str, SpinOperator]:
     return {name: build_operator(f) for name, f in GHZ_OPERATOR_FACTORS.items()}
 
 
-def _basis_state(entries: dict[int, complex], dimension: int) -> StateVector:
-    return StateVector(tuple(entries.get(index, 0j) for index in range(dimension)))
+def _basis_state(entries: dict[int, int], dimension: int) -> StateVector:
+    return StateVector(entries.get(index, 0) for index in range(dimension))
 
 
 def ghz_state_mermin() -> StateVector:
     """(|+++> - |--->)/sqrt(2): gives (1, 1, 1, -1) on the four observables."""
-    return _basis_state({0b000: 1 / sqrt(2), 0b111: -1 / sqrt(2)}, 8)
+    return _basis_state({0b000: 1, 0b111: -1}, 8)
 
 
 def ghz_state_alternate() -> StateVector:
     """(|++-> + |--+>)/sqrt(2): a commonly printed variant.
 
-    Direct computation shows this state yields a different sign pattern
-    on the four observables than the Mermin-convention state, but the
-    product relation E(A) E(B) E(C) = -E(D), which is all the
-    contradiction argument needs, holds for both.  Shipping both makes
-    the discrepancy inspectable.
+    It gives (1, 1, -1, 1) on the four observables, a different sign
+    pattern than the Mermin-convention state, but the product relation
+    E(A) E(B) E(C) = -E(D), which is all the contradiction argument
+    needs, holds for both.  Shipping both makes the discrepancy
+    inspectable.
     """
-    return _basis_state({0b001: 1 / sqrt(2), 0b110: 1 / sqrt(2)}, 8)
+    return _basis_state({0b001: 1, 0b110: 1}, 8)
 
 
-BUILTIN_STATES = {
-    "mermin": ghz_state_mermin,
-    "alternate": ghz_state_alternate,
-}
+BUILTIN_STATES = {"mermin": ghz_state_mermin, "alternate": ghz_state_alternate}
 
 
-def ghz_expectations(state: StateVector) -> dict[str, float]:
+def ghz_expectations(state: StateVector) -> dict[str, Fraction]:
     """Expectations of the four spin-product observables in one state."""
-    return {
-        name: expectation_value(state, op) for name, op in ghz_operators().items()
-    }
-
-
-def nearest_exact_form(value: float, tolerance: float = 1e-9) -> str | None:
-    """Readable exact form p/q or (p/q)·sqrt(d), d in {2, 3}, if nearby.
-
-    Searches denominators up to 64; returns None when nothing matches
-    within the tolerance.  Annotation only, never used in decisions.
-    """
-    candidates: list[tuple[float, str]] = []
-    for d, scale, suffix in ((1, 1.0, ""), (2, sqrt(2), "*sqrt(2)"), (3, sqrt(3), "*sqrt(3)")):
-        reduced = value / scale
-        for q in range(1, 65):
-            p = round(reduced * q)
-            approx = p / q * scale
-            if abs(approx - value) <= tolerance:
-                frac = Fraction(p, q)
-                if frac == 0:
-                    text = "0"
-                elif suffix and abs(frac) == 1:
-                    text = ("-" if frac < 0 else "") + suffix[1:]
-                elif suffix:
-                    text = f"{frac}{suffix}"
-                else:
-                    text = str(frac)
-                candidates.append((abs(approx - value), text))
-                break
-    if not candidates:
-        return None
-    candidates.sort(key=lambda c: (c[0], len(c[1])))
-    return candidates[0][1]
+    return {name: expectation_value(state, op) for name, op in ghz_operators().items()}

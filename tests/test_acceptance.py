@@ -273,16 +273,18 @@ def test_criterion_9_mermin_enumeration():
 
 def test_criterion_10_quantum_layer():
     ops = ghz_operators()
-    product = ops["A"].matrix @ ops["B"].matrix @ ops["C"].matrix
-    ok = float(abs(product + ops["D"].matrix).max()) <= QTOL
-    mermin_values = ghz_expectations(ghz_state_mermin())
-    ok = ok and abs(mermin_values["A"] - 1) <= QTOL
-    ok = ok and abs(mermin_values["B"] - 1) <= QTOL
-    ok = ok and abs(mermin_values["C"] - 1) <= QTOL
-    ok = ok and abs(mermin_values["D"] + 1) <= QTOL
+    ok = True
+    for basis in range(8):
+        image, turns = basis, 0
+        for name in ("C", "B", "A"):
+            image, step = ops[name].apply(image)
+            turns += step
+        d_image, d_turns = ops["D"].apply(basis)
+        ok = ok and image == d_image and (turns - d_turns) % 4 == 2
+    ok = ok and tuple(ghz_expectations(ghz_state_mermin()).values()) == (1, 1, 1, -1)
     for state in (ghz_state_mermin(), ghz_state_alternate()):
         values = ghz_expectations(state)
-        ok = ok and abs(values["A"] * values["B"] * values["C"] + values["D"]) <= QTOL
+        ok = ok and values["A"] * values["B"] * values["C"] == -values["D"]
     ok = ok and abs(singlet_correlation(math.radians(30)) + math.sqrt(3) / 2) <= QTOL
     ok = ok and abs(singlet_correlation(math.radians(60)) + 0.5) <= QTOL
     record(10, ok, "operator identity, state expectations, and singlet angles all verify")

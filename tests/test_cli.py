@@ -325,6 +325,19 @@ class TestConstructSymmetric:
         assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "tolerance, message",
+    [
+        ("sqrt(2)", "--bracket-tolerance must be an exact rational, got 'sqrt(2)'"),
+        ("0", "--bracket-tolerance must be a positive rational"),
+        ("-1/2", "--bracket-tolerance must be a positive rational"),
+    ],
+)
+def test_bracket_tolerance_must_be_a_positive_rational(tolerance, message):
+    code, report = run_json("check", "--scenario", bundled("ghz.json"), f"--bracket-tolerance={tolerance}")
+    assert (code, report["error"]) == (EXIT_USAGE, message)
+
+
 class TestOtherCommands:
     def test_mermin(self):
         code, report = run_json("mermin")
@@ -394,9 +407,17 @@ class TestOtherCommands:
         code, report = run_json("quantum", "--angle-degrees", "30")
         assert code == EXIT_PASS
         assert report["operator_identity"]["holds"] is True
+        assert "max_entry_deviation" not in report["operator_identity"]
+        for state in ("mermin", "alternate"):
+            assert report["states"][state]["product_relation_holds"] is True
         mermin = report["states"]["mermin"]["expectations"]
-        assert abs(mermin["D"]["value"] + 1) < 1e-9
+        assert mermin["D"] == {"value": -1.0, "exact_form": "-1"}
         assert report["singlet"]["exact_form"] == "-1/2*sqrt(3)"
+
+    def test_quantum_exact_form_only_on_the_table(self):
+        for angle, form in (("36", "-(1+sqrt(5))/4"), ("0.001", None), ("30.0000001", None)):
+            _, report = run_json("quantum", "--state", "mermin", f"--angle-degrees={angle}")
+            assert report["singlet"]["exact_form"] == form, angle
 
     @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
     def test_quantum_rejects_a_non_finite_angle(self, angle):
@@ -858,3 +879,41 @@ def test_validate_rejects_a_witness_that_misses_the_targets(tmp_path):
     assert len(moments["violations"]) == 4
     assert {v["axiom"] for v in moments["violations"]} == {"witness-moments"}
 
+
+
+def _singlet_form(degrees: str) -> str:
+    code, report = run_json("quantum", "--state", "mermin", "--angle-degrees", degrees)
+    assert code == EXIT_PASS
+    return report["singlet"]["exact_form"]
+
+
+@pytest.mark.parametrize(
+    "bundled_name, variables, fair, pairs",
+    [
+        ("bell.json", ["X", "Y", "Z"], ["X", "Y", "Z"], [("XY", "30"), ("XZ", "30"), ("YZ", "60")]),
+        (
+            "chsh.json",
+            ["A1", "A2", "B1", "B2"],
+            [],
+            [(("A1", "B1"), "135"), (("A1", "B2"), "135"), (("A2", "B1"), "135"), (("A2", "B2"), "45")],
+        ),
+    ],
+)
+def test_quantum_forms_feed_check_to_the_bundled_verdict(tmp_path, bundled_name, variables, fair, pairs):
+    """The paper's argument end to end: singlet predictions admit no joint distribution.
+
+    Fair marginals (``fair`` at 0) and each pair's correlation at its
+    analyzer angle, as ``quantum`` writes it, go into ``check``.
+    """
+    constraints = [{"moment": [v], "relation": "eq", "value": "0"} for v in fair]
+    constraints += [
+        {"moment": list(moment), "relation": "eq", "value": _singlet_form(degrees)}
+        for moment, degrees in pairs
+    ]
+    path = tmp_path / "quantum.json"
+    path.write_text(json.dumps({"variables": variables, "constraints": constraints}))
+    code, report = run_json("check", "--scenario", str(path))
+    assert (code, report["verdict"]) == (EXIT_VIOLATION, "infeasible")
+    assert report["certificate"]["verified"] is True
+    bundled_code, bundled_report = run_json("check", "--scenario", bundled(bundled_name))
+    assert (bundled_code, bundled_report["verdict"]) == (code, report["verdict"])

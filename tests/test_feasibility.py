@@ -28,8 +28,9 @@ from contextuality_kit.feasibility import (
     solve_robust,
     uniform_grid,
     verify_certificate,
+    violated_constraints,
 )
-from contextuality_kit.measures import signed_atom_sum, validate
+from contextuality_kit.measures import AtomMeasure, signed_atom_sum, validate
 from contextuality_kit.numerics import ScalarInterval, parse_and_evaluate
 from dense_simplex import feasible_at
 
@@ -795,3 +796,18 @@ def test_check_points_settle_from_the_box_basis_or_solve_cold(monkeypatch):
     )
     assert solve_robust(scenario).verdict == FEASIBLE
     assert counts == [5, 0, 4]
+
+
+def test_violated_constraints_lists_each_missed_relation_with_its_moment():
+    scenario = make_scenario(
+        ["A", "B"],
+        [(["A"], "eq", Fraction(1, 2)), (["B"], "ge", Fraction(1, 2)), (["A", "B"], "ge", 1)],
+    )
+    # E(A) = 1/2, E(B) = 0, E(AB) = 1/2.
+    witness = AtomMeasure(
+        scenario.space, (Fraction(1, 2), Fraction(1, 4), Fraction(0), Fraction(1, 4))
+    )
+    violated = violated_constraints(scenario, witness)
+    assert [(c.subset, got) for c, got in violated] == [(("B",), 0), (("A", "B"), Fraction(1, 2))]
+    with pytest.raises(AssertionError, match=r"witness violates E\(B\) >= 1/2: got 0"):
+        feasibility._check_witness(scenario, witness)

@@ -1,8 +1,9 @@
 """Pauli strings as bit flips and phases, checked against dense matrices.
 
-The kit evaluates Pauli strings without numpy; these tests compare its
-basis-state action and expectations with numpy reference matrices, and
-run the CLI in a process where numpy cannot be imported.
+The kit evaluates Pauli strings without numpy, in exact arithmetic;
+these tests compare its basis-state action and expectations with numpy
+reference matrices, within a float tolerance kept here, and run the CLI
+in a process where numpy cannot be imported.
 """
 
 import functools
@@ -11,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -45,40 +47,44 @@ def test_all_strings_enumerated():
     assert len(STRINGS) == 84
 
 
+def dense(op) -> np.ndarray:
+    """The operator's matrix, built from its action on the basis states."""
+    matrix = np.zeros((op.dimension, op.dimension), dtype=complex)
+    for basis in range(op.dimension):
+        image, quarter_turns = op.apply(basis)
+        matrix[image, basis] = 1j**quarter_turns
+    return matrix
+
+
 @pytest.mark.parametrize("factors", STRINGS, ids="".join)
 def test_apply_matches_dense_matrix(factors):
     op = build_operator(factors)
-    dense = op.matrix
-    assert np.array_equal(dense, kron(factors))
-    for basis in range(op.dimension):
-        image, phase = op.apply(basis)
-        column = np.zeros(op.dimension, dtype=complex)
-        column[image] = phase
-        assert np.array_equal(dense[:, basis], column)
-    assert np.array_equal(dense, dense.conj().T)
-    assert np.array_equal(dense @ dense, np.eye(op.dimension))
+    matrix = dense(op)
+    assert np.array_equal(matrix, kron(factors))
+    assert np.array_equal(matrix, matrix.conj().T)
+    assert np.array_equal(matrix @ matrix, np.eye(op.dimension))
 
 
-def _fixed_states() -> list[np.ndarray]:
+def _fixed_states() -> list:
+    """The built-in states, a uniform one and seeded random Gaussian-integer ones."""
     rng = np.random.default_rng(20260101)
-    states = [
-        np.array(ghz_state_mermin().amplitudes),
-        np.array(ghz_state_alternate().amplitudes),
-        np.full(8, 1 / np.sqrt(8), dtype=complex),
-    ]
+    states = [ghz_state_mermin(), ghz_state_alternate(), StateVector([1] * 8)]
     for _ in range(3):
-        psi = rng.normal(size=8) + 1j * rng.normal(size=8)
-        states.append(psi / np.linalg.norm(psi))
+        parts = rng.integers(-9, 10, size=(8, 2))
+        parts[0, 0] = 10  # never the zero vector
+        states.append(StateVector(complex(int(re), int(im)) for re, im in parts))
     return states
 
 
 @pytest.mark.parametrize("index", range(6))
 def test_expectation_matches_vdot(index):
-    psi = _fixed_states()[index]
-    state = StateVector(psi)
+    state = _fixed_states()[index]
+    psi = np.array([complex(re, im) for re, im in state.amplitudes])
     for factors in itertools.product("ixyz", repeat=3):
-        reference = np.vdot(psi, kron(factors) @ psi).real
-        assert abs(expectation_value(state, build_operator(factors)) - reference) <= 1e-12
+        reference = np.vdot(psi, kron(factors) @ psi) / np.vdot(psi, psi)
+        value = expectation_value(state, build_operator(factors))
+        assert type(value) is Fraction
+        assert abs(value - reference.real) <= 1e-12 and abs(reference.imag) <= 1e-12
 
 
 def _run_without_numpy(*argv) -> subprocess.CompletedProcess:
