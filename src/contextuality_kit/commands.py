@@ -375,7 +375,9 @@ def _cmd_quantum(args) -> tuple[int, dict]:
     if args.angle_degrees is not None:
         report["singlet"] = {
             "angle_degrees": args.angle_degrees,
-            "correlation": quantum.singlet_correlation(math.radians(args.angle_degrees)),
+            "correlation": quantum.singlet_correlation(
+                math.radians(math.fmod(args.angle_degrees, 360))
+            ),
             "exact_form": quantum.singlet_exact_form(args.angle_degrees),
         }
     return EXIT_PASS, report

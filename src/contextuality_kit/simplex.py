@@ -45,10 +45,15 @@ over one positive integer scale; the row's rational value is
 ``ints / scale``.  A constraint row is built by scaling its coefficients
 and right-hand side by their common denominator (for the kit's ±1 and
 slack rows, the denominator of the right-hand side), so no Fraction is
-made per cell; the revised simplex scales its ``[I | b]`` rows the same
-way.  A pivot on entry p of the pivot row cross-multiplies
-every other row, ``other·p − f·prow`` over ``scale·p``, then divides
-the row and its scale by their gcd, which keeps the entries small: the
+made per cell.  The revised simplex instead scales its whole
+right-hand side by one common denominator, so its rows start as
+``[I | b]`` over scale 1 and the right-hand side's denominators stay out
+of B⁻¹ (the usual revised-simplex layout, with x_B held apart from B⁻¹;
+I. Maros, *Computational Techniques of the Simplex Method*, 2003).  A
+pivot on entry p of the pivot row cross-multiplies every other row,
+``other·p − f·prow`` over ``scale·p`` with gcd(f, p) cancelled first,
+at the pivot row's nonzero columns only, then divides the row and its
+scale by their gcd, which keeps the entries small: the
 integer-preserving elimination of Escobedo and Moreno-Centeno
 (*INFORMS J. Comput.* 27 (2015)).
 
@@ -68,8 +73,9 @@ have to consist of degenerate pivots only, and every degenerate pivot
 is a Bland pivot, which cannot cycle.  So this loop terminates too.
 
 Fractions appear only at the boundary: a basic value is
-``Fraction(rhs_i, scale_i)``, and each reduced cost is read off the
-objective row the same way.
+``Fraction(rhs_i, scale_i)`` (over ``scale_i·rhs_scale`` in the revised
+simplex), and each reduced cost is read off the objective row the same
+way.
 """
 
 from __future__ import annotations
@@ -164,9 +170,14 @@ def _reduced(line, scale):
 def _pivot(tableau, scales, basis, row, col):
     """In-place integer pivot on (row, col); last row is the objective.
 
-    The pivot row is rescaled so its pivot entry equals its scale (value
-    1).  Factors of ±1 over a unit pivot dominate in sign-matrix
-    problems, so they bypass the multiplication.
+    The pivot row is rescaled so its pivot entry p equals its scale
+    (value 1), and its nonzero columns are listed once.  Each other row
+    with entry f in the pivot column becomes ``other·q − (f/g)·prow``
+    over ``scale·q``, where g = gcd(f, p) and q = p/g: it is multiplied
+    by q only when q > 1, and the product is subtracted at the pivot
+    row's nonzero columns only.  Rows with q = 1 are updated in place,
+    so no caller may keep a tableau row that a later pivot must not
+    change.
     """
     prow = tableau[row]
     p = prow[col]
@@ -179,32 +190,23 @@ def _pivot(tableau, scales, basis, row, col):
         p //= g
     tableau[row] = prow
     scales[row] = p
+    nonzero = [(j, v) for j, v in enumerate(prow) if v]
     for i, other in enumerate(tableau):
-        if i == row:
-            continue
         f = other[col]
-        if not f:
+        if not f or i == row:
             continue
         scale = scales[i]
-        # other·p − f·prow over scale·p, with g = gcd(f, p) cancelled
-        # first: other·(p/g) − (f/g)·prow over scale·(p/g).
-        q = p
-        if p != 1:
-            g = math.gcd(f, p)
-            q = p // g
-            f //= g
-        if q != 1:
-            line = [a * q - f * b if b else a * q for a, b in zip(other, prow)]
+        g = math.gcd(f, p)
+        q = p // g
+        f //= g
+        if q > 1:
+            other = [a * q for a in other]
             scale *= q
-        elif f == 1:
-            line = [a - b if b else a for a, b in zip(other, prow)]
-        elif f == -1:
-            line = [a + b if b else a for a, b in zip(other, prow)]
-        else:
-            line = [a - f * b if b else a for a, b in zip(other, prow)]
+        for j, v in nonzero:
+            other[j] -= f * v
         if scale > 1:
-            line, scale = _reduced(line, scale)
-        tableau[i] = line
+            other, scale = _reduced(other, scale)
+        tableau[i] = other
         scales[i] = scale
     basis[row] = col
 
@@ -263,15 +265,19 @@ class _RevisedLp:
     Row i of the system is first multiplied by ``factors[i]``, the lcm
     of its explicit entries' denominators, so every column is integral
     (a character is ±1); the costs are scaled to ints ``cost_ints`` over
-    ``cost_scale``.  The tableau starts as ``[I | 0 | b]``, one integer
-    row over its own scale per constraint, and an objective row
-    ``[0 | 0 | 0]`` over scale 1.  A row's first m entries are the
-    multipliers that combine the scaled rows of ``[A | b]`` into that
-    row of the dense tableau; the objective row's, w, stand for
-    ``scale·[c | 0] + w·[A | b]``, so w prices every column.  Slot m
-    holds the column being pivoted in, written by :meth:`enter`;
-    :func:`_pivot` and :func:`_leaving` work on these rows as on the
-    dense tableau.
+    ``cost_scale``.  The scaled right-hand side is multiplied by its
+    common denominator ``rhs_scale``, and the tableau starts as
+    ``[I | 0 | b·rhs_scale]`` and an objective row ``[0 | 0 | 0]``, every
+    row over scale 1.  So the bracket denominators of the targets are
+    held once, in ``rhs_scale``, and never enter B⁻¹ or the duals;
+    :meth:`result` divides x and the objective by it, and the ratio test
+    is unchanged, since ``rhs_scale`` cancels in its cross-multiplication.
+    A row's first m entries are the multipliers that combine the scaled
+    rows of ``[A | b]`` into that row of the dense tableau; the objective
+    row's, w, stand for ``scale·[c | 0] + w·[A | b]``, so w prices every
+    column.  Slot m holds the column being pivoted in, written by
+    :meth:`enter`; :func:`_pivot` and :func:`_leaving` work on these
+    rows as on the dense tableau.
     """
 
     def __init__(self, costs, columns, rhs, characters):
@@ -298,16 +304,12 @@ class _RevisedLp:
             self.columns.append(dense)
         self.cost_ints, self.cost_scale = _scaled(costs)
         self.atom_costs = any(self.cost_ints[: self.atoms])
-        self.tableau, self.scales = [], []
+        rhs, self.rhs_scale = _scaled([Fraction(b) * d for b, d in zip(rhs, factors)])
+        self.tableau = [[0] * (m + 2) for _ in range(m + 1)]
         for i, b in enumerate(rhs):
-            b = Fraction(b) * factors[i]
-            line = [0] * (m + 2)
-            line[i] = b.denominator
-            line[-1] = b.numerator
-            self.tableau.append(line)
-            self.scales.append(b.denominator)
-        self.tableau.append([0] * (m + 2))
-        self.scales.append(1)
+            self.tableau[i][i] = 1
+            self.tableau[i][-1] = b
+        self.scales = [1] * (m + 1)
         self.basis = [-1] * m
 
     def enter(self, j):
@@ -364,7 +366,7 @@ class _RevisedLp:
         scale = scales[m] * self.cost_scale
         x = [_ZERO] * len(self.cost_ints)
         for i, col in enumerate(self.basis):
-            x[col] = Fraction(tableau[i][-1], scales[i])
+            x[col] = Fraction(tableau[i][-1], scales[i] * self.rhs_scale)
         inverse = tuple(
             ([v * d for v, d in zip(line, self.factors)], line_scale)
             for line, line_scale in zip(tableau, scales[:m])
@@ -372,7 +374,7 @@ class _RevisedLp:
         return LpResult(
             status=OPTIMAL,
             x=x,
-            objective=Fraction(-tableau[m][-1], scale),
+            objective=Fraction(-tableau[m][-1], scale * self.rhs_scale),
             pivots=pivots,
             basis=tuple(self.basis),
             inverse=inverse,

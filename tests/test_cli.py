@@ -419,6 +419,18 @@ class TestOtherCommands:
             _, report = run_json("quantum", "--state", "mermin", f"--angle-degrees={angle}")
             assert report["singlet"]["exact_form"] == form, angle
 
+    def test_quantum_correlation_reduces_the_angle_first(self):
+        def singlet(angle):
+            _, report = run_json("quantum", "--state", "mermin", f"--angle-degrees={angle}")
+            return report["singlet"]
+
+        # The float 3.6e18 is an exact multiple of 360.
+        assert singlet("3600000000000000030") == {
+            "angle_degrees": 3.6e18, "correlation": -1.0, "exact_form": "-1"
+        }
+        assert singlet("400")["correlation"] == singlet("40")["correlation"]
+        assert singlet("-400")["correlation"] == singlet("40")["correlation"]
+
     @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
     def test_quantum_rejects_a_non_finite_angle(self, angle):
         code, report = run_json("quantum", f"--angle-degrees={angle}")

@@ -1,10 +1,12 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import fraction_simplex
-from contextuality_kit import simplex, sweep
+from contextuality_kit import feasibility, simplex, sweep
+from contextuality_kit.numerics import parse_and_evaluate
 from dense_simplex import phase_one_point
 
 
@@ -160,6 +162,65 @@ def test_settle_reuses_an_optimal_basis_or_declines():
     assert moved.reduced_costs == result.reduced_costs
     # At b1 = 2, x2 = 1 - 2 < 0: the basis does not settle it.
     assert simplex.settle(result, costs, [1, 2]) is None
+
+
+#: Mostly zeros, as in the kit's B⁻¹ rows; pivots of either sign and
+#: with or without a factor in common with the other rows' entries.
+_sparse_entries = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2, 3, -3, 4, 6, -9])
+
+
+@st.composite
+def _pivot_problems(draw):
+    m = draw(st.integers(min_value=2, max_value=5))
+    width = draw(st.integers(min_value=2, max_value=7))
+    tableau = [draw(st.lists(_sparse_entries, min_size=width, max_size=width)) for _ in range(m)]
+    scales = draw(st.lists(st.integers(min_value=1, max_value=12), min_size=m, max_size=m))
+    row = draw(st.integers(min_value=0, max_value=m - 1))
+    col = draw(st.integers(min_value=0, max_value=width - 1))
+    assume(tableau[row][col])
+    return tableau, scales, row, col
+
+
+@settings(deadline=None, max_examples=300)
+@given(_pivot_problems())
+# A negative pivot, -2 over 1; row 1's f = 3 shares no factor with it (q = 2).
+@example(([[-2, 1, 0], [3, 0, 1]], [1, 2], 0, 0))
+# A pivot of 2 whose f = 4 and f = -6 it divides (q = 1), one row untouched.
+@example(([[2, 1, 0, 3], [4, 0, 1, 0], [-6, 5, 0, 1], [0, 2, 2, 0]], [3, 5, 2, 7], 0, 0))
+def test_pivot_equals_a_fraction_pivot(problem):
+    tableau, scales, row, col = problem
+    values = [[Fraction(v, s) for v in line] for line, s in zip(tableau, scales)]
+    prow = [v / values[row][col] for v in values[row]]
+    expected = [
+        prow if i == row else [a - line[col] * b for a, b in zip(line, prow)]
+        for i, line in enumerate(values)
+    ]
+    ints, pivoted_scales, basis = [list(line) for line in tableau], list(scales), [-1] * len(scales)
+    simplex._pivot(ints, pivoted_scales, basis, row, col)
+    assert [[Fraction(v, s) for v in line] for line, s in zip(ints, pivoted_scales)] == expected
+    assert basis[row] == col
+    for line, scale, before in zip(ints, pivoted_scales, tableau):
+        if before[col]:
+            assert math.gcd(scale, *line) == 1
+
+
+def test_bracket_denominators_stay_out_of_the_inverse():
+    # Singles-plus-pairs over five variables with a CHSH cycle A-C, A-D,
+    # B-C, B-D at sqrt(2)/2 (one negated): the √2 brackets' denominators
+    # (40 bits and more) belong to x_B alone.
+    names = "ABCDE"
+    cycle = {"AC": "sqrt(2)/2", "AD": "sqrt(2)/2", "BC": "sqrt(2)/2", "BD": "-sqrt(2)/2"}
+    pairs = [a + b for i, a in enumerate(names) for b in names[i + 1:]]
+    scenario = feasibility.make_scenario(
+        names,
+        [((v,), "eq", 0) for v in names]
+        + [(tuple(pair), "eq", parse_and_evaluate(cycle.get(pair, "0"))) for pair in pairs],
+    )
+    result, _, _ = feasibility._margin_lp(scenario, feasibility._box(scenario))
+    assert result.objective > 0
+    for line, scale in result.inverse:
+        assert max(abs(v) for v in line).bit_length() <= 16
+        assert scale.bit_length() <= 16
 
 
 # --- solve_many: warm sweeps over right-hand sides ---------------------------
