@@ -200,6 +200,8 @@ def _base_report(command: str, echo) -> dict:
 
 
 def _cmd_check(args) -> tuple[int, dict]:
+    if args.grid and not args.oracle:
+        raise ScenarioError("--grid needs --oracle")
     tolerance = _tolerance(args)
     scenario, echo = load_scenario(args.scenario, tolerance)
     report = _base_report("check", echo)

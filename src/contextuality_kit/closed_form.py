@@ -28,7 +28,6 @@ symmetric solution.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 
 from ._record import Record
@@ -44,7 +43,7 @@ from .measures import (
     signed_atom_sum,
     validate,
 )
-from .numerics import ScalarInterval, as_interval
+from .numerics import ScalarInterval, as_interval, over_common_denominator
 from .set_functions import LOWER, UPPER, PartialSetFunction
 
 _ZERO = Fraction(0)
@@ -109,9 +108,7 @@ def check_ghz_inequalities(m: GhzMoments) -> InequalityCheck:
     The sums are taken in integers over the moments' common
     denominator; only a violating value becomes a Fraction.
     """
-    values = (m.eA, m.eB, m.eC, m.eABC)
-    common = math.lcm(*(v.denominator for v in values))
-    scaled = [v.numerator * (common // v.denominator) for v in values]
+    scaled, common = over_common_denominator((m.eA, m.eB, m.eC, m.eABC))
     bound = 2 * common
     for index, signs in enumerate(_INEQUALITY_SIGNS, start=1):
         total = sum(s * v for s, v in zip(signs, scaled))

@@ -36,15 +36,15 @@ Programming* 50, 395 (1991)).
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from operator import mul
 
 from ._record import Record
 from .errors import CertificateError, ScenarioError
 from .event_space import EventSpace, _on_atoms, build_space, moment_coefficients, moment_mask
 from .measures import STANDARD, AtomMeasure, signed_atom_sum, validate
-from .numerics import ScalarInterval, as_interval, format_scalar
+from .numerics import ScalarInterval, as_interval, format_scalar, over_common_denominator
 from . import simplex
 from .simplex import EQ, GE, LE
 
@@ -181,9 +181,10 @@ def solve(scenario: Scenario) -> FeasibilityOutcome:
       bracket and is the witness, re-checked against every constraint.
       With point targets that is the verdict, feasible.  With bracketed
       targets the verdict is feasible only when every point of
-      :func:`_check_points` is feasible, each settled from the box
-      optimum's basis where it can be and else solved from its own
-      crash basis; otherwise it is indeterminate, with no evidence.
+      :func:`_check_points` is feasible, each settled from the last
+      optimum's basis (the box's, then the previous point's) or else
+      solved from its crash basis; otherwise it is indeterminate, with
+      no evidence.
 
     Dantzig pricing with lowest-index ties and the Bland fallback on
     degenerate steps fix the pivot path, so the evidence is
@@ -197,10 +198,12 @@ def solve(scenario: Scenario) -> FeasibilityOutcome:
         if not verify_certificate(scenario, certificate):
             raise AssertionError("margin LP duals give a certificate that fails verification")
         return FeasibilityOutcome(INFEASIBLE, certificate=certificate, margin=t)
-    if scenario.has_interval_targets and any(
-        _margin_lp(scenario, point, result)[0].objective for point in _check_points(scenario)
-    ):
-        return FeasibilityOutcome(INDETERMINATE, margin=t)
+    if scenario.has_interval_targets:
+        start = result
+        for point in _check_points(scenario):
+            start = _margin_lp(scenario, point, start)[0]
+            if start.objective:
+                return FeasibilityOutcome(INDETERMINATE, margin=t)
     witness = AtomMeasure(scenario.space, tuple(result.x[:n]), STANDARD)
     _check_witness(scenario, witness)
     return FeasibilityOutcome(FEASIBLE, witness=witness, margin=t)
@@ -387,14 +390,9 @@ def _crash_basis(bits, masks, relaxed_rhs, t_sign):
     basis = [0] + [n + r for r in relaxed]
     if not relaxed:
         return basis
-    common = math.lcm(*(relaxed_rhs[r].denominator for r in relaxed))
+    targets, common = over_common_denominator(relaxed_rhs[1:])
     # Row r's violation where its character is +1 and where it is -1.
-    violations = []
-    for r in relaxed:
-        b = relaxed_rhs[r]
-        target = t_sign[r] * b.numerator * (common // b.denominator)
-        step = t_sign[r] * common
-        violations.append((target - step, target + step))
+    violations = [(s * (b - common), s * (b + common)) for s, b in zip(t_sign[1:], targets)]
     worst = None
     for mask, (plus, minus) in zip(masks[1:], violations):
         row = _on_atoms(bits, mask, plus, minus)
@@ -438,20 +436,15 @@ def verify_certificate(scenario: Scenario, certificate: Sequence[Fraction]) -> b
             return False
     # Signs are all that matter, so scale y by its common denominator
     # and combine in integers.
-    common = math.lcm(*(yi.denominator for yi in y))
-    scaled = [yi.numerator * (common // yi.denominator) for yi in y]
+    scaled, _ = over_common_denominator(y)
     combined = [0] * scenario.space.atom_count
     for yi, row in zip(scaled, rows):
         if yi:
             combined = [c + yi * k for c, k in zip(combined, row)]
     if any(c > 0 for c in combined):
         return False
-    rhs = [t.lo if yi > 0 else t.hi for yi, t in zip(y, targets)]
-    rhs_common = math.lcm(*(b.denominator for b in rhs))
-    combined_rhs = sum(
-        yi * b.numerator * (rhs_common // b.denominator) for yi, b in zip(scaled, rhs)
-    )
-    return combined_rhs > 0
+    rhs, _ = over_common_denominator([t.lo if yi > 0 else t.hi for yi, t in zip(y, targets)])
+    return sum(map(mul, scaled, rhs)) > 0
 
 
 def certificate_to_json(certificate: Sequence[Fraction]) -> list[str]:

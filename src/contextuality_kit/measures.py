@@ -22,14 +22,13 @@ this package always name which one was used.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
 from ._record import Record
 from .errors import MeasureError, UndefinedConditionalError
 from .event_space import EventMask, EventSpace, moment_coefficients, sign_event
-from .numerics import format_scalar, scalar_from_string
+from .numerics import format_scalar, over_common_denominator, scalar_from_string
 
 STANDARD = "standard"
 LOWER_ATOMS = "lower-atoms"
@@ -175,9 +174,8 @@ def signed_atom_sum(measure: AtomMeasure, subset: Sequence[str]) -> Fraction:
     coeffs = moment_coefficients(measure.space, subset)
     terms = [(c, v) for c, v in zip(coeffs, measure.values) if v]
     # One common denominator, so the sum runs in ints.
-    common = math.lcm(*(v.denominator for _, v in terms))
-    total = sum(c * v.numerator * (common // v.denominator) for c, v in terms)
-    return Fraction(total, common)
+    ints, common = over_common_denominator([v for _, v in terms])
+    return Fraction(sum(c * k for (c, _), k in zip(terms, ints)), common)
 
 
 def expectation(measure: AtomMeasure, subset: Sequence[str]) -> Fraction:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from ._record import Record
 from .errors import EvaluationError, ExpressionError
@@ -62,6 +62,12 @@ def scalar_from_string(text: str) -> Fraction:
 def format_scalar(value: Fraction) -> str:
     """Canonical "p/q" form (plain integer when the denominator is 1)."""
     return str(value)
+
+
+def over_common_denominator(values) -> tuple[list[int], int]:
+    """Ints n_i over the least d > 0 with n_i / d == values[i]; ints and Fractions mix."""
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 class ScalarInterval(Record):

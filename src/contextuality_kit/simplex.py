@@ -42,11 +42,11 @@ against that tableau, kept as ``tests/dense_simplex.py``.
 
 Every tableau row, the objective row included, is a list of Python ints
 over one positive integer scale; the row's rational value is
-``ints / scale``.  A constraint row is built by scaling its coefficients
-and right-hand side by their common denominator (for the kit's ±1 and
-slack rows, the denominator of the right-hand side), so no Fraction is
-made per cell.  The revised simplex instead scales its whole
-right-hand side by one common denominator, so its rows start as
+``ints / scale``.  The revised simplex takes an integer matrix and
+integer costs, as the kit's LPs have: ±1 characters, ±1 slack and ``t``
+columns, and the cost of t.  Only its right-hand side is rational; it
+is put over one common denominator
+(:func:`.numerics.over_common_denominator`), so the rows start as
 ``[I | b]`` over scale 1 and the right-hand side's denominators stay out
 of B⁻¹ (the usual revised-simplex layout, with x_B held apart from B⁻¹;
 I. Maros, *Computational Techniques of the Simplex Method*, 2003).  A
@@ -55,7 +55,10 @@ pivot on entry p of the pivot row cross-multiplies every other row,
 at the pivot row's nonzero columns only, then divides the row and its
 scale by their gcd, which keeps the entries small: the
 integer-preserving elimination of Escobedo and Moreno-Centeno
-(*INFORMS J. Comput.* 27 (2015)).
+(*INFORMS J. Comput.* 27 (2015)).  The dense phase-1 tableau of
+:mod:`.sweep` still takes rational rows: each row, with its right-hand
+side, is put over its own common denominator, so no Fraction is made
+per cell.
 
 Bland's rule (lowest eligible index enters; ties in the ratio test
 broken by lowest basic index) guarantees termination without cycling.
@@ -85,6 +88,7 @@ from fractions import Fraction
 from operator import mul
 
 from ._record import Record
+from .numerics import over_common_denominator
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -105,7 +109,7 @@ def __getattr__(name: str):
 
 
 class LpResult(Record):
-    """The outcome of one LP solve; unlike the other records, mutable.
+    """The outcome of one LP solve.
 
     * ``pivots``: the pivots taken.  For ``sweep.solve_lp`` these
       include the degenerate pivots that drive artificials out of the
@@ -132,9 +136,6 @@ class LpResult(Record):
     __slots__ = (
         "status", "x", "objective", "farkas", "pivots", "basis", "inverse", "reduced_costs"
     )
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(
         self,
@@ -148,15 +149,6 @@ class LpResult(Record):
         reduced_costs: list[Fraction] | None = None,
     ):
         self._set(status, x, objective, farkas, pivots, basis, inverse, reduced_costs)
-
-def _scaled(values):
-    """Ints and a positive scale whose quotient is ``values``, exactly."""
-    scale = 1
-    for v in values:
-        if type(v) is not int:
-            scale = math.lcm(scale, Fraction(v).denominator)
-    ints = [v * scale if type(v) is int else int(Fraction(v) * scale) for v in values]
-    return ints, scale
 
 
 def _reduced(line, scale):
@@ -262,17 +254,16 @@ def _walsh(values, bits):
 class _RevisedLp:
     """The rows ``[B⁻¹ | slot | x_B]`` and the objective row of one LP.
 
-    Row i of the system is first multiplied by ``factors[i]``, the lcm
-    of its explicit entries' denominators, so every column is integral
-    (a character is ±1); the costs are scaled to ints ``cost_ints`` over
-    ``cost_scale``.  The scaled right-hand side is multiplied by its
-    common denominator ``rhs_scale``, and the tableau starts as
+    The matrix and the costs are integers (a character is ±1, and the
+    kit's explicit columns are ±1 too); a Fraction among them raises
+    TypeError.  Only the right-hand side is rational: it is multiplied
+    by its common denominator ``rhs_scale``, and the tableau starts as
     ``[I | 0 | b·rhs_scale]`` and an objective row ``[0 | 0 | 0]``, every
     row over scale 1.  So the bracket denominators of the targets are
     held once, in ``rhs_scale``, and never enter B⁻¹ or the duals;
     :meth:`result` divides x and the objective by it, and the ratio test
     is unchanged, since ``rhs_scale`` cancels in its cross-multiplication.
-    A row's first m entries are the multipliers that combine the scaled
+    A row's first m entries are the multipliers that combine the
     rows of ``[A | b]`` into that row of the dense tableau; the objective
     row's, w, stand for ``scale·[c | 0] + w·[A | b]``, so w prices every
     column.  Slot m holds the column being pivoted in, written by
@@ -284,17 +275,13 @@ class _RevisedLp:
         m = self.m = len(rhs)
         self.bits, self.masks = characters if characters is not None else (0, ())
         self.atoms = 1 << self.bits if characters is not None else 0
-        factors = [1] * m
-        for column in columns:
-            for i, v in column.items():
-                if type(v) is not int:
-                    factors[i] = math.lcm(factors[i], Fraction(v).denominator)
-        self.factors = factors
-        # Each explicit column in scaled ints: its (row, entry) when it
-        # has one nonzero entry (a slack), else a list of m entries.
+        if any(type(v) is not int for v in [*costs, *(v for c in columns for v in c.values())]):
+            raise TypeError("the revised simplex takes integer columns and costs")
+        # Each explicit column: its (row, entry) when it has one nonzero
+        # entry (a slack), else a list of m entries.
         self.units, self.columns = [], []
         for column in columns:
-            nonzero = [(i, int(v * factors[i])) for i, v in column.items() if v]
+            nonzero = [(i, v) for i, v in column.items() if v]
             dense = None
             if len(nonzero) != 1:
                 dense = [0] * m
@@ -302,9 +289,9 @@ class _RevisedLp:
                     dense[i] = v
             self.units.append(nonzero[0] if dense is None else None)
             self.columns.append(dense)
-        self.cost_ints, self.cost_scale = _scaled(costs)
-        self.atom_costs = any(self.cost_ints[: self.atoms])
-        rhs, self.rhs_scale = _scaled([Fraction(b) * d for b, d in zip(rhs, factors)])
+        self.costs = costs
+        self.atom_costs = any(costs[: self.atoms])
+        rhs, self.rhs_scale = over_common_denominator(rhs)
         self.tableau = [[0] * (m + 2) for _ in range(m + 1)]
         for i, b in enumerate(rhs):
             self.tableau[i][i] = 1
@@ -316,10 +303,7 @@ class _RevisedLp:
         """Write column j, as the current basis sees it, into slot m."""
         m, tableau = self.m, self.tableau
         if j < self.atoms:
-            column = [
-                -d if (j & mask).bit_count() & 1 else d
-                for mask, d in zip(self.masks, self.factors)
-            ]
+            column = [-1 if (j & mask).bit_count() & 1 else 1 for mask in self.masks]
             for line in tableau:
                 line[m] = sum(map(mul, line, column))
         elif self.units[j - self.atoms] is not None:
@@ -330,7 +314,7 @@ class _RevisedLp:
             column = self.columns[j - self.atoms]
             for line in tableau:
                 line[m] = sum(map(mul, line, column))
-        tableau[m][m] += self.cost_ints[j] * self.scales[m]
+        tableau[m][m] += self.costs[j] * self.scales[m]
 
     def pivot(self, row, j):
         _pivot(self.tableau, self.scales, self.basis, row, self.m)
@@ -347,13 +331,13 @@ class _RevisedLp:
         reduced = []
         if self.atoms:
             weights = [0] * self.atoms
-            for w, mask, d in zip(obj, self.masks, self.factors):
+            for w, mask in zip(obj, self.masks):
                 if w:
-                    weights[mask] += w * d
+                    weights[mask] += w
             reduced = _walsh(weights, self.bits)
             if self.atom_costs:
-                reduced = [c * scale + v for c, v in zip(self.cost_ints, reduced)]
-        for c, column, unit in zip(self.cost_ints[self.atoms:], self.columns, self.units):
+                reduced = [c * scale + v for c, v in zip(self.costs, reduced)]
+        for c, column, unit in zip(self.costs[self.atoms:], self.columns, self.units):
             if unit is None:
                 reduced.append(c * scale + sum(map(mul, obj, column)))
             else:
@@ -363,14 +347,11 @@ class _RevisedLp:
     def result(self, pivots, reduced) -> LpResult:
         """The optimal LpResult of the current basis."""
         m, tableau, scales = self.m, self.tableau, self.scales
-        scale = scales[m] * self.cost_scale
-        x = [_ZERO] * len(self.cost_ints)
+        scale = scales[m]
+        x = [_ZERO] * len(self.costs)
         for i, col in enumerate(self.basis):
             x[col] = Fraction(tableau[i][-1], scales[i] * self.rhs_scale)
-        inverse = tuple(
-            ([v * d for v, d in zip(line, self.factors)], line_scale)
-            for line, line_scale in zip(tableau, scales[:m])
-        )
+        inverse = tuple((line[:m], line_scale) for line, line_scale in zip(tableau, scales[:m]))
         return LpResult(
             status=OPTIMAL,
             x=x,
@@ -383,8 +364,8 @@ class _RevisedLp:
 
 
 def solve_from_basis(
-    costs: list[Fraction],
-    columns: list[dict[int, Fraction]],
+    costs: list[int],
+    columns: list[dict[int, int]],
     rhs: list[Fraction],
     basis: list[int],
     characters: tuple[int, list[int]] | None = None,
@@ -396,8 +377,9 @@ def solve_from_basis(
     ``(-1)^popcount(a & masks[i])`` in row i; none when ``characters``
     is None) and then ``columns``, each a dict from row to entry that
     lists the column's nonzero entries.
-    ``costs`` has one entry per column, in the same order.  Entries
-    may be ints or Fractions.
+    ``costs`` has one entry per column, in the same order.  Costs and
+    column entries must be ints (TypeError otherwise); ``rhs`` may hold
+    ints and Fractions.
 
     ``basis`` names one column per row whose basic solution is
     feasible; the simplex starts there, so there is no phase 1 and no
@@ -469,9 +451,7 @@ def settle(result: LpResult, costs: list[Fraction], rhs: list[Fraction]) -> LpRe
     costs; None means x_B has a negative entry and ``rhs`` needs its
     own solve.
     """
-    rhs = [Fraction(v) for v in rhs]
-    common = math.lcm(*(v.denominator for v in rhs))
-    b = [v.numerator * (common // v.denominator) for v in rhs]
+    b, common = over_common_denominator(rhs)
     values = _basic_values(result.inverse, b)
     if values is None:
         return None

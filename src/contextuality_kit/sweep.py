@@ -40,6 +40,7 @@ import math
 from fractions import Fraction
 from operator import mul
 
+from .numerics import over_common_denominator
 from .simplex import (
     INFEASIBLE,
     OPTIMAL,
@@ -49,7 +50,6 @@ from .simplex import (
     _leaving,
     _pivot,
     _reduced,
-    _scaled,
 )
 
 
@@ -87,7 +87,7 @@ def solve_lp(rows: list[list[Fraction]], rhs: list[Fraction]) -> LpResult:
     tableau: list[list[int]] = []
     scales: list[int] = []
     for i in range(m):
-        ints, scale = _scaled([*rows[i], rhs[i]])
+        ints, scale = over_common_denominator([*rows[i], rhs[i]])
         if ints[-1] < 0:
             ints = [-v for v in ints]
             flips[i] = True
@@ -155,9 +155,7 @@ def _multipliers(row_scales, farkas):
     z_i is farkas_i / row_scales[i] over a common denominator; z·b then
     has the sign of farkas·b.
     """
-    weights = [Fraction(y) / s for y, s in zip(farkas, row_scales)]
-    common = math.lcm(*(w.denominator for w in weights))
-    return [w.numerator * (common // w.denominator) for w in weights]
+    return over_common_denominator([Fraction(y, s) for y, s in zip(farkas, row_scales)])[0]
 
 
 def solve_many(rows: list[list[Fraction]], rhs_list) -> list[str]:
@@ -172,7 +170,7 @@ def solve_many(rows: list[list[Fraction]], rhs_list) -> list[str]:
     """
     matrix, row_scales = [], []
     for row in rows:
-        ints, scale = _scaled(row)
+        ints, scale = over_common_denominator(row)
         matrix.append(ints)
         row_scales.append(scale)
     columns = list(zip(*matrix))
@@ -183,8 +181,7 @@ def solve_many(rows: list[list[Fraction]], rhs_list) -> list[str]:
     for rhs in rhs_list:
         # ``b`` is rhs over one common denominator d; ``scaled`` is b
         # scaled like the rows.
-        common = math.lcm(*(v.denominator for v in rhs))
-        b = [v.numerator * (common // v.denominator) for v in rhs]
+        b, _ = over_common_denominator(rhs)
         scaled = list(map(mul, row_scales, b))
         if feasible_basis is not None:
             inverse, block, scale = feasible_basis

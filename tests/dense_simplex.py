@@ -23,6 +23,7 @@ import math
 from fractions import Fraction
 
 from contextuality_kit.feasibility import _standard_rows
+from contextuality_kit.numerics import over_common_denominator
 from contextuality_kit.simplex import (
     EQ,
     GE,
@@ -35,7 +36,6 @@ from contextuality_kit.simplex import (
     _leaving,
     _pivot,
     _reduced,
-    _scaled,
 )
 from contextuality_kit.sweep import solve_lp
 
@@ -66,7 +66,7 @@ def to_standard_form(rows, relations):
 
 def phase_one_point(result, rhs, n_vars):
     """The basic point of an optimal ``sweep.solve_lp`` result, from its inverse."""
-    b, common = _scaled(rhs)
+    b, common = over_common_denominator(rhs)
     x = [_ZERO] * n_vars
     for col, value, (_, scale) in zip(
         result.basis, _basic_values(result.inverse, b), result.inverse
@@ -95,7 +95,7 @@ def _priced(costs, tableau, scales, basis):
     ``basis``; the result is c - Σ c_B(i)·row_i over
     cost_scale·lcm(row scales), whose right-hand side is -c·x.
     """
-    cost_ints, cost_scale = _scaled(costs)
+    cost_ints, cost_scale = over_common_denominator(costs)
     priced = [i for i in range(len(basis)) if cost_ints[basis[i]]]
     common = math.lcm(*(scales[i] for i in priced))
     obj = [c * common for c in cost_ints] + [0]
@@ -177,7 +177,7 @@ def solve_from_basis(costs, rows, rhs, basis) -> LpResult:
     tableau: list[list[int]] = []
     scales: list[int] = []
     for row, b in zip(rows, rhs):
-        ints, scale = _scaled([*row, b])
+        ints, scale = over_common_denominator([*row, b])
         tableau.append(ints)
         scales.append(scale)
     placed = [-1] * m

@@ -286,6 +286,18 @@ class TestCheckCommand:
         assert report["verdict"] == "input-error"
         assert "steps per axis" in report["error"]
 
+    @pytest.mark.parametrize("steps", ["5", "-3"])
+    def test_grid_without_oracle_is_input_error(self, steps):
+        code, report = run_json("check", "--scenario", bundled("ghz.json"), "--grid", steps)
+        assert code == EXIT_USAGE
+        assert report["verdict"] == "input-error"
+        assert report["error"] == "--grid needs --oracle"
+
+    def test_grid_zero_without_oracle_is_the_default(self):
+        assert run_json("check", "--scenario", bundled("ghz.json"), "--grid", "0") == run_json(
+            "check", "--scenario", bundled("ghz.json")
+        )
+
     def test_report_round_trip(self, tmp_path):
         _, first = run_json("check", "--scenario", bundled("ghz.json"))
         echo_path = tmp_path / "echo.json"

@@ -798,6 +798,23 @@ def test_check_points_settle_from_the_box_basis_or_solve_cold(monkeypatch):
     assert counts == [5, 0, 4]
 
 
+def test_check_points_settle_from_the_last_check_point_optimum(monkeypatch):
+    # A feasible n = 5 document with every target bracketed: each check
+    # point starts from the previous one's optimum, so most settle.
+    from contextuality_kit.cli import scenario_from_document
+
+    document = reference.wide_document(2, 5, False)
+    for constraint in document["constraints"]:
+        constraint["value"] = f"({constraint['value']})*99/100 + sqrt(2)/1000 - 1414/1000000"
+    scenario = scenario_from_document(document)
+    counts = _counting_lps(monkeypatch)
+    outcome = solve_robust(scenario)
+    assert outcome.verdict == FEASIBLE
+    assert len(feasibility._check_points(scenario)) == 30
+    assert counts[0] <= 3
+    assert counts[0] + counts[1] == 31
+
+
 def test_violated_constraints_lists_each_missed_relation_with_its_moment():
     scenario = make_scenario(
         ["A", "B"],

@@ -1,17 +1,37 @@
+import math
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from contextuality_kit.errors import EvaluationError, ExpressionError
 from contextuality_kit.numerics import (
     DEFAULT_BRACKET_TOLERANCE,
     ScalarInterval,
+    over_common_denominator,
     parse_and_evaluate,
     parse_value,
     scalar_from_string,
 )
+
+
+@given(st.lists(st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=10**6))))
+@example([])
+def test_over_common_denominator_is_exact_and_least(values):
+    ints, d = over_common_denominator(values)
+    assert d >= 1 and len(ints) == len(values)
+    assert all(type(n) is int for n in ints)
+    assert [Fraction(n, d) for n in ints] == list(values)
+    assert math.gcd(d, *ints) == 1
+
+
+def test_over_common_denominator_of_mixed_input():
+    assert over_common_denominator([3, Fraction(1, 6), -2, Fraction(-5, 4)]) == (
+        [36, 2, -24, -15],
+        12,
+    )
+    assert over_common_denominator((Fraction(4, 2), 0)) == ([2, 0], 1)
 
 
 class TestParser:

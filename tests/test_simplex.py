@@ -109,22 +109,35 @@ def test_solve_from_basis_rejects_bad_starts():
 def test_solve_from_basis_terminates_on_beale_cycling_example():
     """Beale's LP cycles under Dantzig's rule alone from this basis.
 
-    Its first two rows have right-hand side 0, so Dantzig's first steps
-    are degenerate; the Bland fallback takes them instead, and the solve
-    reaches the optimum.
+    Its first two rows and its costs are Beale's times 4, so they are
+    integers; scaling a row or every cost changes no pivot choice.  The
+    first two rows have right-hand side 0, so Dantzig's first steps are
+    degenerate; the Bland fallback takes them instead, and the solve
+    reaches the optimum, Beale's -5/4 times 4.
     """
-    q = Fraction(1, 4)
     rows = [
-        [1, 0, 0, q, -8, -1, 9],
-        [0, 1, 0, 2 * q, -12, -2 * q, 3],
+        [4, 0, 0, 1, -32, -4, 36],
+        [0, 4, 0, 2, -48, -2, 12],
         [0, 0, 1, 0, 0, 1, 0],
     ]
     rhs = [0, 0, 1]
-    costs = [0, 0, 0, -3 * q, 20, -2 * q, 6]
+    costs = [0, 0, 0, -3, 80, -2, 24]
     result = simplex.solve_from_basis(costs, _columns(rows), rhs, [0, 1, 2])
     assert result.status == simplex.OPTIMAL
-    assert result.objective == Fraction(-5, 4)
+    assert result.objective == -5
     assert result.objective == fraction_simplex.solve_lp(costs, rows, rhs).objective
+
+
+@pytest.mark.parametrize("where", ["column", "cost"])
+def test_solve_from_basis_takes_only_integer_columns_and_costs(where):
+    columns = _columns([[1, 1], [0, 1]])
+    costs = [0, 1]
+    if where == "column":
+        columns[1][0] = Fraction(1, 2)
+    else:
+        costs[1] = Fraction(1, 2)
+    with pytest.raises(TypeError, match="integer"):
+        simplex.solve_from_basis(costs, columns, [1, 0], [0, 1])
 
 
 @pytest.mark.parametrize("bits", [0, 1, 2, 3, 5])
@@ -358,8 +371,9 @@ def test_solve_many_survives_a_wrong_inverse(monkeypatch):
             return result
         inverse = [(list(line), scale) for line, scale in result.inverse]
         inverse[0][0][0] += 1
-        result.inverse = tuple(inverse)
-        return result
+        return simplex.LpResult(
+            result.status, pivots=result.pivots, basis=result.basis, inverse=tuple(inverse)
+        )
 
     monkeypatch.setattr(sweep, "solve_lp", tampered)
     calls = _counting_solve_lp(monkeypatch)

@@ -371,8 +371,15 @@ def test_tampered_witness_makes_solve_raise(monkeypatch, moved):
         x[plus] += delta
         if moved:
             x[minus] -= delta
-        result.x = x
-        return result
+        return simplex.LpResult(
+            result.status,
+            x,
+            result.objective,
+            pivots=result.pivots,
+            basis=result.basis,
+            inverse=result.inverse,
+            reduced_costs=result.reduced_costs,
+        )
 
     monkeypatch.setattr(simplex, "solve_from_basis", tampered)
     with pytest.raises(AssertionError, match="witness"):
