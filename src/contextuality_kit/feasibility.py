@@ -43,7 +43,7 @@ from operator import mul
 from ._record import Record
 from .errors import CertificateError, ScenarioError
 from .event_space import EventSpace, _on_atoms, build_space, moment_coefficients, moment_mask
-from .measures import STANDARD, AtomMeasure, signed_atom_sum, validate
+from .measures import STANDARD, AtomMeasure, validate
 from .numerics import ScalarInterval, as_interval, format_scalar, over_common_denominator
 from . import simplex
 from .simplex import EQ, GE, LE
@@ -224,9 +224,23 @@ def _check_witness(scenario: Scenario, witness: AtomMeasure) -> None:
 
 
 def violated_constraints(scenario: Scenario, witness: AtomMeasure) -> list:
-    """(constraint, moment) for each constraint the witness's atom-level moment misses."""
-    moments = ((c, signed_atom_sum(witness, c.subset)) for c in scenario.constraints)
-    return [(c, got) for c, got in moments if not c.holds(got)]
+    """(constraint, moment) for each constraint the witness's atom-level moment misses.
+
+    The moments are :func:`.measures.signed_atom_sum`'s, read off the
+    witness's support once: over the common denominator d of its nonzero
+    atom values k_a / d, a moment is Σ ±k_a / d, each sign the
+    character of the moment's mask at atom a.
+    """
+    support = [(a, v) for a, v in enumerate(witness.values) if v]
+    ints, common = over_common_denominator([v for _, v in support])
+    terms = [(a, k) for (a, _), k in zip(support, ints)]
+    violated = []
+    for c in scenario.constraints:
+        mask = moment_mask(witness.space, c.subset)
+        got = Fraction(sum(-k if (a & mask).bit_count() & 1 else k for a, k in terms), common)
+        if not c.holds(got):
+            violated.append((c, got))
+    return violated
 
 
 def _box(scenario: Scenario) -> list[tuple[Fraction, Fraction]]:
@@ -383,7 +397,9 @@ def _crash_basis(bits, masks, relaxed_rhs, t_sign):
     takes the basic place of the first row attaining it, whose slack is
     0; when every row is strictly slack at j, t stays nonbasic at 0.
     Violations are compared in integers over the targets' common
-    denominator, and only the running worst is kept, one per atom.
+    denominator, and only the running worst is kept, one per atom.  The
+    two rows of an equality share a mask, so their violations are
+    folded first and each mask's atom row is built once.
     """
     n = 1 << bits
     relaxed = range(1, len(masks))
@@ -393,8 +409,13 @@ def _crash_basis(bits, masks, relaxed_rhs, t_sign):
     targets, common = over_common_denominator(relaxed_rhs[1:])
     # Row r's violation where its character is +1 and where it is -1.
     violations = [(s * (b - common), s * (b + common)) for s, b in zip(t_sign[1:], targets)]
+    by_mask = {}
+    for mask, pair in zip(masks[1:], violations):
+        if mask in by_mask:
+            pair = tuple(map(max, by_mask[mask], pair))
+        by_mask[mask] = pair
     worst = None
-    for mask, (plus, minus) in zip(masks[1:], violations):
+    for mask, (plus, minus) in by_mask.items():
         row = _on_atoms(bits, mask, plus, minus)
         worst = row if worst is None else list(map(max, worst, row))
     least = min(worst)

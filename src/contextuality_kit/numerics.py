@@ -15,7 +15,9 @@ Expression grammar (normative for scenario files)::
     factor := NUMBER | '(' expr ')' | 'sqrt' '(' expr ')' | '-' factor
 
 NUMBER is an integer or decimal literal; decimals are read as exact
-rationals ("0.5" is 1/2, not a float).
+rationals ("0.5" is 1/2, not a float).  A whole value written as an exact
+literal, ``-?[0-9]+(/[0-9]+)?`` with a nonzero denominator, is read
+directly as its point interval, with no parse or bracket walk.
 
 Square roots are bracketed on dyadic grids of increasing resolution.
 The grid schedule is fixed and independent of the requested tolerance,
@@ -362,15 +364,27 @@ def evaluate(
     )
 
 
+#: A plain exact literal: an integer or ``p/q`` with q > 0, optionally
+#: negated.  The grammar has no unary ``+``; a zero denominator is left
+#: to the evaluator, which reports the division by zero.
+_EXACT_LITERAL = re.compile(r"-?[0-9]+(?:/0*[1-9][0-9]*)?")
+
+
 def parse_and_evaluate(
     text: str, bracket_tolerance: Fraction = DEFAULT_BRACKET_TOLERANCE
 ) -> ScalarInterval:
     """Parse and evaluate a value expression.
 
+    A plain exact literal is its own point interval, the value the
+    evaluator gives it, and is returned without parsing.
+
     The parser and the evaluator recurse once per nesting level, so an
     expression nested deeper than the interpreter's recursion limit
     allows is refused with ExpressionError, like any other bad input.
     """
+    if bracket_tolerance > 0 and _EXACT_LITERAL.fullmatch(text):
+        value = Fraction(text)
+        return ScalarInterval(value, value)
     try:
         return evaluate(parse_value(text), bracket_tolerance)
     except RecursionError:

@@ -6,12 +6,15 @@ exactly, so there is no tolerance tuning anywhere: a pivot element is
 nonzero or it is not.
 
 * :func:`solve_from_basis`, a revised simplex: one phase from a
-  feasible basis the caller knows, with Dantzig's rule.  Every
-  standard scenario is decided by it: the optimal point is reported
-  as the witness, and the optimal duals, read off the reduced costs
-  of the slack columns, as the Farkas certificate.  Dantzig's rule
-  with lowest-index ties and the Bland fallback on degenerate steps
-  fix the pivot path, so that evidence is deterministic.
+  feasible basis the caller knows, with Dantzig's rule.  The start
+  basis's unit columns of cost 0 (slacks) are placed on their rows
+  while B⁻¹ is still the identity, with no pivot; only its other
+  columns are pivoted in.  Every standard scenario is decided by it:
+  the optimal point is reported as the witness, and the optimal duals,
+  read off the reduced costs of the slack columns, as the Farkas
+  certificate.  Dantzig's rule with lowest-index ties and the Bland
+  fallback on degenerate steps fix the pivot path, so that evidence is
+  deterministic.
 * :func:`settle`, the optimum of a :func:`solve_from_basis` LP at
   another right-hand side, from its optimal basis, when that basis is
   still primal-feasible there.
@@ -320,6 +323,40 @@ class _RevisedLp:
         _pivot(self.tableau, self.scales, self.basis, row, self.m)
         self.basis[row] = j
 
+    def start(self, basis):
+        """Bring the start basis's columns in, or raise ValueError if singular.
+
+        While B⁻¹ is the identity, a unit column of cost 0 and entry ±1
+        on row i needs no pivot: its pivot would only negate row i for
+        −1, as no other row, the objective row included, has an entry in
+        its column.  Such columns are placed first, each on its own row;
+        the rest (a second unit on a taken row among them) are entered
+        and pivoted in in order, each on the first row not yet taken
+        where it is nonzero.  The rows, in lowest terms, depend only on
+        which column ends up basic on each row, and for the margin LP's
+        crash basis (the atom on row 0, each other row's slack or t on
+        that row) that is where pivoting every column in in order puts
+        it, so every later pivot is unchanged.
+        """
+        m, tableau = self.m, self.tableau
+        rest = []
+        for col in basis:
+            unit = self.units[col - self.atoms] if col >= self.atoms else None
+            if unit and unit[1] in (1, -1) and not self.costs[col] and self.basis[unit[0]] < 0:
+                i, v = unit
+                if v < 0:
+                    line = tableau[i]
+                    line[i], line[-1] = -1, -line[-1]
+                self.basis[i] = col
+            else:
+                rest.append(col)
+        for col in rest:
+            self.enter(col)
+            row = next((i for i, c in enumerate(self.basis) if c < 0 and tableau[i][m]), -1)
+            if row < 0:
+                raise ValueError(f"start basis is singular at column {col}")
+            self.pivot(row, col)
+
     def reduced_costs(self):
         """Every column's reduced cost, as ints over the objective row's scale.
 
@@ -383,10 +420,13 @@ def solve_from_basis(
 
     ``basis`` names one column per row whose basic solution is
     feasible; the simplex starts there, so there is no phase 1 and no
-    artificial column.  Its columns are pivoted in in order, each on
-    the first row not yet taken where it is nonzero.  Raises ValueError
-    when the columns are linearly dependent (singular) or their basic
-    solution has a negative entry (not primal-feasible).
+    artificial column.  Its unit columns of cost 0 and entry ±1 (the
+    margin LP's slacks) are placed on their rows without a pivot, while
+    B⁻¹ is still the identity; the other columns are then pivoted in in
+    order, each on the first row not yet taken where it is nonzero
+    (``_RevisedLp.start``).  Raises ValueError when the columns are
+    linearly dependent (singular) or their basic solution has a
+    negative entry (not primal-feasible).
 
     Entering columns follow Dantzig's rule (most negative reduced cost,
     lowest index on ties).  When that column's ratio test gives a zero
@@ -410,12 +450,7 @@ def solve_from_basis(
     if len(basis) != m:
         raise ValueError(f"start basis has {len(basis)} columns for {m} rows")
     lp = _RevisedLp(costs, columns, rhs, characters)
-    for col in basis:
-        lp.enter(col)
-        row = next((i for i, c in enumerate(lp.basis) if c < 0 and lp.tableau[i][m]), -1)
-        if row < 0:
-            raise ValueError(f"start basis is singular at column {col}")
-        lp.pivot(row, col)
+    lp.start(basis)
     if any(line[-1] < 0 for line in lp.tableau[:m]):
         raise ValueError("start basis is not primal-feasible")
 
@@ -440,16 +475,16 @@ def solve_from_basis(
         pivots += 1
 
 
-def settle(result: LpResult, costs: list[Fraction], rhs: list[Fraction]) -> LpResult | None:
+def settle(result: LpResult, costs: list[int], rhs: list[Fraction]) -> LpResult | None:
     """The optimum at another right-hand side from an optimal basis, or None.
 
     ``result`` is an optimal :func:`solve_from_basis` result of the same
-    columns and costs.  Reduced costs do not depend on the right-hand
-    side, so its basis is optimal at ``rhs`` whenever
-    ``x_B = B⁻¹·rhs >= 0``, computed exactly from the kept inverse.
-    The new result has that point and objective and the kept reduced
-    costs; None means x_B has a negative entry and ``rhs`` needs its
-    own solve.
+    columns and integer costs; ``rhs`` may hold ints and Fractions.
+    Reduced costs do not depend on the right-hand side, so its basis is
+    optimal at ``rhs`` whenever ``x_B = B⁻¹·rhs >= 0``, computed exactly
+    from the kept inverse.  The new result has that point and objective
+    and the kept reduced costs; None means x_B has a negative entry and
+    ``rhs`` needs its own solve.
     """
     b, common = over_common_denominator(rhs)
     values = _basic_values(result.inverse, b)

@@ -31,7 +31,7 @@ from contextuality_kit.feasibility import (
     violated_constraints,
 )
 from contextuality_kit.measures import AtomMeasure, signed_atom_sum, validate
-from contextuality_kit.numerics import ScalarInterval, parse_and_evaluate
+from contextuality_kit.numerics import ScalarInterval, over_common_denominator, parse_and_evaluate
 from dense_simplex import feasible_at
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -586,6 +586,53 @@ def test_crash_violations_follow_the_moment_characters(subset):
     assert feasibility._on_atoms(space.n, mask, "plus", "minus") == want
 
 
+def per_row_crash_basis(bits, masks, relaxed_rhs, t_sign):
+    """``_crash_basis`` as it was: one atom row per relaxed row, equal masks too."""
+    n = 1 << bits
+    relaxed = range(1, len(masks))
+    basis = [0] + [n + r for r in relaxed]
+    if not relaxed:
+        return basis
+    targets, common = over_common_denominator(relaxed_rhs[1:])
+    violations = [(s * (b - common), s * (b + common)) for s, b in zip(t_sign[1:], targets)]
+    worst = None
+    for mask, (plus, minus) in zip(masks[1:], violations):
+        row = feasibility._on_atoms(bits, mask, plus, minus)
+        worst = row if worst is None else list(map(max, worst, row))
+    least = min(worst)
+    j = worst.index(least)
+    basis[0] = j
+    if least >= 0:
+        first = next(
+            k
+            for k, (mask, pair) in enumerate(zip(masks[1:], violations))
+            if pair[(j & mask).bit_count() & 1] == least
+        )
+        basis[first + 1] = n
+    return basis
+
+
+@settings(deadline=None, max_examples=200)
+@given(relaxed_scenarios(), st.sampled_from(["lo", "hi"]))
+@example(_CRASH_CASES["tied-worst-violation"][0], "lo")
+@example(_CRASH_CASES["t-basic-at-zero"][0], "lo")
+@example(_CRASH_CASES["infeasible-ghz"][0], "lo")
+def test_crash_basis_equals_the_per_row_pass(scenario, endpoint):
+    starts = []
+    crash_basis = feasibility._crash_basis
+
+    def both(*args):
+        starts.append(crash_basis(*args))
+        assert starts[-1] == per_row_crash_basis(*args)
+        return starts[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(feasibility, "_crash_basis", both)
+        for point in (scenario, corner(scenario, endpoint)):
+            margin(point)
+    assert len(starts) == 2
+
+
 # --- one LP per decision: the margin LP's point or duals are the evidence ------
 
 
@@ -813,6 +860,25 @@ def test_check_points_settle_from_the_last_check_point_optimum(monkeypatch):
     assert len(feasibility._check_points(scenario)) == 30
     assert counts[0] <= 3
     assert counts[0] + counts[1] == 31
+
+
+#: Atom values as ``validate`` may read them from a file: zero, negative
+#: and not summing to 1 included.
+_atom_values = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=-2, max_value=2, max_denominator=12)
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(relaxed_scenarios(), st.data())
+def test_violated_constraints_reads_each_moment_as_its_signed_atom_sum(scenario, data):
+    n = scenario.space.atom_count
+    values = data.draw(st.lists(_atom_values, min_size=n, max_size=n))
+    witness = AtomMeasure(scenario.space, tuple(values))
+    moments = [(c, signed_atom_sum(witness, c.subset)) for c in scenario.constraints]
+    violated = violated_constraints(scenario, witness)
+    assert violated == [(c, got) for c, got in moments if not c.holds(got)]
+    assert all(type(got) is Fraction for _, got in violated)
 
 
 def test_violated_constraints_lists_each_missed_relation_with_its_moment():

@@ -9,6 +9,7 @@ from contextuality_kit.errors import EvaluationError, ExpressionError
 from contextuality_kit.numerics import (
     DEFAULT_BRACKET_TOLERANCE,
     ScalarInterval,
+    evaluate,
     over_common_denominator,
     parse_and_evaluate,
     parse_value,
@@ -86,6 +87,42 @@ def test_exact_scalar_forms(text, value):
 def test_other_scalar_texts_are_refused(text):
     with pytest.raises(ValueError, match="not an integer or p/q"):
         scalar_from_string(text)
+
+
+def _outcome(call, *args):
+    """A call's value, or the type and message of what it raised."""
+    try:
+        return call(*args)
+    except Exception as err:
+        return type(err), str(err)
+
+
+#: Exact literals and their near misses: signs, leading zeros, zero
+#: denominators, and a few texts only the parser accepts.
+_literal_texts = st.one_of(
+    st.from_regex(r"[+-]?[0-9]{1,5}(/[0-9]{1,5})?", fullmatch=True),
+    st.from_regex(r"-?0{0,3}[0-9]{1,3}/0{1,4}", fullmatch=True),
+    st.from_regex(r" ?--?[0-9]{1,3}(\.[0-9])?(/[0-9]{1,2})? ?", fullmatch=True),
+)
+
+
+@given(_literal_texts, st.sampled_from([DEFAULT_BRACKET_TOLERANCE, Fraction(1), Fraction(0)]))
+@example("-0", DEFAULT_BRACKET_TOLERANCE)
+@example("007/0040", DEFAULT_BRACKET_TOLERANCE)
+@example("3/000", DEFAULT_BRACKET_TOLERANCE)
+@example("+1/2", DEFAULT_BRACKET_TOLERANCE)
+@example("1/2", Fraction(0))
+def test_exact_literals_read_as_the_evaluator_reads_them(text, tolerance):
+    want = _outcome(lambda: evaluate(parse_value(text), tolerance))
+    assert _outcome(parse_and_evaluate, text, tolerance) == want
+
+
+def test_literal_path_keeps_the_grammar_and_its_errors():
+    with pytest.raises(ExpressionError):
+        parse_and_evaluate("+1/2")
+    with pytest.raises(EvaluationError, match="^division by zero$"):
+        parse_and_evaluate("1/0")
+    assert parse_and_evaluate("-007/0140") == ScalarInterval.point(Fraction(-1, 20))
 
 
 class TestEvaluate:

@@ -263,6 +263,48 @@ def test_wide_document_path_matches_dense_reference(monkeypatch, n, planted, end
     assert len(solved) == 1
 
 
+# --- the start basis: slacks placed without pivots -----------------------------
+
+
+def pivot_every_column_in(lp, basis):
+    """``_RevisedLp.start`` as it was: every column entered and pivoted in.
+
+    Each column in turn goes on the first row not yet taken where it is
+    nonzero, with the kit's pivot, unit slack columns included.
+    """
+    for col in basis:
+        lp.enter(col)
+        row = next((i for i, c in enumerate(lp.basis) if c < 0 and lp.tableau[i][lp.m]), -1)
+        if row < 0:
+            raise ValueError(f"start basis is singular at column {col}")
+        lp.pivot(row, col)
+
+
+def assert_same_start(scenario):
+    """The margin LP ends as it does when its whole start basis is pivoted in."""
+    bounds = feasibility._box(scenario)
+    got = feasibility._margin_lp(scenario, bounds)[0]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplex._RevisedLp, "start", pivot_every_column_in)
+        want = feasibility._margin_lp(scenario, bounds)[0]
+    # Every field: x, basis, inverse, reduced costs and pivots among them.
+    assert got == want
+
+
+@settings(deadline=None, max_examples=200)
+@given(relaxed_scenarios(), st.sampled_from(["lo", "hi"]))
+# One relaxed row: t is a unit column of cost 1, basic in the crash start.
+@example(make_scenario(["A"], [(["A"], "ge", 2)]), "lo")
+def test_start_places_slacks_where_their_pivots_would(scenario, endpoint):
+    for point in (scenario, corner(scenario, endpoint)):
+        assert_same_start(point)
+
+
+@pytest.mark.parametrize("n, planted", [(5, True), (6, False)])
+def test_wide_document_start_places_slacks_where_their_pivots_would(n, planted):
+    assert_same_start(scenario_from_document(reference.wide_document(11, n, planted)))
+
+
 # --- bundled scenarios and closed-form LPs ------------------------------------
 
 
