@@ -1,13 +1,17 @@
 """The base of the kit's value records.
 
-A record names its fields in ``__slots__``, in constructor order, and
-fills them in its own ``__init__`` with :meth:`Record._set`.  The base
-gives it value semantics: two records are equal when they are of one
-class and their field tuples are equal, the hash is that of the field
-tuple, the repr reads ``Name(field=value, ...)``, assignment is
-refused, and copy and pickle rebuild a record through its
-constructor.  Defining a record generates no code, which keeps a
-short-lived ``check`` process cheap.
+A record names its fields in ``__slots__``, in constructor order.  The
+base constructor, ``Record(*values, **named)``, fills them by position
+or by name and, like a dataclass's, raises ``TypeError`` for a missing,
+extra, repeated or unknown field.  Records that check their inputs or
+take defaults (``AtomMeasure``, ``Scenario``, ``LpResult`` and 13 more)
+keep their own ``__init__`` and end it with ``self._set(...)``, the
+base constructor under a second name.  The base gives value semantics:
+two records are equal when they are of one class and their field
+tuples are equal, the hash is that of the field tuple, the repr reads
+``Name(field=value, ...)``, assignment is refused, and copy and pickle
+rebuild a record through its constructor.  Defining a record generates
+no code, which keeps a short-lived ``check`` process cheap.
 """
 
 _setattr = object.__setattr__
@@ -16,9 +20,24 @@ _setattr = object.__setattr__
 class Record:
     __slots__ = ()
 
-    def _set(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            _setattr(self, name, value)
+    def __init__(self, *values, **named) -> None:
+        slots = self.__slots__
+        if named or len(values) != len(slots):
+            name, rest = self.__class__.__qualname__, slots[len(values):]
+            if len(values) > len(slots):
+                raise TypeError(f"{name}() takes {len(slots)} fields, got {len(values)}")
+            for field in named:
+                if field not in rest:
+                    kind = "repeated" if field in slots else "unknown"
+                    raise TypeError(f"{name}() got the {kind} field {field!r}")
+            for field in rest:
+                if field not in named:
+                    raise TypeError(f"{name}() is missing the field {field!r}")
+            values += tuple(named[field] for field in rest)
+        for field, value in zip(slots, values):
+            _setattr(self, field, value)
+
+    _set = __init__
 
     def _values(self) -> tuple:
         return tuple(map(self.__getattribute__, self.__slots__))

@@ -164,14 +164,18 @@ def _witness_json(witness: AtomMeasure | None):
 
 def _constraint_trace(scenario: Scenario, outcome) -> list[dict]:
     trace = []
-    for c in scenario.constraints:
+    moments = [None] * len(scenario.constraints)
+    if outcome.witness is not None:
+        moments = measures.signed_atom_sums(
+            outcome.witness, [c.subset for c in scenario.constraints]
+        )
+    for c, achieved in zip(scenario.constraints, moments):
         entry = {
             "constraint": c.describe(),
             "relation": c.relation,
             "target": _interval_json(c.target),
         }
         if outcome.witness is not None:
-            achieved = measures.signed_atom_sum(outcome.witness, c.subset)
             entry["witness_moment"] = format_scalar(achieved)
             entry["satisfied"] = c.holds(achieved)
         trace.append(entry)

@@ -144,9 +144,6 @@ class SymmetricWitness(Record):
 
     __slots__ = ("x", "y", "z", "w")
 
-    def __init__(self, x: Fraction, y: Fraction, z: Fraction, w: Fraction):
-        self._set(x, y, z, w)
-
 
 def construct_symmetric_joint(
     sp: SymmetricParams,
@@ -200,15 +197,9 @@ def construct_symmetric_joint(
 
 
 class NoiseThresholdResult(Record):
-    __slots__ = ("epsilon", "statistic", "feasible")
+    """``statistic`` is the value of the signed sum at the degraded moments."""
 
-    def __init__(
-        self,
-        epsilon: Fraction,
-        statistic: Fraction,  # value of the signed sum at the degraded moments
-        feasible: bool,
-    ):
-        self._set(epsilon, statistic, feasible)
+    __slots__ = ("epsilon", "statistic", "feasible")
 
 
 def check_noise_threshold(epsilon) -> NoiseThresholdResult:
@@ -226,15 +217,11 @@ def check_noise_threshold(epsilon) -> NoiseThresholdResult:
 
 
 class AssignmentEnumeration(Record):
-    __slots__ = ("total", "satisfying", "product_identity_holds")
+    """``satisfying`` counts the assignments with A = B = C = 1 and D = -1,
+    ``product_identity_holds`` those with A·B·C = D.
+    """
 
-    def __init__(
-        self,
-        total: int,
-        satisfying: int,              # assignments with A = B = C = 1 and D = -1
-        product_identity_holds: int,  # assignments with A·B·C = D
-    ):
-        self._set(total, satisfying, product_identity_holds)
+    __slots__ = ("total", "satisfying", "product_identity_holds")
 
 
 def mermin_assignment_check() -> AssignmentEnumeration:
@@ -387,14 +374,6 @@ def _require_all(trace) -> None:
 class UpperBellSolution(Record):
     __slots__ = ("conditionals", "atom_uppers", "trace")
 
-    def __init__(
-        self,
-        conditionals: tuple[ConditionalMomentValue, ...],
-        atom_uppers: AtomMeasure,
-        trace: tuple[CheckRecord, ...],
-    ):
-        self._set(conditionals, atom_uppers, trace)
-
 
 def solve_upper_bell_conditionals(m: BellMoments) -> UpperBellSolution:
     """Conditional upper expectations for given pairwise correlations.
@@ -494,14 +473,6 @@ def solve_upper_bell_conditionals(m: BellMoments) -> UpperBellSolution:
 
 class GhzWitness(Record):
     __slots__ = ("atom_measure", "set_function", "trace")
-
-    def __init__(
-        self,
-        atom_measure: AtomMeasure,
-        set_function: PartialSetFunction,
-        trace: tuple[CheckRecord, ...],
-    ):
-        self._set(atom_measure, set_function, trace)
 
 
 def _ghz_space() -> EventSpace:

@@ -23,9 +23,6 @@ class EventSpace(Record):
 
     __slots__ = ("variables",)
 
-    def __init__(self, variables: tuple[str, ...]):
-        self._set(variables)
-
     @property
     def n(self) -> int:
         return len(self.variables)

@@ -43,7 +43,7 @@ from operator import mul
 from ._record import Record
 from .errors import CertificateError, ScenarioError
 from .event_space import EventSpace, _on_atoms, build_space, moment_coefficients, moment_mask
-from .measures import STANDARD, AtomMeasure, validate
+from .measures import STANDARD, AtomMeasure, signed_atom_sums, validate
 from .numerics import ScalarInterval, as_interval, format_scalar, over_common_denominator
 from . import simplex
 from .simplex import EQ, GE, LE
@@ -226,21 +226,10 @@ def _check_witness(scenario: Scenario, witness: AtomMeasure) -> None:
 def violated_constraints(scenario: Scenario, witness: AtomMeasure) -> list:
     """(constraint, moment) for each constraint the witness's atom-level moment misses.
 
-    The moments are :func:`.measures.signed_atom_sum`'s, read off the
-    witness's support once: over the common denominator d of its nonzero
-    atom values k_a / d, a moment is Σ ±k_a / d, each sign the
-    character of the moment's mask at atom a.
+    One :func:`.measures.signed_atom_sums` call reads every moment.
     """
-    support = [(a, v) for a, v in enumerate(witness.values) if v]
-    ints, common = over_common_denominator([v for _, v in support])
-    terms = [(a, k) for (a, _), k in zip(support, ints)]
-    violated = []
-    for c in scenario.constraints:
-        mask = moment_mask(witness.space, c.subset)
-        got = Fraction(sum(-k if (a & mask).bit_count() & 1 else k for a, k in terms), common)
-        if not c.holds(got):
-            violated.append((c, got))
-    return violated
+    moments = signed_atom_sums(witness, [c.subset for c in scenario.constraints])
+    return [(c, got) for c, got in zip(scenario.constraints, moments) if not c.holds(got)]
 
 
 def _box(scenario: Scenario) -> list[tuple[Fraction, Fraction]]:
@@ -478,15 +467,9 @@ def certificate_to_json(certificate: Sequence[Fraction]) -> list[str]:
 class GridMismatch(Record):
     __slots__ = ("p", "q", "lp_feasible", "closed_form_feasible")
 
-    def __init__(self, p: Fraction, q: Fraction, lp_feasible: bool, closed_form_feasible: bool):
-        self._set(p, q, lp_feasible, closed_form_feasible)
-
 
 class GridAgreementReport(Record):
     __slots__ = ("total", "mismatches")
-
-    def __init__(self, total: int, mismatches: tuple[GridMismatch, ...]):
-        self._set(total, mismatches)
 
     @property
     def agree(self) -> bool:

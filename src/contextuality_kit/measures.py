@@ -14,7 +14,8 @@ broken inputs can be inspected.
 
 Expectations of product moments come in two flavours that coincide for
 standard measures but not in general: the atom-level signed sum
-(:func:`signed_atom_sum`) and the event-level difference
+(:func:`signed_atom_sum`, or :func:`signed_atom_sums` for several
+moments of one measure) and the event-level difference
 P(v=+1) - P(v=-1) for a single variable
 (``PartialSetFunction.event_level_single_expectation``).  Reports in
 this package always name which one was used.
@@ -27,7 +28,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .errors import MeasureError, UndefinedConditionalError
-from .event_space import EventMask, EventSpace, moment_coefficients, sign_event
+from .event_space import EventMask, EventSpace, moment_coefficients, moment_mask, sign_event
 from .numerics import format_scalar, over_common_denominator, scalar_from_string
 
 STANDARD = "standard"
@@ -110,15 +111,9 @@ class ConditionalMomentValue(Record):
 class Violation(Record):
     __slots__ = ("axiom", "message")
 
-    def __init__(self, axiom: str, message: str):
-        self._set(axiom, message)
-
 
 class ValidationReport(Record):
     __slots__ = ("passed", "violations")
-
-    def __init__(self, passed: bool, violations: tuple[Violation, ...]):
-        self._set(passed, violations)
 
     def __bool__(self) -> bool:
         return self.passed
@@ -171,11 +166,23 @@ def signed_atom_sum(measure: AtomMeasure, subset: Sequence[str]) -> Fraction:
     Defined for every atom-measure kind; this is the atom-level reading
     of the expectation of a product of ±1 variables.
     """
-    coeffs = moment_coefficients(measure.space, subset)
-    terms = [(c, v) for c, v in zip(coeffs, measure.values) if v]
-    # One common denominator, so the sum runs in ints.
-    ints, common = over_common_denominator([v for _, v in terms])
-    return Fraction(sum(c * k for (c, _), k in zip(terms, ints)), common)
+    return signed_atom_sums(measure, [subset])[0]
+
+
+def signed_atom_sums(measure: AtomMeasure, subsets: Sequence[Sequence[str]]) -> list[Fraction]:
+    """:func:`signed_atom_sum` of each subset, reading the measure's support once.
+
+    Over the common denominator d of the nonzero atom values k_a / d, a
+    moment is Σ ±k_a / d, each sign the character of the moment's mask
+    at atom a.
+    """
+    support = [(a, v) for a, v in enumerate(measure.values) if v]
+    ints, common = over_common_denominator([v for _, v in support])
+    terms = [(a, k) for (a, _), k in zip(support, ints)]
+    return [
+        Fraction(sum(-k if (a & mask).bit_count() & 1 else k for a, k in terms), common)
+        for mask in (moment_mask(measure.space, subset) for subset in subsets)
+    ]
 
 
 def expectation(measure: AtomMeasure, subset: Sequence[str]) -> Fraction:

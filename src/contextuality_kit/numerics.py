@@ -182,36 +182,34 @@ def interval_sqrt(iv: ScalarInterval, scale_bits: int) -> ScalarInterval:
 class Literal(Record):
     __slots__ = ("value",)
 
-    def __init__(self, value: Fraction):
-        self._set(value)
-
 
 class Negate(Record):
     __slots__ = ("operand",)
 
-    def __init__(self, operand: "ValueExpr"):
-        self._set(operand)
-
 
 class BinaryOp(Record):
-    __slots__ = ("op", "left", "right")
+    """``op`` is '+', '-', '*' or '/'."""
 
-    def __init__(self, op: str, left: "ValueExpr", right: "ValueExpr"):
-        self._set(op, left, right)  # op is '+', '-', '*' or '/'
+    __slots__ = ("op", "left", "right")
 
 
 class Sqrt(Record):
     __slots__ = ("operand",)
 
-    def __init__(self, operand: "ValueExpr"):
-        self._set(operand)
-
 
 ValueExpr = Literal | Negate | BinaryOp | Sqrt
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+(?:\.\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/()]))"
+    r"\s*(?:(?P<number>[0-9]+(?:\.[0-9]+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/()]))"
 )
+
+
+def _literal(text: str, pos: int) -> Fraction:
+    """The number ``text``; one longer than ``int`` converts is refused at ``pos``."""
+    try:
+        return Fraction(text)
+    except ValueError as err:
+        raise ExpressionError(f"number too long: {err}", pos) from None
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -288,7 +286,7 @@ class _Parser:
         kind, value, pos = self.peek()
         if kind == "number":
             self.advance()
-            return Literal(Fraction(value))
+            return Literal(_literal(value, pos))
         if kind == "name":
             if value != "sqrt":
                 raise ExpressionError(f"unknown identifier {value!r}", pos)
@@ -383,7 +381,7 @@ def parse_and_evaluate(
     allows is refused with ExpressionError, like any other bad input.
     """
     if bracket_tolerance > 0 and _EXACT_LITERAL.fullmatch(text):
-        value = Fraction(text)
+        value = _literal(text, 0)
         return ScalarInterval(value, value)
     try:
         return evaluate(parse_value(text), bracket_tolerance)

@@ -34,9 +34,6 @@ class SpinOperator(Record):
 
     __slots__ = ("factors",)
 
-    def __init__(self, factors: tuple[str, ...]):
-        self._set(factors)
-
     @property
     def dimension(self) -> int:
         return 1 << len(self.factors)

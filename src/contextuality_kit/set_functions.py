@@ -149,15 +149,6 @@ def _validate_set_function(sf: PartialSetFunction) -> ValidationReport:
 class MonotonicityViolation(Record):
     __slots__ = ("smaller", "larger", "smaller_value", "larger_value")
 
-    def __init__(
-        self,
-        smaller: EventMask,
-        larger: EventMask,
-        smaller_value: Fraction,
-        larger_value: Fraction,
-    ):
-        self._set(smaller, larger, smaller_value, larger_value)
-
 
 def check_monotonicity(sf: PartialSetFunction) -> list[MonotonicityViolation]:
     """All specified pairs with ξ1 ⊂ ξ2 but value(ξ1) > value(ξ2).
@@ -182,17 +173,9 @@ def check_monotonicity(sf: PartialSetFunction) -> list[MonotonicityViolation]:
 class ConjugacyViolation(Record):
     __slots__ = ("event", "upper_value", "one_minus_lower_of_complement")
 
-    def __init__(
-        self, event: EventMask, upper_value: Fraction, one_minus_lower_of_complement: Fraction
-    ):
-        self._set(event, upper_value, one_minus_lower_of_complement)
-
 
 class ConjugacyReport(Record):
     __slots__ = ("checked", "vacuous", "violations")
-
-    def __init__(self, checked: int, vacuous: bool, violations: tuple[ConjugacyViolation, ...]):
-        self._set(checked, vacuous, violations)
 
 
 def check_conjugacy(

@@ -248,6 +248,40 @@ class TestCheckCommand:
             assert report["verdict"] == "input-error"
             assert "nested too deeply" in report["error"]
 
+    @staticmethod
+    def _one_value(tmp_path, value):
+        path = tmp_path / "value.json"
+        constraints = [
+            {"moment": ["A"], "relation": "eq", "value": "0"},
+            {"moment": ["B"], "relation": "eq", "value": value},
+        ]
+        path.write_text(json.dumps({"variables": ["A", "B"], "constraints": constraints}))
+        return path
+
+    @pytest.mark.parametrize("value", ["\u0661/\u0662", "\uff11", "sqrt(\u0662)"])
+    def test_non_ascii_digits_are_input_error(self, tmp_path, value):
+        code, report = run_json("check", "--scenario", str(self._one_value(tmp_path, value)))
+        assert code == EXIT_USAGE
+        assert report["verdict"] == "input-error"
+        assert "constraint 1" in report["error"] and "unexpected character" in report["error"]
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this interpreter converts integer strings of any length",
+    )
+    @pytest.mark.parametrize(
+        "template, position", [("{}", 0), ("-1/{}", 0), ("1+{}", 2), ("(0.{})", 1)]
+    )
+    def test_literal_over_the_digit_limit_is_input_error(self, tmp_path, template, position):
+        value = template.format("1" * (sys.get_int_max_str_digits() + 1))
+        path = self._one_value(tmp_path, value)
+        with pytest.raises(ScenarioError, match=f"constraint 1: .*at position {position}"):
+            load_scenario(path)
+        code, report = run_json("check", "--scenario", str(path))
+        assert code == EXIT_USAGE
+        assert report["verdict"] == "input-error"
+        assert "number too long" in report["error"]
+
     def test_missing_file(self):
         code, _ = run_json("check", "--scenario", "/nonexistent/file.json")
         assert code == EXIT_USAGE

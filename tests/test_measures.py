@@ -1,16 +1,19 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from contextuality_kit.errors import MeasureError, UndefinedConditionalError
-from contextuality_kit.event_space import EventMask, build_space, sign_event
+from contextuality_kit.event_space import EventMask, build_space, moment_coefficients, sign_event
 from contextuality_kit.measures import (
     LOWER_ATOMS,
+    STANDARD,
+    UPPER_ATOMS,
     AtomMeasure,
     conditional_expectation,
     expectation,
     signed_atom_sum,
+    signed_atom_sums,
     validate,
 )
 from contextuality_kit.set_functions import (
@@ -232,3 +235,33 @@ def test_signed_atom_sum_equals_expectation_on_standard(weights, subset):
     m = _measure_from_weights(space, weights)
     assert signed_atom_sum(m, subset) == expectation(m, subset)
     assert abs(expectation(m, subset)) <= 1
+
+
+def _dense_signed_atom_sum(measure, subset):
+    """The signed sum over every atom, zero or not, one ±1 coefficient each."""
+    coeffs = moment_coefficients(measure.space, subset)
+    return sum((c * v for c, v in zip(coeffs, measure.values)), Fraction(0))
+
+
+@st.composite
+def _measures_and_subsets(draw):
+    space = build_space([f"V{i}" for i in range(draw(st.integers(1, 4)))])
+    value = st.one_of(
+        st.just(Fraction(0)), st.fractions(min_value=-2, max_value=2, max_denominator=12)
+    )
+    values = draw(st.lists(value, min_size=space.atom_count, max_size=space.atom_count))
+    kind = draw(st.sampled_from([STANDARD, LOWER_ATOMS, UPPER_ATOMS]))
+    subset = st.lists(st.sampled_from(space.variables), min_size=1, unique=True)
+    return AtomMeasure(space, tuple(values), kind), draw(st.lists(subset, max_size=6))
+
+
+_ZERO_MEASURE = AtomMeasure(build_space(["A", "B"]), (Fraction(0),) * 4, LOWER_ATOMS)
+
+
+@given(_measures_and_subsets())
+@example((_ZERO_MEASURE, [["A"], ["B", "A"]]))
+def test_signed_atom_sums_equal_the_dense_signed_sum(case):
+    measure, subsets = case
+    want = [_dense_signed_atom_sum(measure, subset) for subset in subsets]
+    assert signed_atom_sums(measure, subsets) == want
+    assert [signed_atom_sum(measure, subset) for subset in subsets] == want

@@ -123,3 +123,48 @@ def test_record_behaves_like_a_frozen_dataclass(cls):
     with pytest.raises(AttributeError):
         record.unknown_field = 1
     assert record == twin
+
+
+#: The records that only store their arguments, through the base constructor.
+BASE_CONSTRUCTED = {
+    closed_form.SymmetricWitness, closed_form.NoiseThresholdResult,
+    closed_form.AssignmentEnumeration, closed_form.UpperBellSolution, closed_form.GhzWitness,
+    event_space.EventSpace, feasibility.GridMismatch, feasibility.GridAgreementReport,
+    measures.Violation, measures.ValidationReport, numerics.Literal, numerics.Negate,
+    numerics.BinaryOp, numerics.Sqrt, quantum.SpinOperator,
+    set_functions.MonotonicityViolation, set_functions.ConjugacyViolation,
+    set_functions.ConjugacyReport,
+}
+
+
+def test_only_the_records_that_store_their_arguments_use_the_base_constructor():
+    assert {cls for cls in SAMPLES if "__init__" not in vars(cls)} == BASE_CONSTRUCTED
+
+
+@pytest.mark.parametrize("cls", _CLASSES, ids=lambda cls: cls.__qualname__)
+def test_record_built_by_keyword_equals_the_positional_one(cls):
+    record = SAMPLES[cls]()
+    values = record._values()
+    named = dict(zip(cls.__slots__, values))
+    assert cls(**named) == record
+    assert cls(*values[:1], **dict(list(named.items())[1:])) == record
+    assert cls(**dict(reversed(named.items()))) == record
+
+
+@pytest.mark.parametrize("cls", _CLASSES, ids=lambda cls: cls.__qualname__)
+def test_extra_missing_repeated_and_unknown_fields_raise_type_error(cls):
+    values = SAMPLES[cls]()._values()
+    first = cls.__slots__[0]
+    with pytest.raises(TypeError):
+        cls(*values, values[0])
+    with pytest.raises(TypeError):
+        cls()
+    with pytest.raises(TypeError):
+        cls(*values, **{first: values[0]})
+    with pytest.raises(TypeError):
+        cls(*values, unknown_field=1)
+    if cls in BASE_CONSTRUCTED:
+        with pytest.raises(TypeError, match="missing the field"):
+            cls(*values[:-1])
+        with pytest.raises(TypeError, match=f"missing the field '{first}'"):
+            cls(**dict(zip(cls.__slots__[1:], values[1:])))
