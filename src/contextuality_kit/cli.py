@@ -137,8 +137,33 @@ def scenario_from_document(
             raise ScenarioError(
                 f"constraint {index}: cannot evaluate {value_text!r}: {err}"
             ) from err
+        if not _printable(target.lo) or not _printable(target.hi):
+            raise ScenarioError(
+                f"constraint {index}: the exact value has more digits than the"
+                f" interpreter prints, {sys.get_int_max_str_digits()}"
+            )
         constraints.append(MomentConstraint(tuple(subset), relation, target))
     return Scenario(space, tuple(constraints), kind, document.get("title"))
+
+
+def _printable(value: Fraction) -> bool:
+    """Whether ``str(value)`` is within the interpreter's integer-string limit.
+
+    Every report prints its targets, so a target over the limit
+    (``sys.get_int_max_str_digits``, Python 3.11+) is refused at load.
+    An int of b bits has at most 0.302·b + 1 digits, so only one of over
+    3·(limit − 1) bits is converted to find out.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    parts = (value.numerator, value.denominator)
+    if not limit or all(part.bit_length() <= 3 * (limit - 1) for part in parts):
+        return True
+    try:
+        for part in parts:
+            str(part)
+    except ValueError:
+        return False
+    return True
 
 
 def _require_list(value, what: str) -> None:

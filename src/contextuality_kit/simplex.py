@@ -25,8 +25,12 @@ grid sweeps' cold solves.  No decision runs it; ``solve_lp`` is still
 reachable as an attribute of this module, and importing it loads
 :mod:`.sweep`.
 
-The revised simplex holds ``[B⁻¹ | x_B]`` and the objective row,
-m × (m + 2) integers, instead of every column.  Its LPs may have a block of
+The revised simplex holds ``[B⁻¹ | x_B]`` and the objective row instead
+of every column, and B⁻¹ only over its live columns: while a slack (a
+unit column of cost 0, entry ±1) of row r is basic, column r of B⁻¹ is
+a unit vector, kept implicit.  So with k rows that have no basic slack
+it holds (m + 1) × (k + 2) integers, not (m + 1) × (m + 2); the margin
+LP's rows are mostly slack rows.  Its LPs may have a block of
 character columns: atom a's entry in row i is
 ``(-1)^popcount(a & mask_i)``, as for the kit's moment rows over 2ⁿ
 atoms.  Those columns are never formed.  Each pivot prices all of them
@@ -41,7 +45,8 @@ one-phase tableau this replaced: the basis rows hold the same rational
 values, Dantzig's choice reads the same reduced costs in the same
 column order, and the ratio test the same column.  So the point,
 objective and reduced costs are the same too, which the tests pin
-against that tableau, kept as ``tests/dense_simplex.py``.
+against that tableau, kept as ``tests/dense_simplex.py`` with the
+full-width B⁻¹ rows that the live columns replaced.
 
 Every tableau row, the objective row included, is a list of Python ints
 over one positive integer scale; the row's rational value is
@@ -255,23 +260,45 @@ def _walsh(values, bits):
 
 
 class _RevisedLp:
-    """The rows ``[B⁻¹ | slot | x_B]`` and the objective row of one LP.
+    """The rows ``[B⁻¹ | slot | x_B]`` of one LP, B⁻¹ over its live columns.
 
     The matrix and the costs are integers (a character is ±1, and the
     kit's explicit columns are ±1 too); a Fraction among them raises
     TypeError.  Only the right-hand side is rational: it is multiplied
-    by its common denominator ``rhs_scale``, and the tableau starts as
-    ``[I | 0 | b·rhs_scale]`` and an objective row ``[0 | 0 | 0]``, every
-    row over scale 1.  So the bracket denominators of the targets are
-    held once, in ``rhs_scale``, and never enter B⁻¹ or the duals;
-    :meth:`result` divides x and the objective by it, and the ratio test
-    is unchanged, since ``rhs_scale`` cancels in its cross-multiplication.
-    A row's first m entries are the multipliers that combine the
-    rows of ``[A | b]`` into that row of the dense tableau; the objective
-    row's, w, stand for ``scale·[c | 0] + w·[A | b]``, so w prices every
-    column.  Slot m holds the column being pivoted in, written by
-    :meth:`enter`; :func:`_pivot` and :func:`_leaving` work on these
-    rows as on the dense tableau.
+    by its common denominator ``rhs_scale``, so every row starts over
+    scale 1 and the bracket denominators of the targets are held once,
+    in ``rhs_scale``, and never enter B⁻¹ or the duals; :meth:`result`
+    divides x and the objective by it, and the ratio test is unchanged,
+    since ``rhs_scale`` cancels in its cross-multiplication.
+
+    Row i's B⁻¹ entries are the multipliers that combine the rows of
+    ``[A | b]`` into that row of the dense tableau; the objective row's,
+    w, stand for ``scale·[c | 0] + w·[A | b]``, so w prices every
+    column.  A *slack* is a column of cost 0 with one entry, ±1, on
+    some row r.  While a slack is basic on position i, column r of B⁻¹
+    is ±e_i: row i's entry there is ±(its scale), every other row's is
+    0, the objective row's included (the slack's reduced cost is 0).
+    Such a column is not stored, only ``held[i] = (r, ±1)``; the other
+    columns are *live*, listed in ``live`` in the order they are
+    stored (the standard treatment of logical variables; I. Maros,
+    *Computational Techniques of the Simplex Method*, 2003, ch. 8).  So
+    each row is ``[live entries | slot | x_B]``, k + 2 integers for k
+    live columns, where k counts the rows with no basic slack; the
+    margin LP's are mostly slack rows.  The tableau starts with B⁻¹ the
+    identity, every position holding its own column.
+
+    Before a pivot on a position that holds a column, that column is
+    made live, with its ``±scale`` written out on the pivot row; after
+    a pivot that brings a slack in, the slack's column is dropped and
+    held by that position.  Between the two, :func:`_pivot` works on
+    the narrow rows as on the full ones: the dropped entries are 0 on
+    the pivot row, so the update leaves them 0 elsewhere and a multiple
+    of the scale on their own row, and they change no gcd.  So every
+    stored entry, scale and pivot is the one the full rows would have,
+    and :meth:`result` writes the held entries back in.  The slot,
+    written by :meth:`enter`, carries the column being pivoted in;
+    :func:`_pivot` and :func:`_leaving` work on these rows as on the
+    dense tableau.
     """
 
     def __init__(self, costs, columns, rhs, characters):
@@ -281,7 +308,7 @@ class _RevisedLp:
         if any(type(v) is not int for v in [*costs, *(v for c in columns for v in c.values())]):
             raise TypeError("the revised simplex takes integer columns and costs")
         # Each explicit column: its (row, entry) when it has one nonzero
-        # entry (a slack), else a list of m entries.
+        # entry, else a list of m entries.
         self.units, self.columns = [], []
         for column in columns:
             nonzero = [(i, v) for i, v in column.items() if v]
@@ -294,65 +321,104 @@ class _RevisedLp:
             self.columns.append(dense)
         self.costs = costs
         self.atom_costs = any(costs[: self.atoms])
+        # The slacks, by column index: (row, entry).
+        self.slacks = {
+            self.atoms + j: unit
+            for j, unit in enumerate(self.units)
+            if unit and unit[1] in (1, -1) and not costs[self.atoms + j]
+        }
         rhs, self.rhs_scale = over_common_denominator(rhs)
-        self.tableau = [[0] * (m + 2) for _ in range(m + 1)]
-        for i, b in enumerate(rhs):
-            self.tableau[i][i] = 1
-            self.tableau[i][-1] = b
+        self.live = []
+        self.held = {i: (i, 1) for i in range(m)}
+        self.tableau = [[0, b] for b in rhs] + [[0, 0]]
         self.scales = [1] * (m + 1)
         self.basis = [-1] * m
 
     def enter(self, j):
-        """Write column j, as the current basis sees it, into slot m."""
-        m, tableau = self.m, self.tableau
-        if j < self.atoms:
-            column = [-1 if (j & mask).bit_count() & 1 else 1 for mask in self.masks]
-            for line in tableau:
-                line[m] = sum(map(mul, line, column))
-        elif self.units[j - self.atoms] is not None:
-            i, v = self.units[j - self.atoms]
-            for line in tableau:
-                line[m] = line[i] * v
+        """Write column j, as the current basis sees it, into the slot."""
+        m, tableau, scales, live = self.m, self.tableau, self.scales, self.live
+        slot = len(live)
+        unit = self.units[j - self.atoms] if j >= self.atoms else None
+        if unit is not None:
+            r, v = unit
+            if r in live:
+                k = live.index(r)
+                for line in tableau:
+                    line[slot] = line[k] * v
+            else:
+                for line in tableau:
+                    line[slot] = 0
+                i, sign = next((i, s) for i, (c, s) in self.held.items() if c == r)
+                tableau[i][slot] = sign * v * scales[i]
         else:
-            column = self.columns[j - self.atoms]
+            if j < self.atoms:
+                column = [-1 if (j & mask).bit_count() & 1 else 1 for mask in self.masks]
+            else:
+                column = self.columns[j - self.atoms]
+            stored = [column[c] for c in live]
             for line in tableau:
-                line[m] = sum(map(mul, line, column))
-        tableau[m][m] += self.costs[j] * self.scales[m]
+                line[slot] = sum(map(mul, line, stored))
+            for i, (c, sign) in self.held.items():
+                if column[c]:
+                    tableau[i][slot] += sign * column[c] * scales[i]
+        tableau[m][slot] += self.costs[j] * scales[m]
+
+    def leaving(self):
+        """The ratio test on the slot: the row that leaves, or -1."""
+        return _leaving(self.tableau, self.basis, len(self.live))
 
     def pivot(self, row, j):
-        _pivot(self.tableau, self.scales, self.basis, row, self.m)
+        tableau, live = self.tableau, self.live
+        held = self.held.pop(row, None)
+        if held is not None:
+            # The column this row holds goes live, its ±scale written out.
+            c, sign = held
+            slot = len(live)
+            for line in tableau:
+                line.insert(slot, 0)
+            tableau[row][slot] = sign * self.scales[row]
+            live.append(c)
+        _pivot(tableau, self.scales, self.basis, row, len(live))
         self.basis[row] = j
+        if j in self.slacks:
+            # The slack's row's column of B⁻¹ is now ±e_row: this row holds it.
+            c, sign = self.slacks[j]
+            k = live.index(c)
+            for line in tableau:
+                del line[k]
+            del live[k]
+            self.held[row] = (c, sign)
 
     def start(self, basis):
         """Bring the start basis's columns in, or raise ValueError if singular.
 
-        While B⁻¹ is the identity, a unit column of cost 0 and entry ±1
-        on row i needs no pivot: its pivot would only negate row i for
-        −1, as no other row, the objective row included, has an entry in
-        its column.  Such columns are placed first, each on its own row;
-        the rest (a second unit on a taken row among them) are entered
-        and pivoted in in order, each on the first row not yet taken
-        where it is nonzero.  The rows, in lowest terms, depend only on
-        which column ends up basic on each row, and for the margin LP's
-        crash basis (the atom on row 0, each other row's slack or t on
-        that row) that is where pivoting every column in in order puts
-        it, so every later pivot is unchanged.
+        While B⁻¹ is the identity, a slack on row i needs no pivot: its
+        pivot would only negate row i for −1, as no other row, the
+        objective row included, has an entry in its column.  Such
+        columns are placed first, each on its own row, where position i
+        already holds column i; the rest (a second unit on a taken row
+        among them) are entered and pivoted in in order, each on the
+        first row not yet taken where it is nonzero.  The rows, in
+        lowest terms, depend only on which column ends up basic on each
+        row, and for the margin LP's crash basis (the atom on row 0,
+        each other row's slack or t on that row) that is where pivoting
+        every column in in order puts it, so every later pivot is
+        unchanged.
         """
-        m, tableau = self.m, self.tableau
-        rest = []
+        tableau, rest = self.tableau, []
         for col in basis:
-            unit = self.units[col - self.atoms] if col >= self.atoms else None
-            if unit and unit[1] in (1, -1) and not self.costs[col] and self.basis[unit[0]] < 0:
-                i, v = unit
-                if v < 0:
-                    line = tableau[i]
-                    line[i], line[-1] = -1, -line[-1]
+            slack = self.slacks.get(col)
+            if slack and self.basis[slack[0]] < 0:
+                i, v = slack
+                self.held[i] = slack
+                tableau[i][-1] *= v
                 self.basis[i] = col
             else:
                 rest.append(col)
         for col in rest:
             self.enter(col)
-            row = next((i for i, c in enumerate(self.basis) if c < 0 and tableau[i][m]), -1)
+            slot = len(self.live)
+            row = next((i for i, c in enumerate(self.basis) if c < 0 and tableau[i][slot]), -1)
             if row < 0:
                 raise ValueError(f"start basis is singular at column {col}")
             self.pivot(row, col)
@@ -360,15 +426,19 @@ class _RevisedLp:
     def reduced_costs(self):
         """Every column's reduced cost, as ints over the objective row's scale.
 
-        The atom block is one Walsh–Hadamard transform of the duals
-        placed on their rows' masks; each explicit column is priced from
-        its entries.
+        The duals are the objective row's live entries, 0 on the held
+        columns.  The atom block is one Walsh–Hadamard transform of the
+        duals placed on their rows' masks; each explicit column is
+        priced from its entries.
         """
         m, obj, scale = self.m, self.tableau[self.m], self.scales[self.m]
+        duals = [0] * m
+        for c, w in zip(self.live, obj):
+            duals[c] = w
         reduced = []
         if self.atoms:
             weights = [0] * self.atoms
-            for w, mask in zip(obj, self.masks):
+            for w, mask in zip(duals, self.masks):
                 if w:
                     weights[mask] += w
             reduced = _walsh(weights, self.bits)
@@ -376,26 +446,34 @@ class _RevisedLp:
                 reduced = [c * scale + v for c, v in zip(self.costs, reduced)]
         for c, column, unit in zip(self.costs[self.atoms:], self.columns, self.units):
             if unit is None:
-                reduced.append(c * scale + sum(map(mul, obj, column)))
+                reduced.append(c * scale + sum(map(mul, duals, column)))
             else:
-                reduced.append(c * scale + obj[unit[0]] * unit[1])
+                reduced.append(c * scale + duals[unit[0]] * unit[1])
         return reduced
 
     def result(self, pivots, reduced) -> LpResult:
-        """The optimal LpResult of the current basis."""
+        """The optimal LpResult of the current basis, with B⁻¹ at full width."""
         m, tableau, scales = self.m, self.tableau, self.scales
         scale = scales[m]
         x = [_ZERO] * len(self.costs)
+        inverse = []
         for i, col in enumerate(self.basis):
-            x[col] = Fraction(tableau[i][-1], scales[i] * self.rhs_scale)
-        inverse = tuple((line[:m], line_scale) for line, line_scale in zip(tableau, scales[:m]))
+            line = tableau[i]
+            x[col] = Fraction(line[-1], scales[i] * self.rhs_scale)
+            full = [0] * m
+            for c, v in zip(self.live, line):
+                full[c] = v
+            if i in self.held:
+                c, sign = self.held[i]
+                full[c] = sign * scales[i]
+            inverse.append((full, scales[i]))
         return LpResult(
             status=OPTIMAL,
             x=x,
             objective=Fraction(-tableau[m][-1], scale * self.rhs_scale),
             pivots=pivots,
             basis=tuple(self.basis),
-            inverse=inverse,
+            inverse=tuple(inverse),
             reduced_costs=[Fraction(v, scale) if v else _ZERO for v in reduced],
         )
 
@@ -437,10 +515,11 @@ def solve_from_basis(
     path is part of the output; it depends only on the LP, the start
     basis and these rules.
 
-    Only B⁻¹, x_B and the objective row are held, m × (m + 2) integers;
-    no column of A is stored.  Every reduced cost is recomputed from
-    the objective row's duals each pivot (the character block by
-    :func:`_walsh`), and only the entering column is formed.
+    Only B⁻¹, x_B and the objective row are held, B⁻¹ over the rows
+    with no basic slack (``_RevisedLp``); no column of A is stored.
+    Every reduced cost is recomputed from the objective row's duals
+    each pivot (the character block by :func:`_walsh`), and only the
+    entering column is formed.
 
     ``pivots`` counts the simplex pivots; the pivots that bring
     ``basis`` in are not counted.  An optimal result carries ``basis``
@@ -462,13 +541,13 @@ def solve_from_basis(
             return lp.result(pivots, reduced)
         entering = reduced.index(most_negative)
         lp.enter(entering)
-        leaving = _leaving(lp.tableau, lp.basis, m)
+        leaving = lp.leaving()
         if leaving >= 0 and not lp.tableau[leaving][-1]:
             bland = _bland_entering(reduced, range(len(reduced)))
             if bland != entering:
                 entering = bland
                 lp.enter(entering)
-                leaving = _leaving(lp.tableau, lp.basis, m)
+                leaving = lp.leaving()
         if leaving < 0:
             return LpResult(status=UNBOUNDED, pivots=pivots)
         lp.pivot(leaving, entering)

@@ -17,11 +17,19 @@ basis with the kit's pivot, is this module's.
 (:func:`to_standard_form`).  It shares no code with
 ``feasibility.solve``'s margin LP, so the tests cross-check the
 one-phase verdicts and the closed forms with it.
+
+:class:`FullWidthLp` is ``simplex._RevisedLp`` as it was before it kept
+B⁻¹ over its live columns only: every row holds all m columns of B⁻¹.
+:func:`solve_full_width` runs ``simplex.solve_from_basis`` on it, so the
+tests can pin every ``LpResult`` field, ``inverse`` included, of the
+narrow rows against the full ones.
 """
 
 import math
 from fractions import Fraction
+from operator import mul
 
+from contextuality_kit import simplex
 from contextuality_kit.feasibility import _standard_rows
 from contextuality_kit.numerics import over_common_denominator
 from contextuality_kit.simplex import (
@@ -36,6 +44,7 @@ from contextuality_kit.simplex import (
     _leaving,
     _pivot,
     _reduced,
+    _walsh,
 )
 from contextuality_kit.sweep import solve_lp
 
@@ -201,3 +210,168 @@ def solve_from_basis(costs, rows, rhs, basis) -> LpResult:
         pivots=pivots,
         reduced_costs=[Fraction(v, obj_scale) if v else Fraction(0) for v in obj[:-1]],
     )
+
+
+class FullWidthLp:
+    """``simplex._RevisedLp`` as it was: every B⁻¹ row over all m columns.
+
+    The rows ``[B⁻¹ | slot | x_B]`` and the objective row of one LP.
+
+    The matrix and the costs are integers (a character is ±1, and the
+    kit's explicit columns are ±1 too); a Fraction among them raises
+    TypeError.  Only the right-hand side is rational: it is multiplied
+    by its common denominator ``rhs_scale``, and the tableau starts as
+    ``[I | 0 | b·rhs_scale]`` and an objective row ``[0 | 0 | 0]``, every
+    row over scale 1.  So the bracket denominators of the targets are
+    held once, in ``rhs_scale``, and never enter B⁻¹ or the duals;
+    :meth:`result` divides x and the objective by it, and the ratio test
+    is unchanged, since ``rhs_scale`` cancels in its cross-multiplication.
+    A row's first m entries are the multipliers that combine the
+    rows of ``[A | b]`` into that row of the dense tableau; the objective
+    row's, w, stand for ``scale·[c | 0] + w·[A | b]``, so w prices every
+    column.  Slot m holds the column being pivoted in, written by
+    :meth:`enter`; :func:`_pivot` and :func:`_leaving` work on these
+    rows as on the dense tableau.
+    """
+
+    def __init__(self, costs, columns, rhs, characters):
+        m = self.m = len(rhs)
+        self.bits, self.masks = characters if characters is not None else (0, ())
+        self.atoms = 1 << self.bits if characters is not None else 0
+        if any(type(v) is not int for v in [*costs, *(v for c in columns for v in c.values())]):
+            raise TypeError("the revised simplex takes integer columns and costs")
+        # Each explicit column: its (row, entry) when it has one nonzero
+        # entry (a slack), else a list of m entries.
+        self.units, self.columns = [], []
+        for column in columns:
+            nonzero = [(i, v) for i, v in column.items() if v]
+            dense = None
+            if len(nonzero) != 1:
+                dense = [0] * m
+                for i, v in nonzero:
+                    dense[i] = v
+            self.units.append(nonzero[0] if dense is None else None)
+            self.columns.append(dense)
+        self.costs = costs
+        self.atom_costs = any(costs[: self.atoms])
+        rhs, self.rhs_scale = over_common_denominator(rhs)
+        self.tableau = [[0] * (m + 2) for _ in range(m + 1)]
+        for i, b in enumerate(rhs):
+            self.tableau[i][i] = 1
+            self.tableau[i][-1] = b
+        self.scales = [1] * (m + 1)
+        self.basis = [-1] * m
+
+    def enter(self, j):
+        """Write column j, as the current basis sees it, into slot m."""
+        m, tableau = self.m, self.tableau
+        if j < self.atoms:
+            column = [-1 if (j & mask).bit_count() & 1 else 1 for mask in self.masks]
+            for line in tableau:
+                line[m] = sum(map(mul, line, column))
+        elif self.units[j - self.atoms] is not None:
+            i, v = self.units[j - self.atoms]
+            for line in tableau:
+                line[m] = line[i] * v
+        else:
+            column = self.columns[j - self.atoms]
+            for line in tableau:
+                line[m] = sum(map(mul, line, column))
+        tableau[m][m] += self.costs[j] * self.scales[m]
+
+    def leaving(self):
+        """The ratio test on slot m: the row that leaves, or -1."""
+        return _leaving(self.tableau, self.basis, self.m)
+
+    def pivot(self, row, j):
+        _pivot(self.tableau, self.scales, self.basis, row, self.m)
+        self.basis[row] = j
+
+    def start(self, basis):
+        """Bring the start basis's columns in, or raise ValueError if singular.
+
+        While B⁻¹ is the identity, a unit column of cost 0 and entry ±1
+        on row i needs no pivot: its pivot would only negate row i for
+        −1, as no other row, the objective row included, has an entry in
+        its column.  Such columns are placed first, each on its own row;
+        the rest (a second unit on a taken row among them) are entered
+        and pivoted in in order, each on the first row not yet taken
+        where it is nonzero.  The rows, in lowest terms, depend only on
+        which column ends up basic on each row, and for the margin LP's
+        crash basis (the atom on row 0, each other row's slack or t on
+        that row) that is where pivoting every column in in order puts
+        it, so every later pivot is unchanged.
+        """
+        m, tableau = self.m, self.tableau
+        rest = []
+        for col in basis:
+            unit = self.units[col - self.atoms] if col >= self.atoms else None
+            if unit and unit[1] in (1, -1) and not self.costs[col] and self.basis[unit[0]] < 0:
+                i, v = unit
+                if v < 0:
+                    line = tableau[i]
+                    line[i], line[-1] = -1, -line[-1]
+                self.basis[i] = col
+            else:
+                rest.append(col)
+        for col in rest:
+            self.enter(col)
+            row = next((i for i, c in enumerate(self.basis) if c < 0 and tableau[i][m]), -1)
+            if row < 0:
+                raise ValueError(f"start basis is singular at column {col}")
+            self.pivot(row, col)
+
+    def reduced_costs(self):
+        """Every column's reduced cost, as ints over the objective row's scale.
+
+        The atom block is one Walsh–Hadamard transform of the duals
+        placed on their rows' masks; each explicit column is priced from
+        its entries.
+        """
+        m, obj, scale = self.m, self.tableau[self.m], self.scales[self.m]
+        reduced = []
+        if self.atoms:
+            weights = [0] * self.atoms
+            for w, mask in zip(obj, self.masks):
+                if w:
+                    weights[mask] += w
+            reduced = _walsh(weights, self.bits)
+            if self.atom_costs:
+                reduced = [c * scale + v for c, v in zip(self.costs, reduced)]
+        for c, column, unit in zip(self.costs[self.atoms:], self.columns, self.units):
+            if unit is None:
+                reduced.append(c * scale + sum(map(mul, obj, column)))
+            else:
+                reduced.append(c * scale + obj[unit[0]] * unit[1])
+        return reduced
+
+    def result(self, pivots, reduced) -> LpResult:
+        """The optimal LpResult of the current basis."""
+        m, tableau, scales = self.m, self.tableau, self.scales
+        scale = scales[m]
+        x = [_ZERO] * len(self.costs)
+        for i, col in enumerate(self.basis):
+            x[col] = Fraction(tableau[i][-1], scales[i] * self.rhs_scale)
+        inverse = tuple((line[:m], line_scale) for line, line_scale in zip(tableau, scales[:m]))
+        return LpResult(
+            status=OPTIMAL,
+            x=x,
+            objective=Fraction(-tableau[m][-1], scale * self.rhs_scale),
+            pivots=pivots,
+            basis=tuple(self.basis),
+            inverse=inverse,
+            reduced_costs=[Fraction(v, scale) if v else _ZERO for v in reduced],
+        )
+
+
+_solve_from_basis = simplex.solve_from_basis
+
+
+def solve_full_width(costs, columns, rhs, basis, characters=None) -> LpResult:
+    """``simplex.solve_from_basis`` on :class:`FullWidthLp` rows."""
+    narrow = simplex._RevisedLp
+    simplex._RevisedLp = FullWidthLp
+    try:
+        return _solve_from_basis(costs, columns, rhs, basis, characters)
+    finally:
+        simplex._RevisedLp = narrow

@@ -282,6 +282,23 @@ class TestCheckCommand:
         assert report["verdict"] == "input-error"
         assert "number too long" in report["error"]
 
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this interpreter converts integer strings of any length",
+    )
+    def test_value_over_the_digit_limit_is_input_error(self, tmp_path):
+        # Each literal is within the limit; their product, the exact
+        # target's denominator, is not.
+        literal = "3" * (sys.get_int_max_str_digits() // 2 + 50)
+        path = self._one_value(tmp_path, f"1/{literal}/{literal}")
+        with pytest.raises(ScenarioError, match="constraint 1: .*more digits"):
+            load_scenario(path)
+        for command in ("check", "margin"):
+            code, report = run_json(command, "--scenario", str(path))
+            assert code == EXIT_USAGE
+            assert report["verdict"] == "input-error"
+            assert "constraint 1" in report["error"]
+
     def test_missing_file(self):
         code, _ = run_json("check", "--scenario", "/nonexistent/file.json")
         assert code == EXIT_USAGE

@@ -270,11 +270,14 @@ def pivot_every_column_in(lp, basis):
     """``_RevisedLp.start`` as it was: every column entered and pivoted in.
 
     Each column in turn goes on the first row not yet taken where it is
-    nonzero, with the kit's pivot, unit slack columns included.
+    nonzero, with the kit's pivot, unit slack columns included.  The
+    slot follows the live columns, so it is read after :meth:`enter`:
+    each slack's pivot makes its row's column live and then drops it.
     """
     for col in basis:
         lp.enter(col)
-        row = next((i for i, c in enumerate(lp.basis) if c < 0 and lp.tableau[i][lp.m]), -1)
+        slot = len(lp.live)
+        row = next((i for i, c in enumerate(lp.basis) if c < 0 and lp.tableau[i][slot]), -1)
         if row < 0:
             raise ValueError(f"start basis is singular at column {col}")
         lp.pivot(row, col)
@@ -303,6 +306,180 @@ def test_start_places_slacks_where_their_pivots_would(scenario, endpoint):
 @pytest.mark.parametrize("n, planted", [(5, True), (6, False)])
 def test_wide_document_start_places_slacks_where_their_pivots_would(n, planted):
     assert_same_start(scenario_from_document(reference.wide_document(11, n, planted)))
+
+
+# --- B⁻¹ over its live columns against the full-width rows ---------------------
+
+
+def same_as_full_width(costs, columns, rhs, basis, characters=None):
+    """The narrow solve's outcome, which must be the full-width one's.
+
+    An outcome is the ``LpResult``, whose equality compares every field
+    (x, objective, pivots, basis, inverse and reduced costs among them),
+    or the message of the ValueError that a singular or primal-infeasible
+    start raises.
+    """
+    outcomes = []
+    for solve in (_solve_from_basis, dense_simplex.solve_full_width):
+        try:
+            outcomes.append(solve(costs, columns, rhs, basis, characters))
+        except ValueError as err:
+            outcomes.append(str(err))
+    got, want = outcomes
+    assert got == want
+    return got
+
+
+@contextmanager
+def full_width_compared():
+    """Route every ``solve_from_basis`` through :func:`same_as_full_width`; yields the count."""
+    count = [0]
+
+    def compared(*args):
+        count[0] += 1
+        result = same_as_full_width(*args)
+        if isinstance(result, str):
+            raise ValueError(result)
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplex, "solve_from_basis", compared)
+        yield count
+
+
+@st.composite
+def explicit_lps(draw):
+    """A small LP of explicit columns, optionally after a character block.
+
+    Its columns mix units of entry ±1 and ±2 and dense integer columns;
+    a dense column has a positive entry on row 0, which bounds it.  One
+    unit per row, signed so its basic value is |b_i|, makes a
+    feasible start, whose units have cost 0 (slacks) or not.  Sometimes
+    one start column is swapped for another column, so the start may
+    be singular or infeasible, a second unit on a taken row among them.
+    """
+    m = draw(st.integers(min_value=1, max_value=5))
+    characters = None
+    if draw(st.booleans()):
+        bits = draw(st.integers(min_value=0, max_value=3))
+        masks = draw(
+            st.lists(st.integers(min_value=0, max_value=(1 << bits) - 1), min_size=m, max_size=m)
+        )
+        characters = (bits, masks)
+    atoms = 1 << characters[0] if characters else 0
+    rhs = draw(
+        st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=m, max_size=m)
+    )
+    unit = st.builds(
+        lambda i, v: {i: v},
+        st.integers(min_value=0, max_value=m - 1),
+        st.sampled_from([1, -1, 2, -2]),
+    )
+    # Row 0 bounds the dense columns: each has a positive entry there.
+    dense = st.tuples(
+        st.integers(min_value=1, max_value=2),
+        st.lists(st.integers(min_value=-2, max_value=2), min_size=m - 1, max_size=m - 1),
+    ).map(lambda entries: {i: v for i, v in enumerate([entries[0], *entries[1]]) if v})
+    columns = draw(st.lists(st.one_of(unit, dense), max_size=8))
+    basis = []
+    for i, b in enumerate(rhs):
+        basis.append(atoms + len(columns))
+        columns.append({i: -1 if b < 0 else 1})
+    width = atoms + len(columns)
+    costs = draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=width, max_size=width))
+    for col in basis:
+        costs[col] = draw(st.sampled_from([0, 0, 1]))
+    basis = draw(st.permutations(basis))
+    if draw(st.booleans()):
+        basis[draw(st.integers(0, m - 1))] = draw(st.integers(0, width - 1))
+    return costs, columns, rhs, basis, characters
+
+
+def _beale(slack_entry):
+    """Beale's cycling LP (rows and costs times 4), its slacks of the given entry.
+
+    With entry 4 the slacks are units that are not ±1; with entry 1 the
+    first two columns stand for 4·x1 and 4·x2, and the slacks are ±1.
+    """
+    rows = [
+        [slack_entry, 0, 0, 1, -32, -4, 36],
+        [0, slack_entry, 0, 2, -48, -2, 12],
+        [0, 0, 1, 0, 0, 1, 0],
+    ]
+    columns = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(7)]
+    return [0, 0, 0, -3, 80, -2, 24], columns, [0, 0, 1], [0, 1, 2], None
+
+
+@settings(deadline=None, max_examples=300)
+@given(explicit_lps())
+@example(_beale(4))
+@example(_beale(1))
+# Non-unit dense columns pivot in over a +1 and a -1 slack.
+@example(([0, 0, -1, -2], [{0: 1}, {1: -1}, {0: 2, 1: 3}, {0: 1, 1: -1}], [4, -2], [0, 1], None))
+# A cost-1 unit column, basic at the start: the margin LP's t when it
+# has one relaxed row (an le side here), which an atom then replaces.
+@example(([0, 0, 1, 0], [{1: -1}, {1: 1}], [1, Fraction(1, 2)], [0, 2], (1, [0, 1])))
+# A second unit column on a row that a slack already takes: in the
+# start basis (singular), and entering at a negative cost.
+@example(([0, 0, 0], [{0: 1}, {0: -1}, {1: 1}], [1, 1], [0, 1], None))
+@example(([0, 0, -1, 0], [{0: 1}, {1: 1}, {0: 1}, {0: 1, 1: 1}], [2, 1], [0, 1], None))
+def test_explicit_lps_match_full_width_rows(lp):
+    same_as_full_width(*lp)
+
+
+@settings(deadline=None, max_examples=150)
+@given(relaxed_scenarios(), st.sampled_from(["lo", "hi"]))
+def test_margin_lps_match_full_width_rows(scenario, endpoint):
+    for point in (scenario, corner(scenario, endpoint)):
+        with full_width_compared() as count:
+            feasibility.solve(point)
+        assert count[0] >= 1
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["feasible", "planted"])
+@pytest.mark.parametrize("n", range(4, 9))
+@settings(deadline=None, max_examples=3)
+@given(st.integers(min_value=0, max_value=2**16))
+def test_wide_documents_match_full_width_rows(n, planted, seed):
+    scenario = scenario_from_document(reference.wide_document(seed, n, planted))
+    with full_width_compared() as count:
+        outcome = feasibility.solve(scenario)
+    assert outcome.verdict == (INFEASIBLE if planted else FEASIBLE)
+    assert count[0] >= 1
+
+
+def test_rows_hold_only_live_columns_at_every_pivot(monkeypatch):
+    """Each stored row is one entry per row with no basic slack, plus two.
+
+    A row counts as taken when its slack (a unit column of cost 0 and
+    entry ±1) is basic, or while the start has not placed its position,
+    whose column is still the identity's.  The slot and x_B are the two.
+    A row kept at full width would fail this, and so would a slack's
+    column kept live after the slack comes back in, which happens once
+    on the planted document.
+    """
+    pivot = simplex._RevisedLp.pivot
+    widths, slacks_in = [], []
+
+    def checked(lp, row, j):
+        pivot(lp, row, j)
+        slacks_in.append(j in lp.slacks)
+        taken = {i for i, col in enumerate(lp.basis) if col < 0}
+        for col in lp.basis:
+            if col >= lp.atoms:
+                unit = lp.units[col - lp.atoms]
+                if unit is not None and unit[1] in (1, -1) and not lp.costs[col]:
+                    taken.add(unit[0])
+        width = lp.m - len(taken) + 2
+        assert {len(line) for line in lp.tableau} == {width}
+        widths.append(width)
+
+    monkeypatch.setattr(simplex._RevisedLp, "pivot", checked)
+    for planted in (False, True):
+        feasibility.solve(scenario_from_document(reference.wide_document(3, 6, planted)))
+    m = 1 + 2 * (6 + 15)
+    assert len(widths) > 20 and max(widths) < m + 2
+    assert sum(slacks_in) == 1
 
 
 # --- bundled scenarios and closed-form LPs ------------------------------------
