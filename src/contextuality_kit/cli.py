@@ -172,12 +172,20 @@ def _require_list(value, what: str) -> None:
         raise ScenarioError(f"{what} must be a list, got {value!r}")
 
 
+def _approx(value: Fraction) -> float | None:
+    """``float(value)``, or None when the value is too large for a float."""
+    try:
+        return float(value)
+    except OverflowError:
+        return None
+
+
 def _interval_json(iv: ScalarInterval) -> dict:
     data = {"lo": format_scalar(iv.lo), "hi": format_scalar(iv.hi)}
     if iv.is_point:
         data["exact"] = format_scalar(iv.lo)
     else:
-        data["approx"] = float(iv.lo)
+        data["approx"] = _approx(iv.lo)
     return data
 
 

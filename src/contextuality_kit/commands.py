@@ -18,6 +18,7 @@ from .cli import (
     EXIT_OF_VERDICT,
     EXIT_PASS,
     EXIT_VIOLATION,
+    _approx,
     _base_report,
     _load_json,
     _parse_rational_flag,
@@ -145,7 +146,7 @@ def _cmd_margin(args) -> tuple[int, dict]:
     # The least margin over the bracket, and the verdict of that decision.
     outcome = solve_robust(scenario)
     report["margin"] = format_scalar(outcome.margin)
-    report["margin_approx"] = float(outcome.margin)
+    report["margin_approx"] = _approx(outcome.margin)
     report["verdict"] = outcome.verdict
     return EXIT_OF_VERDICT[outcome.verdict], report
 

@@ -48,25 +48,23 @@ objective and reduced costs are the same too, which the tests pin
 against that tableau, kept as ``tests/dense_simplex.py`` with the
 full-width B⁻¹ rows that the live columns replaced.
 
-Every tableau row, the objective row included, is a list of Python ints
-over one positive integer scale; the row's rational value is
-``ints / scale``.  The revised simplex takes an integer matrix and
-integer costs, as the kit's LPs have: ±1 characters, ±1 slack and ``t``
-columns, and the cost of t.  Only its right-hand side is rational; it
-is put over one common denominator
-(:func:`.numerics.over_common_denominator`), so the rows start as
-``[I | b]`` over scale 1 and the right-hand side's denominators stay out
-of B⁻¹ (the usual revised-simplex layout, with x_B held apart from B⁻¹;
-I. Maros, *Computational Techniques of the Simplex Method*, 2003).  A
-pivot on entry p of the pivot row cross-multiplies every other row,
-``other·p − f·prow`` over ``scale·p`` with gcd(f, p) cancelled first,
-at the pivot row's nonzero columns only, then divides the row and its
-scale by their gcd, which keeps the entries small: the
-integer-preserving elimination of Escobedo and Moreno-Centeno
-(*INFORMS J. Comput.* 27 (2015)).  The dense phase-1 tableau of
-:mod:`.sweep` still takes rational rows: each row, with its right-hand
-side, is put over its own common denominator, so no Fraction is made
-per cell.
+Every LP the kit solves has an integer matrix and a rational
+right-hand side: ±1 characters, ±1 slack, artificial and ``t`` columns,
+and integer costs (the cost of t).  Both solvers take only such LPs; a
+Fraction in the matrix or the costs raises TypeError.  The right-hand
+side is put over one common denominator
+(:func:`.numerics.over_common_denominator`), which no pivot reads, so
+every row starts over scale 1 and the right-hand side's denominators
+stay out of B⁻¹ (in the revised simplex, the usual layout ``[I | b]``
+with x_B held apart from B⁻¹; I. Maros, *Computational Techniques of
+the Simplex Method*, 2003).  Every tableau row, the objective row
+included, is a list of Python ints over one positive integer scale;
+the row's rational value is ``ints / scale``.  A pivot on entry p of
+the pivot row cross-multiplies every other row, ``other·p − f·prow``
+over ``scale·p`` with gcd(f, p) cancelled first, at the pivot row's
+nonzero columns only, then divides the row and its scale by their gcd,
+which keeps the entries small: the integer-preserving elimination of
+Escobedo and Moreno-Centeno (*INFORMS J. Comput.* 27 (2015)).
 
 Bland's rule (lowest eligible index enters; ties in the ratio test
 broken by lowest basic index) guarantees termination without cycling.
@@ -132,13 +130,16 @@ class LpResult(Record):
     * ``inverse``: on an optimal :func:`solve_from_basis` or
       ``sweep.solve_lp`` result, row i of B⁻¹, one per entry of
       ``basis``, as (ints, scale) over every original row, so that
-      x_B(i) = ints·b / scale; read by :func:`_basic_values`.
+      x_B(i) = ints·b / scale for the rational right-hand side b (and
+      d times that for b over a common denominator d); read by
+      :func:`_basic_values`.
     * ``reduced_costs``: on an optimal :func:`solve_from_basis` result,
       the reduced cost of every column at the optimal basis.  A column
       that is a unit slack of row i (±e_i, zero cost) has reduced cost
       ∓y_i, so callers read the optimal duals off their slack columns.
     * ``farkas``: on an infeasible ``sweep.solve_lp`` result, the
-      phase-1 duals, a Farkas certificate of the original rows.
+      phase-1 duals, a Farkas certificate of the original integer rows:
+      yᵀA <= 0 componentwise and yᵀb > 0.
     """
 
     __slots__ = (

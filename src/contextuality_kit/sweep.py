@@ -2,8 +2,12 @@
 
 :func:`solve_lp` is phase 1 of the simplex with Bland's rule, on the
 dense integer tableau of :mod:`.simplex`: the same integer rows, pivot
-and ratio test.  It minimizes the total artificial mass.  A positive
-optimum means infeasible, and the phase-1 duals are a Farkas
+and ratio test.  Like the revised simplex, it takes an integer matrix
+and a rational right-hand side, put over one common denominator d.
+Bland's choices are invariant under positive row and column scaling,
+and no output depends on d, so each row ``[row_i | e_i | d·b_i]``
+starts over scale 1.  It minimizes the total artificial mass.  A
+positive optimum means infeasible, and the phase-1 duals are a Farkas
 certificate: row multipliers y with yᵀA <= 0 componentwise and
 yᵀb > 0.  At a zero optimum the artificials are pivoted out, redundant
 rows are dropped, and the feasible basis is returned with its inverse.
@@ -49,7 +53,6 @@ from .simplex import (
     _bland_entering,
     _leaving,
     _pivot,
-    _reduced,
 )
 
 
@@ -68,56 +71,44 @@ def _run(tableau, scales, basis):
         pivots += 1
 
 
-def solve_lp(rows: list[list[Fraction]], rhs: list[Fraction]) -> LpResult:
-    """Phase 1 of the simplex for  rows·x = rhs,  x >= 0.
+def solve_lp(rows: list[list[int]], rhs: list[Fraction]) -> LpResult:
+    """Phase 1 of the simplex for  rows·x = rhs,  x >= 0,  over int rows.
 
-    Entries may be ints or Fractions.  A feasible system gives OPTIMAL
-    with the basis and its inverse, read off the artificial columns; an
-    infeasible one gives INFEASIBLE with the Farkas multipliers, indexed
-    by the original rows (sign flips applied internally for a negative
-    right-hand side are undone).
+    A non-int row entry raises TypeError.  A feasible system gives
+    OPTIMAL with the basis and its inverse, read off the artificial
+    columns; an infeasible one gives INFEASIBLE with the Farkas
+    multipliers, indexed by the original rows (sign flips applied
+    internally for a negative right-hand side are undone).
     """
     m = len(rows)
-    n_vars = len(rows[0]) if m else 0
+    n_vars = len(rows[0])
     total_cols = n_vars + m  # structural + one artificial per row
+    if any(type(v) is not int for row in rows for v in row):
+        raise TypeError("phase 1 takes integer rows")
 
-    # Integer rows with nonnegative right-hand sides; artificial i sits
-    # at column n_vars + i with value 1, i.e. the row's scale.
-    flips = [False] * m
-    tableau: list[list[int]] = []
-    scales: list[int] = []
-    for i in range(m):
-        ints, scale = over_common_denominator([*rows[i], rhs[i]])
-        if ints[-1] < 0:
-            ints = [-v for v in ints]
-            flips[i] = True
-        line = ints[:-1] + [0] * m
-        line[n_vars + i] = scale
-        line.append(ints[-1])
-        tableau.append(line)
-        scales.append(scale)
+    # Rows with a negative right-hand side are negated; artificial i is column n_vars + i.
+    b, _ = over_common_denominator(rhs)
+    signs = [-1 if v < 0 else 1 for v in b]
+    tableau = [
+        [s * a for a in row] + [int(k == i) for k in range(m)] + [s * v]
+        for i, (row, v, s) in enumerate(zip(rows, b, signs))
+    ]
     basis = [n_vars + i for i in range(m)]
 
-    # Objective row: reduced costs of  min(sum of artificials), i.e. the
-    # artificial unit costs minus every row, over the lcm of the row
-    # scales.
-    common = math.lcm(*scales)
-    obj = [0] * n_vars + [common] * m + [0]
-    for line, scale in zip(tableau, scales):
-        k = common // scale
-        obj = [a - k * b if b else a for a, b in zip(obj, line)]
-    obj, common = _reduced(obj, common)
+    # Objective row: reduced costs of  min(sum of artificials), i.e.
+    # minus the column sums, 0 on the artificials.
+    obj = [-sum(column) for column in zip(*tableau)]
+    obj[n_vars:total_cols] = [0] * m
     tableau.append(obj)
-    scales.append(common)
+    scales = [1] * (m + 1)
 
     pivots = _run(tableau, scales, basis)
     obj, obj_scale = tableau[m], scales[m]
     if obj[-1] < 0:  # the optimum -obj[-1]/obj_scale is positive
         # Duals: reduced cost of artificial i is 1 - y_i.
-        farkas = []
-        for i in range(m):
-            y = Fraction(obj_scale - obj[n_vars + i], obj_scale)
-            farkas.append(-y if flips[i] else y)
+        farkas = [
+            s * Fraction(obj_scale - r, obj_scale) for s, r in zip(signs, obj[n_vars:total_cols])
+        ]
         return LpResult(status=INFEASIBLE, farkas=farkas, pivots=pivots)
 
     # Remove artificials from the basis (degenerate pivots; redundant
@@ -142,67 +133,51 @@ def solve_lp(rows: list[list[Fraction]], rhs: list[Fraction]) -> LpResult:
     # the flipped rows; undoing the flips makes it B⁻¹ of the original
     # rows.
     inverse = tuple(
-        ([-v if flip else v for v, flip in zip(line[n_vars:total_cols], flips)], scale)
+        ([s * v for s, v in zip(signs, line[n_vars:total_cols])], scale)
         for line, scale in zip(tableau[:m], scales)
     )
     return LpResult(status=OPTIMAL, pivots=pivots, basis=tuple(basis), inverse=inverse)
 
 
-def _multipliers(row_scales, farkas):
-    """Farkas multipliers of the original rows, as ints for the scaled rows.
-
-    Row i of the integer matrix is ``row_scales[i]`` times row i, so
-    z_i is farkas_i / row_scales[i] over a common denominator; z·b then
-    has the sign of farkas·b.
-    """
-    return over_common_denominator([Fraction(y, s) for y, s in zip(farkas, row_scales)])[0]
-
-
-def solve_many(rows: list[list[Fraction]], rhs_list) -> list[str]:
+def solve_many(rows: list[list[int]], rhs_list) -> list[str]:
     """Feasibility of  rows·x = rhs,  x >= 0  for each rhs in ``rhs_list``.
 
-    Returns OPTIMAL or INFEASIBLE per right-hand side, in order.
-    Entries may be ints or Fractions.  Each verdict is either settled
-    by evidence kept from an earlier cold solve in this call (the last
-    feasible basis or the last Farkas certificate, re-checked exactly at
-    this rhs) or by a cold ``solve_lp(rows, rhs)``, so it equals the
-    cold verdict; see the module docstring.
+    Returns OPTIMAL or INFEASIBLE per right-hand side, in order.  The
+    rows are ints, as for :func:`solve_lp`, which the first right-hand
+    side always runs.  Each verdict is either settled by evidence kept
+    from an earlier cold solve in this call (the last feasible basis or
+    the last Farkas certificate, re-checked exactly at this rhs) or by
+    a cold ``solve_lp(rows, rhs)``, so it equals the cold verdict; see
+    the module docstring.
     """
-    matrix, row_scales = [], []
-    for row in rows:
-        ints, scale = over_common_denominator(row)
-        matrix.append(ints)
-        row_scales.append(scale)
-    columns = list(zip(*matrix))
+    columns = list(zip(*rows))
     # (B⁻¹ over one scale, the basic columns of every row, that scale)
     # and integer Farkas multipliers, or None.
     feasible_basis = certificate = None
     verdicts = []
     for rhs in rhs_list:
-        # ``b`` is rhs over one common denominator d; ``scaled`` is b
-        # scaled like the rows.
+        # ``b`` is rhs over one common denominator d.
         b, _ = over_common_denominator(rhs)
-        scaled = list(map(mul, row_scales, b))
         if feasible_basis is not None:
             inverse, block, scale = feasible_basis
-            # x_basic is scale·d·x_B; every row must give scale·scaled.
+            # x_basic is scale·d·x_B; every row must give scale·b.
             x_basic = _basic_values(inverse, b)
             if x_basic is not None and all(
-                sum(map(mul, line, x_basic)) == scale * v for line, v in zip(block, scaled)
+                sum(map(mul, line, x_basic)) == scale * v for line, v in zip(block, b)
             ):
                 verdicts.append(OPTIMAL)
                 continue
-        if certificate is not None and sum(map(mul, certificate, scaled)) > 0:
+        if certificate is not None and sum(map(mul, certificate, b)) > 0:
             verdicts.append(INFEASIBLE)
             continue
         result = solve_lp(rows, rhs)
         if result.status == OPTIMAL:
             scale = math.lcm(*(s for _, s in result.inverse))
             inverse = [([v * (scale // s) for v in line], scale) for line, s in result.inverse]
-            block = [[line[c] for c in result.basis] for line in matrix]
+            block = [[line[c] for c in result.basis] for line in rows]
             feasible_basis = (inverse, block, scale)
         else:
-            z = _multipliers(row_scales, result.farkas)
+            z = over_common_denominator(result.farkas)[0]
             certificate = z if all(
                 sum(a * y for a, y in zip(column, z)) <= 0 for column in columns
             ) else None

@@ -84,6 +84,19 @@ def phase_one_point(result, rhs, n_vars):
     return x
 
 
+def integer_rows(rows, rhs_list):
+    """The same systems in integer rows, as ``sweep.solve_lp`` takes them.
+
+    Row i, and its entry of every right-hand side in ``rhs_list``, is
+    multiplied by the lcm of the row's denominators.
+    """
+    scales = [math.lcm(*(v.denominator for v in row)) for row in rows]
+    return (
+        [[int(v * s) for v in row] for row, s in zip(rows, scales)],
+        [[v * s for v, s in zip(rhs, scales)] for rhs in rhs_list],
+    )
+
+
 def feasible_at(scenario):
     """Whether the kit's phase 1 finds a joint distribution for ``scenario``.
 

@@ -22,6 +22,8 @@ from contextuality_kit.cli import (
     scenario_dir,
 )
 from contextuality_kit.errors import ScenarioError
+from contextuality_kit.feasibility import solve_robust
+from contextuality_kit.numerics import format_scalar
 
 #: Environment of a child interpreter that imports the kit from this checkout.
 KIT_ENV = dict(
@@ -370,6 +372,43 @@ class TestMarginCommand:
         )
         assert code == EXIT_PASS
         assert report["margin"] == "0"
+
+
+class TestTargetsTooLargeForAFloat:
+    """Exact values past the float range are decided; their floats are null."""
+
+    @staticmethod
+    def _one_target(tmp_path, value):
+        path = tmp_path / "large.json"
+        constraint = {"moment": ["A"], "relation": "eq", "value": value}
+        path.write_text(json.dumps({"variables": ["A"], "constraints": [constraint]}))
+        return str(path)
+
+    def test_point_target(self, tmp_path):
+        path = self._one_target(tmp_path, "1" + "0" * 400)
+        code, report = run_json("margin", "--scenario", path)
+        assert code == EXIT_VIOLATION
+        assert report["margin"] == str(10**400 - 1)
+        assert report["margin_approx"] is None
+        code, report = run_json("check", "--scenario", path)
+        assert code == EXIT_VIOLATION
+        assert report["trace"][0]["target"]["exact"] == str(10**400)
+
+    def test_bracketed_target(self, tmp_path):
+        path = self._one_target(tmp_path, "sqrt(2)*1" + "0" * 400)
+        tolerance = "1" + "0" * 400
+        scenario, _ = load_scenario(path, Fraction(tolerance))
+        target = scenario.constraints[0].target
+        flags = ("--scenario", path, "--bracket-tolerance", tolerance)
+        code, report = run_json("check", *flags)
+        assert code == EXIT_VIOLATION
+        assert report["trace"][0]["target"] == {
+            "lo": format_scalar(target.lo), "hi": format_scalar(target.hi), "approx": None
+        }
+        code, report = run_json("margin", *flags)
+        assert code == EXIT_VIOLATION
+        assert report["margin"] == format_scalar(solve_robust(scenario).margin)
+        assert report["margin_approx"] is None
 
 
 class TestConstructSymmetric:

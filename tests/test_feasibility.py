@@ -389,6 +389,15 @@ def test_warm_grid_verdicts_equal_cold_verdicts(cold_grid_61, order):
     assert [lp_ok for lp_ok, _ in verdicts] == [cold_grid_61[pt] for pt in points]
 
 
+def test_grid_verdicts_equal_the_decision_engine_verdicts():
+    # The sweep's phase 1 and feasibility.solve's margin LP share no LP.
+    points = uniform_grid(21)
+    verdicts = _grid_verdicts(points)
+    assert [lp_ok for lp_ok, _ in verdicts] == [
+        solve(ghz_symmetric_scenario(p, q)).verdict == FEASIBLE for p, q in points
+    ]
+
+
 def test_oracle_lists_a_disagreeing_point(monkeypatch):
     points = uniform_grid(21)
     p, q = points[300]

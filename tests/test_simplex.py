@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -7,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import fraction_simplex
 from contextuality_kit import feasibility, simplex, sweep
 from contextuality_kit.numerics import parse_and_evaluate
-from dense_simplex import phase_one_point
+from dense_simplex import integer_rows, phase_one_point
 
 
 def test_degenerate_equalities():
@@ -256,6 +257,14 @@ def _counting_solve_lp(monkeypatch):
     return calls
 
 
+def test_phase_one_takes_only_integer_rows():
+    rows = [[1, Fraction(1, 2)]]
+    with pytest.raises(TypeError, match="integer"):
+        sweep.solve_lp(rows, [1])
+    with pytest.raises(TypeError, match="integer"):
+        sweep.solve_many(rows, [[1], [2]])
+
+
 def test_solve_many_rechecks_dropped_rows():
     # Row 1 repeats row 0, so the first cold solve drops it as redundant.
     # The kept basis still gives x >= 0 on row 0 at (1, 2), but row 1
@@ -272,27 +281,30 @@ def test_solve_many_rechecks_dropped_rows():
 
 
 @pytest.mark.parametrize(
-    "rows, cold",
+    "rows, row_scales, cold",
     [
         # Unimodular: one cold solve per verdict settles the rest.
-        ([[1, 1, 0], [0, 1, 1]], 2),
-        # Fraction rows, a basis of determinant 2 once scaled: the first
-        # basis holds while x0 = 2 - 3·b1 >= 0, then one more is needed.
-        ([[Fraction(1, 2), 1, 0], [0, Fraction(2, 3), 3]], 3),
+        pytest.param([[1, 1, 0], [0, 1, 1]], (1, 1), 2, id="rows0-2"),
+        # x0/2 + x1 = b0 and 2·x1/3 + 3·x2 = b1 times 2 and 3, a basis of
+        # determinant 2: the first basis holds while x0 = 2 - 3·b1 >= 0,
+        # then one more is needed.
+        pytest.param([[1, 2, 0], [0, 2, 9]], (2, 3), 3, id="rows1-3"),
     ],
 )
-def test_solve_many_reuses_evidence(monkeypatch, rows, cold):
+def test_solve_many_reuses_evidence(monkeypatch, rows, row_scales, cold):
     calls = _counting_solve_lp(monkeypatch)
     feasible = [[1, Fraction(k, 4)] for k in range(5)]
     infeasible = [[1, -Fraction(k + 1, 4)] for k in range(5)]
-    statuses = sweep.solve_many(rows, feasible + infeasible)
+    rhs_list = [list(map(mul, row_scales, rhs)) for rhs in feasible + infeasible]
+    statuses = sweep.solve_many(rows, rhs_list)
     assert statuses == [simplex.OPTIMAL] * 5 + [simplex.INFEASIBLE] * 5
     assert calls[0] == cold
 
 
 def test_solve_many_scales_fraction_rows():
-    rows = [[Fraction(1, 2), Fraction(1, 3), 0], [0, Fraction(2, 3), Fraction(-1, 5)]]
-    rhs_list = [[Fraction(k, 6), Fraction(j - 2, 5)] for k in range(4) for j in range(5)]
+    # x0/2 + x1/3 = k/6 and 2·x1/3 - x2/5 = (j - 2)/5, times 6 and 15.
+    rows = [[3, 2, 0], [0, 10, -3]]
+    rhs_list = [[k, 3 * (j - 2)] for k in range(4) for j in range(5)]
     assert sweep.solve_many(rows, rhs_list) == _cold_statuses(rows, rhs_list)
 
 
@@ -309,7 +321,7 @@ _entry = st.fractions(min_value=-2, max_value=2, max_denominator=3)
     )
 )
 def test_solve_many_statuses_equal_cold_statuses(problem):
-    rows, rhs_list = problem
+    rows, rhs_list = integer_rows(*problem)
     assert sweep.solve_many(rows, rhs_list) == _cold_statuses(rows, rhs_list)
 
 
@@ -332,6 +344,7 @@ def test_phase_one_inverse_reproduces_the_basic_values(problem):
     rows, x0, combination = problem
     rows = rows + [[sum(c * row[j] for c, row in zip(combination, rows)) for j in range(4)]]
     rhs = [sum(a * x for a, x in zip(row, x0)) for row in rows]
+    rows, (rhs,) = integer_rows(rows, [rhs])
     result = sweep.solve_lp(rows, rhs)
     assert result.status == simplex.OPTIMAL
     assert len(result.inverse) == len(result.basis)
@@ -386,17 +399,22 @@ def test_solve_many_survives_a_wrong_inverse(monkeypatch):
 def test_solve_many_survives_a_wrong_certificate(monkeypatch, tamper):
     rows, rhs_list = _ghz_rows_and_rhs()
     want = _cold_statuses(rows, rhs_list)
-    original = sweep._multipliers
+    original = sweep.solve_lp
 
-    def tampered(row_scales, farkas):
-        z = original(row_scales, farkas)
+    def tampered(*args, **kwargs):
+        result = original(*args, **kwargs)
+        if result.farkas is None:
+            return result
+        y = result.farkas
         if tamper == "negated":
-            return [-v for v in z]
-        if tamper == "bumped":
-            return [z[0] + 1] + z[1:]
-        return [0] * len(z)
+            y = [-v for v in y]
+        elif tamper == "bumped":
+            y = [y[0] + 1] + y[1:]
+        else:
+            y = [0] * len(y)
+        return simplex.LpResult(result.status, farkas=y, pivots=result.pivots)
 
-    monkeypatch.setattr(sweep, "_multipliers", tampered)
+    monkeypatch.setattr(sweep, "solve_lp", tampered)
     calls = _counting_solve_lp(monkeypatch)
     assert sweep.solve_many(rows, rhs_list) == want
     if tamper != "bumped":
@@ -406,10 +424,10 @@ def test_solve_many_survives_a_wrong_certificate(monkeypatch, tamper):
 
 
 def test_solve_many_reuses_a_certificate_across_row_scales(monkeypatch):
-    # x0 + x1 = 2 and x0 + x1 = 3·b1, written with row scales 2 and 3:
-    # infeasible for every b1 < 2/3, and one certificate proves it.
-    rows = [[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 3), Fraction(1, 3)]]
-    rhs_list = [[1, Fraction(k, 12)] for k in range(8)]
+    # (x0 + x1)/2 = 1 and (x0 + x1)/3 = k/12, times 2 and 3: infeasible
+    # for every k < 8, and one certificate proves it.
+    rows = [[1, 1], [1, 1]]
+    rhs_list = [[2, Fraction(k, 4)] for k in range(8)]
     calls = _counting_solve_lp(monkeypatch)
     assert sweep.solve_many(rows, rhs_list) == [simplex.INFEASIBLE] * 8
     assert calls[0] == 1

@@ -162,6 +162,7 @@ def small_systems(draw):
         factor = draw(st.sampled_from([1, -1, 2, Fraction(1, 2)]))
         rows.append([factor * v for v in rows[k]])
         rhs.append(factor * rhs[k])
+    rows, (rhs,) = dense_simplex.integer_rows(rows, [rhs])
     return rows, rhs
 
 
