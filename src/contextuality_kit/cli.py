@@ -36,11 +36,9 @@ from .feasibility import (
     INFEASIBLE,
     MomentConstraint,
     Scenario,
-    certificate_to_json,
     solve_robust,
     verify_certificate,
 )
-from .measures import AtomMeasure
 from .numerics import (
     DEFAULT_BRACKET_TOLERANCE,
     ScalarInterval,
@@ -137,33 +135,8 @@ def scenario_from_document(
             raise ScenarioError(
                 f"constraint {index}: cannot evaluate {value_text!r}: {err}"
             ) from err
-        if not _printable(target.lo) or not _printable(target.hi):
-            raise ScenarioError(
-                f"constraint {index}: the exact value has more digits than the"
-                f" interpreter prints, {sys.get_int_max_str_digits()}"
-            )
         constraints.append(MomentConstraint(tuple(subset), relation, target))
     return Scenario(space, tuple(constraints), kind, document.get("title"))
-
-
-def _printable(value: Fraction) -> bool:
-    """Whether ``str(value)`` is within the interpreter's integer-string limit.
-
-    Every report prints its targets, so a target over the limit
-    (``sys.get_int_max_str_digits``, Python 3.11+) is refused at load.
-    An int of b bits has at most 0.302·b + 1 digits, so only one of over
-    3·(limit − 1) bits is converted to find out.
-    """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    parts = (value.numerator, value.denominator)
-    if not limit or all(part.bit_length() <= 3 * (limit - 1) for part in parts):
-        return True
-    try:
-        for part in parts:
-            str(part)
-    except ValueError:
-        return False
-    return True
 
 
 def _require_list(value, what: str) -> None:
@@ -187,12 +160,6 @@ def _interval_json(iv: ScalarInterval) -> dict:
     else:
         data["approx"] = _approx(iv.lo)
     return data
-
-
-def _witness_json(witness: AtomMeasure | None):
-    if witness is None:
-        return None
-    return witness.to_json_dict()
 
 
 def _constraint_trace(scenario: Scenario, outcome) -> list[dict]:
@@ -221,7 +188,7 @@ def _certificate_section(scenario: Scenario, outcome) -> dict | None:
     labels = ["normalization"] + [c.describe() for c in scenario.constraints]
     return {
         "rows": labels,
-        "multipliers": certificate_to_json(outcome.certificate),
+        "multipliers": [format_scalar(y) for y in outcome.certificate],
         "verified": verify_certificate(scenario, outcome.certificate),
         "meaning": (
             "multipliers respect the row senses, combine the atom"
@@ -251,7 +218,7 @@ def _cmd_check(args) -> tuple[int, dict]:
     outcome = solve_robust(scenario)
     report["verdict"] = outcome.verdict
     report["margin"] = format_scalar(outcome.margin)
-    report["witness"] = _witness_json(outcome.witness)
+    report["witness"] = None if outcome.witness is None else outcome.witness.to_json_dict()
     certificate = _certificate_section(scenario, outcome)
     report["certificate"] = certificate
     report["trace"] = _constraint_trace(scenario, outcome)

@@ -43,7 +43,7 @@ from .measures import (
     signed_atom_sum,
     validate,
 )
-from .numerics import ScalarInterval, as_interval, over_common_denominator
+from .numerics import ScalarInterval, as_interval, format_scalar, over_common_denominator
 from .set_functions import LOWER, UPPER, PartialSetFunction
 
 _ZERO = Fraction(0)
@@ -59,7 +59,7 @@ class GhzMoments(Record):
         # |v| <= 1 in integers: a grid sweep builds one of these per point.
         for name, v in zip(self.__slots__, (eA, eB, eC, eABC)):
             if abs(v.numerator) > v.denominator:
-                raise ValueError(f"{name} = {v} outside [-1, 1]")
+                raise ValueError(f"{name} = {format_scalar(v)} outside [-1, 1]")
         self._set(eA, eB, eC, eABC)
 
     @classmethod
@@ -124,9 +124,9 @@ class SymmetricParams(Record):
 
     def __init__(self, p: Fraction, q: Fraction):
         if not 0 <= p <= 1:
-            raise ValueError(f"p = {p} outside [0, 1]")
+            raise ValueError(f"p = {format_scalar(p)} outside [0, 1]")
         if not 0 <= q <= 1:
-            raise ValueError(f"q = {q} outside [0, 1]")
+            raise ValueError(f"q = {format_scalar(q)} outside [0, 1]")
         self._set(p, q)
 
     @classmethod
@@ -166,7 +166,7 @@ def construct_symmetric_joint(
     gap = 3 * p - q
     if not 0 <= gap <= 2:
         raise NoWitnessError(
-            f"no joint distribution: 3p - q = {gap} outside [0, 2]"
+            f"no joint distribution: 3p - q = {format_scalar(gap)} outside [0, 2]"
         )
     lam = gap / 2
     x = lam * (1 - q) / 3
@@ -191,7 +191,8 @@ def construct_symmetric_joint(
         got = signed_atom_sum(measure, subset)
         if got != want:
             raise AssertionError(
-                f"constructed witness gives E({''.join(subset)}) = {got}, wanted {want}"
+                f"constructed witness gives E({''.join(subset)}) = {format_scalar(got)},"
+                f" wanted {format_scalar(want)}"
             )
     return witness, measure
 
@@ -211,7 +212,7 @@ def check_noise_threshold(epsilon) -> NoiseThresholdResult:
     """
     eps = Fraction(epsilon)
     if not 0 <= eps <= 1:
-        raise ValueError(f"noise level {eps} outside [0, 1]")
+        raise ValueError(f"noise level {format_scalar(eps)} outside [0, 1]")
     statistic = 4 - 4 * eps
     return NoiseThresholdResult(eps, statistic, statistic <= 2)
 
@@ -431,17 +432,17 @@ def solve_upper_bell_conditionals(m: BellMoments) -> UpperBellSolution:
         CheckRecord(
             "2 E*(XY) >= E*(XY|Z=1) + E*(XY|Z=-1)",
             2 * exy >= 2 * v_xy,
-            f"{2 * exy} >= {2 * v_xy}",
+            f"{format_scalar(2 * exy)} >= {format_scalar(2 * v_xy)}",
         ),
         CheckRecord(
             "2 E*(XZ) >= E*(XZ|Y=1) + E*(XZ|Y=-1)",
             2 * exz >= 2 * v_xz,
-            f"{2 * exz} >= {2 * v_xz}",
+            f"{format_scalar(2 * exz)} >= {format_scalar(2 * v_xz)}",
         ),
         CheckRecord(
             "2 E*(YZ) >= E*(YZ|X=1) + E*(YZ|X=-1)",
             2 * eyz >= 2 * v_xy,
-            f"{2 * eyz} >= {2 * v_xy}",
+            f"{format_scalar(2 * eyz)} >= {format_scalar(2 * v_xy)}",
         ),
         CheckRecord(
             "symmetry E*(XY|Z=s) = E*(YZ|X=s)",
@@ -451,17 +452,18 @@ def solve_upper_bell_conditionals(m: BellMoments) -> UpperBellSolution:
     ]
     for cond, row, b in zip(conditionals, rows, rhs):
         got = sum((c * v for c, v in zip(row, atom_uppers.values)), _ZERO)
+        value = format_scalar(cond.value)
         trace.append(
             CheckRecord(
-                f"atom uppers reproduce {cond.describe()} = {cond.value}",
+                f"atom uppers reproduce {cond.describe()} = {value}",
                 got == b,
-                f"restricted signed sum {got} = {cond.value}/2",
+                f"restricted signed sum {format_scalar(got)} = {value}/2",
             )
         )
     total_mass = atom_uppers.total()
     trace.append(
         CheckRecord(
-            "total upper mass >= 1", total_mass >= 1, f"total = {total_mass}"
+            "total upper mass >= 1", total_mass >= 1, f"total = {format_scalar(total_mass)}"
         )
     )
     _require_all(trace)

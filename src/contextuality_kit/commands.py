@@ -156,7 +156,7 @@ def _cmd_construct_symmetric(args) -> tuple[int, dict]:
 
     p = _parse_rational_flag(args.p, "--p")
     q = _parse_rational_flag(args.q, "--q")
-    report = _base_report("construct-symmetric", {"p": str(p), "q": str(q)})
+    report = _base_report("construct-symmetric", {"p": format_scalar(p), "q": format_scalar(q)})
     try:
         witness, measure = closed_form.construct_symmetric_joint(
             closed_form.SymmetricParams(p, q)
@@ -188,7 +188,7 @@ def _cmd_ghz_epsilon(args) -> tuple[int, dict]:
         result = closed_form.check_noise_threshold(eps)
     except ValueError as err:
         raise ScenarioError(str(err)) from err
-    report = _base_report("ghz-epsilon", {"epsilon": str(eps)})
+    report = _base_report("ghz-epsilon", {"epsilon": format_scalar(eps)})
     report["signed_sum"] = format_scalar(result.statistic)
     report["verdict"] = FEASIBLE if result.feasible else INFEASIBLE
     report["threshold"] = "feasible exactly when epsilon >= 1/2"

@@ -128,12 +128,13 @@ def ghz_symmetric_scenario(p: Fraction, q: Fraction) -> Scenario:
 
     Encoded as moments: E(A)=E(B)=E(C)=2p-1 and E(ABC)=2q-1.
     """
-    e = 2 * Fraction(p) - 1
-    t = 2 * Fraction(q) - 1
+    p, q = Fraction(p), Fraction(q)
+    e = 2 * p - 1
+    t = 2 * q - 1
     return make_scenario(
         ["A", "B", "C"],
         [(["A"], EQ, e), (["B"], EQ, e), (["C"], EQ, e), (["A", "B", "C"], EQ, t)],
-        title=f"symmetric p={p} q={q}",
+        title=f"symmetric p={format_scalar(p)} q={format_scalar(q)}",
     )
 
 
@@ -220,7 +221,7 @@ def _check_witness(scenario: Scenario, witness: AtomMeasure) -> None:
     violated = violated_constraints(scenario, witness)
     if violated:
         c, got = violated[0]
-        raise AssertionError(f"witness violates {c.describe()}: got {got}")
+        raise AssertionError(f"witness violates {c.describe()}: got {format_scalar(got)}")
 
 
 def violated_constraints(scenario: Scenario, witness: AtomMeasure) -> list:
@@ -455,10 +456,6 @@ def verify_certificate(scenario: Scenario, certificate: Sequence[Fraction]) -> b
         return False
     rhs, _ = over_common_denominator([t.lo if yi > 0 else t.hi for yi, t in zip(y, targets)])
     return sum(map(mul, scaled, rhs)) > 0
-
-
-def certificate_to_json(certificate: Sequence[Fraction]) -> list[str]:
-    return [format_scalar(Fraction(v)) for v in certificate]
 
 
 # --- closed-form cross-check over the symmetric parameter grid -------------

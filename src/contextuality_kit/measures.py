@@ -100,7 +100,9 @@ class ConditionalMomentValue(Record):
         self, subset: tuple[str, ...], given_variable: str, given_sign: int, value: Fraction
     ):
         if abs(value) > 1:
-            raise MeasureError(f"conditional expectation {value} outside [-1, 1]")
+            raise MeasureError(
+                f"conditional expectation {format_scalar(value)} outside [-1, 1]"
+            )
         self._set(subset, given_variable, given_sign, value)
 
     def describe(self) -> str:
@@ -126,21 +128,21 @@ def _validate_atom_measure(measure: AtomMeasure) -> ValidationReport:
             violations.append(
                 Violation(
                     "nonnegativity",
-                    f"atom {measure.space.signature(a)} has value {v} < 0",
+                    f"atom {measure.space.signature(a)} has value {format_scalar(v)} < 0",
                 )
             )
     total = measure.total()
     if measure.kind == STANDARD and total != 1:
         violations.append(
-            Violation("normalization", f"atom values sum to {total}, expected 1")
+            Violation("normalization", f"atom values sum to {format_scalar(total)}, expected 1")
         )
     elif measure.kind == LOWER_ATOMS and total > 1:
         violations.append(
-            Violation("total-mass", f"lower atom values sum to {total} > 1")
+            Violation("total-mass", f"lower atom values sum to {format_scalar(total)} > 1")
         )
     elif measure.kind == UPPER_ATOMS and total < 1:
         violations.append(
-            Violation("total-mass", f"upper atom values sum to {total} < 1")
+            Violation("total-mass", f"upper atom values sum to {format_scalar(total)} < 1")
         )
     return ValidationReport(not violations, tuple(violations))
 

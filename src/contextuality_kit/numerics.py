@@ -28,6 +28,7 @@ produces an interval nested inside the coarser one.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -50,20 +51,33 @@ _EXACT_SCALAR = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def scalar_from_string(text: str) -> Fraction:
-    """Parse a "p/q" or integer string into an exact rational."""
+    """Parse a "p/q" or integer string into an exact rational.
+
+    A number with more digits than the interpreter reads is refused with
+    ExpressionError, as a scenario literal is.
+    """
     if not isinstance(text, str):
         raise ValueError(f"exact scalars are written as strings such as '1/3', got {text!r}")
     if not _EXACT_SCALAR.fullmatch(text):
         raise ValueError(f"exact scalar {text!r} is not an integer or p/q")
     try:
-        return Fraction(text)
+        return _literal(text, 0)
     except ZeroDivisionError:
         raise ValueError(f"exact scalar {text!r} has a zero denominator") from None
 
 
 def format_scalar(value: Fraction) -> str:
-    """Canonical "p/q" form (plain integer when the denominator is 1)."""
-    return str(value)
+    """Canonical "p/q" form (plain integer when the denominator is 1), of any length.
+
+    ``str`` refuses an int of more digits than
+    ``sys.get_int_max_str_digits()``; ``Decimal`` prints it in the
+    same digits, whatever its length.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        p, q = (str(Decimal(part)) for part in (value.numerator, value.denominator))
+        return p if q == "1" else f"{p}/{q}"
 
 
 def over_common_denominator(values) -> tuple[list[int], int]:
@@ -79,7 +93,9 @@ class ScalarInterval(Record):
 
     def __init__(self, lo: Fraction, hi: Fraction):
         if lo > hi:
-            raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
+            raise ValueError(
+                f"interval endpoints out of order: {format_scalar(lo)} > {format_scalar(hi)}"
+            )
         self._set(lo, hi)
 
     @classmethod
@@ -125,8 +141,8 @@ class ScalarInterval(Record):
 
     def __str__(self) -> str:
         if self.is_point:
-            return str(self.lo)
-        return f"[{self.lo}, {self.hi}]"
+            return format_scalar(self.lo)
+        return f"[{format_scalar(self.lo)}, {format_scalar(self.hi)}]"
 
 
 def as_interval(value) -> ScalarInterval:
@@ -358,7 +374,7 @@ def evaluate(
     if last_error is not None:
         raise EvaluationError(str(last_error))
     raise EvaluationError(
-        f"could not bracket expression within tolerance {bracket_tolerance}"
+        f"could not bracket expression within tolerance {format_scalar(bracket_tolerance)}"
     )
 
 

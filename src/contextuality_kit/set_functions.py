@@ -107,15 +107,21 @@ def _validate_set_function(sf: PartialSetFunction) -> ValidationReport:
     for mask, v in sf.entries.items():
         if not 0 <= v <= 1:
             violations.append(
-                Violation("range", f"{sf.label(mask)} has value {v} outside [0, 1]")
+                Violation(
+                    "range", f"{sf.label(mask)} has value {format_scalar(v)} outside [0, 1]"
+                )
             )
     if sf.specified(empty) and sf.entries[empty] != 0:
         violations.append(
-            Violation("empty-set", f"empty set has value {sf.entries[empty]}, expected 0")
+            Violation(
+                "empty-set", f"empty set has value {format_scalar(sf.entries[empty])}, expected 0"
+            )
         )
     if sf.specified(full) and sf.entries[full] != 1:
         violations.append(
-            Violation("full-space", f"full space has value {sf.entries[full]}, expected 1")
+            Violation(
+                "full-space", f"full space has value {format_scalar(sf.entries[full])}, expected 1"
+            )
         )
     masks = sorted(sf.entries, key=lambda m: m.bits)
     for i, m1 in enumerate(masks):
@@ -131,16 +137,16 @@ def _validate_set_function(sf: PartialSetFunction) -> ValidationReport:
                 violations.append(
                     Violation(
                         "subadditivity",
-                        f"P*({sf.label(union)}) = {lhs} > "
-                        f"P*({sf.label(m1)}) + P*({sf.label(m2)}) = {rhs}",
+                        f"P*({sf.label(union)}) = {format_scalar(lhs)} > "
+                        f"P*({sf.label(m1)}) + P*({sf.label(m2)}) = {format_scalar(rhs)}",
                     )
                 )
             elif sf.kind == LOWER and lhs < rhs:
                 violations.append(
                     Violation(
                         "superadditivity",
-                        f"P_({sf.label(union)}) = {lhs} < "
-                        f"P_({sf.label(m1)}) + P_({sf.label(m2)}) = {rhs}",
+                        f"P_({sf.label(union)}) = {format_scalar(lhs)} < "
+                        f"P_({sf.label(m1)}) + P_({sf.label(m2)}) = {format_scalar(rhs)}",
                     )
                 )
     return ValidationReport(not violations, tuple(violations))

@@ -46,6 +46,15 @@ def bundled(name: str) -> str:
     return str(scenario_dir() / name)
 
 
+def decimal_digits(n: int) -> str:
+    """The decimal digits of ``n`` >= 0, 500 at a time, so within any digit limit."""
+    chunks = []
+    while n >= 10**500:
+        n, low = divmod(n, 10**500)
+        chunks.append(str(low).zfill(500))
+    return str(n) + "".join(reversed(chunks))
+
+
 #: E(A) = √2/3, E(B) = -√2/3, E(AB) = -1: realizable, with P(+-) = 1/2 + √2/6
 #: and P(-+) = 1/2 - √2/6, but only on the face E(A) = -E(B), which the
 #: bracket box is not inside.
@@ -288,18 +297,19 @@ class TestCheckCommand:
         not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
         reason="this interpreter converts integer strings of any length",
     )
-    def test_value_over_the_digit_limit_is_input_error(self, tmp_path):
+    def test_value_over_the_digit_limit_is_decided(self, tmp_path):
         # Each literal is within the limit; their product, the exact
-        # target's denominator, is not.
+        # target's denominator, is not.  It is decided and printed in full.
         literal = "3" * (sys.get_int_max_str_digits() // 2 + 50)
         path = self._one_value(tmp_path, f"1/{literal}/{literal}")
-        with pytest.raises(ScenarioError, match="constraint 1: .*more digits"):
-            load_scenario(path)
+        scenario, _ = load_scenario(path)
+        assert scenario.constraints[1].target.lo == Fraction(1, int(literal) ** 2)
+        reports = {}
         for command in ("check", "margin"):
-            code, report = run_json(command, "--scenario", str(path))
-            assert code == EXIT_USAGE
-            assert report["verdict"] == "input-error"
-            assert "constraint 1" in report["error"]
+            code, reports[command] = run_json(command, "--scenario", str(path))
+            assert (code, reports[command]["verdict"]) == (EXIT_PASS, "feasible")
+        exact = reports["check"]["trace"][1]["target"]["exact"]
+        assert exact == "1/" + decimal_digits(int(literal) ** 2)
 
     def test_missing_file(self):
         code, _ = run_json("check", "--scenario", "/nonexistent/file.json")
@@ -1031,3 +1041,155 @@ def test_quantum_forms_feed_check_to_the_bundled_verdict(tmp_path, bundled_name,
     assert report["certificate"]["verified"] is True
     bundled_code, bundled_report = run_json("check", "--scenario", bundled(bundled_name))
     assert (bundled_code, bundled_report["verdict"]) == (code, report["verdict"])
+
+
+# --- exact values longer than the interpreter's digit limit ----------------
+
+#: Literals within a digit limit of 640 whose products are not, and the
+#: exact value 1/(A·B) that a document writes as ``1/A/B``.
+_A, _B, _C = "3" * 602, "7" * 601, "9" * 600
+_AB = int(_A) * int(_B)
+_TINY = f"1/{_A}/{_B}"
+
+
+def _fraction_text(value: Fraction) -> str:
+    return decimal_digits(value.numerator) + (
+        "" if value.denominator == 1 else "/" + decimal_digits(value.denominator)
+    )
+
+
+@pytest.fixture
+def digit_limit_640():
+    """The interpreter converts ints of at most 640 digits to and from strings."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter converts integer strings of any length")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def _verdict(text: str, fmt: str) -> str:
+    if fmt == "json":
+        return json.loads(text)["verdict"]
+    return text.splitlines()[1].removeprefix("verdict: ")
+
+
+#: name: (moment targets, exit code, a computed value the reports print in full)
+_LONG_DOCUMENTS = {
+    "one-target": ({"A": _TINY}, EXIT_PASS, _fraction_text(Fraction(1, _AB))),
+    "three-singles": (
+        {"A": f"1/{_A}", "B": f"1/{_B}", "C": f"1/{_C}"}, EXIT_PASS, None
+    ),
+    "ghz-singles": (
+        {"A": f"1-{_TINY}", "B": f"1-{_TINY}", "C": f"1-{_TINY}", "ABC": "-1"},
+        EXIT_VIOLATION,
+        _fraction_text(1 - Fraction(1, _AB)),
+    ),
+    "outside-domain": (
+        {"A": f"1+{_TINY}", "B": "1", "C": "1", "ABC": "-1"},
+        EXIT_VIOLATION,
+        f"eA = {_fraction_text(1 + Fraction(1, _AB))} outside [-1, 1]",
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("name", list(_LONG_DOCUMENTS))
+def test_check_and_margin_print_values_over_the_digit_limit(tmp_path, digit_limit_640, name, fmt):
+    targets, want, printed = _LONG_DOCUMENTS[name]
+    path = tmp_path / f"{name}.json"
+    constraints = [
+        {"moment": list(moment), "relation": "eq", "value": value}
+        for moment, value in targets.items()
+    ]
+    path.write_text(json.dumps({"variables": sorted(set("".join(targets))), "constraints": constraints}))
+    verdict = "feasible" if want == EXIT_PASS else "infeasible"
+    outputs = {}
+    for command in (("check",), ("check", "--oracle"), ("margin",)):
+        code, text = run_cli(*command, "--scenario", str(path), "--format", fmt)
+        assert (code, _verdict(text, fmt)) == (want, verdict), command
+        outputs[command] = text
+    if printed is not None:
+        assert printed in outputs[("check", "--oracle")]
+    if name == "three-singles" and fmt == "json":
+        report = json.loads(outputs[("check",)])
+        assert max(len(v) for v in report["witness"]["atoms"].values()) > 640
+        for entry in report["trace"]:
+            assert entry["satisfied"] and entry["witness_moment"] == entry["target"]["exact"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (("bell-system", f"--exy={_TINY}", f"--exz={_TINY}", f"--eyz={_TINY}"), EXIT_PASS),
+        (("upper-bell", f"--exy={_TINY}", f"--exz={_TINY}", f"--eyz={_TINY}"), EXIT_PASS),
+        (("construct-symmetric", "--p", _TINY, "--q", _TINY), EXIT_PASS),
+        (("ghz-epsilon", "--epsilon", _TINY, "--oracle"), EXIT_VIOLATION),
+    ],
+    ids=["bell-system", "upper-bell", "construct-symmetric", "ghz-epsilon"],
+)
+def test_closed_forms_print_values_over_the_digit_limit(digit_limit_640, argv, want, fmt):
+    code, text = run_cli(*argv, "--format", fmt)
+    assert code == want
+    assert _fraction_text(Fraction(1, _AB)) in text
+    if argv[0] == "ghz-epsilon" and fmt == "json":
+        assert json.loads(text)["oracle"] == {"lp_verdict": "infeasible", "agrees": True}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_validate_prints_a_sum_over_the_digit_limit(tmp_path, digit_limit_640, fmt):
+    path = tmp_path / "measure.json"
+    atoms = {"+": f"1/{_A}", "-": f"1/{_B}"}
+    path.write_text(json.dumps({"type": "atom-measure", "variables": ["A"], "atoms": atoms}))
+    code, text = run_cli("validate", "--file", str(path), "--format", fmt)
+    assert (code, _verdict(text, fmt)) == (EXIT_VIOLATION, "violations")
+    total = Fraction(1, int(_A)) + Fraction(1, int(_B))
+    assert f"atom values sum to {_fraction_text(total)}, expected 1" in text
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter converts integer strings of any length",
+)
+@pytest.mark.parametrize("field", ["atom", "multiplier", "bracket_tolerance"])
+def test_validate_refuses_a_value_over_the_digit_limit(tmp_path, field):
+    name = "ghz.json" if field == "multiplier" else "chsh-classical.json"
+    _, report = run_json("check", "--scenario", bundled(name))
+    long_value = "1/" + "1" * (sys.get_int_max_str_digits() + 1)
+    if field == "atom":
+        report["witness"]["atoms"]["++"] = long_value
+    elif field == "multiplier":
+        report["certificate"]["multipliers"][0] = long_value
+    else:
+        report["bracket_tolerance"] = long_value
+    code, validated = _validate_report(tmp_path, report)
+    assert (code, validated["verdict"]) == (EXIT_USAGE, "input-error")
+    assert validated["error"].startswith("number too long")
+
+
+def test_validate_reads_a_long_witness_when_the_limit_is_lifted(tmp_path):
+    # Three singles at 1/(10^1500 + k): the witness's atoms have up to
+    # 4,501 digits, more than the interpreter reads by default.
+    path = tmp_path / "found.json"
+    constraints = [
+        {"moment": [v], "relation": "eq", "value": f"1/{10**1500 + k}"}
+        for v, k in (("A", 1), ("B", 3), ("C", 7))
+    ]
+    path.write_text(json.dumps({"variables": ["A", "B", "C"], "constraints": constraints}))
+    for command in ("check", "margin"):
+        code, report = run_json(command, "--scenario", str(path))
+        assert (code, report["verdict"]) == (EXIT_PASS, "feasible")
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(run_json("check", "--scenario", str(path))[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "contextuality_kit.cli", "validate", "--file", str(report_path),
+         "--format", "json"],
+        capture_output=True,
+        text=True,
+        env=dict(KIT_ENV, PYTHONINTMAXSTRDIGITS="0"),
+        timeout=120,
+    )
+    assert proc.returncode == EXIT_PASS, proc.stderr
+    assert json.loads(proc.stdout)["verdict"] == "pass"

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -10,6 +11,7 @@ from contextuality_kit.numerics import (
     DEFAULT_BRACKET_TOLERANCE,
     ScalarInterval,
     evaluate,
+    format_scalar,
     over_common_denominator,
     parse_and_evaluate,
     parse_value,
@@ -87,6 +89,32 @@ def test_exact_scalar_forms(text, value):
 def test_other_scalar_texts_are_refused(text):
     with pytest.raises(ValueError, match="not an integer or p/q"):
         scalar_from_string(text)
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter converts integer strings of any length",
+)
+@pytest.mark.parametrize("template", ["{}", "-1/{}", "{}/3"])
+def test_scalar_over_the_digit_limit_is_refused(template):
+    text = template.format("1" * (sys.get_int_max_str_digits() + 1))
+    with pytest.raises(ExpressionError, match="^number too long"):
+        scalar_from_string(text)
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (10**5000, "1" + "0" * 5000),
+        (Fraction(-(10**5000 + 1), 3), "-1" + "0" * 4999 + "1/3"),
+        (Fraction(7, 10**5000), "7/1" + "0" * 5000),
+        (ScalarInterval(Fraction(1, 10**5000), Fraction(1, 3)), "[1/1" + "0" * 5000 + ", 1/3]"),
+    ],
+    ids=["int", "numerator", "denominator", "interval"],
+)
+def test_exact_values_print_in_full_at_any_length(value, text):
+    printed = str(value) if isinstance(value, ScalarInterval) else format_scalar(value)
+    assert printed == text
 
 
 def _outcome(call, *args):
