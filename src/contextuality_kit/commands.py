@@ -30,6 +30,7 @@ from .cli import (
 from .errors import KitError, ScenarioError
 from .feasibility import (
     FEASIBLE,
+    INDETERMINATE,
     INFEASIBLE,
     Scenario,
     ghz_symmetric_scenario,
@@ -39,7 +40,14 @@ from .feasibility import (
     verify_certificate,
     violated_constraints,
 )
-from .measures import STANDARD, AtomMeasure, signed_atom_sum, validate
+from .measures import (
+    LOWER_ATOMS,
+    STANDARD,
+    UPPER_ATOMS,
+    AtomMeasure,
+    signed_atom_sum,
+    validate,
+)
 from .numerics import format_scalar, parse_and_evaluate, scalar_from_string
 from .set_functions import PartialSetFunction, check_conjugacy, check_monotonicity
 
@@ -420,7 +428,7 @@ def _cmd_validate(args) -> tuple[int, dict]:
             ) from err
         except (AttributeError, TypeError) as err:
             raise ScenarioError(f"malformed {section['type']} document: {err}") from err
-        if key == "witness" and document.get("command") == "check":
+        if key == "witness":
             witness = obj
         outcome = validate(obj)
         results.append(
@@ -434,12 +442,15 @@ def _cmd_validate(args) -> tuple[int, dict]:
                 ],
             }
         )
-    if witness is not None:
+    check_report = document.get("command") == "check"
+    if check_report or certificate is not None:
         scenario = _report_scenario(document)
-        if scenario.kind == STANDARD:
-            results.append(_witness_moments_result(scenario, witness))
+    if check_report and scenario.kind == STANDARD and isinstance(witness, AtomMeasure):
+        results.append(_witness_moments_result(scenario, witness))
     if certificate is not None:
-        results.append(_certificate_result(document, certificate))
+        results.append(_certificate_result(scenario, certificate))
+    if check_report:
+        results.extend(_evidence_result(scenario, document, witness, certificate is not None))
     all_passed = all(r["passed"] for r in results)
     report["results"] = results
     report["verdict"] = "pass" if all_passed else "violations"
@@ -449,7 +460,7 @@ def _cmd_validate(args) -> tuple[int, dict]:
 def _report_scenario(document: dict) -> Scenario:
     """The scenario a ``check`` report echoes, at the report's ``bracket_tolerance``."""
     try:
-        tolerance = scalar_from_string(document["bracket_tolerance"])
+        tolerance = scalar_from_string(document["bracket_tolerance"], "bracket_tolerance")
     except KeyError as err:
         raise ScenarioError(f"report is missing the {err.args[0]!r} field") from err
     if tolerance <= 0:
@@ -475,20 +486,19 @@ def _witness_moments_result(scenario: Scenario, witness: AtomMeasure) -> dict:
     }
 
 
-def _certificate_result(document: dict, section: dict) -> dict:
+def _certificate_result(scenario: Scenario, section: dict) -> dict:
     """Re-check a check report's certificate against the report's own input.
 
-    The scenario is rebuilt from the echoed ``input`` at the report's
-    ``bracket_tolerance``, and the multipliers must prove every target
-    in its brackets infeasible.
+    ``scenario`` is the one the report echoes (:func:`_report_scenario`),
+    and the multipliers must prove every target in its brackets
+    infeasible.
     """
-    scenario = _report_scenario(document)
     try:
         multipliers = section["multipliers"]
     except KeyError as err:
         raise ScenarioError(f"report is missing the {err.args[0]!r} field") from err
     _require_list(multipliers, "'multipliers'")
-    certificate = [scalar_from_string(v) for v in multipliers]
+    certificate = [scalar_from_string(v, f"multiplier {i}") for i, v in enumerate(multipliers)]
     passed = verify_certificate(scenario, certificate)
     violations = [] if passed else [
         {
@@ -502,6 +512,54 @@ def _certificate_result(document: dict, section: dict) -> dict:
         "passed": passed,
         "violations": violations,
     }
+
+
+#: The witness kind each input kind of a ``check`` report implies.
+_WITNESS_KIND = {"standard": STANDARD, "lower": LOWER_ATOMS, "upper": UPPER_ATOMS}
+
+#: Whether each verdict on a standard input has a witness and a certificate.
+_EVIDENCE = {FEASIBLE: (True, False), INFEASIBLE: (False, True), INDETERMINATE: (False, False)}
+
+
+def _evidence_result(scenario: Scenario, document: dict, witness, certificate: bool) -> list:
+    """A check report's witness kind and verdict against its input.
+
+    The witness must have the kind the input's kind implies.  On a
+    standard input, ``feasible`` needs a witness and no certificate,
+    ``infeasible`` a certificate and no witness, and ``indeterminate``
+    neither; a lower or upper input's verdict is ``witness-constructed``.
+    Returns one failed result naming each mismatch, or [] when there is
+    none, so a consistent report's results are unchanged.
+    """
+    violations = []
+    want = _WITNESS_KIND[scenario.kind]
+    if witness is not None and witness.kind != want:
+        violations.append(
+            ("witness-kind", f"a {scenario.kind} input's witness is {want!r}, not {witness.kind!r}")
+        )
+    verdict = document.get("verdict")
+    if scenario.kind == STANDARD:
+        have = (witness is not None, certificate)
+        if _EVIDENCE.get(verdict) != have:
+            evidence = " and ".join(
+                f"{'a' if on else 'no'} {name}" for on, name in zip(have, ("witness", "certificate"))
+            )
+            violations.append(
+                ("verdict-evidence", f"verdict {verdict!r} does not fit a report with {evidence}")
+            )
+    elif verdict != "witness-constructed":
+        violations.append(
+            ("verdict-evidence", f"a {scenario.kind} input's verdict is 'witness-constructed',"
+             f" not {verdict!r}")
+        )
+    if not violations:
+        return []
+    return [{
+        "type": "report-evidence",
+        "kind": scenario.kind,
+        "passed": False,
+        "violations": [{"axiom": axiom, "message": message} for axiom, message in violations],
+    }]
 
 
 #: Every subcommand's handler but ``check``'s, which ``cli`` keeps.

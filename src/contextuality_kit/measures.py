@@ -87,7 +87,7 @@ class AtomMeasure(Record):
         from .event_space import build_space
 
         space = build_space(data["variables"])
-        atoms = {k: scalar_from_string(v) for k, v in data["atoms"].items()}
+        atoms = {k: scalar_from_string(v, f"atom {k!r}") for k, v in data["atoms"].items()}
         return cls.from_dict(space, atoms, data.get("kind", STANDARD))
 
 

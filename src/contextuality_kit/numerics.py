@@ -28,6 +28,7 @@ produces an interval nested inside the coarser one.
 from __future__ import annotations
 
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from math import isqrt, lcm
@@ -50,18 +51,19 @@ _MAX_SCALE_BITS = 256
 _EXACT_SCALAR = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
-def scalar_from_string(text: str) -> Fraction:
+def scalar_from_string(text: str, name: str = "the value") -> Fraction:
     """Parse a "p/q" or integer string into an exact rational.
 
     A number with more digits than the interpreter reads is refused with
-    ExpressionError, as a scenario literal is.
+    ExpressionError, as a scenario literal is; its message calls the
+    number ``name``.
     """
     if not isinstance(text, str):
         raise ValueError(f"exact scalars are written as strings such as '1/3', got {text!r}")
     if not _EXACT_SCALAR.fullmatch(text):
         raise ValueError(f"exact scalar {text!r} is not an integer or p/q")
     try:
-        return _literal(text, 0)
+        return _literal(text, None, name)
     except ZeroDivisionError:
         raise ValueError(f"exact scalar {text!r} has a zero denominator") from None
 
@@ -220,12 +222,17 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _literal(text: str, pos: int) -> Fraction:
+def _literal(text: str, pos: int | None, name: str = "the literal") -> Fraction:
     """The number ``text``; one longer than ``int`` converts is refused at ``pos``."""
     try:
         return Fraction(text)
-    except ValueError as err:
-        raise ExpressionError(f"number too long: {err}", pos) from None
+    except ValueError:
+        raise ExpressionError(
+            f"number too long: {name} has an integer of more than"
+            f" {sys.get_int_max_str_digits()} digits, the most this interpreter"
+            " reads; PYTHONINTMAXSTRDIGITS=0 in the environment lifts the limit",
+            pos,
+        ) from None
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:

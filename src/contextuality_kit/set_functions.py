@@ -91,9 +91,9 @@ class PartialSetFunction(Record):
         space = build_space(data["variables"])
         entries = {}
         labels = {}
-        for item in data["entries"]:
+        for index, item in enumerate(data["entries"]):
             mask = EventMask.from_atoms(space, item["event"])
-            entries[mask] = scalar_from_string(item["value"])
+            entries[mask] = scalar_from_string(item["value"], f"entry {index}")
             if "label" in item:
                 labels[mask] = item["label"]
         return cls(space, data["kind"], entries, labels)

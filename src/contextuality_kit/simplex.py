@@ -30,8 +30,10 @@ of every column, and B⁻¹ only over its live columns: while a slack (a
 unit column of cost 0, entry ±1) of row r is basic, column r of B⁻¹ is
 a unit vector, kept implicit.  So with k rows that have no basic slack
 it holds (m + 1) × (k + 2) integers, not (m + 1) × (m + 2); the margin
-LP's rows are mostly slack rows.  Its LPs may have a block of
-character columns: atom a's entry in row i is
+LP's rows are mostly slack rows.  Every explicit column is held as its
+m entries, entered and priced by dot products; the slack is the one
+special explicit column, priced off its row's dual.  The LPs may have a
+block of character columns: atom a's entry in row i is
 ``(-1)^popcount(a & mask_i)``, as for the kit's moment rows over 2ⁿ
 atoms.  Those columns are never formed.  Each pivot prices all of them
 at once: the objective row's duals, added up on their rows' masks, go
@@ -275,13 +277,15 @@ class _RevisedLp:
     Row i's B⁻¹ entries are the multipliers that combine the rows of
     ``[A | b]`` into that row of the dense tableau; the objective row's,
     w, stand for ``scale·[c | 0] + w·[A | b]``, so w prices every
-    column.  A *slack* is a column of cost 0 with one entry, ±1, on
-    some row r.  While a slack is basic on position i, column r of B⁻¹
-    is ±e_i: row i's entry there is ±(its scale), every other row's is
-    0, the objective row's included (the slack's reduced cost is 0).
-    Such a column is not stored, only ``held[i] = (r, ±1)``; the other
-    columns are *live*, listed in ``live`` in the order they are
-    stored (the standard treatment of logical variables; I. Maros,
+    column.  Every explicit column is held as its m entries; the one
+    special kind is the *slack*, a column of cost 0 with one entry, ±1,
+    on some row r, also held in ``slacks`` as (r, ±1).  While a slack
+    is basic on position i, column r of B⁻¹ is ±e_i: row i's entry
+    there is ±(its scale), every other row's is 0, the objective row's
+    included (the slack's reduced cost is 0).  Such a column of B⁻¹ is
+    not stored, only ``held[i] = (r, ±1)``; the other columns are
+    *live*, listed in ``live`` in the order they are stored (the
+    standard treatment of logical variables; I. Maros,
     *Computational Techniques of the Simplex Method*, 2003, ch. 8).  So
     each row is ``[live entries | slot | x_B]``, k + 2 integers for k
     live columns, where k counts the rows with no basic slack; the
@@ -297,9 +301,9 @@ class _RevisedLp:
     of the scale on their own row, and they change no gcd.  So every
     stored entry, scale and pivot is the one the full rows would have,
     and :meth:`result` writes the held entries back in.  The slot,
-    written by :meth:`enter`, carries the column being pivoted in;
-    :func:`_pivot` and :func:`_leaving` work on these rows as on the
-    dense tableau.
+    written by :meth:`enter` the same way for an atom and an explicit
+    column, carries the column being pivoted in; :func:`_pivot` and
+    :func:`_leaving` work on these rows as on the dense tableau.
     """
 
     def __init__(self, costs, columns, rhs, characters):
@@ -308,26 +312,18 @@ class _RevisedLp:
         self.atoms = 1 << self.bits if characters is not None else 0
         if any(type(v) is not int for v in [*costs, *(v for c in columns for v in c.values())]):
             raise TypeError("the revised simplex takes integer columns and costs")
-        # Each explicit column: its (row, entry) when it has one nonzero
-        # entry, else a list of m entries.
-        self.units, self.columns = [], []
-        for column in columns:
-            nonzero = [(i, v) for i, v in column.items() if v]
-            dense = None
-            if len(nonzero) != 1:
-                dense = [0] * m
-                for i, v in nonzero:
-                    dense[i] = v
-            self.units.append(nonzero[0] if dense is None else None)
-            self.columns.append(dense)
         self.costs = costs
         self.atom_costs = any(costs[: self.atoms])
-        # The slacks, by column index: (row, entry).
-        self.slacks = {
-            self.atoms + j: unit
-            for j, unit in enumerate(self.units)
-            if unit and unit[1] in (1, -1) and not costs[self.atoms + j]
-        }
+        # Every explicit column as its m entries; each slack also as (row, entry).
+        self.columns, self.slacks = [], {}
+        for j, column in enumerate(columns, self.atoms):
+            nonzero = [(i, v) for i, v in column.items() if v]
+            dense = [0] * m
+            for i, v in nonzero:
+                dense[i] = v
+            self.columns.append(dense)
+            if len(nonzero) == 1 and nonzero[0][1] in (1, -1) and not costs[j]:
+                self.slacks[j] = nonzero[0]
         rhs, self.rhs_scale = over_common_denominator(rhs)
         self.live = []
         self.held = {i: (i, 1) for i in range(m)}
@@ -339,29 +335,16 @@ class _RevisedLp:
         """Write column j, as the current basis sees it, into the slot."""
         m, tableau, scales, live = self.m, self.tableau, self.scales, self.live
         slot = len(live)
-        unit = self.units[j - self.atoms] if j >= self.atoms else None
-        if unit is not None:
-            r, v = unit
-            if r in live:
-                k = live.index(r)
-                for line in tableau:
-                    line[slot] = line[k] * v
-            else:
-                for line in tableau:
-                    line[slot] = 0
-                i, sign = next((i, s) for i, (c, s) in self.held.items() if c == r)
-                tableau[i][slot] = sign * v * scales[i]
+        if j < self.atoms:
+            column = [-1 if (j & mask).bit_count() & 1 else 1 for mask in self.masks]
         else:
-            if j < self.atoms:
-                column = [-1 if (j & mask).bit_count() & 1 else 1 for mask in self.masks]
-            else:
-                column = self.columns[j - self.atoms]
-            stored = [column[c] for c in live]
-            for line in tableau:
-                line[slot] = sum(map(mul, line, stored))
-            for i, (c, sign) in self.held.items():
-                if column[c]:
-                    tableau[i][slot] += sign * column[c] * scales[i]
+            column = self.columns[j - self.atoms]
+        stored = [column[c] for c in live]
+        for line in tableau:
+            line[slot] = sum(map(mul, line, stored))
+        for i, (c, sign) in self.held.items():
+            if column[c]:
+                tableau[i][slot] += sign * column[c] * scales[i]
         tableau[m][slot] += self.costs[j] * scales[m]
 
     def leaving(self):
@@ -429,8 +412,8 @@ class _RevisedLp:
 
         The duals are the objective row's live entries, 0 on the held
         columns.  The atom block is one Walsh–Hadamard transform of the
-        duals placed on their rows' masks; each explicit column is
-        priced from its entries.
+        duals placed on their rows' masks; a slack is priced off its
+        row's dual, every other explicit column by a dot product.
         """
         m, obj, scale = self.m, self.tableau[self.m], self.scales[self.m]
         duals = [0] * m
@@ -445,11 +428,12 @@ class _RevisedLp:
             reduced = _walsh(weights, self.bits)
             if self.atom_costs:
                 reduced = [c * scale + v for c, v in zip(self.costs, reduced)]
-        for c, column, unit in zip(self.costs[self.atoms:], self.columns, self.units):
-            if unit is None:
-                reduced.append(c * scale + sum(map(mul, duals, column)))
+        for j, column in enumerate(self.columns, self.atoms):
+            slack = self.slacks.get(j)
+            if slack:
+                reduced.append(duals[slack[0]] * slack[1])
             else:
-                reduced.append(c * scale + duals[unit[0]] * unit[1])
+                reduced.append(self.costs[j] * scale + sum(map(mul, duals, column)))
         return reduced
 
     def result(self, pivots, reduced) -> LpResult:
@@ -517,10 +501,10 @@ def solve_from_basis(
     basis and these rules.
 
     Only B⁻¹, x_B and the objective row are held, B⁻¹ over the rows
-    with no basic slack (``_RevisedLp``); no column of A is stored.
-    Every reduced cost is recomputed from the objective row's duals
-    each pivot (the character block by :func:`_walsh`), and only the
-    entering column is formed.
+    with no basic slack (``_RevisedLp``), and each explicit column as
+    its m entries; no character column is stored.  Every reduced cost is
+    recomputed from the objective row's duals each pivot (the character
+    block by :func:`_walsh`), and only the entering column is formed.
 
     ``pivots`` counts the simplex pivots; the pivots that bring
     ``basis`` in are not counted.  An optimal result carries ``basis``

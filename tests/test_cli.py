@@ -292,6 +292,7 @@ class TestCheckCommand:
         assert code == EXIT_USAGE
         assert report["verdict"] == "input-error"
         assert "number too long" in report["error"]
+        assert "PYTHONINTMAXSTRDIGITS" in report["error"]
 
     @pytest.mark.skipif(
         not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
@@ -1004,6 +1005,63 @@ def test_validate_rejects_a_witness_that_misses_the_targets(tmp_path):
     assert {v["axiom"] for v in moments["violations"]} == {"witness-moments"}
 
 
+def _zero_mean_report(tmp_path):
+    """The check report of E(A) = 0, feasible with the witness +: 1/2, -: 1/2."""
+    path = tmp_path / "zero-mean.json"
+    constraints = [{"moment": ["A"], "relation": "eq", "value": "0"}]
+    path.write_text(json.dumps({"variables": ["A"], "constraints": constraints}))
+    code, report = run_json("check", "--scenario", str(path))
+    assert (code, report["verdict"]) == (EXIT_PASS, "feasible")
+    return report
+
+
+def _relabelled_upper_witness(tmp_path):
+    # Atoms summing to 2 are a valid upper measure and still give E(A) = 0.
+    report = _zero_mean_report(tmp_path)
+    report["witness"].update(kind="upper-atoms", atoms={"+": "1", "-": "1"})
+    return report, {"witness-kind"}
+
+
+def _input_relabelled_lower(tmp_path):
+    # A lower input skips the moment re-check, which E(A) = 1 would fail.
+    report = _zero_mean_report(tmp_path)
+    report["input"]["kind"] = "lower"
+    report["witness"]["atoms"] = {"+": "1", "-": "0"}
+    return report, {"witness-kind", "verdict-evidence"}
+
+
+def _verdict_set_to(name, verdict):
+    def tampered(tmp_path):
+        _, report = run_json("check", "--scenario", bundled(name))
+        assert report["verdict"] != verdict
+        report["verdict"] = verdict
+        return report, {"verdict-evidence"}
+
+    return tampered
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        _relabelled_upper_witness,
+        _input_relabelled_lower,
+        _verdict_set_to("ghz.json", "feasible"),
+        _verdict_set_to("ghz.json", "indeterminate"),
+        _verdict_set_to("chsh-classical.json", "infeasible"),
+    ],
+    ids=["upper-atoms-witness", "lower-input", "ghz-feasible", "ghz-indeterminate",
+         "chsh-classical-infeasible"],
+)
+def test_validate_rejects_a_report_whose_evidence_does_not_fit(tmp_path, tamper):
+    report, axioms = tamper(tmp_path)
+    code, validated = _validate_report(tmp_path, report)
+    assert (code, validated["verdict"]) == (EXIT_VIOLATION, "violations")
+    evidence = validated["results"][-1]
+    assert evidence["type"] == "report-evidence" and evidence["passed"] is False
+    assert {v["axiom"] for v in evidence["violations"]} == axioms
+    assert all(r["passed"] for r in validated["results"][:-1])
+
+
 
 def _singlet_form(degrees: str) -> str:
     code, report = run_json("quantum", "--state", "mermin", "--angle-degrees", degrees)
@@ -1153,20 +1211,35 @@ def test_validate_prints_a_sum_over_the_digit_limit(tmp_path, digit_limit_640, f
     not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
     reason="this interpreter converts integer strings of any length",
 )
-@pytest.mark.parametrize("field", ["atom", "multiplier", "bracket_tolerance"])
-def test_validate_refuses_a_value_over_the_digit_limit(tmp_path, field):
-    name = "ghz.json" if field == "multiplier" else "chsh-classical.json"
-    _, report = run_json("check", "--scenario", bundled(name))
+@pytest.mark.parametrize(
+    "field, named",
+    [
+        ("atom", "atom '++'"),
+        ("multiplier", "multiplier 0"),
+        ("bracket_tolerance", "bracket_tolerance"),
+        ("entry", "entry 2"),
+    ],
+    ids=["atom", "multiplier", "bracket_tolerance", "entry"],
+)
+def test_validate_refuses_a_value_over_the_digit_limit(tmp_path, field, named):
+    if field == "entry":
+        _, report = run_json("lower-ghz")
+    else:
+        name = "ghz.json" if field == "multiplier" else "chsh-classical.json"
+        _, report = run_json("check", "--scenario", bundled(name))
     long_value = "1/" + "1" * (sys.get_int_max_str_digits() + 1)
     if field == "atom":
         report["witness"]["atoms"]["++"] = long_value
     elif field == "multiplier":
         report["certificate"]["multipliers"][0] = long_value
+    elif field == "entry":
+        report["set_function"]["entries"][2]["value"] = long_value
     else:
         report["bracket_tolerance"] = long_value
     code, validated = _validate_report(tmp_path, report)
     assert (code, validated["verdict"]) == (EXIT_USAGE, "input-error")
-    assert validated["error"].startswith("number too long")
+    assert validated["error"].startswith(f"number too long: {named} has ")
+    assert "PYTHONINTMAXSTRDIGITS" in validated["error"]
 
 
 def test_validate_reads_a_long_witness_when_the_limit_is_lifted(tmp_path):

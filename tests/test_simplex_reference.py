@@ -467,10 +467,8 @@ def test_rows_hold_only_live_columns_at_every_pivot(monkeypatch):
         slacks_in.append(j in lp.slacks)
         taken = {i for i, col in enumerate(lp.basis) if col < 0}
         for col in lp.basis:
-            if col >= lp.atoms:
-                unit = lp.units[col - lp.atoms]
-                if unit is not None and unit[1] in (1, -1) and not lp.costs[col]:
-                    taken.add(unit[0])
+            if col in lp.slacks:
+                taken.add(lp.slacks[col][0])
         width = lp.m - len(taken) + 2
         assert {len(line) for line in lp.tableau} == {width}
         widths.append(width)
