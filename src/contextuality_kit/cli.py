@@ -127,16 +127,18 @@ def scenario_from_document(
             )
         try:
             target = parse_and_evaluate(value_text, bracket_tolerance)
-        except ExpressionError as err:
-            raise ScenarioError(
-                f"constraint {index}: bad value expression {value_text!r}: {err}"
-            ) from err
         except KitError as err:
-            raise ScenarioError(
-                f"constraint {index}: cannot evaluate {value_text!r}: {err}"
-            ) from err
+            what = "bad value expression" if isinstance(err, ExpressionError) else "cannot evaluate"
+            raise ScenarioError(f"constraint {index}: {what} {_quoted(value_text)}: {err}") from err
         constraints.append(MomentConstraint(tuple(subset), relation, target))
     return Scenario(space, tuple(constraints), kind, document.get("title"))
+
+
+def _quoted(text: str) -> str:
+    """``text`` quoted whole up to 80 characters, else its first 40 and its length."""
+    if len(text) <= 80:
+        return repr(text)
+    return f"{text[:40]!r}… ({len(text)} characters)"
 
 
 def _require_list(value, what: str) -> None:

@@ -397,6 +397,7 @@ def _cmd_validate(args) -> tuple[int, dict]:
         document = _load_json(fh, args.file)
     candidates = []
     certificate = None
+    check_report = isinstance(document, dict) and document.get("command") == "check"
     if isinstance(document, dict):
         if document.get("type") in ("atom-measure", "set-function"):
             candidates.append((None, document))
@@ -407,7 +408,9 @@ def _cmd_validate(args) -> tuple[int, dict]:
                     candidates.append((key, section))
             if isinstance(document.get("certificate"), dict):
                 certificate = document["certificate"]
-    if not candidates and certificate is None:
+    # A check report that echoes its input has a verdict to check, even
+    # with neither witness nor certificate, as an indeterminate one has.
+    if not candidates and certificate is None and not (check_report and "input" in document):
         raise ScenarioError(
             "no validatable object found: expected an atom-measure or"
             " set-function document, or a report embedding one or a certificate"
@@ -442,7 +445,6 @@ def _cmd_validate(args) -> tuple[int, dict]:
                 ],
             }
         )
-    check_report = document.get("command") == "check"
     if check_report or certificate is not None:
         scenario = _report_scenario(document)
     if check_report and scenario.kind == STANDARD and isinstance(witness, AtomMeasure):

@@ -191,11 +191,11 @@ def solve(scenario: Scenario) -> FeasibilityOutcome:
     degenerate steps fix the pivot path, so the evidence is
     deterministic.  The outcome carries the exact margin t.
     """
-    result, rhs, sides = _margin_lp(scenario, _box(scenario))
+    result, rows_of = _margin_lp(scenario, _box(scenario))
     n = scenario.space.atom_count
     t = result.objective
     if t:
-        certificate = _certificate_from_duals(result, n, rhs, sides)
+        certificate = _certificate_from_duals(result, rows_of)
         if not verify_certificate(scenario, certificate):
             raise AssertionError("margin LP duals give a certificate that fails verification")
         return FeasibilityOutcome(INFEASIBLE, certificate=certificate, margin=t)
@@ -309,11 +309,10 @@ def _margin_lp(scenario: Scenario, bounds, start=None):
     optimal here (:func:`simplex.settle`), and no pivot runs.
     Otherwise the LP is solved from the crash basis.
 
-    Returns the optimal result, the relaxed rows' right-hand sides, and
-    for each relaxed row after row 0 the index of its standard row (see
-    :func:`_standard_rows`) and its side (LE or GE); relaxed row r's
-    slack is column n + r.  Raises ScenarioError for a scenario that is
-    not of the standard kind.
+    Returns the optimal result and, for each relaxed row, the index of
+    its standard row (see :func:`_standard_rows`); relaxed row r's slack
+    is column n + r.  Raises ScenarioError for a scenario that is not of
+    the standard kind.
     """
     if scenario.kind != STANDARD:
         raise ScenarioError(
@@ -322,7 +321,7 @@ def _margin_lp(scenario: Scenario, bounds, start=None):
         )
     space = scenario.space
     n = space.atom_count
-    masks, relaxed_rhs, t_sign, sides = [0], [Fraction(1)], [0], []
+    masks, relaxed_rhs, t_sign, rows_of = [0], [Fraction(1)], [0], [0]
     for k, (c, (upper, lower)) in enumerate(zip(scenario.constraints, bounds), start=1):
         mask = moment_mask(space, c.subset)
         for side, sign, b in ((LE, -1, upper), (GE, 1, lower)):
@@ -330,7 +329,7 @@ def _margin_lp(scenario: Scenario, bounds, start=None):
                 masks.append(mask)
                 relaxed_rhs.append(b)
                 t_sign.append(sign)
-                sides.append((k, side))
+                rows_of.append(k)
     m = len(masks)
     # The t column, then relaxed row r's slack: +1 on le, -1 on ge.
     columns = [dict(enumerate(t_sign))] + [{r: -t_sign[r]} for r in range(1, m)]
@@ -346,32 +345,26 @@ def _margin_lp(scenario: Scenario, bounds, start=None):
         raise AssertionError(
             f"margin LP ended {result.status}; it is bounded below by 0"
         )
-    return result, relaxed_rhs, sides
+    return result, rows_of
 
 
-def _certificate_from_duals(result, n, rhs, sides) -> tuple[Fraction, ...]:
+def _certificate_from_duals(result, rows_of) -> tuple[Fraction, ...]:
     """Farkas certificate from the margin LP's optimal duals.
 
-    Relaxed row r's dual is y_r = -(reduced cost of its slack) on an le
-    side (slack +1) and +(reduced cost) on a ge side (slack -1); the
-    two sides of an equality fold into one multiplier z_k = y_le + y_ge.
-    Row 0 has no slack, so z_0 comes from strong duality, Σ_r y_r·b_r = t
-    over the relaxed rows' right-hand sides ``rhs``.  Optimality makes
-    every reduced cost ≥ 0: on the slacks that puts le multipliers ≤ 0
-    and ge multipliers ≥ 0, and on each atom column it gives zᵀA ≤ 0.
-    Over the box an le side's b_r is its bracket's hi and a ge side's
-    its lo, the ends at which y_r·b_r is least, so the least combined
+    Standard row k's multiplier is z_k = Σ y_r over the relaxed rows r
+    of that row (``rows_of[r] == k``): the two sides of an equality
+    fold into one, and z_0 = y_0.  Optimality makes every reduced cost
+    c_j − yᵀA_j ≥ 0: on a slack (+1 on an le side, −1 on a ge side,
+    cost 0) that puts le duals ≤ 0 and ge duals ≥ 0, and on each atom
+    column it gives zᵀA ≤ 0.  By strong duality Σ_r y_r·b_r = t.  Over
+    the box an le side's b_r is its bracket's hi and a ge side's its
+    lo, the ends at which y_r·b_r is least, so the least combined
     right-hand side of z over the box is at least t.  With t > 0 that
     is the certificate :func:`verify_certificate` checks.
     """
-    z = [Fraction(0)] * (sides[-1][0] + 1)  # sides end on the last constraint
-    combined = Fraction(0)
-    for r, (k, side) in enumerate(sides, start=1):
-        reduced = result.reduced_costs[n + r]
-        y = -reduced if side == LE else reduced
+    z = [Fraction(0)] * (rows_of[-1] + 1)  # relaxed rows end on the last constraint
+    for y, k in zip(result.duals, rows_of):
         z[k] += y
-        combined += y * rhs[r]
-    z[0] = result.objective - combined
     return tuple(z)
 
 

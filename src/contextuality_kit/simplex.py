@@ -10,11 +10,10 @@ nonzero or it is not.
   basis's unit columns of cost 0 (slacks) are placed on their rows
   while B⁻¹ is still the identity, with no pivot; only its other
   columns are pivoted in.  Every standard scenario is decided by it:
-  the optimal point is reported as the witness, and the optimal duals,
-  read off the reduced costs of the slack columns, as the Farkas
-  certificate.  Dantzig's rule with lowest-index ties and the Bland
-  fallback on degenerate steps fix the pivot path, so that evidence is
-  deterministic.
+  the optimal point is reported as the witness, and the optimal row
+  duals (``LpResult.duals``) as the Farkas certificate.  Dantzig's
+  rule with lowest-index ties and the Bland fallback on degenerate
+  steps fix the pivot path, so that evidence is deterministic.
 * :func:`settle`, the optimum of a :func:`solve_from_basis` LP at
   another right-hand side, from its optimal basis, when that basis is
   still primal-feasible there.
@@ -46,9 +45,9 @@ Programming* 50, 395 (1991)).  The pivots are those of the dense
 one-phase tableau this replaced: the basis rows hold the same rational
 values, Dantzig's choice reads the same reduced costs in the same
 column order, and the ratio test the same column.  So the point,
-objective and reduced costs are the same too, which the tests pin
-against that tableau, kept as ``tests/dense_simplex.py`` with the
-full-width B⁻¹ rows that the live columns replaced.
+objective and duals are the same too, which the tests pin against
+that tableau, kept as ``tests/dense_simplex.py`` with the full-width
+B⁻¹ rows that the live columns replaced.
 
 Every LP the kit solves has an integer matrix and a rational
 right-hand side: ±1 characters, ±1 slack, artificial and ``t`` columns,
@@ -85,7 +84,7 @@ is a Bland pivot, which cannot cycle.  So this loop terminates too.
 
 Fractions appear only at the boundary: a basic value is
 ``Fraction(rhs_i, scale_i)`` (over ``scale_i·rhs_scale`` in the revised
-simplex), and each reduced cost is read off the objective row the same
+simplex), and each row dual is read off the objective row the same
 way.
 """
 
@@ -135,31 +134,28 @@ class LpResult(Record):
       x_B(i) = ints·b / scale for the rational right-hand side b (and
       d times that for b over a common denominator d); read by
       :func:`_basic_values`.
-    * ``reduced_costs``: on an optimal :func:`solve_from_basis` result,
-      the reduced cost of every column at the optimal basis.  A column
-      that is a unit slack of row i (±e_i, zero cost) has reduced cost
-      ∓y_i, so callers read the optimal duals off their slack columns.
-    * ``farkas``: on an infeasible ``sweep.solve_lp`` result, the
-      phase-1 duals, a Farkas certificate of the original integer rows:
-      yᵀA <= 0 componentwise and yᵀb > 0.
+    * ``duals``: one per row, the row duals y of the final basis, so
+      that column j's reduced cost is c_j − yᵀA_j.  On an optimal
+      :func:`solve_from_basis` result they are the optimal duals:
+      every reduced cost is >= 0 and yᵀb is the objective.  On an
+      infeasible ``sweep.solve_lp`` result they are the phase-1 duals,
+      a Farkas certificate of the original integer rows: yᵀA <= 0
+      componentwise and yᵀb > 0.
     """
 
-    __slots__ = (
-        "status", "x", "objective", "farkas", "pivots", "basis", "inverse", "reduced_costs"
-    )
+    __slots__ = ("status", "x", "objective", "duals", "pivots", "basis", "inverse")
 
     def __init__(
         self,
         status: str,
         x: list[Fraction] | None = None,
         objective: Fraction | None = None,
-        farkas: list[Fraction] | None = None,
+        duals: list[Fraction] | None = None,
         pivots: int = 0,
         basis: tuple[int, ...] | None = None,
         inverse: tuple[tuple[list[int], int], ...] | None = None,
-        reduced_costs: list[Fraction] | None = None,
     ):
-        self._set(status, x, objective, farkas, pivots, basis, inverse, reduced_costs)
+        self._set(status, x, objective, duals, pivots, basis, inverse)
 
 
 def _reduced(line, scale):
@@ -277,16 +273,17 @@ class _RevisedLp:
     Row i's B⁻¹ entries are the multipliers that combine the rows of
     ``[A | b]`` into that row of the dense tableau; the objective row's,
     w, stand for ``scale·[c | 0] + w·[A | b]``, so w prices every
-    column.  Every explicit column is held as its m entries; the one
-    special kind is the *slack*, a column of cost 0 with one entry, ±1,
-    on some row r, also held in ``slacks`` as (r, ±1).  While a slack
-    is basic on position i, column r of B⁻¹ is ±e_i: row i's entry
-    there is ±(its scale), every other row's is 0, the objective row's
-    included (the slack's reduced cost is 0).  Such a column of B⁻¹ is
-    not stored, only ``held[i] = (r, ±1)``; the other columns are
-    *live*, listed in ``live`` in the order they are stored (the
-    standard treatment of logical variables; I. Maros,
-    *Computational Techniques of the Simplex Method*, 2003, ch. 8).  So
+    column and −w/scale are the row duals.  Every explicit column is
+    held as its m entries; the one special kind is the *slack*, a
+    column of cost 0 with one entry, ±1, on some row r, also held in
+    ``slacks`` as (r, ±1).  While a slack is basic on position i,
+    column r of B⁻¹ is ±e_i: row i's entry there is ±(its scale), every
+    other row's is 0, the objective row's included (the slack's reduced
+    cost is 0).  Such a column of B⁻¹ is not stored, only
+    ``held[i] = (r, ±1)``; the other columns are *live*, listed in
+    ``live`` in the order they are stored (the standard treatment of
+    logical variables; I. Maros, *Computational Techniques of the
+    Simplex Method*, 2003, ch. 8).  So
     each row is ``[live entries | slot | x_B]``, k + 2 integers for k
     live columns, where k counts the rows with no basic slack; the
     margin LP's are mostly slack rows.  The tableau starts with B⁻¹ the
@@ -407,18 +404,21 @@ class _RevisedLp:
                 raise ValueError(f"start basis is singular at column {col}")
             self.pivot(row, col)
 
+    def duals(self):
+        """The objective row's w on every row: its live entries, 0 on held columns."""
+        duals = [0] * self.m
+        for c, w in zip(self.live, self.tableau[self.m]):
+            duals[c] = w
+        return duals
+
     def reduced_costs(self):
         """Every column's reduced cost, as ints over the objective row's scale.
 
-        The duals are the objective row's live entries, 0 on the held
-        columns.  The atom block is one Walsh–Hadamard transform of the
-        duals placed on their rows' masks; a slack is priced off its
-        row's dual, every other explicit column by a dot product.
+        The atom block is one Walsh–Hadamard transform of :meth:`duals`
+        placed on their rows' masks; a slack is priced off its row's
+        dual, every other explicit column by a dot product.
         """
-        m, obj, scale = self.m, self.tableau[self.m], self.scales[self.m]
-        duals = [0] * m
-        for c, w in zip(self.live, obj):
-            duals[c] = w
+        scale, duals = self.scales[self.m], self.duals()
         reduced = []
         if self.atoms:
             weights = [0] * self.atoms
@@ -436,7 +436,7 @@ class _RevisedLp:
                 reduced.append(self.costs[j] * scale + sum(map(mul, duals, column)))
         return reduced
 
-    def result(self, pivots, reduced) -> LpResult:
+    def result(self, pivots) -> LpResult:
         """The optimal LpResult of the current basis, with B⁻¹ at full width."""
         m, tableau, scales = self.m, self.tableau, self.scales
         scale = scales[m]
@@ -459,7 +459,7 @@ class _RevisedLp:
             pivots=pivots,
             basis=tuple(self.basis),
             inverse=tuple(inverse),
-            reduced_costs=[Fraction(v, scale) if v else _ZERO for v in reduced],
+            duals=[Fraction(-w, scale) if w else _ZERO for w in self.duals()],
         )
 
 
@@ -496,9 +496,8 @@ def solve_from_basis(
     step, Bland's entering column and its ratio-test row pivot instead.
     Every degenerate pivot is then a Bland pivot, so the loop cannot
     cycle (the argument is in the module docstring).  Callers report
-    the optimal point and the duals read off ``reduced_costs``, so the
-    path is part of the output; it depends only on the LP, the start
-    basis and these rules.
+    the optimal point and ``duals``, so the path is part of the output;
+    it depends only on the LP, the start basis and these rules.
 
     Only B⁻¹, x_B and the objective row are held, B⁻¹ over the rows
     with no basic slack (``_RevisedLp``), and each explicit column as
@@ -523,7 +522,7 @@ def solve_from_basis(
         reduced = lp.reduced_costs()
         most_negative = min(reduced)
         if most_negative >= 0:
-            return lp.result(pivots, reduced)
+            return lp.result(pivots)
         entering = reduced.index(most_negative)
         lp.enter(entering)
         leaving = lp.leaving()
@@ -547,8 +546,8 @@ def settle(result: LpResult, costs: list[int], rhs: list[Fraction]) -> LpResult 
     Reduced costs do not depend on the right-hand side, so its basis is
     optimal at ``rhs`` whenever ``x_B = B⁻¹·rhs >= 0``, computed exactly
     from the kept inverse.  The new result has that point and objective
-    and the kept reduced costs; None means x_B has a negative entry and
-    ``rhs`` needs its own solve.
+    and the kept duals, which depend on the basis alone; None means x_B
+    has a negative entry and ``rhs`` needs its own solve.
     """
     b, common = over_common_denominator(rhs)
     values = _basic_values(result.inverse, b)
@@ -565,8 +564,8 @@ def settle(result: LpResult, costs: list[int], rhs: list[Fraction]) -> LpResult 
         x=x,
         objective=objective,
         basis=result.basis,
+        duals=result.duals,
         inverse=result.inverse,
-        reduced_costs=result.reduced_costs,
     )
 
 

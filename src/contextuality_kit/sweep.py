@@ -7,12 +7,12 @@ and a rational right-hand side, put over one common denominator d.
 Bland's choices are invariant under positive row and column scaling,
 and no output depends on d, so each row ``[row_i | e_i | d·b_i]``
 starts over scale 1.  It minimizes the total artificial mass.  A
-positive optimum means infeasible, and the phase-1 duals are a Farkas
-certificate: row multipliers y with yᵀA <= 0 componentwise and
-yᵀb > 0.  At a zero optimum the artificials are pivoted out, redundant
-rows are dropped, and the feasible basis is returned with its inverse.
-No report reads the pivot path, and a standard ``check`` never loads
-this module.
+positive optimum means infeasible, and the phase-1 row duals
+(``LpResult.duals``) are a Farkas certificate: row multipliers y with
+yᵀA <= 0 componentwise and yᵀb > 0.  At a zero optimum the artificials
+are pivoted out, redundant rows are dropped, and the feasible basis is
+returned with its inverse.  No report reads the pivot path, and a
+standard ``check`` never loads this module.
 
 :func:`solve_many` decides feasibility for many right-hand sides that
 share one matrix, such as the points of a parameter grid.  Within one
@@ -76,9 +76,9 @@ def solve_lp(rows: list[list[int]], rhs: list[Fraction]) -> LpResult:
 
     A non-int row entry raises TypeError.  A feasible system gives
     OPTIMAL with the basis and its inverse, read off the artificial
-    columns; an infeasible one gives INFEASIBLE with the Farkas
-    multipliers, indexed by the original rows (sign flips applied
-    internally for a negative right-hand side are undone).
+    columns; an infeasible one gives INFEASIBLE with the phase-1 duals,
+    the Farkas multipliers, indexed by the original rows (sign flips
+    applied internally for a negative right-hand side are undone).
     """
     m = len(rows)
     n_vars = len(rows[0])
@@ -106,10 +106,10 @@ def solve_lp(rows: list[list[int]], rhs: list[Fraction]) -> LpResult:
     obj, obj_scale = tableau[m], scales[m]
     if obj[-1] < 0:  # the optimum -obj[-1]/obj_scale is positive
         # Duals: reduced cost of artificial i is 1 - y_i.
-        farkas = [
+        duals = [
             s * Fraction(obj_scale - r, obj_scale) for s, r in zip(signs, obj[n_vars:total_cols])
         ]
-        return LpResult(status=INFEASIBLE, farkas=farkas, pivots=pivots)
+        return LpResult(status=INFEASIBLE, duals=duals, pivots=pivots)
 
     # Remove artificials from the basis (degenerate pivots; redundant
     # rows have no structural pivot and are dropped).
@@ -177,7 +177,7 @@ def solve_many(rows: list[list[int]], rhs_list) -> list[str]:
             block = [[line[c] for c in result.basis] for line in rows]
             feasible_basis = (inverse, block, scale)
         else:
-            z = over_common_denominator(result.farkas)[0]
+            z = over_common_denominator(result.duals)[0]
             certificate = z if all(
                 sum(a * y for a, y in zip(column, z)) <= 0 for column in columns
             ) else None

@@ -7,7 +7,8 @@ it replaced, which pivots every column of ``[A | b]``, as the reference
 its pivot path is pinned against: both follow Dantzig's rule with
 lowest-index ties and Bland's rule on a zero-ratio step from the same
 start basis, so every LP must give the same status, pivots, point,
-objective and reduced costs.  The integer pivot, ratio test and pricing
+objective and row duals, and the duals must give the reduced costs of
+the dense objective row.  The integer pivot, ratio test and pricing
 are the kit's own, pinned against ``fraction_simplex`` in
 ``test_simplex_reference.py``; ``_bring_in``, which places the start
 basis with the kit's pivot, is this module's.
@@ -127,6 +128,30 @@ def _priced(costs, tableau, scales, basis):
     return _reduced(obj, cost_scale * common)
 
 
+def reduced_costs(costs, rows, duals):
+    """Each column's reduced cost c_j − Σ_r y_r·rows[r][j] under the row duals y."""
+    return [c - sum(y * row[j] for y, row in zip(duals, rows) if y) for j, c in enumerate(costs)]
+
+
+def _duals(costs, rows, basis):
+    """The row duals y of ``basis``: yᵀ·(basic column i) = (its cost), solved in Fractions.
+
+    Gauss–Jordan elimination on the m equations, one per basic column,
+    independent of the kit's integer pivot.
+    """
+    m = len(rows)
+    system = [[Fraction(rows[r][col]) for r in range(m)] + [Fraction(costs[col])] for col in basis]
+    for k in range(m):
+        pivot = next(i for i in range(k, m) if system[i][k])
+        system[k], system[pivot] = system[pivot], system[k]
+        system[k] = [v / system[k][k] for v in system[k]]
+        for i in range(m):
+            if i != k and system[i][k]:
+                f = system[i][k]
+                system[i] = [a - f * b for a, b in zip(system[i], system[k])]
+    return [line[-1] for line in system]
+
+
 def _basic_point(tableau, scales, basis, n_vars):
     """The structural values of the basic solution, as Fractions."""
     x = [_ZERO] * n_vars
@@ -190,8 +215,13 @@ def _run_dantzig(tableau, scales, basis):
         pivots += 1
 
 
-def solve_from_basis(costs, rows, rhs, basis) -> LpResult:
-    """One-phase simplex for  min c·x,  rows·x = rhs,  x >= 0, on the dense tableau."""
+def solve_from_basis(costs, rows, rhs, basis):
+    """One-phase simplex for  min c·x,  rows·x = rhs,  x >= 0, on the dense tableau.
+
+    Returns the ``LpResult`` and the reduced costs of its final objective
+    row (None when unbounded).  The result's duals are solved for from
+    the final basis (:func:`_duals`), not read off any tableau entry.
+    """
     m = len(rows)
     if len(basis) != m:
         raise ValueError(f"start basis has {len(basis)} columns for {m} rows")
@@ -214,15 +244,16 @@ def solve_from_basis(costs, rows, rhs, basis) -> LpResult:
     scales.append(obj_scale)
     status, pivots = _run_dantzig(tableau, scales, placed)
     if status == UNBOUNDED:
-        return LpResult(status=UNBOUNDED, pivots=pivots)
+        return LpResult(status=UNBOUNDED, pivots=pivots), None
     obj, obj_scale = tableau[m], scales[m]
-    return LpResult(
+    result = LpResult(
         status=OPTIMAL,
         x=_basic_point(tableau, scales, placed, n_vars),
         objective=Fraction(-obj[-1], obj_scale),
+        duals=_duals(costs, rows, placed),
         pivots=pivots,
-        reduced_costs=[Fraction(v, obj_scale) if v else Fraction(0) for v in obj[:-1]],
     )
+    return result, [Fraction(v, obj_scale) for v in obj[:-1]]
 
 
 class FullWidthLp:
@@ -358,7 +389,7 @@ class FullWidthLp:
                 reduced.append(c * scale + obj[unit[0]] * unit[1])
         return reduced
 
-    def result(self, pivots, reduced) -> LpResult:
+    def result(self, pivots) -> LpResult:
         """The optimal LpResult of the current basis."""
         m, tableau, scales = self.m, self.tableau, self.scales
         scale = scales[m]
@@ -373,7 +404,7 @@ class FullWidthLp:
             pivots=pivots,
             basis=tuple(self.basis),
             inverse=inverse,
-            reduced_costs=[Fraction(v, scale) if v else _ZERO for v in reduced],
+            duals=[Fraction(-w, scale) if w else _ZERO for w in tableau[m][:m]],
         )
 
 

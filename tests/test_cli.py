@@ -1062,6 +1062,30 @@ def test_validate_rejects_a_report_whose_evidence_does_not_fit(tmp_path, tamper)
     assert all(r["passed"] for r in validated["results"][:-1])
 
 
+def test_validate_passes_an_indeterminate_check_report(tmp_path):
+    # Neither a witness nor a certificate: only the verdict and its evidence are checked.
+    path = tmp_path / "face.json"
+    path.write_text(json.dumps(REPRODUCER_1))
+    code, report = run_json("check", "--scenario", str(path))
+    assert (code, report["verdict"]) == (EXIT_INDETERMINATE, "indeterminate")
+    assert report["witness"] is None and report["certificate"] is None
+    code, validated = _validate_report(tmp_path, report)
+    assert (code, validated["verdict"]) == (EXIT_PASS, "pass")
+    assert validated["results"] == []
+
+
+def test_validate_still_refuses_a_check_report_without_its_input(tmp_path):
+    # An input-error report echoes no input, so it has nothing to re-check.
+    path = tmp_path / "zero.json"
+    constraints = [{"moment": ["A"], "relation": "eq", "value": "1/0"}]
+    path.write_text(json.dumps({"variables": ["A"], "constraints": constraints}))
+    code, report = run_json("check", "--scenario", str(path))
+    assert (code, report["verdict"]) == (EXIT_USAGE, "input-error")
+    code, validated = _validate_report(tmp_path, report)
+    assert (code, validated["verdict"]) == (EXIT_USAGE, "input-error")
+    assert validated["error"].startswith("no validatable object found")
+
+
 
 def _singlet_form(degrees: str) -> str:
     code, report = run_json("quantum", "--state", "mermin", "--angle-degrees", degrees)
@@ -1240,6 +1264,55 @@ def test_validate_refuses_a_value_over_the_digit_limit(tmp_path, field, named):
     assert (code, validated["verdict"]) == (EXIT_USAGE, "input-error")
     assert validated["error"].startswith(f"number too long: {named} has ")
     assert "PYTHONINTMAXSTRDIGITS" in validated["error"]
+
+
+def _value_error(tmp_path, value):
+    """The error of ``check`` on one constraint E(A) = ``value``."""
+    path = tmp_path / "value.json"
+    constraints = [{"moment": ["A"], "relation": "eq", "value": value}]
+    path.write_text(json.dumps({"variables": ["A"], "constraints": constraints}))
+    code, report = run_json("check", "--scenario", str(path))
+    assert (code, report["verdict"]) == (EXIT_USAGE, "input-error")
+    return report["error"]
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("1/0" + "+1" * 38 + " ", "cannot evaluate {}: division by zero"),
+        ("2+" * 39 + "x", "bad value expression {}: unknown identifier 'x' (at position 78)"),
+    ],
+    ids=["cannot-evaluate", "bad-expression"],
+)
+def test_a_value_of_at_most_80_characters_is_quoted_whole(tmp_path, value, message):
+    assert len(value) <= 80
+    assert _value_error(tmp_path, value) == "constraint 0: " + message.format(repr(value))
+
+
+@pytest.mark.parametrize(
+    "value, phrase",
+    [("1/0" + "+1" * 39, "cannot evaluate"), ("2+" * 50 + "x", "bad value expression")],
+    ids=["cannot-evaluate", "bad-expression"],
+)
+def test_a_longer_value_is_quoted_by_its_start_and_length(tmp_path, value, phrase):
+    assert len(value) > 80
+    error = _value_error(tmp_path, value)
+    assert error.startswith(
+        f"constraint 0: {phrase} {value[:40]!r}\u2026 ({len(value)} characters): "
+    )
+    assert value not in error
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter converts integer strings of any length",
+)
+def test_a_value_over_the_digit_limit_gives_a_short_error(tmp_path):
+    value = "1/" + "7" * 5000
+    error = _value_error(tmp_path, value)
+    assert len(error) < 400
+    assert error.startswith("constraint 0: ")
+    assert "(5002 characters)" in error and "PYTHONINTMAXSTRDIGITS" in error
 
 
 def test_validate_reads_a_long_witness_when_the_limit_is_lifted(tmp_path):

@@ -673,11 +673,11 @@ def test_one_lp_decision_matches_phase_1_and_two_phase_margin(scenario, endpoint
 @example(reproducer_1())
 @example(bell_scenario())
 def test_settled_check_points_equal_cold_solves(scenario):
-    box, _, _ = feasibility._margin_lp(scenario, feasibility._box(scenario))
+    box, _ = feasibility._margin_lp(scenario, feasibility._box(scenario))
     margins = []
     for point in feasibility._check_points(scenario):
-        settled, _, _ = feasibility._margin_lp(scenario, point, box)
-        cold, _, _ = feasibility._margin_lp(scenario, point)
+        settled, _ = feasibility._margin_lp(scenario, point, box)
+        cold, _ = feasibility._margin_lp(scenario, point)
         assert settled.objective == cold.objective
         margins.append(cold.objective)
     verdict = solve_robust(scenario).verdict

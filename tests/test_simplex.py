@@ -24,7 +24,7 @@ def test_infeasible_with_farkas():
     # x + y = 1 and x + y = 2 cannot both hold
     result = sweep.solve_lp([[1, 1], [1, 1]], [1, 2])
     assert result.status == simplex.INFEASIBLE
-    y = result.farkas
+    y = result.duals
     # direct re-verification: combined coefficients <= 0, combined rhs > 0
     combined = [y[0] + y[1], y[0] + y[1]]
     assert all(c <= 0 for c in combined)
@@ -72,7 +72,7 @@ def test_farkas_certificates_always_verify(rows, rhs):
         assert all(v >= 0 for v in x)
     else:
         assert result.status == simplex.INFEASIBLE
-        y = result.farkas
+        y = result.duals
         combined = [
             sum(yi * row[j] for yi, row in zip(y, rows)) for j in range(3)
         ]
@@ -173,7 +173,7 @@ def test_settle_reuses_an_optimal_basis_or_declines():
     moved = simplex.settle(result, costs, [1, Fraction(1, 3)])
     cold = simplex.solve_from_basis(costs, columns, [1, Fraction(1, 3)], [0, 2])
     assert (moved.x, moved.objective) == (cold.x, cold.objective)
-    assert moved.reduced_costs == result.reduced_costs
+    assert moved.duals == cold.duals == result.duals
     # At b1 = 2, x2 = 1 - 2 < 0: the basis does not settle it.
     assert simplex.settle(result, costs, [1, 2]) is None
 
@@ -230,7 +230,7 @@ def test_bracket_denominators_stay_out_of_the_inverse():
         [((v,), "eq", 0) for v in names]
         + [(tuple(pair), "eq", parse_and_evaluate(cycle.get(pair, "0"))) for pair in pairs],
     )
-    result, _, _ = feasibility._margin_lp(scenario, feasibility._box(scenario))
+    result, _ = feasibility._margin_lp(scenario, feasibility._box(scenario))
     assert result.objective > 0
     for line, scale in result.inverse:
         assert max(abs(v) for v in line).bit_length() <= 16
@@ -403,16 +403,16 @@ def test_solve_many_survives_a_wrong_certificate(monkeypatch, tamper):
 
     def tampered(*args, **kwargs):
         result = original(*args, **kwargs)
-        if result.farkas is None:
+        if result.duals is None:
             return result
-        y = result.farkas
+        y = result.duals
         if tamper == "negated":
             y = [-v for v in y]
         elif tamper == "bumped":
             y = [y[0] + 1] + y[1:]
         else:
             y = [0] * len(y)
-        return simplex.LpResult(result.status, farkas=y, pivots=result.pivots)
+        return simplex.LpResult(result.status, duals=y, pivots=result.pivots)
 
     monkeypatch.setattr(sweep, "solve_lp", tampered)
     calls = _counting_solve_lp(monkeypatch)

@@ -10,8 +10,8 @@ the pivot sequence did not change.
 ``dense_simplex`` is the former one-phase solver on the dense integer
 tableau.  The revised, Walsh-priced ``simplex.solve_from_basis`` must
 take the same pivots from the same start basis, so every margin LP must
-come back with the same status, pivots, point, objective and reduced
-costs.
+come back with the same status, pivots, point, objective and row duals,
+and the reduced costs its duals give must be the dense objective row's.
 """
 
 import io
@@ -54,7 +54,7 @@ DECIDED = (EXIT_PASS, EXIT_VIOLATION, EXIT_INDETERMINATE)
 
 
 def path_fields(result):
-    return (result.status, result.pivots, result.x, result.objective, result.reduced_costs)
+    return (result.status, result.pivots, result.x, result.objective, result.duals)
 
 
 #: The kit's solvers, taken before any test patches the module attributes.
@@ -67,7 +67,7 @@ def assert_same(rows, rhs):
     """The kit's phase 1 gives the Fraction reference's phase-1 outcome."""
     got = _solve_lp(rows, rhs)
     want = fraction_simplex.solve_lp(None, rows, rhs)
-    assert (got.status, got.farkas, got.pivots) == (want.status, want.farkas, want.pivots[0])
+    assert (got.status, got.duals, got.pivots) == (want.status, want.farkas, want.pivots[0])
     if got.status == simplex.OPTIMAL:
         assert dense_simplex.phase_one_point(got, rhs, len(rows[0])) == want.x
     return got
@@ -89,12 +89,17 @@ def assert_optimum(costs, rows, rhs, got):
 
 
 def assert_same_path(costs, columns, rhs, basis, characters=None):
-    """The revised solve takes the dense reference's path."""
+    """The revised solve takes the dense reference's path.
+
+    Its duals are the ones the reference solves for from its final
+    basis, and they price every column as the dense objective row does.
+    """
     got = _solve_from_basis(costs, columns, rhs, basis, characters)
     rows = dense_simplex.dense_rows(columns, rhs, characters)
-    assert path_fields(got) == path_fields(
-        dense_simplex.solve_from_basis(costs, rows, rhs, basis)
-    )
+    want, reduced = dense_simplex.solve_from_basis(costs, rows, rhs, basis)
+    assert path_fields(got) == path_fields(want)
+    if got.status == simplex.OPTIMAL:
+        assert dense_simplex.reduced_costs(costs, rows, got.duals) == reduced
     return got
 
 
@@ -104,7 +109,8 @@ def routed():
 
     A margin LP settled from another optimum's basis counts as its own
     LP: it is checked for the reference's optimal value and for
-    nonnegative reduced costs, the proof that its basis is optimal.
+    nonnegative reduced costs under its duals, the proof that its basis
+    is optimal.
     """
     count = [0]
     solved = {}
@@ -125,8 +131,9 @@ def routed():
         if got is not None:
             count[0] += 1
             _, columns, characters = solved[id(result)]
-            assert_optimum(costs, dense_simplex.dense_rows(columns, rhs, characters), rhs, got)
-            assert all(v >= 0 for v in got.reduced_costs)
+            rows = dense_simplex.dense_rows(columns, rhs, characters)
+            assert_optimum(costs, rows, rhs, got)
+            assert all(v >= 0 for v in dense_simplex.reduced_costs(costs, rows, got.duals))
         return got
 
     with pytest.MonkeyPatch.context() as patch:
@@ -264,6 +271,64 @@ def test_wide_document_path_matches_dense_reference(monkeypatch, n, planted, end
     assert len(solved) == 1
 
 
+# --- the optimal duals of every margin LP ---------------------------------------
+
+
+def assert_optimal_duals(result, costs, columns, rhs, characters):
+    """``result.duals`` are optimal row duals y of the LP and its basis.
+
+    Under y every column's reduced cost c_j − yᵀA_j, the atoms' built
+    from their characters, is ≥ 0; each basic column's is 0; and yᵀb
+    is the objective.
+    """
+    rows = dense_simplex.dense_rows(columns, rhs, characters)
+    reduced = dense_simplex.reduced_costs(costs, rows, result.duals)
+    assert all(v >= 0 for v in reduced)
+    assert all(reduced[j] == 0 for j in result.basis)
+    assert sum(y * b for y, b in zip(result.duals, rhs)) == result.objective
+
+
+_wide_scenarios = st.builds(
+    lambda seed, n, planted: scenario_from_document(reference.wide_document(seed, n, planted)),
+    st.integers(min_value=0, max_value=39),
+    st.integers(min_value=4, max_value=7),
+    st.booleans(),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(relaxed_scenarios(), _wide_scenarios))
+@example(scenario_from_document(reference.wide_document(11, 4, False)))
+@example(scenario_from_document(reference.wide_document(11, 4, True)))
+@example(scenario_from_document(reference.wide_document(11, 7, False)))
+@example(scenario_from_document(reference.wide_document(11, 7, True)))
+def test_every_margin_lp_returns_optimal_duals(scenario):
+    """Every optimal margin LP of a decision, settled ones included."""
+    solved, checked = {}, [0]
+
+    def from_basis(costs, columns, rhs, basis, characters=None):
+        result = _solve_from_basis(costs, columns, rhs, basis, characters)
+        assert_optimal_duals(result, costs, columns, rhs, characters)
+        solved[id(result)] = (columns, characters)
+        checked[0] += 1
+        return result
+
+    def settle(result, costs, rhs):
+        got = _settle(result, costs, rhs)
+        if got is not None:
+            columns, characters = solved[id(result)]
+            assert_optimal_duals(got, costs, columns, rhs, characters)
+            solved[id(got)] = (columns, characters)
+            checked[0] += 1
+        return got
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplex, "solve_from_basis", from_basis)
+        patch.setattr(simplex, "settle", settle)
+        feasibility.solve(scenario)
+    assert checked[0] >= 1
+
+
 # --- the start basis: slacks placed without pivots -----------------------------
 
 
@@ -291,7 +356,7 @@ def assert_same_start(scenario):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simplex._RevisedLp, "start", pivot_every_column_in)
         want = feasibility._margin_lp(scenario, bounds)[0]
-    # Every field: x, basis, inverse, reduced costs and pivots among them.
+    # Every field: x, basis, inverse, duals and pivots among them.
     assert got == want
 
 
@@ -316,7 +381,7 @@ def same_as_full_width(costs, columns, rhs, basis, characters=None):
     """The narrow solve's outcome, which must be the full-width one's.
 
     An outcome is the ``LpResult``, whose equality compares every field
-    (x, objective, pivots, basis, inverse and reduced costs among them),
+    (x, objective, pivots, basis, inverse and duals among them),
     or the message of the ValueError that a singular or primal-infeasible
     start raises.
     """
@@ -596,7 +661,7 @@ def test_tampered_witness_makes_solve_raise(monkeypatch, moved):
             pivots=result.pivots,
             basis=result.basis,
             inverse=result.inverse,
-            reduced_costs=result.reduced_costs,
+            duals=result.duals,
         )
 
     monkeypatch.setattr(simplex, "solve_from_basis", tampered)
