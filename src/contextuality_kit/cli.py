@@ -86,12 +86,21 @@ def load_scenario(path, bracket_tolerance: Fraction = DEFAULT_BRACKET_TOLERANCE)
 
 
 def _load_json(fh, path):
+    text = fh.read()
     try:
-        return json.load(fh)
+        return json.loads(text)
     except json.JSONDecodeError as err:
         raise ScenarioError(f"{path}: invalid JSON: {err}") from err
     except RecursionError as err:
         raise ScenarioError(f"{path}: JSON nested too deeply") from err
+    except ValueError as err:
+        # The text is read, so the one other ValueError is a bare
+        # integer longer than int() converts.
+        raise ScenarioError(
+            f"{path}: number too long: a JSON integer has more than"
+            f" {sys.get_int_max_str_digits()} digits, the most this interpreter"
+            " reads; PYTHONINTMAXSTRDIGITS=0 in the environment lifts the limit"
+        ) from err
 
 
 def scenario_from_document(
@@ -123,7 +132,7 @@ def scenario_from_document(
             # A JSON number is refused: a decimal one is already a rounded float.
             raise ScenarioError(
                 f"constraint {index}: value must be an expression string"
-                f" such as \"1/2\", got {value_text!r}"
+                f" such as \"1/2\", got {_quoted(value_text)}"
             )
         try:
             target = parse_and_evaluate(value_text, bracket_tolerance)
@@ -134,17 +143,37 @@ def scenario_from_document(
     return Scenario(space, tuple(constraints), kind, document.get("title"))
 
 
-def _quoted(text: str) -> str:
-    """``text`` quoted whole up to 80 characters, else its first 40 and its length."""
+def _quoted(value) -> str:
+    """``value`` shown whole up to 80 characters, else its first 40 and its length.
+
+    A string is shown by its repr; any other value by :func:`_text`,
+    unquoted, so the number 3 and the string "3" stay apart.
+    """
+    show, text = (repr, value) if isinstance(value, str) else (str, _text(value))
     if len(text) <= 80:
-        return repr(text)
-    return f"{text[:40]!r}… ({len(text)} characters)"
+        return show(text)
+    return f"{show(text[:40])}… ({len(text)} characters)"
+
+
+def _text(value) -> str:
+    """``repr(value)``, with every int printed by ``format_scalar``.
+
+    ``repr`` refuses an int past the interpreter's digit limit, which a
+    document built in Python may hold; ``format_scalar`` prints any.
+    """
+    if type(value) is int:
+        return format_scalar(value)
+    if isinstance(value, (list, tuple)):  # a tuple reads as a list, as _require_list takes it
+        return "[" + ", ".join(map(_text, value)) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{_text(k)}: {_text(v)}" for k, v in value.items()) + "}"
+    return repr(value)
 
 
 def _require_list(value, what: str) -> None:
     """Reject anything but a list, so a string is never split into names."""
     if not isinstance(value, (list, tuple)):
-        raise ScenarioError(f"{what} must be a list, got {value!r}")
+        raise ScenarioError(f"{what} must be a list, got {_quoted(value)}")
 
 
 def _approx(value: Fraction) -> float | None:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from ._record import Record
 from .errors import NoWitnessError
@@ -43,7 +44,7 @@ from .measures import (
     signed_atom_sum,
     validate,
 )
-from .numerics import ScalarInterval, as_interval, format_scalar, over_common_denominator
+from .numerics import ScalarInterval, as_interval, format_scalar
 from .set_functions import LOWER, UPPER, PartialSetFunction
 
 _ZERO = Fraction(0)
@@ -76,16 +77,6 @@ def ghz_sum(m: GhzMoments) -> Fraction:
     return m.eA + m.eB + m.eC - m.eABC
 
 
-#: Sign patterns of the four joint-existence inequalities, applied to
-#: (eA, eB, eC, eABC); each signed sum must lie within [-2, 2].
-_INEQUALITY_SIGNS = (
-    (1, 1, 1, -1),
-    (-1, 1, 1, 1),
-    (1, -1, 1, 1),
-    (1, 1, -1, 1),
-)
-
-
 class InequalityCheck(Record):
     __slots__ = ("passed", "violated_index", "value")
 
@@ -98,6 +89,10 @@ class InequalityCheck(Record):
         self._set(passed, violated_index, value)
 
 
+#: The result of every passing check; records are immutable.
+_PASSED = InequalityCheck(True)
+
+
 def check_ghz_inequalities(m: GhzMoments) -> InequalityCheck:
     """Joint-distribution existence test for GHZ-type moments.
 
@@ -106,15 +101,21 @@ def check_ghz_inequalities(m: GhzMoments) -> InequalityCheck:
     violated inequality (1-based) with its value, or a pass.
 
     The sums are taken in integers over the moments' common
-    denominator; only a violating value becomes a Fraction.
+    denominator; only a violating value becomes a Fraction, and every
+    pass is the one shared record.
     """
-    scaled, common = over_common_denominator((m.eA, m.eB, m.eC, m.eABC))
+    eA, eB, eC, eABC = m.eA, m.eB, m.eC, m.eABC
+    common = lcm(eA.denominator, eB.denominator, eC.denominator, eABC.denominator)
+    a = eA.numerator * (common // eA.denominator)
+    b = eB.numerator * (common // eB.denominator)
+    c = eC.numerator * (common // eC.denominator)
+    t = eABC.numerator * (common // eABC.denominator)
     bound = 2 * common
-    for index, signs in enumerate(_INEQUALITY_SIGNS, start=1):
-        total = sum(s * v for s, v in zip(signs, scaled))
+    sums = (a + b + c - t, -a + b + c + t, a - b + c + t, a + b - c + t)
+    for index, total in enumerate(sums, start=1):
         if not -bound <= total <= bound:
             return InequalityCheck(False, index, Fraction(total, common))
-    return InequalityCheck(True)
+    return _PASSED
 
 
 class SymmetricParams(Record):

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from ._record import Record
@@ -481,17 +482,36 @@ def uniform_grid(steps: int) -> list[tuple[Fraction, Fraction]]:
 
 
 def _grid_verdicts(points) -> list[tuple[bool, bool]]:
-    """(LP feasible, closed form feasible) for each point, in one warm sweep."""
+    """(LP feasible, closed form feasible) for each point, in one warm sweep.
+
+    Point (p, q), read as ``Fraction(p)`` and ``Fraction(q)``, is the
+    symmetric scenario with singles e = 2p - 1 and triple t = 2q - 1.
+    With p = a/b, q = c/k and d = lcm(b, k), its right-hand side
+    (1, e, e, e, t) goes to :func:`sweep.solve_many` as the ints
+    d·(1, e, e, e, t), read off the numerators and denominators; the
+    sweep's checks are exact and unchanged by that positive scale.  The
+    closed form gets e and t as one Fraction each, so a point outside
+    [0, 1]² raises GhzMoments' ValueError before any LP runs.
+    """
     from . import sweep
     from .closed_form import GhzMoments, check_ghz_inequalities
 
     # The matrix every point shares; rows follow the scenario's order.
     rows, _, _ = _standard_rows(ghz_symmetric_scenario(0, 0))
-    moments = [(2 * Fraction(p) - 1, 2 * Fraction(q) - 1) for p, q in points]
-    statuses = sweep.solve_many(rows, [(1, e, e, e, t) for e, t in moments])
+    rhs_list, checks = [], []
+    for p, q in points:
+        if type(p) is not Fraction or type(q) is not Fraction:
+            p, q = Fraction(p), Fraction(q)
+        a, b, c, k = p.numerator, p.denominator, q.numerator, q.denominator
+        d = lcm(b, k)
+        scaled_e, scaled_t = (2 * a - b) * (d // b), (2 * c - k) * (d // k)
+        rhs_list.append((d, scaled_e, scaled_e, scaled_e, scaled_t))
+        e = Fraction(2 * a - b, b)
+        checks.append(GhzMoments(e, e, e, Fraction(2 * c - k, k)))
+    statuses = sweep.solve_many(rows, rhs_list)
     return [
-        (status == simplex.OPTIMAL, check_ghz_inequalities(GhzMoments(e, e, e, t)).passed)
-        for status, (e, t) in zip(statuses, moments)
+        (status == simplex.OPTIMAL, check_ghz_inequalities(moments).passed)
+        for status, moments in zip(statuses, checks)
     ]
 
 

@@ -573,8 +573,10 @@ def _basic_values(inverse, b):
     """``B⁻¹·b`` from a kept inverse, or None when an entry is negative.
 
     ``inverse`` is an ``LpResult.inverse`` and ``b`` the right-hand side
-    as ints over one common denominator d.  Entry i is ``ints_i·b``, so
-    x_B(i) is entry i over d times row i's scale.
+    times some d > 0: ints over one common denominator d for
+    :func:`settle`, or as a caller of ``sweep.solve_many`` gave it.
+    Entry i is ``ints_i·b``, so x_B(i) is entry i over d times row i's
+    scale.
     """
     values = []
     for line, _ in inverse:

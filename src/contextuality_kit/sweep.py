@@ -28,14 +28,18 @@ Programming*, 1983, ch. 7).  :func:`solve_lp` returns it as
 and ``simplex._basic_values`` reads ``x_B = B⁻¹b`` from it for both
 ``simplex.settle`` and :func:`solve_many`.  A right-hand side b is
 feasible when ``x_B >= 0`` and the padded x satisfies every row,
-``A x = b``, in integers, the dropped redundant rows included; it is
-infeasible when ``yᵀb > 0``.  Either is a complete proof at that b, so
-the verdict is the one a cold solve returns, and a wrong kept inverse
-or certificate can only cost a cold solve, never a wrong verdict.  A
-right-hand side that neither settles runs a cold :func:`solve_lp`,
-whose basis or certificate replaces the kept one.  No state outlives
-the call, and there is no dual simplex: the cold solves are the only
-pivots.
+``A x = b``, the dropped redundant rows included; it is infeasible when
+``yᵀb > 0``.  Either is a complete proof at that b, so the verdict is
+the one a cold solve returns, and a wrong kept inverse or certificate
+can only cost a cold solve, never a wrong verdict.  Both checks are
+exact for any rational b and unchanged when b is multiplied by a
+positive number, so :func:`solve_many` takes each right-hand side as
+given: a caller that already holds b as ints over its own denominator,
+as the GHZ grid sweep does, passes those ints, and the checks run in
+integers.  A right-hand side that neither settles runs a cold
+:func:`solve_lp`, whose basis or certificate replaces the kept one.  No
+state outlives the call, and there is no dual simplex: the cold solves
+are the only pivots.
 """
 
 from __future__ import annotations
@@ -144,23 +148,25 @@ def solve_many(rows: list[list[int]], rhs_list) -> list[str]:
 
     Returns OPTIMAL or INFEASIBLE per right-hand side, in order.  The
     rows are ints, as for :func:`solve_lp`, which the first right-hand
-    side always runs.  Each verdict is either settled by evidence kept
-    from an earlier cold solve in this call (the last feasible basis or
-    the last Farkas certificate, re-checked exactly at this rhs) or by
-    a cold ``solve_lp(rows, rhs)``, so it equals the cold verdict; see
-    the module docstring.
+    side always runs.  Each rhs is a sequence of ints or Fractions and
+    is taken as given: the checks below are exact for any rational rhs
+    and do not change when it is multiplied by a positive number, so
+    ints over the caller's own denominator are the fast path.  Each
+    verdict is either settled by evidence kept from an earlier cold
+    solve in this call (the last feasible basis or the last Farkas
+    certificate, re-checked exactly at this rhs) or by a cold
+    ``solve_lp(rows, rhs)``, so it equals the cold verdict; see the
+    module docstring.
     """
     columns = list(zip(*rows))
     # (B⁻¹ over one scale, the basic columns of every row, that scale)
     # and integer Farkas multipliers, or None.
     feasible_basis = certificate = None
     verdicts = []
-    for rhs in rhs_list:
-        # ``b`` is rhs over one common denominator d.
-        b, _ = over_common_denominator(rhs)
+    for b in rhs_list:
         if feasible_basis is not None:
             inverse, block, scale = feasible_basis
-            # x_basic is scale·d·x_B; every row must give scale·b.
+            # x_basic is scale·x_B at this b; every row must give scale·b.
             x_basic = _basic_values(inverse, b)
             if x_basic is not None and all(
                 sum(map(mul, line, x_basic)) == scale * v for line, v in zip(block, b)
@@ -170,7 +176,7 @@ def solve_many(rows: list[list[int]], rhs_list) -> list[str]:
         if certificate is not None and sum(map(mul, certificate, b)) > 0:
             verdicts.append(INFEASIBLE)
             continue
-        result = solve_lp(rows, rhs)
+        result = solve_lp(rows, b)
         if result.status == OPTIMAL:
             scale = math.lcm(*(s for _, s in result.inverse))
             inverse = [([v * (scale // s) for v in line], scale) for line, s in result.inverse]

@@ -20,6 +20,7 @@ from contextuality_kit.cli import (
     load_scenario,
     run,
     scenario_dir,
+    scenario_from_document,
 )
 from contextuality_kit.errors import ScenarioError
 from contextuality_kit.feasibility import solve_robust
@@ -1313,6 +1314,69 @@ def test_a_value_over_the_digit_limit_gives_a_short_error(tmp_path):
     assert len(error) < 400
     assert error.startswith("constraint 0: ")
     assert "(5002 characters)" in error and "PYTHONINTMAXSTRDIGITS" in error
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        ([0] * 3000, "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, \u2026 (9000 characters)"),
+        ({"k": "1/2"}, "{'k': '1/2'}"),
+        (3, "3"),
+    ],
+    ids=["long-list", "object", "number"],
+)
+def test_a_non_string_value_is_shown_like_a_string_one(tmp_path, value, shown):
+    # Not quoted, so the number 3 and the string "3" read apart.
+    error = _value_error(tmp_path, value)
+    assert error == f'constraint 0: value must be an expression string such as "1/2", got {shown}'
+
+
+def test_a_long_non_list_is_shown_by_its_start_and_length(tmp_path):
+    path = tmp_path / "variables.json"
+    path.write_text(json.dumps({"variables": {"A": [0] * 3000}, "constraints": []}))
+    code, report = run_json("check", "--scenario", str(path))
+    assert (code, report["verdict"]) == (EXIT_USAGE, "input-error")
+    text = repr({"A": [0] * 3000})
+    shown = f"{text[:40]}\u2026 ({len(text)} characters)"
+    assert report["error"] == f"'variables' must be a list, got {shown}"
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter converts integer strings of any length",
+)
+@pytest.mark.parametrize("where", ["value", "variables"])
+def test_an_int_over_the_digit_limit_is_shown_by_its_start_and_length(where):
+    # Only a document built in Python can hold such an int; repr refuses it.
+    big = 10**5000
+    constraint = {"moment": ["A"], "relation": "eq", "value": big if where == "value" else "0"}
+    document = {"variables": ["A"] if where == "value" else big, "constraints": [constraint]}
+    with pytest.raises(ScenarioError) as caught:
+        scenario_from_document(document)
+    assert str(caught.value).endswith(f"got 1{'0' * 39}\u2026 (5001 characters)")
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter converts integer strings of any length",
+)
+@pytest.mark.parametrize("command, flag", [("check", "--scenario"), ("validate", "--file")])
+def test_a_bare_number_over_the_digit_limit_is_a_named_input_error(tmp_path, command, flag):
+    path = tmp_path / "bare.json"
+    constraint = '{"moment": ["A"], "relation": "eq", "value": ' + "7" * 5000 + "}"
+    path.write_text('{"variables": ["A"], "constraints": [' + constraint + "]}")
+    code, report = run_json(command, flag, str(path))
+    assert (code, report["verdict"]) == (EXIT_USAGE, "input-error")
+    assert report["error"].startswith(f"{path}: number too long: ")
+    assert "PYTHONINTMAXSTRDIGITS" in report["error"] and len(report["error"]) < 300
+
+
+def test_undecodable_bytes_stay_a_decoding_error(tmp_path):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe")
+    code, report = run_json("check", "--scenario", str(path))
+    assert (code, report["verdict"]) == (EXIT_USAGE, "input-error")
+    assert "codec can't decode" in report["error"]
 
 
 def test_validate_reads_a_long_witness_when_the_limit_is_lifted(tmp_path):

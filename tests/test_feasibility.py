@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fraction_simplex
-from contextuality_kit import closed_form, feasibility, simplex
+from contextuality_kit import closed_form, feasibility, simplex, sweep
 from contextuality_kit.errors import CertificateError, ScenarioError
 from contextuality_kit.event_space import moment_coefficients
 from contextuality_kit.feasibility import (
@@ -20,6 +20,7 @@ from contextuality_kit.feasibility import (
     LE,
     GridMismatch,
     _grid_verdicts,
+    _standard_rows,
     ghz_symmetric_scenario,
     make_scenario,
     margin,
@@ -32,7 +33,7 @@ from contextuality_kit.feasibility import (
 )
 from contextuality_kit.measures import AtomMeasure, signed_atom_sum, validate
 from contextuality_kit.numerics import ScalarInterval, over_common_denominator, parse_and_evaluate
-from dense_simplex import feasible_at
+from dense_simplex import feasible_at, integer_rows
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import reference  # noqa: E402
@@ -396,6 +397,83 @@ def test_grid_verdicts_equal_the_decision_engine_verdicts():
     assert [lp_ok for lp_ok, _ in verdicts] == [
         solve(ghz_symmetric_scenario(p, q)).verdict == FEASIBLE for p, q in points
     ]
+
+
+def _fraction_grid_verdicts(points):
+    """The former _grid_verdicts: Fraction moments and right-hand sides."""
+    rows, _, _ = _standard_rows(ghz_symmetric_scenario(0, 0))
+    moments = [(2 * Fraction(p) - 1, 2 * Fraction(q) - 1) for p, q in points]
+    statuses = sweep.solve_many(rows, [(1, e, e, e, t) for e, t in moments])
+    check = closed_form.check_ghz_inequalities
+    return [
+        (status == simplex.OPTIMAL, check(closed_form.GhzMoments(e, e, e, t)).passed)
+        for status, (e, t) in zip(statuses, moments)
+    ]
+
+
+def _with_cold_count(sweep_of, *args):
+    """``sweep_of(*args)`` and the number of cold phase-1 solves it made."""
+    calls = [0]
+    original = sweep.solve_lp
+
+    def counted(*solve_args):
+        calls[0] += 1
+        return original(*solve_args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweep, "solve_lp", counted)
+        result = sweep_of(*args)
+    return result, calls[0]
+
+
+_grid_coordinate = st.one_of(
+    st.fractions(min_value=0, max_value=1, max_denominator=30),
+    st.sampled_from([0, 1, "2/3", 0.25]),  # ints and what Fraction() reads
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.tuples(_grid_coordinate, _grid_coordinate), min_size=1, max_size=12))
+@example([(Fraction(1, 6), Fraction(3, 4)), (0, 1), (1, 0), (Fraction(1, 2), Fraction(1, 5))])
+def test_integer_grid_verdicts_equal_the_fraction_formulation(points):
+    points = points + points[::2]  # repeated points settle on kept evidence
+    want = _with_cold_count(_fraction_grid_verdicts, points)
+    assert _with_cold_count(_grid_verdicts, points) == want
+
+
+@pytest.mark.parametrize("point", [(Fraction(3, 2), 0), (0, -1), ("-1/3", "1/2")])
+def test_grid_point_outside_the_unit_square_raises_the_closed_form_error(point):
+    with pytest.raises(ValueError) as want:
+        _fraction_grid_verdicts([point])
+    with pytest.raises(ValueError) as got:
+        _grid_verdicts([point])
+    assert str(got.value) == str(want.value)
+
+
+_sweep_entry = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda m: st.tuples(
+            st.lists(st.lists(_sweep_entry, min_size=3, max_size=3), min_size=m, max_size=m),
+            st.lists(st.lists(_sweep_entry, min_size=m, max_size=m), min_size=1, max_size=8),
+        )
+    ),
+    st.lists(st.integers(min_value=1, max_value=12), min_size=8, max_size=8),
+)
+def test_solve_many_takes_each_right_hand_side_at_any_positive_scale(problem, factors):
+    # The sweep's checks are exact and scale-invariant, so ints over each
+    # rhs's own denominator, times any k > 0, and Fractions over k give
+    # the same verdicts from the same cold solves.
+    rows, rhs_list = integer_rows(*problem)
+    want = _with_cold_count(sweep.solve_many, rows, rhs_list)
+    scaled = list(zip(rhs_list, factors))
+    as_ints = [[k * v for v in over_common_denominator(rhs)[0]] for rhs, k in scaled]
+    as_fractions = [[Fraction(v) / k for v in rhs] for rhs, k in scaled]
+    assert _with_cold_count(sweep.solve_many, rows, as_ints) == want
+    assert _with_cold_count(sweep.solve_many, rows, as_fractions) == want
 
 
 def test_oracle_lists_a_disagreeing_point(monkeypatch):
