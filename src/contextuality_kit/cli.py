@@ -120,6 +120,8 @@ def scenario_from_document(
         raise ScenarioError(f"unknown scenario kind {kind!r}")
     space = build_space(variables)
     constraints = []
+    # Each distinct value text is evaluated once; a ScalarInterval is immutable.
+    targets = {}
     for index, raw in enumerate(raw_constraints):
         try:
             subset = raw["moment"]
@@ -134,11 +136,18 @@ def scenario_from_document(
                 f"constraint {index}: value must be an expression string"
                 f" such as \"1/2\", got {_quoted(value_text)}"
             )
-        try:
-            target = parse_and_evaluate(value_text, bracket_tolerance)
-        except KitError as err:
-            what = "bad value expression" if isinstance(err, ExpressionError) else "cannot evaluate"
-            raise ScenarioError(f"constraint {index}: {what} {_quoted(value_text)}: {err}") from err
+        target = targets.get(value_text)
+        if target is None:
+            try:
+                target = parse_and_evaluate(value_text, bracket_tolerance)
+            except KitError as err:
+                what = (
+                    "bad value expression" if isinstance(err, ExpressionError) else "cannot evaluate"
+                )
+                raise ScenarioError(
+                    f"constraint {index}: {what} {_quoted(value_text)}: {err}"
+                ) from err
+            targets[value_text] = target
         constraints.append(MomentConstraint(tuple(subset), relation, target))
     return Scenario(space, tuple(constraints), kind, document.get("title"))
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from operator import mul
 
@@ -481,6 +482,17 @@ def uniform_grid(steps: int) -> list[tuple[Fraction, Fraction]]:
     return [(p, q) for p in axis for q in axis]
 
 
+@cache
+def _ghz_rows() -> tuple[tuple[int, ...], ...]:
+    """The 5×8 matrix every grid point shares, built once per process.
+
+    Its rows follow :func:`ghz_symmetric_scenario`'s constraint order,
+    read through :func:`_standard_rows`; tuples, as every caller shares them.
+    """
+    rows, _, _ = _standard_rows(ghz_symmetric_scenario(0, 0))
+    return tuple(map(tuple, rows))
+
+
 def _grid_verdicts(points) -> list[tuple[bool, bool]]:
     """(LP feasible, closed form feasible) for each point, in one warm sweep.
 
@@ -496,8 +508,7 @@ def _grid_verdicts(points) -> list[tuple[bool, bool]]:
     from . import sweep
     from .closed_form import GhzMoments, check_ghz_inequalities
 
-    # The matrix every point shares; rows follow the scenario's order.
-    rows, _, _ = _standard_rows(ghz_symmetric_scenario(0, 0))
+    rows = _ghz_rows()
     rhs_list, checks = [], []
     for p, q in points:
         if type(p) is not Fraction or type(q) is not Fraction:

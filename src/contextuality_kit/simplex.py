@@ -63,17 +63,23 @@ included, is a list of Python ints over one positive integer scale;
 the row's rational value is ``ints / scale``.  A pivot on entry p of
 the pivot row cross-multiplies every other row, ``other·p − f·prow``
 over ``scale·p`` with gcd(f, p) cancelled first, at the pivot row's
-nonzero columns only, then divides the row and its scale by their gcd,
-which keeps the entries small: the integer-preserving elimination of
-Escobedo and Moreno-Centeno (*INFORMS J. Comput.* 27 (2015)).
+nonzero columns only: the integer-preserving elimination of Escobedo
+and Moreno-Centeno (*INFORMS J. Comput.* 27 (2015)).  That method
+divides every updated row by its gcd; here only the pivot row, the
+objective row (the duals every pricing transforms) and a row whose
+scale has outgrown ``_REDUCE_BITS`` bits are divided, and every other
+row keeps a positive common factor until a read-out puts it in lowest
+terms.  Below the bound a full-row gcd after every update costs more
+than the slightly longer integers it saves.
 
 Bland's rule (lowest eligible index enters; ties in the ratio test
 broken by lowest basic index) guarantees termination without cycling.
 Its choices read only signs and ratios within one row.  A positive
 scale changes no sign, and the ratio test decides
 ``rhs_i/coeff_i < rhs_k/coeff_k`` as ``rhs_i·coeff_k < rhs_k·coeff_i``,
-where the row scales cancel.  So the pivots are exactly those of the
-same tableau held in Fractions.
+where the row scales cancel, and so does a positive factor common to a
+row and its scale.  So the pivots are exactly those of the same tableau
+held in Fractions, whichever rows are in lowest terms.
 
 The one-phase solve enters the column of most negative reduced cost.
 When that step would be degenerate (a zero ratio), it takes Bland's
@@ -130,10 +136,10 @@ class LpResult(Record):
       row.
     * ``inverse``: on an optimal :func:`solve_from_basis` or
       ``sweep.solve_lp`` result, row i of B⁻¹, one per entry of
-      ``basis``, as (ints, scale) over every original row, so that
-      x_B(i) = ints·b / scale for the rational right-hand side b (and
-      d times that for b over a common denominator d); read by
-      :func:`_basic_values`.
+      ``basis``, as (ints, scale) in lowest terms over every original
+      row, so that x_B(i) = ints·b / scale for the rational right-hand
+      side b (and d times that for b over a common denominator d); read
+      by :func:`_basic_values`.
     * ``duals``: one per row, the row duals y of the final basis, so
       that column j's reduced cost is c_j − yᵀA_j.  On an optimal
       :func:`solve_from_basis` result they are the optimal duals:
@@ -158,6 +164,13 @@ class LpResult(Record):
         self._set(status, x, objective, duals, pivots, basis, inverse)
 
 
+#: An updated row other than the objective row is put in lowest terms
+#: only once its scale is longer than this many bits, two 30-bit
+#: CPython digits; the bound keeps a row's integers from growing
+#: without end.
+_REDUCE_BITS = 60
+
+
 def _reduced(line, scale):
     """Divide a row and its scale by their gcd."""
     g = math.gcd(scale, *line)
@@ -170,13 +183,21 @@ def _pivot(tableau, scales, basis, row, col):
     """In-place integer pivot on (row, col); last row is the objective.
 
     The pivot row is rescaled so its pivot entry p equals its scale
-    (value 1), and its nonzero columns are listed once.  Each other row
-    with entry f in the pivot column becomes ``other·q − (f/g)·prow``
-    over ``scale·q``, where g = gcd(f, p) and q = p/g: it is multiplied
-    by q only when q > 1, and the product is subtracted at the pivot
-    row's nonzero columns only.  Rows with q = 1 are updated in place,
-    so no caller may keep a tableau row that a later pivot must not
-    change.
+    (value 1), put in lowest terms, and its nonzero columns are listed
+    once.  Each other row with entry f in the pivot column becomes
+    ``other·q − (f/g)·prow`` over ``scale·q``, where g = gcd(f, p) and
+    q = p/g: it is multiplied by q only when q > 1, and the product is
+    subtracted at the pivot row's nonzero columns only.  Rows with
+    q = 1 are updated in place, so no caller may keep a tableau row
+    that a later pivot must not change.
+
+    An updated row is divided by its gcd only when it is the objective
+    row, whose entries every pricing reads, or when its scale is longer
+    than ``_REDUCE_BITS`` bits; any other row keeps a positive common
+    factor.  Its rational values are the same either way, and so are
+    the pivots: the ratio test and both entering rules read only signs
+    and ratios within one row, which a positive factor does not change.
+    Read-outs put each row in lowest terms once, with :func:`_reduced`.
     """
     prow = tableau[row]
     p = prow[col]
@@ -190,6 +211,7 @@ def _pivot(tableau, scales, basis, row, col):
     tableau[row] = prow
     scales[row] = p
     nonzero = [(j, v) for j, v in enumerate(prow) if v]
+    objective = len(tableau) - 1
     for i, other in enumerate(tableau):
         f = other[col]
         if not f or i == row:
@@ -203,7 +225,7 @@ def _pivot(tableau, scales, basis, row, col):
             scale *= q
         for j, v in nonzero:
             other[j] -= f * v
-        if scale > 1:
+        if (i == objective and scale > 1) or scale.bit_length() > _REDUCE_BITS:
             other, scale = _reduced(other, scale)
         tableau[i] = other
         scales[i] = scale
@@ -379,12 +401,12 @@ class _RevisedLp:
         columns are placed first, each on its own row, where position i
         already holds column i; the rest (a second unit on a taken row
         among them) are entered and pivoted in in order, each on the
-        first row not yet taken where it is nonzero.  The rows, in
-        lowest terms, depend only on which column ends up basic on each
-        row, and for the margin LP's crash basis (the atom on row 0,
-        each other row's slack or t on that row) that is where pivoting
-        every column in in order puts it, so every later pivot is
-        unchanged.
+        first row not yet taken where it is nonzero.  The rows' values
+        depend only on which column ends up basic on each row, and the
+        pivots only on those values; for the margin LP's crash basis
+        (the atom on row 0, each other row's slack or t on that row)
+        that is where pivoting every column in in order puts it, so
+        every later pivot is unchanged.
         """
         tableau, rest = self.tableau, []
         for col in basis:
@@ -437,7 +459,7 @@ class _RevisedLp:
         return reduced
 
     def result(self, pivots) -> LpResult:
-        """The optimal LpResult of the current basis, with B⁻¹ at full width."""
+        """The optimal LpResult of the current basis, B⁻¹ at full width in lowest terms."""
         m, tableau, scales = self.m, self.tableau, self.scales
         scale = scales[m]
         x = [_ZERO] * len(self.costs)
@@ -451,7 +473,7 @@ class _RevisedLp:
             if i in self.held:
                 c, sign = self.held[i]
                 full[c] = sign * scales[i]
-            inverse.append((full, scales[i]))
+            inverse.append(_reduced(full, scales[i]))
         return LpResult(
             status=OPTIMAL,
             x=x,

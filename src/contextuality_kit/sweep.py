@@ -57,6 +57,7 @@ from .simplex import (
     _bland_entering,
     _leaving,
     _pivot,
+    _reduced,
 )
 
 
@@ -137,7 +138,7 @@ def solve_lp(rows: list[list[int]], rhs: list[Fraction]) -> LpResult:
     # the flipped rows; undoing the flips makes it B⁻¹ of the original
     # rows.
     inverse = tuple(
-        ([s * v for s, v in zip(signs, line[n_vars:total_cols])], scale)
+        _reduced([s * v for s, v in zip(signs, line[n_vars:total_cols])], scale)
         for line, scale in zip(tableau[:m], scales)
     )
     return LpResult(status=OPTIMAL, pivots=pivots, basis=tuple(basis), inverse=inverse)

@@ -340,11 +340,11 @@ class FullWidthLp:
         its column.  Such columns are placed first, each on its own row;
         the rest (a second unit on a taken row among them) are entered
         and pivoted in in order, each on the first row not yet taken
-        where it is nonzero.  The rows, in lowest terms, depend only on
-        which column ends up basic on each row, and for the margin LP's
-        crash basis (the atom on row 0, each other row's slack or t on
-        that row) that is where pivoting every column in in order puts
-        it, so every later pivot is unchanged.
+        where it is nonzero.  The rows' values depend only on which
+        column ends up basic on each row, and the pivots only on those
+        values; for the margin LP's crash basis (the atom on row 0, each
+        other row's slack or t on that row) that is where pivoting every
+        column in in order puts it, so every later pivot is unchanged.
         """
         m, tableau = self.m, self.tableau
         rest = []
@@ -390,13 +390,13 @@ class FullWidthLp:
         return reduced
 
     def result(self, pivots) -> LpResult:
-        """The optimal LpResult of the current basis."""
+        """The optimal LpResult of the current basis, B⁻¹ in lowest terms."""
         m, tableau, scales = self.m, self.tableau, self.scales
         scale = scales[m]
         x = [_ZERO] * len(self.costs)
         for i, col in enumerate(self.basis):
             x[col] = Fraction(tableau[i][-1], scales[i] * self.rhs_scale)
-        inverse = tuple((line[:m], line_scale) for line, line_scale in zip(tableau, scales[:m]))
+        inverse = tuple(_reduced(line[:m], s) for line, s in zip(tableau, scales[:m]))
         return LpResult(
             status=OPTIMAL,
             x=x,

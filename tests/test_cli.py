@@ -10,8 +10,9 @@ import pytest
 
 import contextuality_kit
 
-from contextuality_kit import quantum
+from contextuality_kit import cli, quantum
 from contextuality_kit.cli import (
+    DEFAULT_BRACKET_TOLERANCE,
     EXIT_INDETERMINATE,
     EXIT_PASS,
     EXIT_USAGE,
@@ -24,7 +25,7 @@ from contextuality_kit.cli import (
 )
 from contextuality_kit.errors import ScenarioError
 from contextuality_kit.feasibility import solve_robust
-from contextuality_kit.numerics import format_scalar
+from contextuality_kit.numerics import format_scalar, parse_and_evaluate
 
 #: Environment of a child interpreter that imports the kit from this checkout.
 KIT_ENV = dict(
@@ -1302,6 +1303,42 @@ def test_a_longer_value_is_quoted_by_its_start_and_length(tmp_path, value, phras
         f"constraint 0: {phrase} {value[:40]!r}\u2026 ({len(value)} characters): "
     )
     assert value not in error
+
+
+@pytest.mark.parametrize("name", ["chsh.json", "bell.json"])
+def test_a_repeated_value_text_is_evaluated_once(monkeypatch, name):
+    evaluated = []
+
+    def counted(text, tolerance):
+        evaluated.append(text)
+        return parse_and_evaluate(text, tolerance)
+
+    monkeypatch.setattr(cli, "parse_and_evaluate", counted)
+    document = json.loads((scenario_dir() / name).read_text())
+    texts = [raw["value"] for raw in document["constraints"]]
+    assert len(set(texts)) < len(texts)
+    scenario = scenario_from_document(document)
+    assert sorted(evaluated) == sorted(set(texts))
+    for constraint, text in zip(scenario.constraints, texts):
+        assert constraint.target == parse_and_evaluate(text, DEFAULT_BRACKET_TOLERANCE)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [("1/0", "cannot evaluate '1/0': division by zero"), ("x", "bad value expression 'x'")],
+    ids=["cannot-evaluate", "bad-expression"],
+)
+def test_a_repeated_bad_value_fails_at_its_first_constraint(value, message):
+    def error(copies):
+        constraints = [{"moment": ["A"], "relation": "eq", "value": "0"}] + [
+            {"moment": ["A"], "relation": "eq", "value": value}
+        ] * copies
+        with pytest.raises(ScenarioError) as caught:
+            scenario_from_document({"variables": ["A"], "constraints": constraints})
+        return str(caught.value)
+
+    assert error(3) == error(1)
+    assert error(3).startswith("constraint 1: " + message)
 
 
 @pytest.mark.skipif(

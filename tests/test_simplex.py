@@ -201,6 +201,8 @@ def _pivot_problems(draw):
 @example(([[-2, 1, 0], [3, 0, 1]], [1, 2], 0, 0))
 # A pivot of 2 whose f = 4 and f = -6 it divides (q = 1), one row untouched.
 @example(([[2, 1, 0, 3], [4, 0, 1, 0], [-6, 5, 0, 1], [0, 2, 2, 0]], [3, 5, 2, 7], 0, 0))
+# Row 1's scale passes the bound and is reduced by 3; row 2 keeps its factor 3.
+@example(([[2, 1], [6, 3 << 61], [6, 9], [4, 2]], [1, 3 << 61, 3, 2], 0, 0))
 def test_pivot_equals_a_fraction_pivot(problem):
     tableau, scales, row, col = problem
     values = [[Fraction(v, s) for v in line] for line, s in zip(tableau, scales)]
@@ -213,8 +215,13 @@ def test_pivot_equals_a_fraction_pivot(problem):
     simplex._pivot(ints, pivoted_scales, basis, row, col)
     assert [[Fraction(v, s) for v in line] for line, s in zip(ints, pivoted_scales)] == expected
     assert basis[row] == col
-    for line, scale, before in zip(ints, pivoted_scales, tableau):
-        if before[col]:
+    # In lowest terms: the pivot row, and each updated row that is the
+    # objective row or whose scale passed the bound.
+    objective = len(ints) - 1
+    for i, (line, scale, before) in enumerate(zip(ints, pivoted_scales, tableau)):
+        if i == row or (
+            before[col] and (i == objective or scale.bit_length() > simplex._REDUCE_BITS)
+        ):
             assert math.gcd(scale, *line) == 1
 
 

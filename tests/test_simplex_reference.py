@@ -16,6 +16,7 @@ and the reduced costs its duals give must be the dense objective row's.
 
 import io
 import itertools
+import math
 import random
 import sys
 from contextlib import contextmanager
@@ -544,6 +545,62 @@ def test_rows_hold_only_live_columns_at_every_pivot(monkeypatch):
     m = 1 + 2 * (6 + 15)
     assert len(widths) > 20 and max(widths) < m + 2
     assert sum(slacks_in) == 1
+
+
+# --- read-outs in lowest terms -------------------------------------------------
+
+
+def exchangeable_document(n):
+    """Singles 0 and every pair √2/4 over n variables: bracketed and feasible.
+
+    Its check points are settled from the box optimum's basis.
+    """
+    names = [f"V{i}" for i in range(n)]
+    pairs = [[a, b] for i, a in enumerate(names) for b in names[i + 1:]]
+    return {
+        "variables": names,
+        "constraints": [{"moment": [v], "relation": "eq", "value": "0"} for v in names]
+        + [{"moment": pair, "relation": "eq", "value": "sqrt(2)/4"} for pair in pairs],
+    }
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_every_inverse_row_is_in_lowest_terms(monkeypatch, n):
+    """Each optimal ``LpResult.inverse`` row is in lowest terms.
+
+    Only the pivot row, the objective row and rows past the bound are
+    reduced at a pivot, so this holds because every read-out reduces.
+    Covers ``solve_from_basis`` and ``settle`` (the margin LPs of wide
+    and bracketed documents) and ``sweep.solve_lp`` (phase 1 on a wide
+    document's rows).
+    """
+    results = {"solve_from_basis": [], "settle": [], "solve_lp": []}
+
+    def kept(module, name):
+        solve = getattr(module, name)
+
+        def wrapped(*args):
+            result = solve(*args)
+            if result is not None and result.status == simplex.OPTIMAL:
+                results[name].append(result)
+            return result
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    kept(simplex, "solve_from_basis")
+    kept(simplex, "settle")
+    kept(sweep, "solve_lp")
+    for planted in (False, True):
+        feasibility.solve(scenario_from_document(reference.wide_document(7, n, planted)))
+    feasibility.solve(scenario_from_document(exchangeable_document(n)))
+    wide = scenario_from_document(reference.wide_document(7, n, False))
+    rows, targets, relations = feasibility._standard_rows(wide)
+    sweep.solve_lp(dense_simplex.to_standard_form(rows, relations)[0], [t.lo for t in targets])
+    for name, kept_results in results.items():
+        assert kept_results, name
+        for result in kept_results:
+            for line, scale in result.inverse:
+                assert math.gcd(scale, *line) == 1, name
 
 
 # --- bundled scenarios and closed-form LPs ------------------------------------
