@@ -44,6 +44,7 @@ from .numerics import (
     ScalarInterval,
     format_scalar,
     parse_and_evaluate,
+    quoted,
 )
 
 EXIT_PASS = 0
@@ -117,7 +118,7 @@ def scenario_from_document(
     _require_list(raw_constraints, "'constraints'")
     kind = document.get("kind", "standard")
     if kind not in ("standard", "lower", "upper"):
-        raise ScenarioError(f"unknown scenario kind {kind!r}")
+        raise ScenarioError(f"unknown scenario kind {quoted(kind)}")
     space = build_space(variables)
     constraints = []
     # Each distinct value text is evaluated once; a ScalarInterval is immutable.
@@ -134,7 +135,7 @@ def scenario_from_document(
             # A JSON number is refused: a decimal one is already a rounded float.
             raise ScenarioError(
                 f"constraint {index}: value must be an expression string"
-                f" such as \"1/2\", got {_quoted(value_text)}"
+                f" such as \"1/2\", got {quoted(value_text)}"
             )
         target = targets.get(value_text)
         if target is None:
@@ -145,44 +146,20 @@ def scenario_from_document(
                     "bad value expression" if isinstance(err, ExpressionError) else "cannot evaluate"
                 )
                 raise ScenarioError(
-                    f"constraint {index}: {what} {_quoted(value_text)}: {err}"
+                    f"constraint {index}: {what} {quoted(value_text)}: {err}"
                 ) from err
             targets[value_text] = target
-        constraints.append(MomentConstraint(tuple(subset), relation, target))
+        try:
+            constraints.append(MomentConstraint(tuple(subset), relation, target))
+        except ScenarioError as err:
+            raise ScenarioError(f"constraint {index}: {err}") from err
     return Scenario(space, tuple(constraints), kind, document.get("title"))
-
-
-def _quoted(value) -> str:
-    """``value`` shown whole up to 80 characters, else its first 40 and its length.
-
-    A string is shown by its repr; any other value by :func:`_text`,
-    unquoted, so the number 3 and the string "3" stay apart.
-    """
-    show, text = (repr, value) if isinstance(value, str) else (str, _text(value))
-    if len(text) <= 80:
-        return show(text)
-    return f"{show(text[:40])}… ({len(text)} characters)"
-
-
-def _text(value) -> str:
-    """``repr(value)``, with every int printed by ``format_scalar``.
-
-    ``repr`` refuses an int past the interpreter's digit limit, which a
-    document built in Python may hold; ``format_scalar`` prints any.
-    """
-    if type(value) is int:
-        return format_scalar(value)
-    if isinstance(value, (list, tuple)):  # a tuple reads as a list, as _require_list takes it
-        return "[" + ", ".join(map(_text, value)) + "]"
-    if isinstance(value, dict):
-        return "{" + ", ".join(f"{_text(k)}: {_text(v)}" for k, v in value.items()) + "}"
-    return repr(value)
 
 
 def _require_list(value, what: str) -> None:
     """Reject anything but a list, so a string is never split into names."""
     if not isinstance(value, (list, tuple)):
-        raise ScenarioError(f"{what} must be a list, got {_quoted(value)}")
+        raise ScenarioError(f"{what} must be a list, got {quoted(value)}")
 
 
 def _approx(value: Fraction) -> float | None:

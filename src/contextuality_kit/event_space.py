@@ -14,6 +14,7 @@ from collections.abc import Iterator, Sequence
 
 from ._record import Record
 from .errors import SizeLimitError, SpaceError
+from .numerics import quoted
 
 MAX_VARIABLES = 16
 
@@ -35,7 +36,7 @@ class EventSpace(Record):
         try:
             return self.variables.index(variable)
         except ValueError:
-            raise SpaceError(f"unknown variable {variable!r}") from None
+            raise SpaceError(f"unknown variable {quoted(variable)}") from None
 
     def atom_sign(self, atom: int, variable: str) -> int:
         """Sign (+1 or -1) of a variable at the given atom index."""
@@ -88,7 +89,7 @@ def build_space(names: Sequence[str]) -> EventSpace:
         if not isinstance(name, str) or not name:
             raise SpaceError("variable names must be nonempty strings")
         if name in seen:
-            raise SpaceError(f"duplicate variable name {name!r}")
+            raise SpaceError(f"duplicate variable name {quoted(name)}")
         seen.add(name)
     return EventSpace(tuple(names))
 
@@ -194,9 +195,9 @@ def moment_mask(space: EventSpace, subset: Sequence[str]) -> int:
     if not subset:
         raise SpaceError("moment subset must be nonempty")
     if not all(isinstance(name, str) for name in subset):
-        raise SpaceError(f"moment subset {subset!r} must list variable names")
+        raise SpaceError(f"moment subset {quoted(subset)} must list variable names")
     if len(set(subset)) != len(subset):
-        raise SpaceError(f"moment subset {subset!r} repeats a variable")
+        raise SpaceError(f"moment subset {quoted(subset)} repeats a variable")
     mask = 0
     for v in subset:
         mask |= 1 << (space.n - 1 - space.index_of(v))

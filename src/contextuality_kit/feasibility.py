@@ -43,10 +43,10 @@ from math import lcm
 from operator import mul
 
 from ._record import Record
-from .errors import CertificateError, ScenarioError
+from .errors import CertificateError, ScenarioError, SpaceError
 from .event_space import EventSpace, _on_atoms, build_space, moment_coefficients, moment_mask
 from .measures import STANDARD, AtomMeasure, signed_atom_sums, validate
-from .numerics import ScalarInterval, as_interval, format_scalar, over_common_denominator
+from .numerics import ScalarInterval, as_interval, format_scalar, over_common_denominator, quoted
 from . import simplex
 from .simplex import EQ, GE, LE
 
@@ -64,7 +64,7 @@ class MomentConstraint(Record):
 
     def __init__(self, subset: tuple[str, ...], relation: str, target: ScalarInterval):
         if relation not in _RELATIONS:
-            raise ScenarioError(f"unknown relation {relation!r}")
+            raise ScenarioError(f"unknown relation {quoted(relation)}")
         self._set(subset, relation, target)
 
     def describe(self) -> str:
@@ -97,11 +97,16 @@ class Scenario(Record):
         title: str | None = None,
     ):
         seen = set()
-        for c in constraints:
-            moment_mask(space, c.subset)  # validates the subset
+        for index, c in enumerate(constraints):
+            try:
+                moment_mask(space, c.subset)  # validates the subset
+            except SpaceError as err:
+                raise SpaceError(f"constraint {index}: {err}") from err
             key = tuple(sorted(c.subset))
             if key in seen:
-                raise ScenarioError(f"duplicate moment constraint on {c.subset}")
+                raise ScenarioError(
+                    f"constraint {index}: duplicate moment constraint on {quoted(c.subset)}"
+                )
             seen.add(key)
         self._set(space, constraints, kind, title)
 
@@ -207,7 +212,11 @@ def solve(scenario: Scenario) -> FeasibilityOutcome:
             start = _margin_lp(scenario, point, start)[0]
             if start.objective:
                 return FeasibilityOutcome(INDETERMINATE, margin=t)
-    witness = AtomMeasure(scenario.space, tuple(result.x[:n]), STANDARD)
+    atoms = [Fraction(0)] * n
+    for col, value in zip(result.basis, result.x):
+        if col < n:
+            atoms[col] = value
+    witness = AtomMeasure(scenario.space, tuple(atoms), STANDARD)
     _check_witness(scenario, witness)
     return FeasibilityOutcome(FEASIBLE, witness=witness, margin=t)
 
@@ -296,10 +305,10 @@ def _margin_lp(scenario: Scenario, bounds, start=None):
     side of its ≤ side and of its ≥ side: (hi, lo) over the whole box
     (:func:`_box`), (v, v) at one target point v.
 
-    Variables: p (n atoms), then t, then one slack per relaxed row.
-    Row 0 is Σp = 1; every constraint becomes one-sided rows,
-    ``row·p - t ≤ upper`` on its le side and ``row·p + t ≥ lower`` on
-    its ge side (an equality gives both).  No atom column is built:
+    Variables: p (n atoms, cost 0), then t (cost 1), then one slack per
+    relaxed row.  Row 0 is Σp = 1; every constraint becomes one-sided
+    rows, ``row·p - t ≤ upper`` on its le side and ``row·p + t ≥ lower``
+    on its ge side (an equality gives both).  No atom column is built:
     relaxed row r's coefficient at atom a is the character
     ``(-1)^popcount(a & mask_r)`` of its moment (row 0 has mask 0, and
     an equality's two rows share one mask), which
@@ -335,9 +344,8 @@ def _margin_lp(scenario: Scenario, bounds, start=None):
     m = len(masks)
     # The t column, then relaxed row r's slack: +1 on le, -1 on ge.
     columns = [dict(enumerate(t_sign))] + [{r: -t_sign[r]} for r in range(1, m)]
-    costs = [0] * (n + m)
-    costs[n] = 1  # minimize t
-    result = None if start is None else simplex.settle(start, costs, relaxed_rhs)
+    costs = [1] + [0] * (m - 1)  # minimize t; atoms cost 0
+    result = None if start is None else simplex.settle(start, relaxed_rhs)
     if result is None:
         basis = _crash_basis(space.n, masks, relaxed_rhs, t_sign)
         result = simplex.solve_from_basis(
@@ -427,15 +435,18 @@ def verify_certificate(scenario: Scenario, certificate: Sequence[Fraction]) -> b
     combined right-hand side is > 0 at every target in the box: any
     p ≥ 0 would give 0 ≥ combined·p ≥ rhs > 0.  That right-hand side is
     least when each row's term y_i·b_i is, at the bracket's ``lo`` for
-    y_i > 0 and at its ``hi`` otherwise.
+    y_i > 0 and at its ``hi`` otherwise.  The combined coefficients are
+    one :func:`simplex._walsh` of the multipliers put on their rows' masks.
     """
-    rows, targets, relations = _standard_rows(scenario)
+    space = scenario.space
+    rows = [(0, ScalarInterval.point(1), EQ)]
+    rows += [(moment_mask(space, c.subset), c.target, c.relation) for c in scenario.constraints]
     if len(certificate) != len(rows):
         raise CertificateError(
             f"certificate has {len(certificate)} entries for {len(rows)} rows"
         )
     y = [Fraction(v) for v in certificate]
-    for yi, rel in zip(y, relations):
+    for yi, (_, _, rel) in zip(y, rows):
         if rel == GE and yi < 0:
             return False
         if rel == LE and yi > 0:
@@ -443,13 +454,12 @@ def verify_certificate(scenario: Scenario, certificate: Sequence[Fraction]) -> b
     # Signs are all that matter, so scale y by its common denominator
     # and combine in integers.
     scaled, _ = over_common_denominator(y)
-    combined = [0] * scenario.space.atom_count
-    for yi, row in zip(scaled, rows):
-        if yi:
-            combined = [c + yi * k for c, k in zip(combined, row)]
-    if any(c > 0 for c in combined):
+    weights = [0] * space.atom_count
+    for yi, (mask, _, _) in zip(scaled, rows):
+        weights[mask] += yi
+    if any(c > 0 for c in simplex._walsh(weights, space.n)):
         return False
-    rhs, _ = over_common_denominator([t.lo if yi > 0 else t.hi for yi, t in zip(y, targets)])
+    rhs, _ = over_common_denominator([t.lo if yi > 0 else t.hi for yi, (_, t, _) in zip(y, rows)])
     return sum(map(mul, scaled, rhs)) > 0
 
 

@@ -59,13 +59,13 @@ def scalar_from_string(text: str, name: str = "the value") -> Fraction:
     number ``name``.
     """
     if not isinstance(text, str):
-        raise ValueError(f"exact scalars are written as strings such as '1/3', got {text!r}")
+        raise ValueError(f"exact scalars are written as strings such as '1/3', got {quoted(text)}")
     if not _EXACT_SCALAR.fullmatch(text):
-        raise ValueError(f"exact scalar {text!r} is not an integer or p/q")
+        raise ValueError(f"exact scalar {quoted(text)} is not an integer or p/q")
     try:
         return _literal(text, None, name)
     except ZeroDivisionError:
-        raise ValueError(f"exact scalar {text!r} has a zero denominator") from None
+        raise ValueError(f"exact scalar {quoted(text)} has a zero denominator") from None
 
 
 def format_scalar(value: Fraction) -> str:
@@ -80,6 +80,33 @@ def format_scalar(value: Fraction) -> str:
     except ValueError:
         p, q = (str(Decimal(part)) for part in (value.numerator, value.denominator))
         return p if q == "1" else f"{p}/{q}"
+
+
+def quoted(value) -> str:
+    """``value`` shown whole up to 80 characters, else its first 40 and its length.
+
+    A string is shown by its repr; any other value by :func:`_text`,
+    unquoted, so the number 3 and the string "3" stay apart.
+    """
+    show, text = (repr, value) if isinstance(value, str) else (str, _text(value))
+    if len(text) <= 80:
+        return show(text)
+    return f"{show(text[:40])}… ({len(text)} characters)"
+
+
+def _text(value) -> str:
+    """``repr(value)``, with every int printed by ``format_scalar``.
+
+    ``repr`` refuses an int past the interpreter's digit limit, which a
+    document built in Python may hold; ``format_scalar`` prints any.
+    """
+    if type(value) is int:
+        return format_scalar(value)
+    if isinstance(value, (list, tuple)):  # a tuple reads as a list
+        return "[" + ", ".join(map(_text, value)) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{_text(k)}: {_text(v)}" for k, v in value.items()) + "}"
+    return repr(value)
 
 
 def over_common_denominator(values) -> tuple[list[int], int]:

@@ -10,13 +10,13 @@ nonzero or it is not.
   basis's unit columns of cost 0 (slacks) are placed on their rows
   while B⁻¹ is still the identity, with no pivot; only its other
   columns are pivoted in.  Every standard scenario is decided by it:
-  the optimal point is reported as the witness, and the optimal row
-  duals (``LpResult.duals``) as the Farkas certificate.  Dantzig's
+  the optimum's basic values (``LpResult.x``) give the witness, and
+  its row duals (``LpResult.duals``) the Farkas certificate.  Dantzig's
   rule with lowest-index ties and the Bland fallback on degenerate
   steps fix the pivot path, so that evidence is deterministic.
 * :func:`settle`, the optimum of a :func:`solve_from_basis` LP at
   another right-hand side, from its optimal basis, when that basis is
-  still primal-feasible there.
+  still primal-feasible there; its objective is yᵀb, off the duals.
 
 The integer rows, the pivot and the ratio test are shared with
 :mod:`.sweep`, whose dense phase-1 tableau (``sweep.solve_lp``) runs
@@ -128,8 +128,8 @@ class LpResult(Record):
       include the degenerate pivots that drive artificials out of the
       basis; for :func:`solve_from_basis` they exclude the pivots that
       bring the start basis in.
-    * ``x``, ``objective``: on an optimal :func:`solve_from_basis`
-      result, the optimal point and its objective.
+    * ``x``, ``objective``: x_B (one value per entry of ``basis``) and
+      the objective of an optimal :func:`solve_from_basis` result.
     * ``basis``: on an optimal ``sweep.solve_lp`` result, the basic
       column of each row kept after the redundant-row drop.  On an
       optimal :func:`solve_from_basis` result, the basic column of each
@@ -289,7 +289,7 @@ class _RevisedLp:
     by its common denominator ``rhs_scale``, so every row starts over
     scale 1 and the bracket denominators of the targets are held once,
     in ``rhs_scale``, and never enter B⁻¹ or the duals; :meth:`result`
-    divides x and the objective by it, and the ratio test is unchanged,
+    divides x_B and the objective by it, and the ratio test is unchanged,
     since ``rhs_scale`` cancels in its cross-multiplication.
 
     Row i's B⁻¹ entries are the multipliers that combine the rows of
@@ -332,16 +332,15 @@ class _RevisedLp:
         if any(type(v) is not int for v in [*costs, *(v for c in columns for v in c.values())]):
             raise TypeError("the revised simplex takes integer columns and costs")
         self.costs = costs
-        self.atom_costs = any(costs[: self.atoms])
         # Every explicit column as its m entries; each slack also as (row, entry).
         self.columns, self.slacks = [], {}
-        for j, column in enumerate(columns, self.atoms):
+        for j, (column, cost) in enumerate(zip(columns, costs), self.atoms):
             nonzero = [(i, v) for i, v in column.items() if v]
             dense = [0] * m
             for i, v in nonzero:
                 dense[i] = v
             self.columns.append(dense)
-            if len(nonzero) == 1 and nonzero[0][1] in (1, -1) and not costs[j]:
+            if len(nonzero) == 1 and nonzero[0][1] in (1, -1) and not cost:
                 self.slacks[j] = nonzero[0]
         rhs, self.rhs_scale = over_common_denominator(rhs)
         self.live = []
@@ -364,7 +363,8 @@ class _RevisedLp:
         for i, (c, sign) in self.held.items():
             if column[c]:
                 tableau[i][slot] += sign * column[c] * scales[i]
-        tableau[m][slot] += self.costs[j] * scales[m]
+        if j >= self.atoms:
+            tableau[m][slot] += self.costs[j - self.atoms] * scales[m]
 
     def leaving(self):
         """The ratio test on the slot: the row that leaves, or -1."""
@@ -448,25 +448,21 @@ class _RevisedLp:
                 if w:
                     weights[mask] += w
             reduced = _walsh(weights, self.bits)
-            if self.atom_costs:
-                reduced = [c * scale + v for c, v in zip(self.costs, reduced)]
-        for j, column in enumerate(self.columns, self.atoms):
+        for j, (cost, column) in enumerate(zip(self.costs, self.columns), self.atoms):
             slack = self.slacks.get(j)
             if slack:
                 reduced.append(duals[slack[0]] * slack[1])
             else:
-                reduced.append(self.costs[j] * scale + sum(map(mul, duals, column)))
+                reduced.append(cost * scale + sum(map(mul, duals, column)))
         return reduced
 
     def result(self, pivots) -> LpResult:
         """The optimal LpResult of the current basis, B⁻¹ at full width in lowest terms."""
         m, tableau, scales = self.m, self.tableau, self.scales
         scale = scales[m]
-        x = [_ZERO] * len(self.costs)
-        inverse = []
-        for i, col in enumerate(self.basis):
-            line = tableau[i]
-            x[col] = Fraction(line[-1], scales[i] * self.rhs_scale)
+        x, inverse = [], []
+        for i, line in enumerate(tableau[:m]):
+            x.append(Fraction(line[-1], scales[i] * self.rhs_scale))
             full = [0] * m
             for c, v in zip(self.live, line):
                 full[c] = v
@@ -498,10 +494,10 @@ def solve_from_basis(
     of ``characters = (bits, masks)`` (column a has entry
     ``(-1)^popcount(a & masks[i])`` in row i; none when ``characters``
     is None) and then ``columns``, each a dict from row to entry that
-    lists the column's nonzero entries.
-    ``costs`` has one entry per column, in the same order.  Costs and
-    column entries must be ints (TypeError otherwise); ``rhs`` may hold
-    ints and Fractions.
+    lists the column's nonzero entries.  ``costs`` has one entry per
+    explicit column, in the same order (ValueError otherwise); a
+    character column costs 0.  Costs and column entries must be ints
+    (TypeError otherwise); ``rhs`` may hold ints and Fractions.
 
     ``basis`` names one column per row whose basic solution is
     feasible; the simplex starts there, so there is no phase 1 and no
@@ -529,11 +525,13 @@ def solve_from_basis(
 
     ``pivots`` counts the simplex pivots; the pivots that bring
     ``basis`` in are not counted.  An optimal result carries ``basis``
-    (the basic column of each row) and ``inverse`` for :func:`settle`.
+    (the basic column of each row), x_B and ``inverse`` for :func:`settle`.
     """
     m = len(rhs)
     if len(basis) != m:
         raise ValueError(f"start basis has {len(basis)} columns for {m} rows")
+    if len(costs) != len(columns):
+        raise ValueError(f"{len(costs)} costs for {len(columns)} explicit columns")
     lp = _RevisedLp(costs, columns, rhs, characters)
     lp.start(basis)
     if any(line[-1] < 0 for line in lp.tableau[:m]):
@@ -560,31 +558,26 @@ def solve_from_basis(
         pivots += 1
 
 
-def settle(result: LpResult, costs: list[int], rhs: list[Fraction]) -> LpResult | None:
+def settle(result: LpResult, rhs: list[Fraction]) -> LpResult | None:
     """The optimum at another right-hand side from an optimal basis, or None.
 
     ``result`` is an optimal :func:`solve_from_basis` result of the same
-    columns and integer costs; ``rhs`` may hold ints and Fractions.
-    Reduced costs do not depend on the right-hand side, so its basis is
-    optimal at ``rhs`` whenever ``x_B = B⁻¹·rhs >= 0``, computed exactly
-    from the kept inverse.  The new result has that point and objective
-    and the kept duals, which depend on the basis alone; None means x_B
-    has a negative entry and ``rhs`` needs its own solve.
+    columns and costs; ``rhs`` may hold ints and Fractions.  Reduced
+    costs do not depend on the right-hand side, so its basis is optimal
+    at ``rhs`` whenever ``x_B = B⁻¹·rhs >= 0``, computed exactly from the
+    kept inverse.  The new result has that x_B and the kept duals y,
+    which depend on the basis alone, and the objective c_B·B⁻¹·rhs =
+    yᵀ·rhs, exactly.  None means x_B has a negative entry and ``rhs``
+    needs its own solve.
     """
     b, common = over_common_denominator(rhs)
     values = _basic_values(result.inverse, b)
     if values is None:
         return None
-    x = [_ZERO] * len(result.x)
-    objective = _ZERO
-    for (_, scale), col, value in zip(result.inverse, result.basis, values):
-        if value:
-            x[col] = Fraction(value, scale * common)
-            objective += costs[col] * x[col]
     return LpResult(
         status=OPTIMAL,
-        x=x,
-        objective=objective,
+        x=[Fraction(v, scale * common) for (_, scale), v in zip(result.inverse, values)],
+        objective=sum((y * v for y, v in zip(result.duals, b) if y), _ZERO) / common,
         basis=result.basis,
         duals=result.duals,
         inverse=result.inverse,

@@ -24,6 +24,10 @@ B⁻¹ over its live columns only: every row holds all m columns of B⁻¹.
 :func:`solve_full_width` runs ``simplex.solve_from_basis`` on it, so the
 tests can pin every ``LpResult`` field, ``inverse`` included, of the
 narrow rows against the full ones.
+
+:func:`verify_certificate_by_rows` is ``feasibility.verify_certificate``
+as it was, combining the certificate's multipliers over the dense 2ⁿ
+standard rows; the tests pin the kit's one-transform check against it.
 """
 
 import math
@@ -31,6 +35,7 @@ from fractions import Fraction
 from operator import mul
 
 from contextuality_kit import simplex
+from contextuality_kit.errors import CertificateError
 from contextuality_kit.feasibility import _standard_rows
 from contextuality_kit.numerics import over_common_denominator
 from contextuality_kit.simplex import (
@@ -72,6 +77,19 @@ def to_standard_form(rows, relations):
             slack_at += 1
         out_rows.append(line)
     return out_rows, total
+
+
+def full_point(result, width):
+    """``result.x``, the basic values x_B, lifted to all ``width`` columns through ``result.basis``.
+
+    None for a result with no point.
+    """
+    if result.x is None:
+        return None
+    x = [_ZERO] * width
+    for col, value in zip(result.basis, result.x):
+        x[col] = value
+    return x
 
 
 def phase_one_point(result, rhs, n_vars):
@@ -152,20 +170,13 @@ def _duals(costs, rows, basis):
     return [line[-1] for line in system]
 
 
-def _basic_point(tableau, scales, basis, n_vars):
-    """The structural values of the basic solution, as Fractions."""
-    x = [_ZERO] * n_vars
-    for i, col in enumerate(basis):
-        if col < n_vars:
-            x[col] = Fraction(tableau[i][-1], scales[i])
-    return x
+def dense_lp(costs, columns, rhs, characters=None):
+    """The costs and rows of ``solve_from_basis``'s LP: character columns, then ``columns``.
 
-
-def dense_rows(columns, rhs, characters=None):
-    """The rows of ``solve_from_basis``'s LP: character columns, then ``columns``.
-
-    Each of ``columns`` maps a row to its entry there.
+    Each of ``columns`` maps a row to its entry there, and ``costs``
+    gives one cost per explicit column; a character column costs 0.
     """
+    atoms = 1 << characters[0] if characters is not None else 0
     rows = []
     for i in range(len(rhs)):
         row = []
@@ -173,7 +184,7 @@ def dense_rows(columns, rhs, characters=None):
             bits, masks = characters
             row = [-1 if (a & masks[i]).bit_count() & 1 else 1 for a in range(1 << bits)]
         rows.append(row + [column.get(i, 0) for column in columns])
-    return rows
+    return [0] * atoms + list(costs), rows
 
 
 def _bring_in(tableau, scales, placed, columns):
@@ -218,14 +229,15 @@ def _run_dantzig(tableau, scales, basis):
 def solve_from_basis(costs, rows, rhs, basis):
     """One-phase simplex for  min c·x,  rows·x = rhs,  x >= 0, on the dense tableau.
 
-    Returns the ``LpResult`` and the reduced costs of its final objective
-    row (None when unbounded).  The result's duals are solved for from
-    the final basis (:func:`_duals`), not read off any tableau entry.
+    ``costs`` has one entry per column of ``rows``.  Returns the
+    ``LpResult``, whose ``x`` holds the basic values in ``basis`` order,
+    and the reduced costs of its final objective row (None when
+    unbounded).  The result's duals are solved for from the final basis
+    (:func:`_duals`), not read off any tableau entry.
     """
     m = len(rows)
     if len(basis) != m:
         raise ValueError(f"start basis has {len(basis)} columns for {m} rows")
-    n_vars = len(costs)
     tableau: list[list[int]] = []
     scales: list[int] = []
     for row, b in zip(rows, rhs):
@@ -248,10 +260,11 @@ def solve_from_basis(costs, rows, rhs, basis):
     obj, obj_scale = tableau[m], scales[m]
     result = LpResult(
         status=OPTIMAL,
-        x=_basic_point(tableau, scales, placed, n_vars),
+        x=[Fraction(line[-1], scale) for line, scale in zip(tableau, scales[:m])],
         objective=Fraction(-obj[-1], obj_scale),
         duals=_duals(costs, rows, placed),
         pivots=pivots,
+        basis=tuple(placed),
     )
     return result, [Fraction(v, obj_scale) for v in obj[:-1]]
 
@@ -297,7 +310,6 @@ class FullWidthLp:
             self.units.append(nonzero[0] if dense is None else None)
             self.columns.append(dense)
         self.costs = costs
-        self.atom_costs = any(costs[: self.atoms])
         rhs, self.rhs_scale = over_common_denominator(rhs)
         self.tableau = [[0] * (m + 2) for _ in range(m + 1)]
         for i, b in enumerate(rhs):
@@ -321,7 +333,8 @@ class FullWidthLp:
             column = self.columns[j - self.atoms]
             for line in tableau:
                 line[m] = sum(map(mul, line, column))
-        tableau[m][m] += self.costs[j] * self.scales[m]
+        if j >= self.atoms:
+            tableau[m][m] += self.costs[j - self.atoms] * self.scales[m]
 
     def leaving(self):
         """The ratio test on slot m: the row that leaves, or -1."""
@@ -350,7 +363,12 @@ class FullWidthLp:
         rest = []
         for col in basis:
             unit = self.units[col - self.atoms] if col >= self.atoms else None
-            if unit and unit[1] in (1, -1) and not self.costs[col] and self.basis[unit[0]] < 0:
+            if (
+                unit
+                and unit[1] in (1, -1)
+                and not self.costs[col - self.atoms]
+                and self.basis[unit[0]] < 0
+            ):
                 i, v = unit
                 if v < 0:
                     line = tableau[i]
@@ -380,9 +398,7 @@ class FullWidthLp:
                 if w:
                     weights[mask] += w
             reduced = _walsh(weights, self.bits)
-            if self.atom_costs:
-                reduced = [c * scale + v for c, v in zip(self.costs, reduced)]
-        for c, column, unit in zip(self.costs[self.atoms:], self.columns, self.units):
+        for c, column, unit in zip(self.costs, self.columns, self.units):
             if unit is None:
                 reduced.append(c * scale + sum(map(mul, obj, column)))
             else:
@@ -393,9 +409,7 @@ class FullWidthLp:
         """The optimal LpResult of the current basis, B⁻¹ in lowest terms."""
         m, tableau, scales = self.m, self.tableau, self.scales
         scale = scales[m]
-        x = [_ZERO] * len(self.costs)
-        for i, col in enumerate(self.basis):
-            x[col] = Fraction(tableau[i][-1], scales[i] * self.rhs_scale)
+        x = [Fraction(line[-1], s * self.rhs_scale) for line, s in zip(tableau, scales[:m])]
         inverse = tuple(_reduced(line[:m], s) for line, s in zip(tableau, scales[:m]))
         return LpResult(
             status=OPTIMAL,
@@ -419,3 +433,32 @@ def solve_full_width(costs, columns, rhs, basis, characters=None) -> LpResult:
         return _solve_from_basis(costs, columns, rhs, basis, characters)
     finally:
         simplex._RevisedLp = narrow
+
+
+def verify_certificate_by_rows(scenario, certificate):
+    """``feasibility.verify_certificate`` on the dense standard rows.
+
+    The same sign rules and box right-hand side; every atom's combined
+    coefficient is summed row by row over the 2ⁿ entries of each
+    multiplier's row.
+    """
+    rows, targets, relations = _standard_rows(scenario)
+    if len(certificate) != len(rows):
+        raise CertificateError(
+            f"certificate has {len(certificate)} entries for {len(rows)} rows"
+        )
+    y = [Fraction(v) for v in certificate]
+    for yi, rel in zip(y, relations):
+        if rel == GE and yi < 0:
+            return False
+        if rel == LE and yi > 0:
+            return False
+    scaled, _ = over_common_denominator(y)
+    combined = [0] * scenario.space.atom_count
+    for yi, row in zip(scaled, rows):
+        if yi:
+            combined = [c + yi * k for c, k in zip(combined, row)]
+    if any(c > 0 for c in combined):
+        return False
+    rhs, _ = over_common_denominator([t.lo if yi > 0 else t.hi for yi, t in zip(y, targets)])
+    return sum(map(mul, scaled, rhs)) > 0

@@ -226,8 +226,73 @@ class TestCheckCommand:
                 },
                 "must list variable names",
             ),
+            (
+                {
+                    "variables": ["A"],
+                    "constraints": [{"moment": ["A"], "relation": "foo", "value": "0"}],
+                },
+                "constraint 0: unknown relation 'foo'",
+            ),
+            (
+                {
+                    "variables": ["A"],
+                    "constraints": [{"moment": ["A"], "relation": [0] * 3000, "value": "0"}],
+                },
+                "constraint 0: unknown relation [0, 0, ",
+            ),
+            (
+                {
+                    "variables": ["A"],
+                    "constraints": [{"moment": ["A", 0], "relation": "eq", "value": "0"}],
+                },
+                "constraint 0: moment subset ['A', 0] must list variable names",
+            ),
+            (
+                {
+                    "variables": ["A"],
+                    "constraints": [{"moment": ["A"] * 3000, "relation": "eq", "value": "0"}],
+                },
+                "constraint 0: moment subset ['A', 'A', ",
+            ),
+            (
+                {
+                    "variables": ["A"],
+                    "constraints": [{"moment": ["Z" * 5000], "relation": "eq", "value": "0"}],
+                },
+                "constraint 0: unknown variable 'ZZZ",
+            ),
+            (
+                {
+                    "variables": ["A"],
+                    "kind": "k" * 5000,
+                    "constraints": [{"moment": ["A"], "relation": "eq", "value": "0"}],
+                },
+                "unknown scenario kind 'kkk",
+            ),
+            (
+                {
+                    "variables": ["A", "B"],
+                    "constraints": [
+                        {"moment": ["A"], "relation": "eq", "value": "0"},
+                        {"moment": ["A"], "relation": "le", "value": "1"},
+                    ],
+                },
+                "constraint 1: duplicate moment constraint on ['A']",
+            ),
         ],
-        ids=["numeric-value", "string-variables", "string-moment", "nested-moment"],
+        ids=[
+            "numeric-value",
+            "string-variables",
+            "string-moment",
+            "nested-moment",
+            "unknown-relation",
+            "long-list-relation",
+            "non-name-in-moment",
+            "long-moment",
+            "long-unknown-variable",
+            "long-kind",
+            "duplicate-moment",
+        ],
     )
     def test_malformed_document_is_input_error(self, tmp_path, document, message):
         path = tmp_path / "bad.json"
@@ -236,6 +301,8 @@ class TestCheckCommand:
         assert code == EXIT_USAGE
         assert report["verdict"] == "input-error"
         assert message in report["error"]
+        # An over-long input is quoted by its start and its length.
+        assert len(report["error"]) < 300
 
     @pytest.mark.parametrize(
         "value",
@@ -624,6 +691,10 @@ class TestWitnessCommandsAndValidate:
                 {"type": "atom-measure", "variables": ["A"], "atoms": {"+": "1e999999999", "-": "0"}},
                 "not an integer or p/q",
             ),
+            (
+                {"type": "atom-measure", "variables": ["A"], "atoms": {"+": "x" * 5000, "-": "0"}},
+                "exact scalar 'xxxx",
+            ),
         ],
         ids=[
             "no-atoms",
@@ -632,6 +703,7 @@ class TestWitnessCommandsAndValidate:
             "zero-denominator-atom",
             "zero-denominator-entry",
             "exponent-atom",
+            "long-atom",
         ],
     )
     def test_malformed_validate_document_is_input_error(self, tmp_path, document, message):
@@ -641,6 +713,7 @@ class TestWitnessCommandsAndValidate:
         assert code == EXIT_USAGE
         assert report["verdict"] == "input-error"
         assert message in report["error"]
+        assert len(report["error"]) < 300
 
     def test_lower_kind_scenario_routes_to_witness_solver(self, tmp_path):
         doc = {

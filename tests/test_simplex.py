@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import fraction_simplex
 from contextuality_kit import feasibility, simplex, sweep
 from contextuality_kit.numerics import parse_and_evaluate
-from dense_simplex import integer_rows, phase_one_point
+from dense_simplex import full_point, integer_rows, phase_one_point
 
 
 def test_degenerate_equalities():
@@ -100,7 +100,7 @@ def test_solve_from_basis_rejects_bad_starts():
     result = simplex.solve_from_basis(costs, columns, rhs, [1, 2])
     assert result.status == simplex.OPTIMAL
     assert result.objective == Fraction(1, 4)
-    assert result.x == [Fraction(3, 4), Fraction(1, 4), 0]
+    assert full_point(result, 3) == [Fraction(3, 4), Fraction(1, 4), 0]
     # No positive entry under an improving column.
     assert simplex.solve_from_basis([-1, 0], [{}, {0: 1}], [1], [1]).status == (
         simplex.UNBOUNDED
@@ -129,15 +129,20 @@ def test_solve_from_basis_terminates_on_beale_cycling_example():
     assert result.objective == fraction_simplex.solve_lp(costs, rows, rhs).objective
 
 
-@pytest.mark.parametrize("where", ["column", "cost"])
+@pytest.mark.parametrize("where", ["column", "cost", "length"])
 def test_solve_from_basis_takes_only_integer_columns_and_costs(where):
     columns = _columns([[1, 1], [0, 1]])
     costs = [0, 1]
+    error, match = TypeError, "integer"
     if where == "column":
         columns[1][0] = Fraction(1, 2)
-    else:
+    elif where == "cost":
         costs[1] = Fraction(1, 2)
-    with pytest.raises(TypeError, match="integer"):
+    else:
+        # One cost per explicit column: a list of another length is refused.
+        costs.append(0)
+        error, match = ValueError, "3 costs for 2 explicit columns"
+    with pytest.raises(error, match=match):
         simplex.solve_from_basis(costs, columns, [1, 0], [0, 1])
 
 
@@ -152,16 +157,21 @@ def test_walsh_transform_sums_characters(bits):
 
 
 def test_character_columns_equal_their_explicit_form():
-    # Rows: normalization (mask 0) and E(A) over two variables (mask 2),
-    # min E(A) with the atoms as characters or written out.
-    masks = [0, 2]
-    columns = _columns([[1, 1, 1, 1], [1, 1, -1, -1]])
-    costs = [0, 0, 1, 1]
-    rhs = [1, 0]
-    implicit = simplex.solve_from_basis(costs, [], rhs, [0, 2], (2, masks))
-    explicit = simplex.solve_from_basis(costs, columns, rhs, [0, 2])
+    # The margin LP of E(A) >= 1/2 and E(A) <= -1/2 over two variables:
+    # rows normalization (mask 0) and both sides of E(A) (mask 2), min t
+    # over the atoms, t and the two slacks.  Atoms cost 0; as characters
+    # they are not written out, and written out they are four columns.
+    masks = [0, 2, 2]
+    t, slacks = {1: 1, 2: -1}, [{1: -1}, {2: 1}]
+    atoms = _columns([[1, 1, 1, 1], [1, 1, -1, -1], [1, 1, -1, -1]])
+    rhs = [1, Fraction(1, 2), Fraction(-1, 2)]
+    start = [0, 5, 4]  # atom 0, the ge side's slack, t = 3/2
+    implicit = simplex.solve_from_basis([1, 0, 0], [t, *slacks], rhs, start, (2, masks))
+    explicit = simplex.solve_from_basis([0] * 4 + [1, 0, 0], atoms + [t, *slacks], rhs, start)
     assert implicit == explicit
-    assert implicit.x == [Fraction(1, 2), 0, Fraction(1, 2), 0]
+    assert implicit.objective == Fraction(1, 2)
+    half = Fraction(1, 2)
+    assert full_point(implicit, 7) == [half, 0, half, 0, half, 0, 0]
 
 
 def test_settle_reuses_an_optimal_basis_or_declines():
@@ -170,12 +180,13 @@ def test_settle_reuses_an_optimal_basis_or_declines():
     costs = [0, 1, 1]
     result = simplex.solve_from_basis(costs, columns, [1, Fraction(1, 2)], [0, 2])
     assert result.objective == Fraction(1, 2)
-    moved = simplex.settle(result, costs, [1, Fraction(1, 3)])
+    moved = simplex.settle(result, [1, Fraction(1, 3)])
     cold = simplex.solve_from_basis(costs, columns, [1, Fraction(1, 3)], [0, 2])
-    assert (moved.x, moved.objective) == (cold.x, cold.objective)
+    assert (full_point(moved, 3), moved.objective) == (full_point(cold, 3), cold.objective)
+    assert len(moved.x) == len(moved.basis)
     assert moved.duals == cold.duals == result.duals
     # At b1 = 2, x2 = 1 - 2 < 0: the basis does not settle it.
-    assert simplex.settle(result, costs, [1, 2]) is None
+    assert simplex.settle(result, [1, 2]) is None
 
 
 #: Mostly zeros, as in the kit's B⁻¹ rows; pivots of either sign and

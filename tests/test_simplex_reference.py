@@ -42,7 +42,7 @@ from contextuality_kit.event_space import build_space, moment_coefficients, sign
 from contextuality_kit.feasibility import EQ, FEASIBLE, INFEASIBLE, make_scenario
 from contextuality_kit.measures import AtomMeasure, expectation
 from contextuality_kit.numerics import parse_and_evaluate
-from test_feasibility import corner, relaxed_scenarios
+from test_feasibility import bell_scenario, corner, ghz_scenario, relaxed_scenarios
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import reference  # noqa: E402
@@ -54,8 +54,10 @@ DECIDED = (EXIT_PASS, EXIT_VIOLATION, EXIT_INDETERMINATE)
 
 
 
-def path_fields(result):
-    return (result.status, result.pivots, result.x, result.objective, result.duals)
+def path_fields(result, width):
+    """The fields a pivot path fixes, the point lifted to all ``width`` columns."""
+    point = dense_simplex.full_point(result, width)
+    return (result.status, result.pivots, point, result.objective, result.duals)
 
 
 #: The kit's solvers, taken before any test patches the module attributes.
@@ -82,10 +84,11 @@ def assert_optimum(costs, rows, rhs, got):
     """
     want = fraction_simplex.solve_lp(costs, rows, rhs)
     assert got.status == want.status == simplex.OPTIMAL
-    assert all(v >= 0 for v in got.x)
+    x = dense_simplex.full_point(got, len(costs))
+    assert all(v >= 0 for v in x)
     for row, b in zip(rows, rhs):
-        assert sum(a * v for a, v in zip(row, got.x)) == b
-    assert sum(c * v for c, v in zip(costs, got.x)) == got.objective
+        assert sum(a * v for a, v in zip(row, x)) == b
+    assert sum(c * v for c, v in zip(costs, x)) == got.objective
     assert got.objective == want.objective
 
 
@@ -96,11 +99,12 @@ def assert_same_path(costs, columns, rhs, basis, characters=None):
     basis, and they price every column as the dense objective row does.
     """
     got = _solve_from_basis(costs, columns, rhs, basis, characters)
-    rows = dense_simplex.dense_rows(columns, rhs, characters)
-    want, reduced = dense_simplex.solve_from_basis(costs, rows, rhs, basis)
-    assert path_fields(got) == path_fields(want)
+    dense_costs, rows = dense_simplex.dense_lp(costs, columns, rhs, characters)
+    want, reduced = dense_simplex.solve_from_basis(dense_costs, rows, rhs, basis)
+    width = len(dense_costs)
+    assert path_fields(got, width) == path_fields(want, width)
     if got.status == simplex.OPTIMAL:
-        assert dense_simplex.reduced_costs(costs, rows, got.duals) == reduced
+        assert dense_simplex.reduced_costs(dense_costs, rows, got.duals) == reduced
     return got
 
 
@@ -123,18 +127,18 @@ def routed():
     def checked_from_basis(costs, columns, rhs, basis, characters=None):
         count[0] += 1
         result = assert_same_path(costs, columns, rhs, basis, characters)
-        assert_optimum(costs, dense_simplex.dense_rows(columns, rhs, characters), rhs, result)
-        solved[id(result)] = (result, columns, characters)
+        assert_optimum(*dense_simplex.dense_lp(costs, columns, rhs, characters), rhs, result)
+        solved[id(result)] = (result, costs, columns, characters)
         return result
 
-    def checked_settle(result, costs, rhs):
-        got = _settle(result, costs, rhs)
+    def checked_settle(result, rhs):
+        got = _settle(result, rhs)
         if got is not None:
             count[0] += 1
-            _, columns, characters = solved[id(result)]
-            rows = dense_simplex.dense_rows(columns, rhs, characters)
-            assert_optimum(costs, rows, rhs, got)
-            assert all(v >= 0 for v in dense_simplex.reduced_costs(costs, rows, got.duals))
+            _, costs, columns, characters = solved[id(result)]
+            dense_costs, rows = dense_simplex.dense_lp(costs, columns, rhs, characters)
+            assert_optimum(dense_costs, rows, rhs, got)
+            assert all(v >= 0 for v in dense_simplex.reduced_costs(dense_costs, rows, got.duals))
         return got
 
     with pytest.MonkeyPatch.context() as patch:
@@ -278,12 +282,15 @@ def test_wide_document_path_matches_dense_reference(monkeypatch, n, planted, end
 def assert_optimal_duals(result, costs, columns, rhs, characters):
     """``result.duals`` are optimal row duals y of the LP and its basis.
 
-    Under y every column's reduced cost c_j − yᵀA_j, the atoms' built
-    from their characters, is ≥ 0; each basic column's is 0; and yᵀb
-    is the objective.
+    ``result.x`` holds one value per basic column.  Under y every
+    column's reduced cost c_j − yᵀA_j, the atoms' built from their
+    characters, is ≥ 0; each basic column's is 0; and yᵀb is the
+    objective.
     """
-    rows = dense_simplex.dense_rows(columns, rhs, characters)
-    reduced = dense_simplex.reduced_costs(costs, rows, result.duals)
+    assert len(result.x) == len(result.basis)
+    reduced = dense_simplex.reduced_costs(
+        *dense_simplex.dense_lp(costs, columns, rhs, characters), result.duals
+    )
     assert all(v >= 0 for v in reduced)
     assert all(reduced[j] == 0 for j in result.basis)
     assert sum(y * b for y, b in zip(result.duals, rhs)) == result.objective
@@ -310,16 +317,16 @@ def test_every_margin_lp_returns_optimal_duals(scenario):
     def from_basis(costs, columns, rhs, basis, characters=None):
         result = _solve_from_basis(costs, columns, rhs, basis, characters)
         assert_optimal_duals(result, costs, columns, rhs, characters)
-        solved[id(result)] = (columns, characters)
+        solved[id(result)] = (costs, columns, characters)
         checked[0] += 1
         return result
 
-    def settle(result, costs, rhs):
-        got = _settle(result, costs, rhs)
+    def settle(result, rhs):
+        got = _settle(result, rhs)
         if got is not None:
-            columns, characters = solved[id(result)]
+            costs, columns, characters = solved[id(result)]
             assert_optimal_duals(got, costs, columns, rhs, characters)
-            solved[id(got)] = (columns, characters)
+            solved[id(got)] = (costs, columns, characters)
             checked[0] += 1
         return got
 
@@ -453,9 +460,11 @@ def explicit_lps(draw):
         basis.append(atoms + len(columns))
         columns.append({i: -1 if b < 0 else 1})
     width = atoms + len(columns)
-    costs = draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=width, max_size=width))
+    # One cost per explicit column; an atom costs 0.
+    cost = st.integers(min_value=-3, max_value=3)
+    costs = draw(st.lists(cost, min_size=len(columns), max_size=len(columns)))
     for col in basis:
-        costs[col] = draw(st.sampled_from([0, 0, 1]))
+        costs[col - atoms] = draw(st.sampled_from([0, 0, 1]))
     basis = draw(st.permutations(basis))
     if draw(st.booleans()):
         basis[draw(st.integers(0, m - 1))] = draw(st.integers(0, width - 1))
@@ -485,7 +494,7 @@ def _beale(slack_entry):
 @example(([0, 0, -1, -2], [{0: 1}, {1: -1}, {0: 2, 1: 3}, {0: 1, 1: -1}], [4, -2], [0, 1], None))
 # A cost-1 unit column, basic at the start: the margin LP's t when it
 # has one relaxed row (an le side here), which an atom then replaces.
-@example(([0, 0, 1, 0], [{1: -1}, {1: 1}], [1, Fraction(1, 2)], [0, 2], (1, [0, 1])))
+@example(([1, 0], [{1: -1}, {1: 1}], [1, Fraction(1, 2)], [0, 2], (1, [0, 1])))
 # A second unit column on a row that a slack already takes: in the
 # start basis (singular), and entering at a negative cost.
 @example(([0, 0, 0], [{0: 1}, {0: -1}, {1: 1}], [1, 1], [0, 1], None))
@@ -638,15 +647,25 @@ def _permutation_average(space, values):
 
 
 def _integer_two_phase(costs, rows, rhs, width):
-    """The kit's phase 1 for a start basis, then its one-phase simplex."""
+    """The kit's phase 1 for a start basis, then its one-phase simplex.
+
+    Returns the result and its point over every column.
+    """
     start = _solve_lp(rows, rhs)
     assert len(start.basis) == len(rows)
     columns = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(width)]
-    return _solve_from_basis(costs, columns, rhs, list(start.basis))
+    result = _solve_from_basis(costs, columns, rhs, list(start.basis))
+    return result, dense_simplex.full_point(result, width)
+
+
+def _fraction_two_phase(costs, rows, rhs, width):
+    """The Fraction reference's two-phase solve; returns the result and its point."""
+    result = fraction_simplex.solve_lp(costs, rows, rhs)
+    return result, result.x
 
 
 @pytest.mark.parametrize(
-    "solver", [_integer_two_phase, fraction_simplex.solve_lp], ids=["integer", "fraction"]
+    "solver", [_integer_two_phase, _fraction_two_phase], ids=["integer", "fraction"]
 )
 def test_upper_ghz_witness_is_the_symmetrized_min_mass_optimum(solver):
     """The hard-coded ``upper-ghz`` witness is the LP's symmetrized optimum.
@@ -666,11 +685,11 @@ def test_upper_ghz_witness_is_the_symmetrized_min_mass_optimum(solver):
     relations = [simplex.GE] * 3 + [simplex.EQ, simplex.GE]
     std_rows, width = dense_simplex.to_standard_form(rows, relations)
     costs = [1] * space.atom_count + [0] * (width - space.atom_count)
-    result = solver(costs, std_rows, [1, 1, 1, -1, 1], width)
+    result, x = solver(costs, std_rows, [1, 1, 1, -1, 1], width)
     assert result.status == simplex.OPTIMAL
     assert result.objective == Fraction(7, 5)
     witness = solve_upper_ghz_witness()
-    optimum = _permutation_average(space, result.x[: space.atom_count])
+    optimum = _permutation_average(space, x[: space.atom_count])
     assert witness.atom_measure.values == optimum
 
 
@@ -691,7 +710,9 @@ def test_tampered_witness_makes_solve_raise(monkeypatch, moved):
 
     ``nudged`` adds 10⁻³⁰ to one atom (normalization breaks); ``moved``
     also takes it from an atom of opposite sign in E(AB), so the total
-    stays 1 and only the moment check can see it.
+    stays 1 and only the moment check can see it.  Each edit is to the
+    atom's basic entry of x_B; an atom of the witness is basic, as it
+    holds mass.
     """
     delta = Fraction(1, 10**30)
     scenario = make_scenario(
@@ -707,10 +728,13 @@ def test_tampered_witness_makes_solve_raise(monkeypatch, moved):
 
     def tampered(costs, columns, rhs, basis, characters=None):
         result = _solve_from_basis(costs, columns, rhs, basis, characters)
+        n = len(honest.witness.values)
+        # Untampered, x_B lifts to the honest witness.
+        assert dense_simplex.full_point(result, n + len(columns))[:n] == list(honest.witness.values)
         x = list(result.x)
-        x[plus] += delta
+        x[result.basis.index(plus)] += delta
         if moved:
-            x[minus] -= delta
+            x[result.basis.index(minus)] -= delta
         return simplex.LpResult(
             result.status,
             x,
@@ -724,3 +748,44 @@ def test_tampered_witness_makes_solve_raise(monkeypatch, moved):
     monkeypatch.setattr(simplex, "solve_from_basis", tampered)
     with pytest.raises(AssertionError, match="witness"):
         feasibility.solve(scenario)
+
+
+# --- the certificate check against the dense rows -------------------------------
+
+_multiplier = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    relaxed_scenarios(),
+    st.sampled_from(["box", "lo", "hi"]),
+    st.sampled_from(["produced", "perturbed", "sign-flipped"]),
+    st.integers(min_value=0, max_value=7),
+    _multiplier.filter(bool),
+    st.lists(_multiplier, min_size=8, max_size=8),
+)
+@example(ghz_scenario(), "box", "produced", 0, 1, [0] * 8)
+@example(ghz_scenario(), "box", "perturbed", 0, Fraction(1, 4), [0] * 8)
+@example(bell_scenario(), "box", "sign-flipped", 1, 1, [0] * 8)
+def test_certificate_check_matches_the_dense_rows(scenario, endpoint, edit, pick, delta, drawn):
+    """``verify_certificate``'s one transform decides as the dense rows do.
+
+    The certificate is the one ``solve`` produced, or ``drawn`` when the
+    verdict has none; ``perturbed`` adds ``delta`` to one multiplier and
+    ``sign-flipped`` negates one.  The dense rule
+    (``dense_simplex.verify_certificate_by_rows``) must give the same
+    answer on each, and a produced certificate passes both.
+    """
+    if endpoint != "box":
+        scenario = corner(scenario, endpoint)
+    rows = 1 + len(scenario.constraints)
+    produced = feasibility.solve(scenario).certificate
+    y = list(produced or drawn[:rows])
+    if edit == "perturbed":
+        y[pick % rows] += delta
+    elif edit == "sign-flipped":
+        y[pick % rows] = -y[pick % rows]
+    got = feasibility.verify_certificate(scenario, y)
+    assert got == dense_simplex.verify_certificate_by_rows(scenario, y)
+    if produced and edit == "produced":
+        assert got
