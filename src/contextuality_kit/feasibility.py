@@ -511,7 +511,8 @@ def _grid_verdicts(points) -> list[tuple[bool, bool]]:
     With p = a/b, q = c/k and d = lcm(b, k), its right-hand side
     (1, e, e, e, t) goes to :func:`sweep.solve_many` as the ints
     d·(1, e, e, e, t), read off the numerators and denominators; the
-    sweep's checks are exact and unchanged by that positive scale.  The
+    sweep's checks are exact, and neither they nor its dual pivots,
+    which read only signs of x_B, change with that positive scale.  The
     closed form gets e and t as one Fraction each, so a point outside
     [0, 1]² raises GhzMoments' ValueError before any LP runs.
     """
@@ -545,13 +546,16 @@ def oracle_grid_agreement(
     :func:`ghz_symmetric_scenario`, E(A)=E(B)=E(C)=2p-1 and
     E(ABC)=2q-1.  All points share its 5x8 matrix and differ only in
     the right-hand side, so the LP verdicts come from one
-    :func:`sweep.solve_many` sweep: a point is settled by the last
+    :func:`sweep.solve_many` sweep, which runs no phase 1: the matrix is
+    put in Gauss–Jordan form once, a point is settled by the last
     feasible basis or Farkas certificate found earlier in the same
-    sweep, re-checked exactly at that point, and only a point neither
-    settles runs a cold phase 1.  Every verdict is therefore the one a
-    cold solve gives.  The kept evidence lives in this one sweep, which
-    runs in the calling process.  ``workers`` is ignored; it is still
-    accepted for callers that pass it.
+    sweep, re-checked exactly at that point, and a point neither settles
+    takes dual-simplex pivots from the sweep's current basis until its
+    x_B is nonnegative or a row proves it infeasible.  Every verdict is
+    an exact proof at its point, so it is the one a cold solve gives.
+    The kept evidence lives in this one sweep, which runs in the calling
+    process.  ``workers`` is ignored; it is still accepted for callers
+    that pass it.
 
     The report lists every mismatch; an empty list is the expected
     outcome.

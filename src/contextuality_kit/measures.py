@@ -29,7 +29,7 @@ from fractions import Fraction
 from ._record import Record
 from .errors import MeasureError, UndefinedConditionalError
 from .event_space import EventMask, EventSpace, moment_coefficients, moment_mask, sign_event
-from .numerics import format_scalar, over_common_denominator, scalar_from_string
+from .numerics import format_scalar, over_common_denominator, quoted, scalar_from_string
 
 STANDARD = "standard"
 LOWER_ATOMS = "lower-atoms"
@@ -87,7 +87,7 @@ class AtomMeasure(Record):
         from .event_space import build_space
 
         space = build_space(data["variables"])
-        atoms = {k: scalar_from_string(v, f"atom {k!r}") for k, v in data["atoms"].items()}
+        atoms = {k: scalar_from_string(v, f"atom {quoted(k)}") for k, v in data["atoms"].items()}
         return cls.from_dict(space, atoms, data.get("kind", STANDARD))
 
 

@@ -54,18 +54,21 @@ _EXACT_SCALAR = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 def scalar_from_string(text: str, name: str = "the value") -> Fraction:
     """Parse a "p/q" or integer string into an exact rational.
 
-    A number with more digits than the interpreter reads is refused with
-    ExpressionError, as a scenario literal is; its message calls the
-    number ``name``.
+    Every refusal names the value ``name``: a non-string, a text that is
+    not an integer or p/q and a zero denominator raise ValueError, and a
+    number with more digits than the interpreter reads raises
+    ExpressionError, as a scenario literal does.
     """
     if not isinstance(text, str):
-        raise ValueError(f"exact scalars are written as strings such as '1/3', got {quoted(text)}")
+        raise ValueError(
+            f"exact scalars are written as strings such as '1/3', got {quoted(text)} for {name}"
+        )
     if not _EXACT_SCALAR.fullmatch(text):
-        raise ValueError(f"exact scalar {quoted(text)} is not an integer or p/q")
+        raise ValueError(f"exact scalar {quoted(text)} for {name} is not an integer or p/q")
     try:
         return _literal(text, None, name)
     except ZeroDivisionError:
-        raise ValueError(f"exact scalar {quoted(text)} has a zero denominator") from None
+        raise ValueError(f"exact scalar {quoted(text)} for {name} has a zero denominator") from None
 
 
 def format_scalar(value: Fraction) -> str:

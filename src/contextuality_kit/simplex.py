@@ -18,11 +18,12 @@ nonzero or it is not.
   another right-hand side, from its optimal basis, when that basis is
   still primal-feasible there; its objective is yᵀb, off the duals.
 
-The integer rows, the pivot and the ratio test are shared with
-:mod:`.sweep`, whose dense phase-1 tableau (``sweep.solve_lp``) runs
-grid sweeps' cold solves.  No decision runs it; ``solve_lp`` is still
-reachable as an attribute of this module, and importing it loads
-:mod:`.sweep`.
+The integer rows and the pivot are shared with :mod:`.sweep`, whose
+grid sweeps put one matrix in Gauss–Jordan form once and then take
+dual-simplex pivots per right-hand side (``sweep.solve_many``), and
+with its dense phase-1 tableau (``sweep.solve_lp``), which no kit path
+runs any more; ``solve_lp`` is still reachable as an attribute of this
+module, and importing it loads :mod:`.sweep`.
 
 The revised simplex holds ``[B⁻¹ | x_B]`` and the objective row instead
 of every column, and B⁻¹ only over its live columns: while a slack (a
@@ -587,7 +588,8 @@ def settle(result: LpResult, rhs: list[Fraction]) -> LpResult | None:
 def _basic_values(inverse, b):
     """``B⁻¹·b`` from a kept inverse, or None when an entry is negative.
 
-    ``inverse`` is an ``LpResult.inverse`` and ``b`` the right-hand side
+    ``inverse`` is an ``LpResult.inverse``, or ``sweep.solve_many``'s
+    kept basis inverse in the same layout, and ``b`` the right-hand side
     times some d > 0: ints over one common denominator d for
     :func:`settle`, or as a caller of ``sweep.solve_many`` gave it.
     Entry i is ``ints_i·b``, so x_B(i) is entry i over d times row i's

@@ -662,6 +662,20 @@ class TestWitnessCommandsAndValidate:
         assert code == EXIT_VIOLATION
         assert validated["results"][0]["violations"]
 
+    def test_validate_names_a_malformed_atom_value(self, tmp_path):
+        # One atom of a feasible report's witness is 5,000 x's: the error
+        # names that atom and stays short.
+        _, report = run_json("check", "--scenario", bundled("chsh-classical.json"))
+        atom = sorted(report["witness"]["atoms"])[1]
+        report["witness"]["atoms"][atom] = "x" * 5000
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        code, validated = run_json("validate", "--file", str(path))
+        assert code == EXIT_USAGE
+        assert validated["verdict"] == "input-error"
+        assert f"for atom {atom!r} is not an integer or p/q" in validated["error"]
+        assert len(validated["error"]) < 300
+
     @pytest.mark.parametrize(
         "document, message",
         [

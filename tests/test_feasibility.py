@@ -384,14 +384,21 @@ def _grid_in_order(order):
 
 
 @pytest.mark.parametrize("order", ["row-major", "reversed", "shuffled", "duplicated"])
-def test_warm_grid_verdicts_equal_cold_verdicts(cold_grid_61, order):
+def test_warm_grid_verdicts_equal_cold_verdicts(monkeypatch, cold_grid_61, order):
     points = _grid_in_order(order)
+
+    def cold(*args):
+        raise AssertionError("the grid sweep ran a cold solve")
+
+    # The cold side is the fixture's; the sweep itself runs none.
+    monkeypatch.setattr(sweep, "solve_lp", cold)
     verdicts = _grid_verdicts(points)
     assert [lp_ok for lp_ok, _ in verdicts] == [cold_grid_61[pt] for pt in points]
 
 
 def test_grid_verdicts_equal_the_decision_engine_verdicts():
-    # The sweep's phase 1 and feasibility.solve's margin LP share no LP.
+    # The sweep's dual-simplex tableau and feasibility.solve's margin LP
+    # share no LP.
     points = uniform_grid(21)
     verdicts = _grid_verdicts(points)
     assert [lp_ok for lp_ok, _ in verdicts] == [
@@ -411,17 +418,22 @@ def _fraction_grid_verdicts(points):
     ]
 
 
-def _with_cold_count(sweep_of, *args):
-    """``sweep_of(*args)`` and the number of cold phase-1 solves it made."""
-    calls = [0]
-    original = sweep.solve_lp
+def _with_pivot_count(sweep_of, *args):
+    """``sweep_of(*args)`` and the number of pivots, crash and dual, it took.
 
-    def counted(*solve_args):
+    The dual pivots read only signs of x_B and the tableau, which does
+    not depend on the right-hand side, so a positive scale of a
+    right-hand side changes no pivot.
+    """
+    calls = [0]
+    original = sweep._pivot
+
+    def counted(*pivot_args):
         calls[0] += 1
-        return original(*solve_args)
+        return original(*pivot_args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sweep, "solve_lp", counted)
+        patch.setattr(sweep, "_pivot", counted)
         result = sweep_of(*args)
     return result, calls[0]
 
@@ -437,8 +449,8 @@ _grid_coordinate = st.one_of(
 @example([(Fraction(1, 6), Fraction(3, 4)), (0, 1), (1, 0), (Fraction(1, 2), Fraction(1, 5))])
 def test_integer_grid_verdicts_equal_the_fraction_formulation(points):
     points = points + points[::2]  # repeated points settle on kept evidence
-    want = _with_cold_count(_fraction_grid_verdicts, points)
-    assert _with_cold_count(_grid_verdicts, points) == want
+    want = _with_pivot_count(_fraction_grid_verdicts, points)
+    assert _with_pivot_count(_grid_verdicts, points) == want
 
 
 @pytest.mark.parametrize("point", [(Fraction(3, 2), 0), (0, -1), ("-1/3", "1/2")])
@@ -466,14 +478,14 @@ _sweep_entry = st.fractions(min_value=-2, max_value=2, max_denominator=3)
 def test_solve_many_takes_each_right_hand_side_at_any_positive_scale(problem, factors):
     # The sweep's checks are exact and scale-invariant, so ints over each
     # rhs's own denominator, times any k > 0, and Fractions over k give
-    # the same verdicts from the same cold solves.
+    # the same verdicts from the same pivots.
     rows, rhs_list = integer_rows(*problem)
-    want = _with_cold_count(sweep.solve_many, rows, rhs_list)
+    want = _with_pivot_count(sweep.solve_many, rows, rhs_list)
     scaled = list(zip(rhs_list, factors))
     as_ints = [[k * v for v in over_common_denominator(rhs)[0]] for rhs, k in scaled]
     as_fractions = [[Fraction(v) / k for v in rhs] for rhs, k in scaled]
-    assert _with_cold_count(sweep.solve_many, rows, as_ints) == want
-    assert _with_cold_count(sweep.solve_many, rows, as_fractions) == want
+    assert _with_pivot_count(sweep.solve_many, rows, as_ints) == want
+    assert _with_pivot_count(sweep.solve_many, rows, as_fractions) == want
 
 
 def test_oracle_lists_a_disagreeing_point(monkeypatch):

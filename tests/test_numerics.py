@@ -91,6 +91,21 @@ def test_other_scalar_texts_are_refused(text):
         scalar_from_string(text)
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (0.5, "got 0.5 for atom '+-'"),
+        ("x" * 5000, "(5000 characters) for atom '+-' is not an integer or p/q"),
+        ("1/0", "exact scalar '1/0' for atom '+-' has a zero denominator"),
+    ],
+)
+def test_scalar_errors_name_the_value(value, message):
+    with pytest.raises(ValueError) as error:
+        scalar_from_string(value, "atom '+-'")
+    assert message in str(error.value)
+    assert len(str(error.value)) < 200
+
+
 @pytest.mark.skipif(
     not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
     reason="this interpreter converts integer strings of any length",

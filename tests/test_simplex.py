@@ -262,17 +262,21 @@ def _cold_statuses(rows, rhs_list):
     return [sweep.solve_lp(rows, rhs).status for rhs in rhs_list]
 
 
-def _counting_solve_lp(monkeypatch):
-    """Count the cold solves ``solve_many`` makes; returns the counter."""
+def _counting_pivots(monkeypatch):
+    """Count the pivots ``solve_many`` takes, crash and dual; returns the counter."""
     calls = [0]
-    original = sweep.solve_lp
+    original = sweep._pivot
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls[0] += 1
-        return original(*args, **kwargs)
+        return original(*args)
 
-    monkeypatch.setattr(sweep, "solve_lp", counted)
+    monkeypatch.setattr(sweep, "_pivot", counted)
     return calls
+
+
+def _no_cold_solve(*args):
+    raise AssertionError("solve_many ran a cold solve")
 
 
 def test_phase_one_takes_only_integer_rows():
@@ -299,24 +303,29 @@ def test_solve_many_rechecks_dropped_rows():
 
 
 @pytest.mark.parametrize(
-    "rows, row_scales, cold",
+    "rows, row_scales, pivots",
     [
-        # Unimodular: one cold solve per verdict settles the rest.
+        # Unimodular: the crash basis (2 pivots) is feasible at every
+        # feasible point, and its row for x1 = b1 < 0 has no negative
+        # entry, so the first infeasible point's Farkas vector settles
+        # the rest with no dual pivot.
         pytest.param([[1, 1, 0], [0, 1, 1]], (1, 1), 2, id="rows0-2"),
         # x0/2 + x1 = b0 and 2·x1/3 + 3·x2 = b1 times 2 and 3, a basis of
-        # determinant 2: the first basis holds while x0 = 2 - 3·b1 >= 0,
-        # then one more is needed.
-        pytest.param([[1, 2, 0], [0, 2, 9]], (2, 3), 3, id="rows1-3"),
+        # determinant 2: the crash basis holds while x0 = 2 - 3·b1 >= 0,
+        # then one dual pivot brings x2 in, and one more reaches the
+        # Farkas row at the first infeasible point.
+        pytest.param([[1, 2, 0], [0, 2, 9]], (2, 3), 4, id="rows1-3"),
     ],
 )
-def test_solve_many_reuses_evidence(monkeypatch, rows, row_scales, cold):
-    calls = _counting_solve_lp(monkeypatch)
+def test_solve_many_reuses_evidence(monkeypatch, rows, row_scales, pivots):
+    monkeypatch.setattr(sweep, "solve_lp", _no_cold_solve)
+    calls = _counting_pivots(monkeypatch)
     feasible = [[1, Fraction(k, 4)] for k in range(5)]
     infeasible = [[1, -Fraction(k + 1, 4)] for k in range(5)]
     rhs_list = [list(map(mul, row_scales, rhs)) for rhs in feasible + infeasible]
     statuses = sweep.solve_many(rows, rhs_list)
     assert statuses == [simplex.OPTIMAL] * 5 + [simplex.INFEASIBLE] * 5
-    assert calls[0] == cold
+    assert calls[0] == pivots
 
 
 def test_solve_many_scales_fraction_rows():
@@ -391,61 +400,121 @@ def _ghz_rows_and_rhs():
     return rows, rhs_list
 
 
-def test_solve_many_survives_a_wrong_inverse(monkeypatch):
+def test_solve_many_rejects_a_wrong_inverse(monkeypatch):
+    # A kept basis is checked at the point its dual pivots end on, so a
+    # wrong inverse raises there instead of deciding any verdict.
     rows, rhs_list = _ghz_rows_and_rhs()
-    want = _cold_statuses(rows, rhs_list)
-    original = sweep.solve_lp
+    original = sweep._kept_basis
 
-    def tampered(*args, **kwargs):
-        result = original(*args, **kwargs)
-        if result.inverse is None:
-            return result
-        inverse = [(list(line), scale) for line, scale in result.inverse]
+    def tampered(*args):
+        inverse, block, scale = original(*args)
         inverse[0][0][0] += 1
-        return simplex.LpResult(
-            result.status, pivots=result.pivots, basis=result.basis, inverse=tuple(inverse)
-        )
+        return inverse, block, scale
 
-    monkeypatch.setattr(sweep, "solve_lp", tampered)
-    calls = _counting_solve_lp(monkeypatch)
-    assert sweep.solve_many(rows, rhs_list) == want
-    # The wrong inverse never settles a point: every feasible one is cold.
-    assert calls[0] >= want.count(simplex.OPTIMAL)
+    monkeypatch.setattr(sweep, "_kept_basis", tampered)
+    with pytest.raises(AssertionError, match="feasible basis fails its exact check"):
+        sweep.solve_many(rows, rhs_list)
 
 
 @pytest.mark.parametrize("tamper", ["negated", "bumped", "zero"])
-def test_solve_many_survives_a_wrong_certificate(monkeypatch, tamper):
+def test_solve_many_rejects_a_wrong_certificate(monkeypatch, tamper):
+    # A Farkas vector decides a point only when zᵀA <= 0 and zᵀb > 0
+    # hold exactly: the negated and the zero one fail zᵀb > 0, and the
+    # bumped one (plus the all-ones row) fails zᵀA <= 0, so each raises
+    # instead of deciding a verdict.
     rows, rhs_list = _ghz_rows_and_rhs()
-    want = _cold_statuses(rows, rhs_list)
-    original = sweep.solve_lp
+    original = sweep._dual_simplex
 
-    def tampered(*args, **kwargs):
-        result = original(*args, **kwargs)
-        if result.duals is None:
-            return result
-        y = result.duals
+    def tampered(*args):
+        z = original(*args)
+        if z is None:
+            return z
         if tamper == "negated":
-            y = [-v for v in y]
-        elif tamper == "bumped":
-            y = [y[0] + 1] + y[1:]
-        else:
-            y = [0] * len(y)
-        return simplex.LpResult(result.status, duals=y, pivots=result.pivots)
+            return [-v for v in z]
+        if tamper == "bumped":
+            return [z[0] + 1] + z[1:]
+        return [0] * len(z)
 
-    monkeypatch.setattr(sweep, "solve_lp", tampered)
-    calls = _counting_solve_lp(monkeypatch)
-    assert sweep.solve_many(rows, rhs_list) == want
-    if tamper != "bumped":
-        # Rejected when kept (negated) or never decisive (zero): every
-        # infeasible point is cold.
-        assert calls[0] >= want.count(simplex.INFEASIBLE)
+    monkeypatch.setattr(sweep, "_dual_simplex", tampered)
+    with pytest.raises(AssertionError, match="Farkas vector fails its exact check"):
+        sweep.solve_many(rows, rhs_list)
 
 
 def test_solve_many_reuses_a_certificate_across_row_scales(monkeypatch):
     # (x0 + x1)/2 = 1 and (x0 + x1)/3 = k/12, times 2 and 3: infeasible
-    # for every k < 8, and one certificate proves it.
+    # for every k < 8, and one certificate proves it.  Row 1 is
+    # redundant after the one crash pivot, and its y proves the first
+    # point; no dual pivot runs.
     rows = [[1, 1], [1, 1]]
     rhs_list = [[2, Fraction(k, 4)] for k in range(8)]
-    calls = _counting_solve_lp(monkeypatch)
+    monkeypatch.setattr(sweep, "solve_lp", _no_cold_solve)
+    calls = _counting_pivots(monkeypatch)
     assert sweep.solve_many(rows, rhs_list) == [simplex.INFEASIBLE] * 8
     assert calls[0] == 1
+
+
+def test_solve_many_terminates_on_a_dual_degenerate_system(monkeypatch):
+    # Every reduced cost is 0, so every dual step ties all the negative
+    # entries of its row, and x_B here has zero entries.  The crash
+    # basis {x0, x1, x2} gives x_B = (0, -1, -1); dual Bland's rule then
+    # takes x3 for x1 (a three-way tie), x4 for x0, x5 for x2 and x1 for
+    # x4, and stops at x_B = (1, 1, 1)/3 with no basis visited twice.
+    rows = [[1, 0, 0, 1, 0, -1], [0, 1, 0, -1, -1, -1], [0, 0, 1, -1, 1, 0]]
+    rhs = [0, -1, -1]
+    assert sweep.solve_lp(rows, rhs).status == simplex.OPTIMAL
+    bases = []
+    original = sweep._pivot
+
+    def recorded(tableau, scales, basis, row, col):
+        original(tableau, scales, basis, row, col)
+        bases.append(frozenset(basis))
+
+    monkeypatch.setattr(sweep, "_pivot", recorded)
+    monkeypatch.setattr(sweep, "solve_lp", _no_cold_solve)
+    assert sweep.solve_many(rows, [rhs]) == [simplex.OPTIMAL]
+    assert bases[3:] == [{0, 2, 3}, {2, 3, 4}, {3, 4, 5}, {1, 3, 5}]
+
+
+_small = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def _sweep_problems(draw):
+    """Integer rows (m <= 5, n <= 8) and up to 30 right-hand sides.
+
+    Rows past the drawn ones are integer combinations of them
+    (redundant); the columns past the drawn ones repeat a drawn column
+    or are zero, and all are shuffled.  Each right-hand side is rows·x
+    for a drawn x >= 0 (feasible) or drawn outright, and the list
+    repeats them in random order.
+    """
+    m = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=6))
+    rows = draw(st.lists(st.lists(_small, min_size=n, max_size=n), min_size=m, max_size=m))
+    for combination in draw(st.lists(st.lists(_small, min_size=m, max_size=m), max_size=5 - m)):
+        rows.append([sum(map(mul, combination, column)) for column in zip(*rows[:m])])
+    columns = list(zip(*rows))
+    extra = draw(st.lists(st.one_of(st.none(), st.integers(0, n - 1)), max_size=8 - n))
+    columns += [(0,) * len(rows) if k is None else columns[k] for k in extra]
+    columns = draw(st.permutations(columns))
+    rows = [list(row) for row in zip(*columns)]
+    points = draw(
+        st.lists(
+            st.lists(st.integers(min_value=0, max_value=2), min_size=len(columns), max_size=len(columns)),
+            max_size=4,
+        )
+    )
+    distinct = [[sum(map(mul, row, x)) for row in rows] for x in points]
+    distinct += draw(st.lists(st.lists(_small, min_size=len(rows), max_size=len(rows)), min_size=1, max_size=4))
+    return rows, draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=30))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_sweep_problems())
+@example(([[1, 1], [1, 1], [0, 0]], [[1, 1, 0], [1, 2, 0], [1, 1, 1], [2, 2, 0]]))
+def test_solve_many_equals_cold_solves_on_redundant_and_repeated_columns(problem):
+    rows, rhs_list = problem
+    want = _cold_statuses(rows, rhs_list)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweep, "solve_lp", _no_cold_solve)
+        assert sweep.solve_many(rows, rhs_list) == want
