@@ -12,7 +12,7 @@ Importing the package loads only the decision path: ``errors``,
 ``closed_form``, ``quantum`` and ``set_functions``, and the names below
 that come from them, are loaded on first access (PEP 562), so a
 ``check`` process never reads them.  Neither does it read ``sweep``,
-the phase-1 tableau behind grid sweeps, nor ``commands``, the CLI's
+the dual-simplex tableau behind grid sweeps, nor ``commands``, the CLI's
 other subcommands.
 """
 

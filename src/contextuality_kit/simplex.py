@@ -18,11 +18,11 @@ nonzero or it is not.
   another right-hand side, from its optimal basis, when that basis is
   still primal-feasible there; its objective is yᵀb, off the duals.
 
-The integer rows and the pivot are shared with :mod:`.sweep`, whose
-grid sweeps put one matrix in Gauss–Jordan form once and then take
-dual-simplex pivots per right-hand side (``sweep.solve_many``), and
-with its dense phase-1 tableau (``sweep.solve_lp``), which no kit path
-runs any more; ``solve_lp`` is still reachable as an attribute of this
+The integer rows and the pivot are shared with :mod:`.sweep`, which
+decides feasibility systems from one Gauss–Jordan crash basis and
+dual-simplex pivots, at many right-hand sides (``sweep.solve_many``,
+the grid sweeps) or at one (``sweep.solve_lp``, which no kit path
+runs).  ``solve_lp`` is still reachable as an attribute of this
 module, and importing it loads :mod:`.sweep`.
 
 The revised simplex holds ``[B⁻¹ | x_B]`` and the objective row instead
@@ -51,7 +51,7 @@ that tableau, kept as ``tests/dense_simplex.py`` with the full-width
 B⁻¹ rows that the live columns replaced.
 
 Every LP the kit solves has an integer matrix and a rational
-right-hand side: ±1 characters, ±1 slack, artificial and ``t`` columns,
+right-hand side: ±1 characters, ±1 slack and ``t`` columns,
 and integer costs (the cost of t).  Both solvers take only such LPs; a
 Fraction in the matrix or the costs raises TypeError.  The right-hand
 side is put over one common denominator
@@ -126,15 +126,14 @@ class LpResult(Record):
     """The outcome of one LP solve.
 
     * ``pivots``: the pivots taken.  For ``sweep.solve_lp`` these
-      include the degenerate pivots that drive artificials out of the
-      basis; for :func:`solve_from_basis` they exclude the pivots that
-      bring the start basis in.
+      include the crash pivots; for :func:`solve_from_basis` they
+      exclude the pivots that bring the start basis in.
     * ``x``, ``objective``: x_B (one value per entry of ``basis``) and
       the objective of an optimal :func:`solve_from_basis` result.
     * ``basis``: on an optimal ``sweep.solve_lp`` result, the basic
-      column of each row kept after the redundant-row drop.  On an
-      optimal :func:`solve_from_basis` result, the basic column of each
-      row.
+      column of each row the crash kept (a redundant row has none).  On
+      an optimal :func:`solve_from_basis` result, the basic column of
+      each row.
     * ``inverse``: on an optimal :func:`solve_from_basis` or
       ``sweep.solve_lp`` result, row i of B⁻¹, one per entry of
       ``basis``, as (ints, scale) in lowest terms over every original
@@ -145,9 +144,9 @@ class LpResult(Record):
       that column j's reduced cost is c_j − yᵀA_j.  On an optimal
       :func:`solve_from_basis` result they are the optimal duals:
       every reduced cost is >= 0 and yᵀb is the objective.  On an
-      infeasible ``sweep.solve_lp`` result they are the phase-1 duals,
-      a Farkas certificate of the original integer rows: yᵀA <= 0
-      componentwise and yᵀb > 0.
+      infeasible ``sweep.solve_lp`` result they are a Farkas
+      certificate of the original integer rows: yᵀA <= 0 componentwise
+      and yᵀb > 0.
     """
 
     __slots__ = ("status", "x", "objective", "duals", "pivots", "basis", "inverse")
@@ -569,8 +568,10 @@ def settle(result: LpResult, rhs: list[Fraction]) -> LpResult | None:
     kept inverse.  The new result has that x_B and the kept duals y,
     which depend on the basis alone, and the objective c_B·B⁻¹·rhs =
     yᵀ·rhs, exactly.  None means x_B has a negative entry and ``rhs``
-    needs its own solve.
+    needs its own solve.  A ``rhs`` of another length than the LP's
+    rows raises ValueError.
     """
+    _check_rhs(rhs, len(result.duals))
     b, common = over_common_denominator(rhs)
     values = _basic_values(result.inverse, b)
     if values is None:
@@ -583,6 +584,12 @@ def settle(result: LpResult, rhs: list[Fraction]) -> LpResult | None:
         duals=result.duals,
         inverse=result.inverse,
     )
+
+
+def _check_rhs(rhs, m):
+    """Raise ValueError unless ``rhs`` has one entry per row of m."""
+    if len(rhs) != m:
+        raise ValueError(f"right-hand side has {len(rhs)} entries for {m} rows")
 
 
 def _basic_values(inverse, b):

@@ -13,11 +13,22 @@ are the kit's own, pinned against ``fraction_simplex`` in
 ``test_simplex_reference.py``; ``_bring_in``, which places the start
 basis with the kit's pivot, is this module's.
 
-:func:`feasible_at` decides one scenario with the kit's phase 1,
-``sweep.solve_lp``, on the scenario's rows in standard form
-(:func:`to_standard_form`).  It shares no code with
-``feasibility.solve``'s margin LP, so the tests cross-check the
-one-phase verdicts and the closed forms with it.
+:func:`solve_lp` is the kit's former phase 1: Bland's rule on the
+dense integer tableau ``[A | I | b]`` with one artificial column per
+row, the kit's own integer pivot, ratio test and entering rule.  The
+kit now decides feasibility systems in ``sweep`` from a Gauss–Jordan
+crash basis and dual-simplex pivots, so this is the tests' independent
+integer phase-1 reference: ``test_simplex_reference.py`` pins it
+against ``fraction_simplex``'s phase 1, and every cold verdict that
+``sweep.solve_many`` is compared with comes from it.  It minimizes the
+total artificial mass; a positive optimum means infeasible, and the
+phase-1 row duals are a Farkas certificate.  At a zero optimum the
+artificials are pivoted out, redundant rows are dropped, and the
+feasible basis is returned with its inverse, read off the artificial
+block.  :func:`feasible_at` decides one scenario with it, on the
+scenario's rows in standard form (:func:`to_standard_form`).  It
+shares no code with ``feasibility.solve``'s margin LP, and only the
+integer pivot with ``sweep``.
 
 :class:`FullWidthLp` is ``simplex._RevisedLp`` as it was before it kept
 B⁻¹ over its live columns only: every row holds all m columns of B⁻¹.
@@ -41,6 +52,7 @@ from contextuality_kit.numerics import over_common_denominator
 from contextuality_kit.simplex import (
     EQ,
     GE,
+    INFEASIBLE,
     LE,
     OPTIMAL,
     UNBOUNDED,
@@ -52,7 +64,6 @@ from contextuality_kit.simplex import (
     _reduced,
     _walsh,
 )
-from contextuality_kit.sweep import solve_lp
 
 _ZERO = Fraction(0)
 
@@ -92,8 +103,91 @@ def full_point(result, width):
     return x
 
 
+def _run_bland(tableau, scales, basis):
+    """Minimize the phase-1 objective row with Bland's rule; returns the pivots."""
+    m = len(tableau) - 1
+    columns = range(len(tableau[m]) - 1)
+    pivots = 0
+    while True:
+        entering = _bland_entering(tableau[m], columns)
+        if entering < 0:
+            return pivots
+        leaving = _leaving(tableau, basis, entering)
+        assert leaving >= 0, "phase 1 is bounded below by zero"
+        _pivot(tableau, scales, basis, leaving, entering)
+        pivots += 1
+
+
+def solve_lp(rows: list[list[int]], rhs: list[Fraction]) -> LpResult:
+    """Phase 1 of the simplex for  rows·x = rhs,  x >= 0,  over int rows.
+
+    A non-int row entry raises TypeError.  A feasible system gives
+    OPTIMAL with the basis and its inverse, read off the artificial
+    columns; an infeasible one gives INFEASIBLE with the phase-1 duals,
+    the Farkas multipliers, indexed by the original rows (sign flips
+    applied internally for a negative right-hand side are undone).
+    """
+    m = len(rows)
+    n_vars = len(rows[0])
+    total_cols = n_vars + m  # structural + one artificial per row
+    if any(type(v) is not int for row in rows for v in row):
+        raise TypeError("phase 1 takes integer rows")
+
+    # Rows with a negative right-hand side are negated; artificial i is column n_vars + i.
+    b, _ = over_common_denominator(rhs)
+    signs = [-1 if v < 0 else 1 for v in b]
+    tableau = [
+        [s * a for a in row] + [int(k == i) for k in range(m)] + [s * v]
+        for i, (row, v, s) in enumerate(zip(rows, b, signs))
+    ]
+    basis = [n_vars + i for i in range(m)]
+
+    # Objective row: reduced costs of  min(sum of artificials), i.e.
+    # minus the column sums, 0 on the artificials.
+    obj = [-sum(column) for column in zip(*tableau)]
+    obj[n_vars:total_cols] = [0] * m
+    tableau.append(obj)
+    scales = [1] * (m + 1)
+
+    pivots = _run_bland(tableau, scales, basis)
+    obj, obj_scale = tableau[m], scales[m]
+    if obj[-1] < 0:  # the optimum -obj[-1]/obj_scale is positive
+        # Duals: reduced cost of artificial i is 1 - y_i.
+        duals = [
+            s * Fraction(obj_scale - r, obj_scale) for s, r in zip(signs, obj[n_vars:total_cols])
+        ]
+        return LpResult(status=INFEASIBLE, duals=duals, pivots=pivots)
+
+    # Remove artificials from the basis (degenerate pivots; redundant
+    # rows have no structural pivot and are dropped).
+    drop = []
+    for i in range(m):
+        if basis[i] >= n_vars:
+            line = tableau[i]
+            pivot_col = next((j for j in range(n_vars) if line[j]), -1)
+            if pivot_col >= 0:
+                _pivot(tableau, scales, basis, i, pivot_col)
+                pivots += 1
+            else:
+                drop.append(i)
+    for i in reversed(drop):
+        del tableau[i]
+        del scales[i]
+        del basis[i]
+    m = len(basis)
+
+    # The artificial block of each kept row is its row of B⁻¹ against
+    # the flipped rows; undoing the flips makes it B⁻¹ of the original
+    # rows.
+    inverse = tuple(
+        _reduced([s * v for s, v in zip(signs, line[n_vars:total_cols])], scale)
+        for line, scale in zip(tableau[:m], scales)
+    )
+    return LpResult(status=OPTIMAL, pivots=pivots, basis=tuple(basis), inverse=inverse)
+
+
 def phase_one_point(result, rhs, n_vars):
-    """The basic point of an optimal ``sweep.solve_lp`` result, from its inverse."""
+    """The basic point of an optimal ``solve_lp`` or ``sweep.solve_lp`` result, from its inverse."""
     b, common = over_common_denominator(rhs)
     x = [_ZERO] * n_vars
     for col, value, (_, scale) in zip(
@@ -104,7 +198,7 @@ def phase_one_point(result, rhs, n_vars):
 
 
 def integer_rows(rows, rhs_list):
-    """The same systems in integer rows, as ``sweep.solve_lp`` takes them.
+    """The same systems in integer rows, as :func:`solve_lp` and ``sweep.solve_lp`` take them.
 
     Row i, and its entry of every right-hand side in ``rhs_list``, is
     multiplied by the lcm of the row's denominators.
@@ -117,7 +211,7 @@ def integer_rows(rows, rhs_list):
 
 
 def feasible_at(scenario):
-    """Whether the kit's phase 1 finds a joint distribution for ``scenario``.
+    """Whether the tests' phase 1, :func:`solve_lp`, finds a joint distribution for ``scenario``.
 
     It decides one target point, so every target must be a point; a
     bracketed scenario is decided at its corners.

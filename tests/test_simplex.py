@@ -5,6 +5,7 @@ from operator import mul
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import dense_simplex
 import fraction_simplex
 from contextuality_kit import feasibility, simplex, sweep
 from contextuality_kit.numerics import parse_and_evaluate
@@ -259,7 +260,8 @@ def test_bracket_denominators_stay_out_of_the_inverse():
 
 
 def _cold_statuses(rows, rhs_list):
-    return [sweep.solve_lp(rows, rhs).status for rhs in rhs_list]
+    """Each right-hand side's status from the tests' Bland phase 1, not the sweep's dual simplex."""
+    return [dense_simplex.solve_lp(rows, rhs).status for rhs in rhs_list]
 
 
 def _counting_pivots(monkeypatch):
@@ -518,3 +520,64 @@ def test_solve_many_equals_cold_solves_on_redundant_and_repeated_columns(problem
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sweep, "solve_lp", _no_cold_solve)
         assert sweep.solve_many(rows, rhs_list) == want
+
+
+@st.composite
+def _cold_problems(draw):
+    """A :func:`_sweep_problems` draw, its right-hand sides also negated."""
+    rows, rhs_list = draw(_sweep_problems())
+    return rows, rhs_list + [[-v for v in rhs] for rhs in rhs_list]
+
+
+@settings(deadline=None, max_examples=200)
+@given(_cold_problems())
+@example(([[1, 1], [1, 1], [0, 0]], [[1, 1, 0], [1, 2, 0], [1, 1, 1], [-1, -1, 0]]))
+def test_cold_solve_gives_the_reference_status_and_its_proof(problem):
+    rows, rhs_list = problem
+    n = len(rows[0])
+    calls = [0]
+    original = sweep._pivot
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweep, "_pivot", counted)
+        for rhs in rhs_list:
+            calls[0] = 0
+            result = sweep.solve_lp(rows, rhs)
+            assert result.pivots == calls[0]
+            assert result.status == dense_simplex.solve_lp(rows, rhs).status
+            if result.status == simplex.OPTIMAL:
+                x = phase_one_point(result, rhs, n)
+                assert all(v >= 0 for v in x)
+                assert [sum(map(mul, row, x)) for row in rows] == rhs
+            else:
+                y = result.duals
+                assert all(sum(map(mul, column, y)) <= 0 for column in zip(*rows))
+                assert sum(map(mul, y, rhs)) > 0
+
+
+def _two_row_optimum():
+    columns = [{0: 1}, {1: 1}]
+    return simplex.solve_from_basis([0, 0], columns, [1, 1], [0, 1])
+
+
+@pytest.mark.parametrize(
+    "solve, got",
+    [
+        pytest.param(lambda rhs: sweep.solve_lp([[1, 0], [0, 1]], rhs), [1], id="solve_lp-short"),
+        pytest.param(lambda rhs: sweep.solve_lp([[1, 0], [0, 1]], rhs), [1, -1, 5], id="solve_lp-long"),
+        pytest.param(
+            lambda rhs: sweep.solve_many([[1, 0], [0, 1]], [[1, 1], rhs]), [1], id="solve_many"
+        ),
+        pytest.param(lambda rhs: simplex.settle(_two_row_optimum(), rhs), [1], id="settle-short"),
+        pytest.param(
+            lambda rhs: simplex.settle(_two_row_optimum(), rhs), [1, 2, -3], id="settle-long"
+        ),
+    ],
+)
+def test_a_right_hand_side_of_the_wrong_length_is_refused(solve, got):
+    with pytest.raises(ValueError, match=f"right-hand side has {len(got)} entries for 2 rows"):
+        solve(got)

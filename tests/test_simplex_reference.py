@@ -1,11 +1,13 @@
 """The kit's simplex solvers against their former implementations.
 
 ``fraction_simplex`` is the kit's former two-phase solver, one Fraction
-per tableau cell.  Its phase 1 and the kit's, ``sweep.solve_lp``,
-follow Bland's rule on the same rational tableau, so every system must
-come back with the same status, basic point, Farkas multipliers and
-phase-1 pivot count.  Equal pivot counts are the direct evidence that
-the pivot sequence did not change.
+per tableau cell.  Its phase 1 and the tests' integer phase 1,
+``dense_simplex.solve_lp``, which runs on the kit's ``_pivot``,
+``_leaving`` and ``_bland_entering``, follow Bland's rule on the same
+rational tableau, so every system must come back with the same status,
+basic point, Farkas multipliers and phase-1 pivot count.  Equal pivot
+counts are the direct evidence that the integer pivot, ratio test and
+entering rule take the Fraction tableau's path.
 
 ``dense_simplex`` is the former one-phase solver on the dense integer
 tableau.  The revised, Walsh-priced ``simplex.solve_from_basis`` must
@@ -67,8 +69,12 @@ _settle = simplex.settle
 
 
 def assert_same(rows, rhs):
-    """The kit's phase 1 gives the Fraction reference's phase-1 outcome."""
-    got = _solve_lp(rows, rhs)
+    """The tests' integer phase 1 gives the Fraction reference's phase-1 outcome.
+
+    That phase 1 (``dense_simplex.solve_lp``) runs the kit's integer
+    pivot, ratio test and Bland entering rule.
+    """
+    got = dense_simplex.solve_lp(rows, rhs)
     want = fraction_simplex.solve_lp(None, rows, rhs)
     assert (got.status, got.duals, got.pivots) == (want.status, want.farkas, want.pivots[0])
     if got.status == simplex.OPTIMAL:
@@ -110,19 +116,16 @@ def assert_same_path(costs, columns, rhs, basis, characters=None):
 
 @contextmanager
 def routed():
-    """Route every kit LP through the kit and a reference; yields the LP counter.
+    """Route every margin LP through the kit and a reference; yields the LP counter.
 
-    A margin LP settled from another optimum's basis counts as its own
-    LP: it is checked for the reference's optimal value and for
-    nonnegative reduced costs under its duals, the proof that its basis
-    is optimal.
+    No kit path solves a feasibility system cold, so ``sweep.solve_lp``
+    is not routed.  A margin LP settled from another optimum's basis
+    counts as its own LP: it is checked for the reference's optimal
+    value and for nonnegative reduced costs under its duals, the proof
+    that its basis is optimal.
     """
     count = [0]
     solved = {}
-
-    def checked(rows, rhs):
-        count[0] += 1
-        return assert_same(rows, rhs)
 
     def checked_from_basis(costs, columns, rhs, basis, characters=None):
         count[0] += 1
@@ -142,7 +145,6 @@ def routed():
         return got
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sweep, "solve_lp", checked)
         patch.setattr(simplex, "solve_from_basis", checked_from_basis)
         patch.setattr(simplex, "settle", checked_settle)
         yield count
@@ -647,7 +649,7 @@ def _permutation_average(space, values):
 
 
 def _integer_two_phase(costs, rows, rhs, width):
-    """The kit's phase 1 for a start basis, then its one-phase simplex.
+    """The kit's cold feasibility solve for a start basis, then its one-phase simplex.
 
     Returns the result and its point over every column.
     """
