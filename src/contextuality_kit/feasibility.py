@@ -194,9 +194,9 @@ def solve(scenario: Scenario) -> FeasibilityOutcome:
       solved from its crash basis; otherwise it is indeterminate, with
       no evidence.
 
-    Dantzig pricing with lowest-index ties and the Bland fallback on
-    degenerate steps fix the pivot path, so the evidence is
-    deterministic.  The outcome carries the exact margin t.
+    Dantzig pricing with lowest-index ties and the lexicographic ratio
+    test fix the pivot path, so the evidence is deterministic.  The
+    outcome carries the exact margin t.
     """
     result, rows_of = _margin_lp(scenario, _box(scenario))
     n = scenario.space.atom_count

@@ -12,8 +12,8 @@ nonzero or it is not.
   columns are pivoted in.  Every standard scenario is decided by it:
   the optimum's basic values (``LpResult.x``) give the witness, and
   its row duals (``LpResult.duals``) the Farkas certificate.  Dantzig's
-  rule with lowest-index ties and the Bland fallback on degenerate
-  steps fix the pivot path, so that evidence is deterministic.
+  rule with lowest-index ties and the lexicographic ratio test fix the
+  pivot path, so that evidence is deterministic.
 * :func:`settle`, the optimum of a :func:`solve_from_basis` LP at
   another right-hand side, from its optimal basis, when that basis is
   still primal-feasible there; its objective is yᵀb, off the duals.
@@ -73,21 +73,18 @@ row keeps a positive common factor until a read-out puts it in lowest
 terms.  Below the bound a full-row gcd after every update costs more
 than the slightly longer integers it saves.
 
-Bland's rule (lowest eligible index enters; ties in the ratio test
-broken by lowest basic index) guarantees termination without cycling.
-Its choices read only signs and ratios within one row.  A positive
-scale changes no sign, and the ratio test decides
-``rhs_i/coeff_i < rhs_k/coeff_k`` as ``rhs_i·coeff_k < rhs_k·coeff_i``,
-where the row scales cancel, and so does a positive factor common to a
-row and its scale.  So the pivots are exactly those of the same tableau
-held in Fractions, whichever rows are in lowest terms.
-
-The one-phase solve enters the column of most negative reduced cost.
-When that step would be degenerate (a zero ratio), it takes Bland's
-entering column and leaving row instead.  A non-degenerate pivot lowers
-the objective strictly, so no basis recurs across one; a cycle would
-have to consist of degenerate pivots only, and every degenerate pivot
-is a Bland pivot, which cannot cycle.  So this loop terminates too.
+Dantzig's column (most negative reduced cost, lowest index on ties)
+enters.  The row of least ratio x_B(i)/α_i over the entering column's
+positive entries α_i leaves; a tie goes to the row whose row of B⁻¹B₀
+over α_i is lexicographically least, B₀ being the start basis (G. B.
+Dantzig, A. Orden and P. Wolfe, *Pacific J. Math.* 5, 183 (1955)).
+B⁻¹B₀ = I at the start, so every row of [x_B | B⁻¹B₀] starts
+lexicographically positive and the rule keeps it so; each pivot then
+lowers c_B·B⁻¹[b | B₀], which the basis fixes, lexicographically, so
+no basis recurs.  The rules read signs, and ratios ``u_i/a_i`` compared
+as ``u_i·a_k < u_k·a_i``, in which row scales and a positive factor
+common to a row and its scale cancel.  So the pivots are those of the
+same tableau held in Fractions, whichever rows are in lowest terms.
 
 Fractions appear only at the boundary: a basic value is
 ``Fraction(rhs_i, scale_i)`` (over ``scale_i·rhs_scale`` in the revised
@@ -195,8 +192,8 @@ def _pivot(tableau, scales, basis, row, col):
     row, whose entries every pricing reads, or when its scale is longer
     than ``_REDUCE_BITS`` bits; any other row keeps a positive common
     factor.  Its rational values are the same either way, and so are
-    the pivots: the ratio test and both entering rules read only signs
-    and ratios within one row, which a positive factor does not change.
+    the pivots: the ratio test and the entering rule read only signs and
+    ratios within one row, which a positive factor does not change.
     Read-outs put each row in lowest terms once, with :func:`_reduced`.
     """
     prow = tableau[row]
@@ -232,37 +229,28 @@ def _pivot(tableau, scales, basis, row, col):
     basis[row] = col
 
 
-def _leaving(tableau, basis, entering):
+def _leaving(tableau, entering, lex):
     """Ratio test on the entering column: the row that leaves, or -1.
 
-    Ties go to the lowest basic column index (Bland's rule).
+    Of the rows tied at the least ratio x_B(i)/α_i, the one whose row of
+    B⁻¹B₀ over α_i is lexicographically least leaves; ``lex(rows, k)`` is
+    column k of B⁻¹B₀ on the tied ``rows``, read until one row is least.
     """
-    leaving = -1
-    best_rhs = best_coeff = 0
-    for i in range(len(tableau) - 1):
-        line = tableau[i]
-        coeff = line[entering]
-        if coeff > 0:
-            # rhs/coeff against best_rhs/best_coeff; both scales cancel.
-            lhs = line[-1] * best_coeff
-            rhs = best_rhs * coeff
-            if (
-                leaving < 0
-                or lhs < rhs
-                or (lhs == rhs and basis[i] < basis[leaving])
-            ):
-                best_rhs = line[-1]
-                best_coeff = coeff
-                leaving = i
-    return leaving
-
-
-def _bland_entering(obj, allowed_columns):
-    """Lowest-index column with a negative reduced cost, or -1."""
-    for j in allowed_columns:
-        if obj[j] < 0:
-            return j
-    return -1
+    rows, values, k = range(len(tableau) - 1), [line[-1] for line in tableau], 0
+    while True:
+        tied = []
+        for i, v in zip(rows, values):
+            a = tableau[i][entering]
+            if a > 0:
+                # v/a against the least so far; both scales cancel.
+                d = v * least_a - least_v * a if tied else -1
+                if d < 0:
+                    tied, least_v, least_a = [i], v, a
+                elif not d:
+                    tied.append(i)
+        if len(tied) < 2:
+            return tied[0] if tied else -1
+        rows, values, k = tied, lex(tied, k), k + 1
 
 
 def _walsh(values, bits):
@@ -331,6 +319,8 @@ class _RevisedLp:
         self.atoms = 1 << self.bits if characters is not None else 0
         if any(type(v) is not int for v in [*costs, *(v for c in columns for v in c.values())]):
             raise TypeError("the revised simplex takes integer columns and costs")
+        if any(not 0 <= i < m for c in columns for i in c):
+            raise ValueError(f"a column has an entry off the rows 0..{m - 1}")
         self.costs = costs
         # Every explicit column as its m entries; each slack also as (row, entry).
         self.columns, self.slacks = [], {}
@@ -349,14 +339,17 @@ class _RevisedLp:
         self.scales = [1] * (m + 1)
         self.basis = [-1] * m
 
+    def _column(self, j):
+        """Column j's m entries; an atom's are built from its bits."""
+        if j < self.atoms:
+            return [-1 if (j & mask).bit_count() & 1 else 1 for mask in self.masks]
+        return self.columns[j - self.atoms]
+
     def enter(self, j):
         """Write column j, as the current basis sees it, into the slot."""
         m, tableau, scales, live = self.m, self.tableau, self.scales, self.live
         slot = len(live)
-        if j < self.atoms:
-            column = [-1 if (j & mask).bit_count() & 1 else 1 for mask in self.masks]
-        else:
-            column = self.columns[j - self.atoms]
+        column = self._column(j)
         stored = [column[c] for c in live]
         for line in tableau:
             line[slot] = sum(map(mul, line, stored))
@@ -366,9 +359,28 @@ class _RevisedLp:
         if j >= self.atoms:
             tableau[m][slot] += self.costs[j - self.atoms] * scales[m]
 
+    def _lex(self, rows, k):
+        """Column k of B⁻¹B₀ (B₀ in position order) on ``rows``; a slack's is ±a B⁻¹ column."""
+        tableau, scales, held, live = self.tableau, self.scales, self.held, self.live
+        j = self.start_basis[k]
+        if j in self.slacks:
+            r, sign = self.slacks[j]
+            if r in live:
+                c = live.index(r)
+                return [sign * tableau[i][c] for i in rows]
+            p = next(p for p, (c, _) in held.items() if c == r)
+            return [sign * held[p][1] * scales[p] if i == p else 0 for i in rows]
+        column = self._column(j)
+        stored = [column[c] for c in live]
+        values = [sum(map(mul, tableau[i], stored)) for i in rows]
+        for n, i in enumerate(rows):
+            if i in held:
+                values[n] += held[i][1] * column[held[i][0]] * scales[i]
+        return values
+
     def leaving(self):
         """The ratio test on the slot: the row that leaves, or -1."""
-        return _leaving(self.tableau, self.basis, len(self.live))
+        return _leaving(self.tableau, len(self.live), self._lex)
 
     def pivot(self, row, j):
         tableau, live = self.tableau, self.live
@@ -425,6 +437,7 @@ class _RevisedLp:
             if row < 0:
                 raise ValueError(f"start basis is singular at column {col}")
             self.pivot(row, col)
+        self.start_basis = tuple(self.basis)
 
     def duals(self):
         """The objective row's w on every row: its live entries, 0 on held columns."""
@@ -494,10 +507,11 @@ def solve_from_basis(
     of ``characters = (bits, masks)`` (column a has entry
     ``(-1)^popcount(a & masks[i])`` in row i; none when ``characters``
     is None) and then ``columns``, each a dict from row to entry that
-    lists the column's nonzero entries.  ``costs`` has one entry per
-    explicit column, in the same order (ValueError otherwise); a
-    character column costs 0.  Costs and column entries must be ints
-    (TypeError otherwise); ``rhs`` may hold ints and Fractions.
+    lists the column's nonzero entries, on rows 0..m−1.  ``costs`` has
+    one entry per explicit column, in the same order; a character
+    column costs 0 (ValueError otherwise, for either).  Costs and column
+    entries must be ints (TypeError otherwise); ``rhs`` may hold ints
+    and Fractions.
 
     ``basis`` names one column per row whose basic solution is
     feasible; the simplex starts there, so there is no phase 1 and no
@@ -509,13 +523,13 @@ def solve_from_basis(
     linearly dependent (singular) or their basic solution has a
     negative entry (not primal-feasible).
 
-    Entering columns follow Dantzig's rule (most negative reduced cost,
-    lowest index on ties).  When that column's ratio test gives a zero
-    step, Bland's entering column and its ratio-test row pivot instead.
-    Every degenerate pivot is then a Bland pivot, so the loop cannot
-    cycle (the argument is in the module docstring).  Callers report
-    the optimal point and ``duals``, so the path is part of the output;
-    it depends only on the LP, the start basis and these rules.
+    Dantzig's column (most negative reduced cost, lowest index on ties)
+    always enters, and a tie in the ratio test goes to the
+    lexicographically least row of B⁻¹B₀ over the entering column, B₀
+    being the start basis, so the loop cannot cycle (the argument is in
+    the module docstring).  Callers report the optimal point and
+    ``duals``, so the path is part of the output; it depends only on the
+    LP, the start basis and these rules.
 
     Only B⁻¹, x_B and the objective row are held, B⁻¹ over the rows
     with no basic slack (``_RevisedLp``), and each explicit column as
@@ -546,12 +560,6 @@ def solve_from_basis(
         entering = reduced.index(most_negative)
         lp.enter(entering)
         leaving = lp.leaving()
-        if leaving >= 0 and not lp.tableau[leaving][-1]:
-            bland = _bland_entering(reduced, range(len(reduced)))
-            if bland != entering:
-                entering = bland
-                lp.enter(entering)
-                leaving = lp.leaving()
         if leaving < 0:
             return LpResult(status=UNBOUNDED, pivots=pivots)
         lp.pivot(leaving, entering)

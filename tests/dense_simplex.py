@@ -5,17 +5,20 @@ the tests' phase-1 reference decisions.
 columns with a Walsh–Hadamard transform.  This module keeps the solver
 it replaced, which pivots every column of ``[A | b]``, as the reference
 its pivot path is pinned against: both follow Dantzig's rule with
-lowest-index ties and Bland's rule on a zero-ratio step from the same
-start basis, so every LP must give the same status, pivots, point,
-objective and row duals, and the duals must give the reduced costs of
-the dense objective row.  The integer pivot, ratio test and pricing
-are the kit's own, pinned against ``fraction_simplex`` in
-``test_simplex_reference.py``; ``_bring_in``, which places the start
-basis with the kit's pivot, is this module's.
+lowest-index ties and the lexicographic ratio test from the same start
+basis, so every LP must give the same status, pivots, point, objective
+and row duals, and the duals must give the reduced costs of the dense
+objective row.  The revised simplex computes each tied row's B⁻¹B₀
+entries from B⁻¹ and B₀'s columns; here they are read directly, as
+the dense tableau's entries at the start basis's columns.  The integer
+pivot, ratio test and pricing are the kit's own; ``_bring_in``, which
+places the start basis with the kit's pivot, is this module's.
 
-:func:`solve_lp` is the kit's former phase 1: Bland's rule on the
-dense integer tableau ``[A | I | b]`` with one artificial column per
-row, the kit's own integer pivot, ratio test and entering rule.  The
+:func:`solve_lp` is the kit's former phase 1: Bland's rule (lowest
+eligible index enters, ratio-test ties go to the lowest basic index)
+on the dense integer tableau ``[A | I | b]`` with one artificial column
+per row, with the kit's integer pivot.  Bland's entering rule and tie
+rule live here, as the kit's revised simplex no longer uses them.  The
 kit now decides feasibility systems in ``sweep`` from a Gauss–Jordan
 crash basis and dual-simplex pivots, so this is the tests' independent
 integer phase-1 reference: ``test_simplex_reference.py`` pins it
@@ -31,10 +34,12 @@ shares no code with ``feasibility.solve``'s margin LP, and only the
 integer pivot with ``sweep``.
 
 :class:`FullWidthLp` is ``simplex._RevisedLp`` as it was before it kept
-B⁻¹ over its live columns only: every row holds all m columns of B⁻¹.
-:func:`solve_full_width` runs ``simplex.solve_from_basis`` on it, so the
-tests can pin every ``LpResult`` field, ``inverse`` included, of the
-narrow rows against the full ones.
+B⁻¹ over its live columns only: every row holds all m columns of B⁻¹,
+and its ratio test multiplies each full row by B₀'s columns, with no
+slack read off a held entry.  :func:`solve_full_width` runs
+``simplex.solve_from_basis`` on it, so the tests can pin every
+``LpResult`` field, ``inverse`` included, of the narrow rows against the
+full ones.
 
 :func:`verify_certificate_by_rows` is ``feasibility.verify_certificate``
 as it was, combining the certificate's multipliers over the dense 2ⁿ
@@ -58,7 +63,6 @@ from contextuality_kit.simplex import (
     UNBOUNDED,
     LpResult,
     _basic_values,
-    _bland_entering,
     _leaving,
     _pivot,
     _reduced,
@@ -103,16 +107,45 @@ def full_point(result, width):
     return x
 
 
+def _bland_entering(obj):
+    """Lowest-index column with a negative reduced cost, or -1."""
+    return next((j for j, v in enumerate(obj[:-1]) if v < 0), -1)
+
+
+def _bland_leaving(tableau, basis, entering):
+    """Ratio test on the entering column: the row that leaves, or -1.
+
+    Ties go to the lowest basic column index (Bland's rule).
+    """
+    leaving = -1
+    best_rhs = best_coeff = 0
+    for i in range(len(tableau) - 1):
+        line = tableau[i]
+        coeff = line[entering]
+        if coeff > 0:
+            # rhs/coeff against best_rhs/best_coeff; both scales cancel.
+            lhs = line[-1] * best_coeff
+            rhs = best_rhs * coeff
+            if (
+                leaving < 0
+                or lhs < rhs
+                or (lhs == rhs and basis[i] < basis[leaving])
+            ):
+                best_rhs = line[-1]
+                best_coeff = coeff
+                leaving = i
+    return leaving
+
+
 def _run_bland(tableau, scales, basis):
     """Minimize the phase-1 objective row with Bland's rule; returns the pivots."""
     m = len(tableau) - 1
-    columns = range(len(tableau[m]) - 1)
     pivots = 0
     while True:
-        entering = _bland_entering(tableau[m], columns)
+        entering = _bland_entering(tableau[m])
         if entering < 0:
             return pivots
-        leaving = _leaving(tableau, basis, entering)
+        leaving = _bland_leaving(tableau, basis, entering)
         assert leaving >= 0, "phase 1 is bounded below by zero"
         _pivot(tableau, scales, basis, leaving, entering)
         pivots += 1
@@ -297,12 +330,14 @@ def _bring_in(tableau, scales, placed, columns):
 
 
 def _run_dantzig(tableau, scales, basis):
-    """Minimize the objective row with Dantzig's rule, Bland's when degenerate.
+    """Minimize the objective row with Dantzig's rule and the lexicographic ratio test.
 
+    B⁻¹B₀ is read directly: its column k is the dense tableau's column
+    of the start basis's k-th column, ``basis[k]`` as it is on entry.
     Returns (status, pivots taken).
     """
     m = len(tableau) - 1
-    columns = range(len(tableau[m]) - 1)
+    start = list(basis)
     pivots = 0
     while True:
         obj = tableau[m]
@@ -310,10 +345,9 @@ def _run_dantzig(tableau, scales, basis):
         if most_negative >= 0:
             return OPTIMAL, pivots
         entering = obj.index(most_negative)
-        leaving = _leaving(tableau, basis, entering)
-        if leaving >= 0 and not tableau[leaving][-1]:
-            entering = _bland_entering(obj, columns)
-            leaving = _leaving(tableau, basis, entering)
+        leaving = _leaving(
+            tableau, entering, lambda rows, k: [tableau[i][start[k]] for i in rows]
+        )
         if leaving < 0:
             return UNBOUNDED, pivots
         _pivot(tableau, scales, basis, leaving, entering)
@@ -391,6 +425,8 @@ class FullWidthLp:
         self.atoms = 1 << self.bits if characters is not None else 0
         if any(type(v) is not int for v in [*costs, *(v for c in columns for v in c.values())]):
             raise TypeError("the revised simplex takes integer columns and costs")
+        if any(not 0 <= i < m for c in columns for i in c):
+            raise ValueError(f"a column has an entry off the rows 0..{m - 1}")
         # Each explicit column: its (row, entry) when it has one nonzero
         # entry (a slack), else a list of m entries.
         self.units, self.columns = [], []
@@ -430,9 +466,29 @@ class FullWidthLp:
         if j >= self.atoms:
             tableau[m][m] += self.costs[j - self.atoms] * self.scales[m]
 
+    def _column(self, j):
+        """Column j's m entries, built afresh."""
+        if j < self.atoms:
+            return [-1 if (j & mask).bit_count() & 1 else 1 for mask in self.masks]
+        column = self.columns[j - self.atoms]
+        if column is None:
+            i, v = self.units[j - self.atoms]
+            column = [0] * self.m
+            column[i] = v
+        return column
+
     def leaving(self):
-        """The ratio test on slot m: the row that leaves, or -1."""
-        return _leaving(self.tableau, self.basis, self.m)
+        """The ratio test on slot m: the row that leaves, or -1.
+
+        Column k of B⁻¹B₀ is each full B⁻¹ row times the column that
+        position k holds after :meth:`start`.
+        """
+
+        def lex(rows, k):
+            column = self._column(self.start_basis[k])
+            return [sum(map(mul, self.tableau[i], column)) for i in rows]
+
+        return _leaving(self.tableau, self.m, lex)
 
     def pivot(self, row, j):
         _pivot(self.tableau, self.scales, self.basis, row, self.m)
@@ -476,6 +532,7 @@ class FullWidthLp:
             if row < 0:
                 raise ValueError(f"start basis is singular at column {col}")
             self.pivot(row, col)
+        self.start_basis = tuple(self.basis)
 
     def reduced_costs(self):
         """Every column's reduced cost, as ints over the objective row's scale.

@@ -1,6 +1,6 @@
 """Test-only reference: the kit's former simplex, one Fraction per cell.
 
-``contextuality_kit.simplex`` holds its tableau in integer rows over a
+``dense_simplex.solve_lp`` holds its tableau in integer rows over a
 positive scale and claims the very same Bland pivots.  This module keeps
 the earlier dense Fraction tableau, unchanged apart from counting its
 pivots, so tests can require identical results from both.

@@ -563,20 +563,50 @@ def test_enlarging_interval_never_turns_feasible_into_infeasible(center, widen):
 
 
 def two_phase_margin(scenario):
-    """The relaxed margin LP over the target box, solved by the Fraction two-phase simplex.
+    """The relaxed margin LP over the target box, solved by the Fraction two-phase simplex."""
+    return _two_phase_margin(
+        scenario.space.atom_count,
+        [
+            (moment_coefficients(scenario.space, c.subset), c.relation, c.target)
+            for c in scenario.constraints
+        ],
+    )
 
-    Columns: the atoms, t, then one slack per one-sided row.  An
+
+def orbit_margin(scenario):
+    """:func:`two_phase_margin` of a symmetric singles-plus-pairs scenario, on n + 1 columns.
+
+    Every single has one relation and target, and so has every pair.
+    An atom with k entries -1 gives each single the moment (n - 2k)/n
+    and, on average, each pair ((n - 2k)² - n)/(n(n - 1)).  Averaging an
+    optimum over the permutations of the variables keeps its t, so the
+    margin is the same LP's over the masses of the n + 1 classes of
+    atoms with equal k, with one row per constraint as there.
+    """
+    n = scenario.space.n
+    sums = [n - 2 * k for k in range(n + 1)]
+    means = {
+        1: [Fraction(v, n) for v in sums],
+        2: [Fraction(v * v - n, n * (n - 1)) for v in sums],
+    }
+    return _two_phase_margin(
+        n + 1, [(means[len(c.subset)], c.relation, c.target) for c in scenario.constraints]
+    )
+
+
+def _two_phase_margin(n, constraints):
+    """The margin LP of (coefficients, relation, target) rows over n columns of mass.
+
+    Columns: the masses, t, then one slack per one-sided row.  An
     equality target gives the rows moment - t <= hi and moment + t >= lo;
     an inequality target gives its own side.
     """
-    n = scenario.space.atom_count
     sides = []
-    for c in scenario.constraints:
-        coefficients = moment_coefficients(scenario.space, c.subset)
-        if c.relation in (EQ, LE):
-            sides.append((coefficients, -1, 1, c.target.hi))
-        if c.relation in (EQ, GE):
-            sides.append((coefficients, 1, -1, c.target.lo))
+    for coefficients, relation, target in constraints:
+        if relation in (EQ, LE):
+            sides.append((coefficients, -1, 1, target.hi))
+        if relation in (EQ, GE):
+            sides.append((coefficients, 1, -1, target.lo))
     width = n + 1 + len(sides)
     rows = [[1] * n + [0] * (width - n)]
     rhs = [Fraction(1)]
@@ -753,6 +783,89 @@ def test_one_lp_decision_matches_phase_1_and_two_phase_margin(scenario, endpoint
     else:
         assert outcome.margin > 0
         assert verify_certificate(scenario, outcome.certificate)
+
+
+# --- degenerate scenarios: symmetric and repeated targets ---------------------
+
+_ninths = st.integers(min_value=-9, max_value=9).map(lambda k: Fraction(k, 9))
+_relations = st.sampled_from([EQ, LE, GE])
+
+
+def _singles_and_pairs(n):
+    names = [f"V{i}" for i in range(n)]
+    return names, [[v] for v in names] + [list(pair) for pair in combinations(names, 2)]
+
+
+@st.composite
+def symmetric_scenarios(draw):
+    """Every single under one relation and target, every pair under another."""
+    names, subsets = _singles_and_pairs(draw(st.integers(min_value=2, max_value=8)))
+    sides = {1: draw(st.tuples(_relations, _ninths)), 2: draw(st.tuples(_relations, _ninths))}
+    return make_scenario(names, [(s, *sides[len(s)]) for s in subsets])
+
+
+@st.composite
+def repeated_target_scenarios(draw):
+    """Every single and pair, each under its own relation, sharing one or two targets."""
+    names, subsets = _singles_and_pairs(draw(st.integers(min_value=2, max_value=5)))
+    targets = st.sampled_from(draw(st.lists(_ninths, min_size=1, max_size=2)))
+    return make_scenario(names, [(s, draw(_relations), draw(targets)) for s in subsets])
+
+
+def symmetric_document(n, single, pair):
+    """Every E(Vi) = ``single`` and every E(ViVj) = ``pair`` over n variables."""
+    names, subsets = _singles_and_pairs(n)
+    return make_scenario(names, [(s, EQ, single if len(s) == 1 else pair) for s in subsets])
+
+
+def assert_decided_with_evidence(scenario, want_margin):
+    """``solve`` gives the reference margin, its verdict, and evidence that verifies."""
+    outcome = solve(scenario)
+    assert outcome.margin == want_margin
+    if want_margin:
+        assert outcome.verdict == INFEASIBLE
+        assert verify_certificate(scenario, outcome.certificate)
+    else:
+        assert outcome.verdict == FEASIBLE
+        assert validate(outcome.witness).passed
+        for c in scenario.constraints:
+            assert c.holds(signed_atom_sum(outcome.witness, c.subset))
+    return outcome
+
+
+@settings(deadline=None, max_examples=60)
+@given(symmetric_scenarios())
+@example(symmetric_document(8, Fraction(1, 3), Fraction(-1, 9)))
+@example(symmetric_document(8, Fraction(-7, 9), Fraction(7, 9)))
+@example(symmetric_document(8, Fraction(5, 9), Fraction(-1, 3)))
+def test_symmetric_scenarios_match_the_orbit_margin(scenario):
+    """Symmetric targets make many basic values 0 at once: degenerate margin LPs."""
+    assert_decided_with_evidence(scenario, orbit_margin(scenario))
+
+
+@settings(deadline=None, max_examples=40)
+@given(repeated_target_scenarios())
+def test_repeated_target_scenarios_match_two_phase_margin(scenario):
+    assert_decided_with_evidence(scenario, two_phase_margin(scenario))
+
+
+def test_symmetric_n10_document_decides_in_at_most_200_pivots(monkeypatch):
+    """Every E(Vi) = -7/9 and every E(ViVj) = 7/9 over 10 variables.
+
+    A Bland's-rule fallback on degenerate steps ran this margin LP for
+    over 60 s; the lexicographic ratio test takes 115 pivots.
+    """
+    solve_from_basis, pivots = simplex.solve_from_basis, []
+
+    def counted(*args):
+        result = solve_from_basis(*args)
+        pivots.append(result.pivots)
+        return result
+
+    monkeypatch.setattr(simplex, "solve_from_basis", counted)
+    scenario = symmetric_document(10, Fraction(-7, 9), Fraction(7, 9))
+    assert_decided_with_evidence(scenario, orbit_margin(scenario))
+    assert len(pivots) == 1 and pivots[0] <= 200
 
 
 # --- check points settled from the box optimum's basis ------------------------

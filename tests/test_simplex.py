@@ -114,8 +114,9 @@ def test_solve_from_basis_terminates_on_beale_cycling_example():
     Its first two rows and its costs are Beale's times 4, so they are
     integers; scaling a row or every cost changes no pivot choice.  The
     first two rows have right-hand side 0, so Dantzig's first steps are
-    degenerate; the Bland fallback takes them instead, and the solve
-    reaches the optimum, Beale's -5/4 times 4.
+    degenerate and their ratio tests tie; the lexicographic tie-break
+    on the rows of B⁻¹B₀ keeps the solve from cycling, and it reaches
+    the optimum, Beale's -5/4 times 4.
     """
     rows = [
         [4, 0, 0, 1, -32, -4, 36],
@@ -145,6 +146,18 @@ def test_solve_from_basis_takes_only_integer_columns_and_costs(where):
         error, match = ValueError, "3 costs for 2 explicit columns"
     with pytest.raises(error, match=match):
         simplex.solve_from_basis(costs, columns, [1, 0], [0, 1])
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [simplex.solve_from_basis, dense_simplex.solve_full_width],
+    ids=["narrow", "full-width"],
+)
+@pytest.mark.parametrize("row", [-1, 1])
+def test_solve_from_basis_refuses_a_column_entry_off_the_rows(solve, row):
+    """A row key of -1 would alias the last row, and one of m is past it; both are refused."""
+    with pytest.raises(ValueError, match="off the rows 0..0"):
+        solve([0], [{0: 1, row: 3}], [1], [0])
 
 
 @pytest.mark.parametrize("bits", [0, 1, 2, 3, 5])

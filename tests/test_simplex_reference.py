@@ -2,18 +2,21 @@
 
 ``fraction_simplex`` is the kit's former two-phase solver, one Fraction
 per tableau cell.  Its phase 1 and the tests' integer phase 1,
-``dense_simplex.solve_lp``, which runs on the kit's ``_pivot``,
-``_leaving`` and ``_bland_entering``, follow Bland's rule on the same
-rational tableau, so every system must come back with the same status,
-basic point, Farkas multipliers and phase-1 pivot count.  Equal pivot
-counts are the direct evidence that the integer pivot, ratio test and
-entering rule take the Fraction tableau's path.
+``dense_simplex.solve_lp``, which runs on the kit's ``_pivot``, follow
+Bland's rule on the same rational tableau, so every system must come
+back with the same status, basic point, Farkas multipliers and phase-1
+pivot count.  Equal pivot counts are the direct evidence that the
+integer pivot takes the Fraction tableau's path.
 
 ``dense_simplex`` is the former one-phase solver on the dense integer
-tableau.  The revised, Walsh-priced ``simplex.solve_from_basis`` must
-take the same pivots from the same start basis, so every margin LP must
-come back with the same status, pivots, point, objective and row duals,
-and the reduced costs its duals give must be the dense objective row's.
+tableau, with Dantzig's rule and the kit's lexicographic ratio test,
+whose ties it breaks on B⁻¹B₀ read off the dense tableau's start-basis
+columns.  The revised, Walsh-priced ``simplex.solve_from_basis``, which
+computes those entries from B⁻¹ instead, must take the same pivots from
+the same start basis, so every margin LP must come back with the same
+status, pivots, point, objective and row duals, and the reduced costs
+its duals give must be the dense objective row's.  On the dense tableau
+every row of [x_B | B⁻¹B₀] stays lexicographically positive.
 """
 
 import io
@@ -44,7 +47,13 @@ from contextuality_kit.event_space import build_space, moment_coefficients, sign
 from contextuality_kit.feasibility import EQ, FEASIBLE, INFEASIBLE, make_scenario
 from contextuality_kit.measures import AtomMeasure, expectation
 from contextuality_kit.numerics import parse_and_evaluate
-from test_feasibility import bell_scenario, corner, ghz_scenario, relaxed_scenarios
+from test_feasibility import (
+    bell_scenario,
+    corner,
+    ghz_scenario,
+    relaxed_scenarios,
+    symmetric_document,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import reference  # noqa: E402
@@ -72,7 +81,7 @@ def assert_same(rows, rhs):
     """The tests' integer phase 1 gives the Fraction reference's phase-1 outcome.
 
     That phase 1 (``dense_simplex.solve_lp``) runs the kit's integer
-    pivot, ratio test and Bland entering rule.
+    pivot with Bland's entering rule and ratio test.
     """
     got = dense_simplex.solve_lp(rows, rhs)
     want = fraction_simplex.solve_lp(None, rows, rhs)
@@ -339,6 +348,53 @@ def test_every_margin_lp_returns_optimal_duals(scenario):
     assert checked[0] >= 1
 
 
+# --- the lexicographic ratio test on the dense tableau ---------------------------
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        symmetric_document(6, Fraction(1, 3), Fraction(-1, 9)),
+        symmetric_document(6, Fraction(-7, 9), Fraction(7, 9)),
+        symmetric_document(5, Fraction(5, 9), Fraction(-1, 3)),
+        symmetric_document(5, Fraction(0), Fraction(-1, 9)),
+        scenario_from_document(reference.wide_document(3, 5, True)),
+    ],
+    ids=["sym-6-infeasible", "sym-6-feasible", "sym-5-infeasible", "sym-5-feasible", "wide-5"],
+)
+def test_dense_rows_stay_lexicographically_positive(monkeypatch, scenario):
+    """After each dense reference pivot, every row of [x_B | B⁻¹B₀] is lexicographically > 0.
+
+    B⁻¹B₀ is read off the dense tableau at the start basis's columns,
+    in the order of the rows they start on.  The documents have
+    degenerate pivots, whose ties the lexicographic rule breaks.
+    """
+    run = dense_simplex._run_dantzig
+    pivot = dense_simplex._pivot
+    degenerate, pivots = [0], [0]
+
+    def watched(tableau, scales, basis):
+        start = list(basis)
+
+        def checked(tableau, scales, basis, row, col):
+            degenerate[0] += not tableau[row][-1]
+            pivot(tableau, scales, basis, row, col)
+            pivots[0] += 1
+            for line in tableau[:-1]:
+                assert next(v for v in [line[-1], *(line[c] for c in start)] if v) > 0
+
+        monkeypatch.setattr(dense_simplex, "_pivot", checked)
+        try:
+            return run(tableau, scales, basis)
+        finally:
+            monkeypatch.setattr(dense_simplex, "_pivot", pivot)
+
+    monkeypatch.setattr(dense_simplex, "_run_dantzig", watched)
+    monkeypatch.setattr(simplex, "solve_from_basis", assert_same_path)
+    feasibility.solve(scenario)
+    assert pivots[0] > 10 and degenerate[0] > 0
+
+
 # --- the start basis: slacks placed without pivots -----------------------------
 
 
@@ -349,6 +405,7 @@ def pivot_every_column_in(lp, basis):
     nonzero, with the kit's pivot, unit slack columns included.  The
     slot follows the live columns, so it is read after :meth:`enter`:
     each slack's pivot makes its row's column live and then drops it.
+    The placed columns, in position order, are B₀ of the ratio test.
     """
     for col in basis:
         lp.enter(col)
@@ -357,6 +414,7 @@ def pivot_every_column_in(lp, basis):
         if row < 0:
             raise ValueError(f"start basis is singular at column {col}")
         lp.pivot(row, col)
+    lp.start_basis = tuple(lp.basis)
 
 
 def assert_same_start(scenario):
