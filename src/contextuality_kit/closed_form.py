@@ -100,16 +100,29 @@ def check_ghz_inequalities(m: GhzMoments) -> InequalityCheck:
     when all four signed sums lie within [-2, 2].  Returns the first
     violated inequality (1-based) with its value, or a pass.
 
-    The sums are taken in integers over the moments' common
-    denominator; only a violating value becomes a Fraction, and every
-    pass is the one shared record.
+    The moments are put over their common denominator and handed to
+    :func:`_ghz_check` as integers.
     """
     eA, eB, eC, eABC = m.eA, m.eB, m.eC, m.eABC
     common = lcm(eA.denominator, eB.denominator, eC.denominator, eABC.denominator)
-    a = eA.numerator * (common // eA.denominator)
-    b = eB.numerator * (common // eB.denominator)
-    c = eC.numerator * (common // eC.denominator)
-    t = eABC.numerator * (common // eABC.denominator)
+    return _ghz_check(
+        eA.numerator * (common // eA.denominator),
+        eB.numerator * (common // eB.denominator),
+        eC.numerator * (common // eC.denominator),
+        eABC.numerator * (common // eABC.denominator),
+        common,
+    )
+
+
+def _ghz_check(a: int, b: int, c: int, t: int, common: int) -> InequalityCheck:
+    """:func:`check_ghz_inequalities` on the moments a/common, ..., t/common.
+
+    ``common`` is any positive integer; scaling all five by k > 0 gives
+    the same result.  The sums are compared with ±2·common in integers;
+    only a violating value becomes a Fraction, and every pass is the one
+    shared record.  A grid sweep calls this on the integers it already
+    holds, so it builds no Fraction or :class:`GhzMoments` per point.
+    """
     bound = 2 * common
     sums = (a + b + c - t, -a + b + c + t, a - b + c + t, a + b - c + t)
     for index, total in enumerate(sums, start=1):

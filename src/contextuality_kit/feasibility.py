@@ -509,31 +509,35 @@ def _grid_verdicts(points) -> list[tuple[bool, bool]]:
     Point (p, q), read as ``Fraction(p)`` and ``Fraction(q)``, is the
     symmetric scenario with singles e = 2p - 1 and triple t = 2q - 1.
     With p = a/b, q = c/k and d = lcm(b, k), its right-hand side
-    (1, e, e, e, t) goes to :func:`sweep.solve_many` as the ints
-    d·(1, e, e, e, t), read off the numerators and denominators; the
-    sweep's checks are exact, and neither they nor its dual pivots,
-    which read only signs of x_B, change with that positive scale.  The
-    closed form gets e and t as one Fraction each, so a point outside
-    [0, 1]² raises GhzMoments' ValueError before any LP runs.
+    (1, e, e, e, t) is the ints d·(1, e, e, e, t), read off the
+    numerators and denominators.  They go to :func:`sweep.solve_many`,
+    whose checks are exact and whose dual pivots read only signs of
+    x_B, so neither changes with that positive scale; the same ints go
+    to the closed form's integer core, ``closed_form._ghz_check``, so no
+    Fraction or GhzMoments is built per point.  A point outside [0, 1]²
+    (|d·e| > d or |d·t| > d) builds its GhzMoments, which raises
+    ValueError before any LP runs.
     """
-    from . import sweep
-    from .closed_form import GhzMoments, check_ghz_inequalities
+    from . import closed_form, sweep
 
+    check = closed_form._ghz_check
     rows = _ghz_rows()
-    rhs_list, checks = [], []
+    rhs_list = []
     for p, q in points:
         if type(p) is not Fraction or type(q) is not Fraction:
             p, q = Fraction(p), Fraction(q)
         a, b, c, k = p.numerator, p.denominator, q.numerator, q.denominator
         d = lcm(b, k)
-        scaled_e, scaled_t = (2 * a - b) * (d // b), (2 * c - k) * (d // k)
-        rhs_list.append((d, scaled_e, scaled_e, scaled_e, scaled_t))
-        e = Fraction(2 * a - b, b)
-        checks.append(GhzMoments(e, e, e, Fraction(2 * c - k, k)))
+        e, t = (2 * a - b) * (d // b), (2 * c - k) * (d // k)
+        if not (-d <= e <= d and -d <= t <= d):
+            # Outside [0, 1]²: the moments' own check raises its ValueError.
+            single = Fraction(2 * a - b, b)
+            closed_form.GhzMoments(single, single, single, Fraction(2 * c - k, k))
+        rhs_list.append((d, e, e, e, t))
     statuses = sweep.solve_many(rows, rhs_list)
     return [
-        (status == simplex.OPTIMAL, check_ghz_inequalities(moments).passed)
-        for status, moments in zip(statuses, checks)
+        (status == simplex.OPTIMAL, check(e, e, e, t, d).passed)
+        for status, (d, e, _, _, t) in zip(statuses, rhs_list)
     ]
 
 
@@ -553,6 +557,9 @@ def oracle_grid_agreement(
     takes dual-simplex pivots from the sweep's current basis until its
     x_B is nonnegative or a row proves it infeasible.  Every verdict is
     an exact proof at its point, so it is the one a cold solve gives.
+    The closed-form verdict is the four inequalities of
+    :func:`closed_form.check_ghz_inequalities`, taken in integers on the
+    same scaled right-hand side (see :func:`_grid_verdicts`).
     The kept evidence lives in this one sweep, which runs in the calling
     process.  ``workers`` is ignored; it is still accepted for callers
     that pass it.

@@ -368,8 +368,11 @@ class _RevisedLp:
             if r in live:
                 c = live.index(r)
                 return [sign * tableau[i][c] for i in rows]
-            p = next(p for p, (c, _) in held.items() if c == r)
-            return [sign * held[p][1] * scales[p] if i == p else 0 for i in rows]
+            # Column r is ±e_p for the one position p holding it (its own
+            # slack or a second unit on row r): nonzero only if p is tied.
+            return [
+                sign * h[1] * scales[i] if (h := held.get(i)) and h[0] == r else 0 for i in rows
+            ]
         column = self._column(j)
         stored = [column[c] for c in live]
         values = [sum(map(mul, tableau[i], stored)) for i in rows]

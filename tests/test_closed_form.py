@@ -12,6 +12,7 @@ from contextuality_kit.closed_form import (
     GhzMoments,
     InequalityCheck,
     SymmetricParams,
+    _ghz_check,
     check_ghz_inequalities,
     check_noise_threshold,
     construct_symmetric_joint,
@@ -491,6 +492,34 @@ def test_integer_inequality_check_equals_fraction_formula(ea, eb, ec, eabc):
     got = check_ghz_inequalities(moments)
     assert got == _fraction_inequality_check(moments)
     assert got.value is None or type(got.value) is Fraction
+
+
+@st.composite
+def _integer_moments(draw):
+    """Ints (a, b, c, t, common) with common > 0 and each |·| <= common."""
+    common = draw(st.integers(min_value=1, max_value=60))
+    entry = st.integers(min_value=-common, max_value=common)
+    return (*(draw(entry) for _ in range(4)), common)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_integer_moments(), st.integers(min_value=1, max_value=10**6))
+@example((4, 4, 4, -4, 4), 3)  # the first sum is 4
+@example((3, 3, 6, 0, 6), 1)  # the first sum is exactly 2
+@example((-7, 21, 14, 15, 21), 5)  # the second binds
+def test_integer_core_equals_the_moment_check(moments, k):
+    a, b, c, t, common = moments
+    fractions = GhzMoments(*(Fraction(v, common) for v in (a, b, c, t)))
+    want = check_ghz_inequalities(fractions)
+    assert want == _fraction_inequality_check(fractions)
+    for scale in (1, k):
+        got = _ghz_check(*(scale * v for v in moments))
+        assert (got.passed, got.violated_index, got.value) == (
+            want.passed,
+            want.violated_index,
+            want.value,
+        )
+        assert got.value is None or type(got.value) is Fraction
 
 
 @settings(deadline=None, max_examples=150)

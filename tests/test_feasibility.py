@@ -462,6 +462,18 @@ def test_grid_point_outside_the_unit_square_raises_the_closed_form_error(point):
     assert str(got.value) == str(want.value)
 
 
+def test_grid_verdicts_build_no_ghz_moments_in_the_unit_square(monkeypatch):
+    def refused(*args):
+        raise AssertionError("the grid sweep built a GhzMoments")
+
+    points = _grid_in_order("duplicated") + [(0, 1), ("2/3", 0.25), (1, Fraction(1, 7))]
+    want = _grid_verdicts(points)
+    monkeypatch.setattr(closed_form.GhzMoments, "__init__", refused)
+    assert _grid_verdicts(points) == want
+    with pytest.raises(AssertionError, match="built a GhzMoments"):
+        _grid_verdicts([(Fraction(3, 2), 0)])
+
+
 _sweep_entry = st.fractions(min_value=-2, max_value=2, max_denominator=3)
 
 
@@ -491,15 +503,16 @@ def test_solve_many_takes_each_right_hand_side_at_any_positive_scale(problem, fa
 def test_oracle_lists_a_disagreeing_point(monkeypatch):
     points = uniform_grid(21)
     p, q = points[300]
-    original = closed_form.check_ghz_inequalities
+    original = closed_form._ghz_check
 
-    def flipped(moments):
-        result = original(moments)
-        if (moments.eA, moments.eABC) == (2 * p - 1, 2 * q - 1):
+    def flipped(a, b, c, t, common):
+        result = original(a, b, c, t, common)
+        if (Fraction(a, common), Fraction(t, common)) == (2 * p - 1, 2 * q - 1):
             return closed_form.InequalityCheck(not result.passed)
         return result
 
-    monkeypatch.setattr(closed_form, "check_ghz_inequalities", flipped)
+    # The oracle calls the closed form's integer core on its sweep ints.
+    monkeypatch.setattr(closed_form, "_ghz_check", flipped)
     lp_feasible = feasible_at(ghz_symmetric_scenario(p, q))
     report = oracle_grid_agreement(points)
     assert report.total == len(points)
