@@ -551,18 +551,19 @@ def oracle_grid_agreement(
     E(ABC)=2q-1.  All points share its 5x8 matrix and differ only in
     the right-hand side, so the LP verdicts come from one
     :func:`sweep.solve_many` sweep, which runs no phase 1: the matrix is
-    put in Gauss–Jordan form once, a point is settled by the last
-    feasible basis or Farkas certificate found earlier in the same
-    sweep, re-checked exactly at that point, and a point neither settles
-    takes dual-simplex pivots from the sweep's current basis until its
-    x_B is nonnegative or a row proves it infeasible.  Every verdict is
-    an exact proof at its point, so it is the one a cold solve gives.
-    The closed-form verdict is the four inequalities of
+    put in Gauss–Jordan form once per process, a point is settled by
+    the last feasible basis or Farkas certificate found earlier in the
+    same sweep, re-checked exactly at that point, and a point neither
+    settles takes dual-simplex pivots from the sweep's current basis
+    until its x_B is nonnegative or a row proves it infeasible.  Every
+    verdict is an exact proof at its point, so it is the one a cold
+    solve gives.  The closed-form verdict is the four inequalities of
     :func:`closed_form.check_ghz_inequalities`, taken in integers on the
     same scaled right-hand side (see :func:`_grid_verdicts`).
     The kept evidence lives in this one sweep, which runs in the calling
-    process.  ``workers`` is ignored; it is still accepted for callers
-    that pass it.
+    process; only the crash of the shared matrix, which no point's
+    verdict reads as evidence, is kept for the next sweep.  ``workers``
+    is ignored; it is still accepted for callers that pass it.
 
     The report lists every mismatch; an empty list is the expected
     outcome.

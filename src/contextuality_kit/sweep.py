@@ -21,10 +21,17 @@ the last Farkas certificate.  A right-hand side b is feasible when
 ``x_B >= 0`` and the padded x satisfies every row, the redundant rows
 included; it is infeasible when ``yᵀA <= 0`` and ``yᵀb > 0``.  Either
 is a complete proof at that b, and only such a proof decides a
-verdict.  Both checks are exact for any rational b and unchanged when b
-is multiplied by a positive number, so a caller that holds b as ints
-over its own denominator, as the GHZ grid sweep does, passes those
-ints, and the checks run in integers.  No state outlives the call.
+verdict.  The row check is linear in b, so a kept basis carries it as
+the nonzero rows of one residual matrix, formed once per basis (see
+:func:`_kept_basis`).  Both checks are exact for any rational b and
+unchanged when b is multiplied by a positive number, so a caller that
+holds b as ints over its own denominator, as the GHZ grid sweep does,
+passes those ints, and the checks run in integers.
+
+The crash depends only on the matrix, so it is memoized, immutably,
+for the last matrix swept (:func:`_crash`), and each call starts from
+a fresh copy of it; the type and shape checks still run on every call.
+No evidence outlives the call.
 
 :func:`solve_lp` is the same solve at one right-hand side, with no
 kept evidence.  No kit path runs it; it is the ``simplex.solve_lp``
@@ -34,6 +41,7 @@ and a standard ``check`` never loads this module.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from operator import mul
@@ -42,19 +50,41 @@ from .numerics import over_common_denominator
 from .simplex import INFEASIBLE, OPTIMAL, LpResult, _basic_values, _check_rhs, _pivot, _reduced
 
 
-def _crash(rows):
-    """The Gauss–Jordan form of ``[rows | I | 0]``: (tableau, scales, basis, redundant).
+def _matrix(rows):
+    """``rows`` as a tuple of int tuples, the key of :func:`_crash`'s memo.
 
-    Row i pivots on its lowest-index nonzero structural column, with the
-    shared :func:`simplex._pivot`.  A row left with no structural nonzero
-    is redundant: it is dropped, and its ``I`` block, a y with yᵀA = 0,
-    goes to ``redundant``.  The kept rows are followed by the all-zero
-    objective row of a feasibility system, which no pivot changes.
+    Raises ValueError when there is no row or the rows differ in length,
+    and TypeError when an entry is not an int: ``1``, ``1.0``, ``True``
+    and ``Fraction(1)`` hash alike, so these checks run on every call,
+    before the memo is read.
     """
+    if not rows:
+        raise ValueError("the sweep takes at least one row")
+    n = len(rows[0])
+    if any(len(row) != n for row in rows):
+        raise ValueError("the sweep's rows differ in length")
     if any(type(v) is not int for row in rows for v in row):
         raise TypeError("the sweep takes integer rows")
-    m, n = len(rows), len(rows[0])
-    tableau = [[*row, *(int(k == i) for k in range(m)), 0] for i, row in enumerate(rows)]
+    return tuple(map(tuple, rows))
+
+
+@functools.lru_cache(maxsize=1)
+def _crash(matrix):
+    """The Gauss–Jordan form of ``[matrix | I | 0]``: (tableau, scales, basis, redundant).
+
+    ``matrix`` is a :func:`_matrix` key.  Row i pivots on its
+    lowest-index nonzero structural column, with the shared
+    :func:`simplex._pivot`.  A row left with no structural nonzero is
+    redundant: it is dropped, and its ``I`` block, a y with yᵀA = 0,
+    goes to ``redundant``.  The kept rows are followed by the all-zero
+    objective row of a feasibility system, which no pivot changes.
+
+    Everything returned is a tuple, since the last matrix's crash is
+    kept for the next call; :func:`_fresh` copies it into lists to pivot
+    on.
+    """
+    m, n = len(matrix), len(matrix[0])
+    tableau = [[*row, *(int(k == i) for k in range(m)), 0] for i, row in enumerate(matrix)]
     tableau.append([0] * (n + m + 1))
     scales = [1] * (m + 1)
     basis = [-1] * m
@@ -64,13 +94,18 @@ def _crash(rows):
         if entering >= 0:
             _pivot(tableau, scales, basis, i, entering)
     kept = [i for i in range(m) if basis[i] >= 0]
-    redundant = [tableau[i][n:-1] for i in range(m) if basis[i] < 0]
     return (
-        [tableau[i] for i in kept] + [tableau[m]],
-        [scales[i] for i in kept] + [scales[m]],
-        [basis[i] for i in kept],
-        redundant,
+        tuple(tuple(tableau[i]) for i in kept + [m]),
+        tuple(scales[i] for i in kept + [m]),
+        tuple(basis[i] for i in kept),
+        tuple(tuple(tableau[i][n:-1]) for i in range(m) if basis[i] < 0),
     )
+
+
+def _fresh(crash):
+    """A :func:`_crash` result in new lists, so that pivots leave the memo as it is."""
+    tableau, scales, basis, redundant = crash
+    return [list(line) for line in tableau], list(scales), list(basis), redundant
 
 
 def _dual_simplex(tableau, scales, basis, n, b, pivots):
@@ -122,16 +157,19 @@ def _inverse(tableau, scales, n):
 def solve_lp(rows: list[list[int]], rhs: list[Fraction]) -> LpResult:
     """Feasibility of  rows·x = rhs,  x >= 0: :func:`solve_many` at one rhs.
 
-    The rows are ints (TypeError otherwise), and ``rhs`` has one int or
-    Fraction per row (ValueError otherwise).  A feasible system gives
-    OPTIMAL with the basic column and row of B⁻¹ of each row kept by the
-    crash; an infeasible one gives INFEASIBLE with a Farkas vector y in
-    ``duals``: yᵀA <= 0 componentwise and yᵀb > 0.  ``pivots`` counts
-    the crash and dual pivots.
+    The rows are ints (TypeError otherwise), one or more and of one
+    length, and ``rhs`` has one int or Fraction per row (ValueError
+    otherwise).  A feasible system gives OPTIMAL with the basic column
+    and row of B⁻¹ of each row kept by the crash; an infeasible one
+    gives INFEASIBLE with a Farkas vector y in ``duals``: yᵀA <= 0
+    componentwise and yᵀb > 0.  ``pivots`` counts the crash's pivots,
+    one per kept row, whether or not the memo held the crash, and the
+    dual ones.
     """
-    _check_rhs(rhs, len(rows))
-    tableau, scales, basis, redundant = _crash(rows)
-    n = len(rows[0])
+    matrix = _matrix(rows)
+    _check_rhs(rhs, len(matrix))
+    tableau, scales, basis, redundant = _fresh(_crash(matrix))
+    n = len(matrix[0])
     pivots = [len(basis)]
     z = _farkas(tableau, scales, basis, redundant, n, rhs, pivots)
     if z is not None:
@@ -141,21 +179,39 @@ def solve_lp(rows: list[list[int]], rhs: list[Fraction]) -> LpResult:
 
 
 def _kept_basis(tableau, scales, basis, rows, n):
-    """(B⁻¹ over one scale, the basic columns of every row, that scale)."""
+    """(B⁻¹ over one scale, the nonzero rows of its residual R).
+
+    With the k kept rows of B⁻¹ over one scale s and ``block`` the basic
+    columns of all m rows, x_B = B⁻¹b / s padded with zeros satisfies
+    every row exactly when block·(B⁻¹b) = s·b, that is, when R·b = 0
+    for the m×m matrix R = block·B⁻¹ − s·I.  That holds for every b, so
+    R is formed once per basis, from the very inverse that is kept, and
+    only its nonzero rows are kept.  With no redundant row and a correct
+    inverse R is 0; with no kept row it is −s·I.
+    """
     inverse = _inverse(tableau, scales, n)
     scale = math.lcm(*(s for _, s in inverse))
     inverse = [([v * (scale // s) for v in line], scale) for line, s in inverse]
-    block = [[line[c] for c in basis] for line in rows]
-    return inverse, block, scale
+    m = len(rows)
+    residual = []
+    for i, row in enumerate(rows):
+        block = [row[c] for c in basis]
+        line = [sum(a * kept[j] for a, (kept, _) in zip(block, inverse)) for j in range(m)]
+        line[i] -= scale
+        if any(line):
+            residual.append(line)
+    return inverse, residual
 
 
 def _feasible_at(feasible_basis, b):
-    """Whether the kept basis proves b feasible: x_B >= 0 and every row holds."""
-    inverse, block, scale = feasible_basis
-    # x_basic is scale·x_B at this b; every row must give scale·b.
-    x_basic = _basic_values(inverse, b)
-    return x_basic is not None and all(
-        sum(map(mul, line, x_basic)) == scale * v for line, v in zip(block, b)
+    """Whether the kept basis proves b feasible: x_B >= 0 and R·b = 0.
+
+    R·b = 0 on the residual's nonzero rows is A·x = scale·b on every
+    row, the redundant ones included (see :func:`_kept_basis`).
+    """
+    inverse, residual = feasible_basis
+    return _basic_values(inverse, b) is not None and not any(
+        sum(map(mul, line, b)) for line in residual
     )
 
 
@@ -163,14 +219,18 @@ def solve_many(rows: list[list[int]], rhs_list) -> list[str]:
     """Feasibility of  rows·x = rhs,  x >= 0  for each rhs in ``rhs_list``.
 
     Returns OPTIMAL or INFEASIBLE per right-hand side, in order.  The
-    rows are ints (TypeError otherwise).  Each rhs has one int or
-    Fraction per row (ValueError otherwise) and is taken as given, so
-    ints over the caller's own denominator are the fast path.  The rows
-    are put in Gauss–Jordan form once (:func:`_crash`), and each rhs is
-    then decided by the first of these that applies:
+    rows are ints (TypeError otherwise), one or more and of one length
+    (ValueError otherwise).  Each rhs has one int or Fraction per row
+    (ValueError otherwise) and is taken as given, so ints over the
+    caller's own denominator are the fast path.  The rows are put in
+    Gauss–Jordan form once per matrix (:func:`_crash`, memoized for the
+    last matrix), each call pivots on its own copy, and each rhs is then
+    decided by the first of these that applies:
 
-    1. the last feasible basis, when x_B >= 0 and every row, the
-       redundant ones included, holds at rhs;
+    1. the last feasible basis, when x_B >= 0 and R·rhs = 0, with R
+       the nonzero rows of the basis's residual, formed once with it
+       (:func:`_kept_basis`): that is every row, the redundant ones
+       included, holding at rhs;
     2. the last certificate z, when zᵀrhs > 0;
     3. a redundant row's y with yᵀrhs != 0, whose ±y is the certificate;
     4. dual-simplex pivots from the tableau's current basis
@@ -191,9 +251,10 @@ def solve_many(rows: list[list[int]], rhs_list) -> list[str]:
     Oper. Res.* 2, 103 (1977)): it cannot cycle, and there are finitely
     many bases, so the pivots stop.
     """
-    tableau, scales, basis, redundant = _crash(rows)
-    m, n = len(rows), len(rows[0])
-    columns = list(zip(*rows))
+    matrix = _matrix(rows)
+    tableau, scales, basis, redundant = _fresh(_crash(matrix))
+    m, n = len(matrix), len(matrix[0])
+    columns = list(zip(*matrix))
     pivots = [0]
     # The kept feasible basis (see _kept_basis) and integer Farkas
     # multipliers, or None.
@@ -209,7 +270,7 @@ def solve_many(rows: list[list[int]], rhs_list) -> list[str]:
             continue
         z = _farkas(tableau, scales, basis, redundant, n, b, pivots)
         if z is None:
-            feasible_basis = _kept_basis(tableau, scales, basis, rows, n)
+            feasible_basis = _kept_basis(tableau, scales, basis, matrix, n)
             if not _feasible_at(feasible_basis, b):
                 raise AssertionError("the sweep's feasible basis fails its exact check")
             verdicts.append(OPTIMAL)

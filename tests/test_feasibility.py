@@ -423,8 +423,10 @@ def _with_pivot_count(sweep_of, *args):
 
     The dual pivots read only signs of x_B and the tableau, which does
     not depend on the right-hand side, so a positive scale of a
-    right-hand side changes no pivot.
+    right-hand side changes no pivot.  The crash memo is cleared first,
+    so the crash's pivots are counted.
     """
+    sweep._crash.cache_clear()
     calls = [0]
     original = sweep._pivot
 

@@ -278,7 +278,11 @@ def _cold_statuses(rows, rhs_list):
 
 
 def _counting_pivots(monkeypatch):
-    """Count the pivots ``solve_many`` takes, crash and dual; returns the counter."""
+    """Count the pivots ``solve_many`` takes, crash and dual; returns the counter.
+
+    The crash memo is cleared first, so the crash's pivots are counted.
+    """
+    sweep._crash.cache_clear()
     calls = [0]
     original = sweep._pivot
 
@@ -417,16 +421,17 @@ def _ghz_rows_and_rhs():
 
 def test_solve_many_rejects_a_wrong_inverse(monkeypatch):
     # A kept basis is checked at the point its dual pivots end on, so a
-    # wrong inverse raises there instead of deciding any verdict.
+    # wrong inverse raises there instead of deciding any verdict.  The
+    # inverse is tampered before the basis's residual is formed from it.
     rows, rhs_list = _ghz_rows_and_rhs()
-    original = sweep._kept_basis
+    original = sweep._inverse
 
     def tampered(*args):
-        inverse, block, scale = original(*args)
+        inverse = original(*args)
         inverse[0][0][0] += 1
-        return inverse, block, scale
+        return inverse
 
-    monkeypatch.setattr(sweep, "_kept_basis", tampered)
+    monkeypatch.setattr(sweep, "_inverse", tampered)
     with pytest.raises(AssertionError, match="feasible basis fails its exact check"):
         sweep.solve_many(rows, rhs_list)
 
@@ -486,6 +491,9 @@ def test_solve_many_terminates_on_a_dual_degenerate_system(monkeypatch):
 
     monkeypatch.setattr(sweep, "_pivot", recorded)
     monkeypatch.setattr(sweep, "solve_lp", _no_cold_solve)
+    # The solve_lp above left this crash in the memo; clear it, so the
+    # three crash pivots are recorded too.
+    sweep._crash.cache_clear()
     assert sweep.solve_many(rows, [rhs]) == [simplex.OPTIMAL]
     assert bases[3:] == [{0, 2, 3}, {2, 3, 4}, {3, 4, 5}, {1, 3, 5}]
 
@@ -535,6 +543,43 @@ def test_solve_many_equals_cold_solves_on_redundant_and_repeated_columns(problem
         assert sweep.solve_many(rows, rhs_list) == want
 
 
+def _rows_hold(kept, basis, rows, b):
+    """The kept basis's check at b, row by row: x_B >= 0 and A·x = scale·b on every row."""
+    inverse, _ = kept
+    x_basic = [sum(map(mul, line, b)) for line, _ in inverse]
+    # Every kept row of B⁻¹ is over one scale; with no kept row, x = 0.
+    scale = inverse[0][1] if inverse else 1
+    return all(v >= 0 for v in x_basic) and all(
+        sum(row[c] * v for c, v in zip(basis, x_basic)) == scale * value
+        for row, value in zip(rows, b)
+    )
+
+
+@settings(deadline=None, max_examples=300)
+@given(_sweep_problems())
+@example(([[0, 0, 0]], [[0], [1]]))  # no kept row: the residual is −scale·I
+@example(([[1, 1], [1, 1], [0, 0]], [[1, 1, 0], [1, 2, 0], [1, 1, 1], [2, 2, 0]]))
+def test_residual_check_equals_the_row_by_row_check(problem):
+    # Every basis a sweep keeps is checked through its residual R; at
+    # every right-hand side of the draw that must be the check of x_B
+    # and of each row, the redundant and zero rows included.
+    rows, rhs_list = problem
+    kept_bases = []
+    original = sweep._kept_basis
+
+    def recorded(tableau, scales, basis, matrix, n):
+        kept = original(tableau, scales, basis, matrix, n)
+        kept_bases.append((kept, list(basis)))
+        return kept
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweep, "_kept_basis", recorded)
+        sweep.solve_many(rows, rhs_list)
+    for kept, basis in kept_bases:
+        for b in rhs_list:
+            assert sweep._feasible_at(kept, b) == _rows_hold(kept, basis, rows, b)
+
+
 @st.composite
 def _cold_problems(draw):
     """A :func:`_sweep_problems` draw, its right-hand sides also negated."""
@@ -559,6 +604,7 @@ def test_cold_solve_gives_the_reference_status_and_its_proof(problem):
         patch.setattr(sweep, "_pivot", counted)
         for rhs in rhs_list:
             calls[0] = 0
+            sweep._crash.cache_clear()  # so that the crash's pivots are counted
             result = sweep.solve_lp(rows, rhs)
             assert result.pivots == calls[0]
             assert result.status == dense_simplex.solve_lp(rows, rhs).status
@@ -594,3 +640,53 @@ def _two_row_optimum():
 def test_a_right_hand_side_of_the_wrong_length_is_refused(solve, got):
     with pytest.raises(ValueError, match=f"right-hand side has {len(got)} entries for 2 rows"):
         solve(got)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        pytest.param(lambda: sweep.solve_many([], []), id="solve_many-empty"),
+        pytest.param(lambda: sweep.solve_lp([], []), id="solve_lp-empty"),
+        pytest.param(lambda: sweep.solve_many([[1, 2], [1]], [[1, 1]]), id="solve_many-ragged"),
+        pytest.param(lambda: sweep.solve_lp([[1, 2], [1]], [1, 1]), id="solve_lp-ragged"),
+    ],
+)
+def test_an_empty_or_ragged_matrix_is_refused(solve):
+    # Checked on every call, before the crash memo is read: the memo
+    # holds a matrix of the same first row here.
+    sweep.solve_many([[1, 2], [3, 4]], [[1, 1]])
+    with pytest.raises(ValueError, match="at least one row|differ in length"):
+        solve()
+
+
+@pytest.mark.parametrize("entry", [1.0, True, Fraction(1)], ids=["float", "bool", "Fraction"])
+def test_the_crash_memo_keeps_the_integer_check(entry):
+    # 1, 1.0, True and Fraction(1) hash alike, so each would find the
+    # int matrix's crash in the memo if the check came after it.
+    rows, rhs_list = _ghz_rows_and_rhs()
+    sweep.solve_many(rows, rhs_list)
+    changed = [list(row) for row in rows]
+    changed[0][0] = entry
+    assert changed == rows
+    with pytest.raises(TypeError, match="integer"):
+        sweep.solve_many(changed, rhs_list)
+    with pytest.raises(TypeError, match="integer"):
+        sweep.solve_lp(changed, rhs_list[0])
+
+
+def test_the_crash_memo_is_bounded_and_unchanged_by_dual_pivots(monkeypatch):
+    rows, rhs_list = _ghz_rows_and_rhs()
+    assert sweep._crash.cache_info().maxsize == 1
+    calls = _counting_pivots(monkeypatch)  # clears the memo
+    first = sweep.solve_many(rows, rhs_list)
+    first_pivots = calls[0]
+    crash_pivots = len(rows)  # the GHZ rows are independent: one pivot each
+    assert first_pivots > crash_pivots  # the sweep took dual pivots
+    assert any(sweep.solve_lp(rows, rhs).pivots > crash_pivots for rhs in rhs_list)
+    matrix = tuple(map(tuple, rows))
+    assert sweep._crash(matrix) == sweep._crash.__wrapped__(matrix)
+    # A second sweep starts from the same crash, found in the memo: the
+    # same verdicts from the same dual pivots, and no crash pivot.
+    calls[0] = 0
+    assert sweep.solve_many(rows, rhs_list) == first
+    assert calls[0] == first_pivots - crash_pivots
