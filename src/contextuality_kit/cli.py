@@ -221,7 +221,7 @@ def _base_report(command: str, echo) -> dict:
 
 
 def _cmd_check(args) -> tuple[int, dict]:
-    if args.grid and not args.oracle:
+    if args.grid is not None and not args.oracle:
         raise ScenarioError("--grid needs --oracle")
     tolerance = _tolerance(args)
     scenario, echo = load_scenario(args.scenario, tolerance)
@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("check", help="decide joint-distribution existence for a scenario")
     p.add_argument("--scenario", required=True, help="scenario JSON file")
     p.add_argument("--oracle", action="store_true", help="add closed-form cross-check")
-    p.add_argument("--grid", type=int, default=0, metavar="N",
+    p.add_argument("--grid", type=int, default=None, metavar="N",
                    help="with --oracle: sweep an NxN symmetric parameter grid")
     add_tolerance(p)
 

@@ -101,34 +101,32 @@ def check_ghz_inequalities(m: GhzMoments) -> InequalityCheck:
     violated inequality (1-based) with its value, or a pass.
 
     The moments are put over their common denominator and handed to
-    :func:`_ghz_check` as integers.
+    :func:`_ghz_check` as integers; only here does its answer become a
+    record: the shared ``_PASSED``, or a violation with its Fraction.
     """
-    eA, eB, eC, eABC = m.eA, m.eB, m.eC, m.eABC
-    common = lcm(eA.denominator, eB.denominator, eC.denominator, eABC.denominator)
-    return _ghz_check(
-        eA.numerator * (common // eA.denominator),
-        eB.numerator * (common // eB.denominator),
-        eC.numerator * (common // eC.denominator),
-        eABC.numerator * (common // eABC.denominator),
-        common,
-    )
+    moments = (m.eA, m.eB, m.eC, m.eABC)
+    common = lcm(*(v.denominator for v in moments))
+    violated = _ghz_check(*(v.numerator * (common // v.denominator) for v in moments), common)
+    if violated is None:
+        return _PASSED
+    return InequalityCheck(False, violated[0], Fraction(violated[1], common))
 
 
-def _ghz_check(a: int, b: int, c: int, t: int, common: int) -> InequalityCheck:
-    """:func:`check_ghz_inequalities` on the moments a/common, ..., t/common.
+def _ghz_check(a: int, b: int, c: int, t: int, common: int) -> tuple[int, int] | None:
+    """The four GHZ sums of a/common, ..., t/common against ±2, in integers.
 
-    ``common`` is any positive integer; scaling all five by k > 0 gives
-    the same result.  The sums are compared with ±2·common in integers;
-    only a violating value becomes a Fraction, and every pass is the one
-    shared record.  A grid sweep calls this on the integers it already
-    holds, so it builds no Fraction or :class:`GhzMoments` per point.
+    ``common`` is any positive integer.  Returns None when every signed
+    sum lies in [-2·common, 2·common], else (index, total): the first
+    that does not, 1-based, and that sum times ``common``; all five
+    times k > 0 give the same index and k·total.  It builds no record or
+    Fraction, since a grid sweep reads only whether a point passes.
     """
     bound = 2 * common
     sums = (a + b + c - t, -a + b + c + t, a - b + c + t, a + b - c + t)
     for index, total in enumerate(sums, start=1):
         if not -bound <= total <= bound:
-            return InequalityCheck(False, index, Fraction(total, common))
-    return _PASSED
+            return index, total
+    return None
 
 
 class SymmetricParams(Record):

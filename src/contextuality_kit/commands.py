@@ -110,7 +110,7 @@ def _oracle_section(scenario: Scenario, args) -> dict:
                 "value": None if check.value is None else format_scalar(check.value),
                 "signed_sum": format_scalar(closed_form.ghz_sum(moments)),
             }
-    if args.grid:
+    if args.grid is not None:
         grid_report = oracle_grid_agreement(uniform_grid(args.grid))
         section["grid"] = {
             "points": grid_report.total,

@@ -513,10 +513,10 @@ def _grid_verdicts(points) -> list[tuple[bool, bool]]:
     numerators and denominators.  They go to :func:`sweep.solve_many`,
     whose checks are exact and whose dual pivots read only signs of
     x_B, so neither changes with that positive scale; the same ints go
-    to the closed form's integer core, ``closed_form._ghz_check``, so no
-    Fraction or GhzMoments is built per point.  A point outside [0, 1]²
-    (|d·e| > d or |d·t| > d) builds its GhzMoments, which raises
-    ValueError before any LP runs.
+    to the closed form's integer core, ``closed_form._ghz_check``, whose
+    None is a pass, so no Fraction or record is built per point.  A
+    point outside [0, 1]² (|d·e| > d or |d·t| > d) builds its
+    GhzMoments, which raises ValueError before any LP runs.
     """
     from . import closed_form, sweep
 
@@ -536,7 +536,7 @@ def _grid_verdicts(points) -> list[tuple[bool, bool]]:
         rhs_list.append((d, e, e, e, t))
     statuses = sweep.solve_many(rows, rhs_list)
     return [
-        (status == simplex.OPTIMAL, check(e, e, e, t, d).passed)
+        (status == simplex.OPTIMAL, check(e, e, e, t, d) is None)
         for status, (d, e, _, _, t) in zip(statuses, rhs_list)
     ]
 
@@ -558,8 +558,8 @@ def oracle_grid_agreement(
     until its x_B is nonnegative or a row proves it infeasible.  Every
     verdict is an exact proof at its point, so it is the one a cold
     solve gives.  The closed-form verdict is the four inequalities of
-    :func:`closed_form.check_ghz_inequalities`, taken in integers on the
-    same scaled right-hand side (see :func:`_grid_verdicts`).
+    :func:`closed_form.check_ghz_inequalities`, read as pass or fail in
+    integers on the same scaled right-hand side (:func:`_grid_verdicts`).
     The kept evidence lives in this one sweep, which runs in the calling
     process; only the crash of the shared matrix, which no point's
     verdict reads as evidence, is kept for the next sweep.  ``workers``

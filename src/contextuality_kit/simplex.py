@@ -606,10 +606,8 @@ def _check_rhs(rhs, m):
 def _basic_values(inverse, b):
     """``B⁻¹·b`` from a kept inverse, or None when an entry is negative.
 
-    ``inverse`` is an ``LpResult.inverse``, or ``sweep.solve_many``'s
-    kept basis inverse in the same layout, and ``b`` the right-hand side
-    times some d > 0: ints over one common denominator d for
-    :func:`settle`, or as a caller of ``sweep.solve_many`` gave it.
+    ``inverse`` is an ``LpResult.inverse`` and ``b`` the right-hand side
+    as ints over one common denominator d, as :func:`settle` holds it.
     Entry i is ``ints_i·b``, so x_B(i) is entry i over d times row i's
     scale.
     """

@@ -16,17 +16,17 @@ entries are all >= 0 gives −(its row of B⁻¹) as a Farkas vector.
 :func:`solve_many` decides many right-hand sides that share one
 integer matrix A, such as the points of a parameter grid, from one
 crash basis, and keeps the evidence of earlier points: the last
-feasible basis with its inverse, read by ``simplex._basic_values``, and
-the last Farkas certificate.  A right-hand side b is feasible when
-``x_B >= 0`` and the padded x satisfies every row, the redundant rows
-included; it is infeasible when ``yᵀA <= 0`` and ``yᵀb > 0``.  Either
-is a complete proof at that b, and only such a proof decides a
-verdict.  The row check is linear in b, so a kept basis carries it as
-the nonzero rows of one residual matrix, formed once per basis (see
-:func:`_kept_basis`).  Both checks are exact for any rational b and
-unchanged when b is multiplied by a positive number, so a caller that
-holds b as ints over its own denominator, as the GHZ grid sweep does,
-passes those ints, and the checks run in integers.
+feasible basis and the last Farkas certificate.  A right-hand side b
+is feasible when ``x_B >= 0`` and the padded x satisfies every row, the
+redundant rows included; it is infeasible when ``yᵀA <= 0`` and
+``yᵀb > 0``.  Either is a complete proof at that b, and only such a
+proof decides a verdict.  The row check is linear in b, so a kept basis
+carries it as the nonzero rows of one residual matrix, formed once per
+basis (:func:`_kept_basis`).  Both checks are exact for any rational b
+and unchanged when b is multiplied by a positive number, so a caller
+holding b as ints over its own denominator, as the GHZ grid sweep does,
+passes those ints: a settled point is then a few integer dot products
+(:func:`_feasible_at`), with no Fraction, record or x_B list built.
 
 The crash depends only on the matrix, so it is memoized, immutably,
 for the last matrix swept (:func:`_crash`), and each call starts from
@@ -47,7 +47,7 @@ from fractions import Fraction
 from operator import mul
 
 from .numerics import over_common_denominator
-from .simplex import INFEASIBLE, OPTIMAL, LpResult, _basic_values, _check_rhs, _pivot, _reduced
+from .simplex import INFEASIBLE, OPTIMAL, LpResult, _check_rhs, _pivot, _reduced
 
 
 def _matrix(rows):
@@ -185,18 +185,18 @@ def _kept_basis(tableau, scales, basis, rows, n):
     columns of all m rows, x_B = B⁻¹b / s padded with zeros satisfies
     every row exactly when block·(B⁻¹b) = s·b, that is, when R·b = 0
     for the m×m matrix R = block·B⁻¹ − s·I.  That holds for every b, so
-    R is formed once per basis, from the very inverse that is kept, and
-    only its nonzero rows are kept.  With no redundant row and a correct
-    inverse R is 0; with no kept row it is −s·I.
+    R is formed once per basis, each entry a dot product of a block with
+    a column of the kept inverse, and only its nonzero rows are kept.
+    R is 0 with no redundant row and a correct inverse, −s·I with none kept.
     """
     inverse = _inverse(tableau, scales, n)
     scale = math.lcm(*(s for _, s in inverse))
     inverse = [([v * (scale // s) for v in line], scale) for line, s in inverse]
-    m = len(rows)
+    columns = list(zip(*(line for line, _ in inverse))) or [()] * len(rows)
     residual = []
     for i, row in enumerate(rows):
         block = [row[c] for c in basis]
-        line = [sum(a * kept[j] for a, (kept, _) in zip(block, inverse)) for j in range(m)]
+        line = [sum(map(mul, block, column)) for column in columns]
         line[i] -= scale
         if any(line):
             residual.append(line)
@@ -207,12 +207,17 @@ def _feasible_at(feasible_basis, b):
     """Whether the kept basis proves b feasible: x_B >= 0 and R·b = 0.
 
     R·b = 0 on the residual's nonzero rows is A·x = scale·b on every
-    row, the redundant ones included (see :func:`_kept_basis`).
+    row, the redundant ones included (see :func:`_kept_basis`).  One
+    pass stops at the first negative x_B entry or nonzero R·b entry.
     """
     inverse, residual = feasible_basis
-    return _basic_values(inverse, b) is not None and not any(
-        sum(map(mul, line, b)) for line in residual
-    )
+    for line, _ in inverse:
+        if sum(map(mul, line, b)) < 0:
+            return False
+    for line in residual:
+        if sum(map(mul, line, b)):
+            return False
+    return True
 
 
 def solve_many(rows: list[list[int]], rhs_list) -> list[str]:
@@ -227,10 +232,9 @@ def solve_many(rows: list[list[int]], rhs_list) -> list[str]:
     last matrix), each call pivots on its own copy, and each rhs is then
     decided by the first of these that applies:
 
-    1. the last feasible basis, when x_B >= 0 and R·rhs = 0, with R
-       the nonzero rows of the basis's residual, formed once with it
-       (:func:`_kept_basis`): that is every row, the redundant ones
-       included, holding at rhs;
+    1. the last feasible basis, when x_B >= 0 and R·rhs = 0
+       (:func:`_feasible_at`; :func:`_kept_basis` forms R once per
+       basis): every row, the redundant ones included, holds at rhs;
     2. the last certificate z, when zᵀrhs > 0;
     3. a redundant row's y with yᵀrhs != 0, whose ±y is the certificate;
     4. dual-simplex pivots from the tableau's current basis

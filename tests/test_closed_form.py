@@ -514,12 +514,13 @@ def test_integer_core_equals_the_moment_check(moments, k):
     assert want == _fraction_inequality_check(fractions)
     for scale in (1, k):
         got = _ghz_check(*(scale * v for v in moments))
-        assert (got.passed, got.violated_index, got.value) == (
-            want.passed,
-            want.violated_index,
-            want.value,
-        )
-        assert got.value is None or type(got.value) is Fraction
+        if want.passed:
+            assert got is None
+        else:
+            # The first violated index, and its sum times scale·common.
+            index, total = got
+            assert type(index) is int and type(total) is int
+            assert (index, Fraction(total, scale * common)) == (want.violated_index, want.value)
 
 
 @settings(deadline=None, max_examples=150)

@@ -476,6 +476,25 @@ def test_grid_verdicts_build_no_ghz_moments_in_the_unit_square(monkeypatch):
         _grid_verdicts([(Fraction(3, 2), 0)])
 
 
+def test_grid_verdicts_build_no_inequality_record_or_fraction(monkeypatch):
+    # About a third of a grid's points break an inequality; the sweep
+    # reads only whether each passes, so a violating point builds
+    # neither the closed form's record nor its Fraction value.
+    points = uniform_grid(21)
+    want = _grid_verdicts(points)
+    assert 0 < sum(not cf_ok for _, cf_ok in want) < len(points)
+    violated = closed_form.GhzMoments.of(1, 1, 1, -1)
+
+    def refused(*args):
+        raise AssertionError("the grid sweep built an InequalityCheck or a Fraction")
+
+    monkeypatch.setattr(closed_form.InequalityCheck, "__init__", refused)
+    monkeypatch.setattr(closed_form, "Fraction", refused)
+    assert _grid_verdicts(points) == want
+    with pytest.raises(AssertionError, match="built an InequalityCheck or a Fraction"):
+        closed_form.check_ghz_inequalities(violated)
+
+
 _sweep_entry = st.fractions(min_value=-2, max_value=2, max_denominator=3)
 
 
@@ -510,7 +529,8 @@ def test_oracle_lists_a_disagreeing_point(monkeypatch):
     def flipped(a, b, c, t, common):
         result = original(a, b, c, t, common)
         if (Fraction(a, common), Fraction(t, common)) == (2 * p - 1, 2 * q - 1):
-            return closed_form.InequalityCheck(not result.passed)
+            # None is a pass; any (index, total) is a violation.
+            return (1, 4 * common) if result is None else None
         return result
 
     # The oracle calls the closed form's integer core on its sweep ints.

@@ -6,8 +6,10 @@ exit code 1.  Its oracle section holds the closed form's verdict on the
 scenario (violated inequality, signed sum) and the grid's point count,
 mismatches and agreement.  These files are kept apart from
 ``tests/golden/exit_codes.json``, whose key set covers the plain
-``check`` and ``margin`` runs only.  The 61x61 JSON report is the one
-CI's grid-oracle step also compares.
+``check`` and ``margin`` runs only.  The 61x61 and 401x401 JSON
+reports are the ones CI's two grid-oracle steps also compare; the
+401x401 one, the largest grid the CLI allows (160,801 points), takes
+a second or two to generate.
 """
 
 import io
@@ -21,7 +23,8 @@ GOLDEN = Path(__file__).parent / "golden" / "oracle"
 
 
 @pytest.mark.parametrize(
-    ("steps", "fmt", "suffix"), [(21, "json", "json"), (21, "text", "txt"), (61, "json", "json")]
+    ("steps", "fmt", "suffix"),
+    [(21, "json", "json"), (21, "text", "txt"), (61, "json", "json"), (401, "json", "json")],
 )
 def test_oracle_report_is_byte_identical_to_golden(steps, fmt, suffix):
     stream = io.StringIO()
