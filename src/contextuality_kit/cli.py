@@ -139,15 +139,7 @@ def scenario_from_document(
             )
         target = targets.get(value_text)
         if target is None:
-            try:
-                target = parse_and_evaluate(value_text, bracket_tolerance)
-            except KitError as err:
-                what = (
-                    "bad value expression" if isinstance(err, ExpressionError) else "cannot evaluate"
-                )
-                raise ScenarioError(
-                    f"constraint {index}: {what} {quoted(value_text)}: {err}"
-                ) from err
+            target = _evaluated(value_text, bracket_tolerance, f"constraint {index}")
             targets[value_text] = target
         try:
             constraints.append(MomentConstraint(tuple(subset), relation, target))
@@ -256,11 +248,23 @@ def _tolerance(args) -> Fraction:
     return tolerance
 
 
+def _evaluated(text: str, bracket_tolerance: Fraction, where: str) -> ScalarInterval:
+    """``parse_and_evaluate(text)``; an error names ``where`` and quotes the text.
+
+    ``where`` is a constraint (``constraint 3``) or a flag (``--p``).
+    """
+    try:
+        return parse_and_evaluate(text, bracket_tolerance)
+    except KitError as err:
+        what = "bad value expression" if isinstance(err, ExpressionError) else "cannot evaluate"
+        raise ScenarioError(f"{where}: {what} {quoted(text)}: {err}") from err
+
+
 def _parse_rational_flag(text: str, flag: str) -> Fraction:
     """The exact rational value of a flag's expression."""
-    interval = parse_and_evaluate(text)
+    interval = _evaluated(text, DEFAULT_BRACKET_TOLERANCE, flag)
     if not interval.is_point:
-        raise ScenarioError(f"{flag} must be an exact rational, got {text!r}")
+        raise ScenarioError(f"{flag} must be an exact rational, got {quoted(text)}")
     return interval.lo
 
 

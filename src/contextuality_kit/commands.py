@@ -20,6 +20,7 @@ from .cli import (
     EXIT_VIOLATION,
     _approx,
     _base_report,
+    _evaluated,
     _load_json,
     _parse_rational_flag,
     _require_list,
@@ -48,7 +49,7 @@ from .measures import (
     signed_atom_sum,
     validate,
 )
-from .numerics import format_scalar, parse_and_evaluate, scalar_from_string
+from .numerics import format_scalar, scalar_from_string
 from .set_functions import PartialSetFunction, check_conjugacy, check_monotonicity
 
 if TYPE_CHECKING:
@@ -234,9 +235,7 @@ def _bell_moments_from_args(args) -> tuple[closed_form.BellMoments, dict, Fracti
     tolerance = _tolerance(args)
     echo = {"exy": args.exy, "exz": args.exz, "eyz": args.eyz}
     moments = closed_form.BellMoments(
-        parse_and_evaluate(args.exy, tolerance),
-        parse_and_evaluate(args.exz, tolerance),
-        parse_and_evaluate(args.eyz, tolerance),
+        *(_evaluated(text, tolerance, f"--{name}") for name, text in echo.items())
     )
     return moments, echo, tolerance
 

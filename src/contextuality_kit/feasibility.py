@@ -390,8 +390,9 @@ def _crash_basis(bits, masks, relaxed_rhs, t_sign):
     takes the basic place of the first row attaining it, whose slack is
     0; when every row is strictly slack at j, t stays nonbasic at 0.
     Violations are compared in integers over the targets' common
-    denominator, and only the running worst is kept, one per atom.  The
-    two rows of an equality share a mask, so their violations are
+    denominator, and only the running worst is kept, one per atom,
+    folded in by a comparison per atom rather than a call to ``max``.
+    The two rows of an equality share a mask, so their violations are
     folded first and each mask's atom row is built once.
     """
     n = 1 << bits
@@ -410,7 +411,7 @@ def _crash_basis(bits, masks, relaxed_rhs, t_sign):
     worst = None
     for mask, (plus, minus) in by_mask.items():
         row = _on_atoms(bits, mask, plus, minus)
-        worst = row if worst is None else list(map(max, worst, row))
+        worst = row if worst is None else [a if a >= b else b for a, b in zip(worst, row)]
     least = min(worst)
     j = worst.index(least)
     basis[0] = j

@@ -312,7 +312,7 @@ class _Parser:
         expr = self.parse_expr()
         kind, value, pos = self.peek()
         if kind != "eof":
-            raise ExpressionError(f"unexpected trailing input {value!r}", pos)
+            raise ExpressionError(f"unexpected trailing input {quoted(value)}", pos)
         return expr
 
     def parse_expr(self) -> ValueExpr:
@@ -342,7 +342,7 @@ class _Parser:
             return Literal(_literal(value, pos))
         if kind == "name":
             if value != "sqrt":
-                raise ExpressionError(f"unknown identifier {value!r}", pos)
+                raise ExpressionError(f"unknown identifier {quoted(value)}", pos)
             self.advance()
             self.expect_op("(")
             inner = self.parse_expr()

@@ -30,25 +30,27 @@ of every column, and B⁻¹ only over its live columns: while a slack (a
 unit column of cost 0, entry ±1) of row r is basic, column r of B⁻¹ is
 a unit vector, kept implicit.  So with k rows that have no basic slack
 it holds (m + 1) × (k + 2) integers, not (m + 1) × (m + 2); the margin
-LP's rows are mostly slack rows.  Every explicit column is held as its
-m entries, entered and priced by dot products; the slack is the one
-special explicit column, priced off its row's dual.  The LPs may have a
-block of character columns: atom a's entry in row i is
-``(-1)^popcount(a & mask_i)``, as for the kit's moment rows over 2ⁿ
-atoms.  Those columns are never formed.  Each pivot prices all of them
-at once: the objective row's duals, added up on their rows' masks, go
-through one integer Walsh–Hadamard transform (n·2ⁿ additions; Fino and
-Algazi, *IEEE Trans. Comput.* C-25, 1142 (1976)), and only the entering
-column is built, from its atom's bits.  The pricing is exhaustive over
-the atoms, because finding the best atom is the separation problem of
-the correlation polytope, NP-hard in general (I. Pitowsky, *Math.
-Programming* 50, 395 (1991)).  The pivots are those of the dense
-one-phase tableau this replaced: the basis rows hold the same rational
-values, Dantzig's choice reads the same reduced costs in the same
-column order, and the ratio test the same column.  So the point,
-objective and duals are the same too, which the tests pin against
-that tableau, kept as ``tests/dense_simplex.py`` with the full-width
-B⁻¹ rows that the live columns replaced.
+LP's rows are mostly slack rows.  The objective row's duals are 0 on
+every held column, so pricing reads only its k live entries: a slack's
+reduced cost is ±(its row's dual), nonzero only on a live row, and any
+other explicit column is priced by a dot product over the k live rows.
+A slack is held as its ``(row, entry)``, every other explicit column as
+its m entries.  The LPs may have a block of character columns: atom a's
+entry in row i is ``(-1)^popcount(a & mask_i)``, as for the kit's
+moment rows over 2ⁿ atoms.  Those columns are never formed.  Each pivot
+prices all of them at once: the objective row's live duals, added up on
+their rows' masks, go through one integer Walsh–Hadamard transform
+(n·2ⁿ additions; Fino and Algazi, *IEEE Trans. Comput.* C-25, 1142
+(1976)), and only the entering column is built, from its atom's bits.
+The pricing is exhaustive over the atoms, because finding the best atom
+is the separation problem of the correlation polytope, NP-hard in
+general (I. Pitowsky, *Math. Programming* 50, 395 (1991)).  The pivots
+are those of the dense one-phase tableau this replaced: the basis rows
+hold the same rational values, Dantzig's choice reads the same reduced
+costs in the same column order, and the ratio test the same column.
+So the point, objective and duals are the same too, which the tests pin
+against that tableau, kept as ``tests/dense_simplex.py`` with the
+full-width B⁻¹ rows that the live columns replaced.
 
 Every LP the kit solves has an integer matrix and a rational
 right-hand side: ±1 characters, ±1 slack and ``t`` columns,
@@ -96,7 +98,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from operator import add, mul, sub
 
 from ._record import Record
 from .numerics import over_common_denominator
@@ -183,10 +185,10 @@ def _pivot(tableau, scales, basis, row, col):
     (value 1), put in lowest terms, and its nonzero columns are listed
     once.  Each other row with entry f in the pivot column becomes
     ``other·q − (f/g)·prow`` over ``scale·q``, where g = gcd(f, p) and
-    q = p/g: it is multiplied by q only when q > 1, and the product is
-    subtracted at the pivot row's nonzero columns only.  Rows with
-    q = 1 are updated in place, so no caller may keep a tableau row
-    that a later pivot must not change.
+    q = p/g.  A row with q > 1 is formed anew in one pass over its
+    entries; a row with q = 1 (most rows of the margin LP) is updated
+    in place, at the pivot row's nonzero columns only, so no caller may
+    keep a tableau row that a later pivot must not change.
 
     An updated row is divided by its gcd only when it is the objective
     row, whose entries every pricing reads, or when its scale is longer
@@ -218,10 +220,11 @@ def _pivot(tableau, scales, basis, row, col):
         q = p // g
         f //= g
         if q > 1:
-            other = [a * q for a in other]
+            other = [a * q - f * v for a, v in zip(other, prow)]
             scale *= q
-        for j, v in nonzero:
-            other[j] -= f * v
+        else:
+            for j, v in nonzero:
+                other[j] -= f * v
         if (i == objective and scale > 1) or scale.bit_length() > _REDUCE_BITS:
             other, scale = _reduced(other, scale)
         tableau[i] = other
@@ -233,8 +236,11 @@ def _leaving(tableau, entering, lex):
     """Ratio test on the entering column: the row that leaves, or -1.
 
     Of the rows tied at the least ratio x_B(i)/α_i, the one whose row of
-    B⁻¹B₀ over α_i is lexicographically least leaves; ``lex(rows, k)`` is
-    column k of B⁻¹B₀ on the tied ``rows``, read until one row is least.
+    B⁻¹B₀ over α_i is lexicographically least leaves.  ``lex(rows, k)``
+    returns (k', column k' of B⁻¹B₀ on the tied ``rows``) for some
+    k' >= k such that columns k..k'−1 are zero on every one of ``rows``
+    (a column zero on all tied rows keeps every tie), and is called
+    again from k' + 1 until one row is least.
     """
     rows, values, k = range(len(tableau) - 1), [line[-1] for line in tableau], 0
     while True:
@@ -250,7 +256,8 @@ def _leaving(tableau, entering, lex):
                     tied.append(i)
         if len(tied) < 2:
             return tied[0] if tied else -1
-        rows, values, k = tied, lex(tied, k), k + 1
+        k, values = lex(tied, k)
+        rows, k = tied, k + 1
 
 
 def _walsh(values, bits):
@@ -260,11 +267,12 @@ def _walsh(values, bits):
     constant-geometry butterfly puts the sums of the pairs (2i, 2i+1)
     in the first half and their differences in the second; after the
     last stage the entries are back in natural order (Fino and Algazi,
-    *IEEE Trans. Comput.* C-25, 1142 (1976)).  n·2ⁿ integer additions.
+    *IEEE Trans. Comput.* C-25, 1142 (1976)).  n·2ⁿ integer additions,
+    each stage's halves by ``map`` over ``operator.add`` and ``sub``.
     """
     for _ in range(bits):
         even, odd = values[0::2], values[1::2]
-        values = [a + b for a, b in zip(even, odd)] + [a - b for a, b in zip(even, odd)]
+        values = [*map(add, even, odd), *map(sub, even, odd)]
     return values
 
 
@@ -283,10 +291,12 @@ class _RevisedLp:
     Row i's B⁻¹ entries are the multipliers that combine the rows of
     ``[A | b]`` into that row of the dense tableau; the objective row's,
     w, stand for ``scale·[c | 0] + w·[A | b]``, so w prices every
-    column and −w/scale are the row duals.  Every explicit column is
-    held as its m entries; the one special kind is the *slack*, a
-    column of cost 0 with one entry, ±1, on some row r, also held in
-    ``slacks`` as (r, ±1).  While a slack is basic on position i,
+    column and −w/scale are the row duals.  The one special kind of
+    explicit column is the *slack*, a column of cost 0 with one entry,
+    ±1, on some row r: it is held only as (r, ±1), in ``slacks`` by
+    column and in ``slacks_on`` by row, and its m entries are built only
+    when it enters.  Every other explicit column is held in ``dense`` as
+    its m entries.  While a slack is basic on position i,
     column r of B⁻¹ is ±e_i: row i's entry there is ±(its scale), every
     other row's is 0, the objective row's included (the slack's reduced
     cost is 0).  Such a column of B⁻¹ is not stored, only
@@ -307,7 +317,8 @@ class _RevisedLp:
     the pivot row, so the update leaves them 0 elsewhere and a multiple
     of the scale on their own row, and they change no gcd.  So every
     stored entry, scale and pivot is the one the full rows would have,
-    and :meth:`result` writes the held entries back in.  The slot,
+    and :meth:`result` writes the held entries back in.  Pricing and the
+    read-out loop over the k live columns, not the m rows.  The slot,
     written by :meth:`enter` the same way for an atom and an explicit
     column, carries the column being pivoted in; :func:`_pivot` and
     :func:`_leaving` work on these rows as on the dense tableau.
@@ -322,16 +333,18 @@ class _RevisedLp:
         if any(not 0 <= i < m for c in columns for i in c):
             raise ValueError(f"a column has an entry off the rows 0..{m - 1}")
         self.costs = costs
-        # Every explicit column as its m entries; each slack also as (row, entry).
-        self.columns, self.slacks = [], {}
+        # A slack as its (row, entry), also listed under its row by its
+        # explicit index; every other explicit column as its m entries.
+        self.slacks, self.slacks_on, self.dense = {}, {}, {}
         for j, (column, cost) in enumerate(zip(columns, costs), self.atoms):
             nonzero = [(i, v) for i, v in column.items() if v]
-            dense = [0] * m
+            if len(nonzero) == 1 and nonzero[0][1] in (1, -1) and not cost:
+                r, v = self.slacks[j] = nonzero[0]
+                self.slacks_on.setdefault(r, []).append((j - self.atoms, v))
+                continue
+            dense = self.dense[j - self.atoms] = [0] * m
             for i, v in nonzero:
                 dense[i] = v
-            self.columns.append(dense)
-            if len(nonzero) == 1 and nonzero[0][1] in (1, -1) and not cost:
-                self.slacks[j] = nonzero[0]
         rhs, self.rhs_scale = over_common_denominator(rhs)
         self.live = []
         self.held = {i: (i, 1) for i in range(m)}
@@ -340,10 +353,15 @@ class _RevisedLp:
         self.basis = [-1] * m
 
     def _column(self, j):
-        """Column j's m entries; an atom's are built from its bits."""
+        """Column j's m entries; an atom's are built from its bits, a slack's from its one entry."""
         if j < self.atoms:
             return [-1 if (j & mask).bit_count() & 1 else 1 for mask in self.masks]
-        return self.columns[j - self.atoms]
+        slack = self.slacks.get(j)
+        if slack is None:
+            return self.dense[j - self.atoms]
+        column = [0] * self.m
+        column[slack[0]] = slack[1]
+        return column
 
     def enter(self, j):
         """Write column j, as the current basis sees it, into the slot."""
@@ -360,26 +378,34 @@ class _RevisedLp:
             tableau[m][slot] += self.costs[j - self.atoms] * scales[m]
 
     def _lex(self, rows, k):
-        """Column k of B⁻¹B₀ (B₀ in position order) on ``rows``; a slack's is ±a B⁻¹ column."""
+        """(k', column k' of B⁻¹B₀ on ``rows``), k' the first column >= k that can be nonzero there.
+
+        B₀ is in position order.  A slack's column is ±(column r of
+        B⁻¹) for its row r.  That column is live, or ±e_p for the one
+        position p holding it (its own slack or a second unit on row r),
+        which is zero on every row but p; so a slack held by a position
+        outside ``rows`` is passed over unread.  The atom and t columns
+        are formed.
+        """
         tableau, scales, held, live = self.tableau, self.scales, self.held, self.live
-        j = self.start_basis[k]
-        if j in self.slacks:
-            r, sign = self.slacks[j]
+        start, slacks = self.start_basis, self.slacks
+        while (slack := slacks.get(j := start[k])) is not None:
+            r, sign = slack
             if r in live:
                 c = live.index(r)
-                return [sign * tableau[i][c] for i in rows]
-            # Column r is ±e_p for the one position p holding it (its own
-            # slack or a second unit on row r): nonzero only if p is tied.
-            return [
-                sign * h[1] * scales[i] if (h := held.get(i)) and h[0] == r else 0 for i in rows
-            ]
+                return k, [sign * tableau[i][c] for i in rows]
+            for p in rows:
+                h = held.get(p)
+                if h is not None and h[0] == r:
+                    return k, [sign * h[1] * scales[i] if i == p else 0 for i in rows]
+            k += 1
         column = self._column(j)
         stored = [column[c] for c in live]
         values = [sum(map(mul, tableau[i], stored)) for i in rows]
         for n, i in enumerate(rows):
             if i in held:
                 values[n] += held[i][1] * column[held[i][0]] * scales[i]
-        return values
+        return k, values
 
     def leaving(self):
         """The ratio test on the slot: the row that leaves, or -1."""
@@ -452,40 +478,58 @@ class _RevisedLp:
     def reduced_costs(self):
         """Every column's reduced cost, as ints over the objective row's scale.
 
-        The atom block is one Walsh–Hadamard transform of :meth:`duals`
-        placed on their rows' masks; a slack is priced off its row's
-        dual, every other explicit column by a dot product.
+        Only the objective row's k live entries w can be nonzero, as its
+        entry on a held column is 0 (:meth:`duals`), so nothing here
+        reads the m rows.  The atom block is one Walsh–Hadamard
+        transform of w placed on the live rows' masks.  A slack's
+        reduced cost is ±(its row's w): 0 unless its row is live, so
+        only the slacks of live rows (``slacks_on``) are filled in.
+        Every other explicit column costs its cost times the scale plus
+        a dot product with w over the k live rows.
         """
-        scale, duals = self.scales[self.m], self.duals()
-        reduced = []
-        if self.atoms:
-            weights = [0] * self.atoms
-            for w, mask in zip(duals, self.masks):
-                if w:
-                    weights[mask] += w
-            reduced = _walsh(weights, self.bits)
-        for j, (cost, column) in enumerate(zip(self.costs, self.columns), self.atoms):
-            slack = self.slacks.get(j)
-            if slack:
-                reduced.append(duals[slack[0]] * slack[1])
-            else:
-                reduced.append(cost * scale + sum(map(mul, duals, column)))
+        live, obj, costs, slacks_on = self.live, self.tableau[self.m], self.costs, self.slacks_on
+        scale = self.scales[self.m]
+        explicit = [0] * len(costs)
+        for r, w in zip(live, obj):
+            if w and r in slacks_on:
+                for index, sign in slacks_on[r]:
+                    explicit[index] = sign * w
+        for index, column in self.dense.items():
+            explicit[index] = costs[index] * scale + sum(map(mul, obj, [column[r] for r in live]))
+        if not self.atoms:
+            return explicit
+        weights, masks = [0] * self.atoms, self.masks
+        for r, w in zip(live, obj):
+            if w:
+                weights[masks[r]] += w
+        reduced = _walsh(weights, self.bits)
+        reduced += explicit
         return reduced
 
     def result(self, pivots) -> LpResult:
-        """The optimal LpResult of the current basis, B⁻¹ at full width in lowest terms."""
-        m, tableau, scales = self.m, self.tableau, self.scales
+        """The optimal LpResult of the current basis, B⁻¹ at full width in lowest terms.
+
+        Row i's divisor is the gcd of its scale and its k live entries;
+        its held entry, ±scale, cannot change it.  The live entries, so
+        divided, are scattered over m zeros and the held one written
+        in: the lowest-terms row :func:`_reduced` gives the widened row.
+        """
+        m, tableau, scales, live, held = self.m, self.tableau, self.scales, self.live, self.held
+        k = len(live)
         scale = scales[m]
         x, inverse = [], []
         for i, line in enumerate(tableau[:m]):
-            x.append(Fraction(line[-1], scales[i] * self.rhs_scale))
+            s = scales[i]
+            x.append(Fraction(line[-1], s * self.rhs_scale))
+            g = math.gcd(s, *line[:k])
             full = [0] * m
-            for c, v in zip(self.live, line):
+            for c, v in zip(live, line if g == 1 else [v // g for v in line[:k]]):
                 full[c] = v
-            if i in self.held:
-                c, sign = self.held[i]
-                full[c] = sign * scales[i]
-            inverse.append(_reduced(full, scales[i]))
+            s //= g
+            if i in held:
+                c, sign = held[i]
+                full[c] = sign * s
+            inverse.append((full, s))
         return LpResult(
             status=OPTIMAL,
             x=x,
@@ -535,10 +579,11 @@ def solve_from_basis(
     LP, the start basis and these rules.
 
     Only B⁻¹, x_B and the objective row are held, B⁻¹ over the rows
-    with no basic slack (``_RevisedLp``), and each explicit column as
-    its m entries; no character column is stored.  Every reduced cost is
-    recomputed from the objective row's duals each pivot (the character
-    block by :func:`_walsh`), and only the entering column is formed.
+    with no basic slack (``_RevisedLp``), a slack as its one entry and
+    every other explicit column as its m entries; no character column
+    is stored.  Every reduced cost is recomputed from the objective
+    row's live duals each pivot (the character block by
+    :func:`_walsh`), and only the entering column is formed.
 
     ``pivots`` counts the simplex pivots; the pivots that bring
     ``basis`` in are not counted.  An optimal result carries ``basis``

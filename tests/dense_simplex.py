@@ -346,7 +346,7 @@ def _run_dantzig(tableau, scales, basis):
             return OPTIMAL, pivots
         entering = obj.index(most_negative)
         leaving = _leaving(
-            tableau, entering, lambda rows, k: [tableau[i][start[k]] for i in rows]
+            tableau, entering, lambda rows, k: (k, [tableau[i][start[k]] for i in rows])
         )
         if leaving < 0:
             return UNBOUNDED, pivots
@@ -486,7 +486,7 @@ class FullWidthLp:
 
         def lex(rows, k):
             column = self._column(self.start_basis[k])
-            return [sum(map(mul, self.tableau[i], column)) for i in rows]
+            return k, [sum(map(mul, self.tableau[i], column)) for i in rows]
 
         return _leaving(self.tableau, self.m, lex)
 

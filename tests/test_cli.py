@@ -515,6 +515,56 @@ def test_bracket_tolerance_must_be_a_positive_rational(tolerance, message):
     assert (code, report["error"]) == (EXIT_USAGE, message)
 
 
+#: One command line per flag family, with "{}" where the flag's value goes.
+_VALUE_FLAGS = {
+    "--p": ("construct-symmetric", "--p={}", "--q=1/2"),
+    "--q": ("construct-symmetric", "--p=1/2", "--q={}"),
+    "--epsilon": ("ghz-epsilon", "--epsilon={}"),
+    "--bracket-tolerance": ("check", "--scenario", bundled("ghz.json"), "--bracket-tolerance={}"),
+    "--exy": ("bell-system", "--exy={}", "--exz=0", "--eyz=0"),
+    "--exz": ("upper-bell", "--exy=0", "--exz={}", "--eyz=0"),
+    "--eyz": ("upper-bell", "--exy=0", "--exz=0", "--eyz={}"),
+}
+
+
+@pytest.mark.parametrize("flag", sorted(_VALUE_FLAGS))
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("1/0", "{}: cannot evaluate '1/0': division by zero"),
+        ("1/3+", "{}: bad value expression '1/3+': expected a value (at position 4)"),
+        (
+            "1e999",
+            "{}: bad value expression '1e999': unexpected trailing input 'e999' (at position 1)",
+        ),
+    ],
+    ids=["division-by-zero", "dangling-plus", "exponent"],
+)
+def test_a_flag_expression_error_names_the_flag(flag, value, message):
+    code, report = run_json(*(arg.format(value) for arg in _VALUE_FLAGS[flag]))
+    assert (code, report["error"]) == (EXIT_USAGE, message.format(flag))
+
+
+_LONG_VALUES = {
+    "trailing-name": "1/2 " + "x" * 20000,
+    "unknown-name": "y" * 20000,
+    "irrational": "sqrt(2)/2" + " " * 20000,
+}
+
+
+@pytest.mark.parametrize(
+    "flag, kind",
+    [(flag, kind) for kind in ("trailing-name", "unknown-name") for flag in sorted(_VALUE_FLAGS)]
+    # The Bell flags take an irrational value; the others must be rational.
+    + [(flag, "irrational") for flag in ("--p", "--q", "--epsilon", "--bracket-tolerance")],
+)
+def test_a_long_flag_value_gives_a_short_error(flag, kind):
+    value = _LONG_VALUES[kind]
+    code, report = run_json(*(arg.format(value) for arg in _VALUE_FLAGS[flag]))
+    assert code == EXIT_USAGE
+    assert report["error"].startswith(flag) and len(report["error"]) < 300
+
+
 class TestOtherCommands:
     def test_mermin(self):
         code, report = run_json("mermin")

@@ -616,6 +616,117 @@ def test_rows_hold_only_live_columns_at_every_pivot(monkeypatch):
     assert sum(slacks_in) == 1
 
 
+@contextmanager
+def pricing_compared():
+    """Check every pricing against the dense rows; yields the count of slacks entered.
+
+    At every basis the simplex prices, the reduced costs it reads off
+    the live columns must be the dense reference's, c_j − yᵀA_j for the
+    row duals y of that basis (solved in Fractions from the basic
+    columns, independent of the kit's rows), times the objective row's
+    scale.  A slack entering after the start makes its row's column
+    held again, which the pricing that follows must see.
+    """
+    lps, entered = [], [0]
+    reduced_costs, pivot = simplex._RevisedLp.reduced_costs, simplex._RevisedLp.pivot
+
+    def from_basis(costs, columns, rhs, basis, characters=None):
+        lps.append(dense_simplex.dense_lp(costs, columns, rhs, characters))
+        return _solve_from_basis(costs, columns, rhs, basis, characters)
+
+    def priced(lp):
+        got = reduced_costs(lp)
+        dense_costs, rows = lps[-1]
+        y = dense_simplex._duals(dense_costs, rows, lp.basis)
+        scale = lp.scales[lp.m]
+        assert got == [v * scale for v in dense_simplex.reduced_costs(dense_costs, rows, y)]
+        return got
+
+    def counted(lp, row, j):
+        entered[0] += hasattr(lp, "start_basis") and j in lp.slacks
+        pivot(lp, row, j)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplex, "solve_from_basis", from_basis)
+        patch.setattr(simplex._RevisedLp, "reduced_costs", priced)
+        patch.setattr(simplex._RevisedLp, "pivot", counted)
+        yield entered
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(relaxed_scenarios(), _wide_scenarios.filter(lambda s: s.space.n <= 5)))
+@example(scenario_from_document(reference.wide_document(11, 5, True)))
+def test_live_column_pricing_is_the_dense_pricing_at_every_pivot(scenario):
+    with pricing_compared():
+        feasibility.solve(scenario)
+
+
+@settings(deadline=None, max_examples=200)
+@given(explicit_lps())
+def test_explicit_lp_pricing_is_the_dense_pricing_at_every_pivot(lp):
+    """Units of entry ±2, units with a cost and two slacks on one row among them."""
+    with pricing_compared():
+        try:
+            simplex.solve_from_basis(*lp)
+        except ValueError:
+            pass  # a singular or primal-infeasible start
+
+
+def test_live_column_pricing_after_a_slack_reenters():
+    """The planted n = 6 document's path brings one slack back in; every pricing still matches."""
+    with pricing_compared() as entered:
+        feasibility.solve(scenario_from_document(reference.wide_document(3, 6, True)))
+    assert entered[0] == 1
+
+
+@contextmanager
+def inverse_compared():
+    """Check each ``result().inverse`` row against its row widened to m columns; yields the count.
+
+    The widened row has the live entries on their columns and the held
+    column's ±scale, 0 elsewhere, as ``dense_simplex.FullWidthLp`` holds
+    it; the read-out must be :func:`simplex._reduced` of it.
+    """
+    read_out, checked = simplex._RevisedLp.result, [0]
+
+    def compared(lp, pivots):
+        want = []
+        for i, line in enumerate(lp.tableau[: lp.m]):
+            full = [0] * lp.m
+            for c, v in zip(lp.live, line):
+                full[c] = v
+            if i in lp.held:
+                c, sign = lp.held[i]
+                full[c] = sign * lp.scales[i]
+            want.append(simplex._reduced(full, lp.scales[i]))
+        got = read_out(lp, pivots)
+        assert got.inverse == tuple(want)
+        checked[0] += 1
+        return got
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplex._RevisedLp, "result", compared)
+        yield checked
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.one_of(relaxed_scenarios(), _wide_scenarios))
+def test_margin_lp_inverse_is_the_widened_rows_in_lowest_terms(scenario):
+    with inverse_compared() as checked:
+        feasibility.solve(scenario)
+    assert checked[0] >= 1
+
+
+@settings(deadline=None, max_examples=200)
+@given(explicit_lps())
+def test_explicit_lp_inverse_is_the_widened_rows_in_lowest_terms(lp):
+    with inverse_compared():
+        try:
+            _solve_from_basis(*lp)
+        except ValueError:
+            pass  # a singular or primal-infeasible start: no read-out
+
+
 # --- read-outs in lowest terms -------------------------------------------------
 
 
