@@ -87,7 +87,12 @@ def load_scenario(path, bracket_tolerance: Fraction = DEFAULT_BRACKET_TOLERANCE)
 
 
 def _load_json(fh, path):
-    text = fh.read()
+    try:
+        text = fh.read()
+    except UnicodeDecodeError as err:
+        raise ScenarioError(
+            f"{path}: not UTF-8: byte {err.object[err.start]:#04x} at offset {err.start}"
+        ) from err
     try:
         return json.loads(text)
     except json.JSONDecodeError as err:
@@ -124,11 +129,13 @@ def scenario_from_document(
     # Each distinct value text is evaluated once; a ScalarInterval is immutable.
     targets = {}
     for index, raw in enumerate(raw_constraints):
+        if not isinstance(raw, dict):
+            raise ScenarioError(f"constraint {index} must be an object, got {quoted(raw)}")
         try:
             subset = raw["moment"]
             relation = raw["relation"]
             value_text = raw["value"]
-        except (KeyError, TypeError) as err:
+        except KeyError as err:
             raise ScenarioError(f"constraint {index}: malformed entry: {err}") from err
         _require_list(subset, f"constraint {index}: 'moment'")
         if not isinstance(value_text, str):

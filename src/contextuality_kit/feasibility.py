@@ -19,7 +19,8 @@ when t = 0.  Every verdict ships evidence read off that one optimum:
   impossibility, re-checkable by direct arithmetic
   (:func:`verify_certificate`), together with the margin t > 0.
 
-Both are re-checked exactly before release.
+Both are re-checked exactly before release, and so is the margin t > 0.
+The LP's structure is built once per decision (:class:`_MomentLp`).
 
 Targets may be intervals (brackets of irrational inputs), and a verdict
 must hold for every real target in the box they span.  The margin LP
@@ -44,7 +45,7 @@ from operator import mul
 
 from ._record import Record
 from .errors import CertificateError, ScenarioError, SpaceError
-from .event_space import EventSpace, _on_atoms, build_space, moment_coefficients, moment_mask
+from .event_space import EventSpace, build_space, moment_coefficients, moment_mask
 from .measures import STANDARD, AtomMeasure, signed_atom_sums, validate
 from .numerics import ScalarInterval, as_interval, format_scalar, over_common_denominator, quoted
 from . import simplex
@@ -180,11 +181,13 @@ def solve(scenario: Scenario) -> FeasibilityOutcome:
     """Decide feasibility for every target in the scenario's brackets, with evidence.
 
     One LP decides: :func:`margin`'s relaxed LP over the whole target
-    box, solved from its crash basis by the revised simplex.
+    box, solved from its crash basis by the revised simplex.  Its
+    structure is built once (:class:`_MomentLp`) and read by every LP
+    and check below.
 
     * t > 0: infeasible for every target in the box.  The optimal duals
-      are the certificate (:func:`_certificate_from_duals`), re-checked
-      over the box by :func:`verify_certificate`.
+      are the certificate (:func:`_certificate_from_duals`), and t is
+      released only once both of its bounds are t (:func:`_check_margin`).
     * t = 0: the optimal point meets every constraint somewhere in its
       bracket and is the witness, re-checked against every constraint.
       With point targets that is the verdict, feasible.  With bracketed
@@ -194,30 +197,29 @@ def solve(scenario: Scenario) -> FeasibilityOutcome:
       solved from its crash basis; otherwise it is indeterminate, with
       no evidence.
 
-    Dantzig pricing with lowest-index ties and the lexicographic ratio
-    test fix the pivot path, so the evidence is deterministic.  The
+    The pivot path is fixed, so the evidence is deterministic.  The
     outcome carries the exact margin t.
     """
-    result, rows_of = _margin_lp(scenario, _box(scenario))
-    n = scenario.space.atom_count
+    lp = _MomentLp(scenario)
+    result = _margin_lp(lp, _box(scenario))
+    n = lp.atoms.atoms
     t = result.objective
+    point = [(col, value) for col, value in zip(result.basis, result.x) if col < n]
     if t:
-        certificate = _certificate_from_duals(result, rows_of)
-        if not verify_certificate(scenario, certificate):
-            raise AssertionError("margin LP duals give a certificate that fails verification")
+        certificate = _certificate_from_duals(result, lp.rows_of)
+        _check_margin(lp, certificate, point, t)
         return FeasibilityOutcome(INFEASIBLE, certificate=certificate, margin=t)
     if scenario.has_interval_targets:
         start = result
-        for point in _check_points(scenario):
-            start = _margin_lp(scenario, point, start)[0]
+        for bounds in _check_points(scenario):
+            start = _margin_lp(lp, bounds, start)
             if start.objective:
                 return FeasibilityOutcome(INDETERMINATE, margin=t)
     atoms = [Fraction(0)] * n
-    for col, value in zip(result.basis, result.x):
-        if col < n:
-            atoms[col] = value
+    for col, value in point:
+        atoms[col] = value
     witness = AtomMeasure(scenario.space, tuple(atoms), STANDARD)
-    _check_witness(scenario, witness)
+    _check_witness(lp, witness)
     return FeasibilityOutcome(FEASIBLE, witness=witness, margin=t)
 
 
@@ -225,21 +227,49 @@ def solve(scenario: Scenario) -> FeasibilityOutcome:
 solve_robust = solve
 
 
-def _check_witness(scenario: Scenario, witness: AtomMeasure) -> None:
+def _check_witness(lp, witness: AtomMeasure) -> None:
     report = validate(witness)
     if not report:
         raise AssertionError(f"witness fails validation: {report.violations}")
-    violated = violated_constraints(scenario, witness)
-    if violated:
-        c, got = violated[0]
+    if _largest_miss(lp, [(a, v) for a, v in enumerate(witness.values) if v]):
+        c, got = violated_constraints(lp.scenario, witness)[0]
         raise AssertionError(f"witness violates {c.describe()}: got {format_scalar(got)}")
 
 
-def violated_constraints(scenario: Scenario, witness: AtomMeasure) -> list:
-    """(constraint, moment) for each constraint the witness's atom-level moment misses.
+def _largest_miss(lp, point) -> Fraction:
+    """The most by which a moment of ``point``, (atom, mass) pairs, misses its bracket, or 0.
 
-    One :func:`.measures.signed_atom_sums` call reads every moment.
+    In integers: the brackets' ends and the masses over one denominator d.
     """
+    constraints = lp.scenario.constraints
+    ends = [v for c in constraints for v in (c.target.lo, c.target.hi)]
+    ints, d = over_common_denominator(ends + [v for _, v in point])
+    masses, misses = list(zip((a for a, _ in point), ints[len(ends):])), [0]
+    for c, mask, lo, hi in zip(constraints, lp.masks[1:], ints[0::2], ints[1::2]):
+        moment = sum(-v if (a & mask).bit_count() & 1 else v for a, v in masses)
+        misses += [lo - moment] * (c.relation != LE) + [moment - hi] * (c.relation != GE)
+    return Fraction(max(misses), d)
+
+
+def _check_margin(lp, certificate, point, t) -> None:
+    """Raise AssertionError unless the certificate holds and both bounds on t are t.
+
+    Lower: zᵀA ≤ 0 on every atom, so any distribution p has Σ_{k≥1}
+    z_k·(b_k − a_k·p) ≥ z·b and misses some bracket by at least
+    :func:`_proved_miss`.  Upper: the LP's optimal ``point`` misses none
+    by more than t.
+    """
+    lower = _proved_miss(lp.scenario, lp.masks, certificate)
+    if lower is None:
+        raise AssertionError("margin LP duals give a certificate that fails verification")
+    upper = _largest_miss(lp, point)
+    if not lower == t == upper:
+        raise AssertionError(f"margin {format_scalar(t)} is not proved: the certificate"
+                             f" gives {format_scalar(lower)}, the point {format_scalar(upper)}")
+
+
+def violated_constraints(scenario: Scenario, witness: AtomMeasure) -> list:
+    """(constraint, moment) for each constraint the witness's atom-level moment misses."""
     moments = signed_atom_sums(witness, [c.subset for c in scenario.constraints])
     return [(c, got) for c, got in zip(scenario.constraints, moments) if not c.holds(got)]
 
@@ -286,76 +316,70 @@ def margin(scenario: Scenario) -> Fraction:
     loosest end of its bracket.  Computed as an exact LP, so the result
     is an exact rational; it is 0 exactly when some target in the box
     is feasible, which for point targets means the scenario as stated.
-
-    The LP needs no phase 1: all mass on one atom j, with t equal to
-    that atom's worst violation of the targets and every other row's
-    slack basic, is a feasible basis (:func:`_crash_basis`), and
-    :func:`simplex.solve_from_basis` minimizes t from there without
-    forming the 2ⁿ atom columns (:func:`_margin_lp`).  The margin is
-    the LP's optimal value, which does not depend on the start or the
-    pivot path.  :func:`solve` decides from the same LP.
+    The LP (:class:`_MomentLp`) needs no phase 1: it starts from
+    :func:`_crash_basis`.  :func:`solve` decides from the same LP.
     """
-    return _margin_lp(scenario, _box(scenario))[0].objective
+    return _margin_lp(_MomentLp(scenario), _box(scenario)).objective
 
 
-def _margin_lp(scenario: Scenario, bounds, start=None):
-    """Solve the relaxed LP  min t  from the crash basis.
+class _MomentLp:
+    """The relaxed LP  min t  of one standard scenario, but its right-hand side.
+
+    Variables: p (n atoms, cost 0), then t (cost 1), then one slack per
+    relaxed row.  Row 0 is Σp = 1; every constraint becomes one-sided
+    rows, ``row·p - t ≤ upper`` on its le side and ``row·p + t ≥ lower``
+    on its ge side (an equality gives both).
+
+    ``masks`` holds each standard row's moment mask (row 0's is 0),
+    ``rows_of`` each relaxed row's standard row and ``t_sign`` its t
+    entry (−1 on a le side, +1 on a ge side, 0 on row 0).  ``atoms`` is
+    the atom oracle (:class:`simplex.WalshAtoms`) of the relaxed rows;
+    ``columns`` and ``costs`` are t and then each relaxed row r's slack
+    (column n + r, +1 on a le side, −1 on a ge side).  Raises
+    ScenarioError for a scenario that is not of the standard kind.
+    """
+
+    __slots__ = ("scenario", "masks", "rows_of", "t_sign", "atoms", "columns", "costs")
+
+    def __init__(self, scenario: Scenario):
+        if scenario.kind != STANDARD:
+            raise ScenarioError(
+                f"the LP engine handles standard scenarios; kind {scenario.kind!r}"
+                " is served by the dedicated witness solvers"
+            )
+        masks, rows_of, t_sign = [0], [0], [0]
+        for k, c in enumerate(scenario.constraints, start=1):
+            masks.append(moment_mask(scenario.space, c.subset))
+            for side, sign in ((LE, -1), (GE, 1)):
+                if c.relation in (EQ, side):
+                    rows_of.append(k)
+                    t_sign.append(sign)
+        self.scenario, self.masks, self.rows_of, self.t_sign = scenario, masks, rows_of, t_sign
+        self.atoms = simplex.WalshAtoms(scenario.space.n, [masks[k] for k in rows_of])
+        self.columns = [dict(enumerate(t_sign))] + [{r: -s} for r, s in enumerate(t_sign) if r]
+        self.costs = [1] + [0] * (len(t_sign) - 1)  # minimize t; atoms cost 0
+
+
+def _margin_lp(lp: _MomentLp, bounds, start=None):
+    """The optimal result of the relaxed LP  min t  at ``bounds``.
 
     ``bounds`` gives each constraint, in scenario order, the right-hand
     side of its ≤ side and of its ≥ side: (hi, lo) over the whole box
     (:func:`_box`), (v, v) at one target point v.
 
-    Variables: p (n atoms, cost 0), then t (cost 1), then one slack per
-    relaxed row.  Row 0 is Σp = 1; every constraint becomes one-sided
-    rows, ``row·p - t ≤ upper`` on its le side and ``row·p + t ≥ lower``
-    on its ge side (an equality gives both).  No atom column is built:
-    relaxed row r's coefficient at atom a is the character
-    ``(-1)^popcount(a & mask_r)`` of its moment (row 0 has mask 0, and
-    an equality's two rows share one mask), which
-    :func:`simplex.solve_from_basis` prices by one Walsh–Hadamard
-    transform per pivot.  Only t and the slacks are explicit columns.
-
     ``start``, an optimal result of this LP at other bounds, is tried
     first: when its basis is primal-feasible at these bounds it is
     optimal here (:func:`simplex.settle`), and no pivot runs.
     Otherwise the LP is solved from the crash basis.
-
-    Returns the optimal result and, for each relaxed row, the index of
-    its standard row (see :func:`_standard_rows`); relaxed row r's slack
-    is column n + r.  Raises ScenarioError for a scenario that is not of
-    the standard kind.
     """
-    if scenario.kind != STANDARD:
-        raise ScenarioError(
-            f"the LP engine handles standard scenarios; kind {scenario.kind!r}"
-            " is served by the dedicated witness solvers"
-        )
-    space = scenario.space
-    n = space.atom_count
-    masks, relaxed_rhs, t_sign, rows_of = [0], [Fraction(1)], [0], [0]
-    for k, (c, (upper, lower)) in enumerate(zip(scenario.constraints, bounds), start=1):
-        mask = moment_mask(space, c.subset)
-        for side, sign, b in ((LE, -1, upper), (GE, 1, lower)):
-            if c.relation in (EQ, side):
-                masks.append(mask)
-                relaxed_rhs.append(b)
-                t_sign.append(sign)
-                rows_of.append(k)
-    m = len(masks)
-    # The t column, then relaxed row r's slack: +1 on le, -1 on ge.
-    columns = [dict(enumerate(t_sign))] + [{r: -t_sign[r]} for r in range(1, m)]
-    costs = [1] + [0] * (m - 1)  # minimize t; atoms cost 0
-    result = None if start is None else simplex.settle(start, relaxed_rhs)
+    rhs = [Fraction(1)] + [bounds[k - 1][s > 0] for k, s in zip(lp.rows_of[1:], lp.t_sign[1:])]
+    result = None if start is None else simplex.settle(start, rhs)
     if result is None:
-        basis = _crash_basis(space.n, masks, relaxed_rhs, t_sign)
-        result = simplex.solve_from_basis(
-            costs, columns, relaxed_rhs, basis, (space.n, masks)
-        )
+        basis = _crash_basis(lp.atoms, rhs, lp.t_sign)
+        result = simplex.solve_from_basis(lp.costs, lp.columns, rhs, basis, lp.atoms)
     if result.status != simplex.OPTIMAL:
-        raise AssertionError(
-            f"margin LP ended {result.status}; it is bounded below by 0"
-        )
-    return result, rows_of
+        raise AssertionError(f"margin LP ended {result.status}; it is bounded below by 0")
+    return result
 
 
 def _certificate_from_duals(result, rows_of) -> tuple[Fraction, ...]:
@@ -378,50 +402,32 @@ def _certificate_from_duals(result, rows_of) -> tuple[Fraction, ...]:
     return tuple(z)
 
 
-def _crash_basis(bits, masks, relaxed_rhs, t_sign):
+def _crash_basis(atoms, relaxed_rhs, t_sign):
     """A feasible start basis for the margin LP, one column per row.
 
     Row 0 (Σp = 1) gets atom j; relaxed row r gets its slack, column
-    n + r (t is column n = 2**bits).  At p = e_j row r is violated by
-    v_r(j) = t_sign[r]·(b_r - χ_r(j)), where χ_r(j) = ±1 is the
-    character of row r's mask at atom j, so t = max_r v_r(j) keeps
-    every slack t - v_r(j) ≥ 0.  j is the atom with the least worst
-    violation (lowest index on ties).  When that violation is ≥ 0, t
-    takes the basic place of the first row attaining it, whose slack is
-    0; when every row is strictly slack at j, t stays nonbasic at 0.
-    Violations are compared in integers over the targets' common
-    denominator, and only the running worst is kept, one per atom,
-    folded in by a comparison per atom rather than a call to ``max``.
-    The two rows of an equality share a mask, so their violations are
-    folded first and each mask's atom row is built once.
+    n + r (t is column n, the oracle ``atoms``' atom count).  At p = e_j
+    row r is violated by v_r(j) = t_sign[r]·(b_r - χ_r(j)), so
+    t = max_r v_r(j) keeps every slack t - v_r(j) ≥ 0.  j is the atom
+    with the least worst violation, the oracle's ``least_worst``, in
+    integers over the targets' common denominator.  When that violation
+    is ≥ 0, t takes the basic place of the first row attaining it, whose
+    slack is 0; otherwise t stays nonbasic at 0.
     """
-    n = 1 << bits
-    relaxed = range(1, len(masks))
+    n = atoms.atoms
+    relaxed = range(1, len(t_sign))
     basis = [0] + [n + r for r in relaxed]
     if not relaxed:
         return basis
     targets, common = over_common_denominator(relaxed_rhs[1:])
     # Row r's violation where its character is +1 and where it is -1.
-    violations = [(s * (b - common), s * (b + common)) for s, b in zip(t_sign[1:], targets)]
-    by_mask = {}
-    for mask, pair in zip(masks[1:], violations):
-        if mask in by_mask:
-            pair = tuple(map(max, by_mask[mask], pair))
-        by_mask[mask] = pair
-    worst = None
-    for mask, (plus, minus) in by_mask.items():
-        row = _on_atoms(bits, mask, plus, minus)
-        worst = row if worst is None else [a if a >= b else b for a, b in zip(worst, row)]
-    least = min(worst)
-    j = worst.index(least)
+    violations = [(r, s * (b - common), s * (b + common))
+                  for r, (s, b) in enumerate(zip(t_sign[1:], targets), 1)]
+    least, j = atoms.least_worst(violations)
     basis[0] = j
     if least >= 0:
-        first = next(
-            k
-            for k, (mask, pair) in enumerate(zip(masks[1:], violations))
-            if pair[(j & mask).bit_count() & 1] == least
-        )
-        basis[first + 1] = n
+        signs = atoms.column(j)
+        basis[next(r for r, *pair in violations if pair[signs[r] < 0] == least)] = n
     return basis
 
 
@@ -434,34 +440,36 @@ def verify_certificate(scenario: Scenario, certificate: Sequence[Fraction]) -> b
     senses (nonnegative on ≥ rows, nonpositive on ≤ rows, free on
     equalities), the combined coefficient of every atom is ≤ 0, and the
     combined right-hand side is > 0 at every target in the box: any
-    p ≥ 0 would give 0 ≥ combined·p ≥ rhs > 0.  That right-hand side is
-    least when each row's term y_i·b_i is, at the bracket's ``lo`` for
-    y_i > 0 and at its ``hi`` otherwise.  The combined coefficients are
-    one :func:`simplex._walsh` of the multipliers put on their rows' masks.
+    p ≥ 0 would give 0 ≥ combined·p ≥ rhs > 0 (:func:`_proved_miss`).
     """
-    space = scenario.space
-    rows = [(0, ScalarInterval.point(1), EQ)]
-    rows += [(moment_mask(space, c.subset), c.target, c.relation) for c in scenario.constraints]
+    masks = [0] + [moment_mask(scenario.space, c.subset) for c in scenario.constraints]
+    return _proved_miss(scenario, masks, certificate) is not None
+
+
+def _proved_miss(scenario: Scenario, masks, certificate):
+    """(least z·b over the box) / Σ_{k≥1}|z_k| for a certificate z, or None if it proves nothing.
+
+    None when z breaks a row sense, zᵀA ≤ 0 fails (the atom oracle's
+    least of −z on the rows' ``masks``) or that least z·b is ≤ 0;
+    z_k·b_k is least at the bracket's ``lo`` for z_k > 0, else its ``hi``.
+    """
+    rows = [(ScalarInterval.point(1), EQ)] + [(c.target, c.relation) for c in scenario.constraints]
     if len(certificate) != len(rows):
         raise CertificateError(
             f"certificate has {len(certificate)} entries for {len(rows)} rows"
         )
     y = [Fraction(v) for v in certificate]
-    for yi, (_, _, rel) in zip(y, rows):
-        if rel == GE and yi < 0:
-            return False
-        if rel == LE and yi > 0:
-            return False
-    # Signs are all that matter, so scale y by its common denominator
-    # and combine in integers.
+    for yi, (_, rel) in zip(y, rows):
+        if (rel == GE and yi < 0) or (rel == LE and yi > 0):
+            return None
+    # In integers, y times d and b times e: (Σ dy·eb / de) / (Σ d|y| / d).
     scaled, _ = over_common_denominator(y)
-    weights = [0] * space.atom_count
-    for yi, (mask, _, _) in zip(scaled, rows):
-        weights[mask] += yi
-    if any(c > 0 for c in simplex._walsh(weights, space.n)):
-        return False
-    rhs, _ = over_common_denominator([t.lo if yi > 0 else t.hi for yi, (_, t, _) in zip(y, rows)])
-    return sum(map(mul, scaled, rhs)) > 0
+    atoms = simplex.WalshAtoms(scenario.space.n, masks)
+    if atoms.least((k, -v) for k, v in enumerate(scaled))[0] < 0:
+        return None
+    rhs, e = over_common_denominator([t.lo if yi > 0 else t.hi for yi, (t, _) in zip(y, rows)])
+    bound = sum(map(mul, scaled, rhs))
+    return Fraction(bound, e * sum(map(abs, scaled[1:]))) if bound > 0 else None
 
 
 # --- closed-form cross-check over the symmetric parameter grid -------------

@@ -5,75 +5,46 @@ Solves   minimize c·x   subject to   A x = b,  x >= 0
 exactly, so there is no tolerance tuning anywhere: a pivot element is
 nonzero or it is not.
 
-* :func:`solve_from_basis`, a revised simplex: one phase from a
-  feasible basis the caller knows, with Dantzig's rule.  The start
-  basis's unit columns of cost 0 (slacks) are placed on their rows
-  while B⁻¹ is still the identity, with no pivot; only its other
-  columns are pivoted in.  Every standard scenario is decided by it:
-  the optimum's basic values (``LpResult.x``) give the witness, and
-  its row duals (``LpResult.duals``) the Farkas certificate.  Dantzig's
-  rule with lowest-index ties and the lexicographic ratio test fix the
-  pivot path, so that evidence is deterministic.
+* :func:`solve_from_basis`, one phase from a feasible basis the caller
+  knows.  Every standard scenario is decided by it: the optimum's basic
+  values (``LpResult.x``) give the witness, and its row duals
+  (``LpResult.duals``) the Farkas certificate.
 * :func:`settle`, the optimum of a :func:`solve_from_basis` LP at
   another right-hand side, from its optimal basis, when that basis is
   still primal-feasible there; its objective is yᵀb, off the duals.
 
 The integer rows and the pivot are shared with :mod:`.sweep`, which
-decides feasibility systems from one Gauss–Jordan crash basis and
-dual-simplex pivots, at many right-hand sides (``sweep.solve_many``,
-the grid sweeps) or at one (``sweep.solve_lp``, which no kit path
-runs).  ``solve_lp`` is still reachable as an attribute of this
-module, and importing it loads :mod:`.sweep`.
+decides feasibility systems by dual-simplex pivots from one
+Gauss–Jordan crash basis (``sweep.solve_many``, the grid sweeps).
+``sweep.solve_lp``, which no kit path runs, is still reachable as an
+attribute of this module, and importing it loads :mod:`.sweep`.
 
-The revised simplex holds ``[B⁻¹ | x_B]`` and the objective row instead
-of every column, and B⁻¹ only over its live columns: while a slack (a
-unit column of cost 0, entry ±1) of row r is basic, column r of B⁻¹ is
-a unit vector, kept implicit.  So with k rows that have no basic slack
-it holds (m + 1) × (k + 2) integers, not (m + 1) × (m + 2); the margin
-LP's rows are mostly slack rows.  The objective row's duals are 0 on
-every held column, so pricing reads only its k live entries: a slack's
-reduced cost is ±(its row's dual), nonzero only on a live row, and any
-other explicit column is priced by a dot product over the k live rows.
-A slack is held as its ``(row, entry)``, every other explicit column as
-its m entries.  The LPs may have a block of character columns: atom a's
-entry in row i is ``(-1)^popcount(a & mask_i)``, as for the kit's
-moment rows over 2ⁿ atoms.  Those columns are never formed.  Each pivot
-prices all of them at once: the objective row's live duals, added up on
-their rows' masks, go through one integer Walsh–Hadamard transform
-(n·2ⁿ additions; Fino and Algazi, *IEEE Trans. Comput.* C-25, 1142
-(1976)), and only the entering column is built, from its atom's bits.
-The pricing is exhaustive over the atoms, because finding the best atom
+The LPs may have a block of atom columns, atom a's entry in row i being
+the character ``(-1)^popcount(a & mask_i)``, as for the kit's moment
+rows over 2ⁿ atoms.  They are never formed: the one atom oracle,
+:class:`WalshAtoms`, answers every question asked of them, and only the
+entering column is built.  Each pivot asks it for the least reduced
+cost, one integer Walsh–Hadamard transform of the objective row's
+duals (n·2ⁿ additions; Fino and Algazi, *IEEE Trans. Comput.* C-25,
+1142 (1976)).  The search is exhaustive, because finding the best atom
 is the separation problem of the correlation polytope, NP-hard in
-general (I. Pitowsky, *Math. Programming* 50, 395 (1991)).  The pivots
-are those of the dense one-phase tableau this replaced: the basis rows
-hold the same rational values, Dantzig's choice reads the same reduced
-costs in the same column order, and the ratio test the same column.
-So the point, objective and duals are the same too, which the tests pin
-against that tableau, kept as ``tests/dense_simplex.py`` with the
-full-width B⁻¹ rows that the live columns replaced.
+general (I. Pitowsky, *Math. Programming* 50, 395 (1991)).  The
+revised simplex holds B⁻¹ only over its live columns
+(:class:`_RevisedLp`); its pivots, and so its point, objective and
+duals, are those of the dense one-phase tableau it replaced, which the
+tests keep as ``tests/dense_simplex.py`` and pin them against.
 
-Every LP the kit solves has an integer matrix and a rational
-right-hand side: ±1 characters, ±1 slack and ``t`` columns,
-and integer costs (the cost of t).  Both solvers take only such LPs; a
-Fraction in the matrix or the costs raises TypeError.  The right-hand
-side is put over one common denominator
-(:func:`.numerics.over_common_denominator`), which no pivot reads, so
-every row starts over scale 1 and the right-hand side's denominators
-stay out of B⁻¹ (in the revised simplex, the usual layout ``[I | b]``
-with x_B held apart from B⁻¹; I. Maros, *Computational Techniques of
-the Simplex Method*, 2003).  Every tableau row, the objective row
-included, is a list of Python ints over one positive integer scale;
-the row's rational value is ``ints / scale``.  A pivot on entry p of
-the pivot row cross-multiplies every other row, ``other·p − f·prow``
-over ``scale·p`` with gcd(f, p) cancelled first, at the pivot row's
-nonzero columns only: the integer-preserving elimination of Escobedo
-and Moreno-Centeno (*INFORMS J. Comput.* 27 (2015)).  That method
-divides every updated row by its gcd; here only the pivot row, the
-objective row (the duals every pricing transforms) and a row whose
-scale has outgrown ``_REDUCE_BITS`` bits are divided, and every other
-row keeps a positive common factor until a read-out puts it in lowest
-terms.  Below the bound a full-row gcd after every update costs more
-than the slightly longer integers it saves.
+Every LP the kit solves has an integer matrix (±1 characters, ±1 slack
+and ``t`` columns) and integer costs; a Fraction among them raises
+TypeError.  The rational right-hand side is put over one common
+denominator (:func:`.numerics.over_common_denominator`), which no pivot
+reads, so its denominators stay out of B⁻¹ (the usual layout ``[I | b]``
+with x_B held apart; I. Maros, *Computational Techniques of the Simplex
+Method*, 2003).  Every tableau row, the objective row included, is a
+list of Python ints over one positive integer scale, its rational value
+``ints / scale``, and :func:`_pivot` is the integer-preserving
+elimination of Escobedo and Moreno-Centeno (*INFORMS J. Comput.* 27
+(2015)).  Fractions appear only at the read-out.
 
 Dantzig's column (most negative reduced cost, lowest index on ties)
 enters.  The row of least ratio x_B(i)/α_i over the entering column's
@@ -86,12 +57,8 @@ lowers c_B·B⁻¹[b | B₀], which the basis fixes, lexicographically, so
 no basis recurs.  The rules read signs, and ratios ``u_i/a_i`` compared
 as ``u_i·a_k < u_k·a_i``, in which row scales and a positive factor
 common to a row and its scale cancel.  So the pivots are those of the
-same tableau held in Fractions, whichever rows are in lowest terms.
-
-Fractions appear only at the boundary: a basic value is
-``Fraction(rhs_i, scale_i)`` (over ``scale_i·rhs_scale`` in the revised
-simplex), and each row dual is read off the objective row the same
-way.
+same tableau held in Fractions, whichever rows are in lowest terms, and
+the path, and with it the evidence, is deterministic.
 """
 
 from __future__ import annotations
@@ -101,6 +68,7 @@ from fractions import Fraction
 from operator import add, mul, sub
 
 from ._record import Record
+from .event_space import _on_atoms
 from .numerics import over_common_denominator
 
 OPTIMAL = "optimal"
@@ -276,58 +244,94 @@ def _walsh(values, bits):
     return values
 
 
+class WalshAtoms:
+    """The atom oracle: the one place the 2**bits atom columns are enumerated.
+
+    Atom a's entry on row i is the character ``(-1)^popcount(a & masks[i])``.
+    Each question returns (value, atom), the lowest atom on ties:
+    :meth:`least`, the least Σ_i w_i·χ_i(a) for weights w_i on the rows
+    (Dantzig pricing, and the certificate check on −z), and
+    :meth:`least_worst`, the least over atoms of the worst row, row i
+    worth ``plus`` where χ_i(a) = 1 and ``minus`` where it is −1 (the
+    margin LP's crash).
+
+    :meth:`least` is one :func:`_walsh` of the weights added up on
+    their rows' masks; :meth:`least_worst` folds the rows of each mask
+    first and builds one atom row per mask (``event_space._on_atoms``),
+    folded by a comparison per atom.  ``min`` and ``index`` read either.
+    """
+
+    __slots__ = ("bits", "masks", "atoms")
+
+    def __init__(self, bits, masks):
+        self.bits, self.masks, self.atoms = bits, masks, 1 << bits
+
+    def column(self, atom):
+        """Atom ``atom``'s entry on every row."""
+        return [-1 if (atom & mask).bit_count() & 1 else 1 for mask in self.masks]
+
+    def least(self, weights):
+        """(least Σ_i w_i·χ_i(a), its atom) for (row i, w_i) pairs."""
+        values, masks = [0] * self.atoms, self.masks
+        for r, w in weights:
+            if w:
+                values[masks[r]] += w
+        values = _walsh(values, self.bits)
+        least = min(values)
+        return least, values.index(least)
+
+    def least_worst(self, rows):
+        """(least over atoms of the worst row, its atom) for one or more (row, plus, minus)."""
+        by_mask = {}
+        for r, plus, minus in rows:
+            if (mask := self.masks[r]) in by_mask:
+                plus, minus = max(by_mask[mask][0], plus), max(by_mask[mask][1], minus)
+            by_mask[mask] = plus, minus
+        worst = None
+        for mask, (plus, minus) in by_mask.items():
+            row = _on_atoms(self.bits, mask, plus, minus)
+            worst = row if worst is None else [a if a >= b else b for a, b in zip(worst, row)]
+        least = min(worst)
+        return least, worst.index(least)
+
+
 class _RevisedLp:
     """The rows ``[B⁻¹ | slot | x_B]`` of one LP, B⁻¹ over its live columns.
 
-    The matrix and the costs are integers (a character is ±1, and the
-    kit's explicit columns are ±1 too); a Fraction among them raises
-    TypeError.  Only the right-hand side is rational: it is multiplied
-    by its common denominator ``rhs_scale``, so every row starts over
-    scale 1 and the bracket denominators of the targets are held once,
-    in ``rhs_scale``, and never enter B⁻¹ or the duals; :meth:`result`
-    divides x_B and the objective by it, and the ratio test is unchanged,
-    since ``rhs_scale`` cancels in its cross-multiplication.
+    The matrix and the costs are integers; the right-hand side is
+    multiplied by its common denominator ``rhs_scale``, which
+    :meth:`result` divides x_B and the objective by and the ratio test
+    cancels.  Row i's B⁻¹ entries combine the rows of ``[A | b]`` into
+    that row of the dense tableau; the objective row's, w, stand for
+    ``scale·[c | 0] + w·[A | b]``, so w prices every column and −w/scale
+    are the row duals.
 
-    Row i's B⁻¹ entries are the multipliers that combine the rows of
-    ``[A | b]`` into that row of the dense tableau; the objective row's,
-    w, stand for ``scale·[c | 0] + w·[A | b]``, so w prices every
-    column and −w/scale are the row duals.  The one special kind of
-    explicit column is the *slack*, a column of cost 0 with one entry,
-    ±1, on some row r: it is held only as (r, ±1), in ``slacks`` by
-    column and in ``slacks_on`` by row, and its m entries are built only
-    when it enters.  Every other explicit column is held in ``dense`` as
-    its m entries.  While a slack is basic on position i,
-    column r of B⁻¹ is ±e_i: row i's entry there is ±(its scale), every
-    other row's is 0, the objective row's included (the slack's reduced
-    cost is 0).  Such a column of B⁻¹ is not stored, only
-    ``held[i] = (r, ±1)``; the other columns are *live*, listed in
-    ``live`` in the order they are stored (the standard treatment of
-    logical variables; I. Maros, *Computational Techniques of the
-    Simplex Method*, 2003, ch. 8).  So
-    each row is ``[live entries | slot | x_B]``, k + 2 integers for k
-    live columns, where k counts the rows with no basic slack; the
-    margin LP's are mostly slack rows.  The tableau starts with B⁻¹ the
-    identity, every position holding its own column.
+    A *slack*, a column of cost 0 with one entry ±1 on some row r, is
+    held only as (r, ±1), in ``slacks`` by column and in ``slacks_on``
+    by row; every other explicit column is held in ``dense`` as its m
+    entries.  While a slack is basic on position i, column r of B⁻¹ is
+    ±e_i (the objective row's entry included, as the slack's reduced
+    cost is 0).  Such a column is not stored, only ``held[i] = (r, ±1)``;
+    the others are *live*, listed in ``live`` in the order they are
+    stored (the standard treatment of logical variables; I. Maros,
+    *Computational Techniques of the Simplex Method*, 2003, ch. 8).  So
+    each row is ``[live entries | slot | x_B]``, k + 2 integers for the
+    k rows with no basic slack, and pricing and the read-out loop over
+    the k live columns, not the m rows.
 
     Before a pivot on a position that holds a column, that column is
-    made live, with its ``±scale`` written out on the pivot row; after
-    a pivot that brings a slack in, the slack's column is dropped and
-    held by that position.  Between the two, :func:`_pivot` works on
-    the narrow rows as on the full ones: the dropped entries are 0 on
-    the pivot row, so the update leaves them 0 elsewhere and a multiple
-    of the scale on their own row, and they change no gcd.  So every
-    stored entry, scale and pivot is the one the full rows would have,
-    and :meth:`result` writes the held entries back in.  Pricing and the
-    read-out loop over the k live columns, not the m rows.  The slot,
-    written by :meth:`enter` the same way for an atom and an explicit
-    column, carries the column being pivoted in; :func:`_pivot` and
-    :func:`_leaving` work on these rows as on the dense tableau.
+    made live, its ``±scale`` written out on the pivot row; after a
+    pivot that brings a slack in, the slack's column is dropped and held
+    by that position.  The dropped entries are 0 on the pivot row, so
+    :func:`_pivot` leaves them 0 elsewhere and a multiple of the scale
+    on their own row, and they change no gcd: every stored entry, scale
+    and pivot is the one the full rows would have.  The slot, written by
+    :meth:`enter`, carries the column being pivoted in.
     """
 
-    def __init__(self, costs, columns, rhs, characters):
+    def __init__(self, costs, columns, rhs, oracle):
         m = self.m = len(rhs)
-        self.bits, self.masks = characters if characters is not None else (0, ())
-        self.atoms = 1 << self.bits if characters is not None else 0
+        self.oracle, self.atoms = oracle, 0 if oracle is None else oracle.atoms
         if any(type(v) is not int for v in [*costs, *(v for c in columns for v in c.values())]):
             raise TypeError("the revised simplex takes integer columns and costs")
         if any(not 0 <= i < m for c in columns for i in c):
@@ -353,9 +357,9 @@ class _RevisedLp:
         self.basis = [-1] * m
 
     def _column(self, j):
-        """Column j's m entries; an atom's are built from its bits, a slack's from its one entry."""
+        """Column j's m entries; an atom's come from the oracle, a slack's from its one entry."""
         if j < self.atoms:
-            return [-1 if (j & mask).bit_count() & 1 else 1 for mask in self.masks]
+            return self.oracle.column(j)
         slack = self.slacks.get(j)
         if slack is None:
             return self.dense[j - self.atoms]
@@ -436,18 +440,12 @@ class _RevisedLp:
     def start(self, basis):
         """Bring the start basis's columns in, or raise ValueError if singular.
 
-        While B⁻¹ is the identity, a slack on row i needs no pivot: its
-        pivot would only negate row i for −1, as no other row, the
-        objective row included, has an entry in its column.  Such
-        columns are placed first, each on its own row, where position i
-        already holds column i; the rest (a second unit on a taken row
-        among them) are entered and pivoted in in order, each on the
-        first row not yet taken where it is nonzero.  The rows' values
-        depend only on which column ends up basic on each row, and the
-        pivots only on those values; for the margin LP's crash basis
-        (the atom on row 0, each other row's slack or t on that row)
-        that is where pivoting every column in in order puts it, so
-        every later pivot is unchanged.
+        While B⁻¹ is the identity, a slack on row i needs no pivot (it
+        would only negate row i for −1), so slacks are placed first, each
+        on its own row; the rest are pivoted in in order, each on the
+        first row not yet taken where it is nonzero.  For the margin
+        LP's crash basis that puts every column where pivoting all of
+        them in would, so every later pivot is unchanged.
         """
         tableau, rest = self.tableau, []
         for col in basis:
@@ -468,24 +466,13 @@ class _RevisedLp:
             self.pivot(row, col)
         self.start_basis = tuple(self.basis)
 
-    def duals(self):
-        """The objective row's w on every row: its live entries, 0 on held columns."""
-        duals = [0] * self.m
-        for c, w in zip(self.live, self.tableau[self.m]):
-            duals[c] = w
-        return duals
-
     def reduced_costs(self):
-        """Every column's reduced cost, as ints over the objective row's scale.
+        """Each explicit column's reduced cost, as ints over the objective row's scale.
 
-        Only the objective row's k live entries w can be nonzero, as its
-        entry on a held column is 0 (:meth:`duals`), so nothing here
-        reads the m rows.  The atom block is one Walsh–Hadamard
-        transform of w placed on the live rows' masks.  A slack's
-        reduced cost is ±(its row's w): 0 unless its row is live, so
-        only the slacks of live rows (``slacks_on``) are filled in.
-        Every other explicit column costs its cost times the scale plus
-        a dot product with w over the k live rows.
+        Only the objective row's k live entries w can be nonzero (its
+        entry on a held column is 0).  A slack's reduced cost is ±(its
+        row's w), so only the slacks of live rows (``slacks_on``) are
+        filled in; any other column costs its cost times the scale plus w·column.
         """
         live, obj, costs, slacks_on = self.live, self.tableau[self.m], self.costs, self.slacks_on
         scale = self.scales[self.m]
@@ -496,15 +483,17 @@ class _RevisedLp:
                     explicit[index] = sign * w
         for index, column in self.dense.items():
             explicit[index] = costs[index] * scale + sum(map(mul, obj, [column[r] for r in live]))
-        if not self.atoms:
-            return explicit
-        weights, masks = [0] * self.atoms, self.masks
-        for r, w in zip(live, obj):
-            if w:
-                weights[masks[r]] += w
-        reduced = _walsh(weights, self.bits)
-        reduced += explicit
-        return reduced
+        return explicit
+
+    def entering(self):
+        """(least reduced cost, its column), lowest index on ties: the oracle's atom on a tie."""
+        explicit = self.reduced_costs()
+        least = min(explicit, default=0)
+        if self.oracle is not None:
+            value, atom = self.oracle.least(zip(self.live, self.tableau[self.m]))
+            if value <= least:
+                return value, atom
+        return least, self.atoms + explicit.index(least) if explicit else -1
 
     def result(self, pivots) -> LpResult:
         """The optimal LpResult of the current basis, B⁻¹ at full width in lowest terms.
@@ -517,7 +506,7 @@ class _RevisedLp:
         m, tableau, scales, live, held = self.m, self.tableau, self.scales, self.live, self.held
         k = len(live)
         scale = scales[m]
-        x, inverse = [], []
+        x, inverse, duals = [], [], [_ZERO] * m
         for i, line in enumerate(tableau[:m]):
             s = scales[i]
             x.append(Fraction(line[-1], s * self.rhs_scale))
@@ -530,6 +519,9 @@ class _RevisedLp:
                 c, sign = held[i]
                 full[c] = sign * s
             inverse.append((full, s))
+        for c, w in zip(live, tableau[m]):
+            if w:
+                duals[c] = Fraction(-w, scale)
         return LpResult(
             status=OPTIMAL,
             x=x,
@@ -537,7 +529,7 @@ class _RevisedLp:
             pivots=pivots,
             basis=tuple(self.basis),
             inverse=tuple(inverse),
-            duals=[Fraction(-w, scale) if w else _ZERO for w in self.duals()],
+            duals=duals,
         )
 
 
@@ -546,17 +538,16 @@ def solve_from_basis(
     columns: list[dict[int, int]],
     rhs: list[Fraction],
     basis: list[int],
-    characters: tuple[int, list[int]] | None = None,
+    atoms: WalshAtoms | None = None,
 ) -> LpResult:
     """One-phase revised simplex for  min c·x,  A x = rhs,  x >= 0.
 
-    The columns of A are, in this order, the 2**bits character columns
-    of ``characters = (bits, masks)`` (column a has entry
-    ``(-1)^popcount(a & masks[i])`` in row i; none when ``characters``
-    is None) and then ``columns``, each a dict from row to entry that
-    lists the column's nonzero entries, on rows 0..m−1.  ``costs`` has
-    one entry per explicit column, in the same order; a character
-    column costs 0 (ValueError otherwise, for either).  Costs and column
+    The columns of A are, in this order, the atom columns of the oracle
+    ``atoms`` (:class:`WalshAtoms`; none when it is None) and then
+    ``columns``, each a dict from row to entry that lists the column's
+    nonzero entries, on rows 0..m−1.  ``costs`` has one entry per
+    explicit column, in the same order; an atom column costs 0
+    (ValueError otherwise, for either).  Costs and column
     entries must be ints (TypeError otherwise); ``rhs`` may hold ints
     and Fractions.
 
@@ -570,20 +561,14 @@ def solve_from_basis(
     linearly dependent (singular) or their basic solution has a
     negative entry (not primal-feasible).
 
-    Dantzig's column (most negative reduced cost, lowest index on ties)
-    always enters, and a tie in the ratio test goes to the
-    lexicographically least row of B⁻¹B₀ over the entering column, B₀
-    being the start basis, so the loop cannot cycle (the argument is in
-    the module docstring).  Callers report the optimal point and
-    ``duals``, so the path is part of the output; it depends only on the
-    LP, the start basis and these rules.
-
-    Only B⁻¹, x_B and the objective row are held, B⁻¹ over the rows
-    with no basic slack (``_RevisedLp``), a slack as its one entry and
-    every other explicit column as its m entries; no character column
-    is stored.  Every reduced cost is recomputed from the objective
-    row's live duals each pivot (the character block by
-    :func:`_walsh`), and only the entering column is formed.
+    Dantzig's column enters, asked of the oracle for the atoms and
+    compared with the explicit columns' least, ties to the lower index,
+    atoms first; a ratio-test tie goes to the lexicographically least
+    row of B⁻¹B₀, so the loop cannot cycle (see the module docstring).
+    Callers report the optimal point and ``duals``, so the path is part
+    of the output; it depends only on the LP, the start basis and these
+    rules.  Only B⁻¹ (``_RevisedLp``), x_B, the objective row and the
+    entering column are held.
 
     ``pivots`` counts the simplex pivots; the pivots that bring
     ``basis`` in are not counted.  An optimal result carries ``basis``
@@ -594,18 +579,16 @@ def solve_from_basis(
         raise ValueError(f"start basis has {len(basis)} columns for {m} rows")
     if len(costs) != len(columns):
         raise ValueError(f"{len(costs)} costs for {len(columns)} explicit columns")
-    lp = _RevisedLp(costs, columns, rhs, characters)
+    lp = _RevisedLp(costs, columns, rhs, atoms)
     lp.start(basis)
     if any(line[-1] < 0 for line in lp.tableau[:m]):
         raise ValueError("start basis is not primal-feasible")
 
     pivots = 0
     while True:
-        reduced = lp.reduced_costs()
-        most_negative = min(reduced)
+        most_negative, entering = lp.entering()
         if most_negative >= 0:
             return lp.result(pivots)
-        entering = reduced.index(most_negative)
         lp.enter(entering)
         leaving = lp.leaving()
         if leaving < 0:

@@ -300,16 +300,17 @@ def _duals(costs, rows, basis):
 def dense_lp(costs, columns, rhs, characters=None):
     """The costs and rows of ``solve_from_basis``'s LP: character columns, then ``columns``.
 
-    Each of ``columns`` maps a row to its entry there, and ``costs``
+    The character columns are built from the atom oracle's ``bits`` and
+    ``masks``.  Each of ``columns`` maps a row to its entry there, and ``costs``
     gives one cost per explicit column; a character column costs 0.
     """
-    atoms = 1 << characters[0] if characters is not None else 0
+    atoms = 1 << characters.bits if characters is not None else 0
     rows = []
     for i in range(len(rhs)):
         row = []
         if characters is not None:
-            bits, masks = characters
-            row = [-1 if (a & masks[i]).bit_count() & 1 else 1 for a in range(1 << bits)]
+            mask = characters.masks[i]
+            row = [-1 if (a & mask).bit_count() & 1 else 1 for a in range(atoms)]
         rows.append(row + [column.get(i, 0) for column in columns])
     return [0] * atoms + list(costs), rows
 
@@ -421,7 +422,7 @@ class FullWidthLp:
 
     def __init__(self, costs, columns, rhs, characters):
         m = self.m = len(rhs)
-        self.bits, self.masks = characters if characters is not None else (0, ())
+        self.bits, self.masks = (0, ()) if characters is None else (characters.bits, characters.masks)
         self.atoms = 1 << self.bits if characters is not None else 0
         if any(type(v) is not int for v in [*costs, *(v for c in columns for v in c.values())]):
             raise TypeError("the revised simplex takes integer columns and costs")
@@ -555,6 +556,12 @@ class FullWidthLp:
             else:
                 reduced.append(c * scale + obj[unit[0]] * unit[1])
         return reduced
+
+    def entering(self):
+        """Dantzig's choice: (least reduced cost, its column), lowest index on ties."""
+        reduced = self.reduced_costs()
+        least = min(reduced)
+        return least, reduced.index(least)
 
     def result(self, pivots) -> LpResult:
         """The optimal LpResult of the current basis, B⁻¹ in lowest terms."""

@@ -25,7 +25,7 @@ from contextuality_kit.cli import (
 )
 from contextuality_kit.errors import ScenarioError
 from contextuality_kit.feasibility import solve_robust
-from contextuality_kit.numerics import format_scalar, parse_and_evaluate
+from contextuality_kit.numerics import format_scalar, parse_and_evaluate, quoted
 
 #: Environment of a child interpreter that imports the kit from this checkout.
 KIT_ENV = dict(
@@ -1540,12 +1540,30 @@ def test_a_bare_number_over_the_digit_limit_is_a_named_input_error(tmp_path, com
     assert "PYTHONINTMAXSTRDIGITS" in report["error"] and len(report["error"]) < 300
 
 
-def test_undecodable_bytes_stay_a_decoding_error(tmp_path):
+@pytest.mark.parametrize(
+    "data, offset", [(b"\xff\xfe", 0), (b'{"variables": ["\xe9"]}', 16)], ids=["bom", "latin-1"]
+)
+def test_undecodable_bytes_name_the_file(tmp_path, data, offset):
     path = tmp_path / "latin.json"
-    path.write_bytes(b"\xff\xfe")
-    code, report = run_json("check", "--scenario", str(path))
+    path.write_bytes(data)
+    for command, flag in (("check", "--scenario"), ("margin", "--scenario"), ("validate", "--file")):
+        code, report = run_json(command, flag, str(path))
+        assert (code, report["verdict"]) == (EXIT_USAGE, "input-error")
+        assert report["error"] == f"{path}: not UTF-8: byte {data[offset]:#04x} at offset {offset}"
+
+
+@pytest.mark.parametrize("entry", [None, "x", 7, [{"moment": ["A"]}]], ids=["null", "string", "number", "list"])
+@pytest.mark.parametrize("command", ["check", "margin", "validate"])
+def test_a_constraint_entry_that_is_not_an_object_is_named(tmp_path, command, entry):
+    document = {"variables": ["A"], "constraints": [{"moment": ["A"], "relation": "eq", "value": "0"}, entry]}
+    if command == "validate":
+        # A check report's echoed input is decided again.
+        document = {"command": "check", "input": document, "bracket_tolerance": "1/10"}
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps(document))
+    code, report = run_json(command, "--file" if command == "validate" else "--scenario", str(path))
     assert (code, report["verdict"]) == (EXIT_USAGE, "input-error")
-    assert "codec can't decode" in report["error"]
+    assert report["error"] == f"constraint 1 must be an object, got {quoted(entry)}"
 
 
 def test_validate_reads_a_long_witness_when_the_limit_is_lifted(tmp_path):

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fraction_simplex
-from contextuality_kit import closed_form, feasibility, simplex, sweep
+from contextuality_kit import closed_form, event_space, feasibility, measures, simplex, sweep
 from contextuality_kit.errors import CertificateError, ScenarioError
-from contextuality_kit.event_space import moment_coefficients
+from contextuality_kit.event_space import _on_atoms, moment_coefficients
 from contextuality_kit.feasibility import (
     EQ,
     FEASIBLE,
@@ -747,11 +747,12 @@ def test_crash_violations_follow_the_moment_characters(subset):
     space = make_scenario(["A", "B", "C", "D"], []).space
     mask = feasibility.moment_mask(space, subset)
     want = ["plus" if c == 1 else "minus" for c in moment_coefficients(space, subset)]
-    assert feasibility._on_atoms(space.n, mask, "plus", "minus") == want
+    assert _on_atoms(space.n, mask, "plus", "minus") == want
 
 
-def per_row_crash_basis(bits, masks, relaxed_rhs, t_sign):
+def per_row_crash_basis(atoms, relaxed_rhs, t_sign):
     """``_crash_basis`` as it was: one atom row per relaxed row, equal masks too."""
+    bits, masks = atoms.bits, atoms.masks
     n = 1 << bits
     relaxed = range(1, len(masks))
     basis = [0] + [n + r for r in relaxed]
@@ -761,7 +762,7 @@ def per_row_crash_basis(bits, masks, relaxed_rhs, t_sign):
     violations = [(s * (b - common), s * (b + common)) for s, b in zip(t_sign[1:], targets)]
     worst = None
     for mask, (plus, minus) in zip(masks[1:], violations):
-        row = feasibility._on_atoms(bits, mask, plus, minus)
+        row = _on_atoms(bits, mask, plus, minus)
         worst = row if worst is None else list(map(max, worst, row))
     least = min(worst)
     j = worst.index(least)
@@ -911,11 +912,12 @@ def test_symmetric_n10_document_decides_in_at_most_200_pivots(monkeypatch):
 @example(reproducer_1())
 @example(bell_scenario())
 def test_settled_check_points_equal_cold_solves(scenario):
-    box, _ = feasibility._margin_lp(scenario, feasibility._box(scenario))
+    lp = feasibility._MomentLp(scenario)
+    box = feasibility._margin_lp(lp, feasibility._box(scenario))
     margins = []
     for point in feasibility._check_points(scenario):
-        settled, _ = feasibility._margin_lp(scenario, point, box)
-        cold, _ = feasibility._margin_lp(scenario, point)
+        settled = feasibility._margin_lp(lp, point, box)
+        cold = feasibility._margin_lp(lp, point)
         assert settled.objective == cold.objective
         margins.append(cold.objective)
     verdict = solve_robust(scenario).verdict
@@ -1014,7 +1016,10 @@ def test_tampered_dual_read_out_never_leaves_solve_unverified(scenario, endpoint
         assert outcome.verdict in (FEASIBLE, INDETERMINATE)
         return
     (certificate,) = tampered
-    if verify_certificate(scenario, certificate):
+    # Released only when it verifies and its bound is the margin itself.
+    if verify_certificate(scenario, certificate) and certificate_bound(
+        scenario, certificate
+    ) == margin(scenario):
         assert outcome.certificate == certificate
     else:
         assert outcome is None
@@ -1140,4 +1145,105 @@ def test_violated_constraints_lists_each_missed_relation_with_its_moment():
     violated = violated_constraints(scenario, witness)
     assert [(c.subset, got) for c, got in violated] == [(("B",), 0), (("A", "B"), Fraction(1, 2))]
     with pytest.raises(AssertionError, match=r"witness violates E\(B\) >= 1/2: got 0"):
-        feasibility._check_witness(scenario, witness)
+        feasibility._check_witness(feasibility._MomentLp(scenario), witness)
+
+
+# --- a released margin is proved from both sides ------------------------------
+
+
+def certificate_bound(scenario, certificate):
+    """The least z·b over the box, divided by Σ_{k≥1}|z_k|: the miss z proves."""
+    targets = [ScalarInterval.point(1)] + [c.target for c in scenario.constraints]
+    least = sum(z * (t.lo if z > 0 else t.hi) for z, t in zip(certificate, targets))
+    return least / sum(abs(z) for z in certificate[1:])
+
+
+def largest_miss(scenario, point):
+    """How far the moments of a point of atom masses fall outside their brackets, at most."""
+    rows, _, _ = _standard_rows(scenario)
+    misses = [0]
+    for c, row in zip(scenario.constraints, rows[1:]):
+        moment = sum(a * p for a, p in zip(row, point))
+        if c.relation != LE:
+            misses.append(c.target.lo - moment)
+        if c.relation != GE:
+            misses.append(moment - c.target.hi)
+    return max(misses)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(relaxed_scenarios(), bracketed_scenarios()), st.sampled_from(["box", "lo", "hi"]))
+@example(ghz_scenario(), "box")
+@example(bell_scenario(), "box")
+def test_a_released_margin_is_both_of_its_bounds(scenario, endpoint):
+    """The certificate's bound and the relaxed optimal point's largest miss are t."""
+    if endpoint != "box":
+        scenario = corner(scenario, endpoint)
+    results, solve_from_basis = [], simplex.solve_from_basis
+
+    def kept(*args):
+        results.append(solve_from_basis(*args))
+        return results[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplex, "solve_from_basis", kept)
+        outcome = solve(scenario)
+    if outcome.verdict != INFEASIBLE:
+        return
+    t = outcome.margin
+    point = [Fraction(0)] * scenario.space.atom_count
+    for col, value in zip(results[0].basis, results[0].x):
+        if col < len(point):
+            point[col] = value
+    assert certificate_bound(scenario, outcome.certificate) == t == largest_miss(scenario, point)
+
+
+@pytest.mark.parametrize("factor", [Fraction(1, 2), Fraction(2)])
+@pytest.mark.parametrize("scenario", [ghz_scenario, bell_scenario], ids=["ghz", "bell"])
+def test_a_tampered_margin_makes_solve_raise(monkeypatch, scenario, factor):
+    """The certificate and the point are the LP's; only the objective t is changed."""
+    solve_from_basis = simplex.solve_from_basis
+
+    def tampered(*args):
+        result = solve_from_basis(*args)
+        return simplex.LpResult(
+            result.status, result.x, result.objective * factor, result.duals,
+            result.pivots, result.basis, result.inverse,
+        )
+
+    monkeypatch.setattr(simplex, "solve_from_basis", tampered)
+    with pytest.raises(AssertionError, match="is not proved"):
+        solve(scenario())
+
+
+def _counted_masks(monkeypatch):
+    """Count ``moment_mask`` calls per subset, wherever the kit looks it up."""
+    counts, moment_mask = {}, event_space.moment_mask
+
+    def counted(space, subset):
+        counts[tuple(subset)] = counts.get(tuple(subset), 0) + 1
+        return moment_mask(space, subset)
+
+    for module in (event_space, feasibility, measures):
+        monkeypatch.setattr(module, "moment_mask", counted)
+    return counts
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_each_mask_is_computed_once_per_decision(monkeypatch, n):
+    """A bracketed feasible decision runs its 2k check points; a planted one its certificate."""
+    from contextuality_kit.cli import scenario_from_document
+
+    names, subsets = _singles_and_pairs(n)
+    bracketed = make_scenario(
+        names, [(s, EQ, 0 if len(s) == 1 else parse_and_evaluate("sqrt(2)/4")) for s in subsets]
+    )
+    planted = scenario_from_document(reference.wide_document(1, n + 2, True))
+    lps = _counting_lps(monkeypatch)
+    counts = _counted_masks(monkeypatch)
+    assert solve(bracketed).verdict == FEASIBLE
+    assert lps[0] + lps[1] == 1 + 2 * (len(subsets) - n)  # the box and every check point
+    assert counts and max(counts.values()) == 1
+    counts.clear()
+    assert solve(planted).verdict == INFEASIBLE
+    assert counts and max(counts.values()) == 1

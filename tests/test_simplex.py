@@ -180,7 +180,7 @@ def test_character_columns_equal_their_explicit_form():
     atoms = _columns([[1, 1, 1, 1], [1, 1, -1, -1], [1, 1, -1, -1]])
     rhs = [1, Fraction(1, 2), Fraction(-1, 2)]
     start = [0, 5, 4]  # atom 0, the ge side's slack, t = 3/2
-    implicit = simplex.solve_from_basis([1, 0, 0], [t, *slacks], rhs, start, (2, masks))
+    implicit = simplex.solve_from_basis([1, 0, 0], [t, *slacks], rhs, start, simplex.WalshAtoms(2, masks))
     explicit = simplex.solve_from_basis([0] * 4 + [1, 0, 0], atoms + [t, *slacks], rhs, start)
     assert implicit == explicit
     assert implicit.objective == Fraction(1, 2)
@@ -262,7 +262,7 @@ def test_bracket_denominators_stay_out_of_the_inverse():
         [((v,), "eq", 0) for v in names]
         + [(tuple(pair), "eq", parse_and_evaluate(cycle.get(pair, "0"))) for pair in pairs],
     )
-    result, _ = feasibility._margin_lp(scenario, feasibility._box(scenario))
+    result = feasibility._margin_lp(feasibility._MomentLp(scenario), feasibility._box(scenario))
     assert result.objective > 0
     for line, scale in result.inverse:
         assert max(abs(v) for v in line).bit_length() <= 16

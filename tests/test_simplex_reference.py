@@ -17,6 +17,10 @@ the same start basis, so every margin LP must come back with the same
 status, pivots, point, objective and row duals, and the reduced costs
 its duals give must be the dense objective row's.  On the dense tableau
 every row of [x_B | B⁻¹B₀] stays lexicographically positive.
+
+``BruteForceAtoms`` answers the atom oracle's questions by a direct sum
+per atom: ``simplex.WalshAtoms`` must answer as it does, and every
+decision must come back the same with it in place.
 """
 
 import io
@@ -420,10 +424,10 @@ def pivot_every_column_in(lp, basis):
 def assert_same_start(scenario):
     """The margin LP ends as it does when its whole start basis is pivoted in."""
     bounds = feasibility._box(scenario)
-    got = feasibility._margin_lp(scenario, bounds)[0]
+    got = feasibility._margin_lp(feasibility._MomentLp(scenario), bounds)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simplex._RevisedLp, "start", pivot_every_column_in)
-        want = feasibility._margin_lp(scenario, bounds)[0]
+        want = feasibility._margin_lp(feasibility._MomentLp(scenario), bounds)
     # Every field: x, basis, inverse, duals and pivots among them.
     assert got == want
 
@@ -499,8 +503,8 @@ def explicit_lps(draw):
         masks = draw(
             st.lists(st.integers(min_value=0, max_value=(1 << bits) - 1), min_size=m, max_size=m)
         )
-        characters = (bits, masks)
-    atoms = 1 << characters[0] if characters else 0
+        characters = simplex.WalshAtoms(bits, masks)
+    atoms = characters.atoms if characters else 0
     rhs = draw(
         st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=m, max_size=m)
     )
@@ -554,7 +558,7 @@ def _beale(slack_entry):
 @example(([0, 0, -1, -2], [{0: 1}, {1: -1}, {0: 2, 1: 3}, {0: 1, 1: -1}], [4, -2], [0, 1], None))
 # A cost-1 unit column, basic at the start: the margin LP's t when it
 # has one relaxed row (an le side here), which an atom then replaces.
-@example(([1, 0], [{1: -1}, {1: 1}], [1, Fraction(1, 2)], [0, 2], (1, [0, 1])))
+@example(([1, 0], [{1: -1}, {1: 1}], [1, Fraction(1, 2)], [0, 2], simplex.WalshAtoms(1, [0, 1])))
 # A second unit column on a row that a slack already takes: in the
 # start basis (singular), and entering at a negative cost.
 @example(([0, 0, 0], [{0: 1}, {0: -1}, {1: 1}], [1, 1], [0, 1], None))
@@ -620,26 +624,30 @@ def test_rows_hold_only_live_columns_at_every_pivot(monkeypatch):
 def pricing_compared():
     """Check every pricing against the dense rows; yields the count of slacks entered.
 
-    At every basis the simplex prices, the reduced costs it reads off
-    the live columns must be the dense reference's, c_j − yᵀA_j for the
-    row duals y of that basis (solved in Fractions from the basic
-    columns, independent of the kit's rows), times the objective row's
-    scale.  A slack entering after the start makes its row's column
-    held again, which the pricing that follows must see.
+    At every basis the simplex prices, the explicit columns' reduced
+    costs it reads off the live columns must be the dense reference's,
+    c_j − yᵀA_j for the row duals y of that basis (solved in Fractions
+    from the basic columns, independent of the kit's rows), times the
+    objective row's scale, and the entering choice must be the least of
+    all the dense reduced costs, atoms included, at its lowest index.  A
+    slack entering after the start makes its row's column held again,
+    which the pricing that follows must see.
     """
     lps, entered = [], [0]
-    reduced_costs, pivot = simplex._RevisedLp.reduced_costs, simplex._RevisedLp.pivot
+    entering, pivot = simplex._RevisedLp.entering, simplex._RevisedLp.pivot
 
     def from_basis(costs, columns, rhs, basis, characters=None):
         lps.append(dense_simplex.dense_lp(costs, columns, rhs, characters))
         return _solve_from_basis(costs, columns, rhs, basis, characters)
 
     def priced(lp):
-        got = reduced_costs(lp)
+        got = entering(lp)
         dense_costs, rows = lps[-1]
         y = dense_simplex._duals(dense_costs, rows, lp.basis)
         scale = lp.scales[lp.m]
-        assert got == [v * scale for v in dense_simplex.reduced_costs(dense_costs, rows, y)]
+        want = [v * scale for v in dense_simplex.reduced_costs(dense_costs, rows, y)]
+        assert lp.reduced_costs() == want[lp.atoms:]
+        assert got == (min(want), want.index(min(want)))
         return got
 
     def counted(lp, row, j):
@@ -648,7 +656,7 @@ def pricing_compared():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simplex, "solve_from_basis", from_basis)
-        patch.setattr(simplex._RevisedLp, "reduced_costs", priced)
+        patch.setattr(simplex._RevisedLp, "entering", priced)
         patch.setattr(simplex._RevisedLp, "pivot", counted)
         yield entered
 
@@ -960,3 +968,93 @@ def test_certificate_check_matches_the_dense_rows(scenario, endpoint, edit, pick
     assert got == dense_simplex.verify_certificate_by_rows(scenario, y)
     if produced and edit == "produced":
         assert got
+
+
+# --- the atom oracle against a direct sum per atom -----------------------------
+
+
+class BruteForceAtoms:
+    """The atom oracle's questions answered by a direct sum per atom, for n ≤ 8.
+
+    Each atom's character on each row is its own parity, and each answer
+    is read off one list over the atoms, so nothing is shared with
+    ``simplex.WalshAtoms`` but the interface.
+    """
+
+    def __init__(self, bits, masks):
+        self.bits, self.masks, self.atoms = bits, masks, 1 << bits
+
+    def column(self, atom):
+        return [(-1) ** bin(atom & mask).count("1") for mask in self.masks]
+
+    def _least(self, values):
+        least = min(values)
+        return least, values.index(least)
+
+    def least(self, weights):
+        weights = list(weights)
+        columns = [self.column(a) for a in range(self.atoms)]
+        return self._least([sum(w * column[r] for r, w in weights) for column in columns])
+
+    def least_worst(self, rows):
+        rows = list(rows)
+        columns = [self.column(a) for a in range(self.atoms)]
+        return self._least(
+            [max(plus if column[r] == 1 else minus for r, plus, minus in rows) for column in columns]
+        )
+
+
+@st.composite
+def oracle_questions(draw):
+    """An oracle's rows and one question of each kind, in small integers so atoms tie."""
+    bits = draw(st.integers(min_value=0, max_value=6))
+    masks = draw(st.lists(st.integers(min_value=0, max_value=(1 << bits) - 1), min_size=1, max_size=6))
+    row = st.integers(min_value=0, max_value=len(masks) - 1)
+    small = st.integers(min_value=-3, max_value=3)
+    weights = draw(st.lists(st.tuples(row, small), max_size=8))
+    worst = draw(st.lists(st.tuples(row, small, small), min_size=1, max_size=8))
+    return bits, masks, weights, worst
+
+
+@settings(deadline=None, max_examples=400)
+@given(oracle_questions())
+@example((2, [0, 3, 3], [(1, 1), (2, -1)], [(0, 0, 0)]))  # every atom ties
+@example((3, [5, 5], [(0, 2), (1, -2)], [(0, 1, -1), (1, -1, 1)]))
+def test_walsh_oracle_answers_as_the_direct_sum(question):
+    bits, masks, weights, worst = question
+    walsh, brute = simplex.WalshAtoms(bits, masks), BruteForceAtoms(bits, masks)
+    assert walsh.least(iter(weights)) == brute.least(weights)
+    assert walsh.least_worst(iter(worst)) == brute.least_worst(worst)
+    for atom in range(walsh.atoms):
+        assert walsh.column(atom) == brute.column(atom)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.one_of(relaxed_scenarios(), _wide_scenarios.filter(lambda s: s.space.n <= 6)))
+@example(scenario_from_document(reference.wide_document(3, 6, True)))
+@example(scenario_from_document(exchangeable_document(5)))
+def test_decisions_on_the_brute_force_oracle_are_identical(scenario):
+    """Every LpResult and the outcome, with the brute-force oracle in every place atoms are enumerated.
+
+    With it in place the Walsh transform and the atom-row fold must not
+    run at all: nothing else on the decision path enumerates the atoms.
+    """
+    results = []
+
+    def kept(*args):
+        results.append(_solve_from_basis(*args))
+        return results[-1]
+
+    def refused(*args):
+        raise AssertionError("the atoms are enumerated outside the oracle")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplex, "solve_from_basis", kept)
+        want = feasibility.solve(scenario)
+        walsh, results[:] = list(results), []
+        patch.setattr(simplex, "WalshAtoms", BruteForceAtoms)
+        patch.setattr(simplex, "_walsh", refused)
+        patch.setattr(simplex, "_on_atoms", refused)
+        got = feasibility.solve(scenario)
+    assert got == want
+    assert results == walsh and results
