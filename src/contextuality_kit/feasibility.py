@@ -181,21 +181,16 @@ def solve(scenario: Scenario) -> FeasibilityOutcome:
     """Decide feasibility for every target in the scenario's brackets, with evidence.
 
     One LP decides: :func:`margin`'s relaxed LP over the whole target
-    box, solved from its crash basis by the revised simplex.  Its
-    structure is built once (:class:`_MomentLp`) and read by every LP
-    and check below.
+    box (:class:`_MomentLp`, built once), from its crash basis.
 
-    * t > 0: infeasible for every target in the box.  The optimal duals
-      are the certificate (:func:`_certificate_from_duals`), and t is
-      released only once both of its bounds are t (:func:`_check_margin`).
-    * t = 0: the optimal point meets every constraint somewhere in its
-      bracket and is the witness, re-checked against every constraint.
-      With point targets that is the verdict, feasible.  With bracketed
-      targets the verdict is feasible only when every point of
-      :func:`_check_points` is feasible, each settled from the last
-      optimum's basis (the box's, then the previous point's) or else
-      solved from its crash basis; otherwise it is indeterminate, with
-      no evidence.
+    * t > 0: infeasible over the box; the optimal duals are the
+      certificate, and t is released once both its bounds are t
+      (:func:`_check_margin`).
+    * t = 0: the optimal point is the witness, re-checked against every
+      constraint.  With bracketed targets the verdict is feasible only
+      when every point of :func:`_check_points` is, each settled from
+      the last optimum's basis or else solved from its crash basis;
+      otherwise indeterminate, with no evidence.
 
     The pivot path is fixed, so the evidence is deterministic.  The
     outcome carries the exact margin t.
@@ -515,17 +510,12 @@ def _ghz_rows() -> tuple[tuple[int, ...], ...]:
 def _grid_verdicts(points) -> list[tuple[bool, bool]]:
     """(LP feasible, closed form feasible) for each point, in one warm sweep.
 
-    Point (p, q), read as ``Fraction(p)`` and ``Fraction(q)``, is the
-    symmetric scenario with singles e = 2p - 1 and triple t = 2q - 1.
-    With p = a/b, q = c/k and d = lcm(b, k), its right-hand side
-    (1, e, e, e, t) is the ints d·(1, e, e, e, t), read off the
-    numerators and denominators.  They go to :func:`sweep.solve_many`,
-    whose checks are exact and whose dual pivots read only signs of
-    x_B, so neither changes with that positive scale; the same ints go
-    to the closed form's integer core, ``closed_form._ghz_check``, whose
-    None is a pass, so no Fraction or record is built per point.  A
-    point outside [0, 1]² (|d·e| > d or |d·t| > d) builds its
-    GhzMoments, which raises ValueError before any LP runs.
+    Point (p, q) is the symmetric scenario with singles e = 2p - 1 and
+    triple t = 2q - 1; with p = a/b, q = c/k and d = lcm(b, k) its
+    right-hand side is the ints d·(1, e, e, e, t), which a positive scale
+    changes no verdict of, for :func:`sweep.solve_many` and the closed
+    form's integer core ``closed_form._ghz_check`` (None is a pass).  A
+    point outside [0, 1]² builds its GhzMoments, which raises ValueError.
     """
     from . import closed_form, sweep
 
@@ -557,25 +547,14 @@ def oracle_grid_agreement(
 
     Each grid point (p, q) is the symmetric scenario of
     :func:`ghz_symmetric_scenario`, E(A)=E(B)=E(C)=2p-1 and
-    E(ABC)=2q-1.  All points share its 5x8 matrix and differ only in
-    the right-hand side, so the LP verdicts come from one
-    :func:`sweep.solve_many` sweep, which runs no phase 1: the matrix is
-    put in Gauss–Jordan form once per process, a point is settled by
-    the last feasible basis or Farkas certificate found earlier in the
-    same sweep, re-checked exactly at that point, and a point neither
-    settles takes dual-simplex pivots from the sweep's current basis
-    until its x_B is nonnegative or a row proves it infeasible.  Every
-    verdict is an exact proof at its point, so it is the one a cold
-    solve gives.  The closed-form verdict is the four inequalities of
-    :func:`closed_form.check_ghz_inequalities`, read as pass or fail in
-    integers on the same scaled right-hand side (:func:`_grid_verdicts`).
-    The kept evidence lives in this one sweep, which runs in the calling
-    process; only the crash of the shared matrix, which no point's
-    verdict reads as evidence, is kept for the next sweep.  ``workers``
-    is ignored; it is still accepted for callers that pass it.
-
-    The report lists every mismatch; an empty list is the expected
-    outcome.
+    E(ABC)=2q-1.  All points share its 5x8 matrix, so the LP verdicts
+    come from one :func:`sweep.solve_many` sweep in the calling process:
+    each point is settled by a basis or certificate found earlier in the
+    sweep, re-checked exactly there, or takes dual-simplex pivots, so
+    every verdict is an exact proof at its point.  The closed-form
+    verdict is :func:`closed_form.check_ghz_inequalities` in integers on
+    the same right-hand side (:func:`_grid_verdicts`).  ``workers`` is
+    ignored.  The report lists every mismatch; none is expected.
     """
     points = list(points)
     verdicts = _grid_verdicts(points)

@@ -1,69 +1,53 @@
 """Exact revised simplex over the rationals, in integers.
 
-Solves   minimize c·x   subject to   A x = b,  x >= 0
-
-exactly, so there is no tolerance tuning anywhere: a pivot element is
-nonzero or it is not.
+Solves  minimize c·x  subject to  A x = b,  x >= 0  exactly: a pivot
+element is nonzero or it is not, with no tolerance anywhere.
 
 * :func:`solve_from_basis`, one phase from a feasible basis the caller
-  knows.  Every standard scenario is decided by it: the optimum's basic
-  values (``LpResult.x``) give the witness, and its row duals
-  (``LpResult.duals``) the Farkas certificate.
-* :func:`settle`, the optimum of a :func:`solve_from_basis` LP at
-  another right-hand side, from its optimal basis, when that basis is
-  still primal-feasible there; its objective is yᵀb, off the duals.
+  knows; every standard scenario is decided by it, the witness from its
+  basic values (``LpResult.x``) and the certificate from its row duals.
+* :func:`settle`, its optimum at another right-hand side from its
+  optimal basis, when that basis stays primal-feasible there.
 
-The integer rows and the pivot are shared with :mod:`.sweep`, which
-decides feasibility systems by dual-simplex pivots from one
-Gauss–Jordan crash basis (``sweep.solve_many``, the grid sweeps).
-``sweep.solve_lp``, which no kit path runs, is still reachable as an
-attribute of this module, and importing it loads :mod:`.sweep`.
+The integer rows and the pivot are shared with :mod:`.sweep`
+(dual-simplex pivots from a Gauss–Jordan crash basis, the grid sweeps);
+``sweep.solve_lp`` is still reachable as an attribute of this module.
 
-The LPs may have a block of atom columns, atom a's entry in row i being
-the character ``(-1)^popcount(a & mask_i)``, as for the kit's moment
-rows over 2ⁿ atoms.  They are never formed: the one atom oracle,
-:class:`WalshAtoms`, answers every question asked of them, and only the
-entering column is built.  Each pivot asks it for the least reduced
-cost, one integer Walsh–Hadamard transform of the objective row's
-duals (n·2ⁿ additions; Fino and Algazi, *IEEE Trans. Comput.* C-25,
-1142 (1976)).  The search is exhaustive, because finding the best atom
-is the separation problem of the correlation polytope, NP-hard in
-general (I. Pitowsky, *Math. Programming* 50, 395 (1991)).  The
-revised simplex holds B⁻¹ only over its live columns
-(:class:`_RevisedLp`); its pivots, and so its point, objective and
-duals, are those of the dense one-phase tableau it replaced, which the
-tests keep as ``tests/dense_simplex.py`` and pin them against.
+Atom a's entry in row i is the character ``(-1)^popcount(a & mask_i)``
+of the kit's moment rows over 2ⁿ atoms.  These columns are never formed:
+the atom oracle :class:`WalshAtoms` answers every question asked of
+them, each pricing one integer Walsh–Hadamard transform (Fino and
+Algazi, *IEEE Trans. Comput.* C-25, 1142 (1976)).  The search is
+exhaustive, as finding the best atom is NP-hard in general
+(I. Pitowsky, *Math. Programming* 50, 395 (1991)).  :class:`_RevisedLp`
+holds B⁻¹ over its live columns and stores one row per equality pair,
+as s_le + s_ge = 2t + (hi − lo) makes B⁻¹[P(s_ge)] = 2·B⁻¹[P(t)] −
+B⁻¹[P(s_le)] + (e_le − e_ge) (L. Schrage, *Math. Programming Study* 4,
+118 (1975)); its pivots, point, objective and duals are those of the
+dense one-phase tableau that ``tests/dense_simplex.py`` keeps.
 
-Every LP the kit solves has an integer matrix (±1 characters, ±1 slack
-and ``t`` columns) and integer costs; a Fraction among them raises
-TypeError.  The rational right-hand side is put over one common
-denominator (:func:`.numerics.over_common_denominator`), which no pivot
-reads, so its denominators stay out of B⁻¹ (the usual layout ``[I | b]``
-with x_B held apart; I. Maros, *Computational Techniques of the Simplex
-Method*, 2003).  Every tableau row, the objective row included, is a
-list of Python ints over one positive integer scale, its rational value
-``ints / scale``, and :func:`_pivot` is the integer-preserving
+Matrices and costs are integers (TypeError for a Fraction); the
+right-hand side is put over one common denominator, which no pivot
+reads (the layout ``[I | b]`` with x_B apart; I. Maros, *Computational
+Techniques of the Simplex Method*, 2003).  Every row is a list of ints
+over one positive scale, and :func:`_pivot` is the integer-preserving
 elimination of Escobedo and Moreno-Centeno (*INFORMS J. Comput.* 27
-(2015)).  Fractions appear only at the read-out.
+(2015)); Fractions appear only at the read-out.
 
-Dantzig's column (most negative reduced cost, lowest index on ties)
-enters.  The row of least ratio x_B(i)/α_i over the entering column's
-positive entries α_i leaves; a tie goes to the row whose row of B⁻¹B₀
-over α_i is lexicographically least, B₀ being the start basis (G. B.
-Dantzig, A. Orden and P. Wolfe, *Pacific J. Math.* 5, 183 (1955)).
-B⁻¹B₀ = I at the start, so every row of [x_B | B⁻¹B₀] starts
-lexicographically positive and the rule keeps it so; each pivot then
-lowers c_B·B⁻¹[b | B₀], which the basis fixes, lexicographically, so
-no basis recurs.  The rules read signs, and ratios ``u_i/a_i`` compared
-as ``u_i·a_k < u_k·a_i``, in which row scales and a positive factor
-common to a row and its scale cancel.  So the pivots are those of the
-same tableau held in Fractions, whichever rows are in lowest terms, and
-the path, and with it the evidence, is deterministic.
+Dantzig's column (lowest index on ties) enters.  The row of least ratio
+x_B(i)/α_i over positive α_i leaves, a tie going to the row whose row of
+B⁻¹B₀ over α_i is lexicographically least, B₀ the start basis (G. B.
+Dantzig, A. Orden and P. Wolfe, *Pacific J. Math.* 5, 183 (1955)):
+every row of [x_B | B⁻¹B₀] starts and stays lexicographically positive,
+so no basis recurs.  The rules read signs and ratios compared as
+``u_i·a_k < u_k·a_i``, in which row scales and common factors cancel,
+so the path, and with it the evidence, is deterministic.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect
 from fractions import Fraction
 from operator import add, mul, sub
 
@@ -92,28 +76,19 @@ def __getattr__(name: str):
 class LpResult(Record):
     """The outcome of one LP solve.
 
-    * ``pivots``: the pivots taken.  For ``sweep.solve_lp`` these
-      include the crash pivots; for :func:`solve_from_basis` they
-      exclude the pivots that bring the start basis in.
+    * ``pivots``: the pivots taken; ``sweep.solve_lp`` counts its crash
+      pivots, :func:`solve_from_basis` not those of its start basis.
     * ``x``, ``objective``: x_B (one value per entry of ``basis``) and
       the objective of an optimal :func:`solve_from_basis` result.
-    * ``basis``: on an optimal ``sweep.solve_lp`` result, the basic
-      column of each row the crash kept (a redundant row has none).  On
-      an optimal :func:`solve_from_basis` result, the basic column of
-      each row.
-    * ``inverse``: on an optimal :func:`solve_from_basis` or
-      ``sweep.solve_lp`` result, row i of B⁻¹, one per entry of
-      ``basis``, as (ints, scale) in lowest terms over every original
-      row, so that x_B(i) = ints·b / scale for the rational right-hand
-      side b (and d times that for b over a common denominator d); read
-      by :func:`_basic_values`.
-    * ``duals``: one per row, the row duals y of the final basis, so
-      that column j's reduced cost is c_j − yᵀA_j.  On an optimal
-      :func:`solve_from_basis` result they are the optimal duals:
-      every reduced cost is >= 0 and yᵀb is the objective.  On an
-      infeasible ``sweep.solve_lp`` result they are a Farkas
-      certificate of the original integer rows: yᵀA <= 0 componentwise
-      and yᵀb > 0.
+    * ``basis``: the basic column of each row (of each row the crash
+      kept, for ``sweep.solve_lp``).
+    * ``inverse``: row i of B⁻¹ per entry of ``basis``, as (ints, scale)
+      in lowest terms over every original row, so that x_B(i) =
+      ints·b / scale (:func:`_basic_values`).
+    * ``duals``: the row duals y of the final basis, column j's reduced
+      cost being c_j − yᵀA_j: optimal duals for :func:`solve_from_basis`
+      (every reduced cost >= 0, yᵀb the objective), a Farkas
+      certificate (yᵀA <= 0, yᵀb > 0) for an infeasible ``sweep.solve_lp``.
     """
 
     __slots__ = ("status", "x", "objective", "duals", "pivots", "basis", "inverse")
@@ -131,10 +106,8 @@ class LpResult(Record):
         self._set(status, x, objective, duals, pivots, basis, inverse)
 
 
-#: An updated row other than the objective row is put in lowest terms
-#: only once its scale is longer than this many bits, two 30-bit
-#: CPython digits; the bound keeps a row's integers from growing
-#: without end.
+#: A row other than the objective row is put in lowest terms once its
+#: scale is longer than this many bits (two 30-bit CPython digits).
 _REDUCE_BITS = 60
 
 
@@ -149,22 +122,18 @@ def _reduced(line, scale):
 def _pivot(tableau, scales, basis, row, col):
     """In-place integer pivot on (row, col); last row is the objective.
 
-    The pivot row is rescaled so its pivot entry p equals its scale
-    (value 1), put in lowest terms, and its nonzero columns are listed
-    once.  Each other row with entry f in the pivot column becomes
-    ``other·q − (f/g)·prow`` over ``scale·q``, where g = gcd(f, p) and
-    q = p/g.  A row with q > 1 is formed anew in one pass over its
-    entries; a row with q = 1 (most rows of the margin LP) is updated
-    in place, at the pivot row's nonzero columns only, so no caller may
-    keep a tableau row that a later pivot must not change.
+    The pivot row is rescaled so its pivot entry p equals its scale,
+    put in lowest terms, and its nonzero columns listed once.  Each
+    other row with entry f in the pivot column becomes ``other·q −
+    (f/g)·prow`` over ``scale·q``, g = gcd(f, p) and q = p/g: formed anew
+    when q > 1, else updated in place at the pivot row's nonzero columns,
+    so no caller may keep a row that a later pivot must not change.  A
+    row with a zero in the pivot column is not touched.
 
-    An updated row is divided by its gcd only when it is the objective
-    row, whose entries every pricing reads, or when its scale is longer
-    than ``_REDUCE_BITS`` bits; any other row keeps a positive common
-    factor.  Its rational values are the same either way, and so are
-    the pivots: the ratio test and the entering rule read only signs and
-    ratios within one row, which a positive factor does not change.
-    Read-outs put each row in lowest terms once, with :func:`_reduced`.
+    Only the objective row, and a row whose scale is longer than
+    ``_REDUCE_BITS`` bits, is divided by its gcd; a positive common
+    factor changes no sign or ratio within a row, so no pivot.
+    Read-outs put each row in lowest terms with :func:`_reduced`.
     """
     prow = tableau[row]
     p = prow[col]
@@ -200,43 +169,40 @@ def _pivot(tableau, scales, basis, row, col):
     basis[row] = col
 
 
-def _leaving(tableau, entering, lex):
-    """Ratio test on the entering column: the row that leaves, or -1.
+def _leaving(candidates, lex):
+    """Ratio test: the row that leaves, or -1.
 
-    Of the rows tied at the least ratio x_B(i)/α_i, the one whose row of
-    B⁻¹B₀ over α_i is lexicographically least leaves.  ``lex(rows, k)``
-    returns (k', column k' of B⁻¹B₀ on the tied ``rows``) for some
-    k' >= k such that columns k..k'−1 are zero on every one of ``rows``
-    (a column zero on all tied rows keeps every tie), and is called
-    again from k' + 1 until one row is least.
+    ``candidates`` are (row, α, x_B) for the rows whose entry α on the
+    entering column is > 0, α and x_B over a positive denominator of the
+    row's own.  Of the rows tied at the least x_B/α, the one whose row
+    of B⁻¹B₀ over α is lexicographically least leaves: ``lex(rows, k)``
+    gives (k', column k' of B⁻¹B₀ on the tied ``rows``) for some k' >= k
+    whose earlier columns are zero on all of them.
     """
-    rows, values, k = range(len(tableau) - 1), [line[-1] for line in tableau], 0
+    k = 0
     while True:
         tied = []
-        for i, v in zip(rows, values):
-            a = tableau[i][entering]
-            if a > 0:
-                # v/a against the least so far; both scales cancel.
-                d = v * least_a - least_v * a if tied else -1
-                if d < 0:
-                    tied, least_v, least_a = [i], v, a
-                elif not d:
-                    tied.append(i)
+        for candidate in candidates:
+            _, a, v = candidate
+            # v/a against the least so far; the denominators cancel.
+            d = v * least_a - least_v * a if tied else -1
+            if d < 0:
+                tied, least_v, least_a = [candidate], v, a
+            elif not d:
+                tied.append(candidate)
         if len(tied) < 2:
-            return tied[0] if tied else -1
-        k, values = lex(tied, k)
-        rows, k = tied, k + 1
+            return tied[0][0] if tied else -1
+        k, values = lex([i for i, _, _ in tied], k)
+        candidates = [(i, a, v) for (i, a, _), v in zip(tied, values)]
+        k += 1
 
 
 def _walsh(values, bits):
     """Walsh–Hadamard transform: entry a is Σ_k values[k]·(-1)^popcount(a & k).
 
-    ``values`` has 2**bits entries.  Each of the ``bits`` stages of the
-    constant-geometry butterfly puts the sums of the pairs (2i, 2i+1)
-    in the first half and their differences in the second; after the
-    last stage the entries are back in natural order (Fino and Algazi,
-    *IEEE Trans. Comput.* C-25, 1142 (1976)).  n·2ⁿ integer additions,
-    each stage's halves by ``map`` over ``operator.add`` and ``sub``.
+    Each of the ``bits`` stages of the constant-geometry butterfly puts
+    the sums of the pairs (2i, 2i+1) in the first half and their
+    differences in the second, ending in natural order: n·2ⁿ additions.
     """
     for _ in range(bits):
         even, odd = values[0::2], values[1::2]
@@ -247,18 +213,12 @@ def _walsh(values, bits):
 class WalshAtoms:
     """The atom oracle: the one place the 2**bits atom columns are enumerated.
 
-    Atom a's entry on row i is the character ``(-1)^popcount(a & masks[i])``.
-    Each question returns (value, atom), the lowest atom on ties:
-    :meth:`least`, the least Σ_i w_i·χ_i(a) for weights w_i on the rows
-    (Dantzig pricing, and the certificate check on −z), and
-    :meth:`least_worst`, the least over atoms of the worst row, row i
-    worth ``plus`` where χ_i(a) = 1 and ``minus`` where it is −1 (the
-    margin LP's crash).
-
-    :meth:`least` is one :func:`_walsh` of the weights added up on
-    their rows' masks; :meth:`least_worst` folds the rows of each mask
-    first and builds one atom row per mask (``event_space._on_atoms``),
-    folded by a comparison per atom.  ``min`` and ``index`` read either.
+    Atom a's entry on row i is ``(-1)^popcount(a & masks[i])``.  Each
+    question returns (value, atom), the lowest atom on ties:
+    :meth:`least`, the least Σ_i w_i·χ_i(a) (one :func:`_walsh`; Dantzig
+    pricing and the certificate check), and :meth:`least_worst`, the
+    least over atoms of the worst row, row i worth ``plus`` where
+    χ_i(a) = 1 and ``minus`` where it is −1 (the margin LP's crash).
     """
 
     __slots__ = ("bits", "masks", "atoms")
@@ -298,35 +258,40 @@ class WalshAtoms:
 class _RevisedLp:
     """The rows ``[B⁻¹ | slot | x_B]`` of one LP, B⁻¹ over its live columns.
 
-    The matrix and the costs are integers; the right-hand side is
-    multiplied by its common denominator ``rhs_scale``, which
-    :meth:`result` divides x_B and the objective by and the ratio test
-    cancels.  Row i's B⁻¹ entries combine the rows of ``[A | b]`` into
-    that row of the dense tableau; the objective row's, w, stand for
-    ``scale·[c | 0] + w·[A | b]``, so w prices every column and −w/scale
+    Integer matrix and costs; the right-hand side is over its common
+    denominator ``rhs_scale``, which :meth:`result` divides out and the
+    ratio test cancels.  The objective row's B⁻¹ entries w stand for
+    ``scale·[c | 0] + w·[A | b]``: w prices every column, and −w/scale
     are the row duals.
 
-    A *slack*, a column of cost 0 with one entry ±1 on some row r, is
-    held only as (r, ±1), in ``slacks`` by column and in ``slacks_on``
-    by row; every other explicit column is held in ``dense`` as its m
-    entries.  While a slack is basic on position i, column r of B⁻¹ is
-    ±e_i (the objective row's entry included, as the slack's reduced
-    cost is 0).  Such a column is not stored, only ``held[i] = (r, ±1)``;
-    the others are *live*, listed in ``live`` in the order they are
-    stored (the standard treatment of logical variables; I. Maros,
-    *Computational Techniques of the Simplex Method*, 2003, ch. 8).  So
-    each row is ``[live entries | slot | x_B]``, k + 2 integers for the
-    k rows with no basic slack, and pricing and the read-out loop over
-    the k live columns, not the m rows.
+    A *slack* (cost 0, one entry ±1 on row r) is held as (r, ±1), in
+    ``slacks`` by column and ``slacks_on`` by row; the other explicit
+    columns are ``dense``.  While a slack is basic on position i, column
+    r of B⁻¹ is ±e_i and is not stored, only ``held[i] = (r, ±1)``; the
+    others are ``live`` (the logical variables of I. Maros,
+    *Computational Techniques of the Simplex Method*, 2003, ch. 8).  A
+    row is ``[live entries | slot | x_B]``, :meth:`enter` writing the
+    entering column into the slot.  A held column goes live, ±scale on
+    its own row, before that row pivots; a slack's column is dropped
+    once the slack comes in.
 
-    Before a pivot on a position that holds a column, that column is
-    made live, its ``±scale`` written out on the pivot row; after a
-    pivot that brings a slack in, the slack's column is dropped and held
-    by that position.  The dropped entries are 0 on the pivot row, so
-    :func:`_pivot` leaves them 0 elsewhere and a multiple of the scale
-    on their own row, and they change no gcd: every stored entry, scale
-    and pivot is the one the full rows would have.  The slot, written by
-    :meth:`enter`, carries the column being pivoted in.
+    A *pair* is two rows r1, r2 of equal atom masks whose difference
+    lies on one dense column T (the same for every pair) and on their
+    own slacks s1, s2: d = e_r1 − e_r2 has dᵀA = τ on T and c1, c2 on
+    s1, s2.  As dᵀ = dᵀA_B·B⁻¹, a basic slack s of the pair has
+    B⁻¹[P(s)] = c·(dᵀ − τ·B⁻¹[P(T)] − c'·B⁻¹[P(s')]), c its coefficient
+    and s' its partner, a term dropping out while its column is
+    nonbasic.  In the margin LP that is s_le + s_ge = 2t + (hi − lo), so
+    B⁻¹[P(s_ge)] = 2·B⁻¹[P(t)] − B⁻¹[P(s_le)] + (e_le − e_ge) (the
+    implicit upper bounds of L. Schrage, *Math. Programming Study* 4,
+    118 (1975)).  So one position per pair, its s2's while basic, else
+    its s1's, is *derived*: its row is ``zero``, which :func:`_pivot`
+    passes over, and only the ``stored`` positions' ``lines`` are
+    entered and pivoted.  A derived position's slot entry and x_B, and
+    in a tie its B⁻¹B₀ entry, are formed from T's and the partner's rows
+    over the product of their scales; its row is formed only when it
+    leaves, when its pair's derived position moves and at the read-out.
+    Every pivot reads the rational values it would with all rows stored.
     """
 
     def __init__(self, costs, columns, rhs, oracle):
@@ -349,12 +314,36 @@ class _RevisedLp:
             dense = self.dense[j - self.atoms] = [0] * m
             for i, v in nonzero:
                 dense[i] = v
-        rhs, self.rhs_scale = over_common_denominator(rhs)
+        self.rhs, self.rhs_scale = over_common_denominator(rhs)
         self.live = []
         self.held = {i: (i, 1) for i in range(m)}
-        self.tableau = [[0, b] for b in rhs] + [[0, 0]]
+        self.tableau = [[0, b] for b in self.rhs] + [[0, 0]]
         self.scales = [1] * (m + 1)
-        self.basis = [-1] * m
+        self.basis, self.where, self.entered = [-1] * m, {}, [0] * m
+        # The stored positions (the objective row's m last) and their rows.
+        self.stored, self.lines, self.zero = list(range(m + 1)), list(self.tableau), [0] * (m + 1)
+        # Set by :meth:`start`, once every position holds a column of A.
+        self.t, self.pairs, self.pair_of, self.derived = None, [], {}, {}
+
+    def _pairs(self):
+        """T's column and (r1, r2, τ, s1, c1, s2, c2) for each pair of rows; fills in ``pair_of``."""
+        t, pairs, groups, dense, on = None, [], {}, self.dense, self.slacks_on
+        for r in on if self.oracle else ():
+            if len(on[r]) == 1:
+                groups.setdefault(self.oracle.masks[r], []).append(r)
+        for rows in groups.values():
+            while len(rows) > 1:
+                r1 = rows.pop(0)
+                for r2 in rows:
+                    differ = [j for j in dense if dense[j][r1] != dense[j][r2]]
+                    if len(differ) == 1 and t in (None, differ[0]):
+                        t, (s1, c1), (s2, c2) = differ[0], on[r1][0], on[r2][0]
+                        s1, s2 = self.atoms + s1, self.atoms + s2
+                        self.pair_of[s1] = self.pair_of[s2] = len(pairs)
+                        pairs.append((r1, r2, dense[t][r1] - dense[t][r2], s1, c1, s2, -c2))
+                        rows.remove(r2)
+                        break
+        return None if t is None else self.atoms + t, pairs
 
     def _column(self, j):
         """Column j's m entries; an atom's come from the oracle, a slack's from its one entry."""
@@ -368,18 +357,39 @@ class _RevisedLp:
         return column
 
     def enter(self, j):
-        """Write column j, as the current basis sees it, into the slot."""
+        """Write column j, as the current basis sees it, into the slot of every stored row."""
         m, tableau, scales, live = self.m, self.tableau, self.scales, self.live
         slot = len(live)
-        column = self._column(j)
+        column = self.entered = self._column(j)
+        self.atom_entered = j < self.atoms
         stored = [column[c] for c in live]
-        for line in tableau:
+        for line in self.lines:
             line[slot] = sum(map(mul, line, stored))
         for i, (c, sign) in self.held.items():
             if column[c]:
                 tableau[i][slot] += sign * column[c] * scales[i]
         if j >= self.atoms:
             tableau[m][slot] += self.costs[j - self.atoms] * scales[m]
+
+    def _row(self, i):
+        """Derived position i's row ``[live | slot | x_B]`` and its scale.
+
+        That is c·d + ct·R_q/sq + cp·R_p/sp over sq·sp, q and p the
+        positions of T and of the partner slack; a nonbasic one's row is
+        ``zero``, over scale 1.
+        """
+        _, c, r1, r2, ct, partner, cp, cb, _ = self.derived[i]
+        q, p = self.where.get(self.t), self.where.get(partner)
+        u, sq = (self.zero, 1) if q is None else (self.tableau[q], self.scales[q])
+        w, sp = (self.zero, 1) if p is None else (self.tableau[p], self.scales[p])
+        f, g, d, live = ct * sp, cp * sq, c * sq * sp, self.live
+        line = [f * a + g * b for a, b in zip(u, w)][: len(live) + 2]
+        for r, v in ((r1, d), (r2, -d)):
+            if r in live:
+                line[live.index(r)] += v
+        line[-2] += d * (self.entered[r1] - self.entered[r2])
+        line[-1] += cb * sq * sp
+        return line, sq * sp
 
     def _lex(self, rows, k):
         """(k', column k' of B⁻¹B₀ on ``rows``), k' the first column >= k that can be nonzero there.
@@ -388,64 +398,142 @@ class _RevisedLp:
         B⁻¹) for its row r.  That column is live, or ±e_p for the one
         position p holding it (its own slack or a second unit on row r),
         which is zero on every row but p; so a slack held by a position
-        outside ``rows`` is passed over unread.  The atom and t columns
-        are formed.
+        outside ``rows`` is passed over unread.  Other columns are formed.
         """
-        tableau, scales, held, live = self.tableau, self.scales, self.held, self.live
+        tableau, scales, held, live, terms = self.tableau, self.scales, self.held, self.live, self.terms
         start, slacks = self.start_basis, self.slacks
         while (slack := slacks.get(j := start[k])) is not None:
             r, sign = slack
             if r in live:
                 c = live.index(r)
-                return k, [sign * tableau[i][c] for i in rows]
+                column = [0] * self.m
+                column[r] = sign
+                return k, self._on(rows, lambda i: sign * tableau[i][c], column)
             for p in rows:
-                h = held.get(p)
-                if h is not None and h[0] == r:
-                    return k, [sign * h[1] * scales[i] if i == p else 0 for i in rows]
+                h = held.get(p) or p in terms and self.derived[p][-1]
+                if h and h[0] == r:
+                    scale = terms[p][7] * terms[p][8] if p in terms else scales[p]
+                    return k, [sign * h[1] * scale if i == p else 0 for i in rows]
             k += 1
         column = self._column(j)
         stored = [column[c] for c in live]
-        values = [sum(map(mul, tableau[i], stored)) for i in rows]
-        for n, i in enumerate(rows):
+
+        def entry(i):
+            value = sum(map(mul, tableau[i], stored))
             if i in held:
-                values[n] += held[i][1] * column[held[i][0]] * scales[i]
-        return k, values
+                value += held[i][1] * column[held[i][0]] * scales[i]
+            return value
+
+        return k, self._on(rows, entry, column)
+
+    def _on(self, rows, entry, column):
+        """``entry(i)`` on ``rows``, a derived row's from its ``terms``; ``column`` gives d's entry."""
+        values, memo = [], {None: 0}
+        for i in rows:
+            term = self.terms.get(i)
+            if term is None:
+                values.append(entry(i))
+                continue
+            c, r1, r2, ct, q, cp, p, sq, sp = term
+            for n in (q, p):
+                if n not in memo:
+                    memo[n] = entry(n)
+            values.append((c * (column[r1] - column[r2]) * sq + ct * memo[q]) * sp + cp * memo[p] * sq)
+        return values
 
     def leaving(self):
-        """The ratio test on the slot: the row that leaves, or -1."""
-        return _leaving(self.tableau, len(self.live), self._lex)
+        """The ratio test on the slot: the row that leaves, or -1.
+
+        A derived row's x_B is formed only when its slot entry is > 0,
+        and its terms are then kept for :meth:`_lex`.
+        """
+        tableau, scales, where, slot = self.tableau, self.scales, self.where, len(self.live)
+        candidates = [(i, v[slot], v[-1]) for i, v in zip(self.stored, self.lines[:-1]) if v[slot] > 0]
+        q, terms = where.get(self.t), {}
+        aq, vq, sq = (0, 0, 1) if q is None else (tableau[q][slot], tableau[q][-1], scales[q])
+        # An atom's d entry is 0: the rows of a pair have one mask.
+        entered = None if self.atom_entered else self.entered
+        for i, (_, c, r1, r2, ct, partner, cp, cb, _) in self.derived.items():
+            p = where.get(partner)
+            if p is None:
+                line, sp = self.zero, 1
+            else:
+                line, sp = tableau[p], scales[p]
+            a = ct * aq * sp + cp * line[slot] * sq
+            if entered:
+                a += c * (entered[r1] - entered[r2]) * sq * sp
+            if a > 0:
+                candidates.append((i, a, (cb * sq + ct * vq) * sp + cp * line[-1] * sq))
+                terms[i] = c, r1, r2, ct, q, cp, p, sq, sp
+        self.terms = terms
+        return _leaving(candidates, self._lex)
 
     def pivot(self, row, j):
-        tableau, live = self.tableau, self.live
+        tableau, scales, live, stored = self.tableau, self.scales, self.live, self.stored
+        if row in self.derived:
+            # A derived row leaves: it is formed and stored for the pivot.
+            self.picked[self.derived[row][0]] = None
+            self._store(row)
         held = self.held.pop(row, None)
         if held is not None:
             # The column this row holds goes live, its ±scale written out.
             c, sign = held
             slot = len(live)
-            for line in tableau:
+            for line in self.lines:
                 line.insert(slot, 0)
-            tableau[row][slot] = sign * self.scales[row]
+            tableau[row][slot] = sign * scales[row]
             live.append(c)
-        _pivot(tableau, self.scales, self.basis, row, len(live))
+        left = self.basis[row]
+        _pivot(tableau, scales, self.basis, row, len(live))
+        lines = self.lines = [tableau[i] for i in stored]
         self.basis[row] = j
+        self.where.pop(left, None)
+        self.where[j] = row
         if j in self.slacks:
             # The slack's row's column of B⁻¹ is now ±e_row: this row holds it.
             c, sign = self.slacks[j]
             k = live.index(c)
-            for line in tableau:
+            for line in lines:
                 del line[k]
             del live[k]
             self.held[row] = (c, sign)
+        for col in (left, j):
+            if col in self.pair_of:
+                self._pick(self.pair_of[col])
+
+    def _pick(self, k):
+        """Derive pair k's row at its second slack's position if basic, else its first's."""
+        r1, r2, tau, s1, c1, s2, c2 = self.pairs[k]
+        own, c, partner, cp = (s2, c2, s1, c1) if s2 in self.where else (s1, c1, s2, c2)
+        want, have = self.where.get(own), self.picked[k]
+        if want != have:
+            if have is not None:
+                self._store(have)
+            if want is not None:
+                cb = c * (self.rhs[r1] - self.rhs[r2])
+                self.derived[want] = (k, c, r1, r2, -c * tau, partner, -c * cp, cb, self.held.pop(want))
+                self.tableau[want] = self.zero
+                n = self.stored.index(want)
+                del self.stored[n], self.lines[n]
+            self.picked[k] = want
+
+    def _store(self, i):
+        """Form derived position i's row and store it."""
+        self.tableau[i], self.scales[i] = self._row(i)
+        self.held[i] = self.derived.pop(i)[-1]
+        n = bisect(self.stored, i)
+        self.stored.insert(n, i)
+        self.lines.insert(n, self.tableau[i])
 
     def start(self, basis):
-        """Bring the start basis's columns in, or raise ValueError if singular.
+        """Bring the start basis's columns in and pick the derived rows.
 
+        ValueError if the basis is singular or not primal-feasible.
         While B⁻¹ is the identity, a slack on row i needs no pivot (it
         would only negate row i for −1), so slacks are placed first, each
         on its own row; the rest are pivoted in in order, each on the
-        first row not yet taken where it is nonzero.  For the margin
-        LP's crash basis that puts every column where pivoting all of
-        them in would, so every later pivot is unchanged.
+        first row not yet taken where it is nonzero.  For the margin LP's
+        crash basis that is where pivoting all of them in puts them.
         """
         tableau, rest = self.tableau, []
         for col in basis:
@@ -454,7 +542,7 @@ class _RevisedLp:
                 i, v = slack
                 self.held[i] = slack
                 tableau[i][-1] *= v
-                self.basis[i] = col
+                self.basis[i], self.where[col] = col, i
             else:
                 rest.append(col)
         for col in rest:
@@ -464,7 +552,13 @@ class _RevisedLp:
             if row < 0:
                 raise ValueError(f"start basis is singular at column {col}")
             self.pivot(row, col)
+        if any(line[-1] < 0 for line in tableau[: self.m]):
+            raise ValueError("start basis is not primal-feasible")
         self.start_basis = tuple(self.basis)
+        self.t, self.pairs = self._pairs()
+        self.picked = [None] * len(self.pairs)
+        for k in range(len(self.pairs)):
+            self._pick(k)
 
     def reduced_costs(self):
         """Each explicit column's reduced cost, as ints over the objective row's scale.
@@ -498,25 +592,26 @@ class _RevisedLp:
     def result(self, pivots) -> LpResult:
         """The optimal LpResult of the current basis, B⁻¹ at full width in lowest terms.
 
-        Row i's divisor is the gcd of its scale and its k live entries;
-        its held entry, ±scale, cannot change it.  The live entries, so
-        divided, are scattered over m zeros and the held one written
-        in: the lowest-terms row :func:`_reduced` gives the widened row.
+        A derived row is formed first.  Row i's divisor is the gcd of
+        its scale and its k live entries; its held entry, ±scale, cannot
+        change it.  The live entries, so divided, are scattered over m
+        zeros and the held one written in.
         """
         m, tableau, scales, live, held = self.m, self.tableau, self.scales, self.live, self.held
         k = len(live)
         scale = scales[m]
         x, inverse, duals = [], [], [_ZERO] * m
-        for i, line in enumerate(tableau[:m]):
-            s = scales[i]
+        for i in range(m):
+            line, s = self._row(i) if i in self.derived else (tableau[i], scales[i])
+            own = held.get(i) or i in self.derived and self.derived[i][-1]
             x.append(Fraction(line[-1], s * self.rhs_scale))
             g = math.gcd(s, *line[:k])
             full = [0] * m
             for c, v in zip(live, line if g == 1 else [v // g for v in line[:k]]):
                 full[c] = v
             s //= g
-            if i in held:
-                c, sign = held[i]
+            if own:
+                c, sign = own
                 full[c] = sign * s
             inverse.append((full, s))
         for c, w in zip(live, tableau[m]):
@@ -542,37 +637,20 @@ def solve_from_basis(
 ) -> LpResult:
     """One-phase revised simplex for  min c·x,  A x = rhs,  x >= 0.
 
-    The columns of A are, in this order, the atom columns of the oracle
-    ``atoms`` (:class:`WalshAtoms`; none when it is None) and then
-    ``columns``, each a dict from row to entry that lists the column's
-    nonzero entries, on rows 0..m−1.  ``costs`` has one entry per
-    explicit column, in the same order; an atom column costs 0
-    (ValueError otherwise, for either).  Costs and column
-    entries must be ints (TypeError otherwise); ``rhs`` may hold ints
-    and Fractions.
+    The columns of A are the atom columns of the oracle ``atoms`` (none
+    when it is None), then ``columns``, each a dict from row (0..m−1) to
+    its nonzero entry; ``costs`` has one int per explicit column, atoms
+    costing 0.  Entries must be ints (TypeError otherwise); ``rhs`` may
+    hold ints and Fractions; a length mismatch raises ValueError.
 
     ``basis`` names one column per row whose basic solution is
-    feasible; the simplex starts there, so there is no phase 1 and no
-    artificial column.  Its unit columns of cost 0 and entry ±1 (the
-    margin LP's slacks) are placed on their rows without a pivot, while
-    B⁻¹ is still the identity; the other columns are then pivoted in in
-    order, each on the first row not yet taken where it is nonzero
-    (``_RevisedLp.start``).  Raises ValueError when the columns are
-    linearly dependent (singular) or their basic solution has a
-    negative entry (not primal-feasible).
-
-    Dantzig's column enters, asked of the oracle for the atoms and
-    compared with the explicit columns' least, ties to the lower index,
-    atoms first; a ratio-test tie goes to the lexicographically least
-    row of B⁻¹B₀, so the loop cannot cycle (see the module docstring).
-    Callers report the optimal point and ``duals``, so the path is part
-    of the output; it depends only on the LP, the start basis and these
-    rules.  Only B⁻¹ (``_RevisedLp``), x_B, the objective row and the
-    entering column are held.
-
-    ``pivots`` counts the simplex pivots; the pivots that bring
-    ``basis`` in are not counted.  An optimal result carries ``basis``
-    (the basic column of each row), x_B and ``inverse`` for :func:`settle`.
+    feasible: no phase 1, no artificial column (``_RevisedLp.start``;
+    ValueError when singular or not primal-feasible).  Dantzig's column
+    enters, atoms first on ties; a ratio-test tie goes to the
+    lexicographically least row of B⁻¹B₀, so the path depends only on
+    the LP and the start basis.  ``pivots`` excludes the pivots that
+    bring ``basis`` in; an optimal result carries ``basis``, x_B and
+    ``inverse`` for :func:`settle`.
     """
     m = len(rhs)
     if len(basis) != m:
@@ -581,8 +659,6 @@ def solve_from_basis(
         raise ValueError(f"{len(costs)} costs for {len(columns)} explicit columns")
     lp = _RevisedLp(costs, columns, rhs, atoms)
     lp.start(basis)
-    if any(line[-1] < 0 for line in lp.tableau[:m]):
-        raise ValueError("start basis is not primal-feasible")
 
     pivots = 0
     while True:
@@ -601,14 +677,11 @@ def settle(result: LpResult, rhs: list[Fraction]) -> LpResult | None:
     """The optimum at another right-hand side from an optimal basis, or None.
 
     ``result`` is an optimal :func:`solve_from_basis` result of the same
-    columns and costs; ``rhs`` may hold ints and Fractions.  Reduced
-    costs do not depend on the right-hand side, so its basis is optimal
-    at ``rhs`` whenever ``x_B = B⁻¹·rhs >= 0``, computed exactly from the
-    kept inverse.  The new result has that x_B and the kept duals y,
-    which depend on the basis alone, and the objective c_B·B⁻¹·rhs =
-    yᵀ·rhs, exactly.  None means x_B has a negative entry and ``rhs``
-    needs its own solve.  A ``rhs`` of another length than the LP's
-    rows raises ValueError.
+    columns and costs.  Reduced costs do not depend on the right-hand
+    side, so its basis is optimal at ``rhs`` whenever x_B = B⁻¹·rhs >= 0,
+    computed exactly from the kept inverse; the duals y are kept and the
+    objective is yᵀ·rhs.  None means ``rhs`` needs its own solve; a
+    ``rhs`` of another length raises ValueError.
     """
     _check_rhs(rhs, len(result.duals))
     b, common = over_common_denominator(rhs)
@@ -632,12 +705,10 @@ def _check_rhs(rhs, m):
 
 
 def _basic_values(inverse, b):
-    """``B⁻¹·b`` from a kept inverse, or None when an entry is negative.
+    """``B⁻¹·b`` from an ``LpResult.inverse``, or None when an entry is negative.
 
-    ``inverse`` is an ``LpResult.inverse`` and ``b`` the right-hand side
-    as ints over one common denominator d, as :func:`settle` holds it.
-    Entry i is ``ints_i·b``, so x_B(i) is entry i over d times row i's
-    scale.
+    ``b`` is over one common denominator d, so x_B(i) is entry i over d
+    times row i's scale.
     """
     values = []
     for line, _ in inverse:

@@ -347,7 +347,8 @@ def _run_dantzig(tableau, scales, basis):
             return OPTIMAL, pivots
         entering = obj.index(most_negative)
         leaving = _leaving(
-            tableau, entering, lambda rows, k: (k, [tableau[i][start[k]] for i in rows])
+            [(i, line[entering], line[-1]) for i, line in enumerate(tableau[:-1]) if line[entering] > 0],
+            lambda rows, k: (k, [tableau[i][start[k]] for i in rows]),
         )
         if leaving < 0:
             return UNBOUNDED, pivots
@@ -489,7 +490,8 @@ class FullWidthLp:
             column = self._column(self.start_basis[k])
             return k, [sum(map(mul, self.tableau[i], column)) for i in rows]
 
-        return _leaving(self.tableau, self.m, lex)
+        m = self.m
+        return _leaving([(i, line[m], line[-1]) for i, line in enumerate(self.tableau[:-1]) if line[m] > 0], lex)
 
     def pivot(self, row, j):
         _pivot(self.tableau, self.scales, self.basis, row, self.m)
@@ -533,6 +535,8 @@ class FullWidthLp:
             if row < 0:
                 raise ValueError(f"start basis is singular at column {col}")
             self.pivot(row, col)
+        if any(line[-1] < 0 for line in tableau[:m]):
+            raise ValueError("start basis is not primal-feasible")
         self.start_basis = tuple(self.basis)
 
     def reduced_costs(self):

@@ -563,6 +563,9 @@ def _beale(slack_entry):
 # start basis (singular), and entering at a negative cost.
 @example(([0, 0, 0], [{0: 1}, {0: -1}, {1: 1}], [1, 1], [0, 1], None))
 @example(([0, 0, -1, 0], [{0: 1}, {1: 1}, {0: 1}, {0: 1, 1: 1}], [2, 1], [0, 1], None))
+# Optimal at the start basis: the derived row of the pair (rows 0 and 1,
+# one mask, apart on the cost-1 column) is formed before any column enters.
+@example(([1, 0, 0, 0, 0], [{0: 1}, {0: 1}, {1: 1}, {2: 1}, {3: 1}], [0] * 4, [3, 4, 5, 6], simplex.WalshAtoms(1, [0, 0, 1, 1])))
 def test_explicit_lps_match_full_width_rows(lp):
     same_as_full_width(*lp)
 
@@ -589,14 +592,16 @@ def test_wide_documents_match_full_width_rows(n, planted, seed):
 
 
 def test_rows_hold_only_live_columns_at_every_pivot(monkeypatch):
-    """Each stored row is one entry per row with no basic slack, plus two.
+    """Each row, stored or formed, is one entry per row with no basic slack, plus two.
 
     A row counts as taken when its slack (a unit column of cost 0 and
     entry ±1) is basic, or while the start has not placed its position,
     whose column is still the identity's.  The slot and x_B are the two.
-    A row kept at full width would fail this, and so would a slack's
-    column kept live after the slack comes back in, which happens once
-    on the planted document.
+    A derived position stores the shared zero row, and the row formed
+    for it (``_RevisedLp._row``) has the stored rows' width.  A row kept
+    at full width would fail this, and so would a slack's column kept
+    live after the slack comes back in, which happens once on the
+    planted document.
     """
     pivot = simplex._RevisedLp.pivot
     widths, slacks_in = [], []
@@ -609,7 +614,9 @@ def test_rows_hold_only_live_columns_at_every_pivot(monkeypatch):
             if col in lp.slacks:
                 taken.add(lp.slacks[col][0])
         width = lp.m - len(taken) + 2
-        assert {len(line) for line in lp.tableau} == {width}
+        rows = [lp._row(i)[0] if i in lp.derived else lp.tableau[i] for i in range(lp.m + 1)]
+        assert {len(line) for line in rows} == {width}
+        assert all(lp.tableau[i] is lp.zero for i in lp.derived)
         widths.append(width)
 
     monkeypatch.setattr(simplex._RevisedLp, "pivot", checked)
@@ -691,22 +698,39 @@ def test_live_column_pricing_after_a_slack_reenters():
 def inverse_compared():
     """Check each ``result().inverse`` row against its row widened to m columns; yields the count.
 
-    The widened row has the live entries on their columns and the held
-    column's ±scale, 0 elsewhere, as ``dense_simplex.FullWidthLp`` holds
-    it; the read-out must be :func:`simplex._reduced` of it.
+    A stored row, widened, has the live entries on their columns and the
+    held column's ±scale, 0 elsewhere, as ``dense_simplex.FullWidthLp``
+    holds it; the read-out must be :func:`simplex._reduced` of it.  A
+    derived row's is c·(e_r1 − e_r2) + ct·R_q + cp·R_p over the widened
+    rows R of T and of the partner slack, in Fractions.
     """
     read_out, checked = simplex._RevisedLp.result, [0]
 
+    def widened(lp, i):
+        full = [0] * lp.m
+        for c, v in zip(lp.live, lp.tableau[i]):
+            full[c] = v
+        if i in lp.held:
+            c, sign = lp.held[i]
+            full[c] = sign * lp.scales[i]
+        return full, lp.scales[i]
+
+    def derived_row(lp, i):
+        _, c, r1, r2, ct, partner, cp, _, _ = lp.derived[i]
+        row = [Fraction(0)] * lp.m
+        row[r1], row[r2] = Fraction(c), Fraction(-c)
+        for col, coef in ((lp.t, ct), (partner, cp)):
+            if col in lp.where:
+                full, scale = widened(lp, lp.where[col])
+                row = [v + Fraction(coef * w, scale) for v, w in zip(row, full)]
+        scale = math.lcm(*(v.denominator for v in row))
+        return simplex._reduced([int(v * scale) for v in row], scale)
+
     def compared(lp, pivots):
-        want = []
-        for i, line in enumerate(lp.tableau[: lp.m]):
-            full = [0] * lp.m
-            for c, v in zip(lp.live, line):
-                full[c] = v
-            if i in lp.held:
-                c, sign = lp.held[i]
-                full[c] = sign * lp.scales[i]
-            want.append(simplex._reduced(full, lp.scales[i]))
+        want = [
+            derived_row(lp, i) if i in lp.derived else simplex._reduced(*widened(lp, i))
+            for i in range(lp.m)
+        ]
         got = read_out(lp, pivots)
         assert got.inverse == tuple(want)
         checked[0] += 1
@@ -789,6 +813,142 @@ def test_every_inverse_row_is_in_lowest_terms(monkeypatch, n):
         for result in kept_results:
             for line, scale in result.inverse:
                 assert math.gcd(scale, *line) == 1, name
+
+
+# --- the derived rows of equality pairs against the full-width rows ----------
+
+
+@contextmanager
+def derived_compared(pairs):
+    """Check every derived row against ``dense_simplex.FullWidthLp`` at every pivot; yields counts.
+
+    A ``FullWidthLp`` runs beside each revised LP, started, entered and
+    pivoted as it is, so its rows are the full B⁻¹ rows of the same
+    basis.  At every ratio test each candidate's α and x_B, over the
+    denominator of its row (a derived row's is its terms' sq·sp), must
+    be the full row's, a derived row must be a candidate exactly when
+    its full α is > 0, and every derived row formed by ``_row`` must be
+    the full row on the live columns, slot and x_B.  At every tie-break each tied row's B⁻¹B₀
+    entry must be the full row's times B₀'s column, and every column
+    the tie-break passes over must be zero on the tied rows.  While
+    t > 0 the LP has ``pairs`` pairs and stores m + 1 − ``pairs`` rows.
+    """
+    counts = dict.fromkeys(("derived", "lex", "derived_left", "t_left", "slack_in", "t_positive"), 0)
+    lp_class, kit_leaving, candidates = simplex._RevisedLp, simplex._leaving, []
+    init, start, enter, pivot, leaving, lex = (
+        getattr(lp_class, name) for name in ("__init__", "start", "enter", "pivot", "leaving", "_lex")
+    )
+
+    def denominator(lp, i):
+        terms = lp.terms.get(i)
+        return lp.scales[i] if terms is None else terms[7] * terms[8]
+
+    def full_entry(lp, i, column):
+        line, scale = lp.full.tableau[i], lp.full.scales[i]
+        return Fraction(sum(map(lambda u, v: u * v, line[: lp.m], column)), scale)
+
+    def with_full(lp, costs, columns, rhs, oracle):
+        init(lp, costs, columns, rhs, oracle)
+        lp.full = dense_simplex.FullWidthLp(costs, columns, rhs, oracle)
+
+    def started(lp, basis):
+        start(lp, basis)
+        lp.full.start(basis)
+
+    def entered(lp, j):
+        enter(lp, j)
+        if hasattr(lp, "start_basis"):
+            lp.full.enter(j)
+
+    def pivoted(lp, row, j):
+        if hasattr(lp, "start_basis"):
+            counts["derived_left"] += row in lp.derived
+            counts["t_left"] += lp.basis[row] == lp.t
+            counts["slack_in"] += j in lp.slacks
+            lp.full.pivot(row, j)
+        pivot(lp, row, j)
+
+    def kept(found, lex):
+        candidates[:] = found
+        return kit_leaving(found, lex)
+
+    def checked_leaving(lp):
+        got = leaving(lp)
+        m, full = lp.m, lp.full
+        found = {i: (a, v) for i, a, v in candidates}
+        for i in range(m):
+            full_line, full_scale = full.tableau[i], full.scales[i]
+            alpha, x = Fraction(full_line[m], full_scale), Fraction(full_line[-1], full_scale)
+            if i in lp.derived:
+                counts["derived"] += 1
+                assert (i in found) == (alpha > 0)
+                # The row formed when it leaves or is read out: live entries, slot, x_B.
+                line, scale = lp._row(i)
+                want = [Fraction(full_line[c], full_scale) for c in lp.live] + [alpha, x]
+                assert [Fraction(v, scale) for v in line] == want
+            if i in found:
+                a, v = found[i]
+                d = denominator(lp, i)
+                assert (Fraction(a, d), Fraction(v, d)) == (alpha, x)
+        q = lp.where.get(lp.t)
+        if q is not None and full.tableau[q][-1] > 0:
+            counts["t_positive"] += 1
+            assert len(lp.pairs) == pairs
+            assert len(lp.stored) == m + 1 - pairs == len(lp.lines)
+        return got
+
+    def checked_lex(lp, rows, k):
+        k_out, values = lex(lp, rows, k)
+        columns = [lp.full._column(lp.start_basis[n]) for n in range(k, k_out + 1)]
+        for column in columns[:-1]:
+            assert not any(full_entry(lp, i, column) for i in rows)
+        want = [full_entry(lp, i, columns[-1]) for i in rows]
+        assert [Fraction(v, denominator(lp, i)) for i, v in zip(rows, values)] == want
+        counts["lex"] += any(i in lp.derived for i in rows)
+        return k_out, values
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name, method in (
+            ("__init__", with_full), ("start", started), ("enter", entered),
+            ("pivot", pivoted), ("leaving", checked_leaving), ("_lex", checked_lex),
+        ):
+            patch.setattr(lp_class, name, method)
+        patch.setattr(simplex, "_leaving", kept)
+        yield counts
+
+
+def eq_count(scenario):
+    return sum(c.relation == EQ for c in scenario.constraints)
+
+
+@settings(deadline=None, max_examples=150)
+@given(relaxed_scenarios(), st.sampled_from(["lo", "hi"]))
+@example(scenario_from_document(exchangeable_document(4)), "lo")
+def test_derived_rows_are_the_full_rows_at_every_pivot(scenario, endpoint):
+    """Mixed ``eq``/``le``/``ge`` targets, bracketed and at a bracket's end."""
+    for point in (scenario, corner(scenario, endpoint)):
+        with derived_compared(eq_count(point)):
+            feasibility.solve(point)
+
+
+@pytest.mark.parametrize(
+    "document, slack_in, t_left",
+    [
+        (reference.wide_document(3, 6, True), 1, 0),
+        (reference.wide_document(11, 5, False), 0, 1),
+        (exchangeable_document(5), 0, 0),
+    ],
+    ids=["planted-6-slack-reenters", "feasible-5-t-leaves", "exchangeable-5"],
+)
+def test_derived_rows_of_wide_documents_are_the_full_rows(document, slack_in, t_left):
+    """A slack re-enters, t leaves, derived rows leave and break ties; each check holds throughout."""
+    scenario = scenario_from_document(document)
+    with derived_compared(eq_count(scenario)) as counts:
+        feasibility.solve(scenario)
+    assert (counts["slack_in"], counts["t_left"]) == (slack_in, t_left)
+    assert counts["derived"] > 100 and counts["derived_left"] > 0 and counts["t_positive"] > 10
+    # The planted path breaks no tie among derived rows.
+    assert (counts["lex"] > 0) == (not slack_in)
 
 
 # --- bundled scenarios and closed-form LPs ------------------------------------
