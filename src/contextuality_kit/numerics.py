@@ -31,6 +31,7 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt, lcm
 
 from ._record import Record
@@ -436,6 +437,17 @@ def parse_and_evaluate(
     if bracket_tolerance > 0 and _EXACT_LITERAL.fullmatch(text):
         value = _literal(text, 0)
         return ScalarInterval(value, value)
+    return _parsed_and_evaluated(text, bracket_tolerance)
+
+
+@lru_cache(maxsize=256)
+def _parsed_and_evaluated(text: str, bracket_tolerance: Fraction) -> ScalarInterval:
+    """The parse and bracket walk of one text, kept per (text, tolerance).
+
+    A ScalarInterval is immutable, so a text that repeats in a process,
+    such as a radical shared by many documents, is evaluated once; an
+    error raises anew each time, as nothing is kept for it.
+    """
     try:
         return evaluate(parse_value(text), bracket_tolerance)
     except RecursionError:

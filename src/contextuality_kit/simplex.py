@@ -41,7 +41,10 @@ Dantzig, A. Orden and P. Wolfe, *Pacific J. Math.* 5, 183 (1955)):
 every row of [x_B | B⁻¹B₀] starts and stays lexicographically positive,
 so no basis recurs.  The rules read signs and ratios compared as
 ``u_i·a_k < u_k·a_i``, in which row scales and common factors cancel,
-so the path, and with it the evidence, is deterministic.
+so the path, and with it the evidence, is deterministic.  The derived
+rows that are clones of T's row tie with it, when an atom enters, in
+one order fixed per pair at the start (``_RevisedLp._kappa``), so such
+a tie is broken without reading them.
 """
 
 from __future__ import annotations
@@ -174,27 +177,41 @@ def _leaving(candidates, lex):
 
     ``candidates`` are (row, α, x_B) for the rows whose entry α on the
     entering column is > 0, α and x_B over a positive denominator of the
-    row's own.  Of the rows tied at the least x_B/α, the one whose row
-    of B⁻¹B₀ over α is lexicographically least leaves: ``lex(rows, k)``
-    gives (k', column k' of B⁻¹B₀ on the tied ``rows``) for some k' >= k
-    whose earlier columns are zero on all of them.
+    row's own.  Of the rows tied at the least x_B/α (:func:`_least`), the
+    one whose row of B⁻¹B₀ over α is lexicographically least leaves
+    (:func:`_tie_broken`).  :meth:`_RevisedLp.leaving` runs the two
+    steps apart, to put one stand-in for its point clones among the
+    tied rows only when T's row is one of them.
+    """
+    return _tie_broken(_least(candidates), lex)
+
+
+def _least(candidates):
+    """The candidates (row, α, x_B) tied at the least x_B/α."""
+    tied = []
+    for candidate in candidates:
+        _, a, v = candidate
+        # v/a against the least so far; the denominators cancel.
+        d = v * least_a - least_v * a if tied else -1
+        if d < 0:
+            tied, least_v, least_a = [candidate], v, a
+        elif not d:
+            tied.append(candidate)
+    return tied
+
+
+def _tie_broken(tied, lex):
+    """The row of ``tied`` whose row of B⁻¹B₀ over α is lexicographically least, or -1 for none.
+
+    ``lex(rows, k)`` gives (k', column k' of B⁻¹B₀ on the tied ``rows``)
+    for some k' >= k whose earlier columns are zero on all of them.
     """
     k = 0
-    while True:
-        tied = []
-        for candidate in candidates:
-            _, a, v = candidate
-            # v/a against the least so far; the denominators cancel.
-            d = v * least_a - least_v * a if tied else -1
-            if d < 0:
-                tied, least_v, least_a = [candidate], v, a
-            elif not d:
-                tied.append(candidate)
-        if len(tied) < 2:
-            return tied[0][0] if tied else -1
+    while len(tied) > 1:
         k, values = lex([i for i, _, _ in tied], k)
-        candidates = [(i, a, v) for (i, a, _), v in zip(tied, values)]
+        tied = _least([(i, a, v) for (i, a, _), v in zip(tied, values)])
         k += 1
+    return tied[0][0] if tied else -1
 
 
 def _walsh(values, bits):
@@ -292,6 +309,17 @@ class _RevisedLp:
     over the product of their scales; its row is formed only when it
     leaves, when its pair's derived position moves and at the read-out.
     Every pivot reads the rational values it would with all rows stored.
+
+    A derived row whose partner slack is nonbasic is a *clone* of T's
+    row: B⁻¹[i] = c·dᵀ + ct·B⁻¹[q], q = P(T) and ct = −cτ.  An atom a
+    has dᵀa = 0, so when one enters, α_i = ct·α_q and x_B(i) = ct·x_B(q)
+    + cb, cb = c·(b_r1 − b_r2), and B⁻¹B₀[i]/α_i = B⁻¹B₀[q]/α_q + κ/α_q
+    with κ = dᵀB₀/(−τ), fixed by the pair and B₀ alone (:meth:`_kappa`).
+    With α_q > 0 and ct > 0, a clone's ratio is T's plus cb/(ct·α_q): a
+    bracketed clone (cb > 0) never leaves while T's row is a candidate,
+    and the point clones (cb = 0) tie with T's row, in the order of
+    their κ, T's being 0.  So :meth:`leaving` gives the point clones one
+    stand-in, the clone of least κ, and reads no other clone row.
     """
 
     def __init__(self, costs, columns, rhs, oracle):
@@ -445,17 +473,28 @@ class _RevisedLp:
         """The ratio test on the slot: the row that leaves, or -1.
 
         A derived row's x_B is formed only when its slot entry is > 0,
-        and its terms are then kept for :meth:`_lex`.
+        and its terms are then kept for :meth:`_lex`.  When an atom
+        enters and α_q > 0, a clone is read by its pair's constants
+        alone: one with ct < 0 is no candidate, a bracketed one (cb > 0)
+        is passed over, and the point ones (cb = 0) are one stand-in,
+        drawn (:meth:`_stand_in`) only when T's row survives the ratio.
+        A tie of T's row and the stand-in alone goes to the stand-in
+        when its κ is lexicographically negative, with no :meth:`_lex`.
         """
         tableau, scales, where, slot = self.tableau, self.scales, self.where, len(self.live)
         candidates = [(i, v[slot], v[-1]) for i, v in zip(self.stored, self.lines[:-1]) if v[slot] > 0]
-        q, terms = where.get(self.t), {}
+        q, terms, points = where.get(self.t), {}, []
         aq, vq, sq = (0, 0, 1) if q is None else (tableau[q][slot], tableau[q][-1], scales[q])
         # An atom's d entry is 0: the rows of a pair have one mask.
         entered = None if self.atom_entered else self.entered
+        clones = self.atom_entered and aq > 0
         for i, (_, c, r1, r2, ct, partner, cp, cb, _) in self.derived.items():
             p = where.get(partner)
             if p is None:
+                if clones and (ct < 0 or cb >= 0):
+                    if ct > 0 and not cb:
+                        points.append(i)
+                    continue
                 line, sp = self.zero, 1
             else:
                 line, sp = tableau[p], scales[p]
@@ -466,7 +505,35 @@ class _RevisedLp:
                 candidates.append((i, a, (cb * sq + ct * vq) * sp + cp * line[-1] * sq))
                 terms[i] = c, r1, r2, ct, q, cp, p, sq, sp
         self.terms = terms
-        return _leaving(candidates, self._lex)
+        tied = _least(candidates)
+        if points and any(i == q for i, _, _ in tied):
+            i, below = self._stand_in(points)
+            if len(tied) == 1:
+                return i if below else q
+            _, c, r1, r2, ct, _, cp, _, _ = self.derived[i]
+            tied.append((i, ct * aq, ct * vq))
+            terms[i] = c, r1, r2, ct, q, cp, None, sq, 1
+        return _tie_broken(tied, self._lex)
+
+    def _kappa(self, k):
+        """Pair k's κ = dᵀB₀/(−τ) over B₀'s positions, times ``kappa_scale``; kept once formed.
+
+        dᵀ is τ on T and c1, c2 on the pair's own slacks, and 0 on every
+        other column: an atom and any other dense column are equal on
+        rows r1 and r2, which hold no other slack.
+        """
+        key = self.kappas.get(k)
+        if key is None:
+            _, _, tau, s1, c1, s2, c2 = self.pairs[k]
+            on, f = {self.t: tau, s1: c1, s2: c2}, self.kappa_scale // -tau
+            key = self.kappas[k] = tuple([f * on[j] if j in on else 0 for j in self.start_basis])
+        return key
+
+    def _stand_in(self, points):
+        """The point clone of least κ, and whether that κ is lexicographically below T's, 0."""
+        derived, kappa = self.derived, self._kappa
+        key, i = min((kappa(derived[i][0]), i) for i in points)
+        return i, key < (0,) * len(key)
 
     def pivot(self, row, j):
         tableau, scales, live, stored = self.tableau, self.scales, self.live, self.stored
@@ -556,6 +623,7 @@ class _RevisedLp:
             raise ValueError("start basis is not primal-feasible")
         self.start_basis = tuple(self.basis)
         self.t, self.pairs = self._pairs()
+        self.kappas, self.kappa_scale = {}, math.lcm(*(pair[2] for pair in self.pairs))
         self.picked = [None] * len(self.pairs)
         for k in range(len(self.pairs)):
             self._pick(k)

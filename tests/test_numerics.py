@@ -169,6 +169,41 @@ def test_literal_path_keeps_the_grammar_and_its_errors():
     assert parse_and_evaluate("-007/0140") == ScalarInterval.point(Fraction(-1, 20))
 
 
+@pytest.mark.parametrize("tolerance", [DEFAULT_BRACKET_TOLERANCE, Fraction(1, 1000)])
+def test_a_radical_text_is_evaluated_once_per_process(monkeypatch, tolerance):
+    """A repeated text returns the interval its first evaluation gave; literals bypass the memo."""
+    from contextuality_kit import numerics
+
+    evaluated = []
+
+    def counted(expr, bracket_tolerance):
+        evaluated.append(expr)
+        return evaluate(expr, bracket_tolerance)
+
+    numerics._parsed_and_evaluated.cache_clear()
+    monkeypatch.setattr(numerics, "evaluate", counted)
+    first = parse_and_evaluate("sqrt(2)/2", tolerance)
+    assert parse_and_evaluate("sqrt(2)/2", tolerance) is first
+    assert first == evaluate(parse_value("sqrt(2)/2"), tolerance)
+    assert len(evaluated) == 1
+    assert parse_and_evaluate("1/3", tolerance) == ScalarInterval.point(Fraction(1, 3))
+    assert numerics._parsed_and_evaluated.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [("1/(sqrt(4)-2)", EvaluationError), ("sqrt(-1)", EvaluationError), ("sqrt(", ExpressionError)],
+)
+def test_an_error_is_raised_anew_and_never_kept(text, error):
+    from contextuality_kit import numerics
+
+    numerics._parsed_and_evaluated.cache_clear()
+    for _ in range(2):
+        with pytest.raises(error):
+            parse_and_evaluate(text)
+    assert numerics._parsed_and_evaluated.cache_info().currsize == 0
+
+
 class TestEvaluate:
     def test_rational_sum_exact(self):
         assert parse_and_evaluate("1/3 + 1/6") == ScalarInterval.point(Fraction(1, 2))

@@ -818,34 +818,104 @@ def test_every_inverse_row_is_in_lowest_terms(monkeypatch, n):
 # --- the derived rows of equality pairs against the full-width rows ----------
 
 
+def is_clone(lp, i):
+    """Derived position i's partner slack is nonbasic: B⁻¹[i] = c·dᵀ + ct·B⁻¹[q]."""
+    return i in lp.derived and lp.derived[i][5] not in lp.where
+
+
+def full_value(lp, i, entry):
+    """Full row i's entry (an index) or its product with a column (a list), over its scale."""
+    line, scale = lp.full.tableau[i], lp.full.scales[i]
+    if isinstance(entry, int):
+        return Fraction(line[entry], scale)
+    return Fraction(sum(map(lambda u, v: u * v, line[: lp.m], entry)), scale)
+
+
+def lex_row(lp, i):
+    """Full row i of B⁻¹B₀ over its entry α on the entering column, in Fractions."""
+    alpha = full_value(lp, i, lp.m)
+    return [full_value(lp, i, column) / alpha for column in lp.start_columns]
+
+
+def assert_clone_keys(lp, counts):
+    """At an atom's pivot with α_q > 0, κ orders T's row and its clones as the dense rows do.
+
+    For each clone i of pair k, (B⁻¹B₀[i]/α_i − B⁻¹B₀[q]/α_q)·α_q must
+    be ``_kappa(k)`` over ``kappa_scale``, entry by entry, and sorting T's
+    row (κ = 0) and the point clones with α > 0 by κ must give their
+    order by B⁻¹B₀/α.  Other pivots are counted by kind: a slack's or
+    T's column entering, α_q <= 0 with T basic, and T nonbasic.
+    """
+    q = lp.where.get(lp.t)
+    if q is None:
+        counts["t_out"] += 1
+        return
+    alpha_q = full_value(lp, q, lp.m)
+    if not lp.atom_entered:
+        counts["column_in"] += 1
+        return
+    if alpha_q <= 0:
+        counts["alpha_q_nonpositive"] += 1
+        return
+    counts["keyed"] += 1
+    zero = (0,) * lp.m
+    keys, rows = {q: zero}, {q: lex_row(lp, q)}
+    for i in filter(lambda i: is_clone(lp, i), lp.derived):
+        k, ct, cb = lp.derived[i][0], lp.derived[i][4], lp.derived[i][7]
+        key, row = lp._kappa(k), lex_row(lp, i)
+        assert [(u - v) * alpha_q for u, v in zip(row, rows[q])] == [
+            Fraction(v, lp.kappa_scale) for v in key
+        ]
+        if ct > 0 and not cb:
+            keys[i], rows[i] = key, row
+    assert sorted(keys, key=keys.get) == sorted(rows, key=rows.get)
+    counts["clones_keyed"] += len(keys) - 1
+
+
 @contextmanager
 def derived_compared(pairs):
-    """Check every derived row against ``dense_simplex.FullWidthLp`` at every pivot; yields counts.
+    """Check every derived row and ratio test against ``dense_simplex.FullWidthLp``; yields counts.
 
     A ``FullWidthLp`` runs beside each revised LP, started, entered and
     pivoted as it is, so its rows are the full B⁻¹ rows of the same
-    basis.  At every ratio test each candidate's α and x_B, over the
-    denominator of its row (a derived row's is its terms' sq·sp), must
-    be the full row's, a derived row must be a candidate exactly when
-    its full α is > 0, and every derived row formed by ``_row`` must be
-    the full row on the live columns, slot and x_B.  At every tie-break each tied row's B⁻¹B₀
-    entry must be the full row's times B₀'s column, and every column
-    the tie-break passes over must be zero on the tied rows.  While
-    t > 0 the LP has ``pairs`` pairs and stores m + 1 − ``pairs`` rows.
+    basis.  At every ratio test:
+
+    * each listed candidate's α and x_B, over the denominator of its row
+      (a derived row's is its terms' sq·sp), are the full row's;
+    * each full-width candidate left unlisted is a clone
+      (:func:`is_clone`) at an atom's pivot with α_q > 0: a point clone
+      at T's ratio, or a bracketed one (cb > 0) above it;
+    * a drawn stand-in is offered exactly those point clones, is the one
+      whose row of B⁻¹B₀ over α is lexicographically least, and is said
+      to be below T's row exactly when its row is;
+    * no tie-break reads a tie made only of T's row and clones;
+    * the row that leaves is the full-width ratio test's;
+    * :func:`assert_clone_keys` holds.
+
+    Every derived row formed by ``_row`` must be the full row on the
+    live columns, slot and x_B.  At every tie-break each tied row's
+    B⁻¹B₀ entry must be the full row's times B₀'s column, and every
+    column the tie-break passes over must be zero on the tied rows.
+    While t > 0 the LP has ``pairs`` pairs and stores m + 1 − ``pairs``
+    rows (a margin LP's; ``pairs`` None skips the count).
     """
-    counts = dict.fromkeys(("derived", "lex", "derived_left", "t_left", "slack_in", "t_positive"), 0)
-    lp_class, kit_leaving, candidates = simplex._RevisedLp, simplex._leaving, []
-    init, start, enter, pivot, leaving, lex = (
-        getattr(lp_class, name) for name in ("__init__", "start", "enter", "pivot", "leaving", "_lex")
+    counts = dict.fromkeys(
+        (
+            "derived", "lex", "derived_left", "t_left", "slack_in", "t_positive", "point",
+            "bracketed", "stand_in", "stand_in_unbroken", "keyed", "clones_keyed",
+            "column_in", "alpha_q_nonpositive", "t_out",
+        ),
+        0,
+    )
+    lp_class, kit_least, listed, drawn, lexed = simplex._RevisedLp, simplex._least, [None], [], [0]
+    init, start, enter, pivot, leaving, lex, stand_in = (
+        getattr(lp_class, name)
+        for name in ("__init__", "start", "enter", "pivot", "leaving", "_lex", "_stand_in")
     )
 
     def denominator(lp, i):
         terms = lp.terms.get(i)
         return lp.scales[i] if terms is None else terms[7] * terms[8]
-
-    def full_entry(lp, i, column):
-        line, scale = lp.full.tableau[i], lp.full.scales[i]
-        return Fraction(sum(map(lambda u, v: u * v, line[: lp.m], column)), scale)
 
     def with_full(lp, costs, columns, rhs, oracle):
         init(lp, costs, columns, rhs, oracle)
@@ -854,6 +924,7 @@ def derived_compared(pairs):
     def started(lp, basis):
         start(lp, basis)
         lp.full.start(basis)
+        lp.start_columns = [lp.full._column(j) for j in lp.start_basis]
 
     def entered(lp, j):
         enter(lp, j)
@@ -868,20 +939,31 @@ def derived_compared(pairs):
             lp.full.pivot(row, j)
         pivot(lp, row, j)
 
-    def kept(found, lex):
-        candidates[:] = found
-        return kit_leaving(found, lex)
+    def first_listed(candidates):
+        # The first call of a ratio test gets its listed candidates.
+        if listed[0] is None:
+            listed[0] = list(candidates)
+        return kit_least(candidates)
+
+    def drawn_stand_in(lp, points):
+        got = stand_in(lp, points)
+        drawn.append((*got, list(points)))
+        return got
 
     def checked_leaving(lp):
+        listed[0], drawn[:], lexed_before = None, [], lexed[0]
         got = leaving(lp)
         m, full = lp.m, lp.full
-        found = {i: (a, v) for i, a, v in candidates}
+        found = {i: (a, v) for i, a, v in listed[0]}
+        q = lp.where.get(lp.t)
+        alpha_q = 0 if q is None else full_value(lp, q, m)
+        clones = lp.atom_entered and alpha_q > 0
+        points = []
         for i in range(m):
             full_line, full_scale = full.tableau[i], full.scales[i]
             alpha, x = Fraction(full_line[m], full_scale), Fraction(full_line[-1], full_scale)
             if i in lp.derived:
                 counts["derived"] += 1
-                assert (i in found) == (alpha > 0)
                 # The row formed when it leaves or is read out: live entries, slot, x_B.
                 line, scale = lp._row(i)
                 want = [Fraction(full_line[c], full_scale) for c in lp.live] + [alpha, x]
@@ -890,8 +972,27 @@ def derived_compared(pairs):
                 a, v = found[i]
                 d = denominator(lp, i)
                 assert (Fraction(a, d), Fraction(v, d)) == (alpha, x)
-        q = lp.where.get(lp.t)
-        if q is not None and full.tableau[q][-1] > 0:
+            elif alpha > 0:
+                assert clones and is_clone(lp, i)
+                ratio, ratio_q = x / alpha, full_value(lp, q, -1) / alpha_q
+                if lp.derived[i][7]:
+                    counts["bracketed"] += 1
+                    assert lp.derived[i][7] > 0 and ratio > ratio_q
+                else:
+                    counts["point"] += 1
+                    assert ratio == ratio_q
+                    points.append(i)
+        if drawn:
+            (i, below, offered), = drawn
+            assert sorted(offered) == points
+            rows = {n: lex_row(lp, n) for n in [q, *points]}
+            assert min(points, key=rows.get) == i
+            assert below == (rows[i] < rows[q])
+            counts["stand_in"] += 1
+            counts["stand_in_unbroken"] += lexed[0] == lexed_before
+        assert got == full.leaving()
+        assert_clone_keys(lp, counts)
+        if q is not None and full.tableau[q][-1] > 0 and pairs is not None:
             counts["t_positive"] += 1
             assert len(lp.pairs) == pairs
             assert len(lp.stored) == m + 1 - pairs == len(lp.lines)
@@ -901,19 +1002,25 @@ def derived_compared(pairs):
         k_out, values = lex(lp, rows, k)
         columns = [lp.full._column(lp.start_basis[n]) for n in range(k, k_out + 1)]
         for column in columns[:-1]:
-            assert not any(full_entry(lp, i, column) for i in rows)
-        want = [full_entry(lp, i, columns[-1]) for i in rows]
+            assert not any(full_value(lp, i, column) for i in rows)
+        want = [full_value(lp, i, columns[-1]) for i in rows]
         assert [Fraction(v, denominator(lp, i)) for i, v in zip(rows, values)] == want
+        q = lp.where.get(lp.t)
+        if not k and lp.atom_entered and q in rows and full_value(lp, q, lp.m) > 0:
+            # A first tie-break: the rows tied at the least ratio.
+            assert not all(i == q or is_clone(lp, i) for i in rows)
         counts["lex"] += any(i in lp.derived for i in rows)
+        lexed[0] += 1
         return k_out, values
 
     with pytest.MonkeyPatch.context() as patch:
         for name, method in (
             ("__init__", with_full), ("start", started), ("enter", entered),
             ("pivot", pivoted), ("leaving", checked_leaving), ("_lex", checked_lex),
+            ("_stand_in", drawn_stand_in),
         ):
             patch.setattr(lp_class, name, method)
-        patch.setattr(simplex, "_leaving", kept)
+        patch.setattr(simplex, "_least", first_listed)
         yield counts
 
 
@@ -947,8 +1054,143 @@ def test_derived_rows_of_wide_documents_are_the_full_rows(document, slack_in, t_
         feasibility.solve(scenario)
     assert (counts["slack_in"], counts["t_left"]) == (slack_in, t_left)
     assert counts["derived"] > 100 and counts["derived_left"] > 0 and counts["t_positive"] > 10
-    # The planted path breaks no tie among derived rows.
-    assert (counts["lex"] > 0) == (not slack_in)
+    # Point clones are passed over at every keyed pivot; bracketed ones
+    # only where a target is bracketed.
+    assert counts["point"] > 0 and counts["keyed"] > 10
+    assert (counts["bracketed"] > 0) == any("sqrt" in c["value"] for c in document["constraints"])
+    # T's row ties at the least ratio on the paths without a slack coming
+    # in; each such tie is settled by κ alone.
+    assert counts["stand_in"] == counts["stand_in_unbroken"]
+    assert (counts["stand_in"] > 0) == (not slack_in)
+
+
+@st.composite
+def mixed_wide_scenarios(draw):
+    """A wide document at n = 4 or 5 whose targets are drawn loosened, bracketed or kept.
+
+    A loosened target moves 1/10 out into a ``le`` or ``ge``; a
+    bracketed one moves by √2/1000, an irrational offset whose bracket
+    has width; a kept one stays an ``eq`` point.
+    """
+    seed = draw(st.integers(min_value=0, max_value=99))
+    n = draw(st.integers(min_value=4, max_value=5))
+    document = reference.wide_document(seed, n, draw(st.booleans()))
+    for constraint in document["constraints"]:
+        edit = draw(st.sampled_from(["keep", "keep", "le", "ge", "bracket"]))
+        value = constraint["value"]
+        if edit == "le":
+            constraint["relation"], constraint["value"] = "le", f"({value}) + 1/10"
+        elif edit == "ge":
+            constraint["relation"], constraint["value"] = "ge", f"({value}) - 1/10"
+        elif edit == "bracket":
+            constraint["value"] = f"({value}) + sqrt(2)/1000"
+    return scenario_from_document(document)
+
+
+#: Explicit LPs with a pair (rows of one mask apart on one dense column)
+#: whose clones meet an atom's pivot with α_q < 0, and a slack's pivot.
+_ALPHA_Q_NEGATIVE = (
+    [3, -3, 0, 0, 0],
+    [{0: 2, 1: -1, 2: 2}, {0: -2}, {0: -1}, {1: -1}, {2: -1}],
+    [Fraction(-7, 3), Fraction(-5, 3), Fraction(-5, 4)],
+    [3, 4, 5],
+    simplex.WalshAtoms(0, [0, 0, 0]),
+)
+_SLACK_ENTERS = (
+    [-3, -1, -3, 0, 0, 0, 0],
+    [{0: 2, 1: 1, 2: 1, 3: 2}, {0: 2}, {0: 1, 1: -1, 2: 1, 3: -2}, {0: 1}, {1: 1}, {2: 1}, {3: 1}],
+    [2, Fraction(3, 2), 1, Fraction(1, 3)],
+    [5, 8, 7, 6],
+    simplex.WalshAtoms(1, [1, 0, 0, 0]),
+)
+#: A clone with cb < 0 (its ratio below T's) leaves at an atom's pivot.
+_CLONE_BELOW_T = (
+    [2, 0, 0],
+    [{0: 1, 1: -1}, {0: -1}, {1: 1}],
+    [Fraction(1, 2), Fraction(-1, 3)],
+    [4, 6],
+    simplex.WalshAtoms(2, [0, 0]),
+)
+
+
+def decided_with_clones_keyed(case):
+    """Decide a scenario, or solve an explicit LP, under :func:`derived_compared`; returns its counts."""
+    if isinstance(case, tuple):
+        with derived_compared(None) as counts:
+            try:
+                _solve_from_basis(*case)
+            except ValueError:
+                pass  # a singular or primal-infeasible start
+        return counts
+    with derived_compared(eq_count(case)) as counts:
+        feasibility.solve(case)
+    return counts
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(mixed_wide_scenarios(), relaxed_scenarios(), explicit_lps()))
+@example(scenario_from_document(reference.wide_document(3, 6, True)))
+@example(scenario_from_document(exchangeable_document(4)))
+@example(_ALPHA_Q_NEGATIVE)
+@example(_SLACK_ENTERS)
+@example(_CLONE_BELOW_T)
+def test_kappa_orders_t_and_its_clones_as_the_dense_rows(case):
+    """:func:`assert_clone_keys` at every pivot, beside every check of :func:`derived_compared`.
+
+    Mixed ``eq``/``le``/``ge`` and bracketed targets, and explicit LPs.
+    """
+    decided_with_clones_keyed(case)
+
+
+def test_kappa_keys_meet_every_kind_of_pivot():
+    """The κ check is reached, and so is each pivot it leaves to the per-row formula.
+
+    In the margin LP an atom's reduced cost is −α_q while T is basic, so
+    every atom that enters then has α_q > 0; α_q < 0 takes an LP with
+    other costs.  The planted n = 6 path and one explicit LP bring a
+    slack in with clones standing.
+    """
+    mixed = reference.wide_document(7, 5, False)
+    for k, constraint in enumerate(mixed["constraints"]):
+        if k % 3 == 1:
+            constraint["relation"], constraint["value"] = "le", f"({constraint['value']}) + 1/10"
+        elif k % 3 == 2:
+            constraint["value"] = f"({constraint['value']}) + sqrt(2)/1000"
+    documents = [reference.wide_document(3, 6, True), exchangeable_document(5), mixed]
+    cases = [*map(scenario_from_document, documents), _ALPHA_Q_NEGATIVE, _SLACK_ENTERS]
+    counts = [decided_with_clones_keyed(case) for case in cases]
+    assert all(got["keyed"] > 10 for got in counts[:3])
+    assert sum(got["clones_keyed"] for got in counts) > 300
+    assert counts[0]["column_in"] > 0 and counts[4]["column_in"] > 0
+    assert counts[3]["alpha_q_nonpositive"] > 0
+
+
+def test_no_tie_of_t_and_its_clones_reaches_the_tie_break():
+    """On the 64 wide-moments documents of seed 4242, ``_lex`` never sees only T's row and clones.
+
+    At an atom's pivot with α_q > 0 the point clones are one stand-in,
+    settled against T's row by κ, so the tie-break runs at most 218
+    times over at most 446 tied rows (1,079 times over 10,722 rows when
+    every derived row was read).
+    """
+    lex, calls, rows_read = simplex._RevisedLp._lex, [0], [0]
+
+    def counted(lp, rows, k):
+        q = lp.where.get(lp.t)
+        slot = len(lp.live)
+        if not k and lp.atom_entered and q in rows and lp.tableau[q][slot] > 0:
+            assert not all(i == q or is_clone(lp, i) for i in rows)
+        calls[0] += 1
+        rows_read[0] += len(rows)
+        return lex(lp, rows, k)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplex._RevisedLp, "_lex", counted)
+        for k in range(32):
+            for n, planted in ((5, True), (6, False)):
+                document = reference.wide_document(4242, n, planted, k)
+                feasibility.solve_robust(scenario_from_document(document))
+    assert 0 < calls[0] <= 218 and rows_read[0] <= 446
 
 
 # --- bundled scenarios and closed-form LPs ------------------------------------
