@@ -56,6 +56,7 @@ INFEASIBLE = "infeasible"
 INDETERMINATE = "indeterminate"
 
 _RELATIONS = (EQ, LE, GE)
+_ZERO = Fraction(0)
 
 
 class MomentConstraint(Record):
@@ -187,10 +188,17 @@ def solve(scenario: Scenario) -> FeasibilityOutcome:
       certificate, and t is released once both its bounds are t
       (:func:`_check_margin`).
     * t = 0: the optimal point is the witness, re-checked against every
-      constraint.  With bracketed targets the verdict is feasible only
-      when every point of :func:`_check_points` is, each settled from
-      the last optimum's basis or else solved from its crash basis;
-      otherwise indeterminate, with no evidence.
+      constraint (:func:`_check_witness`).  With bracketed targets the
+      verdict is feasible only when every point of
+      :func:`_check_points` is, each settled from the last optimum's
+      basis or else solved from its crash basis; otherwise
+      indeterminate, with no evidence.
+
+    The release checks run on the optimum's integers: its point as
+    masses over one denominator (``simplex.as_integers``) and the
+    certificate over its multipliers' common denominator.  Fractions
+    are built only for what is released: the witness's atoms, the
+    certificate's multipliers and the margin.
 
     The pivot path is fixed, so the evidence is deterministic.  The
     outcome carries the exact margin t.
@@ -199,7 +207,8 @@ def solve(scenario: Scenario) -> FeasibilityOutcome:
     result = _margin_lp(lp, _box(scenario))
     n = lp.atoms.atoms
     t = result.objective
-    point = [(col, value) for col, value in zip(result.basis, result.x) if col < n]
+    masses, d = simplex.as_integers(result, "x")
+    point = [(col, v) for col, v in zip(result.basis, masses) if col < n], d
     if t:
         certificate = _certificate_from_duals(result, lp.rows_of)
         _check_margin(lp, certificate, point, t)
@@ -210,40 +219,56 @@ def solve(scenario: Scenario) -> FeasibilityOutcome:
             start = _margin_lp(lp, bounds, start)
             if start.objective:
                 return FeasibilityOutcome(INDETERMINATE, margin=t)
-    atoms = [Fraction(0)] * n
-    for col, value in point:
-        atoms[col] = value
-    witness = AtomMeasure(scenario.space, tuple(atoms), STANDARD)
-    _check_witness(lp, witness)
-    return FeasibilityOutcome(FEASIBLE, witness=witness, margin=t)
+    _check_witness(lp, point)
+    return FeasibilityOutcome(FEASIBLE, witness=_witness(lp, point), margin=t)
 
 
 #: The same decision under the name the CLI looks up.
 solve_robust = solve
 
 
-def _check_witness(lp, witness: AtomMeasure) -> None:
+def _witness(lp, point) -> AtomMeasure:
+    """The standard measure of ``point``, (atom, mass) pairs over one denominator d."""
+    masses, d = point
+    atoms = [_ZERO] * lp.atoms.atoms
+    for a, v in masses:
+        if v:
+            atoms[a] = Fraction(v, d)
+    return AtomMeasure(lp.scenario.space, tuple(atoms), STANDARD)
+
+
+def _check_witness(lp, point) -> None:
+    """Raise AssertionError unless ``point`` is a distribution that meets every bracket.
+
+    In integers: its masses, (atom, mass) pairs over d, are >= 0 and
+    sum to d, and none of its moments misses a bracket
+    (:func:`_largest_miss`).  :func:`validate` and
+    :func:`violated_constraints` only word the error.
+    """
+    masses, d = point
+    total = sum(v for _, v in masses)
+    if total == d and all(v >= 0 for _, v in masses) and not _largest_miss(lp, point):
+        return
+    witness = _witness(lp, point)
     report = validate(witness)
     if not report:
         raise AssertionError(f"witness fails validation: {report.violations}")
-    if _largest_miss(lp, [(a, v) for a, v in enumerate(witness.values) if v]):
-        c, got = violated_constraints(lp.scenario, witness)[0]
-        raise AssertionError(f"witness violates {c.describe()}: got {format_scalar(got)}")
+    c, got = violated_constraints(lp.scenario, witness)[0]
+    raise AssertionError(f"witness violates {c.describe()}: got {format_scalar(got)}")
 
 
 def _largest_miss(lp, point) -> Fraction:
-    """The most by which a moment of ``point``, (atom, mass) pairs, misses its bracket, or 0.
+    """The most by which a moment of ``point``, (atom, mass) pairs over d, misses its bracket, or 0.
 
-    In integers: the brackets' ends and the masses over one denominator d.
+    In integers: one transform gives every relaxed row's moment
+    (``WalshAtoms.moments``), compared with its bracket end, the ends
+    over one denominator e.
     """
-    constraints = lp.scenario.constraints
-    ends = [v for c in constraints for v in (c.target.lo, c.target.hi)]
-    ints, d = over_common_denominator(ends + [v for _, v in point])
-    masses, misses = list(zip((a for a, _ in point), ints[len(ends):])), [0]
-    for c, mask, lo, hi in zip(constraints, lp.masks[1:], ints[0::2], ints[1::2]):
-        moment = sum(-v if (a & mask).bit_count() & 1 else v for a, v in masses)
-        misses += [lo - moment] * (c.relation != LE) + [moment - hi] * (c.relation != GE)
-    return Fraction(max(misses), d)
+    masses, d = point
+    bounds, signs = _box(lp.scenario), lp.t_sign[1:]
+    ends, e = over_common_denominator([bounds[k - 1][s > 0] for k, s in zip(lp.rows_of[1:], signs)])
+    moments = lp.atoms.moments(masses)[1:]
+    return Fraction(max([0, *(s * (b * d - v * e) for v, b, s in zip(moments, ends, signs))]), d * e)
 
 
 def _check_margin(lp, certificate, point, t) -> None:
@@ -251,10 +276,11 @@ def _check_margin(lp, certificate, point, t) -> None:
 
     Lower: zᵀA ≤ 0 on every atom, so any distribution p has Σ_{k≥1}
     z_k·(b_k − a_k·p) ≥ z·b and misses some bracket by at least
-    :func:`_proved_miss`.  Upper: the LP's optimal ``point`` misses none
-    by more than t.
+    :func:`_proved_miss`, run on the certificate over its common
+    denominator.  Upper: the LP's optimal ``point`` misses none by more
+    than t.
     """
-    lower = _proved_miss(lp.scenario, lp.masks, certificate)
+    lower = _proved_miss(lp.scenario, lp.masks, over_common_denominator(certificate)[0])
     if lower is None:
         raise AssertionError("margin LP duals give a certificate that fails verification")
     upper = _largest_miss(lp, point)
@@ -389,12 +415,15 @@ def _certificate_from_duals(result, rows_of) -> tuple[Fraction, ...]:
     the box an le side's b_r is its bracket's hi and a ge side's its
     lo, the ends at which y_r·b_r is least, so the least combined
     right-hand side of z over the box is at least t.  With t > 0 that
-    is the certificate :func:`verify_certificate` checks.
+    is the certificate :func:`verify_certificate` checks.  The sums are
+    taken in integers over the duals' one denominator d
+    (``simplex.as_integers``); each z_k is formed once.
     """
-    z = [Fraction(0)] * (rows_of[-1] + 1)  # relaxed rows end on the last constraint
-    for y, k in zip(result.duals, rows_of):
-        z[k] += y
-    return tuple(z)
+    y, d = simplex.as_integers(result, "duals")
+    z = [0] * (rows_of[-1] + 1)  # relaxed rows end on the last constraint
+    for v, k in zip(y, rows_of):
+        z[k] += v
+    return tuple(Fraction(v, d) if v else _ZERO for v in z)
 
 
 def _crash_basis(atoms, relaxed_rhs, t_sign):
@@ -435,36 +464,38 @@ def verify_certificate(scenario: Scenario, certificate: Sequence[Fraction]) -> b
     senses (nonnegative on ≥ rows, nonpositive on ≤ rows, free on
     equalities), the combined coefficient of every atom is ≤ 0, and the
     combined right-hand side is > 0 at every target in the box: any
-    p ≥ 0 would give 0 ≥ combined·p ≥ rhs > 0 (:func:`_proved_miss`).
+    p ≥ 0 would give 0 ≥ combined·p ≥ rhs > 0.  The multipliers are put
+    over one denominator once, for :func:`_proved_miss`.
     """
+    if len(certificate) != len(scenario.constraints) + 1:
+        raise CertificateError(
+            f"certificate has {len(certificate)} entries for {len(scenario.constraints) + 1} rows"
+        )
     masks = [0] + [moment_mask(scenario.space, c.subset) for c in scenario.constraints]
-    return _proved_miss(scenario, masks, certificate) is not None
+    z, _ = over_common_denominator([Fraction(v) for v in certificate])
+    return _proved_miss(scenario, masks, z) is not None
 
 
-def _proved_miss(scenario: Scenario, masks, certificate):
+def _proved_miss(scenario: Scenario, masks, z):
     """(least z·b over the box) / Σ_{k≥1}|z_k| for a certificate z, or None if it proves nothing.
 
-    None when z breaks a row sense, zᵀA ≤ 0 fails (the atom oracle's
-    least of −z on the rows' ``masks``) or that least z·b is ≤ 0;
-    z_k·b_k is least at the bracket's ``lo`` for z_k > 0, else its ``hi``.
+    z holds ints, the multipliers over any one positive denominator,
+    which cancels.  None when z breaks a row sense, zᵀA ≤ 0 fails (the
+    atom oracle's least of −z on the rows' ``masks``) or that least z·b
+    is ≤ 0; z_k·b_k is least at the bracket's ``lo`` for z_k > 0, else
+    its ``hi``.  Row 0 is Σp = 1, free.
     """
-    rows = [(ScalarInterval.point(1), EQ)] + [(c.target, c.relation) for c in scenario.constraints]
-    if len(certificate) != len(rows):
-        raise CertificateError(
-            f"certificate has {len(certificate)} entries for {len(rows)} rows"
-        )
-    y = [Fraction(v) for v in certificate]
-    for yi, (_, rel) in zip(y, rows):
-        if (rel == GE and yi < 0) or (rel == LE and yi > 0):
+    constraints = scenario.constraints
+    for v, c in zip(z[1:], constraints):
+        if (c.relation == GE and v < 0) or (c.relation == LE and v > 0):
             return None
-    # In integers, y times d and b times e: (Σ dy·eb / de) / (Σ d|y| / d).
-    scaled, _ = over_common_denominator(y)
     atoms = simplex.WalshAtoms(scenario.space.n, masks)
-    if atoms.least((k, -v) for k, v in enumerate(scaled))[0] < 0:
+    if atoms.least((k, -v) for k, v in enumerate(z))[0] < 0:
         return None
-    rhs, e = over_common_denominator([t.lo if yi > 0 else t.hi for yi, (t, _) in zip(y, rows)])
-    bound = sum(map(mul, scaled, rhs))
-    return Fraction(bound, e * sum(map(abs, scaled[1:]))) if bound > 0 else None
+    ends, e = over_common_denominator([1] + [c.target.lo if v > 0 else c.target.hi
+                                             for v, c in zip(z[1:], constraints)])
+    bound = sum(map(mul, z, ends))
+    return Fraction(bound, e * sum(map(abs, z[1:]))) if bound > 0 else None
 
 
 # --- closed-form cross-check over the symmetric parameter grid -------------

@@ -32,7 +32,10 @@ reads (the layout ``[I | b]`` with x_B apart; I. Maros, *Computational
 Techniques of the Simplex Method*, 2003).  Every row is a list of ints
 over one positive scale, and :func:`_pivot` is the integer-preserving
 elimination of Escobedo and Moreno-Centeno (*INFORMS J. Comput.* 27
-(2015)); Fractions appear only at the read-out.
+(2015)).  A result forms Fractions only for the fields that are read,
+as exact LP solvers form rationals only for what they release (D. L.
+Applegate, W. Cook, S. Dash and D. G. Espinoza, *Oper. Res. Lett.* 35,
+693 (2007)).
 
 Dantzig's column (lowest index on ties) enters.  The row of least ratio
 x_B(i)/α_i over positive α_i leaves, a tie going to the row whose row of
@@ -67,6 +70,8 @@ EQ, LE, GE = "eq", "le", "ge"
 
 _ZERO = Fraction(0)
 
+_getattribute, _setattr = object.__getattribute__, object.__setattr__
+
 
 def __getattr__(name: str):
     if name == "solve_lp":
@@ -92,6 +97,13 @@ class LpResult(Record):
       cost being c_j − yᵀA_j: optimal duals for :func:`solve_from_basis`
       (every reduced cost >= 0, yᵀb the objective), a Farkas
       certificate (yᵀA <= 0, yᵀb > 0) for an infeasible ``sweep.solve_lp``.
+
+    An optimal :func:`solve_from_basis` result forms ``x``, ``duals`` and
+    ``inverse`` from the optimum's kept integers (:class:`_ReadOut`) the
+    first time each is read, and keeps it.  Each is then what an eager
+    read-out gives, so equality, hash, repr and pickle, which read every
+    field, are unchanged.  :func:`as_integers` reads x or the duals
+    without forming them.
     """
 
     __slots__ = ("status", "x", "objective", "duals", "pivots", "basis", "inverse")
@@ -107,6 +119,69 @@ class LpResult(Record):
         inverse: tuple[tuple[list[int], int], ...] | None = None,
     ):
         self._set(status, x, objective, duals, pivots, basis, inverse)
+
+    def __getattribute__(self, name):
+        value = _getattribute(self, name)
+        if type(value) is _ReadOut:
+            value = value.formed(name)
+            _setattr(self, name, value)
+        return value
+
+
+class _ReadOut(Record):
+    """The integers of one optimum, from which :class:`LpResult` forms x, duals and inverse.
+
+    x_B(i) is ``values[i]`` over ``scales[i]·rhs_scale``; the row duals
+    are −w/``scale`` for the objective row's entries w on the ``live``
+    columns, 0 on the others.  ``rows`` holds each position's row, as
+    (line, scale, its held column or None), a derived position's line
+    as its terms (:func:`_derived`).  Those rows are all it keeps of the
+    LP, which no pivot changes after the read-out.
+    """
+
+    __slots__ = ("values", "scales", "rhs_scale", "live", "weights", "scale", "rows")
+
+    def integers(self, name):
+        """Field ``name``, x or duals, as ints over one denominator d > 0."""
+        if name == "x":
+            d = math.lcm(*self.scales)
+            return [v * (d // s) for v, s in zip(self.values, self.scales)], d * self.rhs_scale
+        ints = [0] * len(self.rows)
+        for c, w in zip(self.live, self.weights):
+            ints[c] = -w
+        return ints, self.scale
+
+    def formed(self, name):
+        """The LpResult field ``name``: x, duals or inverse."""
+        if name != "inverse":
+            ints, d = self.integers(name)
+            return [Fraction(v, d) if v else _ZERO for v in ints]
+        # Row i's divisor is the gcd of its scale and its k live entries;
+        # its held entry, ±scale, cannot change it.
+        m, live = len(self.rows), self.live
+        k, inverse = len(live), []
+        for line, s, own in self.rows:
+            if type(line) is tuple:
+                line = _derived(line, live, k)
+            g = math.gcd(s, *line[:k])
+            full = [0] * m
+            for c, v in zip(live, line if g == 1 else [v // g for v in line[:k]]):
+                full[c] = v
+            s //= g
+            if own:
+                c, sign = own
+                full[c] = sign * s
+            inverse.append((full, s))
+        return tuple(inverse)
+
+
+def as_integers(result: LpResult, name: str) -> tuple[list[int], int]:
+    """Field ``name`` of ``result``, x or duals, as ints over one denominator d > 0.
+
+    They are read off the kept integers while the field is not formed.
+    """
+    kept = _getattribute(result, name)
+    return kept.integers(name) if type(kept) is _ReadOut else over_common_denominator(kept)
 
 
 #: A row other than the objective row is put in lowest terms once its
@@ -200,14 +275,18 @@ def _least(candidates):
     return tied
 
 
-def _tie_broken(tied, lex):
+def _tie_broken(tied, lex, pair=None):
     """The row of ``tied`` whose row of B⁻¹B₀ over α is lexicographically least, or -1 for none.
 
     ``lex(rows, k)`` gives (k', column k' of B⁻¹B₀ on the tied ``rows``)
     for some k' >= k whose earlier columns are zero on all of them.
+    ``pair``, (rows, row), settles a round on which only those two rows
+    are still tied: ``row`` leaves, and no column is read.
     """
     k = 0
     while len(tied) > 1:
+        if pair and len(tied) == 2 and {tied[0][0], tied[1][0]} == pair[0]:
+            return pair[1]
         k, values = lex([i for i, _, _ in tied], k)
         tied = _least([(i, a, v) for (i, a, _), v in zip(tied, values)])
         k += 1
@@ -236,6 +315,7 @@ class WalshAtoms:
     pricing and the certificate check), and :meth:`least_worst`, the
     least over atoms of the worst row, row i worth ``plus`` where
     χ_i(a) = 1 and ``minus`` where it is −1 (the margin LP's crash).
+    :meth:`moments` gives every row's moment of atom masses.
     """
 
     __slots__ = ("bits", "masks", "atoms")
@@ -256,6 +336,14 @@ class WalshAtoms:
         values = _walsh(values, self.bits)
         least = min(values)
         return least, values.index(least)
+
+    def moments(self, masses):
+        """Σ_a m_a·χ_i(a) on every row i, for (atom a, m_a) pairs: one :func:`_walsh`."""
+        values = [0] * self.atoms
+        for a, v in masses:
+            values[a] += v
+        values = _walsh(values, self.bits)
+        return [values[mask] for mask in self.masks]
 
     def least_worst(self, rows):
         """(least over atoms of the worst row, its atom) for one or more (row, plus, minus)."""
@@ -306,8 +394,9 @@ class _RevisedLp:
     passes over, and only the ``stored`` positions' ``lines`` are
     entered and pivoted.  A derived position's slot entry and x_B, and
     in a tie its B⁻¹B₀ entry, are formed from T's and the partner's rows
-    over the product of their scales; its row is formed only when it
-    leaves, when its pair's derived position moves and at the read-out.
+    over the product of their scales, and so is its x_B at the read-out;
+    its row is formed only when it leaves, when its pair's derived
+    position moves and when a result's ``inverse`` is first read.
     Every pivot reads the rational values it would with all rows stored.
 
     A derived row whose partner slack is nonbasic is a *clone* of T's
@@ -399,23 +488,24 @@ class _RevisedLp:
         if j >= self.atoms:
             tableau[m][slot] += self.costs[j - self.atoms] * scales[m]
 
-    def _row(self, i):
-        """Derived position i's row ``[live | slot | x_B]`` and its scale.
+    def _terms(self, i):
+        """Derived position i's (c, r1, r2, ct, cp, cb, u, sq, w, sp).
 
-        That is c·d + ct·R_q/sq + cp·R_p/sp over sq·sp, q and p the
-        positions of T and of the partner slack; a nonbasic one's row is
-        ``zero``, over scale 1.
+        u and w are the rows of T and of the partner slack over their
+        scales sq and sp; a nonbasic one's row is ``zero``, over scale 1.
         """
         _, c, r1, r2, ct, partner, cp, cb, _ = self.derived[i]
         q, p = self.where.get(self.t), self.where.get(partner)
         u, sq = (self.zero, 1) if q is None else (self.tableau[q], self.scales[q])
         w, sp = (self.zero, 1) if p is None else (self.tableau[p], self.scales[p])
-        f, g, d, live = ct * sp, cp * sq, c * sq * sp, self.live
-        line = [f * a + g * b for a, b in zip(u, w)][: len(live) + 2]
-        for r, v in ((r1, d), (r2, -d)):
-            if r in live:
-                line[live.index(r)] += v
-        line[-2] += d * (self.entered[r1] - self.entered[r2])
+        return c, r1, r2, ct, cp, cb, u, sq, w, sp
+
+    def _row(self, i):
+        """Derived position i's row ``[live | slot | x_B]`` and its scale sq·sp (:meth:`_terms`)."""
+        terms = self._terms(i)
+        c, r1, r2, _, _, cb, _, sq, _, sp = terms
+        line = _derived(terms, self.live, len(self.live) + 2)
+        line[-2] += c * sq * sp * (self.entered[r1] - self.entered[r2])
         line[-1] += cb * sq * sp
         return line, sq * sp
 
@@ -478,8 +568,10 @@ class _RevisedLp:
         alone: one with ct < 0 is no candidate, a bracketed one (cb > 0)
         is passed over, and the point ones (cb = 0) are one stand-in,
         drawn (:meth:`_stand_in`) only when T's row survives the ratio.
-        A tie of T's row and the stand-in alone goes to the stand-in
-        when its κ is lexicographically negative, with no :meth:`_lex`.
+        A tie that comes down to T's row and the stand-in alone, on any
+        round, goes to the stand-in when its κ is lexicographically
+        negative, with no :meth:`_lex`: the two rows of B⁻¹B₀ over α
+        differ by κ/α_q, so κ's first nonzero entry orders them.
         """
         tableau, scales, where, slot = self.tableau, self.scales, self.where, len(self.live)
         candidates = [(i, v[slot], v[-1]) for i, v in zip(self.stored, self.lines[:-1]) if v[slot] > 0]
@@ -505,15 +597,14 @@ class _RevisedLp:
                 candidates.append((i, a, (cb * sq + ct * vq) * sp + cp * line[-1] * sq))
                 terms[i] = c, r1, r2, ct, q, cp, p, sq, sp
         self.terms = terms
-        tied = _least(candidates)
+        tied, pair = _least(candidates), None
         if points and any(i == q for i, _, _ in tied):
             i, below = self._stand_in(points)
-            if len(tied) == 1:
-                return i if below else q
             _, c, r1, r2, ct, _, cp, _, _ = self.derived[i]
             tied.append((i, ct * aq, ct * vq))
             terms[i] = c, r1, r2, ct, q, cp, None, sq, 1
-        return _tie_broken(tied, self._lex)
+            pair = {i, q}, i if below else q
+        return _tie_broken(tied, self._lex, pair)
 
     def _kappa(self, k):
         """Pair k's κ = dᵀB₀/(−τ) over B₀'s positions, times ``kappa_scale``; kept once formed.
@@ -658,42 +749,42 @@ class _RevisedLp:
         return least, self.atoms + explicit.index(least) if explicit else -1
 
     def result(self, pivots) -> LpResult:
-        """The optimal LpResult of the current basis, B⁻¹ at full width in lowest terms.
+        """The optimal LpResult of the current basis, its x, duals and inverse formed on first read.
 
-        A derived row is formed first.  Row i's divisor is the gcd of
-        its scale and its k live entries; its held entry, ±scale, cannot
-        change it.  The live entries, so divided, are scattered over m
-        zeros and the held one written in.
+        Only x_B and the objective are read out here: a stored row's x_B
+        is its last entry, and a derived row's is formed from T's and
+        the partner's as in :meth:`leaving`, with no row formed.
         """
-        m, tableau, scales, live, held = self.m, self.tableau, self.scales, self.live, self.held
-        k = len(live)
-        scale = scales[m]
-        x, inverse, duals = [], [], [_ZERO] * m
+        m, tableau, scales, derived, held = self.m, self.tableau, self.scales, self.derived, self.held
+        values, row_scales, rows = [], [], []
         for i in range(m):
-            line, s = self._row(i) if i in self.derived else (tableau[i], scales[i])
-            own = held.get(i) or i in self.derived and self.derived[i][-1]
-            x.append(Fraction(line[-1], s * self.rhs_scale))
-            g = math.gcd(s, *line[:k])
-            full = [0] * m
-            for c, v in zip(live, line if g == 1 else [v // g for v in line[:k]]):
-                full[c] = v
-            s //= g
-            if own:
-                c, sign = own
-                full[c] = sign * s
-            inverse.append((full, s))
-        for c, w in zip(live, tableau[m]):
-            if w:
-                duals[c] = Fraction(-w, scale)
-        return LpResult(
-            status=OPTIMAL,
-            x=x,
-            objective=Fraction(-tableau[m][-1], scale * self.rhs_scale),
-            pivots=pivots,
-            basis=tuple(self.basis),
-            inverse=tuple(inverse),
-            duals=duals,
-        )
+            if i in derived:
+                terms = self._terms(i)
+                _, _, _, ct, cp, cb, u, sq, w, sp = terms
+                values.append((cb * sq + ct * u[-1]) * sp + cp * w[-1] * sq)
+                rows.append((terms, sq * sp, derived[i][-1]))
+            else:
+                values.append(tableau[i][-1])
+                rows.append((tableau[i], scales[i], held.get(i)))
+            row_scales.append(rows[-1][1])
+        kept = _ReadOut(values, row_scales, self.rhs_scale, self.live, tableau[m], scales[m], rows)
+        objective = Fraction(-tableau[m][-1], scales[m] * self.rhs_scale)
+        return LpResult(OPTIMAL, kept, objective, kept, pivots, tuple(self.basis), kept)
+
+
+def _derived(terms, live, width):
+    """The first ``width`` entries of a derived row from its terms (:meth:`_RevisedLp._terms`).
+
+    That is c·(e_r1 − e_r2) + ct·u/sq + cp·w/sp over sq·sp, on the live
+    columns.
+    """
+    c, r1, r2, ct, cp, _, u, sq, w, sp = terms
+    f, g, d = ct * sp, cp * sq, c * sq * sp
+    line = [f * a + g * b for a, b in zip(u, w)][:width]
+    for r, v in ((r1, d), (r2, -d)):
+        if r in live:
+            line[live.index(r)] += v
+    return line
 
 
 def solve_from_basis(

@@ -41,6 +41,11 @@ slack read off a held entry.  :func:`solve_full_width` runs
 ``LpResult`` field, ``inverse`` included, of the narrow rows against the
 full ones.
 
+:func:`eager_result` is ``simplex._RevisedLp.result`` as it was before
+``LpResult`` formed ``x``, ``duals`` and ``inverse`` on first read: it
+forms every derived row and every field at the read-out, so the tests
+can pin the lazily formed fields against it.
+
 :func:`verify_certificate_by_rows` is ``feasibility.verify_certificate``
 as it was, combining the certificate's multipliers over the dense 2ⁿ
 standard rows; the tests pin the kit's one-transform check against it.
@@ -582,6 +587,45 @@ class FullWidthLp:
             inverse=inverse,
             duals=[Fraction(-w, scale) if w else _ZERO for w in tableau[m][:m]],
         )
+
+
+def eager_result(lp, pivots) -> LpResult:
+    """``lp.result(pivots)`` as it was: every field formed, B⁻¹ at full width in lowest terms.
+
+    A derived row is formed first.  Row i's divisor is the gcd of its
+    scale and its k live entries; its held entry, ±scale, cannot change
+    it.  The live entries, so divided, are scattered over m zeros and
+    the held one written in.
+    """
+    m, tableau, scales, live, held = lp.m, lp.tableau, lp.scales, lp.live, lp.held
+    k = len(live)
+    scale = scales[m]
+    x, inverse, duals = [], [], [_ZERO] * m
+    for i in range(m):
+        line, s = lp._row(i) if i in lp.derived else (tableau[i], scales[i])
+        own = held.get(i) or i in lp.derived and lp.derived[i][-1]
+        x.append(Fraction(line[-1], s * lp.rhs_scale))
+        g = math.gcd(s, *line[:k])
+        full = [0] * m
+        for c, v in zip(live, line if g == 1 else [v // g for v in line[:k]]):
+            full[c] = v
+        s //= g
+        if own:
+            c, sign = own
+            full[c] = sign * s
+        inverse.append((full, s))
+    for c, w in zip(live, tableau[m]):
+        if w:
+            duals[c] = Fraction(-w, scale)
+    return LpResult(
+        status=OPTIMAL,
+        x=x,
+        objective=Fraction(-tableau[m][-1], scale * lp.rhs_scale),
+        pivots=pivots,
+        basis=tuple(lp.basis),
+        inverse=tuple(inverse),
+        duals=duals,
+    )
 
 
 _solve_from_basis = simplex.solve_from_basis

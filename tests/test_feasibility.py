@@ -1144,8 +1144,27 @@ def test_violated_constraints_lists_each_missed_relation_with_its_moment():
     )
     violated = violated_constraints(scenario, witness)
     assert [(c.subset, got) for c, got in violated] == [(("B",), 0), (("A", "B"), Fraction(1, 2))]
+    masses, d = over_common_denominator(witness.values)
     with pytest.raises(AssertionError, match=r"witness violates E\(B\) >= 1/2: got 0"):
-        feasibility._check_witness(feasibility._MomentLp(scenario), witness)
+        feasibility._check_witness(feasibility._MomentLp(scenario), (list(enumerate(masses)), d))
+
+
+@pytest.mark.parametrize(
+    "point, axiom",
+    [
+        # E(A) = 0 and Σ = 1, but atom 1 holds -1/2.
+        (([(0, 4), (1, -2), (2, 1), (3, 1)], 4), "nonnegativity"),
+        # E(A) = 0, but the masses sum to 2.
+        (([(0, 1), (2, 1)], 1), "normalization"),
+    ],
+    ids=["negative", "unnormalized"],
+)
+def test_check_witness_refuses_a_point_that_meets_every_bracket_but_is_no_distribution(point, axiom):
+    """The witness check's own nonnegativity and normalization, which no moment sees here."""
+    lp = feasibility._MomentLp(make_scenario(["A", "B"], [(["A"], EQ, 0)]))
+    assert not feasibility._largest_miss(lp, point)
+    with pytest.raises(AssertionError, match=f"witness fails validation: .*'{axiom}'"):
+        feasibility._check_witness(lp, point)
 
 
 # --- a released margin is proved from both sides ------------------------------

@@ -50,6 +50,7 @@ SAMPLES = {
     set_functions.ConjugacyViolation: lambda: set_functions.ConjugacyViolation(MASK, F(1), F(0)),
     set_functions.ConjugacyReport: lambda: set_functions.ConjugacyReport(1, False, (CONJUGACY,)),
     simplex.LpResult: lambda: simplex.LpResult(simplex.OPTIMAL, [F(1)], F(0), pivots=3),
+    simplex._ReadOut: lambda: simplex._ReadOut([2], [3], 1, [0], [-1], 2, (([2, 2], 3, None),)),
     feasibility.MomentConstraint: lambda: feasibility.MomentConstraint(("A",), "eq", INTERVAL),
     feasibility.Scenario: lambda: feasibility.Scenario(SPACE, (CONSTRAINT,), title="one"),
     feasibility.FeasibilityOutcome: lambda: feasibility.FeasibilityOutcome(
@@ -94,7 +95,7 @@ def _dataclass_twin(record):
 
 def test_every_record_class_has_a_sample():
     assert set(Record.__subclasses__()) == set(SAMPLES)
-    assert len(SAMPLES) == 34
+    assert len(SAMPLES) == 35
 
 
 @pytest.mark.parametrize("cls", _CLASSES, ids=lambda cls: cls.__qualname__)
@@ -133,7 +134,7 @@ BASE_CONSTRUCTED = {
     measures.Violation, measures.ValidationReport, numerics.Literal, numerics.Negate,
     numerics.BinaryOp, numerics.Sqrt, quantum.SpinOperator,
     set_functions.MonotonicityViolation, set_functions.ConjugacyViolation,
-    set_functions.ConjugacyReport,
+    set_functions.ConjugacyReport, simplex._ReadOut,
 }
 
 
