@@ -20,7 +20,10 @@ when t = 0.  Every verdict ships evidence read off that one optimum:
   (:func:`verify_certificate`), together with the margin t > 0.
 
 Both are re-checked exactly before release, and so is the margin t > 0.
-The LP's structure is built once per decision (:class:`_MomentLp`).
+The LP's structure depends only on the document's shape, its variables
+and each constraint's subset and relation, never on a target: it is
+built once per shape and kept for the process (:func:`_shape`), and
+each decision brings only its right-hand side (:class:`_MomentLp`).
 
 Targets may be intervals (brackets of irrational inputs), and a verdict
 must hold for every real target in the box they span.  The margin LP
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import lcm
 from operator import mul
 
@@ -47,7 +50,7 @@ from ._record import Record
 from .errors import CertificateError, ScenarioError, SpaceError
 from .event_space import EventSpace, build_space, moment_coefficients, moment_mask
 from .measures import STANDARD, AtomMeasure, signed_atom_sums, validate
-from .numerics import ScalarInterval, as_interval, format_scalar, over_common_denominator, quoted
+from .numerics import Rationals, ScalarInterval, as_interval, format_scalar, over_common_denominator, quoted
 from . import simplex
 from .simplex import EQ, GE, LE
 
@@ -56,7 +59,7 @@ INFEASIBLE = "infeasible"
 INDETERMINATE = "indeterminate"
 
 _RELATIONS = (EQ, LE, GE)
-_ZERO = Fraction(0)
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class MomentConstraint(Record):
@@ -182,7 +185,9 @@ def solve(scenario: Scenario) -> FeasibilityOutcome:
     """Decide feasibility for every target in the scenario's brackets, with evidence.
 
     One LP decides: :func:`margin`'s relaxed LP over the whole target
-    box (:class:`_MomentLp`, built once), from its crash basis.
+    box (:class:`_MomentLp`, built once per shape), from its
+    crash basis.  Its right-hand side is put over one denominator once,
+    for the LP, the crash and the witness check.
 
     * t > 0: infeasible over the box; the optimal duals are the
       certificate, and t is released once both its bounds are t
@@ -204,7 +209,7 @@ def solve(scenario: Scenario) -> FeasibilityOutcome:
     outcome carries the exact margin t.
     """
     lp = _MomentLp(scenario)
-    result = _margin_lp(lp, _box(scenario))
+    result = _margin_lp(lp)
     n = lp.atoms.atoms
     t = result.objective
     masses, d = simplex.as_integers(result, "x")
@@ -261,14 +266,13 @@ def _largest_miss(lp, point) -> Fraction:
     """The most by which a moment of ``point``, (atom, mass) pairs over d, misses its bracket, or 0.
 
     In integers: one transform gives every relaxed row's moment
-    (``WalshAtoms.moments``), compared with its bracket end, the ends
-    over one denominator e.
+    (``WalshAtoms.moments``), compared with its bracket end, the box's
+    right-hand side over its one denominator e (``lp.box``).
     """
     masses, d = point
-    bounds, signs = _box(lp.scenario), lp.t_sign[1:]
-    ends, e = over_common_denominator([bounds[k - 1][s > 0] for k, s in zip(lp.rows_of[1:], signs)])
-    moments = lp.atoms.moments(masses)[1:]
-    return Fraction(max([0, *(s * (b * d - v * e) for v, b, s in zip(moments, ends, signs))]), d * e)
+    ends, e = over_common_denominator(lp.box)
+    moments = zip(lp.atoms.moments(masses)[1:], ends[1:], lp.t_sign[1:])
+    return Fraction(max([0, *(s * (b * d - v * e) for v, b, s in moments)]), d * e)
 
 
 def _check_margin(lp, certificate, point, t) -> None:
@@ -340,27 +344,31 @@ def margin(scenario: Scenario) -> Fraction:
     The LP (:class:`_MomentLp`) needs no phase 1: it starts from
     :func:`_crash_basis`.  :func:`solve` decides from the same LP.
     """
-    return _margin_lp(_MomentLp(scenario), _box(scenario)).objective
+    return _margin_lp(_MomentLp(scenario)).objective
 
 
 class _MomentLp:
-    """The relaxed LP  min t  of one standard scenario, but its right-hand side.
+    """The relaxed LP  min t  of one standard scenario, its shape looked up once per process.
 
     Variables: p (n atoms, cost 0), then t (cost 1), then one slack per
     relaxed row.  Row 0 is Σp = 1; every constraint becomes one-sided
     rows, ``row·p - t ≤ upper`` on its le side and ``row·p + t ≥ lower``
     on its ge side (an equality gives both).
 
-    ``masks`` holds each standard row's moment mask (row 0's is 0),
-    ``rows_of`` each relaxed row's standard row and ``t_sign`` its t
-    entry (−1 on a le side, +1 on a ge side, 0 on row 0).  ``atoms`` is
-    the atom oracle (:class:`simplex.WalshAtoms`) of the relaxed rows;
-    ``columns`` and ``costs`` are t and then each relaxed row r's slack
-    (column n + r, +1 on a le side, −1 on a ge side).  Raises
-    ScenarioError for a scenario that is not of the standard kind.
+    All but the right-hand side is the shape's, shared by every decision
+    of its variables, subsets and relations (:func:`_shape`): ``masks``
+    holds each standard row's moment mask (row 0's is 0), ``rows_of``
+    each relaxed row's standard row and ``t_sign`` its t entry (−1 on a
+    le side, +1 on a ge side, 0 on row 0).  ``atoms`` is the atom oracle
+    (:class:`simplex.WalshAtoms`) of the relaxed rows, carrying the
+    LP's :class:`simplex.Layout`; ``columns`` and ``costs`` are t and
+    then each relaxed row r's slack (column n + r, +1 on a le side, −1
+    on a ge side).  ``box`` is the right-hand side over the whole box
+    (:meth:`relaxed`).  Raises ScenarioError for a scenario that is not
+    of the standard kind.
     """
 
-    __slots__ = ("scenario", "masks", "rows_of", "t_sign", "atoms", "columns", "costs")
+    __slots__ = ("scenario", "masks", "rows_of", "t_sign", "atoms", "columns", "costs", "box")
 
     def __init__(self, scenario: Scenario):
         if scenario.kind != STANDARD:
@@ -368,32 +376,63 @@ class _MomentLp:
                 f"the LP engine handles standard scenarios; kind {scenario.kind!r}"
                 " is served by the dedicated witness solvers"
             )
-        masks, rows_of, t_sign = [0], [0], [0]
-        for k, c in enumerate(scenario.constraints, start=1):
-            masks.append(moment_mask(scenario.space, c.subset))
-            for side, sign in ((LE, -1), (GE, 1)):
-                if c.relation in (EQ, side):
-                    rows_of.append(k)
-                    t_sign.append(sign)
-        self.scenario, self.masks, self.rows_of, self.t_sign = scenario, masks, rows_of, t_sign
-        self.atoms = simplex.WalshAtoms(scenario.space.n, [masks[k] for k in rows_of])
-        self.columns = [dict(enumerate(t_sign))] + [{r: -s} for r, s in enumerate(t_sign) if r]
-        self.costs = [1] + [0] * (len(t_sign) - 1)  # minimize t; atoms cost 0
+        self.scenario = scenario
+        constraints = tuple((tuple(c.subset), c.relation) for c in scenario.constraints)
+        self.masks, self.rows_of, self.t_sign, self.atoms, self.columns, self.costs = _shape(
+            scenario.space.variables, constraints
+        )
+        self.box = self.relaxed(_box(scenario))
+
+    def relaxed(self, bounds) -> Rationals:
+        """The right-hand side at ``bounds`` (:func:`_margin_lp`), 1 on row 0."""
+        return Rationals([_ONE, *(bounds[k - 1][s > 0] for k, s in zip(self.rows_of[1:], self.t_sign[1:]))])
 
 
-def _margin_lp(lp: _MomentLp, bounds, start=None):
+#: Shapes kept by :func:`_shape`.  A singles-plus-pairs shape with the
+#: crash's bitsets holds about 20 KiB at n = 6 and 1.3 MiB at n = 16.
+_SHAPES_KEPT = 32
+
+
+@lru_cache(maxsize=_SHAPES_KEPT)
+def _shape(variables, constraints):
+    """(masks, rows_of, t_sign, atoms, columns, costs) of :class:`_MomentLp`, built once per shape.
+
+    ``constraints`` are the (subset, relation) of each constraint, in
+    order.  Nothing here reads a target, and no caller changes what it
+    returns (tuples, but the columns' dicts and the oracle), so every
+    decision of the shape shares it; the last ``_SHAPES_KEPT`` shapes
+    used are kept.
+    """
+    space = EventSpace(variables)
+    masks, rows_of, t_sign = [0], [0], [0]
+    for k, (subset, relation) in enumerate(constraints, start=1):
+        masks.append(moment_mask(space, subset))
+        for side, sign in ((LE, -1), (GE, 1)):
+            if relation in (EQ, side):
+                rows_of.append(k)
+                t_sign.append(sign)
+    atoms = simplex.WalshAtoms(space.n, tuple(masks[k] for k in rows_of))
+    columns = (dict(enumerate(t_sign)), *({r: -s} for r, s in enumerate(t_sign) if r))
+    costs = (1,) + (0,) * (len(t_sign) - 1)  # minimize t; atoms cost 0
+    atoms.layout = simplex.Layout(costs, columns, len(t_sign), atoms)
+    return tuple(masks), tuple(rows_of), tuple(t_sign), atoms, columns, costs
+
+
+def _margin_lp(lp: _MomentLp, bounds=None, start=None):
     """The optimal result of the relaxed LP  min t  at ``bounds``.
 
     ``bounds`` gives each constraint, in scenario order, the right-hand
     side of its ≤ side and of its ≥ side: (hi, lo) over the whole box
-    (:func:`_box`), (v, v) at one target point v.
+    (:func:`_box`; None reads it as ``lp.box``), (v, v) at one target
+    point v.  The right-hand side is put over one denominator once
+    (:class:`Rationals`), for ``settle``, the crash and the LP.
 
     ``start``, an optimal result of this LP at other bounds, is tried
     first: when its basis is primal-feasible at these bounds it is
     optimal here (:func:`simplex.settle`), and no pivot runs.
     Otherwise the LP is solved from the crash basis.
     """
-    rhs = [Fraction(1)] + [bounds[k - 1][s > 0] for k, s in zip(lp.rows_of[1:], lp.t_sign[1:])]
+    rhs = lp.box if bounds is None else lp.relaxed(bounds)
     result = None if start is None else simplex.settle(start, rhs)
     if result is None:
         basis = _crash_basis(lp.atoms, rhs, lp.t_sign)
@@ -443,10 +482,10 @@ def _crash_basis(atoms, relaxed_rhs, t_sign):
     basis = [0] + [n + r for r in relaxed]
     if not relaxed:
         return basis
-    targets, common = over_common_denominator(relaxed_rhs[1:])
+    targets, common = over_common_denominator(relaxed_rhs)
     # Row r's violation where its character is +1 and where it is -1.
     violations = [(r, s * (b - common), s * (b + common))
-                  for r, (s, b) in enumerate(zip(t_sign[1:], targets), 1)]
+                  for r, (s, b) in enumerate(zip(t_sign[1:], targets[1:]), 1)]
     least, j = atoms.least_worst(violations)
     basis[0] = j
     if least >= 0:

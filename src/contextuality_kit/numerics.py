@@ -114,9 +114,30 @@ def _text(value) -> str:
 
 
 def over_common_denominator(values) -> tuple[list[int], int]:
-    """Ints n_i over the least d > 0 with n_i / d == values[i]; ints and Fractions mix."""
+    """Ints n_i over the least d > 0 with n_i / d == values[i]; ints and Fractions mix.
+
+    For :class:`Rationals` they are the ones it keeps, which no caller may change.
+    """
+    kept = getattr(values, "over_one", None)
+    if kept:
+        return kept
     d = lcm(*(v.denominator for v in values))
     return [v.numerator * (d // v.denominator) for v in values], d
+
+
+class Rationals(list):
+    """A list of rationals that keeps its ints over one denominator, formed once.
+
+    Every reader of a list reads its values; :func:`over_common_denominator`
+    returns the kept ints, so a right-hand side read by several steps of
+    one decision is put over one denominator only once.
+    """
+
+    __slots__ = ("over_one",)
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.over_one = over_common_denominator(self)
 
 
 class ScalarInterval(Record):

@@ -9,6 +9,12 @@ element is nonzero or it is not, with no tolerance anywhere.
 * :func:`settle`, its optimum at another right-hand side from its
   optimal basis, when that basis stays primal-feasible there.
 
+What no right-hand side changes, the checks and split of the explicit
+columns and the equality pairs, is one read-only :class:`Layout`.  A
+caller that solves one LP at many right-hand sides builds it once and
+hands it over on its atom oracle (``WalshAtoms.layout``), as the margin
+LP's kept shape does; otherwise each solve builds its own.
+
 The integer rows and the pivot are shared with :mod:`.sweep`
 (dual-simplex pivots from a Gauss–Jordan crash basis, the grid sweeps);
 ``sweep.solve_lp`` is still reachable as an attribute of this module.
@@ -55,10 +61,10 @@ from __future__ import annotations
 import math
 from bisect import bisect
 from fractions import Fraction
-from operator import add, mul, sub
+from itertools import groupby
+from operator import add, itemgetter, mul, sub
 
 from ._record import Record
-from .event_space import _on_atoms
 from .numerics import over_common_denominator
 
 OPTIMAL = "optimal"
@@ -315,17 +321,24 @@ class WalshAtoms:
     pricing and the certificate check), and :meth:`least_worst`, the
     least over atoms of the worst row, row i worth ``plus`` where
     χ_i(a) = 1 and ``minus`` where it is −1 (the margin LP's crash).
-    :meth:`moments` gives every row's moment of atom masses.
+    :meth:`moments` gives every row's moment of atom masses.  ``layout``
+    is the :class:`Layout` of the explicit columns its builder solves it
+    with, or None.
     """
 
-    __slots__ = ("bits", "masks", "atoms")
+    __slots__ = ("bits", "masks", "atoms", "distinct", "places", "plus", "layout")
 
     def __init__(self, bits, masks):
         self.bits, self.masks, self.atoms = bits, masks, 1 << bits
+        # Each mask once, and each row's place among them.
+        self.distinct = list(dict.fromkeys(masks))
+        self.places = [self.distinct.index(mask) for mask in masks]
+        self.plus, self.layout = {}, None
 
     def column(self, atom):
-        """Atom ``atom``'s entry on every row."""
-        return [-1 if (atom & mask).bit_count() & 1 else 1 for mask in self.masks]
+        """Atom ``atom``'s entry on every row: one parity per distinct mask."""
+        signs = [-1 if (atom & mask).bit_count() & 1 else 1 for mask in self.distinct]
+        return [signs[k] for k in self.places]
 
     def least(self, weights):
         """(least Σ_i w_i·χ_i(a), its atom) for (row i, w_i) pairs."""
@@ -346,18 +359,99 @@ class WalshAtoms:
         return [values[mask] for mask in self.masks]
 
     def least_worst(self, rows):
-        """(least over atoms of the worst row, its atom) for one or more (row, plus, minus)."""
-        by_mask = {}
+        """(least over atoms of the worst row, its atom) for one or more (row, plus, minus).
+
+        A descending cover over bitsets: each row offers its ``plus`` on
+        its mask's +1 atoms (:func:`_plus_atoms`, kept per mask) and its
+        ``minus`` on the others.  From the highest value down, each
+        group of equal offers clears the atoms it covers, whose worst row
+        it is; the group that clears the last atoms gives the least worst
+        value, and the lowest of those atoms.
+        """
+        left, kept, offers = (1 << self.atoms) - 1, self.plus, []
         for r, plus, minus in rows:
-            if (mask := self.masks[r]) in by_mask:
-                plus, minus = max(by_mask[mask][0], plus), max(by_mask[mask][1], minus)
-            by_mask[mask] = plus, minus
-        worst = None
-        for mask, (plus, minus) in by_mask.items():
-            row = _on_atoms(self.bits, mask, plus, minus)
-            worst = row if worst is None else [a if a >= b else b for a, b in zip(worst, row)]
-        least = min(worst)
-        return least, worst.index(least)
+            mask = self.masks[r]
+            on = kept.get(mask) or kept.setdefault(mask, _plus_atoms(self.bits, mask))
+            offers += (plus, on), (minus, left ^ on)
+        offers.sort(key=itemgetter(0), reverse=True)
+        for value, group in groupby(offers, itemgetter(0)):
+            cleared = 0
+            for _, on in group:
+                cleared |= on
+            if not left & ~cleared:
+                return value, (left & -left).bit_length() - 1
+            left &= ~cleared
+
+
+def _plus_atoms(bits, mask):
+    """The atoms where the character of ``mask`` is +1, as the set bits of an int.
+
+    ``event_space._on_atoms``' doubling over the atom index's bits, on
+    ints: the atoms with bit k set repeat those below, flipped when
+    ``mask`` has bit k.
+    """
+    plus = 1
+    for k in range(bits):
+        width = 1 << k
+        plus |= (plus ^ (1 << width) - 1 if mask >> k & 1 else plus) << width
+    return plus
+
+
+class Layout:
+    """The part of one LP that no right-hand side changes, read-only once built.
+
+    :class:`_RevisedLp` reads it: the checks of the integer ``costs`` and
+    ``columns`` against the m rows, the split of the explicit columns
+    into ``slacks`` (by column) and ``slacks_on`` (by row) and the
+    ``dense`` rest, and the equality pairs (:meth:`_pairs`): T's column
+    ``t``, each pair's (r1, r2, τ, s1, c1, s2, c2) in ``pairs``, each
+    pair slack's pair in ``pair_of``, and ``kappa_scale``, the lcm of the
+    pairs' τ.  :func:`solve_from_basis` builds one per solve, unless its
+    oracle carries the layout of these very ``costs`` and ``columns``.
+    """
+
+    def __init__(self, costs, columns, m, oracle):
+        if any(type(v) is not int for v in [*costs, *(v for c in columns for v in c.values())]):
+            raise TypeError("the revised simplex takes integer columns and costs")
+        if any(not 0 <= i < m for c in columns for i in c):
+            raise ValueError(f"a column has an entry off the rows 0..{m - 1}")
+        self.costs, self.columns, self.m = costs, columns, m
+        atoms = self.atoms = 0 if oracle is None else oracle.atoms
+        # A slack as its (row, entry), also listed under its row by its
+        # explicit index; every other explicit column as its m entries.
+        self.slacks, self.slacks_on, self.dense = {}, {}, {}
+        for j, (column, cost) in enumerate(zip(columns, costs), atoms):
+            nonzero = [(i, v) for i, v in column.items() if v]
+            if len(nonzero) == 1 and nonzero[0][1] in (1, -1) and not cost:
+                r, v = self.slacks[j] = nonzero[0]
+                self.slacks_on.setdefault(r, []).append((j - atoms, v))
+                continue
+            dense = self.dense[j - atoms] = [0] * m
+            for i, v in nonzero:
+                dense[i] = v
+        self.pair_of = {}
+        self.t, self.pairs = self._pairs(oracle)
+        self.kappa_scale = math.lcm(*(pair[2] for pair in self.pairs))
+
+    def _pairs(self, oracle):
+        """T's column and (r1, r2, τ, s1, c1, s2, c2) for each pair of rows; fills in ``pair_of``."""
+        t, pairs, groups, dense, on = None, [], {}, self.dense, self.slacks_on
+        for r in on if oracle else ():
+            if len(on[r]) == 1:
+                groups.setdefault(oracle.masks[r], []).append(r)
+        for rows in groups.values():
+            while len(rows) > 1:
+                r1 = rows.pop(0)
+                for r2 in rows:
+                    differ = [j for j in dense if dense[j][r1] != dense[j][r2]]
+                    if len(differ) == 1 and t in (None, differ[0]):
+                        t, (s1, c1), (s2, c2) = differ[0], on[r1][0], on[r2][0]
+                        s1, s2 = self.atoms + s1, self.atoms + s2
+                        self.pair_of[s1] = self.pair_of[s2] = len(pairs)
+                        pairs.append((r1, r2, dense[t][r1] - dense[t][r2], s1, c1, s2, -c2))
+                        rows.remove(r2)
+                        break
+        return None if t is None else self.atoms + t, pairs
 
 
 class _RevisedLp:
@@ -371,11 +465,12 @@ class _RevisedLp:
 
     A *slack* (cost 0, one entry ±1 on row r) is held as (r, ±1), in
     ``slacks`` by column and ``slacks_on`` by row; the other explicit
-    columns are ``dense``.  While a slack is basic on position i, column
-    r of B⁻¹ is ±e_i and is not stored, only ``held[i] = (r, ±1)``; the
-    others are ``live`` (the logical variables of I. Maros,
-    *Computational Techniques of the Simplex Method*, 2003, ch. 8).  A
-    row is ``[live entries | slot | x_B]``, :meth:`enter` writing the
+    columns are ``dense``.  These and the pairs below are read from the
+    LP's :class:`Layout`, shared by every right-hand side.  While a
+    slack is basic on position i, column r of B⁻¹ is ±e_i and is not
+    stored, only ``held[i] = (r, ±1)``; the others are ``live`` (the
+    logical variables of I. Maros, *Computational Techniques of the
+    Simplex Method*, 2003, ch. 8).  A row is ``[live entries | slot | x_B]``, :meth:`enter` writing the
     entering column into the slot.  A held column goes live, ±scale on
     its own row, before that row pivots; a slack's column is dropped
     once the slack comes in.
@@ -413,24 +508,11 @@ class _RevisedLp:
 
     def __init__(self, costs, columns, rhs, oracle):
         m = self.m = len(rhs)
-        self.oracle, self.atoms = oracle, 0 if oracle is None else oracle.atoms
-        if any(type(v) is not int for v in [*costs, *(v for c in columns for v in c.values())]):
-            raise TypeError("the revised simplex takes integer columns and costs")
-        if any(not 0 <= i < m for c in columns for i in c):
-            raise ValueError(f"a column has an entry off the rows 0..{m - 1}")
-        self.costs = costs
-        # A slack as its (row, entry), also listed under its row by its
-        # explicit index; every other explicit column as its m entries.
-        self.slacks, self.slacks_on, self.dense = {}, {}, {}
-        for j, (column, cost) in enumerate(zip(columns, costs), self.atoms):
-            nonzero = [(i, v) for i, v in column.items() if v]
-            if len(nonzero) == 1 and nonzero[0][1] in (1, -1) and not cost:
-                r, v = self.slacks[j] = nonzero[0]
-                self.slacks_on.setdefault(r, []).append((j - self.atoms, v))
-                continue
-            dense = self.dense[j - self.atoms] = [0] * m
-            for i, v in nonzero:
-                dense[i] = v
+        layout = self.layout = getattr(oracle, "layout", None)
+        if layout is None or layout.costs is not costs or layout.columns is not columns or layout.m != m:
+            layout = self.layout = Layout(costs, columns, m, oracle)
+        self.oracle, self.atoms, self.costs = oracle, layout.atoms, costs
+        self.slacks, self.slacks_on, self.dense = layout.slacks, layout.slacks_on, layout.dense
         self.rhs, self.rhs_scale = over_common_denominator(rhs)
         self.live = []
         self.held = {i: (i, 1) for i in range(m)}
@@ -441,26 +523,6 @@ class _RevisedLp:
         self.stored, self.lines, self.zero = list(range(m + 1)), list(self.tableau), [0] * (m + 1)
         # Set by :meth:`start`, once every position holds a column of A.
         self.t, self.pairs, self.pair_of, self.derived = None, [], {}, {}
-
-    def _pairs(self):
-        """T's column and (r1, r2, τ, s1, c1, s2, c2) for each pair of rows; fills in ``pair_of``."""
-        t, pairs, groups, dense, on = None, [], {}, self.dense, self.slacks_on
-        for r in on if self.oracle else ():
-            if len(on[r]) == 1:
-                groups.setdefault(self.oracle.masks[r], []).append(r)
-        for rows in groups.values():
-            while len(rows) > 1:
-                r1 = rows.pop(0)
-                for r2 in rows:
-                    differ = [j for j in dense if dense[j][r1] != dense[j][r2]]
-                    if len(differ) == 1 and t in (None, differ[0]):
-                        t, (s1, c1), (s2, c2) = differ[0], on[r1][0], on[r2][0]
-                        s1, s2 = self.atoms + s1, self.atoms + s2
-                        self.pair_of[s1] = self.pair_of[s2] = len(pairs)
-                        pairs.append((r1, r2, dense[t][r1] - dense[t][r2], s1, c1, s2, -c2))
-                        rows.remove(r2)
-                        break
-        return None if t is None else self.atoms + t, pairs
 
     def _column(self, j):
         """Column j's m entries; an atom's come from the oracle, a slack's from its one entry."""
@@ -713,8 +775,9 @@ class _RevisedLp:
         if any(line[-1] < 0 for line in tableau[: self.m]):
             raise ValueError("start basis is not primal-feasible")
         self.start_basis = tuple(self.basis)
-        self.t, self.pairs = self._pairs()
-        self.kappas, self.kappa_scale = {}, math.lcm(*(pair[2] for pair in self.pairs))
+        layout = self.layout
+        self.t, self.pairs, self.pair_of = layout.t, layout.pairs, layout.pair_of
+        self.kappas, self.kappa_scale = {}, layout.kappa_scale
         self.picked = [None] * len(self.pairs)
         for k in range(len(self.pairs)):
             self._pick(k)
@@ -839,22 +902,22 @@ def settle(result: LpResult, rhs: list[Fraction]) -> LpResult | None:
     columns and costs.  Reduced costs do not depend on the right-hand
     side, so its basis is optimal at ``rhs`` whenever x_B = B⁻¹·rhs >= 0,
     computed exactly from the kept inverse; the duals y are kept and the
-    objective is yᵀ·rhs.  None means ``rhs`` needs its own solve; a
-    ``rhs`` of another length raises ValueError.
+    objective is yᵀ·rhs, in integers (:func:`as_integers`).  x is formed
+    from x_B's integers the first time it is read (:class:`_ReadOut`).
+    None means ``rhs`` needs its own solve; a ``rhs`` of another length
+    raises ValueError.
     """
-    _check_rhs(rhs, len(result.duals))
+    inverse = result.inverse
+    _check_rhs(rhs, len(inverse))
     b, common = over_common_denominator(rhs)
-    values = _basic_values(result.inverse, b)
+    values = _basic_values(inverse, b)
     if values is None:
         return None
-    return LpResult(
-        status=OPTIMAL,
-        x=[Fraction(v, scale * common) for (_, scale), v in zip(result.inverse, values)],
-        objective=sum((y * v for y, v in zip(result.duals, b) if y), _ZERO) / common,
-        basis=result.basis,
-        duals=result.duals,
-        inverse=result.inverse,
-    )
+    y, d = as_integers(result, "duals")
+    # x_B(i) is values[i] over row i's scale times common; x reads no other field.
+    x = _ReadOut(values, [scale for _, scale in inverse], common, None, None, None, None)
+    objective = Fraction(sum(map(mul, y, b)), d * common)
+    return LpResult(OPTIMAL, x, objective, _getattribute(result, "duals"), 0, result.basis, inverse)
 
 
 def _check_rhs(rhs, m):

@@ -46,6 +46,10 @@ full ones.
 forms every derived row and every field at the read-out, so the tests
 can pin the lazily formed fields against it.
 
+:func:`eager_settle` is ``simplex.settle`` as it was before its result
+formed x on first read: every x_B and the objective formed as Fractions
+from the formed duals, so the tests can pin the settled fields against it.
+
 :func:`verify_certificate_by_rows` is ``feasibility.verify_certificate``
 as it was, combining the certificate's multipliers over the dense 2ⁿ
 standard rows; the tests pin the kit's one-transform check against it.
@@ -629,6 +633,24 @@ def eager_result(lp, pivots) -> LpResult:
 
 
 _solve_from_basis = simplex.solve_from_basis
+
+
+def eager_settle(result, rhs):
+    """``simplex.settle`` as it was: x and the objective formed in Fractions, or None."""
+    if len(rhs) != len(result.duals):
+        raise ValueError(f"right-hand side has {len(rhs)} entries for {len(result.duals)} rows")
+    b, common = over_common_denominator(rhs)
+    values = _basic_values(result.inverse, b)
+    if values is None:
+        return None
+    return LpResult(
+        status=OPTIMAL,
+        x=[Fraction(v, scale * common) for (_, scale), v in zip(result.inverse, values)],
+        objective=sum((y * v for y, v in zip(result.duals, b) if y), Fraction(0)) / common,
+        basis=result.basis,
+        duals=result.duals,
+        inverse=result.inverse,
+    )
 
 
 def solve_full_width(costs, columns, rhs, basis, characters=None) -> LpResult:

@@ -1250,7 +1250,11 @@ def _counted_masks(monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_each_mask_is_computed_once_per_decision(monkeypatch, n):
-    """A bracketed feasible decision runs its 2k check points; a planted one its certificate."""
+    """A bracketed feasible decision runs its 2k check points; a planted one its certificate.
+
+    Each starts with no shape kept (``_shape``); a second decision of a
+    kept shape computes no mask.
+    """
     from contextuality_kit.cli import scenario_from_document
 
     names, subsets = _singles_and_pairs(n)
@@ -1260,9 +1264,13 @@ def test_each_mask_is_computed_once_per_decision(monkeypatch, n):
     planted = scenario_from_document(reference.wide_document(1, n + 2, True))
     lps = _counting_lps(monkeypatch)
     counts = _counted_masks(monkeypatch)
+    feasibility._shape.cache_clear()
     assert solve(bracketed).verdict == FEASIBLE
     assert lps[0] + lps[1] == 1 + 2 * (len(subsets) - n)  # the box and every check point
     assert counts and max(counts.values()) == 1
     counts.clear()
+    assert solve(bracketed).verdict == FEASIBLE
+    assert not counts
+    feasibility._shape.cache_clear()
     assert solve(planted).verdict == INFEASIBLE
     assert counts and max(counts.values()) == 1

@@ -195,8 +195,39 @@ def test_eager_results_are_read_as_given():
     assert simplex.as_integers(built, "duals") == ([-1, 0], 2)
 
 
+@pytest.mark.parametrize("n", [4, 5, 6, 8])
+def test_settle_forms_what_the_eager_settle_did(n):
+    """Every field of each settled check point, against ``dense_simplex.eager_settle``.
+
+    The exchangeable documents (n = 8 is CI's bracketed one) settle
+    their check points from the box optimum's basis.  A settled result
+    forms no x until it is read, and then reads as the eager one does.
+    """
+    settled = []
+
+    def settle(start, rhs):
+        got = _settle(start, rhs)
+        if got is not None:
+            assert type(object.__getattribute__(got, "x")) is simplex._ReadOut
+            settled.append((got, dense_simplex.eager_settle(start, rhs)))
+        return got
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplex, "settle", settle)
+        outcome = feasibility.solve(scenario_from_document(exchangeable_document(n)))
+    assert outcome.verdict == feasibility.FEASIBLE and settled
+    for got, want in settled:
+        assert got._values() == want._values()
+        assert got == want and repr(got) == repr(want)
+
+
 def _tracked(monkeypatch):
-    """Track every ``_RevisedLp`` and ``WalshAtoms`` made from here on; returns their weak references."""
+    """Track every ``_RevisedLp`` and ``WalshAtoms`` made from here on; returns their weak references.
+
+    The kept shapes are dropped first, so each decision's oracle is made
+    and tracked.
+    """
+    feasibility._shape.cache_clear()
     made = []
 
     class TrackedLp(simplex._RevisedLp):
@@ -217,7 +248,11 @@ def _tracked(monkeypatch):
 
 
 def test_an_outcome_keeps_no_lp_alive(monkeypatch):
-    """A returned outcome holds its evidence, not the LP or its atom oracle."""
+    """A returned outcome holds its evidence, not the LP or its atom oracle.
+
+    The oracles of the shapes kept for later decisions are held by that
+    cache alone (``feasibility._shape``): once it is cleared, none is alive.
+    """
     made = _tracked(monkeypatch)
     documents = [
         reference.wide_document(7, 6, False),
@@ -225,6 +260,7 @@ def test_an_outcome_keeps_no_lp_alive(monkeypatch):
         exchangeable_document(4),
     ]
     outcomes = [feasibility.solve(scenario_from_document(d)) for d in documents]
+    feasibility._shape.cache_clear()
     gc.collect()
     assert [o.verdict for o in outcomes] == [feasibility.FEASIBLE, feasibility.INFEASIBLE, feasibility.FEASIBLE]
     assert len(made) > 6 and all(ref() is None for ref in made)
@@ -237,6 +273,7 @@ def test_a_result_formed_on_first_read_keeps_only_its_rows(monkeypatch):
     with read_outs_paired() as pairs:
         feasibility._margin_lp(feasibility._MomentLp(scenario), feasibility._box(scenario))
     ((got, want),) = pairs
+    feasibility._shape.cache_clear()
     gc.collect()
     assert made and all(ref() is None for ref in made)
     assert type(object.__getattribute__(got, "inverse")) is simplex._ReadOut

@@ -1432,6 +1432,9 @@ def oracle_questions(draw):
 @given(oracle_questions())
 @example((2, [0, 3, 3], [(1, 1), (2, -1)], [(0, 0, 0)], []))  # every atom ties
 @example((3, [5, 5], [(0, 2), (1, -2)], [(0, 1, -1), (1, -1, 1)], [(5, 2), (5, -1), (2, 3)]))
+# Atoms 1 and 3 tie at the least worst, cleared by both masks' offers: atom 1 wins.
+@example((2, [1, 2], [], [(0, 2, 0), (1, 0, 0)], []))
+@example((0, [0, 0], [(0, 1), (1, -1)], [(0, 2, -1), (1, -3, 5)], [(0, 3)]))  # one atom
 def test_walsh_oracle_answers_as_the_direct_sum(question):
     bits, masks, weights, worst, masses = question
     walsh, brute = simplex.WalshAtoms(bits, masks), BruteForceAtoms(bits, masks)
@@ -1449,8 +1452,11 @@ def test_walsh_oracle_answers_as_the_direct_sum(question):
 def test_decisions_on_the_brute_force_oracle_are_identical(scenario):
     """Every LpResult and the outcome, with the brute-force oracle in every place atoms are enumerated.
 
-    With it in place the Walsh transform and the atom-row fold must not
-    run at all: nothing else on the decision path enumerates the atoms.
+    With it in place the Walsh transform and the crash's bitset builder
+    must not run at all: nothing else on the decision path enumerates
+    the atoms.  The kept shapes are dropped on the way in and out, so
+    the decision builds its shape on the brute-force oracle and no later
+    one keeps it.
     """
     results = []
 
@@ -1467,7 +1473,11 @@ def test_decisions_on_the_brute_force_oracle_are_identical(scenario):
         walsh, results[:] = list(results), []
         patch.setattr(simplex, "WalshAtoms", BruteForceAtoms)
         patch.setattr(simplex, "_walsh", refused)
-        patch.setattr(simplex, "_on_atoms", refused)
-        got = feasibility.solve(scenario)
+        patch.setattr(simplex, "_plus_atoms", refused)
+        feasibility._shape.cache_clear()
+        try:
+            got = feasibility.solve(scenario)
+        finally:
+            feasibility._shape.cache_clear()
     assert got == want
     assert results == walsh and results
